@@ -29,12 +29,12 @@ from scipy.linalg import expm as _scipy_expm
 from .cartan import GroupDesc, GroupElement, to_float_array
 from .errors import PreconditionError
 from .exact import (
+    EchelonSpan,
     in_span,
     mat_from_rows,
     mat_mul,
     mat_sub,
     nullspace,
-    rank,
     solve,
     transpose,
 )
@@ -126,12 +126,12 @@ class LieBasis:
                 raise PreconditionError(
                     f"basis element {k} violates the form equation"
                 )
-        flat = [_flatten(X) for X in self.matrices]
-        if flat and rank(tuple(flat)) != len(flat):
+        span = EchelonSpan()
+        if not all(span.add(_flatten(X)) for X in self.matrices):
             raise PreconditionError("basis matrices are linearly dependent")
         for i, A in enumerate(self.matrices):
             for B in self.matrices[i + 1:]:
-                if not in_span(flat, _flatten(bracket(A, B))):
+                if not span.contains(_flatten(bracket(A, B))):
                     raise PreconditionError("span is not closed under brackets")
 
     def __len__(self):
@@ -231,7 +231,7 @@ def pick_Y(centralizer: LieBasis, subalgebra: LieBasis):
     for idx, Y in enumerate(centralizer.matrices):
         y = _flatten(Y)
         dist2 = _ortho_distance_sq(y, h_flat)
-        val = float(dist2) if not isinstance(dist2, QuadElement) else float(dist2)
+        val = float(dist2)
         if val > best_val + 0.0:
             best_val = val
             best = (idx, Y)
@@ -382,25 +382,17 @@ class ModuleDecompositionVerdict:
         )
 
 
-def bracket_closure_exact(vectors, dim):
+def bracket_closure_exact(vectors):
     """Span basis of the bracket closure of exact d x d matrices."""
-    mats = [mat_from_rows(m) for m in vectors]
-    flats = []
-    basis = []
-    for m in mats:
-        f = _flatten(m)
-        if not in_span(flats, f):
-            flats.append(f)
-            basis.append(m)
+    span = EchelonSpan()
+    basis = [m for m in map(mat_from_rows, vectors) if span.add(_flatten(m))]
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 br = bracket(basis[i], basis[j])
-                f = _flatten(br)
-                if not in_span(flats, f):
-                    flats.append(f)
+                if span.add(_flatten(br)):
                     basis.append(br)
                     changed = True
     return basis
@@ -419,10 +411,8 @@ def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
     space = standard_so_form(m, 2)
     ambient = so_form_algebra(space)
     sub = so_subalgebra_basis(space, space.dim - 1)
-    sub_flat = sub.flat_vectors()
     complement = []
     for X in ambient.matrices:
-        f = _flatten(X)
         # ambient basis splits cleanly: keep the vectors orthogonal to the sub
         if all(frobenius(X, H) == 0 for H in sub.matrices):
             complement.append(X)
@@ -435,7 +425,7 @@ def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
     closures_ok = True
     dim_ambient = len(ambient)
     for W in complement:
-        closure = bracket_closure_exact(list(sub.matrices) + [W], space.dim)
+        closure = bracket_closure_exact(list(sub.matrices) + [W])
         if len(closure) != dim_ambient:
             closures_ok = False
     return ModuleDecompositionVerdict(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -315,8 +314,7 @@ def cmd_stability(args) -> int:
             raise PreconditionError(
                 "nonzero t needs a bending block in the presentation file"
             )
-        rep = stability_scan(pres, phi_ref, phi_t, radius, rho0=rho0,
-                             workers=args.workers)
+        rep = stability_scan(pres, phi_ref, phi_t, radius, rho0=rho0)
         for r in rep.rows:
             rows.append([
                 t, r.word.format(pres.symbols), r.length, r.mu_norm, r.deviation,
@@ -395,11 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="short-element cutoff for envelope fits")
     common.add_argument("--seed", type=int,
                         default=0, help="sample-grid seed")
-    common.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("CARTANLAB_WORKERS", "0")) or None,
-        help="worker-count hint (deterministic output regardless)",
-    )
     for name, fn in [
         ("cartan", cmd_cartan), ("ball", cmd_ball), ("proximal", cmd_proximal),
         ("decompose", cmd_decompose), ("bend", cmd_bend),

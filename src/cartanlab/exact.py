@@ -5,6 +5,14 @@ QuadElement).  Everything here is plain Gaussian elimination over a
 field: pivots are exact, divisions are exact, no tolerance anywhere.
 Sizes are desk scale (n <= 8 or so), so O(n^3) with big rationals is
 plenty.
+
+One Gauss-Jordan kernel, ``_rref``, serves ``inverse``, ``rank``,
+``nullspace`` and ``solve``; ``EchelonSpan`` keeps a span reduced so
+that membership tests and incremental growth need no fresh
+elimination.  ``det`` keeps its own forward elimination: it needs no
+back substitution and no pivot scaling, and routing it through the
+kernel roughly doubles its cost on the small matrices of the Cartan
+and proximal paths.  ``charpoly`` is Faddeev-LeVerrier, not elimination.
 """
 
 from __future__ import annotations
@@ -104,56 +112,51 @@ def det(A):
     return d if result_sign == 1 else -d
 
 
+def _rref(M, ncols):
+    """Gauss-Jordan on the first ncols columns of the row list M, in place.
+
+    Pivot rows are scaled to 1 and moved to the top in order; every
+    other entry of a pivot column is cleared, trailing columns included.
+    Returns the pivot columns.
+    """
+    zero = _zero_of(M)
+    nrows = len(M)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if M[i][c] != zero:
+                break
+        else:
+            continue
+        row, M[i] = M[i], M[r]
+        piv = row[c]
+        M[r] = row = [x / piv for x in row]
+        for i in range(nrows):
+            f = M[i][c]
+            if i != r and f != zero:
+                M[i] = [x - f * y for x, y in zip(M[i], row)]
+        pivots.append(c)
+    return pivots
+
+
 def inverse(A):
     n = len(A)
     zero = _zero_of(A)
     one = zero + 1
     M = [list(row) + [one if i == j else zero for j in range(n)]
          for i, row in enumerate(A)]
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if M[i][k] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        M[k], M[pivot_row] = M[pivot_row], M[k]
-        piv = M[k][k]
-        M[k] = [x / piv for x in M[k]]
-        for i in range(n):
-            if i != k and M[i][k] != zero:
-                f = M[i][k]
-                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    if len(_rref(M, n)) < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in M)
 
 
 def rank(A):
     if not A:
         return 0
-    zero = _zero_of(A)
-    M = [list(row) for row in A]
-    nrows, ncols = len(M), len(M[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if M[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        piv = M[r][c]
-        M[r] = [x / piv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != zero:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_rref([list(row) for row in A], len(A[0])))
 
 
 def nullspace(A):
@@ -161,35 +164,13 @@ def nullspace(A):
     if not A:
         return []
     zero = _zero_of(A)
-    one = zero + 1
     M = [list(row) for row in A]
-    nrows, ncols = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if M[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        piv = M[r][c]
-        M[r] = [x / piv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != zero:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(M[0])
+    pivots = _rref(M, ncols)
     basis = []
-    for fc in free:
+    for fc in [c for c in range(ncols) if c not in pivots]:
         v = [zero] * ncols
-        v[fc] = one
+        v[fc] = zero + 1
         for i, pc in enumerate(pivots):
             v[pc] = -M[i][fc]
         basis.append(tuple(v))
@@ -200,31 +181,10 @@ def solve(A, b):
     """One exact solution of A x = b, or None if inconsistent."""
     zero = _zero_of(A)
     M = [list(row) + [bv] for row, bv in zip(A, b)]
-    nrows, ncols = len(M), len(A[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if M[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        piv = M[r][c]
-        M[r] = [x / piv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != zero:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if M[i][ncols] != zero:
-            return None
+    ncols = len(A[0])
+    pivots = _rref(M, ncols)
+    if any(row[ncols] != zero for row in M[len(pivots):]):
+        return None
     x = [zero] * ncols
     for i, c in enumerate(pivots):
         x[c] = M[i][ncols]
@@ -251,15 +211,50 @@ def charpoly(A):
     return coeffs
 
 
+class EchelonSpan:
+    """Exact span of vectors, kept as rows in reduced echelon form.
+
+    Each stored row has a 1 in its own pivot column and a 0 in every
+    other row's pivot column, so testing a vector is one pass of
+    subtractions, and adding one keeps the form by clearing one column.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows = []
+        self.pivots = []
+        for v in vectors:
+            self.add(v)
+
+    def _reduce(self, v, zero):
+        w = list(v)
+        for row, c in zip(self.rows, self.pivots):
+            f = w[c]
+            if f != zero:
+                w = [x - f * y for x, y in zip(w, row)]
+        return w
+
+    def contains(self, v) -> bool:
+        zero = v[0] - v[0]
+        return all(x == zero for x in self._reduce(v, zero))
+
+    def add(self, v) -> bool:
+        """Adjoin v; True iff it enlarged the span."""
+        zero = v[0] - v[0]
+        w = self._reduce(v, zero)
+        c = next((j for j, x in enumerate(w) if x != zero), None)
+        if c is None:
+            return False
+        piv = w[c]
+        w = [x / piv for x in w]
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f != zero:
+                self.rows[i] = [x - f * y for x, y in zip(row, w)]
+        self.rows.append(w)
+        self.pivots.append(c)
+        return True
+
+
 def in_span(vectors, v):
     """Whether v lies in the exact span of the given vectors."""
-    if not vectors:
-        return all(x == (x - x) for x in v)
-    A = transpose(tuple(tuple(w) for w in vectors))
-    return solve(A, v) is not None
-
-
-def span_rank(vectors):
-    if not vectors:
-        return 0
-    return rank(tuple(tuple(v) for v in vectors))
+    return EchelonSpan(vectors).contains(v)

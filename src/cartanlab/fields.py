@@ -95,11 +95,6 @@ class FieldDesc:
     def is_archimedean(self) -> bool:
         return self.kind in ("real", "complex", "quadratic")
 
-    @property
-    def q(self) -> float:
-        """Base of the absolute value: p for padic, e for display otherwise."""
-        return float(self.p) if self.kind == "padic" else math.e
-
 
 REAL = FieldDesc("real")
 COMPLEX = FieldDesc("complex")

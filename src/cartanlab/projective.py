@@ -733,11 +733,7 @@ def r_eps(
 
 def _homothety_coefficient(x: ProjPoint, x0: ProjPoint, X0: ProjHyperplane):
     """t with v = t*v0 + w, w in the hyperplane, for the unit rep of x."""
-    num = X0.pair(x)
-    den = X0.pair(x0)
-    if x.field.kind == "padic":
-        return num / den
-    return num / den
+    return X0.pair(x) / X0.pair(x0)
 
 
 def eps_proximal_check(

@@ -273,7 +273,6 @@ def stability_scan(
     delta_l: DeltaLData | None = None,
     factorizer=None,
     relator_tol: float = 1e-9,
-    workers: int | None = None,
 ) -> StabilityReport:
     """Deviation scan of a deformation over a word ball.
 
@@ -283,9 +282,6 @@ def stability_scan(
     conjugation-type bounds.  With delta_l and a factorizer (word ->
     factor words) the per-element seminorm defect
     |mu(phi(g)) - sum mu(phi(g_i))|_{coroot span} is recorded.
-
-    Row computation is pure per word; ``workers`` > 1 maps it over a
-    thread pool in input order, so results match the sequential run.
     """
     for name, h in (("reference", phi_ref), ("deformed", phi)):
         rep = check_relators(P, h, tol=relator_tol)
@@ -320,13 +316,7 @@ def stability_scan(
             defect,
         )
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(make_row, ball.entries))
-    else:
-        rows = [make_row(e) for e in ball.entries]
+    rows = [make_row(e) for e in ball.entries]
     eps_hat, c_hat = fit_envelope(rows, rho0)
     report = StabilityReport(rows, eps_hat, c_hat, rho0, radius)
     if not report.envelope_valid():

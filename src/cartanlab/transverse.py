@@ -31,7 +31,6 @@ import numpy as np
 
 from .cartan import GroupElement, cartan, to_float_array
 from .errors import PreconditionError, UnsupportedFieldError
-from .fields import QuadElement
 from .wordgroups import Homomorphism, Presentation, Word, evaluate, inclusion, word_ball
 
 
@@ -70,7 +69,7 @@ class RankOneModel:
     @staticmethod
     def hyperboloid(form) -> "RankOneModel":
         form = tuple(form)
-        coeffs = [float(c) if not isinstance(c, QuadElement) else float(c) for c in form]
+        coeffs = [float(c) for c in form]
         if sum(1 for c in coeffs if c < 0) != 1 or coeffs[-1] >= 0:
             raise PreconditionError(
                 "hyperboloid form must have signature (m,1) with the "

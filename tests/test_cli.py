@@ -224,3 +224,12 @@ def test_field_group_override(tmp_path):
                "--field", "padic:3", "--group", "SL:2"])
     assert rc == 0
     assert out.read_text().splitlines()[1].endswith("1,-1,1.41421356237")
+
+def test_stray_workers_environment_is_ignored(tmp_path, sl2_presentation_file,
+                                              monkeypatch):
+    # the CLI reads no environment variable, so a malformed one cannot
+    # break argument parsing
+    monkeypatch.setenv("CARTANLAB_WORKERS", "two")
+    rc = main(["ball", "--input", str(sl2_presentation_file),
+               "--output", str(tmp_path / "b.csv"), "--radius", "2"])
+    assert rc == 0

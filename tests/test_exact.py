@@ -1,0 +1,195 @@
+"""Exact linear algebra against sympy's exact Matrix over Q as the oracle."""
+
+from fractions import Fraction as F
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cartanlab.exact import (
+    EchelonSpan,
+    det,
+    identity,
+    in_span,
+    inverse,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    solve,
+)
+from cartanlab.fields import QuadElement
+
+entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Small rational matrices; about half are products of thinner
+    factors, so rank-deficient ones are common."""
+    n = rows if rows is not None else draw(st.integers(1, 5))
+    m = cols if cols is not None else draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(n, m)))
+        L = [[draw(entries) for _ in range(k)] for _ in range(n)]
+        R = [[draw(entries) for _ in range(m)] for _ in range(k)]
+        return tuple(
+            tuple(sum((L[i][t] * R[t][j] for t in range(k)), F(0))
+                  for j in range(m))
+            for i in range(n)
+        )
+    return tuple(tuple(draw(entries) for _ in range(m)) for _ in range(n))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(matrices(rows=n, cols=n))
+
+
+def to_sympy(A):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in A])
+
+
+def oracle_rank(rows):
+    return to_sympy(rows).rank() if rows else 0
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def is_zero_vector(v):
+    return all(x == 0 for x in v)
+
+
+@given(A=matrices())
+@settings(max_examples=50, deadline=None)
+def test_rank_matches_oracle(A):
+    assert rank(A) == to_sympy(A).rank()
+
+
+@given(A=square_matrices())
+@settings(max_examples=50, deadline=None)
+def test_det_matches_oracle(A):
+    assert det(A) == from_sympy(to_sympy(A).det())
+
+
+@given(A=matrices())
+@settings(max_examples=50, deadline=None)
+def test_nullspace_is_a_kernel_basis(A):
+    basis = nullspace(A)
+    assert len(basis) == len(A[0]) - to_sympy(A).rank()
+    for v in basis:
+        assert is_zero_vector(mat_vec(A, v))
+    if basis:
+        assert rank(tuple(basis)) == len(basis)
+
+
+@given(A=matrices(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_solve_consistent_system(A, data):
+    x0 = tuple(data.draw(entries) for _ in range(len(A[0])))
+    b = mat_vec(A, x0)
+    x = solve(A, b)
+    assert x is not None
+    assert mat_vec(A, x) == b
+
+
+@given(A=matrices(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_solve_matches_oracle_consistency(A, data):
+    b = tuple(data.draw(entries) for _ in range(len(A)))
+    Ab = to_sympy(A).row_join(to_sympy(tuple((x,) for x in b)))
+    consistent = Ab.rank() == to_sympy(A).rank()
+    x = solve(A, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert mat_vec(A, x) == b
+
+
+def test_solve_inconsistent_system():
+    A = ((F(1), F(2)), (F(2), F(4)))
+    assert solve(A, (F(1), F(3))) is None
+
+
+@given(A=square_matrices())
+@settings(max_examples=50, deadline=None)
+def test_inverse_matches_oracle(A):
+    S = to_sympy(A)
+    if S.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse(A)
+    else:
+        Ainv = inverse(A)
+        assert Ainv == tuple(tuple(from_sympy(x) for x in S.inv().row(i))
+                             for i in range(S.rows))
+        assert mat_mul(A, Ainv) == identity(len(A))
+
+
+@given(A=matrices(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_in_span_matches_oracle(A, data):
+    if data.draw(st.booleans()):
+        coeffs = [data.draw(entries) for _ in A]
+        v = tuple(sum((c * row[j] for c, row in zip(coeffs, A)), F(0))
+                  for j in range(len(A[0])))
+        assert in_span(list(A), v)
+    else:
+        v = tuple(data.draw(entries) for _ in range(len(A[0])))
+    grows = oracle_rank(A + (v,)) > oracle_rank(A)
+    assert in_span(list(A), v) == (not grows)
+
+
+def test_in_span_of_nothing_is_the_zero_vector():
+    assert in_span([], (F(0), F(0)))
+    assert not in_span([], (F(0), F(1)))
+
+
+@given(A=matrices())
+@settings(max_examples=50, deadline=None)
+def test_echelon_span_add_reports_rank_growth(A):
+    span = EchelonSpan()
+    for k, v in enumerate(A):
+        assert span.add(v) == (oracle_rank(A[:k + 1]) > oracle_rank(A[:k]))
+        for w in A[:k + 1]:
+            assert span.contains(w)
+
+
+def q2(a, b=0):
+    return QuadElement(F(a), F(b), 2)
+
+
+def test_quadratic_inverse():
+    A = ((q2(1, 1), q2(2)), (q2(0, 1), q2(1, -1)))
+    one, zero = q2(1), q2(0)
+    assert mat_mul(A, inverse(A)) == ((one, zero), (zero, one))
+    B = ((q2(1, 1), q2(0), q2(1)), (q2(0), q2(3, -2), q2(0, 1)),
+         (q2(1), q2(2), q2(0)))
+    I3 = tuple(tuple(one if i == j else zero for j in range(3))
+               for i in range(3))
+    assert mat_mul(B, inverse(B)) == I3
+    assert mat_mul(inverse(B), B) == I3
+
+
+def test_quadratic_singular_inverse_raises():
+    # second row is (1 + sqrt 2) times the first
+    A = ((q2(1), q2(0, 1)), (q2(1, 1), q2(2, 1)))
+    with pytest.raises(ZeroDivisionError):
+        inverse(A)
+
+
+def test_quadratic_membership():
+    u = (q2(1), q2(0, 1), q2(0))
+    w = (q2(0), q2(1), q2(1, 1))
+    inside = tuple(q2(0, 1) * a + q2(3, -1) * b for a, b in zip(u, w))
+    assert in_span([u, w], inside)
+    assert not in_span([u, w], (q2(0), q2(0), q2(1)))
+    # (1, sqrt 2, 0) is no multiple of (1, 1, 0) over Q(sqrt 2)
+    assert not in_span([(q2(1), q2(1), q2(0))], u)
+    span = EchelonSpan([u])
+    assert span.add(w)
+    assert not span.add(inside)
+    assert span.contains(inside)
