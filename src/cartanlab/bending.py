@@ -433,12 +433,23 @@ def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
     )
 
 
-def _float_rank(vectors, tol=1e-9):
-    A = np.array([np.asarray(v, dtype=float).reshape(-1) for v in vectors])
-    if A.size == 0:
-        return 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    return int((sv > tol * sv[0]).sum()) if sv[0] > 0 else 0
+def _orthonormal_add(Q, v, tol):
+    """Gram-Schmidt step: append v's residual against the orthonormal
+    rows Q, normalised, when its norm exceeds tol * |v|.  True iff the
+    span grew."""
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        return False
+    r = v
+    if Q:
+        B = np.array(Q)
+        for _ in range(2):  # a second pass restores orthogonality lost to rounding
+            r = r - B.T @ (B @ r)
+    rnorm = np.linalg.norm(r)
+    if rnorm <= tol * norm:
+        return False
+    Q.append(r / rnorm)
+    return True
 
 
 def zariski_density_witness(Y, t: float, m: int, tol: float = 1e-9) -> bool:
@@ -448,7 +459,8 @@ def zariski_density_witness(Y, t: float, m: int, tol: float = 1e-9) -> bool:
     True iff (a) Ad(exp(t*Y)) moves the fixed subalgebra off itself and
     (b) the union of the subalgebra and its image bracket-generates
     so(m,2).  False at t = 0 and for Y inside the subalgebra (Ad then
-    normalizes it).
+    normalizes it).  Spans are kept as orthonormal bases, so testing a
+    candidate bracket costs one projection, not a fresh rank.
     """
     space = standard_so_form(m, 2)
     sub = so_subalgebra_basis(space, space.dim - 1)
@@ -456,28 +468,28 @@ def zariski_density_witness(Y, t: float, m: int, tol: float = 1e-9) -> bool:
     Cinv = matrix_exp(Y, -t)
     h_float = [to_float_array(H) for H in sub.matrices]
     moved = [C @ H @ Cinv for H in h_float]
-    base_rank = _float_rank(h_float, tol)
-    if _float_rank(h_float + moved, tol) <= base_rank:
+    Q = []
+    for H in h_float:
+        _orthonormal_add(Q, H.reshape(-1), tol)
+    base_rank = len(Q)
+    for M in moved:
+        _orthonormal_add(Q, M.reshape(-1), tol)
+    if len(Q) == base_rank:
         return False
     target = (m + 2) * (m + 1) // 2
-    basis = list(h_float) + moved
-    flats = [b.reshape(-1) for b in basis]
-    current = _float_rank(flats, tol)
+    basis = h_float + moved
     changed = True
-    while changed and current < target:
+    while changed and len(Q) < target:
         changed = False
         new = []
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 br = basis[i] @ basis[j] - basis[j] @ basis[i]
-                r2 = _float_rank(flats + [br.reshape(-1)], tol)
-                if r2 > current:
-                    flats.append(br.reshape(-1))
+                if _orthonormal_add(Q, br.reshape(-1), tol):
                     new.append(br)
-                    current = r2
                     changed = True
         basis.extend(new)
-    return current >= target
+    return len(Q) >= target
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,44 @@
 """Exact dense linear algebra over Fraction and quadratic-field scalars.
 
 Matrices are tuples of tuples of exact scalars (Fraction, int, or
-QuadElement).  Everything here is plain Gaussian elimination over a
-field: pivots are exact, divisions are exact, no tolerance anywhere.
-Sizes are desk scale (n <= 8 or so), so O(n^3) with big rationals is
-plenty.
+QuadElement).  Everything here is exact: pivots are exact, divisions
+are exact, no tolerance anywhere.  Sizes are desk scale (n <= 8 or
+so), so O(n^3) with big rationals is plenty.
+
+``mat_mul`` and ``det`` have an integer kernel for matrices whose
+entries are all rational (Fraction or int): each row (for ``mat_mul``
+also each column of the right factor) is scaled by the lcm of its
+denominators, the work is done on Python ints, and one normalised
+Fraction is built per result entry.  ``mat_mul`` skips zero terms and
+zero results, which the sparse so(J) bases are full of; ``det`` runs
+Bareiss fraction-free elimination, whose every division is exact, and
+divides once by the product of the row denominators.  A Fraction
+operation normalises by a gcd on every multiply and add, so this does
+the same products at a fraction of the cost.  Matrices with a
+QuadElement entry keep the generic loops over the field operations:
+clearing their denominators would need two integers per entry and the
+sqrt(r) product rule, a second kernel for inputs that are rare and
+small.  Which path runs depends only on the types of the entries.
 
 One Gauss-Jordan kernel, ``_rref``, serves ``inverse``, ``rank``,
 ``nullspace`` and ``solve``; ``EchelonSpan`` keeps a span reduced so
 that membership tests and incremental growth need no fresh
-elimination.  ``det`` keeps its own forward elimination: it needs no
-back substitution and no pivot scaling, and routing it through the
-kernel roughly doubles its cost on the small matrices of the Cartan
-and proximal paths.  ``charpoly`` is Faddeev-LeVerrier, not elimination.
+elimination.  ``charpoly`` is Faddeev-LeVerrier, not elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 
 from .fields import as_exact
+
+_ZERO = Fraction(0)
+_RATIONAL_TYPES = frozenset((int, Fraction))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def mat_from_rows(rows):
@@ -33,7 +52,39 @@ def identity(n, one=Fraction(1)):
     )
 
 
+def _is_rational(M):
+    return set(map(type, chain.from_iterable(M))) <= _RATIONAL_TYPES
+
+
+def _cleared(rows):
+    """Each rational row as (integer list, common denominator): the row
+    times the lcm of its entries' denominators."""
+    out = []
+    for row in rows:
+        den = math.lcm(*map(_denominator, row))
+        if den == 1:
+            out.append((list(map(_numerator, row)), 1))
+        else:
+            out.append(([x.numerator * (den // x.denominator) for x in row], den))
+    return out
+
+
 def mat_mul(A, B):
+    if _is_rational(A) and _is_rational(B):
+        cols = _cleared(zip(*B))
+        zero_row = (_ZERO,) * len(cols)
+        out = []
+        for a, da in _cleared(A):
+            terms = [(t, x) for t, x in enumerate(a) if x]
+            if not terms:
+                out.append(zero_row)
+                continue
+            out_row = []
+            for b, db in cols:
+                s = sum([x * b[t] for t, x in terms])
+                out_row.append(Fraction(s, da * db) if s else _ZERO)
+            out.append(tuple(out_row))
+        return tuple(out)
     n, k = len(A), len(B)
     m = len(B[0])
     return tuple(
@@ -84,8 +135,38 @@ def _zero_of(A):
     return x - x
 
 
+def _bareiss(M):
+    """Determinant of a square integer matrix (a list of lists, consumed).
+
+    Bareiss elimination: after step k every entry is a k+1 minor, so the
+    division by the previous pivot is exact and entries stay small.
+    """
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                return 0
+            M[k], M[i] = M[i], M[k]
+            sign = -sign
+        rk = M[k]
+        p = rk[k]
+        for ri in M[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+    return sign * M[n - 1][n - 1]
+
+
 def det(A):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Determinant (exact): Bareiss on integers for rational matrices,
+    forward elimination over the field otherwise."""
+    if A and _is_rational(A):
+        rows = _cleared(A)
+        return Fraction(_bareiss([a for a, _ in rows]),
+                        math.prod(d for _, d in rows))
     n = len(A)
     M = [list(row) for row in A]
     zero = _zero_of(A)

@@ -124,6 +124,8 @@ def group_from_json(obj, field: FieldDesc) -> GroupDesc:
 
 
 def matrix_from_json(rows, field: FieldDesc):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise PreconditionError("a matrix must be a list of rows of scalars")
     return [[scalar_from_str(str(x), field) for x in row] for row in rows]
 
 
@@ -152,7 +154,7 @@ def load_presentation_document(obj):
     field = field_from_json(obj["field"])
     group = group_from_json(obj["group"], field)
     gens = obj.get("generators")
-    if not gens:
+    if not gens or not isinstance(gens, dict):
         raise PreconditionError("presentation file needs a generators object")
     symbols = list(gens.keys())
     matrices = [matrix_from_json(gens[s], field) for s in symbols]
@@ -192,5 +194,9 @@ def load_presentation_document(obj):
 
 
 def read_json(path):
+    """A parsed matrix or presentation file; both are JSON objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"{path}: the top level must be a JSON object")
+    return obj

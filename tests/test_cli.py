@@ -201,6 +201,23 @@ def test_exit_code_bad_input(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("cartan", [1, 2]),
+    ("cartan", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+                "matrices": [[1, 2]]}),
+    ("ball", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+              "generators": {"a": None}}),
+], ids=["top-level-array", "number-row", "null-generator"])
+def test_malformed_shape_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, "--input", str(path), "--output",
+               str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_numerical(tmp_path):
     # indeterminate proximality surfaces as a numerical failure... the CLI
     # records it per-row instead, so force one via a non-finite matrix

@@ -1,5 +1,6 @@
 """Exact linear algebra against sympy's exact Matrix over Q as the oracle."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -75,6 +76,79 @@ def test_rank_matches_oracle(A):
 @settings(max_examples=50, deadline=None)
 def test_det_matches_oracle(A):
     assert det(A) == from_sympy(to_sympy(A).det())
+
+
+# the integer kernels of mat_mul and det see ints, Fractions, zeros and
+# numerators and denominators past 2**64 side by side
+kernel_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    entries,
+    st.integers(-2**80, 2**80),
+    st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def kernel_matrices(draw, rows, cols):
+    """Rows and columns are zeroed at random."""
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return tuple(
+        tuple(0 if i in zero_rows or j in zero_cols else draw(kernel_entries)
+              for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def is_normalised(x):
+    return (type(x) is F and x.denominator > 0
+            and math.gcd(x.numerator, x.denominator) == 1)
+
+
+@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 5),
+       m=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_matches_oracle(data, n, k, m):
+    A = data.draw(kernel_matrices(n, k))
+    B = data.draw(kernel_matrices(k, m))
+    C = mat_mul(A, B)
+    expected = to_sympy(A) * to_sympy(B)
+    assert len(C) == n and all(len(row) == m for row in C)
+    for i in range(n):
+        for j in range(m):
+            assert is_normalised(C[i][j])
+            assert C[i][j] == from_sympy(expected[i, j])
+
+
+@given(data=st.data(), n=st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_det_of_singular_matrices_is_zero(data, n):
+    A = [list(row) for row in data.draw(kernel_matrices(n - 1, n))]
+    coeffs = [data.draw(entries) for _ in A]
+    A.append([sum((c * row[j] for c, row in zip(coeffs, A)), F(0))
+              for j in range(n)])
+    order = data.draw(st.permutations(range(n)))
+    d = det(tuple(tuple(A[i]) for i in order))
+    assert d == 0 and is_normalised(d)
+
+
+@given(data=st.data(), n=st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_det_with_a_zero_leading_pivot_matches_oracle(data, n):
+    A = [list(row) for row in data.draw(kernel_matrices(n, n))]
+    A[0][0] = 0
+    d = det(tuple(tuple(row) for row in A))
+    assert is_normalised(d)
+    assert d == from_sympy(to_sympy(A).det())
+
+
+def test_det_swaps_rows_on_a_zero_pivot():
+    # (0 1; 1 0) swaps at the first step, the 3x3 one at the second
+    assert det(((F(0), F(1)), (F(1), F(0)))) == -1
+    A = ((F(1), F(2), F(3)), (F(2), F(4), F(5)), (F(1), F(3), F(4)))
+    assert det(A) == 1
+    assert det(tuple(tuple(x / 7 for x in row) for row in A)) == F(1, 343)
 
 
 @given(A=matrices())
@@ -193,3 +267,17 @@ def test_quadratic_membership():
     assert span.add(w)
     assert not span.add(inside)
     assert span.contains(inside)
+
+
+def test_quadratic_product_and_det_use_the_generic_loop():
+    r2 = q2(0, 1)
+    A = ((q2(1, 1), q2(2)), (r2, q2(1, -1)))
+    B = ((q2(1), r2), (q2(0), q2(3)))
+    C = mat_mul(A, B)
+    assert C == ((q2(1, 1), q2(8, 1)), (r2, q2(5, -3)))
+    assert all(isinstance(x, QuadElement) for row in C for x in row)
+    assert det(A) == q2(-1, -2)
+    # a zero first pivot, and Fractions mixed with quadratic entries
+    M = ((F(0), F(1), r2), (F(1), F(0), F(0)), (r2, F(1), F(1)))
+    assert det(M) == q2(-1, 1)
+    assert det(((F(2), r2), (r2, F(1)))) == q2(0)
