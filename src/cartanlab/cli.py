@@ -4,7 +4,8 @@ Every command reads one JSON document (see `serialize`), writes one CSV
 with a header row, and for report-style commands a JSON sidecar next to
 the CSV (same path + ".json").  Output is byte-deterministic for a fixed
 config: iteration orders are the breadth-first word order, floats print
-with 12 significant digits, and sample grids take the --seed flag.
+with 12 significant digits, and the pseudo-random eps samples take the
+--seed flag.
 
 Exit codes: 0 success, 2 precondition/input failure, 3 numerical
 failure.
@@ -36,7 +37,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .projective import eps_proximal_check, proximal_analyze
+from .projective import check_eps, eps_proximal_check, proximal_analyze
 from .serialize import (
     field_from_json,
     group_from_json,
@@ -90,24 +91,12 @@ def _parse_group_flag(text, field):
 
 def _load_matrices(args):
     obj = read_json(args.input)
-    if "field" not in obj and args.field:
-        obj["field"] = {}
     if args.field:
         field = _parse_field_flag(args.field)
     else:
         field = field_from_json(obj["field"])
-    if args.group:
-        group = _parse_group_flag(args.group, field)
-        from .serialize import matrix_from_json
-        from .cartan import GroupElement
-
-        matrices = obj.get("matrices", [])
-        ids = obj.get("ids") or [f"m{i}" for i in range(len(matrices))]
-        return field, group, [
-            (name, GroupElement(matrix_from_json(rows, field), group))
-            for name, rows in zip(ids, matrices)
-        ]
-    return load_matrix_document(obj)
+    group = _parse_group_flag(args.group, field) if args.group else None
+    return load_matrix_document(obj, field=field, group=group)
 
 
 def cmd_cartan(args) -> int:
@@ -152,6 +141,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_proximal(args) -> int:
+    if args.eps is not None:
+        check_eps(args.eps)
     field, group, items = _load_matrices(args)
     header = [
         "id", "status", "eigenvalue", "eigenvalue_exact", "gap_ratio",
@@ -335,8 +326,8 @@ def cmd_properness(args) -> int:
     obj = read_json(args.input)
     field, group, pres, _ = load_presentation_document(obj)
     cone_block = obj.get("cone")
-    if cone_block is None:
-        raise PreconditionError("properness needs a cone block in the input")
+    if not isinstance(cone_block, dict):
+        raise PreconditionError("properness needs a cone object in the input")
     from .serialize import matrix_from_json
     from .cartan import GroupElement
 
@@ -388,11 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--subdivision", type=float, default=None,
                         help="geodesic subdivision length for decompose")
     common.add_argument("--t", help="comma-separated deformation parameters")
-    common.add_argument("--eps", type=float, default=None)
+    common.add_argument("--eps", type=float, default=None,
+                        help="eps-proximality threshold for proximal (> 0)")
     common.add_argument("--rho0", type=float, default=None,
                         help="short-element cutoff for envelope fits")
-    common.add_argument("--seed", type=int,
-                        default=0, help="sample-grid seed")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed of the pseudo-random sample of 10000 "
+                        "points that checks eps-proximality off the axes")
     for name, fn in [
         ("cartan", cmd_cartan), ("ball", cmd_ball), ("proximal", cmd_proximal),
         ("decompose", cmd_decompose), ("bend", cmd_bend),

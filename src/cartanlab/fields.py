@@ -291,21 +291,23 @@ class QuadElement:
         return f"{self.a}+{self.b}*sqrt({self.r})"
 
 
+def int_valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def rational_valuation(x, p: int):
     """p-adic valuation of an exact rational; +inf for zero."""
     x = Fraction(x)
     if x == 0:
         return INF
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def valuation(x, field: FieldDesc):

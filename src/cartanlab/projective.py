@@ -43,7 +43,7 @@ from .exact import (
     mat_from_rows,
     mat_mul,
 )
-from .fields import INF, FieldDesc, rational_valuation
+from .fields import INF, FieldDesc, int_valuation, rational_valuation
 
 _EQ_TOL = 1e-12
 _GAP_TOL = 1e-8
@@ -552,30 +552,58 @@ class EpsProximalVerdict:
     samples_checked: int = 0
 
 
-def _sample_projpoints(dim, field, count, seed):
+def _sample_points(dim, field, count, seed):
+    """The seeded pseudo-random sample of ``count`` projective points.
+
+    R/C: one (count, dim) array of sup-normalised rows of standard
+    normals (complex rows take their real and imaginary parts from
+    consecutive draws).  Q_p: a list of integer vectors with base-p
+    digits 0..p-1 in three places; a vector whose entries all lie in pZ
+    gets 1 added at a random coordinate, so every vector has a
+    coordinate prime to p (a unit, hence v_min = 0).
+    """
     rng = np.random.default_rng(seed)
-    points = []
     if field.kind == "padic":
         p = field.p
-        depth = 3
+        points = []
         for _ in range(count):
-            digits = rng.integers(0, p, size=(dim, depth))
-            vec = [
-                Fraction(int(sum(int(digits[i, k]) * p**k for k in range(depth))))
-                for i in range(dim)
-            ]
+            digits = rng.integers(0, p, size=(dim, 3)).tolist()
+            vec = [d0 + p * (d1 + p * d2) for d0, d1, d2 in digits]
             if all(x % p == 0 for x in vec):
                 vec[int(rng.integers(0, dim))] += 1
-            if all(x == 0 for x in vec):
-                vec[0] = Fraction(1)
-            points.append(ProjPoint(vec, field))
+            points.append(vec)
         return points
-    for _ in range(count):
-        v = rng.standard_normal(dim)
-        if field.kind == "complex":
-            v = v + 1j * rng.standard_normal(dim)
-        points.append(ProjPoint(v, field))
-    return points
+    if field.kind == "complex":
+        parts = rng.standard_normal((count, 2, dim))
+        V = parts[:, 0] + 1j * parts[:, 1]
+    else:
+        V = rng.standard_normal((count, dim))
+    return V / np.abs(V).max(axis=1)[:, None]
+
+
+def _hyperplane_pairings(V, H: ProjHyperplane):
+    """(f.v, lower bound of d([v], H)) for every sup-normalised row v,
+    as ``point_hyperplane_distance`` bounds it."""
+    f = np.asarray(H.functional)
+    P = V @ f
+    axis = H.aligned_axis()
+    if axis is not None and H.field.kind == "real":
+        return P, np.abs(V[:, axis])
+    return P, np.abs(P) / float(np.abs(f).sum())
+
+
+def _cleared_ints(rows):
+    """Integer rows equal to exact rational rows times one common factor."""
+    rows = mat_from_rows(rows)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def _primitive_ints(vec, p):
+    """The integer vector with v_min = 0 on the line of an exact vector."""
+    ints = _cleared_ints([vec])[0]
+    content = p ** int_valuation(math.gcd(*ints), p)
+    return [x // content for x in ints]
 
 
 def _apply_to_point(matrix, x: ProjPoint) -> ProjPoint:
@@ -685,11 +713,13 @@ def r_eps(
 ) -> REpsEstimate:
     """Log-range of homothety coefficients over the eps-far set.
 
-    Requires d(x0+, X0-) >= 2*eps.  Coordinate-aligned pairs use the
-    closed form (|t| in [eps, 1] over R; powers of p in [eps, 1] over
-    Q_p); generic pairs are sampled on a deterministic seeded grid and
-    reported with the sample count and the aligned lower bound.
+    Requires 0 < eps and d(x0+, X0-) >= 2*eps.  Coordinate-aligned pairs
+    use the closed form (|t| in [eps, 1] over R; powers of p in [eps, 1]
+    over Q_p); generic pairs are estimated on a seeded pseudo-random
+    sample of ``samples`` points and reported with the number of sample
+    points at distance >= eps from X0- and the aligned lower bound.
     """
+    check_eps(eps)
     dd = point_hyperplane_distance(x0_plus, X0_minus)
     if dd.lower < 2 * eps:
         raise PreconditionError(
@@ -710,30 +740,55 @@ def r_eps(
         return REpsEstimate(
             value=-2.0 * math.log(eps), exact=True, method="closed-form"
         )
-    aligned_lower = -2.0 * math.log(eps)
-    best = 0.0
-    used = 0
-    for x in _sample_projpoints(x0_plus.dim, field, samples, seed):
-        if point_hyperplane_distance(x, X0_minus).lower < eps:
-            continue
-        used += 1
-        t = _homothety_coefficient(x, x0_plus, X0_minus)
-        if t == 0:
-            continue
-        mag = abs(t) if field.kind != "padic" else float(_padic_abs(t, field.p))
-        best = max(best, abs(math.log(mag)))
+    points = _sample_points(x0_plus.dim, field, samples, seed)
+    if field.kind == "padic":
+        used, logs = _padic_homothety_logs(x0_plus, X0_minus, eps, points)
+    else:
+        used, logs = _float_homothety_logs(x0_plus, X0_minus, eps, points)
     return REpsEstimate(
-        value=2 * best,
+        value=2 * max([0.0, *logs]),
         exact=False,
         method="sampled",
         samples_used=used,
-        aligned_lower=aligned_lower,
+        aligned_lower=-2.0 * math.log(eps),
     )
 
 
-def _homothety_coefficient(x: ProjPoint, x0: ProjPoint, X0: ProjHyperplane):
-    """t with v = t*v0 + w, w in the hyperplane, for the unit rep of x."""
-    return X0.pair(x) / X0.pair(x0)
+def _float_homothety_logs(x0, X0, eps, V):
+    """(number of rows at distance >= eps from X0, |log |t|| at the
+    extremes of |t| over them), t the homothety coefficient; since log
+    is monotone these bound |log |t|| over every such row."""
+    P, lower = _hyperplane_pairings(V, X0)
+    far = ~(lower < eps)
+    mags = np.abs(P[far] / X0.pair(x0))
+    mags = mags[mags != 0]
+    if not mags.size:
+        return int(far.sum()), []
+    return int(far.sum()), [abs(math.log(mags.max())), abs(math.log(mags.min()))]
+
+
+def _padic_homothety_logs(x0, X0, eps, points):
+    """(number of points at distance >= eps from X0, |log |t|_p| over
+    the distinct values of |t|_p among them), t the homothety coefficient.
+
+    With F, A and u integer vectors of v_min = 0, |t|_p =
+    p^-(v(F.u) - v(F.A)), and d([u], X0) >= eps iff v(F.u) <= k, the
+    largest k with p^-k >= eps.
+    """
+    p = x0.field.p
+    F = _primitive_ints(X0.functional, p)
+    A = _primitive_ints(x0.vec, p)
+    v0 = int_valuation(sum(f * a for f, a in zip(F, A)), p)
+    far_mod = p ** (_padic_eps_exponent(eps, p) + 1)
+    used = 0
+    exponents = set()
+    for u in points:
+        fu = sum(f * x for f, x in zip(F, u))
+        if fu % far_mod == 0:
+            continue
+        used += 1
+        exponents.add(int_valuation(fu, p) - v0)
+    return used, [abs(math.log(float(Fraction(p) ** -e))) for e in exponents]
 
 
 def eps_proximal_check(
@@ -745,14 +800,17 @@ def eps_proximal_check(
     seed: int = 0,
     gap_tol: float = _GAP_TOL,
 ) -> EpsProximalVerdict:
-    """Check the two epsilon-proximality conditions for g.
+    """Check the two epsilon-proximality conditions for g (0 < eps).
 
     (1) d(x+, X-) >= 2*eps; (2) every x with d(x, X-) >= eps satisfies
     d(g.x, x+) <= eps.  Condition (2) is certified analytically when the
     eigendata is coordinate-aligned (contraction factor times coordinate
-    conditioning); otherwise it is checked on a deterministic sample
-    grid and the verdict is flagged as sampled.
+    conditioning); otherwise it is checked on a seeded pseudo-random
+    sample of ``samples`` points, the verdict is flagged as sampled, and
+    ``samples_checked`` counts the sample points at distance >= eps from
+    X- up to and including the first that fails.
     """
+    check_eps(eps)
     if pd is None:
         try:
             pd = proximal_analyze(g, field, gap_tol=gap_tol)
@@ -769,18 +827,83 @@ def eps_proximal_check(
         ok, certified = _aligned_contraction(g, field, axis, eps)
         if certified:
             return EpsProximalVerdict(ok, True, "aligned analytic bound")
+    points = _sample_points(pd.attracting.dim, field, samples, seed)
+    if field.kind == "padic":
+        ok, checked = _padic_contraction_samples(g, pd, eps, field.p, points)
+    else:
+        ok, checked = _float_contraction_samples(g, pd, eps, field, points)
+    if not ok:
+        return EpsProximalVerdict(
+            False, False, "condition (2) fails on a sample", checked
+        )
+    return EpsProximalVerdict(True, False, "sampled", checked)
+
+
+def check_eps(eps):
+    """Refuse an eps that is not a positive finite number."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise PreconditionError(f"eps must be positive and finite, got {eps!r}")
+
+
+def _float_contraction_samples(g, pd, eps, field, V):
+    """(ok, checked) for condition (2) on the sample rows V: ok is False
+    at the first row at distance >= eps from X- whose image lies
+    farther than eps from x+, and checked counts the rows at distance
+    >= eps from X- up to that one (all of them when ok)."""
+    _, lower = _hyperplane_pairings(V, pd.repelling)
+    a = to_float_array(g)
+    GX = V[~(lower < eps)] @ a.T
+    scale = np.abs(GX).max(axis=1)
+    if not scale.all():
+        raise PreconditionError("zero vector")
+    W = GX / scale[:, None]
+    x = np.asarray(pd.attracting.vec)
+    if field.kind == "complex" or np.iscomplexobj(W) or np.iscomplexobj(x):
+        x = x.astype(complex)
+        for i, w in enumerate(W.astype(complex)):
+            if _complex_phase_min(w, x) > eps:
+                return False, i + 1
+        return True, len(W)
+    dist = np.minimum(np.abs(W - x).max(axis=1), np.abs(W + x).max(axis=1))
+    bad = np.flatnonzero(dist > eps)
+    if bad.size:
+        return False, int(bad[0]) + 1
+    return True, len(W)
+
+
+def _padic_contraction_samples(g, pd, eps, p, points):
+    """(ok, checked) for condition (2) on integer sample vectors u, as
+    ``_float_contraction_samples`` counts them, read from valuations.
+
+    With F, A integer vectors of v_min = 0 on X- and x+, G an integer
+    multiple of g and v_min(u) = 0:
+    d([u], X-) = p^-v(F.u) and
+    d([Gu], x+) = p^-(min_{i<j} v(Gu_i A_j - Gu_j A_i) - v_min(Gu)).
+    """
+    F = _primitive_ints(pd.repelling.functional, p)
+    A = _primitive_ints(pd.attracting.vec, p)
+    G = _cleared_ints(g)
+    far_mod = p ** (_padic_eps_exponent(eps, p) + 1)
+    # d([Gu], x+) = p^-k > eps (compared as a float) iff k < too_near
+    too_near = 0
+    while float(Fraction(1, p ** too_near)) > eps:
+        too_near += 1
+    pairs = [(i, j) for i in range(len(A)) for j in range(i + 1, len(A))]
     checked = 0
-    for x in _sample_projpoints(pd.attracting.dim, field, samples, seed):
-        if point_hyperplane_distance(x, pd.repelling).lower < eps:
+    for u in points:
+        if sum(f * x for f, x in zip(F, u)) % far_mod == 0:
             continue
         checked += 1
-        gx = _apply_to_point(g, x)
-        d2 = proj_distance(gx, pd.attracting)
-        if float(d2) > eps:
-            return EpsProximalVerdict(
-                False, False, "condition (2) fails on a sample", checked
-            )
-    return EpsProximalVerdict(True, False, "sampled", checked)
+        gu = [sum(c * x for c, x in zip(row, u)) for row in G]
+        content = math.gcd(*gu)
+        if content == 0:
+            raise PreconditionError("zero vector")
+        minors = math.gcd(*(gu[i] * A[j] - gu[j] * A[i] for i, j in pairs))
+        if minors and (
+            int_valuation(minors, p) - int_valuation(content, p) < too_near
+        ):
+            return False, checked
+    return True, checked
 
 
 def _aligned_contraction(g, field, axis, eps):

@@ -84,8 +84,16 @@ def scalar_from_str(text: str, field: FieldDesc):
     return Fraction(text)
 
 
+def _expect(value, kind, what):
+    """The value itself if it has the JSON shape ``kind`` (dict or list)."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "an array"
+        raise PreconditionError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
 def field_from_json(obj) -> FieldDesc:
-    kind = obj.get("kind")
+    kind = _expect(obj, dict, "field").get("kind")
     if kind == "real":
         return REAL
     if kind == "complex":
@@ -109,7 +117,7 @@ def field_to_json(field: FieldDesc) -> dict:
 
 
 def group_from_json(obj, field: FieldDesc) -> GroupDesc:
-    family = obj.get("family")
+    family = _expect(obj, dict, "group").get("family")
     if family == "SL":
         return GroupDesc("SL", field, n=int(obj["n"]))
     if family in ("SO", "U"):
@@ -135,12 +143,16 @@ def matrix_to_json(matrix):
     return [[scalar_to_str(x) for x in row] for row in matrix]
 
 
-def load_matrix_document(obj):
-    """(field, group, [(id, GroupElement)]) from a parsed matrix file."""
-    field = field_from_json(obj["field"])
-    group = group_from_json(obj["group"], field)
-    matrices = obj.get("matrices", [])
-    ids = obj.get("ids") or [f"m{i}" for i in range(len(matrices))]
+def load_matrix_document(obj, field=None, group=None):
+    """(field, group, [(id, GroupElement)]) from a parsed matrix file;
+    a given field or group overrides the file's."""
+    if field is None:
+        field = field_from_json(obj["field"])
+    if group is None:
+        group = group_from_json(obj["group"], field)
+    matrices = _expect(obj.get("matrices", []), list, "matrices")
+    ids = _expect(obj.get("ids") or [f"m{i}" for i in range(len(matrices))],
+                  list, "ids")
     if len(ids) != len(matrices):
         raise PreconditionError("ids and matrices must have equal length")
     out = []
@@ -158,7 +170,7 @@ def load_presentation_document(obj):
         raise PreconditionError("presentation file needs a generators object")
     symbols = list(gens.keys())
     matrices = [matrix_from_json(gens[s], field) for s in symbols]
-    sobj = obj.get("structure", {"type": "free"})
+    sobj = _expect(obj.get("structure", {"type": "free"}), dict, "structure")
     stype = sobj.get("type", "free")
     index = {s: i for i, s in enumerate(symbols)}
 
@@ -183,11 +195,12 @@ def load_presentation_document(obj):
         )
     else:
         raise PreconditionError(f"unknown structure type {stype!r}")
-    relators = tuple(parse_word(w, symbols) for w in obj.get("relators", []))
+    relators = tuple(parse_word(w, symbols) for w in
+                     _expect(obj.get("relators", []), list, "relators"))
     pres = Presentation(symbols, matrices, group, structure=structure,
                         relators=relators)
     bending = obj.get("bending")
-    if bending is not None and "Y" in bending:
+    if bending is not None and "Y" in _expect(bending, dict, "bending"):
         bending = dict(bending)
         bending["Y"] = matrix_from_json(bending["Y"], field)
     return field, group, pres, bending

@@ -207,7 +207,29 @@ def test_exit_code_bad_input(tmp_path):
                 "matrices": [[1, 2]]}),
     ("ball", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
               "generators": {"a": None}}),
-], ids=["top-level-array", "number-row", "null-generator"])
+    ("cartan", {"field": "real", "group": {"family": "SL", "n": 2},
+                "matrices": [[["1", "0"], ["0", "1"]]]}),
+    ("ball", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+              "generators": {"a": [["2", "0"], ["0", "1/2"]]},
+              "structure": "free"}),
+    ("cartan", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+                "matrices": [[["1", "0"], ["0", "1"]]], "ids": 5}),
+    ("cartan", {"field": {"kind": "real"}, "group": "SL",
+                "matrices": [[["1", "0"], ["0", "1"]]]}),
+    ("ball", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+              "generators": {"a": [["2", "0"], ["0", "1/2"]]},
+              "relators": 5}),
+    ("stability", {"field": {"kind": "real"},
+                   "group": {"family": "SL", "n": 2},
+                   "generators": {"a": [["2", "0"], ["0", "1/2"]]},
+                   "bending": 5}),
+    ("properness", {"field": {"kind": "real"},
+                    "group": {"family": "SL", "n": 2},
+                    "generators": {"a": [["2", "0"], ["0", "1/2"]]},
+                    "cone": 5}),
+], ids=["top-level-array", "number-row", "null-generator", "string-field",
+        "string-structure", "number-ids", "string-group", "number-relators",
+        "number-bending", "number-cone"])
 def test_malformed_shape_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -216,6 +238,28 @@ def test_malformed_shape_exits_2(tmp_path, capsys, command, doc):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, matrix, eps", [
+    ({"kind": "padic", "p": 2}, [["4", "0"], ["0", "1/4"]], "0"),
+    ({"kind": "padic", "p": 2}, [["4", "0"], ["0", "1/4"]], "-0.1"),
+    ({"kind": "real"}, [["4", "0"], ["0", "1/4"]], "nan"),
+    ({"kind": "real"}, [["0", "-1"], ["1", "0"]], "-1"),
+], ids=["zero", "negative", "nan", "no-proximal-row"])
+def test_proximal_rejects_bad_eps(tmp_path, capsys, field, matrix, eps):
+    # eps = 0 over Q_p used to loop forever and nan over R reported
+    # eps_ok; a bad eps is refused even when no row reaches the eps check
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "field": field, "group": {"family": "SL", "n": 2},
+        "matrices": [matrix],
+    }))
+    rc = main(["proximal", "--input", str(path), "--output",
+               str(tmp_path / "o.csv"), f"--eps={eps}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eps" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_exit_code_numerical(tmp_path):

@@ -14,7 +14,13 @@ from cartanlab import (
     quadratic,
     valuation,
 )
-from cartanlab.fields import INF, is_prime, is_squarefree, sqrt_bounds
+from cartanlab.fields import (
+    INF,
+    int_valuation,
+    is_prime,
+    is_squarefree,
+    sqrt_bounds,
+)
 
 Q3 = padic(3)
 
@@ -28,6 +34,15 @@ def test_valuation_examples():
     assert valuation(1, Q3) == 0
     assert valuation(F(1, 9), Q3) == -2
     assert valuation(0, Q3) == INF
+
+
+@given(unit=st.integers(-2 ** 70, 2 ** 70).filter(bool),
+       p=st.sampled_from([2, 3, 5]), k=st.integers(0, 80))
+@settings(max_examples=200, deadline=None)
+def test_int_valuation_counts_factors_of_p(unit, p, k):
+    n = unit * p ** k
+    v = int_valuation(n, p)
+    assert n % p ** v == 0 and n % p ** (v + 1) != 0
 
 
 def test_valuation_rejects_non_padic():

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cartanlab import (
     COMPLEX,
@@ -21,7 +23,14 @@ from cartanlab import (
     r_eps,
     special_linear,
 )
+from cartanlab.exact import det as exact_det
+from cartanlab.exact import inverse as exact_inverse
+from cartanlab.exact import mat_from_rows, mat_mul
+from cartanlab.fields import rational_valuation
 from cartanlab.projective import (
+    _aligned_contraction,
+    _apply_to_point,
+    _coordinate_split,
     eps_proximal_check,
     point_hyperplane_distance,
     root_valuations,
@@ -312,6 +321,229 @@ def test_precondition_r_eps():
     X0 = ProjHyperplane([1.0, 0.0], REAL)
     with pytest.raises(PreconditionError):
         r_eps(x0, X0, 0.6)  # 2*eps > 1 = d(x0+, X0-)
+
+
+def test_eps_must_be_positive_and_finite():
+    x0 = ProjPoint([1.0, 0.0], REAL)
+    X0 = ProjHyperplane([1.0, 0.0], REAL)
+    g = np.diag([8.0, 0.5])
+    z = _aligned_real_instance(3, 100.0, 0.2)
+    e1 = ProjPoint([1.0, 0.0, 0.0], REAL)
+    H1 = ProjHyperplane([1.0, 0.0, 0.0], REAL)
+    for eps in (0, 0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            eps_proximal_check(g, eps, REAL)
+        with pytest.raises(PreconditionError):
+            r_eps(x0, X0, eps)
+        with pytest.raises(PreconditionError):
+            product_sandwich_check([z], [], eps, REAL, attracting=e1,
+                                   repelling=H1)
+    # over Q_p a zero eps used to loop forever in the aligned bound
+    with pytest.raises(PreconditionError):
+        eps_proximal_check([[F(4), 0], [0, F(1, 4)]], 0, padic(2))
+
+
+# -- the batched sampler against the per-point loop ---------------------------
+
+
+def _per_point_samples(dim, field, count, seed):
+    """The sample as one ProjPoint per draw, from the same seeded stream."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        if field.kind == "padic":
+            p = field.p
+            digits = rng.integers(0, p, size=(dim, 3))
+            vec = [F(int(sum(int(digits[i, k]) * p ** k for k in range(3))))
+                   for i in range(dim)]
+            if all(x % p == 0 for x in vec):
+                vec[int(rng.integers(0, dim))] += 1
+        else:
+            vec = rng.standard_normal(dim)
+            if field.kind == "complex":
+                vec = vec + 1j * rng.standard_normal(dim)
+        points.append(ProjPoint(vec, field))
+    return points
+
+
+def _per_point_eps_check(g, eps, field, samples, seed):
+    """eps-proximality with condition (2) checked one sample point at a
+    time through ProjPoint, point_hyperplane_distance and proj_distance."""
+    try:
+        pd = proximal_analyze(g, field)
+    except IndeterminateError:
+        return False, False, "indeterminate proximality", 0
+    if pd is None:
+        return False, True, "not proximal", 0
+    d1 = point_hyperplane_distance(pd.attracting, pd.repelling)
+    if d1.lower < 2 * eps:
+        return (False, d1.exact,
+                "condition (1) fails: attracting point too close to hyperplane",
+                0)
+    axis = _coordinate_split(pd.attracting, pd.repelling)
+    if axis is not None:
+        ok, certified = _aligned_contraction(g, field, axis, eps)
+        if certified:
+            return ok, True, "aligned analytic bound", 0
+    checked = 0
+    for x in _per_point_samples(pd.attracting.dim, field, samples, seed):
+        if point_hyperplane_distance(x, pd.repelling).lower < eps:
+            continue
+        checked += 1
+        if float(proj_distance(_apply_to_point(g, x), pd.attracting)) > eps:
+            return False, False, "condition (2) fails on a sample", checked
+    return True, False, "sampled", checked
+
+
+def _per_point_r_eps(x0, X0, eps, samples, seed):
+    """(samples_used, value) of the sampled r_eps, one point at a time."""
+    best, used = 0.0, 0
+    for x in _per_point_samples(x0.dim, x0.field, samples, seed):
+        if point_hyperplane_distance(x, X0).lower < eps:
+            continue
+        used += 1
+        t = X0.pair(x) / X0.pair(x0)
+        if t == 0:
+            continue
+        if x0.field.kind == "padic":
+            p = x0.field.p
+            mag = float(F(p) ** -rational_valuation(t, p))
+        else:
+            mag = abs(t)
+        best = max(best, abs(math.log(mag)))
+    return used, 2 * best
+
+
+def _verdict(v):
+    return v.ok, v.certified, v.reason, v.samples_checked
+
+
+@st.composite
+def _eps_cases(draw, field):
+    """(g, eps, samples, seed) over the field: g a random rational matrix,
+    or (more often) a conjugate P D P^-1 of a diagonal D whose first entry
+    dominates for the field, by P = L C U with L, U unitriangular integer
+    and C diagonal in {1, 2, 3}; so g is proximal with eigendata usually
+    off the coordinate axes, and x+, X- are not always transverse mod p.
+    Over C, g is then twisted by diag(1, i, -1, -i) to complex entries."""
+    n = draw(st.integers(2, 4))
+    small = st.integers(-3, 3)
+    if draw(st.integers(0, 3)) == 0:
+        g = [[F(draw(small)) for _ in range(n)] for _ in range(n)]
+    else:
+        tilt = st.integers(-1, 1)
+        L = [[F(int(i == j)) if i <= j else F(draw(tilt)) for j in range(n)]
+             for i in range(n)]
+        C = [[F(draw(st.integers(1, 3))) if i == j else F(0) for j in range(n)]
+             for i in range(n)]
+        U = [[F(int(i == j)) if i >= j else F(draw(tilt)) for j in range(n)]
+             for i in range(n)]
+        P = mat_mul(mat_mul(L, C), U)
+        units = st.sampled_from([1, -1, 5, -5, 7])
+        if field.kind == "padic":
+            p = field.p
+            diag = [F(1, p ** draw(st.integers(1, 8)))] + [
+                F(p) ** draw(st.integers(0, 2)) * draw(units)
+                for _ in range(n - 1)]
+        else:
+            diag = [2 * F(draw(units))] + [
+                F(draw(st.integers(-60, 60)) or 1, 64) / 8 ** draw(st.integers(0, 3))
+                for _ in range(n - 1)]
+        D = [[diag[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+        g = mat_mul(mat_mul(P, D), exact_inverse(P))
+    if field.kind == "complex":
+        g = [[complex(x) * 1j ** (i - j) for j, x in enumerate(row)]
+             for i, row in enumerate(g)]
+    eps = draw(st.floats(0.01, 0.2))
+    samples = 12 if field.kind == "complex" else 200
+    return g, eps, samples, draw(st.integers(0, 2 ** 16))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, padic(2), padic(3)],
+                         ids=["R", "C", "Q2", "Q3"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_batched_eps_sampler_matches_per_point_loop(field, data):
+    g, eps, samples, seed = data.draw(_eps_cases(field))
+    if field.kind != "padic" and all(x == 0 for row in g for x in row):
+        return  # a zero matrix is refused before any sampling
+    if field.kind == "padic" and exact_det(mat_from_rows(g)) == 0:
+        return  # not invertible: refused before any sampling
+    v = eps_proximal_check(g, eps, field, samples=samples, seed=seed)
+    event(f"{field.kind}: {v.reason}")
+    assert _verdict(v) == _per_point_eps_check(g, eps, field, samples, seed)
+    try:
+        pd = proximal_analyze(g, field)
+    except IndeterminateError:
+        return
+    if pd is None:
+        return
+    d = point_hyperplane_distance(pd.attracting, pd.repelling).lower
+    if d < 2 * eps or _coordinate_split(pd.attracting, pd.repelling) is not None:
+        return
+    est = r_eps(pd.attracting, pd.repelling, eps, samples=samples, seed=seed)
+    used, value = _per_point_r_eps(pd.attracting, pd.repelling, eps,
+                                   samples, seed)
+    assert est.method == "sampled"
+    assert est.samples_used == used
+    assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def _conjugated(diagonal):
+    P = ((F(1), F(1)), (F(1), F(2)))
+    D = tuple(tuple(diagonal[i] if i == j else F(0) for j in range(2))
+              for i in range(2))
+    return mat_mul(mat_mul(P, D), exact_inverse(P))
+
+
+def test_sampled_failure_at_known_index():
+    # eigenvalue ratio 1/12 with x+ = [1 : 1] and X- = {2x - y = 0}: too
+    # weak for eps = 0.1; the 36th sample point at distance >= eps from
+    # X- is the first whose image lies farther than eps from x+
+    g = _conjugated((F(1), F(1, 12)))
+    v = eps_proximal_check(g, 0.1, REAL, samples=2000, seed=0)
+    assert _verdict(v) == (False, False, "condition (2) fails on a sample", 36)
+    assert _verdict(v) == _per_point_eps_check(g, 0.1, REAL, 2000, 0)
+
+
+def test_padic_sampled_pass_off_the_axes():
+    # |lambda_2 / lambda_1|_2 = 2^-8 contracts every point at distance
+    # >= 1/8 from X- to within 2^-5 < 0.1 of x+ = [1 : 1]
+    Q2 = padic(2)
+    g = _conjugated((F(1, 2 ** 8), F(1)))
+    pd = proximal_analyze(g, Q2)
+    assert _coordinate_split(pd.attracting, pd.repelling) is None
+    v = eps_proximal_check(g, 0.1, Q2, samples=500, seed=0)
+    assert _verdict(v) == (True, False, "sampled", 472)
+    assert _verdict(v) == _per_point_eps_check(g, 0.1, Q2, 500, 0)
+    est = r_eps(pd.attracting, pd.repelling, 0.1, samples=500, seed=0)
+    assert (est.samples_used, est.value) == _per_point_r_eps(
+        pd.attracting, pd.repelling, 0.1, 500, 0)
+
+
+def test_padic_sample_at_distance_exactly_eps_passes():
+    # |lambda_2 / lambda_1|_2 = 2^-6: a point at distance 1/8 from X-
+    # with a unit second coordinate lands at distance exactly 1/8 from x+,
+    # which is <= eps = 1/8; the condition is not strict
+    Q2 = padic(2)
+    g = _conjugated((F(1, 2 ** 6), F(1)))
+    v = eps_proximal_check(g, 0.125, Q2, samples=500, seed=0)
+    assert _verdict(v) == _per_point_eps_check(g, 0.125, Q2, 500, 0)
+    assert v.ok and not v.certified
+    v = eps_proximal_check(g, 0.124, Q2, samples=500, seed=0)
+    assert _verdict(v) == _per_point_eps_check(g, 0.124, Q2, 500, 0)
+    assert not v.ok
+
+
+def test_padic_r_eps_with_non_unit_pairing():
+    # <X0-, x0+> = 2: d(x0+, X0-) = 1/2 and |t|_2 is relative to it
+    Q2 = padic(2)
+    x0 = ProjPoint([F(1), F(1)], Q2)
+    X0 = ProjHyperplane([F(1), F(1)], Q2)
+    est = r_eps(x0, X0, 0.25, samples=300, seed=5)
+    assert est.method == "sampled" and est.value > 0
+    assert (est.samples_used, est.value) == _per_point_r_eps(x0, X0, 0.25,
+                                                             300, 5)
 
 
 # -- the product sandwich -----------------------------------------------------
