@@ -28,10 +28,9 @@ M = RankOneModel.sl2_real()
 R = displacement(P.generators[0], M)  # generator displacement = 2 log 4
 print(f"\nsubdivision length R = {R:.4f}")
 
-ball = word_ball(P, phi, 5)
 orbit = orbit_data(P, phi, M, 5)
 worst_gap, worst_d, pieces = 0.0, 0.0, []
-for e in ball.entries:
+for e in orbit.ball.entries:
     if len(e.word) == 0:
         continue
     dec = decompose(e.word, P, M, R, phi=phi, orbit=orbit)

@@ -48,6 +48,8 @@ from .wordgroups import (
     evaluate,
 )
 
+BEND_RELATOR_TOL = 1e-10  # max entry deviation a relator may show after bending
+
 
 @dataclass(frozen=True)
 class QuadFormSpace:
@@ -323,7 +325,7 @@ class BendingFamily:
             raise PreconditionError("Y lies in the fixed subalgebra; bending is trivial")
 
 
-def bend(family: BendingFamily, t: float, relator_tol: float = 1e-10) -> Homomorphism:
+def bend(family: BendingFamily, t: float) -> Homomorphism:
     """The bent homomorphism at parameter t; relators are re-verified."""
     P = family.presentation
     group = P.group
@@ -353,7 +355,7 @@ def bend(family: BendingFamily, t: float, relator_tol: float = 1e-10) -> Homomor
                 else:
                     images.append(g)
         phi = Homomorphism(images, group)
-    report = check_relators(P, phi, tol=relator_tol)
+    report = check_relators(P, phi, tol=BEND_RELATOR_TOL)
     if not report.ok:
         raise PreconditionError(
             f"bent homomorphism violates relators at t={t}: {report.failures}"

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError, UnsupportedFieldError
 from .exact import det as exact_det
 from .exact import inverse as exact_inverse
-from .exact import mat_from_rows, mat_mul, transpose
+from .exact import mat_eq, mat_from_rows, mat_mul, transpose
 from .fields import INF, FieldDesc, QuadElement, is_exact_scalar, rational_valuation
 
 _DET_TOL = 1e-9
@@ -182,7 +182,7 @@ class GroupElement:
             if g.family in ("SO", "U"):
                 J = _form_matrix(g)
                 gtj = mat_mul(transpose(self.matrix), J)
-                if not _exact_eq(mat_mul(gtj, self.matrix), J):
+                if not mat_eq(mat_mul(gtj, self.matrix), J):
                     raise PreconditionError("matrix does not preserve the form")
         else:
             a = self.matrix
@@ -216,7 +216,7 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         if self._is_exact and other._is_exact:
-            return _exact_eq(self.matrix, other.matrix)
+            return mat_eq(self.matrix, other.matrix)
         a, b = to_float_array(self.matrix), to_float_array(other.matrix)
         return bool(np.abs(a - b).max() == 0)
 
@@ -235,10 +235,6 @@ def identity_element(group: GroupDesc) -> GroupElement:
         rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         return GroupElement(rows, group, check=False)
     return GroupElement(np.eye(n), group, check=False)
-
-
-def _exact_eq(A, B):
-    return all(all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def _form_matrix(group: GroupDesc):

@@ -191,7 +191,6 @@ def cmd_decompose(args) -> int:
     model = _model_for(group)
     phi = inclusion(pres)
     ball_radius = int(args.radius)
-    ball = word_ball(pres, phi, ball_radius)
     R = args.subdivision
     if R is None:
         R = max(displacement(g, model) for g in pres.generators)
@@ -201,7 +200,7 @@ def cmd_decompose(args) -> int:
         "d_achieved", "ceiling", "accepted",
     ]
     rows = []
-    for e in ball.entries:
+    for e in orbit.ball.entries:
         if len(e.word) == 0:
             continue
         dec = decompose(e.word, pres, model, R, phi=phi, orbit=orbit)
@@ -342,7 +341,7 @@ def cmd_properness(args) -> int:
         ]
         cone = mu_cone(axis, group)
     radius = int(args.radius)
-    ball = word_ball(pres, inclusion(pres), radius)
+    ball = word_ball(pres, inclusion(pres), radius).require_complete()
     samples = [cartan(e.element) for e in ball.entries]
     rho0 = float(args.rho0) if args.rho0 is not None else None
     report = properness_margin(samples, cone, rho0=rho0, radius=radius)

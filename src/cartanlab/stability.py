@@ -33,6 +33,7 @@ from .errors import PreconditionError
 from .wordgroups import Homomorphism, Presentation, check_relators, evaluate, word_ball
 
 _RAY_TOL = 1e-8
+RELATOR_TOL = 1e-9  # max entry deviation a relator may show under either homomorphism
 
 
 def simple_root_values(v, family: str) -> list:
@@ -272,32 +273,32 @@ def stability_scan(
     rho0: float | None = None,
     delta_l: DeltaLData | None = None,
     factorizer=None,
-    relator_tol: float = 1e-9,
 ) -> StabilityReport:
     """Deviation scan of a deformation over a word ball.
 
     Refuses to run if either homomorphism fails the presentation's
-    relators.  rho0 defaults to (max generator ||mu||) + 1; passing
+    relators, and refuses a ball that ``word_ball`` cut short of the
+    radius.  rho0 defaults to (max generator ||mu||) + 1; passing
     math.inf makes the fit a uniform constant (eps_hat = 0), realizing
     conjugation-type bounds.  With delta_l and a factorizer (word ->
     factor words) the per-element seminorm defect
     |mu(phi(g)) - sum mu(phi(g_i))|_{coroot span} is recorded.
     """
     for name, h in (("reference", phi_ref), ("deformed", phi)):
-        rep = check_relators(P, h, tol=relator_tol)
+        rep = check_relators(P, h, tol=RELATOR_TOL)
         if not rep.ok:
             raise PreconditionError(
                 f"{name} homomorphism fails relators: {rep.failures}"
             )
-    ball = word_ball(P, phi_ref, radius)
+    ball = word_ball(P, phi_ref, radius).require_complete()
     if rho0 is None:
         rho0 = max(
             (mu_norm(cartan(g)) for g in phi_ref.images), default=0.0
         ) + 1.0
 
-    def make_row(entry):
+    def make_row(entry, image):
         mu_ref = _mu_vector(entry.element)
-        mu_def = _mu_vector(evaluate(entry.word, phi))
+        mu_def = _mu_vector(image)
         dev = float(np.linalg.norm(mu_def - mu_ref))
         defect = None
         if delta_l is not None and factorizer is not None:
@@ -316,7 +317,7 @@ def stability_scan(
             defect,
         )
 
-    rows = [make_row(e) for e in ball.entries]
+    rows = [make_row(e, g) for e, g in zip(ball.entries, ball.images(phi))]
     eps_hat, c_hat = fit_envelope(rows, rho0)
     report = StabilityReport(rows, eps_hat, c_hat, rho0, radius)
     if not report.envelope_valid():

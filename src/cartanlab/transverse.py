@@ -31,7 +31,8 @@ import numpy as np
 
 from .cartan import GroupElement, cartan, to_float_array
 from .errors import PreconditionError, UnsupportedFieldError
-from .wordgroups import Homomorphism, Presentation, Word, evaluate, inclusion, word_ball
+from .wordgroups import (BallResult, Homomorphism, Presentation, Word, evaluate,
+                         inclusion, word_ball)
 
 
 def sl2_to_so21(matrix) -> np.ndarray:
@@ -170,27 +171,29 @@ class TransverseDecomposition:
 
 @dataclass
 class OrbitData:
-    """Precomputed orbit of the base point over a word ball.
+    """The word ball and the orbit of the base point over it.
 
     Building this once and passing it to repeated `decompose` calls
-    avoids re-enumerating the ball per input word.
+    avoids re-enumerating the ball per input word; a report over the
+    ball's words iterates ``ball.entries`` rather than building the
+    ball again.
     """
 
-    entries: list  # (word, element) pairs
+    ball: BallResult
     points: np.ndarray | None = None  # hyperboloid orbit points
-    distances: list | None = None  # tree distances d(x0, w.x0)
+    distances: np.ndarray | None = None  # tree distances d(x0, w.x0)
 
 
 def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
                radius: int, x0_prime=None) -> OrbitData:
-    ball = word_ball(P, phi, radius)
-    entries = [(e.word, e.element) for e in ball.entries]
+    ball = word_ball(P, phi, radius).require_complete()
+    elements = ball.elements()
     if model.kind == "sl2_tree":
-        dists = [displacement(e, model) for _, e in entries]
-        return OrbitData(entries, distances=dists)
+        dists = np.array([displacement(e, model) for e in elements], dtype=float)
+        return OrbitData(ball, distances=dists)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
-    pts = np.array([model.matrix_action(e) @ x0p for _, e in entries])
-    return OrbitData(entries, points=pts)
+    pts = np.array([model.matrix_action(e) @ x0p for e in elements])
+    return OrbitData(ball, points=pts)
 
 
 def decompose(
@@ -213,7 +216,8 @@ def decompose(
     per-factor displacements, adjacent gap defects, the measured
     constant D_achieved (smallest D making all reported conditions
     hold), and the predicted ceiling 6*max_snap + 6*d(x0, x0').  A snap
-    distance above ``snap_budget`` (default 3*R) rejects the run.
+    distance above ``snap_budget`` (default 3*R) rejects the run.  On
+    the tree x0' = x0, and every distance is exact.
     """
     if R <= 0:
         raise PreconditionError("R must be positive")
@@ -224,52 +228,62 @@ def decompose(
         snap_budget = 3.0 * R
 
     g = evaluate(gamma, phi)
-
+    ginv = g.inv()
+    if orbit is None:
+        orbit = orbit_data(P, phi, model, snap_radius, x0_prime)
     if model.kind == "sl2_tree":
-        if orbit is None:
-            orbit = orbit_data(P, phi, model, snap_radius)
-        return _decompose_tree(gamma, g, phi, model, R, snap_budget, orbit)
+        # With a = x0, b = gamma^-1 x0, c = w x0 and (b|c)_a the Gromov
+        # product, the point at arclength s on [a, b] lies at distance
+        # |s - (b|c)_a| + d(a, c) - (b|c)_a from c.
+        base_offset = 0.0
+        d_ab = displacement(ginv, model)
+        total = float(d_ab)
+        ac = orbit.distances
+        bc = np.array([displacement(g @ e, model) for e in orbit.ball.elements()],
+                      dtype=float)
+        gromov = 0.5 * (d_ab + ac - bc)
 
-    x0 = model.base_point
-    x0p = x0 if x0_prime is None else np.asarray(x0_prime, dtype=float)
-    model.check_on_model(x0p)
-    base_offset = model.point_distance(x0, x0p)
+        def snap(s):
+            dists = np.abs(s - gromov) + ac - gromov
+            j = int(np.argmin(dists))
+            return j, float(dists[j])
+    else:
+        x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
+        model.check_on_model(x0p)
+        base_offset = model.point_distance(model.base_point, x0p)
+        end = model.matrix_action(ginv) @ x0p
+        total = model.point_distance(x0p, end)
+        coeffs = np.array([float(c) for c in model.form])
 
-    end = model.matrix_action(g.inv()) @ x0p
-    total = model.point_distance(x0p, end)
+        def snap(s):
+            target = model.geodesic_point(x0p, end, s)
+            brackets = -(orbit.points * coeffs * target).sum(axis=1)
+            j = int(np.argmin(np.maximum(brackets, 1.0)))
+            return j, math.acosh(max(float(brackets[j]), 1.0))
     n = int(total // R)
     if n > 0 and n * R > total:  # guard against float boundary
         n -= 1
 
-    if orbit is None:
-        orbit = orbit_data(P, phi, model, snap_radius, x0p)
-    entries, pts = orbit.entries, orbit.points
-    snap_words = []
+    lambdas = [Word()]  # lambda_0 = 1
     snap_dists = []
     for i in range(1, n + 1):
-        target = model.geodesic_point(x0p, end, i * R)
-        coeffs = np.array([float(c) for c in model.form])
-        brackets = -(pts * coeffs * target).sum(axis=1)
-        j = int(np.argmin(np.maximum(brackets, 1.0)))
-        snap = math.acosh(max(float(brackets[j]), 1.0))
-        if snap > snap_budget:
+        j, dist = snap(i * R)
+        if dist > snap_budget:
             return TransverseDecomposition(
-                [], [], [], math.inf, [snap], math.inf, total, accepted=False,
+                [], [], [], math.inf, [dist], math.inf, total, accepted=False,
                 diagnostics=(
-                    f"snap distance {snap:.3f} at cut {i} exceeds budget "
+                    f"snap distance {dist:.3f} at cut {i} exceeds budget "
                     f"{snap_budget:.3f}; orbit sample too sparse"
                 ),
             )
-        snap_words.append(entries[j][0])
-        snap_dists.append(snap)
+        lambdas.append(orbit.ball.entries[j].word)
+        snap_dists.append(dist)
 
-    lambdas = [Word()] + snap_words  # lambda_0 = 1
     factors = [gamma * lambdas[n]]
     for i in range(1, n + 1):
         factors.append(lambdas[n - i + 1].inverse() * lambdas[n - i])
     factors, disps, gaps, d_ach = _measure_factors(factors, phi, model, R)
-    max_snap = max(snap_dists, default=0.0)
-    ceiling = 6.0 * max_snap + 6.0 * base_offset
+    ceiling = 6.0 * max(snap_dists, default=0.0) + 6.0 * base_offset
     return TransverseDecomposition(
         factors, disps, gaps, d_ach, snap_dists, ceiling, total
     )
@@ -310,50 +324,3 @@ def _measure_factors(factors, phi, model, R):
         d_ach = max(d_ach, -gap)
     return factors, disps, gaps, d_ach
 
-
-def _decompose_tree(gamma, g, phi, model, R, snap_budget, orbit):
-    """Tree version: snap via Gromov products, all from exact distances.
-
-    With a = x0, b = gamma^-1 x0, c = w x0 and (b|c)_a the Gromov
-    product, the distance from the point at arclength s on [a, b] to c
-    is |s - (b|c)_a| + d(a,c) - (b|c)_a.
-    """
-    entries = orbit.entries
-    ginv = g.inv()
-    d_ab = displacement(ginv, model)
-    total = float(d_ab)
-    n = int(total // R)
-    if n > 0 and n * R > total:
-        n -= 1
-    dist_ac = orbit.distances
-    dist_bc = [displacement(g @ e, model) for _, e in entries]
-
-    snap_words = []
-    snap_dists = []
-    for i in range(1, n + 1):
-        s = i * R
-        best_j = None
-        best = math.inf
-        for j in range(len(entries)):
-            gp = 0.5 * (d_ab + dist_ac[j] - dist_bc[j])
-            d = abs(s - gp) + dist_ac[j] - gp
-            if d < best:
-                best = d
-                best_j = j
-        if best > snap_budget:
-            return TransverseDecomposition(
-                [], [], [], math.inf, [best], math.inf, total, accepted=False,
-                diagnostics=f"tree snap distance {best:.3f} exceeds budget",
-            )
-        snap_words.append(entries[best_j][0])
-        snap_dists.append(best)
-
-    lambdas = [Word()] + snap_words
-    factors = [gamma * lambdas[n]]
-    for i in range(1, n + 1):
-        factors.append(lambdas[n - i + 1].inverse() * lambdas[n - i])
-    factors, disps, gaps, d_ach = _measure_factors(factors, phi, model, R)
-    ceiling = 6.0 * max(snap_dists, default=0.0)
-    return TransverseDecomposition(
-        factors, disps, gaps, d_ach, snap_dists, ceiling, total
-    )

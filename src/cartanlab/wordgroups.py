@@ -8,6 +8,15 @@ already audits every hash collision with a full comparison) when the
 entries are exact scalars, by tolerance with a merge log otherwise.
 Each distinct matrix keeps its shortest representative word, ties broken
 lexicographically on (generator index, sign).
+
+A ball is a prefix tree: every entry but the root (the empty word) keeps
+the index of its parent entry and its last letter, and its word is the
+parent's word plus that letter.  The tree is closed under prefixes
+because only inserted words are expanded.  ``BallResult.images(phi)``
+walks it once, multiplying each parent image by one generator image, so
+any homomorphism is evaluated over the whole ball in O(N) products; the
+fold is the one ``evaluate`` performs, so the images are bit-identical
+to evaluating every word from scratch.
 """
 
 from __future__ import annotations
@@ -281,6 +290,8 @@ def check_relators(P: Presentation, phi: Homomorphism, tol=1e-9) -> RelatorRepor
 class BallEntry:
     word: Word
     element: GroupElement
+    parent: int = -1  # index of the entry for word minus its last letter
+    letter: tuple | None = None  # last (generator index, sign); None at the root
 
 
 @dataclass
@@ -292,15 +303,27 @@ class BallResult:
     def __len__(self):
         return len(self.entries)
 
-    def words(self):
-        return [e.word for e in self.entries]
-
     def elements(self):
         return [e.element for e in self.entries]
 
+    def images(self, phi: Homomorphism) -> list:
+        """phi's image of every ball word, in entry order, by one pass
+        over the prefix tree; equal bit for bit to ``evaluate``."""
+        out = [_identity_like(phi)]
+        for e in self.entries[1:]:
+            if e.letter[0] >= len(phi.images):
+                raise PreconditionError(f"generator index {e.letter[0]} out of range")
+            out.append(out[e.parent] @ phi.image(*e.letter))
+        return out
 
-def _exact_key(g: GroupElement):
-    return g.matrix
+    def require_complete(self) -> "BallResult":
+        """The ball itself; PreconditionError if max_elements cut it short."""
+        if not self.complete:
+            raise PreconditionError(
+                f"word ball truncated at {len(self.entries)} elements "
+                "before reaching the requested radius"
+            )
+        return self
 
 
 def _float_key_candidates(g: GroupElement):
@@ -341,13 +364,13 @@ def word_ball(
     seen = {}
     float_reps = []  # (array, entry index) for tolerance audit
 
-    def try_insert(word, element):
+    def try_insert(word, element, parent=-1, letter=None):
         if exact:
-            key = _exact_key(element)
+            key = element.matrix
             if key in seen:
                 return False
             seen[key] = len(entries)
-            entries.append(BallEntry(word, element))
+            entries.append(BallEntry(word, element, parent, letter))
             return True
         arr, keys = _float_key_candidates(element)
         for key in keys:
@@ -361,23 +384,24 @@ def word_ball(
         idx = len(entries)
         for key in keys:
             seen.setdefault(key, idx)
-        entries.append(BallEntry(word, element))
+        entries.append(BallEntry(word, element, parent, letter))
         float_reps.append(arr)
         return True
 
     try_insert(Word(), identity)
-    frontier = [(Word(), identity)]
+    frontier = [0]
     letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
     for _ in range(radius):
         new_frontier = []
-        for word, element in frontier:
+        for k in frontier:
+            word, element = entries[k].word, entries[k].element
             for i, e in letters:
                 if word.letters and word.letters[-1] == (i, -e):
                     continue
                 w2 = Word(word.letters + ((i, e),))
                 g2 = element @ phi.image(i, e)
-                if try_insert(w2, g2):
-                    new_frontier.append((w2, g2))
+                if try_insert(w2, g2, k, (i, e)):
+                    new_frontier.append(len(entries) - 1)
                 if len(entries) > max_elements:
                     return BallResult(entries, complete=False, merges=merges)
         frontier = new_frontier

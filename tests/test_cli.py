@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 
 import pytest
 
+from cartanlab import cli, stability, transverse, wordgroups
 from cartanlab.cli import main
 from cartanlab.serialize import matrix_to_json
 
@@ -170,6 +172,30 @@ def test_cmd_properness(tmp_path):
     assert rc == 0
     sidecar = json.loads((tmp_path / "prop.csv.json").read_text())
     assert sidecar["slope"] > 0.1
+
+
+@pytest.mark.parametrize("command", ["stability", "properness", "decompose"])
+def test_truncated_ball_exits_2(tmp_path, capsys, monkeypatch, command):
+    # a ball cut off at max_elements must not be reported as radius R
+    small = functools.partial(wordgroups.word_ball, max_elements=10)
+    for module in (cli, stability, transverse):
+        monkeypatch.setattr(module, "word_ball", small)
+    a, b = schottky_sl2_matrices()
+    doc = {
+        "field": {"kind": "real"},
+        "group": {"family": "SL", "n": 2},
+        "generators": {"a": matrix_to_json(a), "b": matrix_to_json(b)},
+        "structure": {"type": "free"},
+        "cone": {"compact": True},
+    }
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, "--input", str(path), "--output",
+               str(tmp_path / "o.csv"), "--radius", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "truncated" in err[0]
 
 
 def test_determinism_byte_identical(tmp_path, so22_bending_file):

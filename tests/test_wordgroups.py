@@ -20,9 +20,15 @@ from cartanlab import (
     special_linear,
     word_ball,
 )
+from cartanlab.bending import BendingFamily, bend
 from cartanlab.wordgroups import conjugate_homomorphism, reduce_letters
 
-from util import schottky_sl2_matrices, schottky_sl2_presentation
+from util import (
+    boost_Y_so22,
+    schottky_sl2_matrices,
+    schottky_sl2_presentation,
+    schottky_so22_presentation,
+)
 
 SL2R = special_linear(2, REAL)
 
@@ -120,6 +126,53 @@ def test_float_dedup_merges_are_logged():
     ball = word_ball(P, inclusion(P), 4)
     assert not ball.complete or len(ball) < 1 + 4 + 12 + 36 + 108
     assert ball.merges  # r^2 = -1 collapses many words
+
+
+def _assert_images_match_evaluate(ball, phi):
+    images = ball.images(phi)
+    assert len(images) == len(ball)
+    for k, (entry, image) in enumerate(zip(ball.entries, images)):
+        if k:
+            assert 0 <= entry.parent < k
+            parent = ball.entries[entry.parent]
+            assert entry.word.letters == parent.word.letters + (entry.letter,)
+        want = evaluate(entry.word, phi)
+        assert image.is_exact == want.is_exact
+        if want.is_exact:
+            assert image == want
+        else:
+            assert np.array_equal(image.matrix, want.matrix)
+            assert np.array_equal(np.signbit(image.matrix), np.signbit(want.matrix))
+
+
+def test_ball_images_exact_schottky():
+    P = schottky_sl2_presentation()
+    phi = inclusion(P)
+    ball = word_ball(P, phi, 5)
+    assert len(ball) == 485
+    _assert_images_match_evaluate(ball, phi)
+    g = GroupElement([[F(2), F(1)], [F(1), F(1)]], SL2R)
+    _assert_images_match_evaluate(ball, conjugate_homomorphism(phi, g))
+
+
+def test_ball_images_bent_so22():
+    # exact reference ball, images under a homomorphism mixing exact and
+    # float generator images
+    P = schottky_so22_presentation()
+    phi = bend(BendingFamily(P, boost_Y_so22()), 0.1)
+    ball = word_ball(P, inclusion(P), 4)
+    _assert_images_match_evaluate(ball, phi)
+
+
+def test_ball_images_float_with_merges():
+    a = np.diag([4.0, 0.25])
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    P = Presentation(["a", "r"], [GroupElement(a, SL2R), GroupElement(rot, SL2R)],
+                     SL2R)
+    phi = inclusion(P)
+    ball = word_ball(P, phi, 4)
+    assert ball.merges
+    _assert_images_match_evaluate(ball, phi)
 
 
 def test_memory_budget_flags_partial():
