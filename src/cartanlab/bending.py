@@ -6,6 +6,17 @@ matrix exponential.  For a diagonal form J the algebra so(J) is
 (i < j); subalgebras so(m,1) inside so(m,2) are the elements supported
 away from one distinguished coordinate.
 
+The exact Lie-algebra tests (the form equation, independence and
+bracket closure of a ``LieBasis``, ``bracket_closure_exact`` and the
+Frobenius and module tests of ``module_decomposition_check``) do not
+change when a matrix is scaled.  So they run on flat span vectors
+(``exact.primitive``): a rational matrix becomes the primitive integer
+vector of its entries, and a bracket is an integer product over the
+nonzero entries only.  The closure is a worklist: each new basis vector
+is bracketed once with each one before it, so every pair is bracketed
+exactly once.  ``bracket`` and ``frobenius`` keep their values on
+Fraction matrices.
+
 Bending deforms an amalgam by conjugating one side by exp(t*Y), or an
 HNN extension by right-multiplying the stable letter by exp(t*Y), where
 Y spans a centralizer direction of the edge subgroup that leaves the
@@ -22,12 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
 
 from .cartan import GroupDesc, GroupElement, to_float_array
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
     in_span,
@@ -35,8 +47,8 @@ from .exact import (
     mat_mul,
     mat_sub,
     nullspace,
+    primitive,
     solve,
-    transpose,
 )
 from .fields import QuadElement, as_exact, is_exact_scalar
 from .wordgroups import (
@@ -102,6 +114,36 @@ def _flatten(M):
     return tuple(x for row in M for x in row)
 
 
+def _span_vectors(matrices):
+    """Each exact matrix as its flat ``primitive`` span vector."""
+    return [primitive(_flatten(M)) for M in matrices]
+
+
+def _sparse(v, d):
+    """A flat d x d matrix as the nonzero entries (k, x) of each row."""
+    return [[(k, x) for k, x in enumerate(v[i * d:(i + 1) * d]) if x]
+            for i in range(d)]
+
+
+def _bracket_vector(a, b, d):
+    """The span vector of A B - B A for two ``_sparse`` d x d matrices:
+    a product over their nonzero entries only."""
+    out = [0] * (d * d)
+    for i, row in enumerate(a):
+        for k, x in row:
+            for j, y in b[k]:
+                out[i * d + j] += x * y
+    for i, row in enumerate(b):
+        for k, y in row:
+            for j, x in a[k]:
+                out[i * d + j] -= y * x
+    return primitive(out)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
 class LieBasis:
     """A list of matrices spanning a Lie subalgebra of so(J).
 
@@ -117,23 +159,25 @@ class LieBasis:
             self._validate()
 
     def _validate(self):
-        J = self.space.form_matrix()
-        zero = Fraction(0)
-        for k, X in enumerate(self.matrices):
-            resid = [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(mat_mul(transpose(X), J), mat_mul(J, X))
-            ]
-            if any(x != zero for row in resid for x in row):
+        # every test is unchanged when a matrix is scaled, so all of them
+        # run on the primitive span vectors
+        c = primitive(self.space.coeffs)  # the equation is homogeneous in J
+        d = self.space.dim
+        vectors = _span_vectors(self.matrices)
+        for k, v in enumerate(vectors):
+            # X^T J + J X = 0 for diagonal J: c_j X[j][i] + c_i X[i][j] = 0
+            if any(c[j] * v[j * d + i] + c[i] * v[i * d + j]
+                   for i in range(d) for j in range(i, d)):
                 raise PreconditionError(
                     f"basis element {k} violates the form equation"
                 )
         span = EchelonSpan()
-        if not all(span.add(_flatten(X)) for X in self.matrices):
+        if not all(span.add(v) for v in vectors):
             raise PreconditionError("basis matrices are linearly dependent")
-        for i, A in enumerate(self.matrices):
-            for B in self.matrices[i + 1:]:
-                if not span.contains(_flatten(bracket(A, B))):
+        sparse = [_sparse(v, d) for v in vectors]
+        for i, A in enumerate(sparse):
+            for B in sparse[i + 1:]:
+                if not span.contains(_bracket_vector(A, B, d)):
                     raise PreconditionError("span is not closed under brackets")
 
     def __len__(self):
@@ -191,8 +235,7 @@ def centralizer_in_algebra(elements, ambient: LieBasis) -> LieBasis:
     for s in elements:
         mat = s.matrix if isinstance(s, GroupElement) else mat_from_rows(s)
         for B in basis:
-            comm = mat_sub(mat_mul(mat, B), mat_mul(B, mat))
-            rows.append(_flatten(comm))
+            rows.append(_flatten(bracket(mat, B)))
     if not rows:
         return ambient
     # unknowns: coefficients x_k with sum x_k * (s B_k - B_k s) = 0 per s
@@ -263,7 +306,24 @@ def _ortho_distance_sq(y, basis_flat):
 
 def matrix_exp(Y, t: float) -> np.ndarray:
     """exp(t*Y): closed cosh/sinh form when Y^3 = Y exactly, else
-    scaling-and-squaring (scipy)."""
+    scaling-and-squaring (scipy).
+
+    A non-finite t is a PreconditionError; a result that overflows or
+    is not finite is a NumericalError.
+    """
+    if not math.isfinite(t):
+        raise PreconditionError(f"t = {t!r} is not finite")
+    try:
+        with np.errstate(all="ignore"):
+            out = _exp(Y, t)
+    except OverflowError:
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise NumericalError(f"exp(t*Y) overflows at t = {t!r}")
+    return out
+
+
+def _exp(Y, t):
     if all(is_exact_scalar(x) for row in Y for x in row):
         Ym = mat_from_rows(Y)
         Y3 = mat_mul(mat_mul(Ym, Ym), Ym)
@@ -334,26 +394,20 @@ def bend(family: BendingFamily, t: float) -> Homomorphism:
     else:
         C = matrix_exp(family.Y, t)
         Cinv = matrix_exp(family.Y, -t)
-        images = []
         s = P.structure
-        if family.rule == "amalgam":
-            side2 = set(s.side2)
-            for i, g in enumerate(P.generators):
-                if i in side2:
-                    images.append(
-                        GroupElement(C @ to_float_array(g.matrix) @ Cinv, group,
-                                     check=False)
-                    )
-                else:
-                    images.append(g)
-        else:
-            for i, g in enumerate(P.generators):
-                if i == s.stable:
-                    images.append(
-                        GroupElement(to_float_array(g.matrix) @ C, group, check=False)
-                    )
-                else:
-                    images.append(g)
+        gens = P.generators
+        with np.errstate(all="ignore"):
+            if family.rule == "amalgam":
+                bent = {i: C @ to_float_array(gens[i].matrix) @ Cinv
+                        for i in s.side2}
+            else:
+                bent = {s.stable: to_float_array(gens[s.stable].matrix) @ C}
+        if not all(np.isfinite(M).all() for M in bent.values()):
+            raise NumericalError(f"the bent generators overflow at t = {t!r}")
+        images = [
+            GroupElement(bent[i], group, check=False) if i in bent else g
+            for i, g in enumerate(gens)
+        ]
         phi = Homomorphism(images, group)
     report = check_relators(P, phi, tol=BEND_RELATOR_TOL)
     if not report.ok:
@@ -385,19 +439,30 @@ class ModuleDecompositionVerdict:
 
 
 def bracket_closure_exact(vectors):
-    """Span basis of the bracket closure of exact d x d matrices."""
+    """Span basis of the bracket closure of exact d x d matrices.
+
+    The basis holds the inputs that enlarge the span, then the iterated
+    brackets that do, each scaled as ``exact.primitive`` scales it: a
+    rational one becomes a matrix of coprime ints.  A worklist brackets
+    each new basis vector once with each one before it, so every pair is
+    bracketed exactly once.
+    """
+    mats = [mat_from_rows(m) for m in vectors]
+    if not mats:
+        return []
+    d = len(mats[0])
     span = EchelonSpan()
-    basis = [m for m in map(mat_from_rows, vectors) if span.add(_flatten(m))]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                br = bracket(basis[i], basis[j])
-                if span.add(_flatten(br)):
-                    basis.append(br)
-                    changed = True
-    return basis
+    basis = [v for v in _span_vectors(mats) if span.add(v)]
+    sparse = [_sparse(v, d) for v in basis]
+    k = 1
+    while k < len(basis):
+        for j in range(k):
+            br = _bracket_vector(sparse[j], sparse[k], d)
+            if span.add(br):
+                basis.append(br)
+                sparse.append(_sparse(br, d))
+        k += 1
+    return [tuple(v[i * d:(i + 1) * d] for i in range(d)) for v in basis]
 
 
 def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
@@ -411,25 +476,25 @@ def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
     if m < 2:
         raise PreconditionError("m must be >= 2")
     space = standard_so_form(m, 2)
+    d = space.dim
     ambient = so_form_algebra(space)
-    sub = so_subalgebra_basis(space, space.dim - 1)
-    complement = []
-    for X in ambient.matrices:
-        # ambient basis splits cleanly: keep the vectors orthogonal to the sub
-        if all(frobenius(X, H) == 0 for H in sub.matrices):
-            complement.append(X)
-    module_ok = True
-    for H in sub.matrices:
-        for W in complement:
-            br = bracket(H, W)
-            if any(frobenius(br, H2) != 0 for H2 in sub.matrices):
-                module_ok = False
-    closures_ok = True
+    sub = so_subalgebra_basis(space, d - 1)
+    # Frobenius products and brackets, up to scale, on the span vectors
+    sub_vectors = _span_vectors(sub.matrices)
+    # ambient basis splits cleanly: keep the vectors orthogonal to the sub
+    complement = [
+        X for X, v in zip(ambient.matrices, _span_vectors(ambient.matrices))
+        if not any(_dot(v, h) for h in sub_vectors)
+    ]
+    sub_sparse = [_sparse(h, d) for h in sub_vectors]
+    brackets = [_bracket_vector(H, _sparse(w, d), d)
+                for w in _span_vectors(complement) for H in sub_sparse]
+    module_ok = not any(_dot(br, h) for br in brackets for h in sub_vectors)
     dim_ambient = len(ambient)
-    for W in complement:
-        closure = bracket_closure_exact(list(sub.matrices) + [W])
-        if len(closure) != dim_ambient:
-            closures_ok = False
+    closures_ok = all(
+        len(bracket_closure_exact(sub.matrices + (W,))) == dim_ambient
+        for W in complement
+    )
     return ModuleDecompositionVerdict(
         len(sub), len(complement), dim_ambient, module_ok, closures_ok
     )
@@ -438,8 +503,10 @@ def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
 def _orthonormal_add(Q, v, tol):
     """Gram-Schmidt step: append v's residual against the orthonormal
     rows Q, normalised, when its norm exceeds tol * |v|.  True iff the
-    span grew."""
+    span grew.  A norm that overflows is a NumericalError."""
     norm = np.linalg.norm(v)
+    if not np.isfinite(norm):
+        raise NumericalError("the density witness overflows in float arithmetic")
     if norm == 0:
         return False
     r = v
@@ -454,6 +521,7 @@ def _orthonormal_add(Q, v, tol):
     return True
 
 
+@np.errstate(all="ignore")  # an overflow is caught by _orthonormal_add
 def zariski_density_witness(Y, t: float, m: int, tol: float = 1e-9) -> bool:
     """Density certificate for the group generated by SO(m,1)-degree
     subgroups and the conjugate by exp(t*Y).

@@ -89,6 +89,13 @@ def _parse_group_flag(text, field):
     return group_from_json({"family": family, "p": p, "q": q}, field)
 
 
+def _radius(args) -> int:
+    """The --radius flag as an int; a non-integral value is refused."""
+    if not float(args.radius).is_integer():
+        raise PreconditionError(f"--radius {args.radius!r} is not an integer")
+    return int(args.radius)
+
+
 def _load_matrices(args):
     obj = read_json(args.input)
     if args.field:
@@ -112,8 +119,8 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    radius = _radius(args)
     field, group, pres, _ = load_presentation_document(read_json(args.input))
-    radius = int(args.radius)
     ball = word_ball(pres, inclusion(pres), radius)
     n = group.size
     header = ["word", "length"] + [
@@ -187,10 +194,10 @@ def _model_for(group):
 
 
 def cmd_decompose(args) -> int:
+    ball_radius = _radius(args)
     field, group, pres, _ = load_presentation_document(read_json(args.input))
     model = _model_for(group)
     phi = inclusion(pres)
-    ball_radius = int(args.radius)
     R = args.subdivision
     if R is None:
         R = max(displacement(g, model) for g in pres.generators)
@@ -282,10 +289,10 @@ def cmd_bend(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    radius = _radius(args)
     field, group, pres, bending_block = load_presentation_document(
         read_json(args.input)
     )
-    radius = int(args.radius)
     rho0 = float(args.rho0) if args.rho0 is not None else None
     phi_ref = inclusion(pres)
     ts = [float(x) for x in args.t.split(",")] if args.t else [0.0]
@@ -322,6 +329,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_properness(args) -> int:
+    radius = _radius(args)
     obj = read_json(args.input)
     field, group, pres, _ = load_presentation_document(obj)
     cone_block = obj.get("cone")
@@ -340,7 +348,6 @@ def cmd_properness(args) -> int:
             for rows in cone_block["matrices"]
         ]
         cone = mu_cone(axis, group)
-    radius = int(args.radius)
     ball = word_ball(pres, inclusion(pres), radius).require_complete()
     samples = [cartan(e.element) for e in ball.entries]
     rho0 = float(args.rho0) if args.rho0 is not None else None

@@ -21,9 +21,17 @@ sqrt(r) product rule, a second kernel for inputs that are rare and
 small.  Which path runs depends only on the types of the entries.
 
 One Gauss-Jordan kernel, ``_rref``, serves ``inverse``, ``rank``,
-``nullspace`` and ``solve``; ``EchelonSpan`` keeps a span reduced so
-that membership tests and incremental growth need no fresh
-elimination.  ``charpoly`` is Faddeev-LeVerrier, not elimination.
+``nullspace`` and ``solve``.  ``charpoly`` is Faddeev-LeVerrier, not
+elimination.
+
+``EchelonSpan`` keeps a span in echelon form, so membership tests and
+incremental growth need no fresh elimination.  A span test does not
+change when a vector is scaled, so it works on the ``primitive``
+representative of each line: a rational vector becomes its primitive
+integer multiple, and a row step is the fraction-free w = p*w - f*row
+on Python ints followed by a division by the gcd.  Vectors with a
+QuadElement entry go through the same loop; for them ``primitive`` is
+the field step, a division by the leading entry.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from operator import attrgetter
 from .fields import as_exact
 
 _ZERO = Fraction(0)
+_INT_TYPES = frozenset((int,))
 _RATIONAL_TYPES = frozenset((int, Fraction))
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -292,12 +301,41 @@ def charpoly(A):
     return coeffs
 
 
-class EchelonSpan:
-    """Exact span of vectors, kept as rows in reduced echelon form.
+def primitive(v):
+    """The representative of v's line that the span tests work on.
 
-    Each stored row has a 1 in its own pivot column and a 0 in every
-    other row's pivot column, so testing a vector is one pass of
-    subtractions, and adding one keeps the form by clearing one column.
+    A rational vector (Fraction or int entries) becomes its primitive
+    integer multiple: the entries times the lcm of their denominators,
+    divided by their gcd.  A vector with a QuadElement entry is divided
+    by its first nonzero entry.  A zero vector is returned as it is.
+    Membership, independence, orthogonality and the form equation are
+    all unchanged when a vector is scaled, so they may run on this
+    representative.
+    """
+    types = set(map(type, v))
+    if types <= _RATIONAL_TYPES:
+        w = v if types <= _INT_TYPES else _cleared([v])[0][0]
+        g = math.gcd(*w)
+        return tuple(x // g for x in w) if g > 1 else tuple(w)
+    piv = next((x for x in v if x), None)
+    if piv is None:
+        return tuple(v)
+    return tuple(x / piv for x in v)
+
+
+class EchelonSpan:
+    """Exact span of vectors, kept as rows in echelon form.
+
+    Rows are stored through ``primitive``: rational rows as primitive
+    integer vectors, rows with a QuadElement entry scaled to a leading
+    1.  Each row is zero in the pivot columns of the rows stored before
+    it, so one pass over the rows in order clears every pivot column of
+    a vector; the vector lies in the span iff nothing is left.  A pass
+    step is fraction-free, w = p*w - f*row with p the row's pivot entry
+    and f the vector's entry in that column, followed by ``primitive``:
+    on integers that divides by the gcd and keeps the entries small, and
+    over Q(sqrt r) it is the field step.  Adding a vector stores what
+    the pass leaves of it, with no other row touched.
     """
 
     def __init__(self, vectors=()):
@@ -306,31 +344,24 @@ class EchelonSpan:
         for v in vectors:
             self.add(v)
 
-    def _reduce(self, v, zero):
-        w = list(v)
+    def _reduce(self, v):
+        w = primitive(v)
         for row, c in zip(self.rows, self.pivots):
             f = w[c]
-            if f != zero:
-                w = [x - f * y for x, y in zip(w, row)]
+            if f:
+                p = row[c]
+                w = primitive([p * x - f * y for x, y in zip(w, row)])
         return w
 
     def contains(self, v) -> bool:
-        zero = v[0] - v[0]
-        return all(x == zero for x in self._reduce(v, zero))
+        return not any(self._reduce(v))
 
     def add(self, v) -> bool:
         """Adjoin v; True iff it enlarged the span."""
-        zero = v[0] - v[0]
-        w = self._reduce(v, zero)
-        c = next((j for j, x in enumerate(w) if x != zero), None)
+        w = self._reduce(v)
+        c = next((j for j, x in enumerate(w) if x), None)
         if c is None:
             return False
-        piv = w[c]
-        w = [x / piv for x in w]
-        for i, row in enumerate(self.rows):
-            f = row[c]
-            if f != zero:
-                self.rows[i] = [x - f * y for x, y in zip(row, w)]
         self.rows.append(w)
         self.pivots.append(c)
         return True

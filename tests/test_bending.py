@@ -3,6 +3,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cartanlab.exact as ex
 from cartanlab import (
@@ -10,6 +13,7 @@ from cartanlab import (
     BendingFamily,
     GroupElement,
     HnnStructure,
+    NumericalError,
     PreconditionError,
     Presentation,
     QuadElement,
@@ -27,7 +31,13 @@ from cartanlab import (
     u_embed,
     zariski_density_witness,
 )
-from cartanlab.bending import bracket, matrix_exp, standard_so_form
+from cartanlab.bending import (
+    LieBasis,
+    bracket,
+    bracket_closure_exact,
+    matrix_exp,
+    standard_so_form,
+)
 
 from util import boost_Y_so22, schottky_so22_presentation, schottky_sl2_matrices
 
@@ -203,8 +213,28 @@ def test_bend_hnn_with_pairing():
         assert check_relators(P, phi, tol=1e-10).ok
 
 
+def test_matrix_exp_refuses_non_finite_t_and_overflow():
+    Y = boost_Y_so22()
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="not finite"):
+            matrix_exp(Y, t)
+        with pytest.raises(PreconditionError, match="not finite"):
+            zariski_density_witness(Y, t, 2)
+    for t in (1e308, -800.0):  # the closed form overflows in sinh/cosh
+        with pytest.raises(NumericalError, match="overflows"):
+            matrix_exp(Y, t)
+    # Y^3 != Y takes scipy's expm, which returns inf instead of raising
+    with pytest.raises(NumericalError, match="overflows"):
+        matrix_exp([[F(2), F(0)], [F(0), F(-2)]], 400.0)
+    # exp(t*Y) is finite, but the Gram-Schmidt norms of Ad(exp(t*Y)) are not
+    for t in (300.0, 400.0):
+        with pytest.raises(NumericalError, match="overflows"):
+            zariski_density_witness(Y, t, 2)
+    assert np.isfinite(matrix_exp(Y, 30.0)).all()
+
+
 def test_module_decomposition():
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         v = module_decomposition_check(m)
         assert v.ok
         assert v.dim_complement == m + 1
@@ -279,8 +309,6 @@ def test_u_embed_base_point_stabilizer():
 def test_lie_basis_rejects_non_closed_span():
     space = standard_so_form(2, 2)
     amb = so_form_algebra(space)
-    from cartanlab.bending import LieBasis
-
     # two boosts whose bracket is a rotation outside their span
     b1 = amb.matrices[1]  # mixes coordinates (0, 2)
     b2 = amb.matrices[2]  # mixes coordinates (0, 3)
@@ -288,3 +316,96 @@ def test_lie_basis_rejects_non_closed_span():
     assert any(x != 0 for row in br for x in row)
     with pytest.raises(PreconditionError):
         LieBasis([b1, b2], space)
+
+
+def _naive_closure_basis(mats):
+    """Oracle: bracket every pair of the current basis, restarting after
+    each full round, until a round adds nothing; independence by sympy
+    rank, brackets by sympy products."""
+    def rank(ms):
+        return sympy.Matrix([list(M) for M in ms]).rank() if ms else 0
+
+    basis = []
+    for M in mats:
+        M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                           for x in row] for row in M])
+        if rank(basis + [M]) > len(basis):
+            basis.append(M)
+    changed = True
+    while changed:
+        changed = False
+        for A in list(basis):
+            for B in list(basis):
+                br = A * B - B * A
+                if rank(basis + [br]) > len(basis):
+                    basis.append(br)
+                    changed = True
+    return basis, rank
+
+
+_small = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2),
+                          F(-3, 2), F(5, 3)])
+
+
+@st.composite
+def rational_matrices(draw):
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    return [tuple(tuple(draw(_small) for _ in range(d)) for _ in range(d))
+            for _ in range(k)]
+
+
+def _check_closure_against_oracle(mats):
+    got = bracket_closure_exact(mats)
+    want, rank = _naive_closure_basis(mats)
+    assert len(got) == len(want)
+    # the same span: adjoining the returned basis adds nothing
+    got_sym = [sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                              for x in row] for row in M]) for M in got]
+    assert rank(want + got_sym) == len(want)
+    return got
+
+
+@given(mats=rational_matrices())
+@settings(max_examples=40, deadline=None)
+def test_bracket_closure_matches_restart_loop_oracle(mats):
+    _check_closure_against_oracle(mats)
+
+
+# a diagonal form with non-integer rational coefficients
+_FORM = QuadFormSpace((F(1, 2), F(3), F(-2, 5)))
+
+
+@given(coeffs=st.lists(st.lists(_small, min_size=3, max_size=3),
+                       min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_bracket_closure_in_rational_form_algebra(coeffs):
+    basis = so_form_algebra(_FORM).matrices
+    mats = [ex.mat_from_rows(
+        [[sum(c * B[i][j] for c, B in zip(cs, basis)) for j in range(3)]
+         for i in range(3)]) for cs in coeffs]
+    got = _check_closure_against_oracle(mats)
+    if got:
+        # the closure lies in so(J) and is a subalgebra: LieBasis checks
+        # the form equation, independence and closure
+        LieBasis(got, _FORM)
+
+
+def test_lie_basis_uses_the_form_coefficients():
+    basis = so_form_algebra(_FORM)
+    assert len(basis) == 3
+    # (0,1) entry c_1 = 3 against (1,0) entry -c_0 = -1/2
+    assert basis.matrices[0][0][1] == 3 and basis.matrices[0][1][0] == F(-1, 2)
+    # in so(2,1) for the standard form, but not in so(J)
+    X = ((F(0), F(1), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(0)))
+    with pytest.raises(PreconditionError, match="form equation"):
+        LieBasis([X], _FORM)
+    with pytest.raises(PreconditionError, match="dependent"):
+        LieBasis([basis.matrices[0], ex.mat_scale(F(-7, 3), basis.matrices[0])],
+                 _FORM)
+
+
+def test_bracket_closure_of_nothing_and_of_zero():
+    assert bracket_closure_exact([]) == []
+    zero = ((F(0), F(0)), (F(0), F(0)))
+    assert bracket_closure_exact([zero]) == []

@@ -320,3 +320,87 @@ def test_stray_workers_environment_is_ignored(tmp_path, sl2_presentation_file,
     rc = main(["ball", "--input", str(sl2_presentation_file),
                "--output", str(tmp_path / "b.csv"), "--radius", "2"])
     assert rc == 0
+
+
+def _bend_doc_file(tmp_path, ts):
+    P = schottky_so22_presentation()
+    path = tmp_path / "bend_t.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "real"},
+        "group": {"family": "SO", "p": 2, "q": 2},
+        "generators": {
+            "a": matrix_to_json(P.generators[0].matrix),
+            "b": matrix_to_json(P.generators[1].matrix),
+        },
+        "structure": {"type": "amalgam", "side1": ["a"], "side2": ["b"],
+                      "gamma0": []},
+        "bending": {"Y": matrix_to_json(boost_Y_so22()), "t": ts},
+    }))
+    return path
+
+
+@pytest.mark.parametrize("command, t, code", [
+    ("bend", "nan", 2),
+    ("bend", "inf", 2),
+    ("bend", "1e308", 3),
+    ("bend", "-800", 3),
+    ("stability", "1e308", 3),
+    ("stability", "nan", 2),
+])
+def test_non_finite_or_overflowing_t(tmp_path, capsys, so22_bending_file,
+                                     command, t, code):
+    # nan used to exit 0 with NaN images and a true witness; an overflow
+    # of exp(t*Y) used to end in an OverflowError traceback
+    out = tmp_path / "o.csv"
+    rc = main([command, "--input", str(so22_bending_file), "--output",
+               str(out), "--radius", "2", f"--t={t}"])
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    prefix = "error:" if code == 2 else "numerical failure:"
+    assert len(err) == 1 and err[0].startswith(prefix)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ts, code", [
+    ([0.1, float("nan")], 2),
+    ([float("inf")], 2),
+    ([1e308], 3),
+    ([400.0], 3),  # exp(t*Y) is finite, the conjugated generator is not
+])
+def test_bending_block_t_is_checked(tmp_path, capsys, ts, code):
+    rc = main(["bend", "--input", str(_bend_doc_file(tmp_path, ts)),
+               "--output", str(tmp_path / "o.csv")])
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+
+
+@pytest.mark.parametrize("command", ["ball", "decompose", "stability",
+                                     "properness"])
+def test_radius_must_be_an_integer(tmp_path, capsys, command):
+    # --radius 2.5 used to be floored to 2 without a word
+    a, b = schottky_sl2_matrices()
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "real"},
+        "group": {"family": "SL", "n": 2},
+        "generators": {"a": matrix_to_json(a), "b": matrix_to_json(b)},
+        "structure": {"type": "free"},
+        "cone": {"compact": True},
+    }))
+    outputs = []
+    for radius in ("2", "2.0", "2.5"):
+        out = tmp_path / f"r{radius}.csv"
+        rc = main([command, "--input", str(path), "--output", str(out),
+                   "--radius", radius])
+        if radius == "2.5":
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "--radius 2.5" in err[0]
+            assert not out.exists()
+        else:
+            assert rc == 0
+            outputs.append(out.read_bytes()
+                           + (tmp_path / f"r{radius}.csv.json").read_bytes())
+    assert outputs[0] == outputs[1]

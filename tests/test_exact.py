@@ -17,6 +17,7 @@ from cartanlab.exact import (
     mat_mul,
     mat_vec,
     nullspace,
+    primitive,
     rank,
     solve,
 )
@@ -232,6 +233,75 @@ def test_echelon_span_add_reports_rank_growth(A):
             assert span.contains(w)
 
 
+# entries past 2**64, as ints and as Fractions, so the integer span kernel
+# meets big numerators, big denominators and mixed entry types
+_big = st.integers(-2**80, 2**80)
+big_entries = st.one_of(
+    st.just(0), st.just(F(0)), _big, st.integers(-3, 3),
+    st.builds(F, _big, st.integers(1, 2**80)),
+)
+
+
+@st.composite
+def span_inputs(draw):
+    """A list of vectors of one length: fresh ones, zero vectors, repeats,
+    and big combinations of earlier ones."""
+    m = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination"))
+                    if vectors else st.just("fresh"))
+        if kind == "fresh":
+            v = tuple(draw(big_entries) for _ in range(m))
+        elif kind == "zero":
+            v = tuple(draw(st.sampled_from((0, F(0)))) for _ in range(m))
+        elif kind == "repeat":
+            v = draw(st.sampled_from(vectors))
+        else:
+            u, w = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            a, b = draw(big_entries), draw(big_entries)
+            v = tuple(a * x + b * y for x, y in zip(u, w))
+        vectors.append(v)
+    return vectors
+
+
+@given(vectors=span_inputs(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_span_big_mixed_entries_match_oracle(vectors, data):
+    span = EchelonSpan()
+    for k, v in enumerate(vectors):
+        grows = oracle_rank(vectors[:k + 1]) > oracle_rank(vectors[:k])
+        assert span.add(v) == grows
+    for v in vectors:
+        assert span.contains(v)
+    m = len(vectors[0])
+    coeffs = [data.draw(big_entries) for _ in vectors]
+    inside = tuple(sum(c * v[j] for c, v in zip(coeffs, vectors))
+                   for j in range(m))
+    assert span.contains(inside)
+    probe = tuple(data.draw(big_entries) for _ in range(m))
+    grows = oracle_rank(vectors + [probe]) > oracle_rank(vectors)
+    assert span.contains(probe) == (not grows)
+    assert in_span(vectors, probe) == (not grows)
+
+
+@given(v=st.lists(big_entries, min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_primitive_is_the_coprime_integer_multiple(v):
+    w = primitive(v)
+    assert len(w) == len(v)
+    if not any(v):
+        assert not any(w)
+        return
+    assert all(type(x) is int for x in w)
+    assert math.gcd(*w) == 1
+    # a positive multiple of v: parallel, with every sign kept
+    for i in range(len(v)):
+        assert w[i] * v[i] >= 0
+        for j in range(len(v)):
+            assert w[i] * v[j] == w[j] * v[i]
+
+
 def q2(a, b=0):
     return QuadElement(F(a), F(b), 2)
 
@@ -267,6 +337,17 @@ def test_quadratic_membership():
     assert span.add(w)
     assert not span.add(inside)
     assert span.contains(inside)
+
+
+def test_rational_rows_and_quadratic_vectors_mix():
+    # integer rows reduce a Q(sqrt 2) vector with the same loop
+    span = EchelonSpan([(F(1), F(1), F(0)), (0, F(1, 3), F(2))])
+    r2 = q2(0, 1)
+    assert span.contains((r2, r2, q2(0)))
+    assert span.contains((q2(1), q2(1, 1), q2(0, 6)))
+    assert not span.contains((q2(1), r2, q2(0)))
+    assert span.add((q2(1), r2, q2(0)))
+    assert span.contains((q2(0), q2(0), q2(1)))
 
 
 def test_quadratic_product_and_det_use_the_generic_loop():

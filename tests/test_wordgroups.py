@@ -125,7 +125,10 @@ def test_float_dedup_merges_are_logged():
                      SL2R)
     ball = word_ball(P, inclusion(P), 4)
     assert not ball.complete or len(ball) < 1 + 4 + 12 + 36 + 108
-    assert ball.merges  # r^2 = -1 collapses many words
+    # r^4 = 1 merges words (r^2 = r^-2, r^3 = r^-1); the float key also
+    # merges g with -g (r^-1 with r), a known defect of the float dedup
+    # that makes the count too high
+    assert ball.merges
 
 
 def _assert_images_match_evaluate(ball, phi):
