@@ -377,7 +377,7 @@ class BendingFamily:
                         f"{w.format(self.presentation.symbols)}"
                     )
             else:
-                gf = to_float_array(g.matrix)
+                gf = to_float_array(g)
                 yf = to_float_array(self.Y)
                 if np.abs(gf @ yf - yf @ gf).max() > 1e-9:
                     raise PreconditionError("Y does not centralize the edge subgroup")
@@ -398,10 +398,10 @@ def bend(family: BendingFamily, t: float) -> Homomorphism:
         gens = P.generators
         with np.errstate(all="ignore"):
             if family.rule == "amalgam":
-                bent = {i: C @ to_float_array(gens[i].matrix) @ Cinv
+                bent = {i: C @ to_float_array(gens[i]) @ Cinv
                         for i in s.side2}
             else:
-                bent = {s.stable: to_float_array(gens[s.stable].matrix) @ C}
+                bent = {s.stable: to_float_array(gens[s.stable]) @ C}
         if not all(np.isfinite(M).all() for M in bent.values()):
             raise NumericalError(f"the bent generators overflow at t = {t!r}")
         images = [

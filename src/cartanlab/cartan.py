@@ -9,6 +9,10 @@ polar part of its KAK decomposition:
   smallest p-integral rescaling of the matrix, with exact integer
   coordinates.
 
+Both read a rational element's integer form g = N / d (``GroupElement``):
+the float one as N_ij / d, the p-adic one by a fraction-free Smith
+reduction of N over Z_(p) that scales rows by p-adic units.
+
 Coordinate conventions.  For SL_n the chamber is
 {x_1 >= ... >= x_n, sum x_i = 0} (length-n coordinates).  For SO(p,q)
 and U(p,q) we use the folded cone {x_1 >= ... >= x_rank >= 0} carrying
@@ -32,10 +36,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, UnsupportedFieldError
+from .exact import _bareiss, int_mat_mul, mat_eq, mat_mul
 from .exact import det as exact_det
 from .exact import inverse as exact_inverse
-from .exact import mat_eq, mat_from_rows, mat_mul, transpose
-from .fields import INF, FieldDesc, QuadElement, is_exact_scalar, rational_valuation
+from .exact import ratio_form, ratio_normal, transpose
+from .fields import (INF, FieldDesc, QuadElement, int_valuation, is_exact_scalar,
+                     rational_valuation)
 
 _DET_TOL = 1e-9
 _FORM_TOL = 1e-9
@@ -51,7 +57,14 @@ def _float_entry(x):
 
 
 def to_float_array(matrix) -> np.ndarray:
-    """Dense numpy array of a matrix with scalar entries of any kind."""
+    """Dense numpy array of a GroupElement or a matrix of any scalars; a
+    rational element N / d gives N_ij / d by int division, correctly
+    rounded as float(Fraction) is (numpy would round N_ij and d first)."""
+    if isinstance(matrix, GroupElement):
+        if matrix._den:
+            d = matrix._den
+            return np.array([[x / d for x in row] for row in matrix._m], dtype=float)
+        matrix = matrix._m
     if isinstance(matrix, np.ndarray):
         return matrix
     rows = [[_float_entry(x) for x in row] for row in matrix]
@@ -138,54 +151,72 @@ def indefinite_unitary(p: int, q: int, field: FieldDesc, form=None) -> GroupDesc
 class GroupElement:
     """A matrix together with the group it is checked to belong to.
 
+    A rational element is stored as the canonical (N, d) of
+    ``exact.ratio_form``: equality and hashing compare integer tuples, a
+    product is (N1 N2, d1 d2) and one gcd pass, and ``matrix`` (Fractions)
+    is built on each access.  Other exact elements keep their tuples.
+
     Exact entries are validated exactly (det = 1, g^T J g = J); floating
     entries within 1e-9.  Instances are immutable; products and inverses
     return new elements.
     """
 
-    __slots__ = ("matrix", "group", "_is_exact")
+    __slots__ = ("_m", "_den", "group")
 
     def __init__(self, matrix, group: GroupDesc, check: bool = True):
+        self._den = 0  # d > 0 marks a rational element N / d with N in _m
         if isinstance(matrix, np.ndarray):
-            self.matrix = matrix
-            self._is_exact = False
+            self._m = matrix
         else:
             rows = tuple(tuple(row) for row in matrix)
-            if all(is_exact_scalar(x) for row in rows for x in row):
-                self.matrix = mat_from_rows(rows)
-                self._is_exact = True
+            ratio = ratio_form(rows)
+            if ratio:
+                self._m, self._den = ratio
+            elif all(is_exact_scalar(x) for row in rows for x in row):
+                self._m = rows
             else:
-                self.matrix = to_float_array(rows)
-                self._is_exact = False
+                self._m = to_float_array(rows)
         self.group = group
         n = group.size
         shape_ok = (
-            self.matrix.shape == (n, n)
-            if isinstance(self.matrix, np.ndarray)
-            else (len(self.matrix) == n and all(len(r) == n for r in self.matrix))
+            self._m.shape == (n, n)
+            if isinstance(self._m, np.ndarray)
+            else (len(self._m) == n and all(len(r) == n for r in self._m))
         )
         if not shape_ok:
             raise PreconditionError(f"matrix is not {n}x{n}")
         if check:
             self._validate()
 
+    @classmethod
+    def _ratio(cls, N, d, group: GroupDesc) -> "GroupElement":
+        """The element N / d of group, unchecked; (N, d) must be canonical."""
+        g = object.__new__(cls)
+        g._m, g._den, g.group = N, d, group
+        return g
+
+    @property
+    def matrix(self):
+        """Tuples of Fraction (rational), of exact scalars, or an ndarray."""
+        if self._den:
+            d = self._den
+            return tuple(tuple(Fraction(x, d) for x in row) for row in self._m)
+        return self._m
+
     @property
     def is_exact(self) -> bool:
-        return self._is_exact
+        return not isinstance(self._m, np.ndarray)
 
     def _validate(self):
         g = self.group
-        if self._is_exact:
-            d = exact_det(self.matrix)
-            if d != 1:
-                raise PreconditionError(f"determinant is {d}, not 1")
-            if g.family in ("SO", "U"):
-                J = _form_matrix(g)
-                gtj = mat_mul(transpose(self.matrix), J)
-                if not mat_eq(mat_mul(gtj, self.matrix), J):
-                    raise PreconditionError("matrix does not preserve the form")
+        if self.is_exact:
+            if not (_bareiss([list(r) for r in self._m]) == self._den ** len(self._m)
+                    if self._den else exact_det(self._m) == 1):
+                raise PreconditionError(f"determinant is {exact_det(self.matrix)}, not 1")
+            if g.family in ("SO", "U") and not self._preserves_form():
+                raise PreconditionError("matrix does not preserve the form")
         else:
-            a = self.matrix
+            a = self._m
             if not np.all(np.isfinite(a)):
                 raise NumericalError("non-finite matrix entries")
             d = np.linalg.det(a)
@@ -198,32 +229,65 @@ class GroupElement:
                 if np.abs(lhs - J).max() > _FORM_TOL * max(1.0, scale):
                     raise PreconditionError("matrix does not preserve the form")
 
+    def _preserves_form(self) -> bool:
+        """g^T J g = J; for N / d and J cleared to C, N^T C N = d^2 C."""
+        form = ratio_form([self.group.form])
+        if self._den and form:
+            N, c = self._m, form[0][0]
+            CN = tuple(tuple(ck * x for x in row) for ck, row in zip(c, N))
+            dd = self._den ** 2
+            return int_mat_mul(transpose(N), CN) == tuple(
+                tuple(dd * ci if i == j else 0 for j in range(len(c)))
+                for i, ci in enumerate(c))
+        J = _form_matrix(self.group)
+        M = self.matrix
+        return mat_eq(mat_mul(mat_mul(transpose(M), J), M), J)
+
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if self._is_exact and other._is_exact:
+        if self._den and other._den:
+            N, d = ratio_normal(int_mat_mul(self._m, other._m), self._den * other._den)
+            return GroupElement._ratio(N, d, self.group)
+        if self.is_exact and other.is_exact:
             return GroupElement(mat_mul(self.matrix, other.matrix), self.group, check=False)
         return GroupElement(
-            to_float_array(self.matrix) @ to_float_array(other.matrix),
-            self.group,
-            check=False,
+            to_float_array(self) @ to_float_array(other), self.group, check=False
         )
 
     def inv(self) -> "GroupElement":
-        if self._is_exact:
+        form = self._den and self.group.family != "SL" and ratio_form([self.group.form])
+        if form:
+            # g^-1 = J^-1 g^T J, with J cleared to the integer diagonal c
+            c = form[0][0]
+            L = math.lcm(*c)
+            N = tuple(tuple((L // ci) * cj * x for cj, x in zip(c, col))
+                      for ci, col in zip(c, zip(*self._m)))
+            return GroupElement._ratio(*ratio_normal(N, L * self._den), self.group)
+        if self.is_exact:
             return GroupElement(exact_inverse(self.matrix), self.group, check=False)
-        return GroupElement(np.linalg.inv(self.matrix), self.group, check=False)
+        try:
+            return GroupElement(np.linalg.inv(self._m), self.group, check=False)
+        except np.linalg.LinAlgError as e:
+            raise NumericalError(f"matrix inversion failed: {e}") from e
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if self._is_exact and other._is_exact:
+        if self._den and other._den:
+            return self._den == other._den and self._m == other._m
+        if self.is_exact and other.is_exact:
             return mat_eq(self.matrix, other.matrix)
-        a, b = to_float_array(self.matrix), to_float_array(other.matrix)
+        a, b = to_float_array(self), to_float_array(other)
         return bool(np.abs(a - b).max() == 0)
 
     def __hash__(self):
-        if self._is_exact:
-            return hash(self.matrix)
-        return hash(to_float_array(self.matrix).tobytes())
+        if self._den:
+            return hash((self._m, self._den))
+        if not self.is_exact:
+            return hash(self._m.tobytes())
+        # equal to a rational element iff every entry is rational
+        values = [[x.a if isinstance(x, QuadElement) and not x.b else x for x in row]
+                  for row in self._m]
+        return hash(ratio_form(values) or self._m)
 
     def __repr__(self):
         return f"GroupElement({self.matrix!r})"
@@ -299,7 +363,7 @@ def cartan_archimedean(g: GroupElement) -> CartanVector:
     grp = g.group
     if not grp.field.is_archimedean:
         raise UnsupportedFieldError("cartan_archimedean needs a real/complex field")
-    a = to_float_array(g.matrix)
+    a = to_float_array(g)
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite matrix entries")
     if grp.family in ("SO", "U") and _needs_rescale(grp):
@@ -325,71 +389,59 @@ def _needs_rescale(grp: GroupDesc) -> bool:
     )
 
 
-def invariant_factor_valuations(matrix, p: int):
-    """Valuations of the invariant factors of a p-integral rational matrix.
+def _smith_valuations(N, d, p: int):
+    """Valuations of the invariant factors of a nonsingular rational
+    matrix N / d (N integer rows, d > 0) over Z_(p), ascending.
 
-    Smith reduction over the localization of Z at p: at each step the
-    globally minimal-valuation entry is the pivot (a unit times a power
-    of p), and the row/column clearing multipliers are p-integral, so
-    the transformation matrices are invertible over the local ring.
-    Returns the valuations sorted ascending (divisibility order).
+    Fraction-free Smith reduction of N: the pivot is an entry p^v * u of
+    least valuation (u a p-adic unit); each other row becomes
+    u*row_i - (N_ik / p^v)*row_k, and the pivot row and column are
+    dropped.  Scaling a row or a column by a unit (which is all the
+    column clearing would do) leaves the invariant factors unchanged.
     """
-    M = [[Fraction(x) for x in row] for row in matrix]
-    n = len(M)
+    M = [list(row) for row in N]
+    vd = int_valuation(d, p)
     vals = []
-    for k in range(n):
-        best = None
-        best_v = INF
-        for i in range(k, n):
-            for j in range(k, n):
-                if M[i][j] != 0:
-                    v = rational_valuation(M[i][j], p)
+    while M:
+        best_v, bi, bj = INF, -1, -1
+        for i, row in enumerate(M):
+            for j, x in enumerate(row):
+                if x:
+                    v = int_valuation(x, p)
                     if v < best_v:
-                        best_v = v
-                        best = (i, j)
-        if best is None:
+                        best_v, bi, bj = v, i, j
+        if bi < 0:
             raise PreconditionError("matrix is singular")
-        bi, bj = best
-        if bi != k:
-            M[k], M[bi] = M[bi], M[k]
-        if bj != k:
-            for row in M:
-                row[k], row[bj] = row[bj], row[k]
-        piv = M[k][k]
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] / piv
-                for j in range(k, n):
-                    M[i][j] -= f * M[k][j]
-        for j in range(k + 1, n):
-            if M[k][j] != 0:
-                f = M[k][j] / piv
-                for i in range(k, n):
-                    M[i][j] -= f * M[i][k]
-        vals.append(best_v)
+        pivot_row = M.pop(bi)
+        pv = p ** best_v
+        u = pivot_row.pop(bj) // pv
+        for row in M:
+            x = row.pop(bj)
+            if x:
+                f = x // pv
+                row[:] = [u * y - f * z for y, z in zip(row, pivot_row)]
+        vals.append(best_v - vd)  # N / d: every valuation less v(d)
     return vals
 
 
+def invariant_factor_valuations(matrix, p: int):
+    """Valuations of the invariant factors of a nonsingular rational
+    matrix over the localization of Z at p, ascending (divisibility order)."""
+    return _smith_valuations(*ratio_form([[Fraction(x) for x in row] for row in matrix]), p)
+
+
 def cartan_padic(g: GroupElement) -> CartanVector:
-    """Cartan projection over Q_p for SL_n, exact integer coordinates."""
+    """Cartan projection over Q_p for SL_n, exact integer coordinates:
+    the invariant factor valuations of g, negated, in descending order."""
     grp = g.group
     if grp.field.kind != "padic":
         raise UnsupportedFieldError("cartan_padic needs a padic field")
     if grp.family != "SL":
         raise UnsupportedFieldError("padic Cartan projection implemented for SL_n only")
-    if not g.is_exact:
+    if not g._den:
         raise PreconditionError("padic Cartan projection needs exact rational entries")
-    p = grp.field.p
-    entries = [x for row in g.matrix for x in row]
-    min_v = min(
-        (rational_valuation(x, p) for x in entries if x != 0), default=INF
-    )
-    if min_v is INF:
-        raise PreconditionError("zero matrix")
-    m = max(0, -min_v)
-    scaled = [[x * Fraction(p) ** m for x in row] for row in g.matrix]
-    dvals = invariant_factor_valuations(scaled, p)  # ascending
-    mu = sorted((m - v for v in dvals), reverse=True)
+    ws = _smith_valuations(g._m, g._den, grp.field.p)
+    mu = sorted((-w for w in ws), reverse=True)
     if sum(mu) != 0:
         raise NumericalError(f"padic mu does not sum to 0: {mu}")
     return CartanVector(tuple(mu), "SL", exact=True)
@@ -445,7 +497,7 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
         if best is None:
             raise PreconditionError("matrix is singular")
         return best
-    a = to_float_array(g.matrix)
+    a = to_float_array(g)
     compound = np.empty((len(idx), len(idx)), dtype=a.dtype)
     for r, rows in enumerate(idx):
         for c, cols in enumerate(idx):
@@ -467,5 +519,5 @@ def max_compact_element(group: GroupDesc, g: GroupElement) -> bool:
         return all(
             rational_valuation(x, p) >= 0 for row in g.matrix for x in row if x != 0
         )
-    a = to_float_array(g.matrix)
+    a = to_float_array(g)
     return bool(np.abs(a.conj().T @ a - np.eye(group.size)).max() < 1e-9)

@@ -268,7 +268,7 @@ def cmd_bend(args) -> int:
     for t in ts:
         phi_t = bend(family, t)
         for gi, sym in enumerate(pres.symbols):
-            mat = to_float_array(phi_t.images[gi].matrix)
+            mat = to_float_array(phi_t.images[gi])
             for i in range(mat.shape[0]):
                 for j in range(mat.shape[1]):
                     rows.append([t, sym, i, j, float(mat[i, j])])

@@ -5,20 +5,20 @@ QuadElement).  Everything here is exact: pivots are exact, divisions
 are exact, no tolerance anywhere.  Sizes are desk scale (n <= 8 or
 so), so O(n^3) with big rationals is plenty.
 
-``mat_mul`` and ``det`` have an integer kernel for matrices whose
-entries are all rational (Fraction or int): each row (for ``mat_mul``
-also each column of the right factor) is scaled by the lcm of its
-denominators, the work is done on Python ints, and one normalised
-Fraction is built per result entry.  ``mat_mul`` skips zero terms and
-zero results, which the sparse so(J) bases are full of; ``det`` runs
-Bareiss fraction-free elimination, whose every division is exact, and
-divides once by the product of the row denominators.  A Fraction
-operation normalises by a gcd on every multiply and add, so this does
-the same products at a fraction of the cost.  Matrices with a
-QuadElement entry keep the generic loops over the field operations:
-clearing their denominators would need two integers per entry and the
-sqrt(r) product rule, a second kernel for inputs that are rare and
-small.  Which path runs depends only on the types of the entries.
+A rational matrix (Fraction or int entries) has one canonical integer
+form, ``ratio_form``: (N, d) with the matrix equal to N / d, N a tuple
+of integer rows, d > 0 and gcd(d, N) = 1; ``ratio_normal`` restores it
+after a product.  Exact group elements are stored so, and ``mat_mul``
+and ``det`` work on it: the products are done on Python ints, one
+normalised Fraction is built per nonzero result entry, and ``det``
+runs Bareiss fraction-free elimination, whose every division is exact,
+and divides once by d**n.  A Fraction operation normalises by a gcd on
+every multiply and add, so this does the same products at a fraction
+of the cost.  Matrices with a QuadElement entry keep the generic loops
+over the field operations: clearing their denominators would need two
+integers per entry and the sqrt(r) product rule, a second kernel for
+inputs that are rare and small.  Which path runs depends only on the
+types of the entries.
 
 One Gauss-Jordan kernel, ``_rref``, serves ``inverse``, ``rank``,
 ``nullspace`` and ``solve``.  ``charpoly`` is Faddeev-LeVerrier, not
@@ -39,13 +39,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .fields import as_exact
 
 _ZERO = Fraction(0)
 _INT_TYPES = frozenset((int,))
-_RATIONAL_TYPES = frozenset((int, Fraction))
+_RATIONAL_TYPES = frozenset((int, bool, Fraction))
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -61,39 +61,43 @@ def identity(n, one=Fraction(1)):
     )
 
 
-def _is_rational(M):
-    return set(map(type, chain.from_iterable(M))) <= _RATIONAL_TYPES
+def ratio_form(rows):
+    """The canonical (N, d) of a rational matrix, or None if some entry
+    is not an int or a Fraction."""
+    if not set(map(type, chain.from_iterable(rows))) <= _RATIONAL_TYPES:
+        return None
+    d = math.lcm(*map(_denominator, chain.from_iterable(rows)))
+    if d == 1:
+        return tuple(tuple(map(_numerator, row)) for row in rows), 1
+    return tuple(
+        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
+    ), d
 
 
-def _cleared(rows):
-    """Each rational row as (integer list, common denominator): the row
-    times the lcm of its entries' denominators."""
-    out = []
-    for row in rows:
-        den = math.lcm(*map(_denominator, row))
-        if den == 1:
-            out.append((list(map(_numerator, row)), 1))
-        else:
-            out.append(([x.numerator * (den // x.denominator) for x in row], den))
-    return out
+def ratio_normal(N, d):
+    """The canonical (N, d) of N / d, for any integer d != 0."""
+    if d < 0:
+        N, d = tuple(tuple(-x for x in row) for row in N), -d
+    g = math.gcd(d, *chain.from_iterable(N))
+    if g > 1:
+        N, d = tuple(tuple(x // g for x in row) for row in N), d // g
+    return N, d
+
+
+def int_mat_mul(A, B):
+    """Product of two integer matrices given as tuples of rows."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def mat_mul(A, B):
-    if _is_rational(A) and _is_rational(B):
-        cols = _cleared(zip(*B))
-        zero_row = (_ZERO,) * len(cols)
-        out = []
-        for a, da in _cleared(A):
-            terms = [(t, x) for t, x in enumerate(a) if x]
-            if not terms:
-                out.append(zero_row)
-                continue
-            out_row = []
-            for b, db in cols:
-                s = sum([x * b[t] for t, x in terms])
-                out_row.append(Fraction(s, da * db) if s else _ZERO)
-            out.append(tuple(out_row))
-        return tuple(out)
+    a, b = ratio_form(A), ratio_form(B)
+    if a and b:
+        d = a[1] * b[1]
+        return tuple(
+            tuple(Fraction(x, d) if x else _ZERO for x in row)
+            for row in int_mat_mul(a[0], b[0])
+        )
     n, k = len(A), len(B)
     m = len(B[0])
     return tuple(
@@ -172,10 +176,9 @@ def _bareiss(M):
 def det(A):
     """Determinant (exact): Bareiss on integers for rational matrices,
     forward elimination over the field otherwise."""
-    if A and _is_rational(A):
-        rows = _cleared(A)
-        return Fraction(_bareiss([a for a, _ in rows]),
-                        math.prod(d for _, d in rows))
+    r = ratio_form(A) if A else None
+    if r:
+        return Fraction(_bareiss([list(row) for row in r[0]]), r[1] ** len(A))
     n = len(A)
     M = [list(row) for row in A]
     zero = _zero_of(A)
@@ -314,7 +317,7 @@ def primitive(v):
     """
     types = set(map(type, v))
     if types <= _RATIONAL_TYPES:
-        w = v if types <= _INT_TYPES else _cleared([v])[0][0]
+        w = v if types <= _INT_TYPES else ratio_form([v])[0][0]
         g = math.gcd(*w)
         return tuple(x // g for x in w) if g > 1 else tuple(w)
     piv = next((x for x in v if x), None)

@@ -42,6 +42,7 @@ from .exact import (
     inverse as exact_inverse,
     mat_from_rows,
     mat_mul,
+    ratio_form,
 )
 from .fields import INF, FieldDesc, int_valuation, rational_valuation
 
@@ -592,16 +593,9 @@ def _hyperplane_pairings(V, H: ProjHyperplane):
     return P, np.abs(P) / float(np.abs(f).sum())
 
 
-def _cleared_ints(rows):
-    """Integer rows equal to exact rational rows times one common factor."""
-    rows = mat_from_rows(rows)
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
 def _primitive_ints(vec, p):
     """The integer vector with v_min = 0 on the line of an exact vector."""
-    ints = _cleared_ints([vec])[0]
+    ints = ratio_form([vec])[0][0]
     content = p ** int_valuation(math.gcd(*ints), p)
     return [x // content for x in ints]
 
@@ -882,7 +876,7 @@ def _padic_contraction_samples(g, pd, eps, p, points):
     """
     F = _primitive_ints(pd.repelling.functional, p)
     A = _primitive_ints(pd.attracting.vec, p)
-    G = _cleared_ints(g)
+    G = ratio_form(g)[0]
     far_mod = p ** (_padic_eps_exponent(eps, p) + 1)
     # d([Gu], x+) = p^-k > eps (compared as a float) iff k < too_near
     too_near = 0

@@ -36,7 +36,8 @@ from .wordgroups import (BallResult, Homomorphism, Presentation, Word, evaluate,
 
 
 def sl2_to_so21(matrix) -> np.ndarray:
-    """Image of an SL_2(R) matrix under the symmetric-square action.
+    """Image of an SL_2(R) matrix (or GroupElement) under the
+    symmetric-square action.
 
     Coordinates (x1, x2, x3) with form x1^2 + x2^2 - x3^2; the base
     point (0,0,1) corresponds to i in the upper half plane, and
@@ -94,9 +95,9 @@ class RankOneModel:
 
     def matrix_action(self, g: GroupElement) -> np.ndarray:
         if self.kind == "hyperboloid":
-            return to_float_array(g.matrix)
+            return to_float_array(g)
         if self.kind == "sl2_real":
-            return sl2_to_so21(g.matrix)
+            return sl2_to_so21(g)
         raise UnsupportedFieldError("tree model has no matrix action on points")
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 Words are freely reduced sequences of signed generator letters; the
 constructor refuses unreduced input, and concatenation reduces.  Word
 balls are breadth-first enumerations of reduced words with the matrix
-images deduplicated: exactly (hashing the entry tuples; Python's dict
+images deduplicated: exactly (hashing integer forms; Python's dict
 already audits every hash collision with a full comparison) when the
 entries are exact scalars, by tolerance with a merge log otherwise.
 Each distinct matrix keeps its shortest representative word, ties broken
@@ -47,6 +47,13 @@ class Word:
             if i < 0:
                 raise PreconditionError("negative generator index")
         self.letters = letters
+
+    @classmethod
+    def _trusted(cls, letters) -> "Word":
+        """A word from letters already known to be reduced and well formed."""
+        w = object.__new__(cls)
+        w.letters = letters
+        return w
 
     def __len__(self):
         return len(self.letters)
@@ -230,7 +237,7 @@ def evaluate(w: Word, phi: Homomorphism) -> GroupElement:
 def _elements_close(a: GroupElement, b: GroupElement, tol=1e-9) -> bool:
     if a.is_exact and b.is_exact:
         return a == b
-    fa, fb = to_float_array(a.matrix), to_float_array(b.matrix)
+    fa, fb = to_float_array(a), to_float_array(b)
     return bool(np.abs(fa - fb).max() <= tol)
 
 
@@ -240,7 +247,7 @@ def _max_deviation(a: GroupElement, b: GroupElement) -> float:
             abs(float(x - y)) for ra, rb in zip(a.matrix, b.matrix)
             for x, y in zip(ra, rb)
         )
-    fa, fb = to_float_array(a.matrix), to_float_array(b.matrix)
+    fa, fb = to_float_array(a), to_float_array(b)
     return float(np.abs(fa - fb).max())
 
 
@@ -327,7 +334,7 @@ class BallResult:
 
 
 def _float_key_candidates(g: GroupElement):
-    a = to_float_array(g.matrix)
+    a = to_float_array(g)
     flat = a.reshape(-1)
     j = int(np.abs(flat).argmax())
     lead = flat[j]
@@ -366,10 +373,9 @@ def word_ball(
 
     def try_insert(word, element, parent=-1, letter=None):
         if exact:
-            key = element.matrix
-            if key in seen:
+            if element in seen:
                 return False
-            seen[key] = len(entries)
+            seen[element] = len(entries)
             entries.append(BallEntry(word, element, parent, letter))
             return True
         arr, keys = _float_key_candidates(element)
@@ -398,7 +404,8 @@ def word_ball(
             for i, e in letters:
                 if word.letters and word.letters[-1] == (i, -e):
                     continue
-                w2 = Word(word.letters + ((i, e),))
+                # reduced: the letter cancelling the last one was skipped
+                w2 = Word._trusted(word.letters + ((i, e),))
                 g2 = element @ phi.image(i, e)
                 if try_insert(w2, g2, k, (i, e)):
                     new_frontier.append(len(entries) - 1)

@@ -344,13 +344,15 @@ def _bend_doc_file(tmp_path, ts):
     ("bend", "inf", 2),
     ("bend", "1e308", 3),
     ("bend", "-800", 3),
+    ("bend", "100", 3),  # a bent generator numpy cannot invert
     ("stability", "1e308", 3),
     ("stability", "nan", 2),
 ])
 def test_non_finite_or_overflowing_t(tmp_path, capsys, so22_bending_file,
                                      command, t, code):
     # nan used to exit 0 with NaN images and a true witness; an overflow
-    # of exp(t*Y) used to end in an OverflowError traceback
+    # of exp(t*Y) used to end in an OverflowError traceback; a bent
+    # generator too ill-conditioned to invert used to exit 2 as bad input
     out = tmp_path / "o.csv"
     rc = main([command, "--input", str(so22_bending_file), "--output",
                str(out), "--radius", "2", f"--t={t}"])
