@@ -39,7 +39,7 @@ from .errors import NumericalError, PreconditionError, UnsupportedFieldError
 from .exact import _bareiss, int_mat_mul, mat_eq, mat_mul
 from .exact import det as exact_det
 from .exact import inverse as exact_inverse
-from .exact import ratio_form, ratio_normal, transpose
+from .exact import ratio_form, ratio_inverse, ratio_normal, transpose
 from .fields import (INF, FieldDesc, QuadElement, int_valuation, is_exact_scalar,
                      rational_valuation)
 
@@ -262,6 +262,8 @@ class GroupElement:
             N = tuple(tuple((L // ci) * cj * x for cj, x in zip(c, col))
                       for ci, col in zip(c, zip(*self._m)))
             return GroupElement._ratio(*ratio_normal(N, L * self._den), self.group)
+        if self._den:
+            return GroupElement._ratio(*ratio_inverse(self._m, self._den), self.group)
         if self.is_exact:
             return GroupElement(exact_inverse(self.matrix), self.group, check=False)
         try:

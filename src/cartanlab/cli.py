@@ -143,6 +143,7 @@ def cmd_ball(args) -> int:
         "elements": len(ball.entries),
         "complete": ball.complete,
         "radius": radius,
+        "merges": len(ball.merges),
     })
     return 0
 

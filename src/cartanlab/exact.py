@@ -84,6 +84,33 @@ def ratio_normal(N, d):
     return N, d
 
 
+def ratio_inverse(N, d):
+    """The canonical (N', d') of (N / d)^-1, for an invertible integer N.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [N | I]: every division by
+    the previous pivot is exact, and the left half ends as D I with
+    D = +-det N, so the right half is D N^-1 = +-adj N; then
+    (N / d)^-1 = d (D N^-1) / D.
+    """
+    n = len(N)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
+    prev = 1
+    for k in range(n):
+        if not M[k][k]:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                raise ZeroDivisionError("singular matrix")
+            M[k], M[i] = M[i], M[k]
+        rk = M[k]
+        p = rk[k]
+        for i, ri in enumerate(M):
+            if i != k:
+                f = ri[k]
+                M[i] = [(x * p - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    return ratio_normal(tuple(tuple(d * x for x in row[n:]) for row in M), prev)
+
+
 def int_mat_mul(A, B):
     """Product of two integer matrices given as tuples of rows."""
     cols = tuple(zip(*B))

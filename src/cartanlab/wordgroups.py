@@ -5,7 +5,8 @@ constructor refuses unreduced input, and concatenation reduces.  Word
 balls are breadth-first enumerations of reduced words with the matrix
 images deduplicated: exactly (hashing integer forms; Python's dict
 already audits every hash collision with a full comparison) when the
-entries are exact scalars, by tolerance with a merge log otherwise.
+entries are exact scalars, by a relative tolerance with a merge log
+otherwise (``FLOAT_DEDUP_TOL``; g and -g are distinct elements).
 Each distinct matrix keeps its shortest representative word, ties broken
 lexicographically on (generator index, sign).
 
@@ -26,8 +27,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cartan import GroupDesc, GroupElement, identity_element, to_float_array
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 
+# Two float elements a, b are one ball element iff
+#     max|a - b| <= FLOAT_DEDUP_TOL * max(1, max|a|, max|b|),
+# relative as in GroupElement._validate, so large entries that carry
+# rounding proportional to their size still merge; a and -a never do.
 FLOAT_DEDUP_TOL = 1e-8
 
 
@@ -333,20 +338,128 @@ class BallResult:
         return self
 
 
-def _float_key_candidates(g: GroupElement):
-    a = to_float_array(g)
-    flat = a.reshape(-1)
-    j = int(np.abs(flat).argmax())
-    lead = flat[j]
-    if isinstance(lead, complex) or np.iscomplexobj(a):
-        phase = lead / abs(lead) if lead != 0 else 1.0
-        a = a / phase
-    elif lead < 0:
-        a = -a
-    scaled = a / FLOAT_DEDUP_TOL / 4
-    base = np.floor(scaled)
-    return a, [tuple(np.asarray(base + off).reshape(-1))
-               for off in (0.0, 0.5)]
+# The float ball's tolerance index.  An element of scale
+# s = max(1, max|a|) in [2**(e-1), 2**e) is filed in bucket e under the
+# cells of its real coordinates (real and imaginary parts for complex
+# entries) on the grid of width 2**(e - _GRID_BITS), shifted by a third of
+# a cell so that entries with few bits below the cell width (integers,
+# short dyadics) sit well inside a cell rather than on an edge.  No pair
+# within tolerance is missed, because
+#  * |s_a - s_b| <= max|a - b| <= tol max(s_a, s_b): b lies in bucket
+#    e + 1 only if s_a >= 2**e (1 - tol), and in bucket e - 1 only if
+#    s_a < 2**(e-1) (1 + 2 tol); a candidate within 2 tol of a bucket
+#    boundary also probes the neighbouring bucket;
+#  * in a probed bucket f >= e - 1 each coordinate of b is within
+#    tol 2**max(e, f) <= 2 tol 2**f of a's, which is _REACH cells; so a
+#    coordinate closer than 1/2 - 2 _REACH to its cell centre has b's in
+#    the same cell, and one nearer an edge has it in the same cell or the
+#    neighbour on that side, and every combination of those is probed
+#    (the factor 2 leaves room for the rounding of the shift).
+# Most candidates probe their own cell only.  One with more than
+# _MAX_EDGES coordinates near an edge is compared with every element
+# rather than with 2**k cells.
+_GRID_BITS = 16
+_REACH = 2 * FLOAT_DEDUP_TOL * 2.0 ** _GRID_BITS
+_NEAR_EDGE = 0.5 - 2 * _REACH
+_MAX_EDGES = 8
+
+
+def _real_coords(flat):
+    return flat.view(np.float64) if np.iscomplexobj(flat) else flat
+
+
+def _grid(coords, e):
+    """Shifted grid coordinates of coords in bucket(s) e; multiplying by
+    the power of two 2**(_GRID_BITS - e) is exact."""
+    return np.ldexp(coords, _GRID_BITS - e) - 1 / 3
+
+
+def _buckets(scale):
+    """Bucket e of scale (array or number), and whether scale is within
+    2 tol of the bucket above and of the bucket below."""
+    e = np.frexp(scale)[1]
+    up = scale >= np.ldexp(1 - 2 * FLOAT_DEDUP_TOL, e)
+    down = (e > 1) & (scale < np.ldexp(1 + 2 * FLOAT_DEDUP_TOL, e - 1))
+    return e, up, down
+
+
+def _cell_keys(e, cells):
+    """One bytes key per row of (bucket, cells)."""
+    K = np.column_stack([e, cells]).astype(np.int64)
+    return K.view(np.dtype((np.void, 8 * K.shape[1]))).ravel().tolist()
+
+
+class _FloatIndex:
+    """The elements of a float ball, found again by tolerance."""
+
+    def __init__(self):
+        self.cells = {}  # key -> indices of the elements filed under it
+        self.rows = []  # flattened elements, in insertion order
+        self.scales = []
+
+    @staticmethod
+    def level(flat):
+        """For the rows of flat (one candidate each): scales, own-cell
+        keys, and whether the row needs more probes than its own cell."""
+        scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+        e, up, down = _buckets(scale)
+        q = _grid(_real_coords(flat), e[:, None])
+        cells = np.rint(q)
+        more = (np.abs(q - cells) > _NEAR_EDGE).any(axis=1) | up | down
+        return scale.tolist(), _cell_keys(e, cells), more.tolist()
+
+    @staticmethod
+    def probes(row, scale):
+        """Keys of every cell that may hold an element within tolerance
+        of row, or None if there are too many to list."""
+        e, up, down = _buckets(scale)
+        keys = []
+        coords = _real_coords(row)
+        for f, on in ((e, True), (e + 1, up), (e - 1, down)):
+            if not on:
+                continue
+            q = _grid(coords, f)
+            cells = np.rint(q)
+            near = np.flatnonzero(np.abs(q - cells) > _NEAR_EDGE)
+            if len(near) > _MAX_EDGES:
+                return None
+            # row m of choice picks the neighbour cell where bit j of m is set
+            choice = (np.arange(2 ** len(near))[:, None] >> np.arange(len(near))) & 1
+            cand = np.repeat(cells[None], len(choice), axis=0)
+            cand[:, near] += choice * np.sign(q[near] - cells[near])
+            keys += _cell_keys(np.full(len(cand), f), cand)
+        return keys
+
+    def find(self, row, scale, keys):
+        """Index of an element filed under keys within tolerance of row."""
+        for key in keys:
+            for h in self.cells.get(key, ()):
+                if np.abs(row - self.rows[h]).max() <= FLOAT_DEDUP_TOL * max(
+                        scale, self.scales[h]):
+                    return h
+        return None
+
+    def match(self, row, scale, key, more):
+        """Index of an element within tolerance of row, or None; key and
+        more are row's entries from ``level``."""
+        if not more:
+            return self.find(row, scale, (key,))
+        probes = self.probes(row, scale)
+        if probes is None:
+            return self.scan(row, scale)
+        return self.find(row, scale, probes)
+
+    def scan(self, row, scale):
+        """Index of the first element within tolerance of row, by
+        comparing it with all of them."""
+        dev = np.abs(np.stack(self.rows) - row).max(axis=1)
+        hit = np.flatnonzero(dev <= FLOAT_DEDUP_TOL * np.maximum(self.scales, scale))
+        return int(hit[0]) if len(hit) else None
+
+    def add(self, key, row, scale):
+        self.cells.setdefault(key, []).append(len(self.rows))
+        self.rows.append(row)
+        self.scales.append(scale)
 
 
 def word_ball(
@@ -359,42 +472,19 @@ def word_ball(
 
     BFS in length order; among equal lengths the expansion is
     lexicographic in (generator index, sign), so the stored shortest
-    representatives are deterministic.  Exceeding ``max_elements``
-    returns the partial ball flagged incomplete.
+    representatives are deterministic.  Exact images are deduplicated
+    exactly.  Float images are one element iff
+    ``max|a - b| <= FLOAT_DEDUP_TOL * max(1, max|a|, max|b|)``; g and -g
+    are distinct, and every merged word is logged in ``merges`` with the
+    word it merged into.  Exceeding ``max_elements`` returns the partial
+    ball flagged incomplete.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    exact = all(g.is_exact for g in phi.images)
-    identity = _identity_like(phi)
-    entries = []
-    merges = []
-    seen = {}
-    float_reps = []  # (array, entry index) for tolerance audit
-
-    def try_insert(word, element, parent=-1, letter=None):
-        if exact:
-            if element in seen:
-                return False
-            seen[element] = len(entries)
-            entries.append(BallEntry(word, element, parent, letter))
-            return True
-        arr, keys = _float_key_candidates(element)
-        for key in keys:
-            hit = seen.get(key)
-            if hit is not None:
-                ref = float_reps[hit]
-                if np.abs(arr - ref).max() <= FLOAT_DEDUP_TOL:
-                    merges.append((word, entries[hit].word))
-                    return False
-        # audit against all near keys failed; linear check on collisions only
-        idx = len(entries)
-        for key in keys:
-            seen.setdefault(key, idx)
-        entries.append(BallEntry(word, element, parent, letter))
-        float_reps.append(arr)
-        return True
-
-    try_insert(Word(), identity)
+    if not all(g.is_exact for g in phi.images):
+        return _float_word_ball(P, phi, radius, max_elements)
+    entries = [BallEntry(Word(), _identity_like(phi))]
+    seen = {entries[0].element: 0}
     frontier = [0]
     letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
     for _ in range(radius):
@@ -405,11 +495,71 @@ def word_ball(
                 if word.letters and word.letters[-1] == (i, -e):
                     continue
                 # reduced: the letter cancelling the last one was skipped
-                w2 = Word._trusted(word.letters + ((i, e),))
                 g2 = element @ phi.image(i, e)
-                if try_insert(w2, g2, k, (i, e)):
+                if g2 not in seen:
+                    seen[g2] = len(entries)
+                    w2 = Word._trusted(word.letters + ((i, e),))
+                    entries.append(BallEntry(w2, g2, k, (i, e)))
                     new_frontier.append(len(entries) - 1)
+                    if len(entries) > max_elements:
+                        return BallResult(entries, complete=False)
+        frontier = new_frontier
+    return BallResult(entries, complete=True)
+
+
+def _float_word_ball(P, phi, radius, max_elements) -> BallResult:
+    """word_ball over float images, one BFS level at a time: one stacked
+    product per letter, the level's keys in numpy, and a Python loop for
+    the lookups only, in (frontier entry, letter) order.  A stacked
+    ``matmul`` gives each product bit for bit as ``@`` does, so every
+    element equals ``evaluate`` of its word (a homomorphism mixing real
+    and complex images is computed in complex throughout)."""
+    group = phi.group
+    letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
+    gens = [to_float_array(phi.image(i, e)) for i, e in letters]
+    dtype = np.result_type(*gens)
+    gens = [g.astype(dtype, copy=False) for g in gens]
+    root = _identity_like(phi)
+    entries = [BallEntry(Word(), root)]
+    merges = []
+    index = _FloatIndex()
+    flat = to_float_array(root).astype(dtype).reshape(1, -1)
+    scales, keys, _ = index.level(flat)
+    index.add(keys[0], flat[0], scales[0])
+    nletters, n = len(letters), group.size
+    level = flat.reshape(1, n, n)  # the frontier's elements, stacked
+    frontier = [0]
+    last = np.array([-1])  # letter index of each frontier word's last letter
+    for _ in range(radius):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            prods = np.stack([level @ g for g in gens], axis=1)
+        # letters 2i and 2i + 1 are inverse: skip the one cancelling the last
+        keep = np.flatnonzero(
+            (np.arange(nletters) != (last ^ 1)[:, None]).reshape(-1))
+        cand = prods.reshape(-1, n, n)[keep]
+        flat = cand.reshape(len(cand), -1)
+        if not np.isfinite(flat).all():
+            raise NumericalError("a word ball element is not finite (overflow)")
+        scales, keys, more = index.level(flat)
+        lets = keep % nletters
+        kept = []
+        for j, (key, t, l) in enumerate(zip(keys, (keep // nletters).tolist(),
+                                            lets.tolist())):
+            row, scale = flat[j], scales[j]
+            hit = index.match(row, scale, key, more[j])
+            parent, letter = frontier[t], letters[l]
+            word = Word._trusted(entries[parent].word.letters + (letter,))
+            if hit is not None:
+                merges.append((word, entries[hit].word))
+            else:
+                index.add(key, row, scale)
+                element = GroupElement(cand[j], group, check=False)
+                entries.append(BallEntry(word, element, parent, letter))
+                kept.append(j)
                 if len(entries) > max_elements:
                     return BallResult(entries, complete=False, merges=merges)
-        frontier = new_frontier
+        if not kept:  # a finite group, exhausted
+            break
+        frontier = list(range(len(entries) - len(kept), len(entries)))
+        level, last = cand[kept], lets[kept]
     return BallResult(entries, complete=True, merges=merges)

@@ -95,6 +95,30 @@ def test_cmd_ball(tmp_path, sl2_presentation_file):
     assert len(lines) == 1 + 17
     sidecar = json.loads((tmp_path / "ball.csv.json").read_text())
     assert sidecar["elements"] == 17 and sidecar["complete"]
+    assert sidecar["merges"] == 0
+
+
+def test_cmd_ball_float_counts_merges(tmp_path):
+    # decimal text is read as floats; r has order 4, and g, -g stay apart
+    docs = {
+        "float": {"a": [["2.0", "0.0"], ["0.0", "0.5"]],
+                  "r": [["0.0", "-1.0"], ["1.0", "0.0"]]},
+        "exact": {"a": [["2", "0"], ["0", "1/2"]],
+                  "r": [["0", "-1"], ["1", "0"]]},
+    }
+    outputs = []
+    for name, gens in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+            "generators": gens, "structure": {"type": "free"}}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["ball", "--input", str(path), "--output", str(out),
+                     "--radius", "3"]) == 0
+        outputs.append(json.loads((tmp_path / f"{name}.csv.json").read_text()))
+    floats, exact = outputs
+    assert floats["elements"] == exact["elements"]
+    assert floats["merges"] > 0 and exact["merges"] == 0
 
 
 def test_cmd_proximal(tmp_path):

@@ -25,7 +25,7 @@ from cartanlab.cartan import (
     to_float_array,
 )
 from cartanlab.errors import PreconditionError
-from cartanlab.exact import inverse
+from cartanlab.exact import inverse, ratio_form
 from cartanlab.fields import REAL, padic
 
 BIG = 2 ** 80
@@ -176,6 +176,32 @@ def test_sl_validation_accepts_det_one_and_rejects_others(M):
     bad = (tuple(2 * x for x in M[0]),) + M[1:]
     with pytest.raises(PreconditionError, match="determinant is 2"):
         GroupElement(bad, sl(len(M)))
+
+
+@given(st.integers(2, 4).flatmap(lambda n: sl_rows(n)))
+@settings(max_examples=40, deadline=None)
+def test_sl_inverse_matches_fraction_oracle(M):
+    # the inverse is computed on the integer form and stays in it
+    g = GroupElement(M, sl(len(M)))
+    h = g.inv()
+    assert h.matrix == frac_inv(M)
+    assert (h._m, h._den) == ratio_form(frac_inv(M))
+    assert g @ h == h @ g == unchecked(frac_mul(M, frac_inv(M)))
+
+
+@pytest.mark.parametrize("A", [
+    ((0, 1), (-1, 0)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((1, 1, 0), (1, 1, 1), (0, 1, 1)),  # zero pivot after the first step
+    ((F(1, 2), F(1, 3), 0), (F(1, 2), F(1, 3), F(1, 5)), (0, 7, F(-2, 9))),
+])
+def test_inverse_with_zero_pivots(A):
+    assert unchecked(A).inv().matrix == frac_inv(A)
+
+
+def test_inverse_of_a_singular_matrix_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        unchecked(((1, 2), (2, 4))).inv()
 
 
 FORM = (F(1, 2), F(3), F(-2, 5), F(-7))

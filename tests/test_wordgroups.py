@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import cartanlab.exact as ex
 from cartanlab import (
@@ -10,6 +12,7 @@ from cartanlab import (
     GroupElement,
     HnnStructure,
     Homomorphism,
+    NumericalError,
     PreconditionError,
     Presentation,
     Word,
@@ -21,13 +24,21 @@ from cartanlab import (
     word_ball,
 )
 from cartanlab.bending import BendingFamily, bend
-from cartanlab.wordgroups import conjugate_homomorphism, reduce_letters
+from cartanlab.cartan import indefinite_orthogonal, to_float_array
+from cartanlab.wordgroups import (
+    _GRID_BITS,
+    FLOAT_DEDUP_TOL,
+    _FloatIndex,
+    conjugate_homomorphism,
+    reduce_letters,
+)
 
 from util import (
     boost_Y_so22,
     schottky_sl2_matrices,
     schottky_sl2_presentation,
     schottky_so22_presentation,
+    sym2_rational,
 )
 
 SL2R = special_linear(2, REAL)
@@ -100,6 +111,8 @@ def test_cyclic_quotient_ball():
     assert check_relators(P, inclusion(P)).ok
     ball = word_ball(P, inclusion(P), 10)
     assert len(ball) == 3
+    # the float ball stops expanding once a level adds nothing
+    assert len(_assert_float_ball_is_exact_ball(P, 10)) == 3
 
 
 def test_shortest_representatives_deterministic():
@@ -118,17 +131,192 @@ def test_shortest_representatives_deterministic():
     assert ball.entries[1].word.letters == ((0, 1),)
 
 
+def _float_twin(P):
+    """P with every generator read as a float matrix."""
+    return Presentation(P.symbols,
+                        [GroupElement(to_float_array(g), P.group) for g in P.generators],
+                        P.group, relators=P.relators)
+
+
+def _assert_float_ball_is_exact_ball(P, radius):
+    """The float ball of P's generators has the exact ball's words, and
+    each element is bit for bit the float evaluation of its word."""
+    exact = word_ball(P, inclusion(P), radius)
+    Pf = _float_twin(P)
+    phi = inclusion(Pf)
+    ball = word_ball(Pf, phi, radius)
+    assert len(ball) == len(exact)
+    assert [e.word for e in ball.entries] == [e.word for e in exact.entries]
+    for e in ball.entries:
+        assert e.element.matrix.tobytes() == evaluate(e.word, phi).matrix.tobytes()
+    return ball
+
+
 def test_float_dedup_merges_are_logged():
-    a = np.diag([4.0, 0.25])
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    P = Presentation(["a", "r"], [GroupElement(a, SL2R), GroupElement(rot, SL2R)],
-                     SL2R)
-    ball = word_ball(P, inclusion(P), 4)
-    assert not ball.complete or len(ball) < 1 + 4 + 12 + 36 + 108
-    # r^4 = 1 merges words (r^2 = r^-2, r^3 = r^-1); the float key also
-    # merges g with -g (r^-1 with r), a known defect of the float dedup
-    # that makes the count too high
+    # r^4 = 1: r^2 = r^-2 and r^3 = r^-1 are merged and logged, while g
+    # and -g (r^k and r^(k+2)) stay apart, as in the exact ball
+    a = [[F(4), F(0)], [F(0), F(1, 4)]]
+    rot = [[F(0), F(-1)], [F(1), F(0)]]
+    P = Presentation(["a", "r"], [a, rot], SL2R)
+    ball = _assert_float_ball_is_exact_ball(P, 4)
     assert ball.merges
+    for merged, kept in ball.merges:
+        assert len(kept) <= len(merged)
+
+
+def test_float_ball_keeps_g_and_minus_g():
+    # the sign normalisation of the old float key merged these to 5
+    a = [[F(2), F(0)], [F(0), F(1, 2)]]
+    minus = [[F(-1), F(0)], [F(0), F(-1)]]
+    P = Presentation(["a", "m"], [a, minus], SL2R)
+    assert len(_assert_float_ball_is_exact_ball(P, 2)) == 8
+
+
+def test_float_ball_of_z4z_matches_exact_twin():
+    # Z/4 * Z in SO(2,1): entries reach 4^8 with rounding errors far
+    # above an absolute 1e-8, so only a relative tolerance merges them
+    r = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    s = sym2_rational(((F(4), F(0)), (F(0), F(1, 4))))
+    P = Presentation(["r", "s"], [r, s], indefinite_orthogonal(2, 1, REAL))
+    assert len(_assert_float_ball_is_exact_ball(P, 8)) == 1528
+
+
+# -- float balls of exact generators agree with the exact balls -------------
+
+SO21R = indefinite_orthogonal(2, 1, REAL)
+SL3R = special_linear(3, REAL)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+TORSION = {  # finite-order elements of each group; -I where it has det 1
+    "sl2": ([[0, -1], [1, 0]], [[0, -1], [1, -1]], [[1, -1], [1, 0]],
+            [[-1, 0], [0, -1]]),
+    "sl3": ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+            [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    "so21": ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+}
+
+
+@st.composite
+def sl_generator(draw, n):
+    """A product of elementary matrices and diag(x, 1/x, 1...)."""
+    M = ex.identity(n)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n)
+                                     if i != j]))
+        E = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+        E[i][j] = draw(small)
+        M = ex.mat_mul(M, E)
+    x = F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 4)))
+    D = [[F(0)] * n for _ in range(n)]
+    for k in range(n):
+        D[k][k] = x if k == 0 else 1 / x if k == 1 else F(1)
+    return ex.mat_mul(M, D)
+
+
+@st.composite
+def so21_cayley(draw):
+    """(I - X)^-1 (I + X) for X = J^-1 S, S skew: an element of SO(2,1)."""
+    s01, s02, s12 = (draw(small) for _ in range(3))
+    X = [[F(0), s01, s02], [-s01, F(0), s12], [s02, s12, F(0)]]  # J^-1 S
+    plus = ex.mat_add(ex.identity(3), X)
+    minus = ex.mat_sub(ex.identity(3), X)
+    assume(ex.det(minus) != 0)
+    return ex.mat_mul(ex.inverse(minus), plus)
+
+
+@st.composite
+def exact_presentations(draw):
+    kind = draw(st.sampled_from(sorted(TORSION)))
+    group = {"sl2": SL2R, "sl3": SL3R, "so21": SO21R}[kind]
+    make = so21_cayley() if kind == "so21" else sl_generator(group.size)
+    gens = draw(st.lists(make, min_size=1, max_size=2))
+    gens += draw(st.lists(st.sampled_from(TORSION[kind]), max_size=2,
+                          unique_by=str))
+    radius = draw(st.integers(1, 5 if len(gens) <= 2 else 3))
+    P = Presentation([f"g{i}" for i in range(len(gens))], gens, group)
+    return P, radius
+
+
+def _separated(ball):
+    """Whether the ball's elements are pairwise farther apart than twice
+    the float tolerance."""
+    X = np.stack([to_float_array(e.element).reshape(-1) for e in ball.entries])
+    scale = np.maximum(1, np.abs(X).max(axis=1))
+    dev = np.abs(X[:, None] - X[None]).max(axis=2)
+    np.fill_diagonal(dev, np.inf)
+    return bool((dev > 2 * FLOAT_DEDUP_TOL * np.maximum.outer(scale, scale)).all())
+
+
+@given(exact_presentations())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_float_ball_equals_exact_ball(case):
+    P, radius = case
+    # a tolerance can only separate elements that are farther apart
+    assume(_separated(word_ball(P, inclusion(P), radius)))
+    _assert_float_ball_is_exact_ball(P, radius)
+
+
+# -- the tolerance index finds every element within tolerance --------------
+
+@st.composite
+def near_pairs(draw):
+    """An element b with coordinates on or near cell edges and a scale on
+    or near a bucket boundary, and a point a near it."""
+    d = draw(st.sampled_from([4, 9, 16]))
+    e = draw(st.integers(1, 40))
+    w = 2.0 ** (e - _GRID_BITS)
+    b = np.array([
+        draw(st.sampled_from([w * (m + 1 / 3 + 1 / 2 + t),  # at a cell edge
+                              w * (m + 1 / 3 + t)]))  # at a cell centre
+        for m, t in zip(draw(st.lists(st.integers(-2 ** (_GRID_BITS - 2),
+                                                  2 ** (_GRID_BITS - 2)),
+                                      min_size=d, max_size=d)),
+                        draw(st.lists(st.floats(-3e-3, 3e-3), min_size=d,
+                                      max_size=d)))
+    ])
+    top = draw(st.sampled_from([2.0 ** e * (1 - u) for u in (0, 1e-9, 1e-8, 3e-8)]
+                               + [2.0 ** (e - 1) * (1 + u) for u in (0, 1e-9, 1e-8)]))
+    b[draw(st.integers(0, d - 1))] = max(top, 1.0) * draw(st.sampled_from([1, -1]))
+    sb = max(1.0, float(np.abs(b).max()))
+    factor = draw(st.sampled_from([0.0, 0.5, 0.99, 1.01, 3.0]))
+    step = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d, max_size=d))
+    return b, b + factor * FLOAT_DEDUP_TOL * sb * np.array(step)
+
+
+@given(near_pairs())
+@settings(max_examples=300, deadline=None)
+def test_float_index_agrees_with_a_full_scan(pair):
+    b, a = pair
+    index = _FloatIndex()
+    scales, keys, _ = index.level(b[None])
+    index.add(keys[0], b, scales[0])
+    scales, keys, more = index.level(a[None])
+    found = index.match(a, scales[0], keys[0], more[0])
+    assert found == index.scan(a, scales[0])
+
+
+def test_float_index_with_many_coordinates_on_edges():
+    # 16 coordinates at cell edges: too many cells to probe, so the
+    # candidate is compared with every element
+    w = 2.0 ** (1 - _GRID_BITS)
+    b = w * (np.arange(16) + 1 / 3 + 1 / 2)
+    index = _FloatIndex()
+    scales, keys, _ = index.level(b[None])
+    index.add(keys[0], b, scales[0])
+    assert index.probes(b, scales[0]) is None
+    for factor, want in ((1, 0), (-1, 0), (3, None)):
+        a = b + factor * 0.9 * FLOAT_DEDUP_TOL
+        scales, keys, more = index.level(a[None])
+        assert more[0]
+        assert index.match(a, scales[0], keys[0], more[0]) == want
+
+
+def test_float_ball_refuses_overflow():
+    big = GroupElement(np.diag([1e100, 1e-100]), SL2R)
+    P = Presentation(["a"], [big], SL2R)
+    assert len(word_ball(P, inclusion(P), 3)) == 7
+    with pytest.raises(NumericalError, match="not finite"):
+        word_ball(P, inclusion(P), 4)
 
 
 def _assert_images_match_evaluate(ball, phi):
