@@ -50,7 +50,7 @@ from .exact import (
     primitive,
     solve,
 )
-from .fields import QuadElement, as_exact, is_exact_scalar
+from .fields import as_exact, is_exact_scalar, real_sign
 from .wordgroups import (
     AmalgamStructure,
     HnnStructure,
@@ -71,7 +71,7 @@ class QuadFormSpace:
 
     def __post_init__(self):
         coeffs = tuple(as_exact(c) if is_exact_scalar(c) else c for c in self.coeffs)
-        if any(_sign(c) == 0 for c in coeffs):
+        if any(real_sign(c) == 0 for c in coeffs):
             raise PreconditionError("form coefficients must be nonzero")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -81,7 +81,7 @@ class QuadFormSpace:
 
     @property
     def signature(self) -> tuple:
-        pos = sum(1 for c in self.coeffs if _sign(c) > 0)
+        pos = sum(1 for c in self.coeffs if real_sign(c) > 0)
         return pos, self.dim - pos
 
     def form_matrix(self):
@@ -90,12 +90,6 @@ class QuadFormSpace:
             tuple(self.coeffs[i] if i == j else zero for j in range(self.dim))
             for i in range(self.dim)
         )
-
-
-def _sign(c) -> int:
-    if isinstance(c, QuadElement):
-        return c.sign()
-    return (c > 0) - (c < 0)
 
 
 def standard_so_form(p: int, q: int) -> QuadFormSpace:
@@ -193,36 +187,33 @@ class LieBasis:
         return in_span(self.flat_vectors(), _flatten(mat_from_rows(X)))
 
 
-def so_form_algebra(space: QuadFormSpace) -> LieBasis:
-    """Basis of so(J) for the diagonal form: c_j E_ij - c_i E_ji, i < j."""
+def _so_basis(space: QuadFormSpace, skipped=None) -> LieBasis:
+    """The basis c_j E_ij - c_i E_ji (i < j) of so(J), leaving out every
+    element that touches the coordinate ``skipped``."""
     d = space.dim
     zero = Fraction(0)
     mats = []
     for i in range(d):
         for j in range(i + 1, d):
-            X = [[zero] * d for _ in range(d)]
-            X[i][j] = space.coeffs[j] + zero
-            X[j][i] = -(space.coeffs[i] + zero)
-            mats.append(tuple(tuple(row) for row in X))
-    return LieBasis(mats, space, check=True)
-
-
-def so_subalgebra_basis(space: QuadFormSpace, fixed_coordinate: int) -> LieBasis:
-    """so of the form restricted away from one coordinate, inside so(J)."""
-    d = space.dim
-    if not 0 <= fixed_coordinate < d:
-        raise PreconditionError("fixed coordinate out of range")
-    zero = Fraction(0)
-    mats = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            if fixed_coordinate in (i, j):
+            if skipped in (i, j):
                 continue
             X = [[zero] * d for _ in range(d)]
             X[i][j] = space.coeffs[j] + zero
             X[j][i] = -(space.coeffs[i] + zero)
             mats.append(tuple(tuple(row) for row in X))
     return LieBasis(mats, space, check=True)
+
+
+def so_form_algebra(space: QuadFormSpace) -> LieBasis:
+    """Basis of so(J) for the diagonal form: c_j E_ij - c_i E_ji, i < j."""
+    return _so_basis(space)
+
+
+def so_subalgebra_basis(space: QuadFormSpace, fixed_coordinate: int) -> LieBasis:
+    """so of the form restricted away from one coordinate, inside so(J)."""
+    if not 0 <= fixed_coordinate < space.dim:
+        raise PreconditionError("fixed coordinate out of range")
+    return _so_basis(space, fixed_coordinate)
 
 
 def centralizer_in_algebra(elements, ambient: LieBasis) -> LieBasis:

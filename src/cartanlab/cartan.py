@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .exact import det as exact_det
 from .exact import inverse as exact_inverse
 from .exact import ratio_form, ratio_inverse, ratio_normal, transpose
 from .fields import (INF, FieldDesc, QuadElement, int_valuation, is_exact_scalar,
-                     rational_valuation)
+                     rational_valuation, real_sign)
 
 _DET_TOL = 1e-9
 _FORM_TOL = 1e-9
@@ -102,8 +103,8 @@ class GroupDesc:
             )
             if len(form) != size:
                 raise PreconditionError("form coefficient count != matrix size")
-            pos = sum(1 for c in form if _form_sign(c) > 0)
-            neg = sum(1 for c in form if _form_sign(c) < 0)
+            pos = sum(1 for c in form if real_sign(c) > 0)
+            neg = sum(1 for c in form if real_sign(c) < 0)
             if pos != self.p or neg != self.q:
                 raise PreconditionError(
                     f"form signature ({pos},{neg}) does not match ({self.p},{self.q})"
@@ -126,14 +127,6 @@ class GroupDesc:
     def mu_length(self) -> int:
         """Number of Cartan coordinates (n for SL, rank for SO/U)."""
         return self.n if self.family == "SL" else self.rank
-
-
-def _form_sign(c) -> int:
-    if isinstance(c, QuadElement):
-        return c.sign()
-    if isinstance(c, (int, Fraction)):
-        return (c > 0) - (c < 0)
-    return (c > 0) - (c < 0)
 
 
 def special_linear(n: int, field: FieldDesc) -> GroupDesc:
@@ -219,14 +212,19 @@ class GroupElement:
             a = self._m
             if not np.all(np.isfinite(a)):
                 raise NumericalError("non-finite matrix entries")
+            top = float(np.abs(a).max())
+            try:
+                det_scale = top ** g.size  # size >= 2: top ** 2 is finite too
+            except OverflowError:
+                raise NumericalError(
+                    f"entries up to {top:g} are too large to validate") from None
             d = np.linalg.det(a)
-            if abs(d - 1) > _DET_TOL * max(1.0, float(np.abs(a).max()) ** g.size):
+            if abs(d - 1) > _DET_TOL * max(1.0, det_scale):
                 raise PreconditionError(f"determinant {d} is not 1 within tolerance")
             if g.family in ("SO", "U"):
                 J = to_float_array(_form_matrix(g))
                 lhs = a.conj().T @ J @ a if g.family == "U" else a.T @ J @ a
-                scale = float(np.abs(a).max()) ** 2
-                if np.abs(lhs - J).max() > _FORM_TOL * max(1.0, scale):
+                if np.abs(lhs - J).max() > _FORM_TOL * max(1.0, top ** 2):
                     raise PreconditionError("matrix does not preserve the form")
 
     def _preserves_form(self) -> bool:
@@ -293,14 +291,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.matrix!r})"
-
-
-def identity_element(group: GroupDesc) -> GroupElement:
-    n = group.size
-    if group.field.is_exact or group.field.kind == "padic":
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return GroupElement(rows, group, check=False)
-    return GroupElement(np.eye(n), group, check=False)
 
 
 def _form_matrix(group: GroupDesc):
@@ -456,17 +446,6 @@ def cartan(g: GroupElement) -> CartanVector:
     return cartan_archimedean(g)
 
 
-def _minor_indices(n, k):
-    import itertools
-
-    return list(itertools.combinations(range(n), k))
-
-
-def _exact_minor(M, rows, cols):
-    sub = tuple(tuple(M[i][j] for j in cols) for i in rows)
-    return exact_det(sub)
-
-
 def wedge_norm_log(g: GroupElement, i0: int) -> float:
     """Log operator norm of the i0-th wedge power of g.
 
@@ -475,7 +454,8 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
     of its spectral norm (independently of the Cartan projection, so the
     norm identity against weight_pairing is a real check); over Q_p it
     is max over minors of -valuation, an exact integer in log-base-q
-    units.  Both are expressed in the units of weight_pairing(i0, mu).
+    units: a minor of g = N / d is a Bareiss minor of the integer N over
+    d**i0.  Both are expressed in the units of weight_pairing(i0, mu).
     """
     grp = g.group
     n = grp.size
@@ -483,22 +463,17 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
         raise UnsupportedFieldError("wedge norms are defined for SL_n descriptors")
     if not 1 <= i0 <= n - 1:
         raise PreconditionError(f"i0={i0} out of range for SL_{n}")
-    idx = _minor_indices(n, i0)
+    idx = list(combinations(range(n), i0))
     if grp.field.kind == "padic":
-        if not g.is_exact:
+        if not g._den:
             raise PreconditionError("padic wedge norm needs exact entries")
-        p = grp.field.p
-        best = None
-        for rows in idx:
-            for cols in idx:
-                m = _exact_minor(g.matrix, rows, cols)
-                if m != 0:
-                    v = -rational_valuation(m, p)
-                    if best is None or v > best:
-                        best = v
-        if best is None:
+        p, N = grp.field.p, g._m
+        minors = [_bareiss([[N[i][j] for j in cols] for i in rows])
+                  for rows in idx for cols in idx]
+        vals = [int_valuation(m, p) for m in minors if m]
+        if not vals:
             raise PreconditionError("matrix is singular")
-        return best
+        return i0 * int_valuation(g._den, p) - min(vals)
     a = to_float_array(g)
     compound = np.empty((len(idx), len(idx)), dtype=a.dtype)
     for r, rows in enumerate(idx):

@@ -2,27 +2,35 @@
 
 Matrices are tuples of tuples of exact scalars (Fraction, int, or
 QuadElement).  Everything here is exact: pivots are exact, divisions
-are exact, no tolerance anywhere.  Sizes are desk scale (n <= 8 or
-so), so O(n^3) with big rationals is plenty.
+are exact, no tolerance anywhere, and plain int input gives Fractions,
+never floats.  Sizes are desk scale (n <= 8 or so).
 
 A rational matrix (Fraction or int entries) has one canonical integer
 form, ``ratio_form``: (N, d) with the matrix equal to N / d, N a tuple
 of integer rows, d > 0 and gcd(d, N) = 1; ``ratio_normal`` restores it
-after a product.  Exact group elements are stored so, and ``mat_mul``
-and ``det`` work on it: the products are done on Python ints, one
-normalised Fraction is built per nonzero result entry, and ``det``
-runs Bareiss fraction-free elimination, whose every division is exact,
-and divides once by d**n.  A Fraction operation normalises by a gcd on
-every multiply and add, so this does the same products at a fraction
-of the cost.  Matrices with a QuadElement entry keep the generic loops
-over the field operations: clearing their denominators would need two
-integers per entry and the sqrt(r) product rule, a second kernel for
-inputs that are rare and small.  Which path runs depends only on the
-types of the entries.
+after a product.  Exact group elements are stored so.  A Fraction
+operation normalises by a gcd on every multiply and add, so the kernels
+below work on Python ints wherever the entries are rational, and build
+one normalised Fraction per result entry at the end.  Which path runs
+depends only on the types of the entries; over Q(sqrt r) the same loops
+run on the field elements, with ``/`` where the integers use ``//``.
 
-One Gauss-Jordan kernel, ``_rref``, serves ``inverse``, ``rank``,
-``nullspace`` and ``solve``.  ``charpoly`` is Faddeev-LeVerrier, not
-elimination.
+Which kernel serves which routine:
+
+* ``mat_mul``: integer dot products of the two ``ratio_form``s, over
+  d1 * d2; the generic sum of products for QuadElement entries.
+* ``_bareiss`` (forward Bareiss elimination, Math. Comp. 1968): ``det``,
+  on N then divided by d**n, or on the field entries; the determinant
+  test of ``GroupElement`` validation and the minors of
+  ``cartan.wedge_norm_log`` over Q_p, both on integer N.
+* ``_gauss_jordan`` (the fraction-free Gauss-Jordan form of the same
+  elimination): ``inverse``, ``rank``, ``nullspace``, ``solve`` and
+  ``ratio_inverse``, the SL_n inverse of an integer N / d.  Rational
+  rows run as their ``primitive`` integer multiples.  Scaling a row
+  leaves the row space, and so the unique reduced echelon form, as it
+  was; every returned value is that of the reduced form.
+* ``EchelonSpan``: ``in_span`` and the incremental span tests.
+* ``charpoly`` is Faddeev-LeVerrier, not elimination.
 
 ``EchelonSpan`` keeps a span in echelon form, so membership tests and
 incremental growth need no fresh elimination.  A span test does not
@@ -39,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, mul
+from operator import attrgetter, floordiv, mul, truediv
 
 from .fields import as_exact
 
@@ -87,28 +95,16 @@ def ratio_normal(N, d):
 def ratio_inverse(N, d):
     """The canonical (N', d') of (N / d)^-1, for an invertible integer N.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [N | I]: every division by
-    the previous pivot is exact, and the left half ends as D I with
-    D = +-det N, so the right half is D N^-1 = +-adj N; then
+    ``_gauss_jordan`` on [N | I], whose rows are already primitive, ends
+    with D I on the left, so the right half is D N^-1; then
     (N / d)^-1 = d (D N^-1) / D.
     """
     n = len(N)
-    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
-    prev = 1
-    for k in range(n):
-        if not M[k][k]:
-            i = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if i is None:
-                raise ZeroDivisionError("singular matrix")
-            M[k], M[i] = M[i], M[k]
-        rk = M[k]
-        p = rk[k]
-        for i, ri in enumerate(M):
-            if i != k:
-                f = ri[k]
-                M[i] = [(x * p - f * y) // prev for x, y in zip(ri, rk)]
-        prev = p
-    return ratio_normal(tuple(tuple(d * x for x in row[n:]) for row in M), prev)
+    M, pivots, D = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(N)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return ratio_normal(tuple(tuple(d * x for x in row[n:]) for row in M), D)
 
 
 def int_mat_mul(A, B):
@@ -176,18 +172,21 @@ def _zero_of(A):
 
 
 def _bareiss(M):
-    """Determinant of a square integer matrix (a list of lists, consumed).
+    """Determinant of a square matrix (a list of lists, consumed) whose
+    entries are all ints or all ``as_exact`` field elements.
 
     Bareiss elimination: after step k every entry is a k+1 minor, so the
-    division by the previous pivot is exact and entries stay small.
+    division by the previous pivot is exact (``//`` on ints, ``/`` over
+    the field) and entries stay small.
     """
+    div = floordiv if type(M[0][0]) is int else truediv
     n = len(M)
     sign, prev = 1, 1
     for k in range(n - 1):
         if not M[k][k]:
             i = next((i for i in range(k + 1, n) if M[i][k]), None)
             if i is None:
-                return 0
+                return M[k][k]  # a zero of the entries' type
             M[k], M[i] = M[i], M[k]
             sign = -sign
         rk = M[k]
@@ -195,119 +194,108 @@ def _bareiss(M):
         for ri in M[k + 1:]:
             f = ri[k]
             for j in range(k + 1, n):
-                ri[j] = (ri[j] * p - f * rk[j]) // prev
+                ri[j] = div(ri[j] * p - f * rk[j], prev)
         prev = p
     return sign * M[n - 1][n - 1]
 
 
 def det(A):
-    """Determinant (exact): Bareiss on integers for rational matrices,
-    forward elimination over the field otherwise."""
+    """Determinant (exact) by Bareiss: on N for a rational N / d, then
+    divided by d**n; on the field entries otherwise."""
     r = ratio_form(A) if A else None
     if r:
         return Fraction(_bareiss([list(row) for row in r[0]]), r[1] ** len(A))
-    n = len(A)
-    M = [list(row) for row in A]
-    zero = _zero_of(A)
-    result_sign = 1
-    d = zero + 1
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if M[i][k] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            result_sign = -result_sign
-        piv = M[k][k]
-        d = d * piv
-        for i in range(k + 1, n):
-            f = M[i][k] / piv
-            if f != zero:
-                for j in range(k, n):
-                    M[i][j] = M[i][j] - f * M[k][j]
-    return d if result_sign == 1 else -d
+    return _bareiss([[as_exact(x) for x in row] for row in A])
 
 
-def _rref(M, ncols):
-    """Gauss-Jordan on the first ncols columns of the row list M, in place.
+def _gauss_jordan(M, ncols):
+    """Fraction-free Gauss-Jordan on the first ncols columns of the rows
+    M, which are left as they are.
 
-    Pivot rows are scaled to 1 and moved to the top in order; every
-    other entry of a pivot column is cleared, trailing columns included.
-    Returns the pivot columns.
+    Returns (rows, pivots, D): the pivot rows first, in order; every
+    pivot column zero but for D in its own row; trailing columns carried
+    along.  The reduced echelon form is rows / D (``_divided``).
+
+    Rational rows run as their ``primitive`` integer multiples, which
+    leaves the row space and so the reduced form unchanged, with exact
+    ``//``; rows with a QuadElement run on ``as_exact`` entries with
+    ``/``.  Step k replaces every other row by (p*row - f*pivot_row) /
+    prev, with p the new pivot, f the row's entry in its column and prev
+    the last pivot: every entry is then a minor of the input, so the
+    division is exact and the pivot rows all end with D = p (Bareiss,
+    Math. Comp. 1968).
     """
-    zero = _zero_of(M)
+    if set(map(type, chain.from_iterable(M))) <= _RATIONAL_TYPES:
+        M, div = [primitive(row) for row in M], floordiv
+    else:
+        M, div = [[as_exact(x) for x in row] for row in M], truediv
     nrows = len(M)
-    pivots = []
+    pivots, prev = [], 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        for i in range(r, nrows):
-            if M[i][c] != zero:
-                break
-        else:
+        i = next((i for i in range(r, nrows) if M[i][c]), None)
+        if i is None:
             continue
-        row, M[i] = M[i], M[r]
-        piv = row[c]
-        M[r] = row = [x / piv for x in row]
-        for i in range(nrows):
-            f = M[i][c]
-            if i != r and f != zero:
-                M[i] = [x - f * y for x, y in zip(M[i], row)]
+        M[r], M[i] = M[i], M[r]
+        rk = M[r]
+        p = rk[c]
+        for i, ri in enumerate(M):
+            if i != r:
+                f = ri[c]
+                M[i] = [div(x * p - f * y, prev) for x, y in zip(ri, rk)]
+        prev = p
         pivots.append(c)
-    return pivots
+    return M, pivots, prev
+
+
+def _divided(x, D):
+    """x / D for an entry x of a ``_gauss_jordan`` result."""
+    return Fraction(x, D) if type(x) is int else x / D
 
 
 def inverse(A):
     n = len(A)
-    zero = _zero_of(A)
-    one = zero + 1
-    M = [list(row) + [one if i == j else zero for j in range(n)]
-         for i, row in enumerate(A)]
-    if len(_rref(M, n)) < n:
+    M, pivots, D = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)], n)
+    if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in M)
+    return tuple(tuple(_divided(x, D) for x in row[n:]) for row in M)
 
 
 def rank(A):
     if not A:
         return 0
-    return len(_rref([list(row) for row in A], len(A[0])))
+    return len(_gauss_jordan(A, len(A[0]))[1])
 
 
 def nullspace(A):
     """Basis of the right kernel (list of tuples), exact."""
     if not A:
         return []
-    zero = _zero_of(A)
-    M = [list(row) for row in A]
-    ncols = len(M[0])
-    pivots = _rref(M, ncols)
+    ncols = len(A[0])
+    M, pivots, D = _gauss_jordan(A, ncols)
+    zero = as_exact(_zero_of(A))
     basis = []
     for fc in [c for c in range(ncols) if c not in pivots]:
         v = [zero] * ncols
         v[fc] = zero + 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
+        for row, pc in zip(M, pivots):
+            v[pc] = _divided(-row[fc], D)
         basis.append(tuple(v))
     return basis
 
 
 def solve(A, b):
     """One exact solution of A x = b, or None if inconsistent."""
-    zero = _zero_of(A)
-    M = [list(row) + [bv] for row, bv in zip(A, b)]
     ncols = len(A[0])
-    pivots = _rref(M, ncols)
-    if any(row[ncols] != zero for row in M[len(pivots):]):
+    M, pivots, D = _gauss_jordan([list(row) + [bv] for row, bv in zip(A, b)], ncols)
+    if any(row[ncols] for row in M[len(pivots):]):
         return None
-    x = [zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = M[i][ncols]
+    x = [as_exact(_zero_of(A))] * ncols
+    for row, c in zip(M, pivots):
+        x[c] = _divided(row[ncols], D)
     return tuple(x)
 
 

@@ -291,6 +291,13 @@ class QuadElement:
         return f"{self.a}+{self.b}*sqrt({self.r})"
 
 
+def real_sign(x) -> int:
+    """Sign of a real scalar; exact for rationals and QuadElements."""
+    if isinstance(x, QuadElement):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
 def int_valuation(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if p == 2:

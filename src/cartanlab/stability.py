@@ -39,26 +39,20 @@ RELATOR_TOL = 1e-9  # max entry deviation a relator may show under either homomo
 def simple_root_values(v, family: str) -> list:
     """Pairings of v with the simple-root functionals of its chamber."""
     x = list(v.coords) if isinstance(v, CartanVector) else list(v)
-    if family == "SL":
-        return [x[i] - x[i + 1] for i in range(len(x) - 1)]
     vals = [x[i] - x[i + 1] for i in range(len(x) - 1)]
-    vals.append(x[-1])
+    if family != "SL":
+        vals.append(x[-1])
     return vals
 
 
 def coroot_basis(family: str, length: int) -> np.ndarray:
     """Columns span the chamber's coroot directions (see module docs)."""
     cols = []
-    if family == "SL":
-        for i in range(length - 1):
-            e = np.zeros(length)
-            e[i], e[i + 1] = 1.0, -1.0
-            cols.append(e)
-    else:
-        for i in range(length - 1):
-            e = np.zeros(length)
-            e[i], e[i + 1] = 1.0, -1.0
-            cols.append(e)
+    for i in range(length - 1):
+        e = np.zeros(length)
+        e[i], e[i + 1] = 1.0, -1.0
+        cols.append(e)
+    if family != "SL":
         e = np.zeros(length)
         e[-1] = 1.0
         cols.append(e)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import GroupDesc, GroupElement, identity_element, to_float_array
+from .cartan import GroupDesc, GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
 
 # Two float elements a, b are one ball element iff
@@ -220,14 +220,13 @@ def conjugate_homomorphism(phi: Homomorphism, g: GroupElement) -> Homomorphism:
 
 
 def _identity_like(phi: Homomorphism) -> GroupElement:
-    """Identity element in the same arithmetic as phi's images."""
-    from fractions import Fraction
-
+    """Identity element in the same arithmetic as phi's images: exact
+    when they all are or the field is, float otherwise."""
     n = phi.group.size
-    if all(g.is_exact for g in phi.images):
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if phi.group.field.is_exact or all(g.is_exact for g in phi.images):
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return GroupElement(rows, phi.group, check=False)
-    return identity_element(phi.group)
+    return GroupElement(np.eye(n), phi.group, check=False)
 
 
 def evaluate(w: Word, phi: Homomorphism) -> GroupElement:

@@ -326,6 +326,23 @@ def test_exit_code_numerical(tmp_path):
     assert main(["cartan", "--input", str(path), "--output", str(out)]) == 0
 
 
+def test_overflowing_float_entries_are_a_numerical_failure(tmp_path, capsys):
+    # squaring or cubing an entry past about 1e154 for the validation
+    # tolerance used to end in an OverflowError traceback (exit 1)
+    doc = {
+        "field": {"kind": "real"},
+        "group": {"family": "SL", "n": 2},
+        "matrices": [[[1e200, 0], [0, 1e-200]]],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["cartan", "--input", str(path), "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not out.exists()
+
+
 def test_field_group_override(tmp_path):
     doc = {"matrices": [[["3", "0"], ["0", "1/3"]]]}
     path = tmp_path / "m.json"

@@ -23,25 +23,28 @@ from cartanlab.exact import (
 )
 from cartanlab.fields import QuadElement
 
-entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# plain ints too: an int / int division in the kernel would give a float
+ints = st.integers(-4, 4)
+entries = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                    ints)
 
 
 @st.composite
 def matrices(draw, rows=None, cols=None):
-    """Small rational matrices; about half are products of thinner
-    factors, so rank-deficient ones are common."""
+    """Small rational matrices, some of plain ints only; about half are
+    products of thinner factors, so rank-deficient ones are common."""
     n = rows if rows is not None else draw(st.integers(1, 5))
     m = cols if cols is not None else draw(st.integers(1, 5))
+    elements = draw(st.sampled_from((entries, ints)))
     if draw(st.booleans()):
         k = draw(st.integers(0, min(n, m)))
-        L = [[draw(entries) for _ in range(k)] for _ in range(n)]
-        R = [[draw(entries) for _ in range(m)] for _ in range(k)]
+        L = [[draw(elements) for _ in range(k)] for _ in range(n)]
+        R = [[draw(elements) for _ in range(m)] for _ in range(k)]
         return tuple(
-            tuple(sum((L[i][t] * R[t][j] for t in range(k)), F(0))
-                  for j in range(m))
+            tuple(sum(L[i][t] * R[t][j] for t in range(k)) for j in range(m))
             for i in range(n)
         )
-    return tuple(tuple(draw(entries) for _ in range(m)) for _ in range(n))
+    return tuple(tuple(draw(elements) for _ in range(m)) for _ in range(n))
 
 
 @st.composite
@@ -161,6 +164,39 @@ def test_nullspace_is_a_kernel_basis(A):
         assert is_zero_vector(mat_vec(A, v))
     if basis:
         assert rank(tuple(basis)) == len(basis)
+
+
+@given(A=matrices())
+@settings(max_examples=50, deadline=None)
+def test_nullspace_is_sympys_basis(A):
+    # the basis itself, not only its span: centralizer_in_algebra, and so
+    # pick_Y and bend, read these vectors
+    want = [tuple(from_sympy(x) for x in v) for v in to_sympy(A).nullspace()]
+    got = nullspace(A)
+    assert got == want
+    assert all(type(x) is F for v in got for x in v)
+
+
+def test_int_input_stays_exact():
+    assert inverse(((3, 1), (1, 1))) == ((F(1, 2), F(-1, 2)), (F(-1, 2), F(3, 2)))
+    assert all(type(x) is F for row in inverse(((3, 1), (1, 1))) for x in row)
+    assert solve(((3, 1), (1, 1)), (1, 0)) == (F(1, 2), F(-1, 2))
+    assert nullspace(((3, 6),)) == [(F(-2), F(1))]
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_rank_of_big_int_matrices(data):
+    # rank 2 with entries up to 1e9: the third row is a combination of the
+    # first two, which float division cannot tell
+    big = st.integers(-10**9, 10**9)
+    u = [data.draw(big) for _ in range(3)]
+    v = [data.draw(big) for _ in range(3)]
+    a, b = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+    rows = [u, v, [a * x + b * y for x, y in zip(u, v)]]
+    order = data.draw(st.permutations(range(3)))
+    A = tuple(tuple(rows[i]) for i in order)
+    assert rank(A) == to_sympy(A).rank()
 
 
 @given(A=matrices(), data=st.data())
@@ -362,3 +398,20 @@ def test_quadratic_product_and_det_use_the_generic_loop():
     M = ((F(0), F(1), r2), (F(1), F(0), F(0)), (r2, F(1), F(1)))
     assert det(M) == q2(-1, 1)
     assert det(((F(2), r2), (r2, F(1)))) == q2(0)
+
+
+def test_quadratic_rank_nullspace_solve():
+    r2 = q2(0, 1)
+    # the second row is sqrt 2 times the first, the third is independent
+    A = ((q2(1), r2, q2(2)), (r2, q2(2), q2(0, 2)), (q2(0), q2(1), q2(1)))
+    assert rank(A) == 2
+    assert rank(A[:1]) == 1 and rank(A[::2]) == 2
+    # kernel: x + sqrt2 y + 2 z = 0 and y + z = 0, so (sqrt 2 - 2, -1, 1)
+    assert nullspace(A) == [(q2(-2, 1), q2(-1), q2(1))]
+    assert is_zero_vector(mat_vec(A, nullspace(A)[0]))
+    assert solve(A, (q2(1), r2, q2(3))) == (q2(1, -3), q2(3), q2(0))
+    assert solve(A, (q2(1), q2(1), q2(0))) is None
+    # det B = 1, B^-1 = (3, -sqrt 2; -sqrt 2, 1)
+    B = ((q2(1), r2), (r2, q2(3)))
+    assert rank(B) == 2 and nullspace(B) == []
+    assert solve(B, (q2(1), q2(0))) == (q2(3), q2(0, -1))

@@ -1,0 +1,69 @@
+"""Static hygiene of the package: no unused import and no private
+top-level function that nothing references, checked with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cartanlab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(tree):
+    """Every name read in the module, and the names in ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def _referenced_across_modules():
+    """Names that some module of the package imports from another, or
+    reads as an attribute."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _bound_imports(tree):
+    """(bound name, line) for every top-level import but __future__."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _bound_imports(tree)
+              if name not in used]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_functions(path):
+    tree = _tree(path)
+    referenced = _used_names(tree) | _referenced_across_modules()
+    dead = [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in referenced]
+    assert not dead, f"{path.name}: unreferenced private functions {dead}"
