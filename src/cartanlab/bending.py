@@ -36,7 +36,6 @@ from fractions import Fraction
 from operator import mul
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .cartan import GroupDesc, GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
@@ -325,8 +324,11 @@ def _exp(Y, t):
             Y2 = Yf @ Yf
             n = Yf.shape[0]
             return np.eye(n) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * Y2
-    Yf = to_float_array(Y)
-    return _scipy_expm(t * Yf)
+    # imported here: scipy.linalg is about half the import time of the
+    # CLI, and only a Y with Y^3 != Y needs it
+    from scipy.linalg import expm
+
+    return expm(t * to_float_array(Y))
 
 
 @dataclass

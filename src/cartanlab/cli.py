@@ -30,7 +30,7 @@ from .bending import (
     zariski_density_witness,
 )
 from .bending import QuadFormSpace
-from .cartan import cartan, mu_norm, to_float_array
+from .cartan import GroupElement, cartan, mu_norm, to_float_array
 from .errors import (
     CartanLabError,
     IndeterminateError,
@@ -43,10 +43,11 @@ from .serialize import (
     group_from_json,
     load_matrix_document,
     load_presentation_document,
+    matrix_from_json,
     read_json,
     scalar_to_str,
 )
-from .stability import mu_cone, properness_margin, stability_scan
+from .stability import ConeModel, mu_cone, properness_margin, stability_scan
 from .transverse import RankOneModel, decompose, displacement, orbit_data
 from .wordgroups import HnnStructure, AmalgamStructure, evaluate, inclusion, word_ball
 
@@ -249,6 +250,9 @@ def _bending_family(pres, group, bending_block):
             edge = [evaluate(w1, inclusion(pres)) for w1, _ in s.pairings]
         else:
             raise PreconditionError("bending needs an amalgam or HNN structure")
+        if not all(g.is_exact for g in edge):  # the centralizer is solved exactly
+            raise PreconditionError("the edge group has float entries: give the "
+                                    "bending direction Y in the bending block")
         ambient = so_form_algebra(space)
         cent = centralizer_in_algebra(edge, ambient) if edge else ambient
         Y = pick_Y(cent, sub)
@@ -336,12 +340,7 @@ def cmd_properness(args) -> int:
     cone_block = obj.get("cone")
     if not isinstance(cone_block, dict):
         raise PreconditionError("properness needs a cone object in the input")
-    from .serialize import matrix_from_json
-    from .cartan import GroupElement
-
     if cone_block.get("compact"):
-        from .stability import ConeModel
-
         cone = ConeModel([], group.mu_length)
     else:
         axis = [

@@ -42,6 +42,7 @@ from .exact import (
     inverse as exact_inverse,
     mat_from_rows,
     mat_mul,
+    nullspace,
     ratio_form,
 )
 from .fields import INF, FieldDesc, int_valuation, rational_valuation
@@ -533,8 +534,6 @@ def _sup_val(vec, p):
 
 
 def _kernel_columns(M):
-    from .exact import nullspace
-
     basis = nullspace(M)
     if not basis:
         raise NumericalError("expected a nontrivial kernel")

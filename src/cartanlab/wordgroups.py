@@ -1,14 +1,15 @@
 """Finitely generated matrix groups: presentations, words, balls.
 
 Words are freely reduced sequences of signed generator letters; the
-constructor refuses unreduced input, and concatenation reduces.  Word
-balls are breadth-first enumerations of reduced words with the matrix
-images deduplicated: exactly (hashing integer forms; Python's dict
-already audits every hash collision with a full comparison) when the
-entries are exact scalars, by a relative tolerance with a merge log
-otherwise (``FLOAT_DEDUP_TOL``; g and -g are distinct elements).
-Each distinct matrix keeps its shortest representative word, ties broken
-lexicographically on (generator index, sign).
+constructor refuses unreduced input, and concatenation reduces.  A word
+ball holds each distinct image of a reduced word of length <= radius
+with its shortest word, ties broken lexicographically on (generator
+index, sign).  One breadth-first loop builds it a level at a time; only
+forming a level's products and finding a product again depend on the
+arithmetic: exact images by ``@`` and a dict (which audits every hash
+collision with a full comparison), float images by one stacked
+``matmul`` per letter (bit for bit as ``@``) and a relative tolerance
+(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.
 
 A ball is a prefix tree: every entry but the root (the empty word) keeps
 the index of its parent entry and its last letter, and its word is the
@@ -461,6 +462,72 @@ class _FloatIndex:
         self.scales.append(scale)
 
 
+class _ExactLevels:
+    """Exact candidates: each product formed by ``@`` when the BFS reaches
+    it, found again by hashing."""
+
+    logs_merges = False  # a repeat is the same element, not a merge
+
+    def __init__(self, phi, letters, root):
+        self.gens = [phi.image(i, e) for i, e in letters]
+        self.seen = {}  # element -> entry index
+        self.find = self.seen.get
+        self.root = root
+        self.kept = []  # (element, letter index) of the level's new entries
+
+    def products(self):
+        level, self.kept = self.kept, []
+        return ((t, l, g @ h) for t, (g, last) in enumerate(level)
+                for l, h in enumerate(self.gens) if l != last ^ 1)
+
+    def add(self, g, l):
+        self.seen[g] = len(self.seen)
+        self.kept.append((g, l))
+        return g
+
+
+class _FloatLevels:
+    """Float candidates: a level's products by one stacked ``matmul`` per
+    letter, bit for bit as ``@`` forms each (a homomorphism mixing real and
+    complex images is computed in complex throughout); a candidate is its
+    row in the level, found again by ``_FloatIndex``."""
+
+    logs_merges = True
+
+    def __init__(self, phi, letters, root):
+        gens = [to_float_array(phi.image(i, e)) for i, e in letters]
+        self.dtype = np.result_type(*gens)
+        self.gens = [g.astype(self.dtype, copy=False) for g in gens]
+        self.group, self.index, self.root = phi.group, _FloatIndex(), 0
+        self._level(to_float_array(root)[None], np.array([-1]))
+
+    def _level(self, cand, lets):
+        """Make cand (stacked matrices with last letters lets) the level."""
+        flat = cand.reshape(len(cand), -1).astype(self.dtype, copy=False)
+        if not np.isfinite(flat).all():
+            raise NumericalError("a word ball element is not finite (overflow)")
+        self.cand, self.flat, self.lets, self.kept = cand, flat, lets, []
+        self.scales, self.keys, self.more = self.index.level(flat)
+
+    def products(self):
+        level, last = self.cand[self.kept], self.lets[self.kept]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused in _level
+            prods = np.stack([level @ g for g in self.gens], axis=1)
+        k = len(self.gens)
+        keep = np.flatnonzero((np.arange(k) != (last ^ 1)[:, None]).reshape(-1))
+        self._level(prods.reshape(-1, *level.shape[1:])[keep], keep % k)
+        return zip((keep // k).tolist(), self.lets.tolist(), range(len(keep)))
+
+    def find(self, j):
+        return self.index.match(self.flat[j], self.scales[j], self.keys[j],
+                                self.more[j])
+
+    def add(self, j, _l):
+        self.index.add(self.keys[j], self.flat[j], self.scales[j])
+        self.kept.append(j)
+        return GroupElement(self.cand[j], self.group, check=False)
+
+
 def word_ball(
     P: Presentation,
     phi: Homomorphism,
@@ -469,10 +536,10 @@ def word_ball(
 ) -> BallResult:
     """All distinct images of freely reduced words of length <= radius.
 
-    BFS in length order; among equal lengths the expansion is
-    lexicographic in (generator index, sign), so the stored shortest
-    representatives are deterministic.  Exact images are deduplicated
-    exactly.  Float images are one element iff
+    BFS one level at a time; a level's candidates come in (frontier entry,
+    letter) order, letters lexicographic in (generator index, sign), so
+    the stored shortest representatives are deterministic.  Exact images
+    are deduplicated exactly.  Float images are one element iff
     ``max|a - b| <= FLOAT_DEDUP_TOL * max(1, max|a|, max|b|)``; g and -g
     are distinct, and every merged word is logged in ``merges`` with the
     word it merged into.  Exceeding ``max_elements`` returns the partial
@@ -480,85 +547,29 @@ def word_ball(
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    if not all(g.is_exact for g in phi.images):
-        return _float_word_ball(P, phi, radius, max_elements)
-    entries = [BallEntry(Word(), _identity_like(phi))]
-    seen = {entries[0].element: 0}
-    frontier = [0]
     letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
-    for _ in range(radius):
-        new_frontier = []
-        for k in frontier:
-            word, element = entries[k].word, entries[k].element
-            for i, e in letters:
-                if word.letters and word.letters[-1] == (i, -e):
-                    continue
-                # reduced: the letter cancelling the last one was skipped
-                g2 = element @ phi.image(i, e)
-                if g2 not in seen:
-                    seen[g2] = len(entries)
-                    w2 = Word._trusted(word.letters + ((i, e),))
-                    entries.append(BallEntry(w2, g2, k, (i, e)))
-                    new_frontier.append(len(entries) - 1)
-                    if len(entries) > max_elements:
-                        return BallResult(entries, complete=False)
-        frontier = new_frontier
-    return BallResult(entries, complete=True)
-
-
-def _float_word_ball(P, phi, radius, max_elements) -> BallResult:
-    """word_ball over float images, one BFS level at a time: one stacked
-    product per letter, the level's keys in numpy, and a Python loop for
-    the lookups only, in (frontier entry, letter) order.  A stacked
-    ``matmul`` gives each product bit for bit as ``@`` does, so every
-    element equals ``evaluate`` of its word (a homomorphism mixing real
-    and complex images is computed in complex throughout)."""
-    group = phi.group
-    letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
-    gens = [to_float_array(phi.image(i, e)) for i, e in letters]
-    dtype = np.result_type(*gens)
-    gens = [g.astype(dtype, copy=False) for g in gens]
-    root = _identity_like(phi)
-    entries = [BallEntry(Word(), root)]
-    merges = []
-    index = _FloatIndex()
-    flat = to_float_array(root).astype(dtype).reshape(1, -1)
-    scales, keys, _ = index.level(flat)
-    index.add(keys[0], flat[0], scales[0])
-    nletters, n = len(letters), group.size
-    level = flat.reshape(1, n, n)  # the frontier's elements, stacked
-    frontier = [0]
-    last = np.array([-1])  # letter index of each frontier word's last letter
-    for _ in range(radius):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            prods = np.stack([level @ g for g in gens], axis=1)
-        # letters 2i and 2i + 1 are inverse: skip the one cancelling the last
-        keep = np.flatnonzero(
-            (np.arange(nletters) != (last ^ 1)[:, None]).reshape(-1))
-        cand = prods.reshape(-1, n, n)[keep]
-        flat = cand.reshape(len(cand), -1)
-        if not np.isfinite(flat).all():
-            raise NumericalError("a word ball element is not finite (overflow)")
-        scales, keys, more = index.level(flat)
-        lets = keep % nletters
-        kept = []
-        for j, (key, t, l) in enumerate(zip(keys, (keep // nletters).tolist(),
-                                            lets.tolist())):
-            row, scale = flat[j], scales[j]
-            hit = index.match(row, scale, key, more[j])
-            parent, letter = frontier[t], letters[l]
-            word = Word._trusted(entries[parent].word.letters + (letter,))
-            if hit is not None:
-                merges.append((word, entries[hit].word))
-            else:
-                index.add(key, row, scale)
-                element = GroupElement(cand[j], group, check=False)
-                entries.append(BallEntry(word, element, parent, letter))
-                kept.append(j)
+    images = (_ExactLevels if all(g.is_exact for g in phi.images)
+              else _FloatLevels)(phi, letters, _identity_like(phi))
+    entries, merges = [], []
+    # a candidate (t, l, c) is the product c of frontier entry t by letter
+    # l; the root is level 0's one candidate, with no parent and no letter.
+    # Letters 2i and 2i + 1 are inverse: l ^ 1 is the letter cancelling l.
+    frontier, level = [-1], [(0, -1, images.root)]
+    for depth in range(radius + 1):
+        start = len(entries)
+        for t, l, c in level:
+            parent, letter = frontier[t], letters[l] if depth else None
+            word = Word._trusted(
+                entries[parent].word.letters + (letter,) if depth else ())
+            hit = images.find(c)
+            if hit is None:
+                entries.append(BallEntry(word, images.add(c, l), parent, letter))
                 if len(entries) > max_elements:
                     return BallResult(entries, complete=False, merges=merges)
-        if not kept:  # a finite group, exhausted
+            elif images.logs_merges:
+                merges.append((word, entries[hit].word))
+        frontier = range(start, len(entries))
+        if depth == radius or not frontier:  # not frontier: a finite group
             break
-        frontier = list(range(len(entries) - len(kept), len(entries)))
-        level, last = cand[kept], lets[kept]
+        level = images.products()
     return BallResult(entries, complete=True, merges=merges)

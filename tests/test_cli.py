@@ -1,6 +1,10 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -416,6 +420,50 @@ def test_bending_block_t_is_checked(tmp_path, capsys, ts, code):
     assert rc == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "Traceback" not in err[0]
+
+
+def _boost_json(i, j, t):
+    """Decimal text of the SO(2,2) boost by t in the (x_i, x_j) plane."""
+    m = [["1" if r == c else "0" for c in range(4)] for r in range(4)]
+    m[i][i] = m[j][j] = repr(math.cosh(t))
+    m[i][j] = m[j][i] = repr(math.sinh(t))
+    return m
+
+
+@pytest.mark.parametrize("command", ["bend", "stability"])
+def test_float_edge_group_needs_Y(tmp_path, capsys, command):
+    # the centralizer of a float edge group used to be handed to the exact
+    # Lie-algebra code: TypeError traceback, exit 1
+    path = tmp_path / "float_edge.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "real"},
+        "group": {"family": "SO", "p": 2, "q": 2},
+        "generators": {"a": _boost_json(0, 2, 1.0), "c": _boost_json(1, 3, 0.5),
+                       "b": _boost_json(0, 3, 1.0), "d": _boost_json(1, 3, 0.5)},
+        "structure": {"type": "amalgam", "side1": ["a", "c"],
+                      "side2": ["b", "d"], "gamma0": [["c", "d"]]},
+        "bending": {"t": [0.1]},
+    }))
+    out = tmp_path / "o.csv"
+    rc = main([command, "--input", str(path), "--output", str(out),
+               "--radius", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Y" in err[0]
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg is about half the import time of the CLI, and only a
+    # bending direction with Y^3 != Y needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, cartanlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["ball", "decompose", "stability",

@@ -1,5 +1,6 @@
-"""Static hygiene of the package: no unused import and no private
-top-level function that nothing references, checked with ``ast``."""
+"""Static hygiene of the package: no unused import, no private top-level
+function that nothing references and no relative import inside a
+function, checked with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,16 @@ def test_no_unreferenced_private_functions(path):
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not node.name.startswith("__") and node.name not in referenced]
     assert not dead, f"{path.name}: unreferenced private functions {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_relative_imports_inside_functions(path):
+    # a module of the package is loaded with the package, so importing it
+    # inside a function saves nothing and hides a dependency; a lazy import
+    # of a third-party module (scipy) stays allowed
+    nested = [f"{node.module} (line {node.lineno})"
+              for fn in ast.walk(_tree(path))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)
+              if isinstance(node, ast.ImportFrom) and node.level]
+    assert not nested, f"{path.name}: relative imports inside functions {nested}"

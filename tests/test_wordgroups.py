@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -254,6 +255,44 @@ def test_float_ball_equals_exact_ball(case):
     # a tolerance can only separate elements that are farther apart
     assume(_separated(word_ball(P, inclusion(P), radius)))
     _assert_float_ball_is_exact_ball(P, radius)
+
+
+def _oracle_ball(P, radius):
+    """(word, element) for the first word of each element, by evaluating
+    every reduced word up to radius in ``Word.key`` order."""
+    phi = inclusion(P)
+    letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
+    words = [Word(w) for k in range(radius + 1)
+             for w in itertools.product(letters, repeat=k)
+             if all(a != (i, -e) for a, (i, e) in zip(w, w[1:]))]
+    first = {}
+    for w in sorted(words, key=Word.key):
+        first.setdefault(evaluate(w, phi), w)
+    return [(w, g) for g, w in first.items()]
+
+
+@given(exact_presentations())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_exact_ball_equals_brute_force(case):
+    P, radius = case
+    ball = word_ball(P, inclusion(P), radius)
+    assert ball.complete and not ball.merges
+    assert [(e.word, e.element) for e in ball.entries] == _oracle_ball(P, radius)
+
+
+@pytest.mark.parametrize("m", [1, 4, 9, 20, 33])
+def test_truncated_balls_are_prefixes(m):
+    # r^4 = 1, so the float ball merges words before it is cut
+    a = [[F(4), F(0)], [F(0), F(1, 4)]]
+    rot = [[F(0), F(-1)], [F(1), F(0)]]
+    P = Presentation(["a", "r"], [a, rot], SL2R)
+    full = [e.word for e in word_ball(P, inclusion(P), 5).entries]
+    assert len(full) > m + 1
+    for Q in (P, _float_twin(P)):
+        ball = word_ball(Q, inclusion(Q), 5, max_elements=m)
+        assert not ball.complete
+        assert [e.word for e in ball.entries] == full[:m + 1]
 
 
 # -- the tolerance index finds every element within tolerance --------------
