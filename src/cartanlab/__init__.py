@@ -14,6 +14,7 @@ from .cartan import (
     GroupElement,
     cartan,
     cartan_archimedean,
+    cartan_batch,
     cartan_padic,
     indefinite_orthogonal,
     indefinite_unitary,

@@ -13,6 +13,15 @@ Both read a rational element's integer form g = N / d (``GroupElement``):
 the float one as N_ij / d, the p-adic one by a fraction-free Smith
 reduction of N over Z_(p) that scales rows by p-adic units.
 
+``cartan_batch(elements, group)`` projects a whole set of one group's
+elements: over R or C it stacks them and takes one ``np.linalg.svd`` of
+the stack, with the same per-row post-processing (SL recentring, SO/U
+top-k sort and chamber clamp) that ``cartan_archimedean``, the batch of
+one, runs.  What depends only on the group is computed once per
+``GroupDesc`` and cached on it: the integer form coefficients of the
+exact form test and of the SO/U inverse, and the rescaling of a non-unit
+form.
+
 Coordinate conventions.  For SL_n the chamber is
 {x_1 >= ... >= x_n, sum x_i = 0} (length-n coordinates).  For SO(p,q)
 and U(p,q) we use the folded cone {x_1 >= ... >= x_rank >= 0} carrying
@@ -32,7 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -128,6 +139,21 @@ class GroupDesc:
         """Number of Cartan coordinates (n for SL, rank for SO/U)."""
         return self.n if self.family == "SL" else self.rank
 
+    @cached_property
+    def _cleared_form(self):
+        """The SO/U form coefficients times the lcm of their denominators,
+        a tuple of ints; None for SL or an irrational coefficient."""
+        ratio = self.family != "SL" and ratio_form([self.form])
+        return ratio[0][0] if ratio else None
+
+    @cached_property
+    def _rescale(self):
+        """sqrt|J_ii|, which carries the SO/U form to standard signature
+        before the SVD; None when every coefficient is a rational +-1."""
+        if all(isinstance(c, (int, Fraction)) and abs(c) == 1 for c in self.form):
+            return None
+        return np.sqrt(np.abs(to_float_array(_form_matrix(self)).diagonal()))
+
 
 def special_linear(n: int, field: FieldDesc) -> GroupDesc:
     return GroupDesc("SL", field, n=n)
@@ -170,7 +196,21 @@ class GroupElement:
             else:
                 self._m = to_float_array(rows)
         self.group = group
-        n = group.size
+        self._admit(check)
+
+    @classmethod
+    def _ratio(cls, N, d, group: GroupDesc, check: bool = False) -> "GroupElement":
+        """The element N / d of group; (N, d) must be canonical.  Unchecked
+        unless check, which runs the same shape test and ``_validate`` as
+        the constructor."""
+        g = object.__new__(cls)
+        g._m, g._den, g.group = N, d, group
+        if check:
+            g._admit(True)
+        return g
+
+    def _admit(self, check: bool):
+        n = self.group.size
         shape_ok = (
             self._m.shape == (n, n)
             if isinstance(self._m, np.ndarray)
@@ -180,13 +220,6 @@ class GroupElement:
             raise PreconditionError(f"matrix is not {n}x{n}")
         if check:
             self._validate()
-
-    @classmethod
-    def _ratio(cls, N, d, group: GroupDesc) -> "GroupElement":
-        """The element N / d of group, unchecked; (N, d) must be canonical."""
-        g = object.__new__(cls)
-        g._m, g._den, g.group = N, d, group
-        return g
 
     @property
     def matrix(self):
@@ -228,15 +261,19 @@ class GroupElement:
                     raise PreconditionError("matrix does not preserve the form")
 
     def _preserves_form(self) -> bool:
-        """g^T J g = J; for N / d and J cleared to C, N^T C N = d^2 C."""
-        form = ratio_form([self.group.form])
-        if self._den and form:
-            N, c = self._m, form[0][0]
-            CN = tuple(tuple(ck * x for x in row) for ck, row in zip(c, N))
+        """g^T J g = J; for N / d and J cleared to C, N^T C N = d^2 C,
+        whose entry (i, j) is column i of N against C times column j.
+        The product is symmetric, so only i <= j is tested."""
+        c = self.group._cleared_form
+        if self._den and c is not None:
+            cols = tuple(zip(*self._m))
             dd = self._den ** 2
-            return int_mat_mul(transpose(N), CN) == tuple(
-                tuple(dd * ci if i == j else 0 for j in range(len(c)))
-                for i, ci in enumerate(c))
+            for i, col in enumerate(cols):
+                ccol = tuple(map(mul, c, col))
+                if sum(map(mul, ccol, col)) != dd * c[i] or any(
+                        sum(map(mul, ccol, other)) for other in cols[i + 1:]):
+                    return False
+            return True
         J = _form_matrix(self.group)
         M = self.matrix
         return mat_eq(mat_mul(mat_mul(transpose(M), J), M), J)
@@ -252,10 +289,9 @@ class GroupElement:
         )
 
     def inv(self) -> "GroupElement":
-        form = self._den and self.group.family != "SL" and ratio_form([self.group.form])
-        if form:
+        c = self._den and self.group._cleared_form
+        if c:
             # g^-1 = J^-1 g^T J, with J cleared to the integer diagonal c
-            c = form[0][0]
             L = math.lcm(*c)
             N = tuple(tuple((L // ci) * cj * x for cj, x in zip(c, col))
                       for ci, col in zip(c, zip(*self._m)))
@@ -351,34 +387,72 @@ def weight_pairing(i0: int, v: CartanVector) -> float:
 
 
 def cartan_archimedean(g: GroupElement) -> CartanVector:
-    """Cartan projection over R or C via singular values."""
-    grp = g.group
-    if not grp.field.is_archimedean:
+    """Cartan projection over R or C via singular values: ``cartan_batch``
+    of the one element."""
+    if not g.group.field.is_archimedean:
         raise UnsupportedFieldError("cartan_archimedean needs a real/complex field")
-    a = to_float_array(g)
-    if not np.all(np.isfinite(a)):
+    return cartan_batch([g], g.group)[0]
+
+
+def cartan_batch(elements, group: GroupDesc) -> list:
+    """[cartan(g) for g in elements], for elements of group.
+
+    Over Q_p this is that loop.  Over R or C the elements go into one
+    float stack, a rational N / d as N_ij / d as in ``to_float_array``,
+    real and complex elements in separate stacks (a real element is never
+    made complex), and each stack takes one stacked SVD; the stacked
+    routines give the same bits as one call per matrix.
+    """
+    elements = list(elements)
+    if not elements:
+        return []
+    if any(g.group is not group and g.group != group for g in elements):
+        raise PreconditionError("cartan_batch takes the elements of one group")
+    if group.field.kind == "padic":
+        return [cartan_padic(g) for g in elements]
+    parts = ([], []), ([], [])  # (positions, flat entries): real, complex
+    for i, g in enumerate(elements):
+        if g._den:
+            d = g._den
+            entries, is_complex = [x / d for row in g._m for x in row], False
+        else:
+            a = to_float_array(g)
+            entries, is_complex = a.reshape(-1).tolist(), a.dtype.kind == "c"
+        positions, flat = parts[is_complex]
+        positions.append(i)
+        flat.append(entries)
+    n = group.size
+    out = [None] * len(elements)
+    for (positions, flat), dtype in zip(parts, (float, complex)):
+        if positions:
+            stack = np.array(flat, dtype=dtype).reshape(-1, n, n)
+            for i, mu in zip(positions, _svd_projections(stack, group)):
+                out[i] = mu
+    return out
+
+
+def _svd_projections(stack, group: GroupDesc) -> list:
+    """The CartanVector of each matrix of a float stack of group."""
+    if not np.all(np.isfinite(stack)):
         raise NumericalError("non-finite matrix entries")
-    if grp.family in ("SO", "U") and _needs_rescale(grp):
-        d = np.sqrt(np.abs(to_float_array(_form_matrix(grp)).diagonal()))
-        a = np.diag(d) @ a @ np.diag(1.0 / d)
+    d = group._rescale
+    if d is not None:
+        stack = np.diag(d) @ stack @ np.diag(1.0 / d)
     try:
-        sv = np.linalg.svd(a, compute_uv=False)
+        sv = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"SVD failed: {e}") from e
     logs = np.log(sv)
-    if grp.family == "SL":
-        logs = logs - logs.mean()  # exact determinant-1 recentering
-        return CartanVector(tuple(float(x) for x in logs), "SL")
-    k = grp.rank
-    top = sorted((float(x) for x in logs), reverse=True)[:k]
-    top = [max(x, 0.0) if x > -_CHAMBER_TOL else x for x in top]
-    return CartanVector(tuple(top), grp.family)
-
-
-def _needs_rescale(grp: GroupDesc) -> bool:
-    return any(
-        not isinstance(c, (int, Fraction)) or abs(c) != 1 for c in grp.form
-    )
+    if group.family == "SL":
+        logs = logs - logs.mean(axis=1, keepdims=True)  # exact det-1 recentering
+        return [CartanVector(tuple(row), "SL") for row in logs.tolist()]
+    k = group.rank
+    out = []
+    for row in logs.tolist():
+        top = sorted(row, reverse=True)[:k]
+        top = [max(x, 0.0) if x > -_CHAMBER_TOL else x for x in top]
+        out.append(CartanVector(tuple(top), group.family))
+    return out
 
 
 def _smith_valuations(N, d, p: int):

@@ -30,7 +30,7 @@ from .bending import (
     zariski_density_witness,
 )
 from .bending import QuadFormSpace
-from .cartan import GroupElement, cartan, mu_norm, to_float_array
+from .cartan import cartan_batch, mu_norm, to_float_array
 from .errors import (
     CartanLabError,
     IndeterminateError,
@@ -39,11 +39,11 @@ from .errors import (
 )
 from .projective import check_eps, eps_proximal_check, proximal_analyze
 from .serialize import (
+    element_from_json,
     field_from_json,
     group_from_json,
     load_matrix_document,
     load_presentation_document,
-    matrix_from_json,
     read_json,
     scalar_to_str,
 )
@@ -112,8 +112,7 @@ def cmd_cartan(args) -> int:
     k = group.mu_length
     header = ["id"] + [f"mu_{i + 1}" for i in range(k)] + ["mu_norm"]
     rows = []
-    for name, g in items:
-        mu = cartan(g)
+    for (name, _), mu in zip(items, cartan_batch([g for _, g in items], group)):
         rows.append([name] + [float(x) for x in mu.coords] + [mu_norm(mu)])
     _write_csv(args.output, header, rows)
     return 0
@@ -130,11 +129,12 @@ def cmd_ball(args) -> int:
     rows = []
     for e in ball.entries:
         mat = e.element.matrix
-        flat = (
-            [x for row in mat for x in row]
-            if not isinstance(mat, np.ndarray)
-            else [float(x) for x in mat.reshape(-1)]
-        )
+        if not isinstance(mat, np.ndarray):
+            flat = [x for row in mat for x in row]
+        elif mat.dtype.kind == "c":  # complex entries go out as scalar text
+            flat = mat.reshape(-1).tolist()
+        else:
+            flat = [float(x) for x in mat.reshape(-1)]
         rows.append(
             [e.word.format(pres.symbols), len(e.word)]
             + [scalar_to_str(x) if not isinstance(x, float) else x for x in flat]
@@ -343,13 +343,11 @@ def cmd_properness(args) -> int:
     if cone_block.get("compact"):
         cone = ConeModel([], group.mu_length)
     else:
-        axis = [
-            GroupElement(matrix_from_json(rows, field), group)
-            for rows in cone_block["matrices"]
-        ]
+        axis = [element_from_json(rows, field, group)
+                for rows in cone_block["matrices"]]
         cone = mu_cone(axis, group)
     ball = word_ball(pres, inclusion(pres), radius).require_complete()
-    samples = [cartan(e.element) for e in ball.entries]
+    samples = cartan_batch([e.element for e in ball.entries], group)
     rho0 = float(args.rho0) if args.rho0 is not None else None
     report = properness_margin(samples, cone, rho0=rho0, radius=radius)
     header = ["word", "mu_norm", "margin"]

@@ -6,11 +6,21 @@ a, b for quadratic-field elements, and IEEE-754 decimal text (repr) for
 floating values.  Matrix files carry a field descriptor, a group
 descriptor, and a list of matrices; presentation files add named
 generators, structure, optional relators, and an optional bending block.
+
+Loading a group element takes an integer fast path when every entry is
+rational text or a JSON int: an int, or ASCII ``[+-]?[0-9]+(/[0-9]+)?``
+text with a nonzero denominator.  Those entries go straight to the
+canonical ``(N, d)`` of ``exact.ratio_form`` (the matrix is N / d), with
+no ``Fraction`` built.  A matrix with any other entry (decimal, complex,
+``a+b*sqrt(r)``, whitespace, ``_``, a non-ASCII digit, ``x/0``) goes
+through ``scalar_from_str`` entry by entry, as before.  Either way the
+element is then checked by the same ``GroupElement`` validation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -18,6 +28,7 @@ import numpy as np
 
 from .cartan import GroupDesc, GroupElement
 from .errors import PreconditionError, UnsupportedFieldError
+from .exact import ratio_normal
 from .fields import COMPLEX, REAL, FieldDesc, QuadElement, padic, quadratic
 from .wordgroups import (
     AmalgamStructure,
@@ -34,6 +45,8 @@ _QUAD_RE = re.compile(
 _QUAD_PURE_RE = re.compile(
     r"^\s*(?P<b>[+-]?\d+(?:/\d+)?)\s*\*\s*sqrt\((?P<r>\d+)\)\s*$"
 )
+# rational text of the integer fast path: ASCII digits, denominator != 0
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 def scalar_to_str(x) -> str:
@@ -131,10 +144,52 @@ def group_from_json(obj, field: FieldDesc) -> GroupDesc:
     raise PreconditionError(f"unknown group family {family!r}")
 
 
-def matrix_from_json(rows, field: FieldDesc):
+def _expect_rows(rows):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise PreconditionError("a matrix must be a list of rows of scalars")
-    return [[scalar_from_str(str(x), field) for x in row] for row in rows]
+    return rows
+
+
+def matrix_from_json(rows, field: FieldDesc):
+    return [[scalar_from_str(str(x), field) for x in row]
+            for row in _expect_rows(rows)]
+
+
+def _ratio_from_json(rows):
+    """The canonical (N, d) of a matrix of JSON rows whose entries are all
+    ints or rational text (see the module docstring), else None."""
+    pairs = []
+    for row in _expect_rows(rows):
+        out = []
+        for x in row:
+            if type(x) is int:
+                out.append((x, 1))
+            elif type(x) is str and _RATIONAL_RE.fullmatch(x):
+                num, _, den = x.partition("/")
+                out.append((int(num), int(den) if den else 1))
+            else:
+                return None
+        pairs.append(out)
+    d = math.lcm(*(den for out in pairs for _, den in out))
+    return ratio_normal(
+        tuple(tuple(num * (d // den) for num, den in out) for out in pairs), d)
+
+
+def _parse_matrix(rows, field: FieldDesc):
+    """(N, d) of a rational matrix, else its rows of ``scalar_from_str``
+    scalars (a list); ``_element`` makes either a group element."""
+    return _ratio_from_json(rows) or matrix_from_json(rows, field)
+
+
+def _element(parsed, group: GroupDesc) -> GroupElement:
+    if isinstance(parsed, tuple):
+        return GroupElement._ratio(*parsed, group, check=True)
+    return GroupElement(parsed, group)
+
+
+def element_from_json(rows, field: FieldDesc, group: GroupDesc) -> GroupElement:
+    """The validated group element of one JSON matrix."""
+    return _element(_parse_matrix(rows, field), group)
 
 
 def matrix_to_json(matrix):
@@ -157,7 +212,7 @@ def load_matrix_document(obj, field=None, group=None):
         raise PreconditionError("ids and matrices must have equal length")
     out = []
     for name, rows in zip(ids, matrices):
-        out.append((name, GroupElement(matrix_from_json(rows, field), group)))
+        out.append((name, element_from_json(rows, field, group)))
     return field, group, out
 
 
@@ -169,7 +224,7 @@ def load_presentation_document(obj):
     if not gens or not isinstance(gens, dict):
         raise PreconditionError("presentation file needs a generators object")
     symbols = list(gens.keys())
-    matrices = [matrix_from_json(gens[s], field) for s in symbols]
+    parsed = [_parse_matrix(gens[s], field) for s in symbols]
     sobj = _expect(obj.get("structure", {"type": "free"}), dict, "structure")
     stype = sobj.get("type", "free")
     index = {s: i for i, s in enumerate(symbols)}
@@ -197,8 +252,8 @@ def load_presentation_document(obj):
         raise PreconditionError(f"unknown structure type {stype!r}")
     relators = tuple(parse_word(w, symbols) for w in
                      _expect(obj.get("relators", []), list, "relators"))
-    pres = Presentation(symbols, matrices, group, structure=structure,
-                        relators=relators)
+    pres = Presentation(symbols, [_element(m, group) for m in parsed], group,
+                        structure=structure, relators=relators)
     bending = obj.get("bending")
     if bending is not None and "Y" in _expect(bending, dict, "bending"):
         bending = dict(bending)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import CartanVector, GroupDesc, GroupElement, cartan, mu_norm
+from .cartan import (CartanVector, GroupDesc, GroupElement, cartan, cartan_batch,
+                     mu_norm)
 from .errors import PreconditionError
 from .wordgroups import Homomorphism, Presentation, check_relators, evaluate, word_ball
 
@@ -290,9 +291,9 @@ def stability_scan(
             (mu_norm(cartan(g)) for g in phi_ref.images), default=0.0
         ) + 1.0
 
-    def make_row(entry, image):
-        mu_ref = _mu_vector(entry.element)
-        mu_def = _mu_vector(image)
+    def make_row(entry, mu_ref, mu_def):
+        mu_ref = np.asarray(mu_ref.coords, dtype=float)
+        mu_def = np.asarray(mu_def.coords, dtype=float)
         dev = float(np.linalg.norm(mu_def - mu_ref))
         defect = None
         if delta_l is not None and factorizer is not None:
@@ -311,7 +312,9 @@ def stability_scan(
             defect,
         )
 
-    rows = [make_row(e, g) for e, g in zip(ball.entries, ball.images(phi))]
+    mus_ref = cartan_batch([e.element for e in ball.entries], phi_ref.group)
+    mus_def = cartan_batch(ball.images(phi), phi.group)
+    rows = [make_row(*row) for row in zip(ball.entries, mus_ref, mus_def)]
     eps_hat, c_hat = fit_envelope(rows, rho0)
     report = StabilityReport(rows, eps_hat, c_hat, rho0, radius)
     if not report.envelope_valid():
@@ -335,6 +338,17 @@ class ConeModel:
         return not self.rays
 
 
+def _projections(samples) -> list:
+    """The CartanVector of each sample: a CartanVector as given, and the
+    group elements, which must share one group, by one ``cartan_batch``."""
+    samples = list(samples)
+    elements = [s for s in samples if not isinstance(s, CartanVector)]
+    if not elements:
+        return list(samples)
+    mus = iter(cartan_batch(elements, elements[0].group))
+    return [s if isinstance(s, CartanVector) else next(mus) for s in samples]
+
+
 def mu_cone(samples, group: GroupDesc, compact_tol: float = 1e-9) -> ConeModel:
     """Cone swept by the sampled Cartan projections.
 
@@ -345,10 +359,7 @@ def mu_cone(samples, group: GroupDesc, compact_tol: float = 1e-9) -> ConeModel:
     """
     if not samples:
         raise PreconditionError("no axis samples")
-    mus = []
-    for s in samples:
-        v = s if isinstance(s, CartanVector) else cartan(s)
-        mus.append(np.asarray(v.coords, dtype=float))
+    mus = [np.asarray(v.coords, dtype=float) for v in _projections(samples)]
     length = len(mus[0])
     norms = [float(np.linalg.norm(m)) for m in mus]
     if max(norms) <= compact_tol:
@@ -432,8 +443,7 @@ def properness_margin(
     if not samples:
         raise PreconditionError("no samples")
     rows = []
-    for s in samples:
-        v = s if isinstance(s, CartanVector) else cartan(s)
+    for v in _projections(samples):
         rows.append(
             PropernessRow(
                 float(np.linalg.norm(np.asarray(v.coords, dtype=float))),

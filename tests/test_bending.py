@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import strategies as st
 
 import cartanlab.exact as ex
@@ -320,10 +321,13 @@ def test_lie_basis_rejects_non_closed_span():
 
 def _naive_closure_basis(mats):
     """Oracle: bracket every pair of the current basis, restarting after
-    each full round, until a round adds nothing; independence by sympy
-    rank, brackets by sympy products."""
+    each full round, until a round adds nothing; independence by the rank
+    of a sympy DomainMatrix over QQ, brackets by sympy products."""
     def rank(ms):
-        return sympy.Matrix([list(M) for M in ms]).rank() if ms else 0
+        if not ms:
+            return 0
+        rows = [[sympy.QQ.from_sympy(x) for x in M] for M in ms]
+        return DomainMatrix(rows, (len(rows), len(rows[0])), sympy.QQ).rank()
 
     basis = []
     for M in mats:

@@ -7,21 +7,32 @@ import pytest
 from cartanlab import (
     COMPLEX,
     REAL,
+    BendingFamily,
     CartanVector,
     GroupElement,
+    NumericalError,
+    Presentation,
     PreconditionError,
+    QuadElement,
+    bend,
     cartan,
+    cartan_batch,
+    inclusion,
     indefinite_orthogonal,
     indefinite_unitary,
     mu_norm,
     padic,
+    quadratic,
     special_linear,
     wedge_norm_log,
     weight_pairing,
+    word_ball,
 )
-from cartanlab.cartan import invariant_factor_valuations, max_compact_element
+from cartanlab.cartan import (invariant_factor_valuations, max_compact_element,
+                              to_float_array)
 
-from util import random_sl_element, random_sl2_padic
+from util import (boost_Y_so22, random_sl_element, random_sl2_padic,
+                  schottky_sl2_presentation, schottky_so22_presentation)
 
 SL2R = special_linear(2, REAL)
 SL3R = special_linear(3, REAL)
@@ -249,6 +260,10 @@ def test_group_element_validation():
     so21 = indefinite_orthogonal(2, 1, REAL)
     with pytest.raises(PreconditionError):
         GroupElement([[F(1), 0, 0], [0, F(1), F(1)], [0, 0, F(1)]], so21)
+    # det 1 and every column of the right form norm, but N^T J N has
+    # nonzero (0, 1) and (1, 2) entries
+    with pytest.raises(PreconditionError, match="preserve the form"):
+        GroupElement([[-1, -1, 0], [0, 1, 0], [0, 1, -1]], so21)
 
 
 def test_chamber_validation():
@@ -258,3 +273,100 @@ def test_chamber_validation():
         CartanVector((1.0, 0.5), "SL")  # sum nonzero
     with pytest.raises(PreconditionError):
         CartanVector((1.0, -0.5), "SO")
+
+
+# ---------------------------------------------------------------------------
+# cartan_batch: one stacked SVD, bit for bit the per-element projections
+
+
+def _one_svd_mu(g):
+    """The Cartan coordinates of one element from its own SVD, the
+    per-matrix recipe that ``cartan_batch`` stacks (as a float array)."""
+    grp = g.group
+    a = to_float_array(g)
+    if grp.family != "SL":
+        d = np.sqrt(np.abs([float(c) for c in grp.form]))
+        a = np.diag(d) @ a @ np.diag(1.0 / d)
+    logs = np.log(np.linalg.svd(a, compute_uv=False))
+    if grp.family == "SL":
+        return logs - logs.mean()
+    top = np.sort(logs)[::-1][:grp.rank]
+    return np.where(top > -1e-9, np.maximum(top, 0.0), top)
+
+
+def _assert_batch_is_bitwise(elements, group):
+    got = cartan_batch(elements, group)
+    want = [cartan(g) for g in elements]
+    assert len(got) == len(want)
+    for a, b, g in zip(got, want, elements):
+        assert (a.family, a.exact) == (b.family, b.exact)
+        assert np.array(a.coords).tobytes() == np.array(b.coords).tobytes()
+        assert np.array(a.coords).tobytes() == _one_svd_mu(g).tobytes()
+
+
+def _ball_elements(P, radius):
+    return [e.element for e in word_ball(P, inclusion(P), radius).entries]
+
+
+def test_cartan_batch_matches_cartan_on_reference_balls():
+    P = schottky_sl2_presentation()
+    _assert_batch_is_bitwise(_ball_elements(P, 4), P.group)
+    a = [[F(2), F(1), 0], [F(1), F(1), 0], [0, 0, F(1)]]
+    b = [[F(1), 0, 0], [0, F(3), F(1)], [0, F(2), F(1)]]
+    P3 = Presentation(("a", "b"), (a, b), SL3R)
+    _assert_batch_is_bitwise(_ball_elements(P3, 3), SL3R)
+    Pso = schottky_so22_presentation()
+    _assert_batch_is_bitwise(_ball_elements(Pso, 3), Pso.group)
+
+
+def test_cartan_batch_matches_cartan_on_a_bent_float_ball():
+    P = schottky_so22_presentation()
+    phi = bend(BendingFamily(P, boost_Y_so22()), 0.3)
+    images = word_ball(P, inclusion(P), 3).images(phi)
+    assert not images[-1].is_exact
+    _assert_batch_is_bitwise(images, P.group)
+
+
+def test_cartan_batch_keeps_real_and_complex_stacks_apart():
+    # a complex SVD of these real boosts differs in the last bit of s_1
+    u11 = indefinite_unitary(1, 1, COMPLEX)
+    boosts = [GroupElement(np.array([[np.cosh(t), np.sinh(t)],
+                                     [np.sinh(t), np.cosh(t)]]), u11)
+              for t in (0.7, 1.5, 2.2)]
+    turn = GroupElement(np.diag([np.exp(0.4j), np.exp(-0.4j)]), u11)
+    elements = boosts + [turn, boosts[0] @ turn, turn @ boosts[1] @ boosts[2]]
+    assert [g._m.dtype.kind for g in elements] == ["f"] * 3 + ["c"] * 3
+    _assert_batch_is_bitwise(elements, u11)
+
+
+def test_cartan_batch_rescales_a_form_over_q_sqrt2():
+    # x0^2 + x1^2 - (1 + sqrt 2)^2 x2^2: the boost of the standard form,
+    # conjugated by diag(1, 1, 1 + sqrt 2), has entries in Q(sqrt 2)
+    q2 = quadratic(2)
+    u = QuadElement(1, 1, 2)
+    so21 = indefinite_orthogonal(2, 1, q2, form=(F(1), F(1), -u * u))
+    assert so21._rescale is not None
+    boost = [[F(5, 4), 0, F(3, 4) * u], [0, F(1), 0],
+             [F(3, 4) / u, 0, F(5, 4)]]
+    turn = [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, F(1)]]
+    P = Presentation(("a", "b"), (boost, turn), so21)
+    _assert_batch_is_bitwise(_ball_elements(P, 3), so21)
+    # the conjugated boost keeps the standard boost's mu: cosh t = 5/4
+    assert cartan(P.generators[0]).coords == pytest.approx((math.log(2),),
+                                                           abs=1e-12)
+
+
+def test_cartan_batch_padic_empty_and_non_finite():
+    P = schottky_sl2_presentation()
+    Q2 = special_linear(2, padic(2))
+    elements = [GroupElement(g.matrix, Q2) for g in _ball_elements(P, 2)]
+    assert cartan_batch(elements, Q2) == [cartan(g) for g in elements]
+    assert cartan_batch([], SL2R) == []
+    good = GroupElement(np.array([[2.0, 0.0], [0.0, 0.5]]), SL2R)
+    bad = GroupElement(np.array([[np.inf, 0.0], [0.0, 0.5]]), SL2R, check=False)
+    with pytest.raises(NumericalError, match="non-finite"):
+        cartan(bad)
+    with pytest.raises(NumericalError, match="non-finite"):
+        cartan_batch([good, bad, good], SL2R)
+    with pytest.raises(PreconditionError):
+        cartan_batch([good], SL3R)

@@ -10,7 +10,8 @@ import pytest
 
 from cartanlab import cli, stability, transverse, wordgroups
 from cartanlab.cli import main
-from cartanlab.serialize import matrix_to_json
+from cartanlab.serialize import (load_presentation_document, matrix_to_json,
+                                 scalar_from_str)
 
 from util import boost_Y_so22, schottky_sl2_matrices, schottky_so22_presentation
 
@@ -123,6 +124,26 @@ def test_cmd_ball_float_counts_merges(tmp_path):
     floats, exact = outputs
     assert floats["elements"] == exact["elements"]
     assert floats["merges"] > 0 and exact["merges"] == 0
+
+
+def test_cmd_ball_complex_entries_round_trip(tmp_path):
+    # complex float entries are written as scalar text, imaginary parts kept
+    doc = {"field": {"kind": "complex"}, "group": {"family": "SL", "n": 2},
+           "generators": {"r": [["0.5+0.5j", "0"], ["0", "1-1j"]]},
+           "structure": {"type": "free"}}
+    path, out = tmp_path / "c.json", tmp_path / "c.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["ball", "--input", str(path), "--output", str(out),
+                 "--radius", "2"]) == 0
+    field, _, pres, _ = load_presentation_document(doc)
+    ball = wordgroups.word_ball(pres, wordgroups.inclusion(pres), 2)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [e.word.format(pres.symbols)
+                                        for e in ball.entries]
+    for row, e in zip(rows, ball.entries):
+        want = e.element.matrix.reshape(-1).tolist()
+        assert [complex(scalar_from_str(x, field)) for x in row[2:]] == want
+    assert rows[1][2:] == ["(0.5+0.5j)", "0j", "0j", "(1-1j)"]
 
 
 def test_cmd_proximal(tmp_path):
