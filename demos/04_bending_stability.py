@@ -13,7 +13,7 @@ from cartanlab import (
     bend,
     inclusion,
     module_decomposition_check,
-    stability_scan,
+    stability_scans,
     zariski_density_witness,
 )
 from cartanlab.bending import so_subalgebra_basis, standard_so_form
@@ -30,9 +30,11 @@ phi_ref = inclusion(P)
 
 # ---------------------------------------------------------------------------
 # 2. the stability envelope along the bending parameter
+#    (one ball and one reference pass serve every t)
 print("t        eps_hat     C_hat")
-for t in (0.0, 0.01, 0.03, 0.1, 0.3):
-    rep = stability_scan(P, phi_ref, bend(fam, t), radius=5)
+ts = (0.0, 0.01, 0.03, 0.1, 0.3)
+reports = stability_scans(P, phi_ref, [bend(fam, t) for t in ts], radius=5)
+for t, rep in zip(ts, reports):
     print(f"{t:<8} {rep.eps_hat:<11.6f} {rep.c_hat:.6f}")
 print("(the envelope deviation <= eps_hat * ||mu|| + C_hat holds on every row)")
 

@@ -61,7 +61,9 @@ from .stability import (
     mu_cone,
     properness_margin,
     seminorm,
+    seminorm_defects,
     stability_scan,
+    stability_scans,
 )
 from .transverse import (
     RankOneModel,

@@ -47,7 +47,7 @@ from .serialize import (
     read_json,
     scalar_to_str,
 )
-from .stability import ConeModel, mu_cone, properness_margin, stability_scan
+from .stability import ConeModel, mu_cone, properness_margin, stability_scans
 from .transverse import RankOneModel, decompose, displacement, orbit_data
 from .wordgroups import HnnStructure, AmalgamStructure, evaluate, inclusion, word_ball
 
@@ -58,7 +58,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _float_cells(values) -> str:
+    """The CSV cells of a run of floats: one ``%.12g`` template for all of
+    them, the same text as ``_fmt`` gives each."""
+    return ",".join(["%.12g"] * len(values)) % tuple(values)
+
+
 def _write_csv(path, header, rows):
+    """One line per row, each cell by ``_fmt``; a str cell is written as
+    it is, so a row may carry cells already joined by ``_float_cells``."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -127,18 +135,15 @@ def cmd_ball(args) -> int:
         f"entry_{i}_{j}" for i in range(n) for j in range(n)
     ]
     rows = []
-    for e in ball.entries:
+    for e, label in zip(ball.entries, ball.labels(pres.symbols)):
         mat = e.element.matrix
         if not isinstance(mat, np.ndarray):
-            flat = [x for row in mat for x in row]
+            cells = [scalar_to_str(x) for row in mat for x in row]
         elif mat.dtype.kind == "c":  # complex entries go out as scalar text
-            flat = mat.reshape(-1).tolist()
+            cells = [scalar_to_str(x) for x in mat.reshape(-1).tolist()]
         else:
-            flat = [float(x) for x in mat.reshape(-1)]
-        rows.append(
-            [e.word.format(pres.symbols), len(e.word)]
-            + [scalar_to_str(x) if not isinstance(x, float) else x for x in flat]
-        )
+            cells = [_float_cells(mat.reshape(-1).tolist())]
+        rows.append([label, len(e.word)] + cells)
     _write_csv(args.output, header, rows)
     _write_sidecar(args.output, {
         "elements": len(ball.entries),
@@ -209,11 +214,10 @@ def cmd_decompose(args) -> int:
         "d_achieved", "ceiling", "accepted",
     ]
     rows = []
-    for e in orbit.ball.entries:
+    for e, wname in zip(orbit.ball.entries, orbit.ball.labels(pres.symbols)):
         if len(e.word) == 0:
             continue
         dec = decompose(e.word, pres, model, R, phi=phi, orbit=orbit)
-        wname = e.word.format(pres.symbols)
         if not dec.accepted:
             rows.append([wname, -1, "", "", "", "", "", False])
             continue
@@ -304,23 +308,24 @@ def cmd_stability(args) -> int:
     family = None
     if bending_block is not None:
         family, _, _ = _bending_family(pres, group, bending_block)
-    header = ["t", "word", "length", "mu_norm", "deviation"]
-    rows = []
-    fits = {}
+    phis = []
     for t in ts:
         if family is not None:
-            phi_t = bend(family, t)
+            phis.append(bend(family, t))
         elif t == 0.0:
-            phi_t = phi_ref
+            phis.append(phi_ref)
         else:
             raise PreconditionError(
                 "nonzero t needs a bending block in the presentation file"
             )
-        rep = stability_scan(pres, phi_ref, phi_t, radius, rho0=rho0)
-        for r in rep.rows:
-            rows.append([
-                t, r.word.format(pres.symbols), r.length, r.mu_norm, r.deviation,
-            ])
+    reports = stability_scans(pres, phi_ref, phis, radius, rho0=rho0)
+    labels = reports[0].ball.labels(pres.symbols)
+    header = ["t", "word", "length", "mu_norm", "deviation"]
+    rows = []
+    fits = {}
+    for t, rep in zip(ts, reports):
+        for label, r in zip(labels, rep.rows):
+            rows.append([t, label, r.length, r.mu_norm, r.deviation])
         fits[str(t)] = {
             "eps_hat": rep.eps_hat,
             "c_hat": rep.c_hat,
@@ -352,8 +357,8 @@ def cmd_properness(args) -> int:
     report = properness_margin(samples, cone, rho0=rho0, radius=radius)
     header = ["word", "mu_norm", "margin"]
     rows = [
-        [e.word.format(pres.symbols), r.mu_norm, r.margin]
-        for e, r in zip(ball.entries, report.rows)
+        [label, r.mu_norm, r.margin]
+        for label, r in zip(ball.labels(pres.symbols), report.rows)
     ]
     _write_csv(args.output, header, rows)
     _write_sidecar(args.output, {

@@ -63,21 +63,29 @@ def scalar_to_str(x) -> str:
     return repr(float(x))
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); a zero denominator is bad input, not a crash."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise PreconditionError(f"scalar {text!r} has a zero denominator") from None
+
+
 def scalar_from_str(text: str, field: FieldDesc):
     text = text.strip()
     if field.kind == "quadratic":
         m = _QUAD_RE.match(text)
         if m:
-            a = Fraction(m.group("a"))
-            b = Fraction(m.group("b"))
+            a = _fraction(m.group("a"))
+            b = _fraction(m.group("b"))
             if m.group("sign") == "-":
                 b = -b
         else:
             m = _QUAD_PURE_RE.match(text)
             if m:
-                a, b = Fraction(0), Fraction(m.group("b"))
+                a, b = Fraction(0), _fraction(m.group("b"))
             else:
-                return Fraction(text)
+                return _fraction(text)
         r = int(m.group("r"))
         if r != field.r:
             raise PreconditionError(
@@ -85,16 +93,16 @@ def scalar_from_str(text: str, field: FieldDesc):
             )
         return QuadElement(a, b, field.r)
     if field.kind == "padic":
-        return Fraction(text)
+        return _fraction(text)
     floating = any(ch in text for ch in ".eEjJ") or text in ("inf", "-inf", "nan")
     if field.kind == "complex":
         if floating:
             return complex(text.replace(" ", ""))
-        return Fraction(text)
+        return _fraction(text)
     # real: integer/rational text stays exact, decimal text becomes float
     if floating:
         return float(text)
-    return Fraction(text)
+    return _fraction(text)
 
 
 def _expect(value, kind, what):

@@ -8,7 +8,12 @@ a word ball and fits the affine envelope
 
 with a canonical policy: C_hat is the max deviation over short elements
 (||mu|| <= rho0), eps_hat the worst residual slope over the rest.  The
-envelope is valid on every row by construction.
+envelope is valid on every row by construction.  ``stability_scans``
+runs several deformations over one ball: the reference relator check,
+the reference ball, its Cartan projections and their norms are computed
+once, and the deformed images of all of them go through one stacked
+``cartan_batch``.  The seminorm defect of a factorization is a separate
+pass over the same ball (``seminorm_defects``).
 
 The properness side compares sampled Cartan projections against the
 cone swept by a subgroup's Cartan image; a strictly positive fitted
@@ -31,7 +36,8 @@ import numpy as np
 from .cartan import (CartanVector, GroupDesc, GroupElement, cartan, cartan_batch,
                      mu_norm)
 from .errors import PreconditionError
-from .wordgroups import Homomorphism, Presentation, check_relators, evaluate, word_ball
+from .wordgroups import (BallResult, Homomorphism, Presentation, check_relators,
+                         evaluate, word_ball)
 
 _RAY_TOL = 1e-8
 RELATOR_TOL = 1e-9  # max entry deviation a relator may show under either homomorphism
@@ -224,7 +230,6 @@ class StabilityRow:
     length: int
     mu_norm: float
     deviation: float
-    seminorm_defect: float | None = None
 
 
 @dataclass
@@ -235,16 +240,13 @@ class StabilityReport:
     rho0: float
     radius: int
     policy: str = "split-envelope"
+    ball: BallResult | None = None  # rows[k] is the word of ball.entries[k]
 
     def envelope_valid(self, slack: float = 1e-9) -> bool:
         return all(
             r.deviation <= self.eps_hat * r.mu_norm + self.c_hat + slack
             for r in self.rows
         )
-
-
-def _mu_vector(g: GroupElement) -> np.ndarray:
-    return np.asarray(cartan(g).coords, dtype=float)
 
 
 def fit_envelope(rows, rho0: float):
@@ -260,14 +262,72 @@ def fit_envelope(rows, rho0: float):
     return eps_hat, c_hat
 
 
+def _require_relators(P: Presentation, name: str, phi: Homomorphism):
+    rep = check_relators(P, phi, tol=RELATOR_TOL)
+    if not rep.ok:
+        raise PreconditionError(f"{name} homomorphism fails relators: {rep.failures}")
+
+
+def stability_scans(
+    P: Presentation,
+    phi_ref: Homomorphism,
+    phis,
+    radius: int,
+    rho0: float | None = None,
+) -> list:
+    """One ``StabilityReport`` per deformation in phis, over one ball.
+
+    The reference relators, the reference ball and the reference Cartan
+    projections are computed once; each deformation then costs its
+    relator check and one ``ball.images`` pass, and the images of every
+    deformation are projected together by one ``cartan_batch`` (a
+    deformation that is phi_ref itself reuses the reference projections).
+    Each report equals ``stability_scan`` of its deformation.
+    """
+    phis = list(phis)
+    _require_relators(P, "reference", phi_ref)
+    for phi in phis:
+        if phi is not phi_ref:
+            _require_relators(P, "deformed", phi)
+        if phi.group != phi_ref.group:
+            raise PreconditionError("a deformation must map into the reference group")
+    ball = word_ball(P, phi_ref, radius).require_complete()
+    if rho0 is None:
+        rho0 = max(
+            (mu_norm(cartan(g)) for g in phi_ref.images), default=0.0
+        ) + 1.0
+    group = phi_ref.group
+    mus_ref = [np.asarray(mu.coords, dtype=float)
+               for mu in cartan_batch(ball.elements(), group)]
+    norms = [float(np.linalg.norm(mu)) for mu in mus_ref]
+    moved = [phi for phi in phis if phi is not phi_ref]
+    flat = iter(cartan_batch(
+        [g for phi in moved for g in ball.images(phi)], group))
+    reports = []
+    for phi in phis:
+        if phi is phi_ref:
+            mus_def = mus_ref
+        else:
+            mus_def = [np.asarray(next(flat).coords, dtype=float) for _ in ball.entries]
+        rows = [
+            StabilityRow(e.word, len(e.word), n,
+                         float(np.linalg.norm(mu_def - mu_ref)))
+            for e, n, mu_ref, mu_def in zip(ball.entries, norms, mus_ref, mus_def)
+        ]
+        eps_hat, c_hat = fit_envelope(rows, rho0)
+        report = StabilityReport(rows, eps_hat, c_hat, rho0, radius, ball=ball)
+        if not report.envelope_valid():
+            raise PreconditionError("internal: fitted envelope violates its own rows")
+        reports.append(report)
+    return reports
+
+
 def stability_scan(
     P: Presentation,
     phi_ref: Homomorphism,
     phi: Homomorphism,
     radius: int,
     rho0: float | None = None,
-    delta_l: DeltaLData | None = None,
-    factorizer=None,
 ) -> StabilityReport:
     """Deviation scan of a deformation over a word ball.
 
@@ -275,51 +335,36 @@ def stability_scan(
     relators, and refuses a ball that ``word_ball`` cut short of the
     radius.  rho0 defaults to (max generator ||mu||) + 1; passing
     math.inf makes the fit a uniform constant (eps_hat = 0), realizing
-    conjugation-type bounds.  With delta_l and a factorizer (word ->
-    factor words) the per-element seminorm defect
-    |mu(phi(g)) - sum mu(phi(g_i))|_{coroot span} is recorded.
+    conjugation-type bounds.  The one-deformation case of
+    ``stability_scans``.
     """
-    for name, h in (("reference", phi_ref), ("deformed", phi)):
-        rep = check_relators(P, h, tol=RELATOR_TOL)
-        if not rep.ok:
-            raise PreconditionError(
-                f"{name} homomorphism fails relators: {rep.failures}"
-            )
-    ball = word_ball(P, phi_ref, radius).require_complete()
-    if rho0 is None:
-        rho0 = max(
-            (mu_norm(cartan(g)) for g in phi_ref.images), default=0.0
-        ) + 1.0
+    return stability_scans(P, phi_ref, [phi], radius, rho0)[0]
 
-    def make_row(entry, mu_ref, mu_def):
-        mu_ref = np.asarray(mu_ref.coords, dtype=float)
-        mu_def = np.asarray(mu_def.coords, dtype=float)
-        dev = float(np.linalg.norm(mu_def - mu_ref))
-        defect = None
-        if delta_l is not None and factorizer is not None:
-            factors = factorizer(entry.word)
-            if factors:
-                total = sum(
-                    (_mu_vector(evaluate(w, phi)) for w in factors),
-                    np.zeros_like(mu_def),
-                )
-                defect = seminorm(mu_def - total, delta_l)
-        return StabilityRow(
-            entry.word,
-            len(entry.word),
-            float(np.linalg.norm(mu_ref)),
-            dev,
-            defect,
-        )
 
-    mus_ref = cartan_batch([e.element for e in ball.entries], phi_ref.group)
-    mus_def = cartan_batch(ball.images(phi), phi.group)
-    rows = [make_row(*row) for row in zip(ball.entries, mus_ref, mus_def)]
-    eps_hat, c_hat = fit_envelope(rows, rho0)
-    report = StabilityReport(rows, eps_hat, c_hat, rho0, radius)
-    if not report.envelope_valid():
-        raise PreconditionError("internal: fitted envelope violates its own rows")
-    return report
+def seminorm_defects(ball: BallResult, phi: Homomorphism, delta_l: DeltaLData,
+                     factorizer) -> list:
+    """Per ball entry, the seminorm defect
+    |mu(phi(g)) - sum_i mu(phi(g_i))|_{coroot span} of its word g over the
+    factor words g_i = factorizer(g), or None where factorizer gives none.
+
+    Every image comes from one ``ball.images(phi)`` pass; a factor word
+    outside the ball is evaluated.  All projections take one
+    ``cartan_batch``.
+    """
+    factors = [factorizer(e.word) or None for e in ball.entries]
+    index = ball.word_index()  # word -> its position in the projections
+    extra = []
+    for w in (w for fs in factors if fs for w in fs):
+        if w not in index:
+            index[w] = len(index)
+            extra.append(w)
+    mus = [np.asarray(mu.coords, dtype=float) for mu in cartan_batch(
+        ball.images(phi) + [evaluate(w, phi) for w in extra], phi.group)]
+    return [
+        None if fs is None else seminorm(
+            mu - sum((mus[index[w]] for w in fs), np.zeros_like(mu)), delta_l)
+        for mu, fs in zip(mus, factors)
+    ]
 
 
 # ---------------------------------------------------------------------------

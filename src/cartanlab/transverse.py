@@ -20,12 +20,17 @@ a word ball (the fundamental-domain lookup of the convex-cocompactness
 argument, with measured constants instead of the non-constructive
 shadow-lemma constant).  All reported postconditions are measured, not
 assumed.
+
+An `OrbitData` is built once per ball and shared by every `decompose`
+over it: the ball and its orbit points (or tree distances) once, and the
+displacement of each factor word once, read from the ball's own element
+when the word is a ball word.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -172,17 +177,51 @@ class TransverseDecomposition:
 
 @dataclass
 class OrbitData:
-    """The word ball and the orbit of the base point over it.
+    """The word ball of phi and the orbit of the base point over it.
 
     Building this once and passing it to repeated `decompose` calls
     avoids re-enumerating the ball per input word; a report over the
     ball's words iterates ``ball.entries`` rather than building the
-    ball again.
+    ball again.  It also keeps a memo of factor displacements: a word of
+    the ball takes its entry's element (bit for bit what ``evaluate``
+    gives), any other word is evaluated, and each word's displacement in
+    ``model`` is computed once for all the decompositions that share it.
     """
 
     ball: BallResult
+    phi: Homomorphism
+    model: RankOneModel
     points: np.ndarray | None = None  # hyperboloid orbit points
     distances: np.ndarray | None = None  # tree distances d(x0, w.x0)
+    _index: dict = dc_field(init=False, repr=False)  # word -> entry index
+    _displacements: dict = dc_field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        self._index = self.ball.word_index()
+
+    def element(self, w: Word) -> GroupElement:
+        """phi(w): the ball's entry for a ball word, else ``evaluate``."""
+        k = self._index.get(w)
+        return evaluate(w, self.phi) if k is None else self.ball.entries[k].element
+
+    def displacement(self, w: Word) -> float:
+        """displacement(phi(w), model), computed once per word."""
+        d = self._displacements.get(w)
+        if d is None:
+            d = self._displacements[w] = float(
+                displacement(self.element(w), self.model))
+        return d
+
+    def serves(self, phi: Homomorphism, model: RankOneModel) -> bool:
+        """Whether this orbit was built for phi and model: the same
+        generator images in the same group, and the same model."""
+        same_phi = self.phi is phi or (
+            self.phi.group == phi.group and self.phi.images == phi.images)
+        m = self.model
+        same_model = m is model or (
+            (m.kind, m.form, m.p) == (model.kind, model.form, model.p)
+            and np.array_equal(m.base_point, model.base_point))
+        return same_phi and same_model
 
 
 def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
@@ -191,10 +230,10 @@ def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
     elements = ball.elements()
     if model.kind == "sl2_tree":
         dists = np.array([displacement(e, model) for e in elements], dtype=float)
-        return OrbitData(ball, distances=dists)
+        return OrbitData(ball, phi, model, distances=dists)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
     pts = np.array([model.matrix_action(e) @ x0p for e in elements])
-    return OrbitData(ball, points=pts)
+    return OrbitData(ball, phi, model, points=pts)
 
 
 def decompose(
@@ -228,10 +267,12 @@ def decompose(
     if snap_budget is None:
         snap_budget = 3.0 * R
 
-    g = evaluate(gamma, phi)
-    ginv = g.inv()
     if orbit is None:
         orbit = orbit_data(P, phi, model, snap_radius, x0_prime)
+    elif not orbit.serves(phi, model):
+        raise PreconditionError("orbit was built for another homomorphism or model")
+    g = orbit.element(gamma)
+    ginv = g.inv()
     if model.kind == "sl2_tree":
         # With a = x0, b = gamma^-1 x0, c = w x0 and (b|c)_a the Gromov
         # product, the point at arclength s on [a, b] lies at distance
@@ -283,14 +324,14 @@ def decompose(
     factors = [gamma * lambdas[n]]
     for i in range(1, n + 1):
         factors.append(lambdas[n - i + 1].inverse() * lambdas[n - i])
-    factors, disps, gaps, d_ach = _measure_factors(factors, phi, model, R)
+    factors, disps, gaps, d_ach = _measure_factors(factors, orbit, R)
     ceiling = 6.0 * max(snap_dists, default=0.0) + 6.0 * base_offset
     return TransverseDecomposition(
         factors, disps, gaps, d_ach, snap_dists, ceiling, total
     )
 
 
-def _measure_factors(factors, phi, model, R):
+def _measure_factors(factors, orbit: OrbitData, R):
     """Displacements, gap defects, and the measured constant D_achieved.
 
     The remainder factor (first in the list) only carries the one-sided
@@ -303,16 +344,12 @@ def _measure_factors(factors, phi, model, R):
     if len(factors) > 1 and len(factors[0]) == 0:
         factors = factors[1:]
         has_remainder = False
-    disps = [float(displacement(evaluate(w, phi), model)) for w in factors]
+    disps = [orbit.displacement(w) for w in factors]
     start = 1 if (has_remainder and len(factors) > 1) else 0
     gaps = []
     for i in range(start, len(factors) - 1):
         pair = factors[i] * factors[i + 1]
-        gaps.append(
-            float(displacement(evaluate(pair, phi), model))
-            - disps[i]
-            - disps[i + 1]
-        )
+        gaps.append(orbit.displacement(pair) - disps[i] - disps[i + 1])
     if has_remainder:
         d_ach = max(0.0, disps[0] - R)
         rest = disps[1:]

@@ -18,7 +18,8 @@ because only inserted words are expanded.  ``BallResult.images(phi)``
 walks it once, multiplying each parent image by one generator image, so
 any homomorphism is evaluated over the whole ball in O(N) products; the
 fold is the one ``evaluate`` performs, so the images are bit-identical
-to evaluating every word from scratch.
+to evaluating every word from scratch.  ``BallResult.labels(symbols)``
+walks it the same way to give every word's ``Word.format`` text.
 """
 
 from __future__ import annotations
@@ -327,6 +328,22 @@ class BallResult:
                 raise PreconditionError(f"generator index {e.letter[0]} out of range")
             out.append(out[e.parent] @ phi.image(*e.letter))
         return out
+
+    def labels(self, symbols) -> list:
+        """``Word.format(symbols)`` of every ball word, in entry order, by
+        one pass over the prefix tree: each label is its parent's label
+        plus its last letter."""
+        names = {(i, e): s if e == 1 else s + "^-1"
+                 for i, s in enumerate(symbols) for e in (1, -1)}
+        out = ["1"]
+        for e in self.entries[1:]:
+            name = names[e.letter]
+            out.append(out[e.parent] + " " + name if e.parent else name)
+        return out
+
+    def word_index(self) -> dict:
+        """{word: entry index} of every ball word."""
+        return {e.word: k for k, e in enumerate(self.entries)}
 
     def require_complete(self) -> "BallResult":
         """The ball itself; PreconditionError if max_elements cut it short."""

@@ -36,7 +36,7 @@ from cartanlab import (
     product_sandwich_check,
     properness_margin,
     special_linear,
-    stability_scan,
+    stability_scans,
     wedge_norm_log,
     weight_pairing,
     word_ball,
@@ -321,21 +321,20 @@ def test_criterion_06_stability_trend():
         P, boost_Y_so22(),
         subalgebra=so_subalgebra_basis(standard_so_form(2, 2), 3),
     )
-    eps_hats = []
-    for t in (0.0, 0.01, 0.1, 0.3):
-        rep = stability_scan(P, phi_ref, bend(fam, t), 5)
-        eps_hats.append(rep.eps_hat)
-        if t == 0.0:
-            assert rep.eps_hat == 0.0 and rep.c_hat == 0.0
+    # one ball and one reference pass for every t
+    reports = stability_scans(
+        P, phi_ref, [bend(fam, t) for t in (0.0, 0.01, 0.1, 0.3)], 5)
+    eps_hats = [rep.eps_hat for rep in reports]
+    assert reports[0].eps_hat == 0.0 and reports[0].c_hat == 0.0
     assert all(a < b for a, b in zip(eps_hats, eps_hats[1:])), eps_hats
     # conjugation deformations: the envelope with the uniform-constant
     # fit (rho0 = inf) realizes the Lipschitz bound dev <= 2||mu(g)||
     rng = np.random.default_rng(66)
-    for _ in range(20):
-        g = _random_so22(rng)
-        rep = stability_scan(
-            P, phi_ref, conjugate_homomorphism(phi_ref, g), 5, rho0=math.inf
-        )
+    conjugators = [_random_so22(rng) for _ in range(20)]
+    reports = stability_scans(
+        P, phi_ref, [conjugate_homomorphism(phi_ref, g) for g in conjugators],
+        5, rho0=math.inf)
+    for g, rep in zip(conjugators, reports):
         bound = 2 * mu_norm(cartan(g))
         assert rep.eps_hat <= 1e-9
         assert rep.c_hat <= bound + 1e-9

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlab import cli, stability, transverse, wordgroups
 from cartanlab.cli import main
@@ -247,6 +250,21 @@ def test_truncated_ball_exits_2(tmp_path, capsys, monkeypatch, command):
     assert "truncated" in err[0]
 
 
+def test_float_row_template_matches_fmt():
+    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-320, 5e-324, 1 / 3,
+              -2.5e300, 123456789012345.0, np.float64(0.1), np.float64(-1e-320),
+              np.float64(-0.0), np.float64(math.nan)]
+    want = ",".join(f"{x:.12g}" for x in values)
+    assert cli._float_cells(values) == want
+    assert want == ",".join(cli._fmt(x) for x in values)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_float_row_template_matches_fmt_on_any_floats(values):
+    assert cli._float_cells(values) == ",".join(cli._fmt(x) for x in values)
+
+
 def test_determinism_byte_identical(tmp_path, so22_bending_file):
     outs = []
     for name in ("r1.csv", "r2.csv"):
@@ -313,6 +331,29 @@ def test_malformed_shape_exits_2(tmp_path, capsys, command, doc):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "real"}, {"kind": "complex"}, {"kind": "padic", "p": 2},
+    {"kind": "quadratic", "r": 2},
+])
+@pytest.mark.parametrize("command", ["cartan", "ball"])
+def test_zero_denominator_exits_2(tmp_path, capsys, command, field):
+    # "1/0" used to end in a ZeroDivisionError traceback with exit 1
+    rows = [["1/0", "0"], ["0", "1"]]
+    doc = {"field": field, "group": {"family": "SL", "n": 2}}
+    if command == "cartan":
+        doc["matrices"] = [rows]
+    else:
+        doc["generators"] = {"a": rows}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, "--input", str(path), "--output",
+               str(tmp_path / "o.csv"), "--radius", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "zero denominator" in err[0]
 
 
 @pytest.mark.parametrize("field, matrix, eps", [

@@ -224,6 +224,10 @@ _SL2 = {"family": "SL", "n": 2}
     ({"kind": "real"}, _SL2, [[2, 0], [0, 1]]),
     ({"kind": "real"}, _SO11, [["1", "1"], ["0", "1"]]),
     ({"kind": "complex"}, _SO11, [["5/4", "3/4"], ["3/4", "5/4"]]),
+    ({"kind": "padic", "p": 2}, _SL2, [["1/0", "0"], ["0", "1"]]),
+    ({"kind": "complex"}, _SL2, [["1/0", "0"], ["0", "1"]]),
+    ({"kind": "quadratic", "r": 2}, _SL2, [["1/0", "0"], ["0", "1"]]),
+    ({"kind": "quadratic", "r": 2}, _SL2, [["1/0*sqrt(2)", "0"], ["0", "1"]]),
 ])
 def test_fast_loader_exits_as_the_scalar_route(tmp_path, monkeypatch, field,
                                                group, rows):

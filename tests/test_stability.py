@@ -17,9 +17,12 @@ from cartanlab import (
     mu_norm,
     properness_margin,
     seminorm,
+    seminorm_defects,
     special_linear,
     stability_scan,
+    stability_scans,
     inclusion,
+    word_ball,
 )
 from cartanlab.stability import (
     DeltaLData,
@@ -28,9 +31,10 @@ from cartanlab.stability import (
     seminorm_bounds_check,
     StabilityRow,
 )
-from cartanlab.wordgroups import conjugate_homomorphism
+from cartanlab.wordgroups import Homomorphism, conjugate_homomorphism, evaluate
 
 from util import (
+    boost_Y_so22,
     schottky_so22_presentation,
     schottky_sl2_presentation,
     so21_boost,
@@ -185,6 +189,51 @@ def test_stability_eps_monotone_in_rho0():
     assert all(a >= b - 1e-12 for a, b in zip(eps_values, eps_values[1:]))
 
 
+def _deformations(kind, P):
+    phi = inclusion(P)
+    if kind == "bend":
+        from cartanlab import BendingFamily, bend
+        from cartanlab.bending import so_subalgebra_basis, standard_so_form
+
+        fam = BendingFamily(P, boost_Y_so22(), subalgebra=so_subalgebra_basis(
+            standard_so_form(2, 2), 3))
+        return [bend(fam, t) for t in (0.0, 0.01, 0.1, 0.3)] + [phi]
+    return [phi] + [conjugate_homomorphism(phi, g) for g in (
+        u11_boost(0.4), so21_boost(0.7) @ u11_boost(-0.2),
+        u11_boost(0.9) @ so21_boost(0.3))]
+
+
+@pytest.mark.parametrize("kind, rho0", [("bend", None), ("conjugation", math.inf)])
+def test_stability_scans_equal_one_scan_per_deformation(kind, rho0):
+    P = schottky_so22_presentation()
+    phi = inclusion(P)
+    phis = _deformations(kind, P)
+    reports = stability_scans(P, phi, phis, 4, rho0=rho0)
+    assert len(reports) == len(phis)
+    for phi_t, rep in zip(phis, reports):
+        one = stability_scan(P, phi, phi_t, 4, rho0=rho0)
+        assert rep.rows == one.rows  # == on every float
+        assert (rep.eps_hat, rep.c_hat, rep.rho0, rep.radius) == (
+            one.eps_hat, one.c_hat, one.rho0, one.radius)
+        assert [r.word for r in rep.rows] == [e.word for e in rep.ball.entries]
+        # each row against its own word's Cartan projections
+        for r in rep.rows[::17]:
+            mu_ref = np.asarray(cartan(evaluate(r.word, phi)).coords)
+            mu_def = np.asarray(cartan(evaluate(r.word, phi_t)).coords)
+            assert r.mu_norm == float(np.linalg.norm(mu_ref))
+            assert r.deviation == float(np.linalg.norm(mu_def - mu_ref))
+
+
+def test_stability_scans_refuse_a_bad_deformation():
+    P = schottky_so22_presentation()
+    phi = inclusion(P)
+    good = _deformations("conjugation", P)[1]
+    a, b = phi.images
+    with pytest.raises(PreconditionError):
+        stability_scans(P, phi, [good, Homomorphism([a, b], SL3R)], 2)
+    assert stability_scans(P, phi, [], 2) == []
+
+
 def test_stability_refuses_relator_failure():
     from cartanlab import AmalgamStructure, Homomorphism, Presentation, parse_word
     from util import schottky_sl2_matrices
@@ -228,10 +277,11 @@ def test_seminorm_defect_column():
 
         return [Word(word.letters[:half]), Word(word.letters[half:])]
 
-    rep = stability_scan(P, phi, phi, 3, delta_l=d, factorizer=crude_factorizer)
-    long_rows = [r for r in rep.rows if r.length >= 2]
-    assert all(r.seminorm_defect is not None for r in long_rows)
-    assert all(r.seminorm_defect >= -1e-12 for r in long_rows)
+    ball = word_ball(P, phi, 3)
+    defects = seminorm_defects(ball, phi, d, crude_factorizer)
+    long_rows = [x for e, x in zip(ball.entries, defects) if len(e.word) >= 2]
+    assert all(x is not None for x in long_rows)
+    assert all(x >= -1e-12 for x in long_rows)
 
 
 def test_mu_cone_shapes():

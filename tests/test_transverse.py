@@ -8,6 +8,7 @@ import cartanlab.exact as ex
 from cartanlab import (
     REAL,
     GroupElement,
+    Homomorphism,
     PreconditionError,
     Presentation,
     RankOneModel,
@@ -207,3 +208,53 @@ def test_model_validation():
     g = GroupElement([[F(1), 0], [0, F(1)]], SL2R)
     with pytest.raises(PreconditionError):
         displacement(g, M)  # wrong field
+
+
+def _float_sl2_presentation():
+    """A Schottky pair with decimal float entries, so ball products round."""
+    a = np.array([[4.0, 0.0], [0.0, 0.25]])
+    c = np.array([[1.0, 0.3], [0.2, 1.06]])
+    b = c @ a @ np.linalg.inv(c)
+    return Presentation(["a", "b"], [a, b], SL2R)
+
+
+@pytest.mark.parametrize("case", ["sl2_plane", "q2_tree", "float_sl2_plane"])
+def test_shared_orbit_decomposes_as_a_fresh_one(case):
+    if case == "q2_tree":
+        from util import schottky_sl2_matrices
+
+        P = Presentation(["a", "b"], list(schottky_sl2_matrices()),
+                         special_linear(2, padic(2)))
+        M = RankOneModel.sl2_tree(2)
+    else:
+        P = (_float_sl2_presentation() if case == "float_sl2_plane"
+             else schottky_sl2_presentation())
+        M = RankOneModel.sl2_real()
+    phi = inclusion(P)
+    R = max(displacement(g, M) for g in P.generators)
+    radius = 3
+    orbit = orbit_data(P, phi, M, radius)
+    for e in orbit.ball.entries[1:]:
+        shared = decompose(e.word, P, M, R, phi=phi, orbit=orbit)
+        fresh = decompose(e.word, P, M, R, phi=phi, snap_radius=radius)
+        assert shared == fresh
+        # every factor displacement is the one of the evaluated word
+        assert shared.displacements == [
+            float(displacement(evaluate(w, phi), M)) for w in shared.factors]
+
+
+def test_decompose_refuses_an_orbit_of_another_phi_or_model():
+    P = schottky_sl2_presentation()
+    phi = inclusion(P)
+    M = RankOneModel.sl2_real()
+    orbit = orbit_data(P, phi, M, 2)
+    w = parse_word("a b", ["a", "b"])
+    R = 2 * math.log(4)
+    # an equal homomorphism and an equal model are the same orbit's
+    assert decompose(w, P, RankOneModel.sl2_real(), R, orbit=orbit).accepted
+    swapped = Homomorphism(phi.images[::-1], P.group)
+    with pytest.raises(PreconditionError):
+        decompose(w, P, M, R, phi=swapped, orbit=orbit)
+    H = RankOneModel.hyperboloid((F(1), F(1), F(-1)))
+    with pytest.raises(PreconditionError):
+        decompose(w, P, H, R, phi=phi, orbit=orbit)

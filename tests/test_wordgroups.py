@@ -405,6 +405,39 @@ def test_ball_images_float_with_merges():
     _assert_images_match_evaluate(ball, phi)
 
 
+def _assert_labels_are_formats(ball, symbols):
+    labels = ball.labels(symbols)
+    assert len(labels) == len(ball)
+    for e, label in zip(ball.entries, labels):
+        assert label == e.word.format(symbols)
+
+
+def test_ball_labels_exact():
+    P = schottky_sl2_presentation()
+    _assert_labels_are_formats(word_ball(P, inclusion(P), 4), P.symbols)
+    Q = schottky_so22_presentation()
+    _assert_labels_are_formats(word_ball(Q, inclusion(Q), 3), ("x", "y^2"))
+
+
+def test_ball_labels_float_z4z_with_merges():
+    r = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    s = sym2_rational(((F(4), F(0)), (F(0), F(1, 4))))
+    P = _float_twin(Presentation(["r", "s"], [r, s],
+                                 indefinite_orthogonal(2, 1, REAL)))
+    ball = word_ball(P, inclusion(P), 6)
+    assert ball.merges
+    _assert_labels_are_formats(ball, P.symbols)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 30])
+def test_ball_labels_truncated(m):
+    P = schottky_sl2_presentation()
+    for Q in (P, _float_twin(P)):
+        ball = word_ball(Q, inclusion(Q), 5, max_elements=m)
+        assert not ball.complete
+        _assert_labels_are_formats(ball, Q.symbols)
+
+
 def test_memory_budget_flags_partial():
     P = schottky_sl2_presentation()
     ball = word_ball(P, inclusion(P), 4, max_elements=20)
