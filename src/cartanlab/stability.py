@@ -280,15 +280,13 @@ def stability_scans(
     The reference relators, the reference ball and the reference Cartan
     projections are computed once; each deformation then costs its
     relator check and one ``ball.images`` pass, and the images of every
-    deformation are projected together by one ``cartan_batch`` (a
-    deformation that is phi_ref itself reuses the reference projections).
-    Each report equals ``stability_scan`` of its deformation.
+    deformation are projected together by one ``cartan_batch``.  Each
+    report equals ``stability_scan`` of its deformation.
     """
     phis = list(phis)
     _require_relators(P, "reference", phi_ref)
     for phi in phis:
-        if phi is not phi_ref:
-            _require_relators(P, "deformed", phi)
+        _require_relators(P, "deformed", phi)
         if phi.group != phi_ref.group:
             raise PreconditionError("a deformation must map into the reference group")
     ball = word_ball(P, phi_ref, radius).require_complete()
@@ -300,15 +298,11 @@ def stability_scans(
     mus_ref = [np.asarray(mu.coords, dtype=float)
                for mu in cartan_batch(ball.elements(), group)]
     norms = [float(np.linalg.norm(mu)) for mu in mus_ref]
-    moved = [phi for phi in phis if phi is not phi_ref]
     flat = iter(cartan_batch(
-        [g for phi in moved for g in ball.images(phi)], group))
+        [g for phi in phis for g in ball.images(phi)], group))
     reports = []
-    for phi in phis:
-        if phi is phi_ref:
-            mus_def = mus_ref
-        else:
-            mus_def = [np.asarray(next(flat).coords, dtype=float) for _ in ball.entries]
+    for _ in phis:
+        mus_def = [np.asarray(next(flat).coords, dtype=float) for _ in ball.entries]
         rows = [
             StabilityRow(e.word, len(e.word), n,
                          float(np.linalg.norm(mu_def - mu_ref)))
@@ -347,24 +341,26 @@ def seminorm_defects(ball: BallResult, phi: Homomorphism, delta_l: DeltaLData,
     |mu(phi(g)) - sum_i mu(phi(g_i))|_{coroot span} of its word g over the
     factor words g_i = factorizer(g), or None where factorizer gives none.
 
-    Every image comes from one ``ball.images(phi)`` pass; a factor word
-    outside the ball is evaluated.  All projections take one
-    ``cartan_batch``.
+    The ball's images come from one ``ball.images(phi)`` pass and one
+    ``cartan_batch``; a factor word outside the ball is evaluated where
+    it occurs.
     """
-    factors = [factorizer(e.word) or None for e in ball.entries]
-    index = ball.word_index()  # word -> its position in the projections
-    extra = []
-    for w in (w for fs in factors if fs for w in fs):
-        if w not in index:
-            index[w] = len(index)
-            extra.append(w)
-    mus = [np.asarray(mu.coords, dtype=float) for mu in cartan_batch(
-        ball.images(phi) + [evaluate(w, phi) for w in extra], phi.group)]
-    return [
-        None if fs is None else seminorm(
-            mu - sum((mus[index[w]] for w in fs), np.zeros_like(mu)), delta_l)
-        for mu, fs in zip(mus, factors)
-    ]
+    index = ball.word_index()
+    mus = [np.asarray(mu.coords, dtype=float)
+           for mu in cartan_batch(ball.images(phi), phi.group)]
+
+    def mu_of(w):
+        k = index.get(w)
+        if k is None:
+            return np.asarray(cartan(evaluate(w, phi)).coords, dtype=float)
+        return mus[k]
+
+    defects = []
+    for mu, e in zip(mus, ball.entries):
+        fs = factorizer(e.word)
+        defects.append(None if not fs else seminorm(
+            mu - sum((mu_of(w) for w in fs), np.zeros_like(mu)), delta_l))
+    return defects
 
 
 # ---------------------------------------------------------------------------

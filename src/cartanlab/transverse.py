@@ -212,17 +212,6 @@ class OrbitData:
                 displacement(self.element(w), self.model))
         return d
 
-    def serves(self, phi: Homomorphism, model: RankOneModel) -> bool:
-        """Whether this orbit was built for phi and model: the same
-        generator images in the same group, and the same model."""
-        same_phi = self.phi is phi or (
-            self.phi.group == phi.group and self.phi.images == phi.images)
-        m = self.model
-        same_model = m is model or (
-            (m.kind, m.form, m.p) == (model.kind, model.form, model.p)
-            and np.array_equal(m.base_point, model.base_point))
-        return same_phi and same_model
-
 
 def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
                radius: int, x0_prime=None) -> OrbitData:
@@ -257,10 +246,17 @@ def decompose(
     constant D_achieved (smallest D making all reported conditions
     hold), and the predicted ceiling 6*max_snap + 6*d(x0, x0').  A snap
     distance above ``snap_budget`` (default 3*R) rejects the run.  On
-    the tree x0' = x0, and every distance is exact.
+    the tree x0' = x0, and every distance is exact.  A shared ``orbit``
+    from ``orbit_data`` must come with the very model (and phi, which
+    defaults to the orbit's) it was built for.
     """
     if R <= 0:
         raise PreconditionError("R must be positive")
+    if orbit is not None:
+        phi = phi or orbit.phi
+        if phi is not orbit.phi or model is not orbit.model:
+            raise PreconditionError(
+                "orbit was built for another homomorphism or model")
     phi = phi or inclusion(P)
     if snap_radius is None:
         snap_radius = max(len(gamma), 1)
@@ -269,8 +265,6 @@ def decompose(
 
     if orbit is None:
         orbit = orbit_data(P, phi, model, snap_radius, x0_prime)
-    elif not orbit.serves(phi, model):
-        raise PreconditionError("orbit was built for another homomorphism or model")
     g = orbit.element(gamma)
     ginv = g.inv()
     if model.kind == "sl2_tree":

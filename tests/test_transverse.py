@@ -250,8 +250,8 @@ def test_decompose_refuses_an_orbit_of_another_phi_or_model():
     orbit = orbit_data(P, phi, M, 2)
     w = parse_word("a b", ["a", "b"])
     R = 2 * math.log(4)
-    # an equal homomorphism and an equal model are the same orbit's
-    assert decompose(w, P, RankOneModel.sl2_real(), R, orbit=orbit).accepted
+    # phi defaults to the orbit's own
+    assert decompose(w, P, M, R, orbit=orbit).accepted
     swapped = Homomorphism(phi.images[::-1], P.group)
     with pytest.raises(PreconditionError):
         decompose(w, P, M, R, phi=swapped, orbit=orbit)
