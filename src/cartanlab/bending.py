@@ -12,10 +12,14 @@ Frobenius and module tests of ``module_decomposition_check``) do not
 change when a matrix is scaled.  So they run on flat span vectors
 (``exact.primitive``): a rational matrix becomes the primitive integer
 vector of its entries, and a bracket is an integer product over the
-nonzero entries only.  The closure is a worklist: each new basis vector
-is bracketed once with each one before it, so every pair is bracketed
-exactly once.  ``bracket`` and ``frobenius`` keep their values on
-Fraction matrices.
+nonzero entries only.  ``bracket`` keeps its values on Fraction
+matrices.
+
+One worklist, ``_closure``, computes every bracket closure: each new
+basis vector is bracketed once with each one before it, so every pair
+is bracketed exactly once.  The exact closure runs it on an
+``EchelonSpan`` of primitive integer vectors, the float density witness
+on a Gram-Schmidt span of float matrices.
 
 Bending deforms an amalgam by conjugating one side by exp(t*Y), or an
 HNN extension by right-multiplying the stable letter by exp(t*Y), where
@@ -30,6 +34,7 @@ subgroup-level density as a stated input assumption.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +47,7 @@ from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
     in_span,
+    mat_eq,
     mat_from_rows,
     mat_mul,
     mat_sub,
@@ -93,10 +99,6 @@ class QuadFormSpace:
 
 def standard_so_form(p: int, q: int) -> QuadFormSpace:
     return QuadFormSpace(tuple([Fraction(1)] * p + [Fraction(-1)] * q))
-
-
-def frobenius(A, B):
-    return sum(a * b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def bracket(A, B):
@@ -218,35 +220,20 @@ def so_subalgebra_basis(space: QuadFormSpace, fixed_coordinate: int) -> LieBasis
 def centralizer_in_algebra(elements, ambient: LieBasis) -> LieBasis:
     """Basis of {X in span(ambient) : s X s^-1 = X for all s}, exact."""
     basis = ambient.matrices
-    if not basis:
-        return LieBasis([], ambient.space, check=False)
-    d = ambient.space.dim
-    rows = []
+    # unknowns: coefficients x_k with sum x_k * (s B_k - B_k s) = 0, one
+    # equation per element s and matrix entry
+    system = []
     for s in elements:
         mat = s.matrix if isinstance(s, GroupElement) else mat_from_rows(s)
-        for B in basis:
-            rows.append(_flatten(bracket(mat, B)))
-    if not rows:
+        system += zip(*(_flatten(bracket(mat, B)) for B in basis))
+    if not system:
         return ambient
-    # unknowns: coefficients x_k with sum x_k * (s B_k - B_k s) = 0 per s
-    ncols = len(basis)
-    system = []
-    per_element = len(basis)
-    for eq_block in range(len(rows) // per_element):
-        block = rows[eq_block * per_element:(eq_block + 1) * per_element]
-        for entry in range(d * d):
-            system.append(tuple(block[k][entry] for k in range(ncols)))
-    kernel = nullspace(tuple(system))
+    d = ambient.space.dim
     mats = []
-    zero = Fraction(0)
-    for coeffs in kernel:
-        acc = [[zero] * d for _ in range(d)]
-        for c, B in zip(coeffs, basis):
-            if c != zero:
-                for i in range(d):
-                    for j in range(d):
-                        acc[i][j] += c * B[i][j]
-        mats.append(tuple(tuple(row) for row in acc))
+    for coeffs in nullspace(tuple(system)):
+        v = [sum(c * x for c, x in zip(coeffs, col))
+             for col in zip(*map(_flatten, basis))]
+        mats.append(tuple(tuple(v[i * d:(i + 1) * d]) for i in range(d)))
     return LieBasis(mats, ambient.space, check=True)
 
 
@@ -317,9 +304,7 @@ def _exp(Y, t):
     if all(is_exact_scalar(x) for row in Y for x in row):
         Ym = mat_from_rows(Y)
         Y3 = mat_mul(mat_mul(Ym, Ym), Ym)
-        if all(
-            all(a == b for a, b in zip(ra, rb)) for ra, rb in zip(Y3, Ym)
-        ):
+        if mat_eq(Y3, Ym):
             Yf = to_float_array(Ym)
             Y2 = Yf @ Yf
             n = Yf.shape[0]
@@ -329,6 +314,16 @@ def _exp(Y, t):
     from scipy.linalg import expm
 
     return expm(t * to_float_array(Y))
+
+
+def edge_words(structure) -> list:
+    """The words of the edge subgroup that a bending direction must
+    centralize: the first word of each amalgam pair or HNN pairing."""
+    if isinstance(structure, AmalgamStructure):
+        return [w for w, _ in structure.gamma0_pairs]
+    if isinstance(structure, HnnStructure):
+        return [w for w, _ in structure.pairings]
+    raise PreconditionError("bending needs an amalgam or HNN structure")
 
 
 @dataclass
@@ -347,24 +342,15 @@ class BendingFamily:
 
     def __post_init__(self):
         s = self.presentation.structure
-        if isinstance(s, AmalgamStructure):
-            self.rule = "amalgam"
-            edge_words = [w for pair in s.gamma0_pairs for w in pair[:1]]
-        elif isinstance(s, HnnStructure):
-            self.rule = "hnn"
-            edge_words = [w for w, _ in s.pairings]
-        else:
-            raise PreconditionError("bending needs an amalgam or HNN structure")
+        words = edge_words(s)
+        self.rule = "amalgam" if isinstance(s, AmalgamStructure) else "hnn"
         phi = Homomorphism(self.presentation.generators, self.presentation.group)
         exact_y = all(is_exact_scalar(x) for row in self.Y for x in row)
-        for w in edge_words:
+        Ym = mat_from_rows(self.Y) if exact_y else None
+        for w in words:
             g = evaluate(w, phi)
             if exact_y and g.is_exact:
-                lhs = mat_mul(g.matrix, mat_from_rows(self.Y))
-                rhs = mat_mul(mat_from_rows(self.Y), g.matrix)
-                if not all(
-                    all(a == b for a, b in zip(ra, rb)) for ra, rb in zip(lhs, rhs)
-                ):
+                if not mat_eq(mat_mul(g.matrix, Ym), mat_mul(Ym, g.matrix)):
                     raise PreconditionError(
                         "Y does not centralize the edge subgroup image of "
                         f"{w.format(self.presentation.symbols)}"
@@ -431,30 +417,39 @@ class ModuleDecompositionVerdict:
         )
 
 
+def _closure(vectors, span, bracket):
+    """Basis of the bracket closure of ``vectors``, grown in ``span``,
+    which needs only ``add(v) -> bool`` (True iff the span grew).
+
+    The basis holds the vectors that enlarge the span, then the brackets
+    that do.  A worklist brackets each new basis vector once with each
+    one before it, so every pair is bracketed exactly once.
+    """
+    basis = [v for v in vectors if span.add(v)]
+    k = 1
+    while k < len(basis):
+        for j in range(k):
+            br = bracket(basis[j], basis[k])
+            if span.add(br):
+                basis.append(br)
+        k += 1
+    return basis
+
+
 def bracket_closure_exact(vectors):
     """Span basis of the bracket closure of exact d x d matrices.
 
-    The basis holds the inputs that enlarge the span, then the iterated
-    brackets that do, each scaled as ``exact.primitive`` scales it: a
-    rational one becomes a matrix of coprime ints.  A worklist brackets
-    each new basis vector once with each one before it, so every pair is
-    bracketed exactly once.
+    The ``_closure`` basis on an ``EchelonSpan``, each matrix scaled as
+    ``exact.primitive`` scales it: a rational one becomes a matrix of
+    coprime ints.
     """
     mats = [mat_from_rows(m) for m in vectors]
     if not mats:
         return []
     d = len(mats[0])
-    span = EchelonSpan()
-    basis = [v for v in _span_vectors(mats) if span.add(v)]
-    sparse = [_sparse(v, d) for v in basis]
-    k = 1
-    while k < len(basis):
-        for j in range(k):
-            br = _bracket_vector(sparse[j], sparse[k], d)
-            if span.add(br):
-                basis.append(br)
-                sparse.append(_sparse(br, d))
-        k += 1
+    sparse = functools.cache(lambda v: _sparse(v, d))
+    basis = _closure(_span_vectors(mats), EchelonSpan(),
+                     lambda a, b: _bracket_vector(sparse(a), sparse(b), d))
     return [tuple(v[i * d:(i + 1) * d] for i in range(d)) for v in basis]
 
 
@@ -493,66 +488,62 @@ def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
     )
 
 
-def _orthonormal_add(Q, v, tol):
-    """Gram-Schmidt step: append v's residual against the orthonormal
-    rows Q, normalised, when its norm exceeds tol * |v|.  True iff the
-    span grew.  A norm that overflows is a NumericalError."""
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm):
-        raise NumericalError("the density witness overflows in float arithmetic")
-    if norm == 0:
-        return False
-    r = v
-    if Q:
-        B = np.array(Q)
-        for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            r = r - B.T @ (B @ r)
-    rnorm = np.linalg.norm(r)
-    if rnorm <= tol * norm:
-        return False
-    Q.append(r / rnorm)
-    return True
+class _FloatSpan:
+    """The span of float matrices inside a space of dimension ``dim``,
+    kept as orthonormal flat rows."""
+
+    def __init__(self, tol, dim):
+        self.tol = tol
+        self.dim = dim
+        self.rows = []
+
+    def add(self, M) -> bool:
+        """Gram-Schmidt step: append M's residual against the rows,
+        normalised, when its norm exceeds tol * |M|.  True iff the span
+        grew.  A full span does not grow: a residual against it is
+        rounding.  A norm that overflows is a NumericalError."""
+        v = M.reshape(-1)
+        norm = np.linalg.norm(v)
+        if not np.isfinite(norm):
+            raise NumericalError("the density witness overflows in float arithmetic")
+        if norm == 0 or len(self.rows) == self.dim:
+            return False
+        r = v
+        if self.rows:
+            B = np.array(self.rows)
+            for _ in range(2):  # a second pass restores orthogonality lost to rounding
+                r = r - B.T @ (B @ r)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= self.tol * norm:
+            return False
+        self.rows.append(r / rnorm)
+        return True
 
 
-@np.errstate(all="ignore")  # an overflow is caught by _orthonormal_add
-def zariski_density_witness(Y, t: float, m: int, tol: float = 1e-9) -> bool:
-    """Density certificate for the group generated by SO(m,1)-degree
-    subgroups and the conjugate by exp(t*Y).
+@np.errstate(all="ignore")  # an overflow is caught by _FloatSpan.add
+def zariski_density_witness(Y, t: float, sub, tol: float = 1e-9) -> bool:
+    """Density certificate for the group generated by the subgroup of
+    the fixed subalgebra ``sub`` and its conjugate by exp(t*Y).
 
-    True iff (a) Ad(exp(t*Y)) moves the fixed subalgebra off itself and
-    (b) the union of the subalgebra and its image bracket-generates
-    so(m,2).  False at t = 0 and for Y inside the subalgebra (Ad then
-    normalizes it).  Spans are kept as orthonormal bases, so testing a
-    candidate bracket costs one projection, not a fresh rank.
+    ``sub`` is a ``LieBasis``; an int m stands for the standard so(m,1)
+    inside so(m,2).  True iff the subalgebra and its Ad(exp(t*Y)) image
+    bracket-generate so(J) of the subalgebra's form.  False at t = 0 and
+    for Y inside the subalgebra: Ad then normalizes it, and a subalgebra
+    is its own closure.  The ``_closure`` span is kept as an orthonormal
+    basis, so testing a candidate bracket costs one projection, not a
+    fresh rank.
     """
-    space = standard_so_form(m, 2)
-    sub = so_subalgebra_basis(space, space.dim - 1)
+    if isinstance(sub, int):
+        space = standard_so_form(sub, 2)
+        sub = so_subalgebra_basis(space, space.dim - 1)
     C = matrix_exp(Y, t)
     Cinv = matrix_exp(Y, -t)
-    h_float = [to_float_array(H) for H in sub.matrices]
-    moved = [C @ H @ Cinv for H in h_float]
-    Q = []
-    for H in h_float:
-        _orthonormal_add(Q, H.reshape(-1), tol)
-    base_rank = len(Q)
-    for M in moved:
-        _orthonormal_add(Q, M.reshape(-1), tol)
-    if len(Q) == base_rank:
-        return False
-    target = (m + 2) * (m + 1) // 2
-    basis = h_float + moved
-    changed = True
-    while changed and len(Q) < target:
-        changed = False
-        new = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                br = basis[i] @ basis[j] - basis[j] @ basis[i]
-                if _orthonormal_add(Q, br.reshape(-1), tol):
-                    new.append(br)
-                    changed = True
-        basis.extend(new)
-    return len(Q) >= target
+    h = [to_float_array(H) for H in sub.matrices]
+    d = sub.space.dim
+    span = _FloatSpan(tol, d * (d - 1) // 2)  # the span lies in so(J)
+    basis = _closure(h + [C @ H @ Cinv for H in h], span,
+                     lambda A, B: A @ B - B @ A)
+    return len(basis) == span.dim
 
 
 # ---------------------------------------------------------------------------

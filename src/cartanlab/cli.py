@@ -23,6 +23,7 @@ from .bending import (
     BendingFamily,
     bend,
     centralizer_in_algebra,
+    edge_words,
     module_decomposition_check,
     pick_Y,
     so_form_algebra,
@@ -49,7 +50,7 @@ from .serialize import (
 )
 from .stability import ConeModel, mu_cone, properness_margin, stability_scans
 from .transverse import RankOneModel, decompose, displacement, orbit_data
-from .wordgroups import HnnStructure, AmalgamStructure, evaluate, inclusion, word_ball
+from .wordgroups import evaluate, inclusion, word_ball
 
 
 def _fmt(x) -> str:
@@ -247,19 +248,12 @@ def _bending_family(pres, group, bending_block):
     if "Y" in bending_block:
         Y = bending_block["Y"]
     else:
-        s = pres.structure
-        if isinstance(s, AmalgamStructure):
-            edge = [evaluate(w1, inclusion(pres)) for w1, _ in s.gamma0_pairs]
-        elif isinstance(s, HnnStructure):
-            edge = [evaluate(w1, inclusion(pres)) for w1, _ in s.pairings]
-        else:
-            raise PreconditionError("bending needs an amalgam or HNN structure")
+        phi = inclusion(pres)
+        edge = [evaluate(w, phi) for w in edge_words(pres.structure)]
         if not all(g.is_exact for g in edge):  # the centralizer is solved exactly
             raise PreconditionError("the edge group has float entries: give the "
                                     "bending direction Y in the bending block")
-        ambient = so_form_algebra(space)
-        cent = centralizer_in_algebra(edge, ambient) if edge else ambient
-        Y = pick_Y(cent, sub)
+        Y = pick_Y(centralizer_in_algebra(edge, so_form_algebra(space)), sub)
     ts = [float(t) for t in bending_block.get("t", [0.0])]
     return BendingFamily(pres, Y, subalgebra=sub), ts, space.dim - 2
 
@@ -281,7 +275,8 @@ def cmd_bend(args) -> int:
             for i in range(mat.shape[0]):
                 for j in range(mat.shape[1]):
                     rows.append([t, sym, i, j, float(mat[i, j])])
-        witnesses[str(t)] = bool(zariski_density_witness(family.Y, t, m))
+        witnesses[str(t)] = bool(
+            zariski_density_witness(family.Y, t, family.subalgebra))
     _write_csv(args.output, header, rows)
     verdict = module_decomposition_check(m)
     _write_sidecar(args.output, {

@@ -72,6 +72,10 @@ class RankOneModel:
     form: tuple = ()
     p: int | None = None
     base_point: np.ndarray | None = None
+    coeffs: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.coeffs = np.array([float(c) for c in self.form])  # built once
 
     @staticmethod
     def hyperboloid(form) -> "RankOneModel":
@@ -106,8 +110,7 @@ class RankOneModel:
         raise UnsupportedFieldError("tree model has no matrix action on points")
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
-        coeffs = np.array([float(c) for c in self.form])
-        return float(np.sum(coeffs * x * y))
+        return float(np.sum(self.coeffs * x * y))
 
     def check_on_model(self, x: np.ndarray, tol=1e-8):
         if abs(self.pairing(x, x) + 1.0) > tol or x[-1] <= 0:
@@ -289,11 +292,10 @@ def decompose(
         base_offset = model.point_distance(model.base_point, x0p)
         end = model.matrix_action(ginv) @ x0p
         total = model.point_distance(x0p, end)
-        coeffs = np.array([float(c) for c in model.form])
 
         def snap(s):
             target = model.geodesic_point(x0p, end, s)
-            brackets = -(orbit.points * coeffs * target).sum(axis=1)
+            brackets = -(orbit.points * model.coeffs * target).sum(axis=1)
             j = int(np.argmin(np.maximum(brackets, 1.0)))
             return j, math.acosh(max(float(brackets[j]), 1.0))
     n = int(total // R)

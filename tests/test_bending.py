@@ -34,6 +34,8 @@ from cartanlab import (
 )
 from cartanlab.bending import (
     LieBasis,
+    _closure,
+    _FloatSpan,
     bracket,
     bracket_closure_exact,
     matrix_exp,
@@ -413,3 +415,79 @@ def test_bracket_closure_of_nothing_and_of_zero():
     assert bracket_closure_exact([]) == []
     zero = ((F(0), F(0)), (F(0), F(0)))
     assert bracket_closure_exact([zero]) == []
+
+
+def _restart_loop_witness(Y, t, m, tol=1e-9):
+    """Oracle for the float witness: Gram-Schmidt against the orthonormal
+    rows kept so far, False when Ad(exp(t*Y)) adds nothing to so(m,1),
+    else a restart loop that brackets every pair of the growing basis
+    (the inputs and every bracket that enlarged the span) each round
+    until a round adds nothing or the span is all of so(m,2).  Returns
+    the final span dimension and the verdict.
+
+    Unlike the loop it models, it keeps no row past dim so(m,2): the rest
+    of a round could add one, and such a row is rounding (at m = 3,
+    t = 1e-3 the loop held 11 rows in the 10-dimensional so(3,2))."""
+    space = standard_so_form(m, 2)
+    sub = so_subalgebra_basis(space, space.dim - 1)
+    C, Cinv = matrix_exp(Y, t), matrix_exp(Y, -t)
+    h = [np.array([[float(x) for x in row] for row in H]) for H in sub]
+    target = (m + 2) * (m + 1) // 2
+    Q = []
+
+    def add(M):
+        v = M.reshape(-1)
+        norm = np.linalg.norm(v)
+        if norm == 0 or len(Q) == target:
+            return False
+        r = v
+        for _ in range(2 if Q else 0):
+            r = r - np.array(Q).T @ (np.array(Q) @ r)
+        if np.linalg.norm(r) <= tol * norm:
+            return False
+        Q.append(r / np.linalg.norm(r))
+        return True
+
+    for H in h:
+        add(H)
+    base_rank = len(Q)
+    moved = [C @ H @ Cinv for H in h]
+    for M in moved:
+        add(M)
+    if len(Q) == base_rank:
+        return len(Q), False
+    basis = h + moved
+    changed = True
+    while changed and len(Q) < target:
+        changed = False
+        new = []
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                br = basis[i] @ basis[j] - basis[j] @ basis[i]
+                if add(br):
+                    new.append(br)
+                    changed = True
+        basis.extend(new)
+    return len(Q), len(Q) >= target
+
+
+@given(m=st.sampled_from([2, 3]), t=st.sampled_from([1e-3, 0.1, 1.0]),
+       data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_density_witness_matches_restart_loop_oracle(m, t, data):
+    space = standard_so_form(m, 2)
+    ambient = so_form_algebra(space).matrices
+    coeffs = data.draw(st.lists(_small, min_size=len(ambient),
+                                max_size=len(ambient)))
+    d = space.dim
+    Y = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, ambient))
+                    for j in range(d)) for i in range(d))
+    want_dim, want = _restart_loop_witness(Y, t, m)
+    sub = so_subalgebra_basis(space, d - 1)
+    C, Cinv = matrix_exp(Y, t), matrix_exp(Y, -t)
+    h = [np.array([[float(x) for x in row] for row in H]) for H in sub]
+    got = _closure(h + [C @ H @ Cinv for H in h],
+                   _FloatSpan(1e-9, len(ambient)), lambda A, B: A @ B - B @ A)
+    assert len(got) == want_dim
+    assert zariski_density_witness(Y, t, m) == want
+    assert zariski_density_witness(Y, t, sub) == want

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,61 @@ def test_cmd_bend_and_witnesses(tmp_path, so22_bending_file):
     sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
     assert sidecar["witnesses"] == {"0.0": False, "0.1": True}
     assert sidecar["module_decomposition_ok"] is True
+
+
+def _so22_amalgam_file(tmp_path, sides, gamma0, bending):
+    """An SO(2,2) amalgam document; ``sides`` holds the generators of each
+    side as {symbol: matrix}."""
+    path = tmp_path / "amalgam.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "real"},
+        "group": {"family": "SO", "p": 2, "q": 2},
+        "generators": {k: matrix_to_json(g) for side in sides
+                       for k, g in side.items()},
+        "structure": {"type": "amalgam", "side1": list(sides[0]),
+                      "side2": list(sides[1]), "gamma0": gamma0},
+        "bending": bending,
+    }))
+    return path
+
+
+def test_cmd_bend_witness_uses_the_fixed_coordinate(tmp_path):
+    # the witness used to test the standard so(2,1) fixing the last
+    # coordinate, which the rotation in coordinates (0, 1) normalizes, and
+    # reported false although the document fixes coordinate 0
+    P = schottky_so22_presentation()
+    rotation = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    path = _so22_amalgam_file(
+        tmp_path, ({"a": P.generators[0].matrix}, {"b": P.generators[1].matrix}),
+        [], {"Y": matrix_to_json(rotation), "t": [0.0, 0.5],
+             "fixed_coordinate": 0})
+    out = tmp_path / "bend.csv"
+    assert main(["bend", "--input", str(path), "--output", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
+    assert sidecar["witnesses"] == {"0.0": False, "0.5": True}
+
+
+def test_cmd_bend_auto_picked_Y(tmp_path):
+    # an exact amalgam over the SO(1,1) block h of coordinates (1, 2):
+    # the centralizer of h is spanned by h's own boost and the boost of
+    # coordinates (0, 3), and the auto-pick takes the one outside so(2,1)
+    P = schottky_so22_presentation()
+    h = [[1, 0, 0, 0], [0, F(5, 4), F(3, 4), 0], [0, F(3, 4), F(5, 4), 0],
+         [0, 0, 0, 1]]
+    sides = ({"a": P.generators[0].matrix, "c": h},
+             {"b": P.generators[1].matrix, "d": h})
+    # the auto-picked Y, written out as the centralizer solve first gave it
+    Y = [[0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0]]
+    outputs = []
+    for extra in ({}, {"Y": matrix_to_json(Y)}):
+        path = _so22_amalgam_file(tmp_path, sides, [["c", "d"]],
+                                  {"t": [0.0, 0.3], **extra})
+        out = tmp_path / "bend.csv"
+        assert main(["bend", "--input", str(path), "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(),
+                        (tmp_path / "bend.csv.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["witnesses"] == {"0.0": False, "0.3": True}
 
 
 def test_cmd_stability_identity(tmp_path, so22_bending_file):

@@ -1,8 +1,10 @@
 """Static hygiene of the package: no unused import, no private top-level
-function that nothing references and no relative import inside a
-function, checked with ``ast``."""
+function that nothing references, no top-level function or class that
+nothing in src, tests or demos references, and no relative import
+inside a function, checked with ``ast``."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,29 @@ def test_no_relative_imports_inside_functions(path):
               for node in ast.walk(fn)
               if isinstance(node, ast.ImportFrom) and node.level]
     assert not nested, f"{path.name}: relative imports inside functions {nested}"
+
+
+@functools.cache
+def _references():
+    """Names read, read as an attribute or imported anywhere in src,
+    tests or demos (an import in ``__init__`` is an export)."""
+    root = PACKAGE.parents[1]
+    names = set()
+    for path in (p for d in ("src", "tests", "demos")
+                 for p in (root / d).rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_definition_is_referenced(path):
+    dead = [node.name for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in _references()]
+    assert not dead, f"{path.name}: unreferenced definitions {dead}"
