@@ -15,11 +15,11 @@ vector of its entries, and a bracket is an integer product over the
 nonzero entries only.  ``bracket`` keeps its values on Fraction
 matrices.
 
-One worklist, ``_closure``, computes every bracket closure: each new
-basis vector is bracketed once with each one before it, so every pair
-is bracketed exactly once.  The exact closure runs it on an
-``EchelonSpan`` of primitive integer vectors, the float density witness
-on a Gram-Schmidt span of float matrices.
+One worklist, ``_closure``, computes every bracket closure: it starts
+from a closed subalgebra and never re-brackets it, then brackets each new
+basis vector once with each one before it.  The exact closure and the
+module check run it on an ``EchelonSpan`` of primitive integer vectors,
+the float density witness on a Gram-Schmidt span of float matrices.
 
 Bending deforms an amalgam by conjugating one side by exp(t*Y), or an
 HNN extension by right-multiplying the stable letter by exp(t*Y), where
@@ -114,15 +114,9 @@ def _span_vectors(matrices):
     return [primitive(_flatten(M)) for M in matrices]
 
 
-def _sparse(v, d):
-    """A flat d x d matrix as the nonzero entries (k, x) of each row."""
-    return [[(k, x) for k, x in enumerate(v[i * d:(i + 1) * d]) if x]
-            for i in range(d)]
-
-
 def _bracket_vector(a, b, d):
-    """The span vector of A B - B A for two ``_sparse`` d x d matrices:
-    a product over their nonzero entries only."""
+    """The span vector of A B - B A for two d x d matrices given as the
+    nonzero entries (k, x) of each row: a product over those only."""
     out = [0] * (d * d)
     for i, row in enumerate(a):
         for k, x in row:
@@ -169,11 +163,10 @@ class LieBasis:
         span = EchelonSpan()
         if not all(span.add(v) for v in vectors):
             raise PreconditionError("basis matrices are linearly dependent")
-        sparse = [_sparse(v, d) for v in vectors]
-        for i, A in enumerate(sparse):
-            for B in sparse[i + 1:]:
-                if not span.contains(_bracket_vector(A, B, d)):
-                    raise PreconditionError("span is not closed under brackets")
+        br = _span_bracket(d)
+        if not all(span.contains(br(a, b))
+                   for i, a in enumerate(vectors) for b in vectors[i + 1:]):
+            raise PreconditionError("span is not closed under brackets")
 
     def __len__(self):
         return len(self.matrices)
@@ -417,16 +410,14 @@ class ModuleDecompositionVerdict:
         )
 
 
-def _closure(vectors, span, bracket):
-    """Basis of the bracket closure of ``vectors``, grown in ``span``,
-    which needs only ``add(v) -> bool`` (True iff the span grew).
-
-    The basis holds the vectors that enlarge the span, then the brackets
-    that do.  A worklist brackets each new basis vector once with each
-    one before it, so every pair is bracketed exactly once.
-    """
-    basis = [v for v in vectors if span.add(v)]
-    k = 1
+def _closure(closed, vectors, span, bracket):
+    """Basis of the bracket closure of a subalgebra basis ``closed`` (may
+    be empty) and ``vectors``, grown in ``span`` (it needs only ``add(v)
+    -> bool``, True iff the span grew).  A worklist brackets each basis
+    vector past ``closed`` once with each one before it."""
+    basis = [v for v in closed if span.add(v)]
+    k = max(len(basis), 1)
+    basis += [v for v in vectors if span.add(v)]
     while k < len(basis):
         for j in range(k):
             br = bracket(basis[j], basis[k])
@@ -434,6 +425,15 @@ def _closure(vectors, span, bracket):
                 basis.append(br)
         k += 1
     return basis
+
+
+def _span_bracket(d):
+    """``_bracket_vector`` of flat d x d span vectors, with the nonzero
+    entries of each vector found once."""
+    sparse = functools.cache(
+        lambda v: [[(k, x) for k, x in enumerate(v[i * d:(i + 1) * d]) if x]
+                   for i in range(d)])
+    return lambda a, b: _bracket_vector(sparse(a), sparse(b), d)
 
 
 def bracket_closure_exact(vectors):
@@ -447,41 +447,42 @@ def bracket_closure_exact(vectors):
     if not mats:
         return []
     d = len(mats[0])
-    sparse = functools.cache(lambda v: _sparse(v, d))
-    basis = _closure(_span_vectors(mats), EchelonSpan(),
-                     lambda a, b: _bracket_vector(sparse(a), sparse(b), d))
+    basis = _closure([], _span_vectors(mats), EchelonSpan(), _span_bracket(d))
     return [tuple(v[i * d:(i + 1) * d] for i in range(d)) for v in basis]
 
 
-def module_decomposition_check(m: int) -> ModuleDecompositionVerdict:
-    """Checks on the complement of so(m,1) inside so(m,2).
+def _standard_subalgebra(sub):
+    """``sub``, or for an int m the standard so(m,1) inside so(m,2)."""
+    if isinstance(sub, int):
+        space = standard_so_form(sub, 2)
+        sub = so_subalgebra_basis(space, space.dim - 1)
+    return sub
 
-    Exact arithmetic over Q with the standard split form: the
-    Frobenius-orthogonal complement has dimension m+1, is invariant
-    under brackets with the subalgebra, and adjoining any one of its
-    basis vectors to so(m,1) bracket-generates all of so(m,2).
+
+def module_decomposition_check(sub) -> ModuleDecompositionVerdict:
+    """Exact checks on the complement of the fixed subalgebra ``sub`` (a
+    ``LieBasis``; an int m stands for the standard so(m,1) in so(m,2))
+    in so(J) of its form: the so(J) basis vectors Frobenius-orthogonal
+    to ``sub`` fill so(J) up, span a module under brackets with ``sub``,
+    and each one adjoined to ``sub`` bracket-generates so(J).
     """
-    if m < 2:
-        raise PreconditionError("m must be >= 2")
-    space = standard_so_form(m, 2)
-    d = space.dim
-    ambient = so_form_algebra(space)
-    sub = so_subalgebra_basis(space, d - 1)
+    sub = _standard_subalgebra(sub)
+    d = sub.space.dim
+    if d < 4:
+        raise PreconditionError("m must be >= 2")  # m = d - 2, as bend reports it
     # Frobenius products and brackets, up to scale, on the span vectors
     sub_vectors = _span_vectors(sub.matrices)
-    # ambient basis splits cleanly: keep the vectors orthogonal to the sub
     complement = [
-        X for X, v in zip(ambient.matrices, _span_vectors(ambient.matrices))
+        v for v in _span_vectors(so_form_algebra(sub.space).matrices)
         if not any(_dot(v, h) for h in sub_vectors)
     ]
-    sub_sparse = [_sparse(h, d) for h in sub_vectors]
-    brackets = [_bracket_vector(H, _sparse(w, d), d)
-                for w in _span_vectors(complement) for H in sub_sparse]
-    module_ok = not any(_dot(br, h) for br in brackets for h in sub_vectors)
-    dim_ambient = len(ambient)
+    br = _span_bracket(d)
+    brackets = [br(h, w) for w in complement for h in sub_vectors]
+    module_ok = not any(_dot(b, h) for b in brackets for h in sub_vectors)
+    dim_ambient = d * (d - 1) // 2
     closures_ok = all(
-        len(bracket_closure_exact(sub.matrices + (W,))) == dim_ambient
-        for W in complement
+        len(_closure(sub_vectors, [w], EchelonSpan(), br)) == dim_ambient
+        for w in complement
     )
     return ModuleDecompositionVerdict(
         len(sub), len(complement), dim_ambient, module_ok, closures_ok
@@ -533,15 +534,13 @@ def zariski_density_witness(Y, t: float, sub, tol: float = 1e-9) -> bool:
     basis, so testing a candidate bracket costs one projection, not a
     fresh rank.
     """
-    if isinstance(sub, int):
-        space = standard_so_form(sub, 2)
-        sub = so_subalgebra_basis(space, space.dim - 1)
+    sub = _standard_subalgebra(sub)
     C = matrix_exp(Y, t)
     Cinv = matrix_exp(Y, -t)
     h = [to_float_array(H) for H in sub.matrices]
     d = sub.space.dim
     span = _FloatSpan(tol, d * (d - 1) // 2)  # the span lies in so(J)
-    basis = _closure(h + [C @ H @ Cinv for H in h], span,
+    basis = _closure(h, [C @ H @ Cinv for H in h], span,
                      lambda A, B: A @ B - B @ A)
     return len(basis) == span.dim
 

@@ -263,6 +263,9 @@ def cmd_bend(args) -> int:
         read_json(args.input)
     )
     family, ts, m = _bending_family(pres, group, bending_block)
+    # before any output: an so(J) too small for the check exits 2 and
+    # writes nothing
+    verdict = module_decomposition_check(family.subalgebra)
     if args.t:
         ts = [float(x) for x in args.t.split(",")]
     header = ["t", "generator", "row", "col", "value"]
@@ -278,7 +281,6 @@ def cmd_bend(args) -> int:
         witnesses[str(t)] = bool(
             zariski_density_witness(family.Y, t, family.subalgebra))
     _write_csv(args.output, header, rows)
-    verdict = module_decomposition_check(m)
     _write_sidecar(args.output, {
         "witnesses": witnesses,
         "module_decomposition_ok": verdict.ok,

@@ -223,34 +223,46 @@ def proj_distance(x1: ProjPoint, x2: ProjPoint):
     v = np.asarray(x1.vec)
     w = np.asarray(x2.vec)
     if x1.field.kind == "complex" or np.iscomplexobj(v) or np.iscomplexobj(w):
-        return _complex_phase_min(v.astype(complex), w.astype(complex))
+        return float(_complex_phase_min(v.astype(complex)[None], w.astype(complex))[0])
     return float(min(np.abs(v - w).max(), np.abs(v + w).max()))
 
 
-def _complex_phase_min(v, w, coarse=720, refine_iters=80):
-    def f(theta):
-        return float(np.abs(v - np.exp(1j * theta) * w).max())
-
+def _complex_phase_min(V, x, coarse=720, refine_iters=80):
+    """min over the phase theta of max|v - e^(i theta) x|, for every row
+    v of V: a scan of ``coarse`` phases, then ``refine_iters``
+    golden-section steps around the best one.  Each phase and each step
+    is one numpy pass over all the rows, held as the columns of V.T."""
+    VT = np.ascontiguousarray(V.T)
     thetas = np.linspace(0.0, 2 * math.pi, coarse, endpoint=False)
-    vals = [f(t) for t in thetas]
-    k = int(np.argmin(vals))
-    lo = thetas[k] - 2 * math.pi / coarse
-    hi = thetas[k] + 2 * math.pi / coarse
+    turned = np.exp(1j * thetas)[:, None, None] * x[:, None]
+    best = np.full(len(V), np.inf)
+    k = np.zeros(len(V), dtype=int)
+    for j in range(coarse):
+        f = np.abs(VT - turned[j]).max(axis=0)
+        lower = f < best  # strict, so the first of equal minima stays
+        np.copyto(best, f, where=lower)
+        np.copyto(k, j, where=lower)
     gr = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a = thetas[k] - 2 * math.pi / coarse
+    b = thetas[k] + 2 * math.pi / coarse
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = _phase_distance(VT, x, c), _phase_distance(VT, x, d)
     for _ in range(refine_iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    return min(vals[k], fc, fd)
+        left = fc < fd  # keep [a, d] and probe c, else [c, b] and probe d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fp = _phase_distance(VT, x, probe)
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fp, fd), np.where(left, fc, fp))
+    return np.minimum(np.minimum(best, fc), fd)
+
+
+def _phase_distance(VT, x, theta):
+    """max|v - e^(i theta_v) x| for every column v of VT, at its own
+    phase (the phase factor on the left, as in the coarse scan: numpy's
+    complex products can round differently with the operands swapped)."""
+    return np.abs(VT - np.exp(1j * theta) * x[:, None]).max(axis=0)
 
 
 @dataclass
@@ -852,10 +864,16 @@ def _float_contraction_samples(g, pd, eps, field, V):
     W = GX / scale[:, None]
     x = np.asarray(pd.attracting.vec)
     if field.kind == "complex" or np.iscomplexobj(W) or np.iscomplexobj(x):
-        x = x.astype(complex)
-        for i, w in enumerate(W.astype(complex)):
-            if _complex_phase_min(w, x) > eps:
-                return False, i + 1
+        # blocks of 1, 1, 2, 4, ... rows: a failure at row i stops the
+        # check after at most 2i rows
+        W, x = W.astype(complex), x.astype(complex)
+        s = 0
+        while s < len(W):
+            n = max(1, s)
+            bad = np.flatnonzero(_complex_phase_min(W[s:s + n], x) > eps)
+            if bad.size:
+                return False, s + int(bad[0]) + 1
+            s += n
         return True, len(W)
     dist = np.minimum(np.abs(W - x).max(axis=1), np.abs(W + x).max(axis=1))
     bad = np.flatnonzero(dist > eps)

@@ -186,7 +186,7 @@ class Presentation:
             for w1, w2 in s.pairings:
                 lhs = nu @ evaluate(w1, inc) @ nu.inv()
                 rhs = evaluate(w2, inc)
-                if not _elements_close(lhs, rhs):
+                if _deviation(lhs, rhs, 1e-9)[1]:
                     raise PreconditionError(
                         f"HNN pairing fails on {w1.format(self.symbols)}"
                     )
@@ -240,21 +240,18 @@ def evaluate(w: Word, phi: Homomorphism) -> GroupElement:
     return out
 
 
-def _elements_close(a: GroupElement, b: GroupElement, tol=1e-9) -> bool:
+def _deviation(a: GroupElement, b: GroupElement, tol) -> tuple:
+    """(max entry deviation, whether the pair fails): exact elements fail
+    unless equal, float ones unless the deviation is <= tol (so a NaN
+    fails)."""
     if a.is_exact and b.is_exact:
-        return a == b
+        if a == b:
+            return 0.0, False
+        return max(abs(float(x - y)) for ra, rb in zip(a.matrix, b.matrix)
+                   for x, y in zip(ra, rb)), True
     fa, fb = to_float_array(a), to_float_array(b)
-    return bool(np.abs(fa - fb).max() <= tol)
-
-
-def _max_deviation(a: GroupElement, b: GroupElement) -> float:
-    if a.is_exact and b.is_exact:
-        return 0.0 if a == b else max(
-            abs(float(x - y)) for ra, rb in zip(a.matrix, b.matrix)
-            for x, y in zip(ra, rb)
-        )
-    fa, fb = to_float_array(a), to_float_array(b)
-    return float(np.abs(fa - fb).max())
+    dev = float(np.abs(fa - fb).max())
+    return dev, not dev <= tol
 
 
 @dataclass
@@ -272,9 +269,9 @@ def check_relators(P: Presentation, phi: Homomorphism, tol=1e-9) -> RelatorRepor
 
     def record(name, lhs, rhs):
         nonlocal max_dev
-        dev = _max_deviation(lhs, rhs)
+        dev, failed = _deviation(lhs, rhs, tol)
         max_dev = max(max_dev, dev)
-        if not _elements_close(lhs, rhs, tol):
+        if failed:
             failures.append((name, dev))
 
     for w in P.relators:

@@ -36,6 +36,8 @@ from cartanlab.bending import (
     LieBasis,
     _closure,
     _FloatSpan,
+    _span_bracket,
+    _span_vectors,
     bracket,
     bracket_closure_exact,
     matrix_exp,
@@ -238,11 +240,35 @@ def test_matrix_exp_refuses_non_finite_t_and_overflow():
 
 def test_module_decomposition():
     for m in (2, 3, 4, 5):
-        v = module_decomposition_check(m)
+        space = standard_so_form(m, 2)
+        # an int m stands for the standard so(m,1) fixing the last coordinate
+        for sub in (m, so_subalgebra_basis(space, space.dim - 1)):
+            v = module_decomposition_check(sub)
+            assert v.ok
+            assert v.dim_complement == m + 1
+            assert v.dim_sub == (m + 1) * m // 2
+            assert v.dim_ambient == (m + 2) * (m + 1) // 2
+    # non-standard diagonal forms, one over Q(sqrt 2), fixing coordinate 0:
+    # for d >= 4 the complement is the irreducible standard module of the
+    # subalgebra
+    for coeffs in ((F(1), F(2), F(-1), F(-3)),
+                   (F(1), F(1), -QuadElement(0, 1, 2), F(-1))):
+        v = module_decomposition_check(so_subalgebra_basis(QuadFormSpace(coeffs), 0))
+        assert (v.dim_sub, v.dim_complement, v.dim_ambient) == (3, 3, 6)
         assert v.ok
-        assert v.dim_complement == m + 1
-        assert v.dim_sub == (m + 1) * m // 2
-        assert v.dim_ambient == (m + 2) * (m + 1) // 2
+    with pytest.raises(PreconditionError, match="m must be >= 2"):
+        module_decomposition_check(1)
+
+
+def test_module_decomposition_refuses_a_non_maximal_subalgebra():
+    # the rotation of coordinates (0, 1) alone: the boost of coordinates
+    # (2, 3) commutes with it, so adjoining that complement vector
+    # generates only a plane
+    space = standard_so_form(2, 2)
+    rotation = so_form_algebra(space).matrices[0]
+    v = module_decomposition_check(LieBasis([rotation], space))
+    assert (v.dim_sub, v.dim_complement, v.dim_ambient) == (1, 5, 6)
+    assert not v.closures_ok and not v.ok
 
 
 def test_zariski_witness():
@@ -378,6 +404,24 @@ def test_bracket_closure_matches_restart_loop_oracle(mats):
     _check_closure_against_oracle(mats)
 
 
+@given(m=st.sampled_from([2, 3]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_closure_from_a_subalgebra_matches_the_full_closure(m, data):
+    # _closure never brackets two vectors of the closed subalgebra it
+    # starts from; the closure must still be the full one
+    space = standard_so_form(m, 2)
+    d = space.dim
+    ambient = so_form_algebra(space).matrices
+    coeffs = data.draw(st.lists(_small, min_size=len(ambient),
+                                max_size=len(ambient)))
+    W = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, ambient))
+                    for j in range(d)) for i in range(d))
+    sub = so_subalgebra_basis(space, data.draw(st.integers(0, d - 1)))
+    got = _closure(_span_vectors(sub.matrices), _span_vectors([W]),
+                   ex.EchelonSpan(), _span_bracket(d))
+    assert len(got) == len(bracket_closure_exact(sub.matrices + (W,)))
+
+
 # a diagonal form with non-integer rational coefficients
 _FORM = QuadFormSpace((F(1, 2), F(3), F(-2, 5)))
 
@@ -486,7 +530,7 @@ def test_density_witness_matches_restart_loop_oracle(m, t, data):
     sub = so_subalgebra_basis(space, d - 1)
     C, Cinv = matrix_exp(Y, t), matrix_exp(Y, -t)
     h = [np.array([[float(x) for x in row] for row in H]) for H in sub]
-    got = _closure(h + [C @ H @ Cinv for H in h],
+    got = _closure(h, [C @ H @ Cinv for H in h],
                    _FloatSpan(1e-9, len(ambient)), lambda A, B: A @ B - B @ A)
     assert len(got) == want_dim
     assert zariski_density_witness(Y, t, m) == want

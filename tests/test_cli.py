@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanlab import cli, stability, transverse, wordgroups
+from cartanlab.bending import LieBasis
 from cartanlab.cli import main
 from cartanlab.serialize import (load_presentation_document, matrix_to_json,
                                  scalar_from_str)
@@ -206,20 +207,65 @@ def _so22_amalgam_file(tmp_path, sides, gamma0, bending):
     return path
 
 
+def _fixed_coordinate_0_file(tmp_path):
+    """An SO(2,2) amalgam bent along the rotation of coordinates (0, 1),
+    fixing coordinate 0."""
+    P = schottky_so22_presentation()
+    rotation = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    return _so22_amalgam_file(
+        tmp_path, ({"a": P.generators[0].matrix}, {"b": P.generators[1].matrix}),
+        [], {"Y": matrix_to_json(rotation), "t": [0.0, 0.5],
+             "fixed_coordinate": 0})
+
+
 def test_cmd_bend_witness_uses_the_fixed_coordinate(tmp_path):
     # the witness used to test the standard so(2,1) fixing the last
     # coordinate, which the rotation in coordinates (0, 1) normalizes, and
     # reported false although the document fixes coordinate 0
-    P = schottky_so22_presentation()
-    rotation = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    path = _so22_amalgam_file(
-        tmp_path, ({"a": P.generators[0].matrix}, {"b": P.generators[1].matrix}),
-        [], {"Y": matrix_to_json(rotation), "t": [0.0, 0.5],
-             "fixed_coordinate": 0})
+    path = _fixed_coordinate_0_file(tmp_path)
     out = tmp_path / "bend.csv"
     assert main(["bend", "--input", str(path), "--output", str(out)]) == 0
     sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
     assert sidecar["witnesses"] == {"0.0": False, "0.5": True}
+
+
+def test_cmd_bend_module_check_uses_the_fixed_coordinate(tmp_path, monkeypatch):
+    # the module check used to run on the standard so(m,1) fixing the last
+    # coordinate, whatever the document's form and fixed coordinate
+    seen = []
+    check = cli.module_decomposition_check
+    monkeypatch.setattr(cli, "module_decomposition_check",
+                        lambda sub: seen.append(sub) or check(sub))
+    out = tmp_path / "bend.csv"
+    path = _fixed_coordinate_0_file(tmp_path)
+    assert main(["bend", "--input", str(path), "--output", str(out)]) == 0
+    (sub,) = seen
+    assert isinstance(sub, LieBasis)
+    assert sub.space.coeffs == (1, 1, -1, -1)  # the SO(2,2) document's form
+    assert len(sub) == 3
+    assert all(X[0][k] == X[k][0] == 0 for X in sub for k in range(4))
+    sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
+    assert sidecar["module_decomposition_ok"] is True
+
+
+def test_cmd_bend_refuses_so_1_2_before_any_output(tmp_path, capsys):
+    # so(1,1) in so(1,2) is below the module check's m >= 2; the CSV used
+    # to be written before the refusal, with no sidecar
+    boost = [["5/4", "3/4", "0"], ["3/4", "5/4", "0"], ["0", "0", "1"]]
+    path = tmp_path / "so12.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "real"}, "group": {"family": "SO", "p": 1, "q": 2},
+        "generators": {"a": boost, "b": boost},
+        "structure": {"type": "amalgam", "side1": ["a"], "side2": ["b"],
+                      "gamma0": []},
+        "bending": {"Y": [[0, 0, 0], [0, 0, 1], [0, -1, 0]], "t": [0.0, 0.5]},
+    }))
+    out = tmp_path / "bend.csv"
+    assert main(["bend", "--input", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+    errors = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1 and "m must be >= 2" in errors[0]
 
 
 def test_cmd_bend_auto_picked_Y(tmp_path):

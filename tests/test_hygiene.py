@@ -1,10 +1,12 @@
 """Static hygiene of the package: no unused import, no private top-level
 function that nothing references, no top-level function or class that
-nothing in src, tests or demos references, and no relative import
-inside a function, checked with ``ast``."""
+nothing in src, tests or demos references, no relative import inside a
+function, and no name wrapped by ``perfbench/tracer.py`` that the
+package lacks, checked with ``ast``."""
 
 import ast
 import functools
+import importlib
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,28 @@ def test_every_top_level_definition_is_referenced(path):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in _references()]
     assert not dead, f"{path.name}: unreferenced definitions {dead}"
+
+
+def _tracer_targets():
+    """The (module, function) keys of ``SPAN_TARGETS`` and ``COUNT_TARGETS``
+    in ``perfbench/tracer.py``, read with ``ast`` (the tracer is not
+    imported)."""
+    tree = _tree(PACKAGE.parents[1] / "perfbench" / "tracer.py")
+    targets = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("SPAN_TARGETS", "COUNT_TARGETS")):
+            targets[node.targets[0].id] = list(ast.literal_eval(node.value))
+    return targets
+
+
+def test_every_traced_name_exists():
+    # the benchmark run looks up every traced name before its timed passes,
+    # even untraced, so a renamed target fails the whole run
+    targets = _tracer_targets()
+    assert set(targets) == {"SPAN_TARGETS", "COUNT_TARGETS"}
+    missing = [f"cartanlab.{module}.{name}"
+               for keys in targets.values() for module, name in keys
+               if not hasattr(importlib.import_module(f"cartanlab.{module}"), name)]
+    assert not missing, f"perfbench/tracer.py wraps missing names {missing}"

@@ -30,7 +30,11 @@ from cartanlab.fields import rational_valuation
 from cartanlab.projective import (
     _aligned_contraction,
     _apply_to_point,
+    _complex_phase_min,
     _coordinate_split,
+    _float_contraction_samples,
+    _hyperplane_pairings,
+    _sample_points,
     eps_proximal_check,
     point_hyperplane_distance,
     root_valuations,
@@ -683,3 +687,69 @@ def test_chi_mu_gap_one_sided():
         for i0 in (1, 2):
             total = sum(weight_pairing(i0, cartan(g)) for g in gs)
             assert weight_pairing(i0, cartan(prod)) <= total + 1e-9
+
+
+# -- the row-batched complex phase minimum against the per-row loop ------------
+
+
+def _per_row_phase_min(v, w, coarse=720, refine_iters=80):
+    """min over theta of max|v - e^(i theta) w| for one row v: the coarse
+    scan and the golden-section refinement, one numpy call per phase."""
+    def f(theta):
+        return float(np.abs(v - np.exp(1j * theta) * w).max())
+
+    thetas = np.linspace(0.0, 2 * math.pi, coarse, endpoint=False)
+    vals = [f(t) for t in thetas]
+    k = int(np.argmin(vals))
+    lo = thetas[k] - 2 * math.pi / coarse
+    hi = thetas[k] + 2 * math.pi / coarse
+    gr = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(refine_iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    return min(vals[k], fc, fd)
+
+
+def _complex_proximal(seed):
+    """A seeded complex P diag(1, z_2, ...) P^-1 with 1e-3 < |z_i| < 0.1:
+    on 20 sample rows seeds 0-5 give passes and failures at the first
+    and at later rows."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = 10.0 ** -rng.uniform(1, 3, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+    z[0] = 1.0
+    return (P @ np.diag(z) @ np.linalg.inv(P)).tolist()
+
+
+def test_batched_phase_min_matches_the_per_row_loop():
+    for seed in range(6):
+        g = _complex_proximal(seed)
+        pd = proximal_analyze(g, COMPLEX)
+        V = _sample_points(pd.attracting.dim, COMPLEX, 20, seed)
+        GX = V @ np.array(g).T
+        W_all = GX / np.abs(GX).max(axis=1)[:, None]
+        x = np.asarray(pd.attracting.vec).astype(complex)
+        want_all = np.array([_per_row_phase_min(w, x) for w in W_all])
+        _, lower = _hyperplane_pairings(V, pd.repelling)
+        for eps in (0.05, 0.1, 0.3):
+            far = ~(lower < eps)
+            W, want = W_all[far], want_all[far]
+            bad = np.flatnonzero(want > eps)
+            verdict = (False, int(bad[0]) + 1) if bad.size else (True, len(W))
+            assert np.array_equal(_complex_phase_min(W, x), want)
+            assert _float_contraction_samples(g, pd, eps, COMPLEX, V) == verdict
+        # proj_distance takes the same path with one row
+        y = ProjPoint(W_all[0], COMPLEX)
+        assert proj_distance(y, pd.attracting) == _per_row_phase_min(
+            np.asarray(y.vec).astype(complex), x)

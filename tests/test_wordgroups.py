@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +30,7 @@ from cartanlab.cartan import indefinite_orthogonal, to_float_array
 from cartanlab.wordgroups import (
     _GRID_BITS,
     FLOAT_DEDUP_TOL,
+    _deviation,
     _FloatIndex,
     conjugate_homomorphism,
     reduce_letters,
@@ -510,6 +512,23 @@ def test_check_relators_conjugation_guard():
     )
     rep2 = check_relators(P2, inclusion(P2))
     assert not rep2.ok and rep2.max_deviation > 0
+
+
+def test_relator_deviation_and_verdict():
+    tol = 1e-9
+    one = GroupElement([[F(1), F(0)], [F(0), F(1)]], SL2R)
+    tiny = F(1, 10 ** 400)  # its float is 0.0, yet the elements differ
+    near = GroupElement([[F(1) + tiny, F(0)], [F(0), F(1) / (1 + tiny)]], SL2R)
+    assert _deviation(one, one, tol) == (0.0, False)
+    assert _deviation(one, near, tol) == (0.0, True)
+    for shift, fails in ((0.0, False), (1e-12, False), (2e-9, True),
+                         (float("nan"), True)):
+        g = GroupElement(np.array([[1.0 + shift, 0.0], [0.0, 1.0]]), SL2R,
+                         check=False)
+        for a, b in ((one, g), (g, one)):
+            dev, failed = _deviation(a, b, tol)
+            assert failed is fails
+            assert dev == abs((1.0 + shift) - 1.0) or math.isnan(shift) and math.isnan(dev)
 
 
 def test_exact_dedup_soundness_audit():
