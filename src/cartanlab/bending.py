@@ -141,11 +141,10 @@ class LieBasis:
     within the span.
     """
 
-    def __init__(self, matrices, space: QuadFormSpace, check: bool = True):
+    def __init__(self, matrices, space: QuadFormSpace):
         self.space = space
         self.matrices = tuple(mat_from_rows(m) for m in matrices)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         # every test is unchanged when a matrix is scaled, so all of them
@@ -195,7 +194,7 @@ def _so_basis(space: QuadFormSpace, skipped=None) -> LieBasis:
             X[i][j] = space.coeffs[j] + zero
             X[j][i] = -(space.coeffs[i] + zero)
             mats.append(tuple(tuple(row) for row in X))
-    return LieBasis(mats, space, check=True)
+    return LieBasis(mats, space)
 
 
 def so_form_algebra(space: QuadFormSpace) -> LieBasis:
@@ -227,7 +226,7 @@ def centralizer_in_algebra(elements, ambient: LieBasis) -> LieBasis:
         v = [sum(c * x for c, x in zip(coeffs, col))
              for col in zip(*map(_flatten, basis))]
         mats.append(tuple(tuple(v[i * d:(i + 1) * d]) for i in range(d)))
-    return LieBasis(mats, ambient.space, check=True)
+    return LieBasis(mats, ambient.space)
 
 
 def pick_Y(centralizer: LieBasis, subalgebra: LieBasis):

@@ -13,6 +13,10 @@ collapses to an exact closed form: for sup-normalized representatives,
 (The 2x2-minor formula provably equals the infimum: ">=" because
 (v - uw) ^ w = v ^ w and the ultrametric bounds each minor by
 ||v - uw||; "<=" by taking u = v_j / w_j at a unit coordinate j of w.)
+``_minors`` is the one place these 2x2 minors are formed: it decides
+whether two vectors are proportional (point equality, exact over Q_p and
+up to 1e-12 over R/C; a hyperplane fixed by a matrix; an image on the
+attracting line) and gives the Q_p distance.
 
 An endomorphism is proximal when a unique simple eigenvalue dominates in
 absolute value; it then contracts P(V) away from a repelling hyperplane
@@ -28,9 +32,12 @@ epsilon thresholds are basis-relative in the same sense.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -42,10 +49,11 @@ from .exact import (
     inverse as exact_inverse,
     mat_from_rows,
     mat_mul,
+    mat_vec,
     nullspace,
     ratio_form,
 )
-from .fields import INF, FieldDesc, int_valuation, rational_valuation
+from .fields import INF, FieldDesc, abs_value, int_valuation, rational_valuation
 
 _EQ_TOL = 1e-12
 _GAP_TOL = 1e-8
@@ -55,22 +63,41 @@ _GAP_TOL = 1e-8
 # points and hyperplanes
 
 
-def _sup_normalize_exact(vec, p):
-    vals = [rational_valuation(x, p) for x in vec if x != 0]
-    if not vals:
-        raise PreconditionError("zero vector")
-    m = min(vals)
-    scale = Fraction(p) ** (-m)
-    return tuple(Fraction(x) * scale for x in vec)
+def _minors(v, w):
+    """The 2x2 minors v_i w_j - v_j w_i (i < j) of two vectors; all are
+    zero iff the vectors are proportional."""
+    return [v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2)]
 
 
-def _sup_normalize_float(vec):
+def _min_valuation(vec, p):
+    """The least p-adic valuation of the entries of an exact vector
+    (+inf for the zero vector)."""
+    return min((rational_valuation(x, p) for x in vec if x != 0), default=INF)
+
+
+def _sup_normalize(vec, field: FieldDesc):
+    """The representative of sup-norm 1: exact over Q_p, float otherwise."""
+    if field.kind == "padic":
+        m = _min_valuation(vec, field.p)
+        if m == INF:
+            raise PreconditionError("zero vector")
+        scale = Fraction(field.p) ** (-m)
+        return tuple(Fraction(x) * scale for x in vec)
     a = np.asarray(vec)
     a = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
     s = np.abs(a).max()
     if s == 0:
         raise PreconditionError("zero vector")
     return a / s
+
+
+def _aligned_axis(vec, field: FieldDesc):
+    """Index j if the vector spans the j-th coordinate line, else None."""
+    if field.kind == "padic":
+        nz = [i for i, x in enumerate(vec) if x != 0]
+    else:
+        nz = [i for i, x in enumerate(vec) if abs(x) > _EQ_TOL]
+    return nz[0] if len(nz) == 1 else None
 
 
 class ProjPoint:
@@ -80,40 +107,29 @@ class ProjPoint:
 
     def __init__(self, vec, field: FieldDesc):
         self.field = field
-        if field.kind == "padic":
-            self.vec = _sup_normalize_exact(vec, field.p)
-        else:
-            self.vec = _sup_normalize_float(vec)
+        self.vec = _sup_normalize(vec, field)
 
     @property
     def dim(self) -> int:
         return len(self.vec)
 
     def __eq__(self, other):
+        """Exact over Q_p; over R/C every minor below 1e-12 in modulus."""
         if not isinstance(other, ProjPoint) or other.field != self.field:
             return NotImplemented
         if self.dim != other.dim:
             return False
+        minors = _minors(self.vec, other.vec)
         if self.field.kind == "padic":
-            return all(
-                self.vec[i] * other.vec[j] == self.vec[j] * other.vec[i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            )
-        v, w = self.vec, other.vec
-        cross = np.abs(np.outer(v, w) - np.outer(w, v).T)
-        return bool(cross.max() < _EQ_TOL)
+            return not any(minors)
+        return bool(max(map(abs, minors), default=0) < _EQ_TOL)
 
     def __hash__(self):  # pragma: no cover - points are not dict keys in hot paths
         return hash(self.dim)
 
     def aligned_axis(self):
         """Index j if the point is the j-th coordinate line, else None."""
-        if self.field.kind == "padic":
-            nz = [i for i, x in enumerate(self.vec) if x != 0]
-        else:
-            nz = [i for i, x in enumerate(self.vec) if abs(x) > _EQ_TOL]
-        return nz[0] if len(nz) == 1 else None
+        return _aligned_axis(self.vec, self.field)
 
     def __repr__(self):
         return f"ProjPoint({list(self.vec)!r})"
@@ -126,10 +142,7 @@ class ProjHyperplane:
 
     def __init__(self, functional, field: FieldDesc):
         self.field = field
-        if field.kind == "padic":
-            self.functional = _sup_normalize_exact(functional, field.p)
-        else:
-            self.functional = _sup_normalize_float(functional)
+        self.functional = _sup_normalize(functional, field)
 
     @property
     def dim(self) -> int:
@@ -150,52 +163,10 @@ class ProjHyperplane:
         return abs(val) < _EQ_TOL
 
     def aligned_axis(self):
-        if self.field.kind == "padic":
-            nz = [i for i, x in enumerate(self.functional) if x != 0]
-        else:
-            nz = [i for i, x in enumerate(self.functional) if abs(x) > _EQ_TOL]
-        return nz[0] if len(nz) == 1 else None
-
-    def basis(self):
-        """A basis of the underlying linear hyperplane."""
-        if self.field.kind == "padic":
-            f = self.functional
-            j = min(
-                range(len(f)),
-                key=lambda i: rational_valuation(f[i], self.field.p)
-                if f[i] != 0
-                else INF,
-            )
-            out = []
-            for i in range(len(f)):
-                if i == j:
-                    continue
-                v = [Fraction(0)] * len(f)
-                v[i] = Fraction(1)
-                v[j] = -f[i] / f[j]
-                out.append(tuple(v))
-            return out
-        f = np.asarray(self.functional, dtype=complex if np.iscomplexobj(
-            self.functional) else float)
-        j = int(np.abs(f).argmax())
-        out = []
-        for i in range(len(f)):
-            if i == j:
-                continue
-            v = np.zeros(len(f), dtype=f.dtype)
-            v[i] = 1
-            v[j] = -f[i] / f[j]
-            out.append(v)
-        return out
+        return _aligned_axis(self.functional, self.field)
 
     def __repr__(self):
         return f"ProjHyperplane({list(self.functional)!r})"
-
-
-def _padic_abs(x, p):
-    if x == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-rational_valuation(x, p))
 
 
 def proj_distance(x1: ProjPoint, x2: ProjPoint):
@@ -211,15 +182,8 @@ def proj_distance(x1: ProjPoint, x2: ProjPoint):
     if x1.dim != x2.dim:
         raise PreconditionError("dimension mismatch")
     if x1.field.kind == "padic":
-        p = x1.field.p
-        best = Fraction(0)
-        v, w = x1.vec, x2.vec
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                m = _padic_abs(v[i] * w[j] - v[j] * w[i], p)
-                if m > best:
-                    best = m
-        return best
+        minors = _minors(x1.vec, x2.vec)
+        return max((abs_value(m, x1.field) for m in minors), default=Fraction(0))
     v = np.asarray(x1.vec)
     w = np.asarray(x2.vec)
     if x1.field.kind == "complex" or np.iscomplexobj(v) or np.iscomplexobj(w):
@@ -286,7 +250,7 @@ def point_hyperplane_distance(x: ProjPoint, H: ProjHyperplane) -> HyperplaneDist
     if x.field != H.field or x.dim != H.dim:
         raise PreconditionError("incompatible point/hyperplane")
     if x.field.kind == "padic":
-        d = _padic_abs(H.pair(x), x.field.p)
+        d = abs_value(H.pair(x), x.field)
         return HyperplaneDistance(d, d, True)
     f = np.asarray(H.functional)
     v = np.asarray(x.vec)
@@ -515,13 +479,8 @@ def _proximal_padic(matrix, field, precision):
     else:
         inv = exact_inverse(shifted)
         adj = tuple(tuple(d * inv[i][j] for j in range(n)) for i in range(n))
-        attract = max(
-            (tuple(adj[i][j] for i in range(n)) for j in range(n)),
-            key=lambda col: _sup_val(col, p),
-        )
-        repel = max(
-            (adj[i] for i in range(n)), key=lambda row: _sup_val(row, p)
-        )
+        attract = min(zip(*adj), key=lambda col: _min_valuation(col, p))
+        repel = min(adj, key=lambda row: _min_valuation(row, p))
     gap = float(Fraction(p) ** (vmin - vals[1]))
     return ProximalData(
         eigenvalue=lam,
@@ -538,11 +497,6 @@ def _poly_eval_exact(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _sup_val(vec, p):
-    vals = [rational_valuation(x, p) for x in vec if x != 0]
-    return -min(vals) if vals else -INF
 
 
 def _kernel_columns(M):
@@ -611,16 +565,15 @@ def _primitive_ints(vec, p):
     return [x // content for x in ints]
 
 
+def _image(matrix, v, field: FieldDesc):
+    """The vector matrix . v: exact over Q_p, float otherwise."""
+    if field.kind == "padic":
+        return mat_vec(mat_from_rows(matrix), v)
+    return to_float_array(matrix) @ np.asarray(v)
+
+
 def _apply_to_point(matrix, x: ProjPoint) -> ProjPoint:
-    if x.field.kind == "padic":
-        M = mat_from_rows(matrix)
-        vec = tuple(
-            sum(M[i][j] * x.vec[j] for j in range(len(x.vec)))
-            for i in range(len(M))
-        )
-        return ProjPoint(vec, x.field)
-    a = to_float_array(matrix)
-    return ProjPoint(a @ np.asarray(x.vec), x.field)
+    return ProjPoint(_image(matrix, x.vec, x.field), x.field)
 
 
 def sup_operator_norm(matrix, field: FieldDesc):
@@ -630,14 +583,10 @@ def sup_operator_norm(matrix, field: FieldDesc):
     value (ultrametric), returned as an exact Fraction.
     """
     if field.kind == "padic":
-        p = field.p
-        best = Fraction(0)
-        for row in matrix:
-            for x in row:
-                a = _padic_abs(Fraction(x), p)
-                if a > best:
-                    best = a
-        return best
+        return max(
+            (abs_value(Fraction(x), field) for row in matrix for x in row),
+            default=Fraction(0),
+        )
     a = to_float_array(matrix)
     return float(np.abs(a).sum(axis=1).max())
 
@@ -645,12 +594,9 @@ def sup_operator_norm(matrix, field: FieldDesc):
 def _is_isometry(matrix, field: FieldDesc) -> bool:
     if field.kind == "padic":
         M = mat_from_rows(matrix)
-        p = field.p
-        if any(
-            x != 0 and rational_valuation(x, p) < 0 for row in M for x in row
-        ):
+        if _min_valuation([x for row in M for x in row], field.p) < 0:
             return False
-        return rational_valuation(exact_det(M), p) == 0
+        return rational_valuation(exact_det(M), field.p) == 0
     a = to_float_array(matrix)
     n = a.shape[0]
     # sup-norm isometries are signed (real) / phased (complex) permutations
@@ -696,14 +642,19 @@ class REpsEstimate:
         return math.exp(-(n - 1) * self.value)
 
 
+def _exact_eps(eps) -> Fraction:
+    """eps as an exact Fraction (a float converts without rounding)."""
+    if isinstance(eps, (int, Fraction)):
+        return Fraction(eps)
+    return Fraction(*float(eps).as_integer_ratio())
+
+
 def _padic_eps_exponent(eps, p) -> int:
     """Largest k >= 0 with p**-k >= eps (exact integer arithmetic)."""
     if eps > 1:
         raise PreconditionError("eps must be <= 1")
     k = 0
-    bound = Fraction(eps) if isinstance(eps, (int, Fraction)) else Fraction(
-        *float(eps).as_integer_ratio()
-    )
+    bound = _exact_eps(eps)
     while Fraction(1, p ** (k + 1)) >= bound:
         k += 1
     return k
@@ -788,7 +739,7 @@ def _padic_homothety_logs(x0, X0, eps, points):
     used = 0
     exponents = set()
     for u in points:
-        fu = sum(f * x for f, x in zip(F, u))
+        fu = sum(map(operator.mul, F, u))
         if fu % far_mod == 0:
             continue
         used += 1
@@ -899,17 +850,16 @@ def _padic_contraction_samples(g, pd, eps, p, points):
     too_near = 0
     while float(Fraction(1, p ** too_near)) > eps:
         too_near += 1
-    pairs = [(i, j) for i in range(len(A)) for j in range(i + 1, len(A))]
     checked = 0
     for u in points:
-        if sum(f * x for f, x in zip(F, u)) % far_mod == 0:
+        if sum(map(operator.mul, F, u)) % far_mod == 0:
             continue
         checked += 1
-        gu = [sum(c * x for c, x in zip(row, u)) for row in G]
+        gu = [sum(map(operator.mul, row, u)) for row in G]
         content = math.gcd(*gu)
         if content == 0:
             raise PreconditionError("zero vector")
-        minors = math.gcd(*(gu[i] * A[j] - gu[j] * A[i] for i, j in pairs))
+        minors = math.gcd(*_minors(gu, A))
         if minors and (
             int_valuation(minors, p) - int_valuation(content, p) < too_near
         ):
@@ -932,16 +882,10 @@ def _aligned_contraction(g, field, axis, eps):
             for i in range(n)
             if i != axis
         )
-        p = field.p
-        eta = sup_operator_norm(block, field) / _padic_abs(lam, p)
-        k = _padic_eps_exponent(eps, p)
-        bound = eta * Fraction(p) ** k  # eta / c(eps)
-        eps_frac = (
-            Fraction(eps)
-            if isinstance(eps, (int, Fraction))
-            else Fraction(*float(eps).as_integer_ratio())
-        )
-        if bound <= eps_frac:
+        eta = sup_operator_norm(block, field) / abs_value(lam, field)
+        k = _padic_eps_exponent(eps, field.p)
+        bound = eta * Fraction(field.p) ** k  # eta / c(eps)
+        if bound <= _exact_eps(eps):
             return True, True
         return False, False  # sufficient bound failed; fall back to sampling
     a = to_float_array(g)
@@ -967,7 +911,6 @@ class SandwichReport:
     upper: object
     passed: bool
     r_eps: REpsEstimate
-    analytic_pass: bool | None = None
     eps_verdicts: list = dc_field(default_factory=list)
 
 
@@ -998,6 +941,7 @@ def product_sandwich_check(
     n = len(zs)
     if n == 0:
         raise PreconditionError("need at least one contracting factor")
+    tol = 0 if field.kind == "padic" else rel_tol
     if len(ks) != n - 1:
         raise PreconditionError(
             f"need exactly {n - 1} isometries for {n} factors, got {len(ks)}"
@@ -1024,16 +968,10 @@ def product_sandwich_check(
             )
         ratio = _line_ratio(z, attracting, field)
         norm = sup_operator_norm(z, field)
-        if field.kind == "padic":
-            if _padic_abs(ratio, field.p) != norm:
-                raise PreconditionError(
-                    f"z_{i + 1} homothety ratio differs from its norm", index=i
-                )
-        else:
-            if abs(abs(ratio) - norm) > rel_tol * norm:
-                raise PreconditionError(
-                    f"z_{i + 1} homothety ratio differs from its norm", index=i
-                )
+        if abs(abs_value(ratio, field) - norm) > tol * norm:
+            raise PreconditionError(
+                f"z_{i + 1} homothety ratio differs from its norm", index=i
+            )
         verdict = eps_proximal_check(
             z, eps, field,
             pd=ProximalData(ratio, attracting, repelling, 0.0),
@@ -1056,61 +994,39 @@ def product_sandwich_check(
                 index=i,
             )
 
+    factors = [zs[0]]
+    for k, z in zip(ks, zs[1:]):
+        factors += [k, z]
     if field.kind == "padic":
-        prod = mat_from_rows(zs[0])
-        for k, z in zip(ks, zs[1:]):
-            prod = mat_mul(mat_mul(prod, mat_from_rows(k)), mat_from_rows(z))
-        value = sup_operator_norm(prod, field)
-        upper = Fraction(1)
-        for z in zs:
-            upper *= sup_operator_norm(z, field)
-        lower = est.contraction_factor(n) * upper
-        passed = lower <= value <= upper
+        prod = functools.reduce(mat_mul, map(mat_from_rows, factors))
     else:
-        prod = to_float_array(zs[0])
-        for k, z in zip(ks, zs[1:]):
-            prod = prod @ to_float_array(k) @ to_float_array(z)
-        value = sup_operator_norm(prod, field)
-        upper = 1.0
-        for z in zs:
-            upper *= sup_operator_norm(z, field)
-        lower = est.contraction_factor(n) * upper
-        passed = value <= upper * (1 + rel_tol) and value >= lower * (1 - rel_tol)
+        prod = functools.reduce(np.matmul, map(to_float_array, factors))
+    value = sup_operator_norm(prod, field)
+    upper = math.prod(sup_operator_norm(z, field) for z in zs)
+    lower = est.contraction_factor(n) * upper
+    passed = lower * (1 - tol) <= value <= upper * (1 + tol)
     return SandwichReport(lower, value, upper, bool(passed), est, eps_verdicts=verdicts)
 
 
 def _preserves_hyperplane(z, H: ProjHyperplane, field) -> bool:
-    """Whether z maps the hyperplane into itself (functional covariance)."""
+    """Whether z maps the hyperplane into itself: the pulled-back
+    functional f . z is proportional to f."""
+    f = H.functional
+    zt = tuple(zip(*mat_from_rows(z))) if field.kind == "padic" else to_float_array(z).T
+    pulled = _image(zt, f, field)
+    minors = _minors(pulled, f)
     if field.kind == "padic":
-        M = mat_from_rows(z)
-        f = H.functional
-        n = len(f)
-        pulled = tuple(
-            sum(f[i] * M[i][j] for i in range(n)) for j in range(n)
-        )
-        return all(
-            pulled[i] * f[j] == pulled[j] * f[i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-    a = to_float_array(z)
-    f = np.asarray(H.functional)
-    pulled = f @ a
-    cross = np.outer(pulled, f) - np.outer(f, pulled)
+        return not any(minors)
     scale = max(np.abs(pulled).max(), 1e-300)
-    return bool(np.abs(cross).max() < 1e-9 * scale)
+    return bool(max(map(abs, minors), default=0) < 1e-9 * scale)
 
 
 def _line_ratio(z, x0: ProjPoint, field):
+    v = x0.vec
+    w = _image(z, v, field)
     if field.kind == "padic":
-        M = mat_from_rows(z)
-        v = x0.vec
-        w = tuple(sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M)))
         j = next(i for i, x in enumerate(v) if x != 0)
         return w[j] / v[j]
-    a = to_float_array(z)
-    v = np.asarray(x0.vec)
-    w = a @ v
     j = int(np.abs(v).argmax())
     return complex(w[j] / v[j]) if np.iscomplexobj(w) else float(w[j] / v[j])
 

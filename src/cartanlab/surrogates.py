@@ -15,6 +15,7 @@ import numpy as np
 from . import exact as ex
 from .cartan import GroupElement, indefinite_orthogonal, special_linear
 from .fields import REAL
+from .transverse import _sym2_columns
 from .wordgroups import AmalgamStructure, Presentation
 
 
@@ -25,20 +26,7 @@ def sym2_rational(g):
     point (0,0,1) corresponds to i in the upper half-plane, and
     diag(e^t, e^-t) maps to the boost of parameter 2t.
     """
-    (p, q), (r, s) = g
-
-    def act(u, v, w):
-        return (
-            p * p * u + 2 * p * q * w + q * q * v,
-            r * r * u + 2 * r * s * w + s * s * v,
-            p * r * u + (p * s + q * r) * w + q * s * v,
-        )
-
-    cols = []
-    for (u, v, w) in ((F(1), F(-1), F(0)), (F(0), F(0), F(1)), (F(1), F(1), F(0))):
-        u2, v2, w2 = act(u, v, w)
-        cols.append(((u2 - v2) / 2, w2, (u2 + v2) / 2))
-    return tuple(zip(*cols))
+    return tuple(zip(*_sym2_columns([[F(x) for x in row] for row in g])))
 
 
 def so21_in_so22(mat3):

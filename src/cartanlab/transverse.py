@@ -48,8 +48,13 @@ def sl2_to_so21(matrix) -> np.ndarray:
     point (0,0,1) corresponds to i in the upper half plane, and
     diag(e^t, e^-t) maps to the boost of parameter 2t.
     """
-    a = to_float_array(matrix)
-    ((p, q), (r, s)) = a
+    return np.array(_sym2_columns(to_float_array(matrix))).T
+
+
+def _sym2_columns(g):
+    """The columns of the symmetric-square image of the 2x2 matrix g, in
+    the scalars of g (floats, or Fractions for an exact image)."""
+    ((p, q), (r, s)) = g
     # symmetric matrix coords: S = [[u, w], [w, v]], x1=(u-v)/2, x2=w, x3=(u+v)/2
     def act(u, v, w):
         u2 = p * p * u + 2 * p * q * w + q * q * v
@@ -58,10 +63,10 @@ def sl2_to_so21(matrix) -> np.ndarray:
         return u2, v2, w2
 
     cols = []
-    for (u, v, w) in ((1.0, -1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+    for (u, v, w) in ((1, -1, 0), (0, 0, 1), (1, 1, 0)):
         u2, v2, w2 = act(u, v, w)
         cols.append(((u2 - v2) / 2, w2, (u2 + v2) / 2))
-    return np.array(cols).T
+    return cols
 
 
 @dataclass
@@ -180,7 +185,7 @@ class TransverseDecomposition:
 
 @dataclass
 class OrbitData:
-    """The word ball of phi and the orbit of the base point over it.
+    """The word ball of phi and the orbit of a base point x0' over it.
 
     Building this once and passing it to repeated `decompose` calls
     avoids re-enumerating the ball per input word; a report over the
@@ -194,7 +199,8 @@ class OrbitData:
     ball: BallResult
     phi: Homomorphism
     model: RankOneModel
-    points: np.ndarray | None = None  # hyperboloid orbit points
+    points: np.ndarray | None = None  # hyperboloid orbit points w.x0'
+    x0_prime: np.ndarray | None = None  # the x0' of ``points``
     distances: np.ndarray | None = None  # tree distances d(x0, w.x0)
     _index: dict = dc_field(init=False, repr=False)  # word -> entry index
     _displacements: dict = dc_field(init=False, repr=False, default_factory=dict)
@@ -225,7 +231,7 @@ def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
         return OrbitData(ball, phi, model, distances=dists)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
     pts = np.array([model.matrix_action(e) @ x0p for e in elements])
-    return OrbitData(ball, phi, model, points=pts)
+    return OrbitData(ball, phi, model, points=pts, x0_prime=x0p)
 
 
 def decompose(
@@ -250,8 +256,8 @@ def decompose(
     hold), and the predicted ceiling 6*max_snap + 6*d(x0, x0').  A snap
     distance above ``snap_budget`` (default 3*R) rejects the run.  On
     the tree x0' = x0, and every distance is exact.  A shared ``orbit``
-    from ``orbit_data`` must come with the very model (and phi, which
-    defaults to the orbit's) it was built for.
+    from ``orbit_data`` must come with the very model (and phi and x0',
+    which default to the orbit's) it was built for.
     """
     if R <= 0:
         raise PreconditionError("R must be positive")
@@ -260,6 +266,9 @@ def decompose(
         if phi is not orbit.phi or model is not orbit.model:
             raise PreconditionError(
                 "orbit was built for another homomorphism or model")
+        if x0_prime is not None and orbit.x0_prime is not None and not (
+                np.array_equal(np.asarray(x0_prime, float), orbit.x0_prime)):
+            raise PreconditionError("orbit was built at another base point x0'")
     phi = phi or inclusion(P)
     if snap_radius is None:
         snap_radius = max(len(gamma), 1)
@@ -287,7 +296,7 @@ def decompose(
             j = int(np.argmin(dists))
             return j, float(dists[j])
     else:
-        x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
+        x0p = orbit.x0_prime
         model.check_on_model(x0p)
         base_offset = model.point_distance(model.base_point, x0p)
         end = model.matrix_action(ginv) @ x0p

@@ -1,6 +1,6 @@
-"""Smoke tests of the demos: 02 is the one end-to-end user of
-product_sandwich_check, r_eps and eps_proximal_check; 03 runs decompose
-over every word of the orbit's own ball."""
+"""Smoke tests of the five demos, each run as a script: 02 is the one
+end-to-end user of product_sandwich_check, r_eps and eps_proximal_check;
+03 runs decompose over every word of the orbit's own ball."""
 
 import os
 import subprocess
@@ -22,6 +22,12 @@ def _run_demo(name):
     return run.stdout.splitlines()
 
 
+def test_demo_01_cartan_inequalities_hold():
+    lines = _run_demo("01_cartan_projections.py")
+    slack = [line for line in lines if line.startswith("worst inequality slack")]
+    assert len(slack) == 1 and float(slack[0].split(": ")[1].split()[0]) <= 1e-9
+
+
 def test_demo_02_sandwich_holds():
     assert "sandwich holds: True" in _run_demo("02_proximal_contraction.py")
 
@@ -29,3 +35,17 @@ def test_demo_02_sandwich_holds():
 def test_demo_03_decompositions_below_ceiling():
     lines = _run_demo("03_word_balls_and_decomposition.py")
     assert any(line.endswith("(every run below its ceiling)") for line in lines)
+
+
+def test_demo_04_stability_and_module_check():
+    lines = _run_demo("04_bending_stability.py")
+    assert any("holds on every row" in line for line in lines)
+    assert any(line.startswith("module decomposition of so(2,2)")
+               and line.endswith("ok = True") for line in lines)
+
+
+def test_demo_05_properness_margin_fits():
+    lines = _run_demo("05_properness_margins.py")
+    assert any(line.startswith("against the U(1,1) cone") for line in lines)
+    closed = [line for line in lines if line.startswith("max |margin")]
+    assert len(closed) == 1 and float(closed[0].split(": ")[1]) < 1e-6

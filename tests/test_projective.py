@@ -184,6 +184,48 @@ def test_complex_phase_distance():
     assert 0 < d1 <= 0.5 + 1e-9
 
 
+def test_float_points_on_different_axes_differ():
+    for field in (REAL, COMPLEX):
+        assert ProjPoint([1, 0], field) != ProjPoint([0, 1], field)
+        assert ProjPoint([1, 1], field) != ProjPoint([1, -1], field)
+
+
+def _vectors(field, dim):
+    if field.kind == "padic":
+        entries = st.integers(-30, 30).map(F)
+    elif field.kind == "complex":
+        entries = st.builds(complex, st.floats(-10, 10), st.floats(-10, 10))
+    else:
+        entries = st.floats(-10, 10)
+    return st.lists(entries, min_size=dim, max_size=dim).filter(
+        lambda v: max(abs(x) for x in v) > 1e-3)
+
+
+def _scalars(field):
+    """A sign over R, a phase over C, a unit times a power of p over Q_p."""
+    if field.kind == "padic":
+        unit = st.integers(-50, 50).filter(lambda u: u % field.p)
+        return st.builds(lambda a, b, k: F(a, abs(b)) * F(field.p) ** k,
+                         unit, unit, st.integers(-4, 4))
+    if field.kind == "complex":
+        return st.floats(0, 2 * math.pi).map(lambda t: complex(math.cos(t),
+                                                               math.sin(t)))
+    return st.sampled_from([1.0, -1.0])
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q3], ids=["R", "C", "Q3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_point_equality_is_projective(field, data):
+    dim = data.draw(st.integers(2, 4))
+    x = ProjPoint(data.draw(_vectors(field, dim)), field)
+    c = data.draw(_scalars(field))
+    assert x == ProjPoint([c * v for v in x.vec], field)
+    y = ProjPoint(data.draw(_vectors(field, dim)), field)
+    if proj_distance(x, y) > 1e-6:
+        assert x != y
+
+
 # -- proximality ------------------------------------------------------------
 
 
@@ -611,6 +653,14 @@ def test_sandwich_guard_violation():
             [z, z], [kbad], 0.2, REAL, attracting=x0, repelling=X0, samples=100
         )
     assert err.value.index == 0
+
+
+def test_sandwich_refuses_a_factor_that_moves_the_attracting_line():
+    z1 = np.diag([100.0, 1 / 100])
+    z2 = np.array([[100.0, 0.0], [1.0, 1 / 100]])
+    with pytest.raises(PreconditionError, match="does not fix the attracting") as err:
+        product_sandwich_check([z1, z2], [np.eye(2)], 0.1, REAL)
+    assert err.value.index == 1
 
 
 def test_sandwich_rejects_non_isometry():

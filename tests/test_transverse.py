@@ -258,3 +258,22 @@ def test_decompose_refuses_an_orbit_of_another_phi_or_model():
     H = RankOneModel.hyperboloid((F(1), F(1), F(-1)))
     with pytest.raises(PreconditionError):
         decompose(w, P, H, R, phi=phi, orbit=orbit)
+
+
+def test_shared_orbit_carries_its_own_base_point():
+    a = [[F(4), 0], [0, F(1, 4)]]
+    b = [[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]]
+    P = Presentation(["a", "b"], [a, b], SL2R)
+    M = RankOneModel.sl2_real()
+    phi = inclusion(P)
+    w = parse_word("a^3 b^2 a", ["a", "b"])
+    R = 2 * math.log(4)
+    x0p = np.array([0.3, 0.0, math.sqrt(1.09)])
+    fresh = decompose(w, P, M, R, phi=phi, snap_radius=6, x0_prime=x0p)
+    # an orbit built at x0' snaps as a fresh orbit at x0' does ...
+    at_x0p = orbit_data(P, phi, M, 6, x0p)
+    assert decompose(w, P, M, R, phi=phi, orbit=at_x0p) == fresh
+    assert decompose(w, P, M, R, phi=phi, orbit=at_x0p, x0_prime=x0p) == fresh
+    # ... and an orbit of the base point refuses another x0'
+    with pytest.raises(PreconditionError, match="base point"):
+        decompose(w, P, M, R, phi=phi, x0_prime=x0p, orbit=orbit_data(P, phi, M, 6))
