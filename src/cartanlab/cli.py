@@ -4,8 +4,8 @@ Every command reads one JSON document (see `serialize`), writes one CSV
 with a header row, and for report-style commands a JSON sidecar next to
 the CSV (same path + ".json").  Output is byte-deterministic for a fixed
 config: iteration orders are the breadth-first word order, floats print
-with 12 significant digits, and the pseudo-random eps samples take the
---seed flag.
+with 12 significant digits, and the pseudo-random eps samples (over R
+and C only) take the --seed flag.
 
 Exit codes: 0 success, 2 precondition/input failure, 3 numerical
 failure.
@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="short-element cutoff for envelope fits")
     common.add_argument("--seed", type=int, default=0,
                         help="seed of the pseudo-random sample of 10000 "
-                        "points that checks eps-proximality off the axes")
+                        "points that checks eps-proximality over R and C "
+                        "off the axes")
     for name, fn in [
         ("cartan", cmd_cartan), ("ball", cmd_ball), ("proximal", cmd_proximal),
         ("decompose", cmd_decompose), ("bend", cmd_bend),

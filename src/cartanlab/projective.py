@@ -25,6 +25,13 @@ eigensolve with an explicit resolution threshold; over Q_p it is exact,
 via the Newton polygon of the characteristic polynomial, with the
 dominant eigenvalue lifted to prescribed p-adic precision.
 
+Over Q_p, eps-proximality and the homothety range r_eps are decided
+exactly: condition (2) by a finite search of the p-adic digit tree (both
+distances it compares are read off valuations that a few digits of the
+point decide), r_eps by a closed form.  Over R/C both are exact for
+coordinate-aligned eigendata and otherwise sampled on a seeded
+pseudo-random set of points.
+
 All distances are relative to the coordinate basis fixing the sup-norm
 (weight-adapted coordinates, in the representation-theoretic setting);
 epsilon thresholds are basis-relative in the same sense.
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
@@ -52,6 +58,7 @@ from .exact import (
     mat_vec,
     nullspace,
     ratio_form,
+    solve,
 )
 from .fields import INF, FieldDesc, abs_value, int_valuation, rational_valuation
 
@@ -519,26 +526,11 @@ class EpsProximalVerdict:
 
 
 def _sample_points(dim, field, count, seed):
-    """The seeded pseudo-random sample of ``count`` projective points.
-
-    R/C: one (count, dim) array of sup-normalised rows of standard
-    normals (complex rows take their real and imaginary parts from
-    consecutive draws).  Q_p: a list of integer vectors with base-p
-    digits 0..p-1 in three places; a vector whose entries all lie in pZ
-    gets 1 added at a random coordinate, so every vector has a
-    coordinate prime to p (a unit, hence v_min = 0).
-    """
+    """The seeded pseudo-random sample of ``count`` projective points over
+    R/C: one (count, dim) array of sup-normalised rows of standard normals
+    (complex rows take their real and imaginary parts from consecutive
+    draws)."""
     rng = np.random.default_rng(seed)
-    if field.kind == "padic":
-        p = field.p
-        points = []
-        for _ in range(count):
-            digits = rng.integers(0, p, size=(dim, 3)).tolist()
-            vec = [d0 + p * (d1 + p * d2) for d0, d1, d2 in digits]
-            if all(x % p == 0 for x in vec):
-                vec[int(rng.integers(0, dim))] += 1
-            points.append(vec)
-        return points
     if field.kind == "complex":
         parts = rng.standard_normal((count, 2, dim))
         V = parts[:, 0] + 1j * parts[:, 1]
@@ -621,10 +613,10 @@ class REpsEstimate:
     """The homothety-coefficient log-range sup of the contraction lemma.
 
     value = 2 * sup |log |t_v|| over unit v with d([v], X0) >= eps,
-    where v = t_v v0 + (hyperplane part).  Closed form (exact=True) when
-    the pair is coordinate-aligned; otherwise a sampled estimate, which
-    can only under-estimate the true sup.  ``padic_k`` stores the exact
-    exponent for non-Archimedean closed forms.
+    where v = t_v v0 + (hyperplane part).  Exact (exact=True) over Q_p
+    for every pair, where ``padic_k`` stores the exponent of the closed
+    form, and over R for coordinate-aligned pairs; otherwise a sampled
+    estimate, which can only under-estimate the true sup.
     """
 
     value: float
@@ -642,22 +634,16 @@ class REpsEstimate:
         return math.exp(-(n - 1) * self.value)
 
 
-def _exact_eps(eps) -> Fraction:
-    """eps as an exact Fraction (a float converts without rounding)."""
-    if isinstance(eps, (int, Fraction)):
-        return Fraction(eps)
-    return Fraction(*float(eps).as_integer_ratio())
-
-
-def _padic_eps_exponent(eps, p) -> int:
-    """Largest k >= 0 with p**-k >= eps (exact integer arithmetic)."""
-    if eps > 1:
-        raise PreconditionError("eps must be <= 1")
-    k = 0
-    bound = _exact_eps(eps)
-    while Fraction(1, p ** (k + 1)) >= bound:
-        k += 1
-    return k
+def _padic_eps_exponents(eps, p):
+    """(e, k), both compared with eps exactly (a float converts without
+    rounding): e is the largest exponent with p^-e >= eps, so that
+    d([u], X) = p^-v >= eps iff v <= e, and k the least with
+    p^-k <= eps, so that a distance p^-m is at most eps iff m >= k."""
+    bound = Fraction(eps if isinstance(eps, (int, Fraction)) else float(eps))
+    e = 0
+    while Fraction(1, p ** (e + 1)) >= bound:
+        e += 1
+    return e, e if Fraction(1, p ** e) == bound else e + 1
 
 
 def r_eps(
@@ -669,11 +655,15 @@ def r_eps(
 ) -> REpsEstimate:
     """Log-range of homothety coefficients over the eps-far set.
 
-    Requires 0 < eps and d(x0+, X0-) >= 2*eps.  Coordinate-aligned pairs
-    use the closed form (|t| in [eps, 1] over R; powers of p in [eps, 1]
-    over Q_p); generic pairs are estimated on a seeded pseudo-random
-    sample of ``samples`` points and reported with the number of sample
-    points at distance >= eps from X0- and the aligned lower bound.
+    Requires 0 < eps and d(x0+, X0-) >= 2*eps.  Over Q_p the closed form
+    holds for every pair: with v0 = v(<X0-, x0+>) for sup-normalised
+    representatives and e from ``_padic_eps_exponents``, |t|_p =
+    p^-(v(F.u) - v0) and v(F.u) takes every value 0..e on the eps-far
+    set, so r_eps = 2 max(v0, e - v0) log p.  Over R a coordinate-aligned
+    pair gives -2 log eps (|t| in [eps, 1]).  Other pairs over R/C are
+    estimated on a seeded pseudo-random sample of ``samples`` points and
+    reported with the number of sample points at distance >= eps from
+    X0- and the aligned lower bound.
     """
     check_eps(eps)
     dd = point_hyperplane_distance(x0_plus, X0_minus)
@@ -682,25 +672,22 @@ def r_eps(
             f"d(x0+, X0-) = {dd.lower} < 2 eps = {2 * eps}"
         )
     field = x0_plus.field
-    axis = _coordinate_split(x0_plus, X0_minus)
-    if axis is not None:
-        if field.kind == "padic":
-            k = _padic_eps_exponent(eps, field.p)
-            return REpsEstimate(
-                value=2 * k * math.log(field.p),
-                exact=True,
-                method="closed-form",
-                padic_k=k,
-                padic_p=field.p,
-            )
+    if field.kind == "padic":
+        v0 = rational_valuation(X0_minus.pair(x0_plus), field.p)
+        k = max(v0, _padic_eps_exponents(eps, field.p)[0] - v0)
+        return REpsEstimate(
+            value=2 * k * math.log(field.p),
+            exact=True,
+            method="closed-form",
+            padic_k=k,
+            padic_p=field.p,
+        )
+    if _coordinate_split(x0_plus, X0_minus) is not None:
         return REpsEstimate(
             value=-2.0 * math.log(eps), exact=True, method="closed-form"
         )
     points = _sample_points(x0_plus.dim, field, samples, seed)
-    if field.kind == "padic":
-        used, logs = _padic_homothety_logs(x0_plus, X0_minus, eps, points)
-    else:
-        used, logs = _float_homothety_logs(x0_plus, X0_minus, eps, points)
+    used, logs = _float_homothety_logs(x0_plus, X0_minus, eps, points)
     return REpsEstimate(
         value=2 * max([0.0, *logs]),
         exact=False,
@@ -723,30 +710,6 @@ def _float_homothety_logs(x0, X0, eps, V):
     return int(far.sum()), [abs(math.log(mags.max())), abs(math.log(mags.min()))]
 
 
-def _padic_homothety_logs(x0, X0, eps, points):
-    """(number of points at distance >= eps from X0, |log |t|_p| over
-    the distinct values of |t|_p among them), t the homothety coefficient.
-
-    With F, A and u integer vectors of v_min = 0, |t|_p =
-    p^-(v(F.u) - v(F.A)), and d([u], X0) >= eps iff v(F.u) <= k, the
-    largest k with p^-k >= eps.
-    """
-    p = x0.field.p
-    F = _primitive_ints(X0.functional, p)
-    A = _primitive_ints(x0.vec, p)
-    v0 = int_valuation(sum(f * a for f, a in zip(F, A)), p)
-    far_mod = p ** (_padic_eps_exponent(eps, p) + 1)
-    used = 0
-    exponents = set()
-    for u in points:
-        fu = sum(map(operator.mul, F, u))
-        if fu % far_mod == 0:
-            continue
-        used += 1
-        exponents.add(int_valuation(fu, p) - v0)
-    return used, [abs(math.log(float(Fraction(p) ** -e))) for e in exponents]
-
-
 def eps_proximal_check(
     g,
     eps: float,
@@ -759,8 +722,10 @@ def eps_proximal_check(
     """Check the two epsilon-proximality conditions for g (0 < eps).
 
     (1) d(x+, X-) >= 2*eps; (2) every x with d(x, X-) >= eps satisfies
-    d(g.x, x+) <= eps.  Condition (2) is certified analytically when the
-    eigendata is coordinate-aligned (contraction factor times coordinate
+    d(g.x, x+) <= eps.  Over Q_p condition (2) is decided exactly by
+    ``_padic_contraction_witness``, and every verdict is certified.  Over
+    R/C it is certified analytically when the eigendata is
+    coordinate-aligned (contraction factor times coordinate
     conditioning); otherwise it is checked on a seeded pseudo-random
     sample of ``samples`` points, the verdict is flagged as sampled, and
     ``samples_checked`` counts the sample points at distance >= eps from
@@ -778,16 +743,19 @@ def eps_proximal_check(
     if d1.lower < 2 * eps:
         reason = "condition (1) fails: attracting point too close to hyperplane"
         return EpsProximalVerdict(False, d1.exact, reason)
+    if field.kind == "padic":
+        if _padic_contraction_witness(g, pd, eps, field.p) is None:
+            return EpsProximalVerdict(True, True, "exact digit-tree search")
+        return EpsProximalVerdict(
+            False, True, "condition (2) fails at a digit-tree witness"
+        )
     axis = _coordinate_split(pd.attracting, pd.repelling)
     if axis is not None:
-        ok, certified = _aligned_contraction(g, field, axis, eps)
+        ok, certified = _aligned_contraction(g, axis, eps)
         if certified:
             return EpsProximalVerdict(ok, True, "aligned analytic bound")
     points = _sample_points(pd.attracting.dim, field, samples, seed)
-    if field.kind == "padic":
-        ok, checked = _padic_contraction_samples(g, pd, eps, field.p, points)
-    else:
-        ok, checked = _float_contraction_samples(g, pd, eps, field, points)
+    ok, checked = _float_contraction_samples(g, pd, eps, field, points)
     if not ok:
         return EpsProximalVerdict(
             False, False, "condition (2) fails on a sample", checked
@@ -833,61 +801,82 @@ def _float_contraction_samples(g, pd, eps, field, V):
     return True, len(W)
 
 
-def _padic_contraction_samples(g, pd, eps, p, points):
-    """(ok, checked) for condition (2) on integer sample vectors u, as
-    ``_float_contraction_samples`` counts them, read from valuations.
+def _padic_contraction_witness(g, pd, eps, p):
+    """None when condition (2) holds over Q_p, else a failure witness: a
+    primitive integer vector u with d([u], X-) >= eps and
+    d([g u], x+) > eps.
 
-    With F, A integer vectors of v_min = 0 on X- and x+, G an integer
-    multiple of g and v_min(u) = 0:
-    d([u], X-) = p^-v(F.u) and
-    d([Gu], x+) = p^-(min_{i<j} v(Gu_i A_j - Gu_j A_i) - v_min(Gu)).
+    With F, A primitive integer vectors on X- and x+, G an integer
+    multiple of g and u primitive, d([u], X-) = p^-v(F.u) and
+    d([Gu], x+) = p^-(v(minors(Gu, A)) - c), c = v(content(Gu)); so u
+    fails iff v(F.u) <= e and v(minors(Gu, A)) < k + c, with (e, k) from
+    ``_padic_eps_exponents``.
+
+    Each standard chart of P^{d-1}(Z_p) (u_j = 1, u_i in pZ_p for i < j)
+    is searched depth first by the p-adic digits of u.  A node knows each
+    u_i mod p^L_i, hence F.u, Gu and minors(Gu, A) modulo p^t, where t is
+    the least L_i plus the valuation of F_i, of G e_i or of
+    minors(G e_i, A) respectively.  It
+    closes once every lift passes or lies outside the eps-far set, and is
+    returned once every lift is eps-far and fails; otherwise it splits on
+    the next digit of the coordinate that limits the undecided quantity.
+
+    Every node is decided with all L_i <= max(e + 1, k + e + s + 1): with
+    psi G = F and s = -v_min(psi), F.u = psi . Gu gives
+    c <= v(F.u) + s <= e + s on the eps-far set.  Such a psi exists iff
+    the kernel of g lies in X- (always when g is invertible, or preserves
+    X- and fixes x+); other matrices send a point off X- to 0 and are
+    refused.
     """
     F = _primitive_ints(pd.repelling.functional, p)
     A = _primitive_ints(pd.attracting.vec, p)
     G = ratio_form(g)[0]
-    far_mod = p ** (_padic_eps_exponent(eps, p) + 1)
-    # d([Gu], x+) = p^-k > eps (compared as a float) iff k < too_near
-    too_near = 0
-    while float(Fraction(1, p ** too_near)) > eps:
-        too_near += 1
-    checked = 0
-    for u in points:
-        if sum(map(operator.mul, F, u)) % far_mod == 0:
-            continue
-        checked += 1
-        gu = [sum(map(operator.mul, row, u)) for row in G]
-        content = math.gcd(*gu)
-        if content == 0:
-            raise PreconditionError("zero vector")
-        minors = math.gcd(*_minors(gu, A))
-        if minors and (
-            int_valuation(minors, p) - int_valuation(content, p) < too_near
-        ):
-            return False, checked
-    return True, checked
+    psi = solve(tuple(zip(*G)), F)
+    if psi is None:
+        raise PreconditionError("matrix sends a point off X- to zero")
+    e, k = _padic_eps_exponents(eps, p)
+    bottom = max(e + 1, k + e - _min_valuation(psi, p) + 1)
+    # the valuations of F_i, G e_i and minors(G e_i, A), per coordinate i
+    gains = [(rational_valuation(f, p), _min_valuation(col, p),
+              _min_valuation(_minors(col, A), p))
+             for f, col in zip(F, zip(*G))]
+    n = len(F)
+    for j in range(n):
+        stack = [(tuple(int(i == j) for i in range(n)),
+                  tuple(INF if i == j else int(i < j) for i in range(n)))]
+        while stack:
+            u, L = stack.pop()
+            known = [min(l + gain[q] for l, gain in zip(L, gains))
+                     for q in range(3)]
+            f = rational_valuation(sum(a * b for a, b in zip(F, u)), p)
+            gu = mat_vec(G, u)
+            c = _min_valuation(gu, p)
+            m = _min_valuation(_minors(gu, A), p) if c < known[1] else None
+            if m is not None and k + c <= min(m, known[2]):
+                continue  # every lift passes
+            if min(f, known[0]) > e:
+                continue  # F.u = 0 mod p^(e+1): outside the eps-far set
+            if f >= known[0]:
+                q = 0  # v(F.u) undecided
+            elif m is None:
+                q = 1  # c undecided
+            elif m < min(k + c, known[2]):
+                return u  # every lift is eps-far and fails
+            else:
+                q = 2  # v(minors(Gu, A)) undecided
+            i = min(range(n), key=lambda i: L[i] + gains[i][q])
+            if L[i] >= bottom:
+                raise NumericalError("digit-tree search left a node open")
+            step = p ** L[i]
+            deeper = L[:i] + (L[i] + 1,) + L[i + 1:]
+            stack.extend((u[:i] + (u[i] + t * step,) + u[i + 1:], deeper)
+                         for t in range(p))
+    return None
 
 
-def _aligned_contraction(g, field, axis, eps):
-    """(ok, certified) for condition (2) with coordinate-aligned data."""
-    if field.kind == "padic":
-        M = mat_from_rows(g)
-        n = len(M)
-        lam = M[axis][axis]
-        off_row = any(M[axis][j] != 0 for j in range(n) if j != axis)
-        off_col = any(M[i][axis] != 0 for i in range(n) if i != axis)
-        if off_row or off_col or lam == 0:
-            return False, False
-        block = tuple(
-            tuple(M[i][j] for j in range(n) if j != axis)
-            for i in range(n)
-            if i != axis
-        )
-        eta = sup_operator_norm(block, field) / abs_value(lam, field)
-        k = _padic_eps_exponent(eps, field.p)
-        bound = eta * Fraction(field.p) ** k  # eta / c(eps)
-        if bound <= _exact_eps(eps):
-            return True, True
-        return False, False  # sufficient bound failed; fall back to sampling
+def _aligned_contraction(g, axis, eps):
+    """(ok, certified) for condition (2) over R/C with coordinate-aligned
+    data."""
     a = to_float_array(g)
     n = a.shape[0]
     lam = a[axis, axis]

@@ -1,9 +1,10 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cartanlab import (
@@ -23,17 +24,22 @@ from cartanlab import (
     r_eps,
     special_linear,
 )
+from cartanlab import projective
+from cartanlab.cartan import invariant_factor_valuations
 from cartanlab.exact import det as exact_det
 from cartanlab.exact import inverse as exact_inverse
-from cartanlab.exact import mat_from_rows, mat_mul
+from cartanlab.exact import mat_from_rows, mat_mul, ratio_form
 from cartanlab.fields import rational_valuation
 from cartanlab.projective import (
+    ProximalData,
     _aligned_contraction,
     _apply_to_point,
     _complex_phase_min,
     _coordinate_split,
     _float_contraction_samples,
     _hyperplane_pairings,
+    _padic_contraction_witness,
+    _padic_eps_exponents,
     _sample_points,
     eps_proximal_check,
     point_hyperplane_distance,
@@ -427,8 +433,8 @@ def _per_point_eps_check(g, eps, field, samples, seed):
                 "condition (1) fails: attracting point too close to hyperplane",
                 0)
     axis = _coordinate_split(pd.attracting, pd.repelling)
-    if axis is not None:
-        ok, certified = _aligned_contraction(g, field, axis, eps)
+    if axis is not None and field.kind != "padic":
+        ok, certified = _aligned_contraction(g, axis, eps)
         if certified:
             return ok, True, "aligned analytic bound", 0
     checked = 0
@@ -510,6 +516,9 @@ def _eps_cases(draw, field):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_batched_eps_sampler_matches_per_point_loop(field, data):
+    """Over R/C the batched sampler against the per-point loop; over Q_p
+    the exact verdict and r_eps against the per-point loop, the witness
+    and, where it is small enough, the exhaustive enumeration."""
     g, eps, samples, seed = data.draw(_eps_cases(field))
     if field.kind != "padic" and all(x == 0 for row in g for x in row):
         return  # a zero matrix is refused before any sampling
@@ -517,7 +526,11 @@ def test_batched_eps_sampler_matches_per_point_loop(field, data):
         return  # not invertible: refused before any sampling
     v = eps_proximal_check(g, eps, field, samples=samples, seed=seed)
     event(f"{field.kind}: {v.reason}")
-    assert _verdict(v) == _per_point_eps_check(g, eps, field, samples, seed)
+    oracle = _per_point_eps_check(g, eps, field, samples, seed)
+    if field.kind == "padic":
+        _assert_exact_padic_verdict(g, eps, field, v, oracle)
+    else:
+        assert _verdict(v) == oracle
     try:
         pd = proximal_analyze(g, field)
     except IndeterminateError:
@@ -525,7 +538,12 @@ def test_batched_eps_sampler_matches_per_point_loop(field, data):
     if pd is None:
         return
     d = point_hyperplane_distance(pd.attracting, pd.repelling).lower
-    if d < 2 * eps or _coordinate_split(pd.attracting, pd.repelling) is not None:
+    if d < 2 * eps:
+        return
+    if field.kind == "padic":
+        _assert_padic_r_eps(pd.attracting, pd.repelling, eps, samples, seed)
+        return
+    if _coordinate_split(pd.attracting, pd.repelling) is not None:
         return
     est = r_eps(pd.attracting, pd.repelling, eps, samples=samples, seed=seed)
     used, value = _per_point_r_eps(pd.attracting, pd.repelling, eps,
@@ -533,6 +551,154 @@ def test_batched_eps_sampler_matches_per_point_loop(field, data):
     assert est.method == "sampled"
     assert est.samples_used == used
     assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+# -- the exact eps-proximality route over Q_p ----------------------------------
+
+
+# the most points of P^{d-1}(Z/p^M) a test enumerates
+_ENUMERATION_BUDGET = 1500
+
+
+def _exponents(eps, p):
+    """(e, k): the largest e with p^-e >= eps and the least k with
+    p^-k <= eps, compared as Fractions."""
+    e = 0
+    while F(1, p ** (e + 1)) >= F(eps):
+        e += 1
+    k = 0
+    while F(1, p ** k) > F(eps):
+        k += 1
+    return e, k
+
+
+def _fails_condition_2(g, pd, eps, u):
+    """Whether the point [u] is eps-far from X- and g moves it farther
+    than eps from x+, evaluated through ProjPoint and the distances."""
+    x = ProjPoint([F(c) for c in u], pd.attracting.field)
+    return (point_hyperplane_distance(x, pd.repelling).lower >= eps
+            and proj_distance(_apply_to_point(g, x), pd.attracting) > eps)
+
+
+def _chart_points(n, p, M):
+    """Representatives of P^{n-1}(Z/p^M): the vectors with u_j = 1,
+    u_i in pZ for i < j, and coordinates in 0..p^M - 1."""
+    for j in range(n):
+        yield from itertools.product(*[
+            range(0, p ** M, p) if i < j else (1,) if i == j else range(p ** M)
+            for i in range(n)])
+
+
+def _chart_point_count(n, p, M):
+    return sum(p ** ((M - 1) * j + M * (n - 1 - j)) for j in range(n))
+
+
+def _enumeration_depth(g, eps, p):
+    """A digit depth M at which every point of P^{d-1}(Z_p) fails or
+    passes condition (2) with its residue mod p^M: the content of g u is
+    at most the largest invariant factor of g, read off the Smith form."""
+    e, k = _exponents(eps, p)
+    G = ratio_form(mat_from_rows(g))[0]
+    return max(e + 1, k + max(invariant_factor_valuations(G, p)) + 1)
+
+
+def _assert_witness_semantics(g, pd, eps):
+    """The tree's verdict for condition (2), with every witness failing
+    when it is evaluated directly."""
+    p = pd.attracting.field.p
+    witness = _padic_contraction_witness(g, pd, eps, p)
+    if witness is not None:
+        assert _fails_condition_2(g, pd, eps, witness)
+    return witness is None
+
+
+def _assert_exact_padic_verdict(g, eps, field, v, oracle):
+    """The exact verdict against the per-point loop: the same verdict
+    wherever no sample is involved, certified everywhere, a sampled
+    failure implies a certified failure, and an enumeration of
+    P^{d-1}(Z/p^M) agrees where it is small enough to run."""
+    ok, _, reason, _ = oracle
+    assert v.certified and v.samples_checked == 0
+    if reason not in ("sampled", "condition (2) fails on a sample"):
+        assert (v.ok, v.reason) == (ok, reason)
+        return
+    if not ok:
+        assert not v.ok
+    pd = proximal_analyze(g, field)
+    holds = _assert_witness_semantics(g, pd, eps)
+    assert holds == v.ok
+    M = _enumeration_depth(g, eps, field.p)
+    if _chart_point_count(len(g), field.p, M) <= _ENUMERATION_BUDGET:
+        event("enumerated")
+        assert holds == (not any(_fails_condition_2(g, pd, eps, u)
+                                 for u in _chart_points(len(g), field.p, M)))
+
+
+def _assert_padic_r_eps(x0, X0, eps, samples, seed):
+    """r_eps over Q_p is the closed form 2 max(v0, e - v0) log p and at
+    least the sampled value."""
+    p = x0.field.p
+    est = r_eps(x0, X0, eps, samples=samples, seed=seed)
+    v0 = rational_valuation(X0.pair(x0), p)
+    e, _ = _exponents(eps, p)
+    assert est.exact and est.method == "closed-form" and est.samples_used == 0
+    assert est.padic_k == max(v0, e - v0)
+    assert est.value == pytest.approx(2 * max(v0, e - v0) * math.log(p))
+    assert est.value >= _per_point_r_eps(x0, X0, eps, samples, seed)[1] - 1e-12
+
+
+@st.composite
+def _contraction_cases(draw, p):
+    """(g, pd, eps) over Q_p, d in {2, 3}: g = lam A F^T + p^s H with A,
+    F and H small integer and pd the data (x+ = [A], X- = ker F), so
+    that condition (2) holds or fails depending on s, H and eps; and
+    small enough for an enumeration of P^{d-1}(Z/p^M) to decide it."""
+    n = draw(st.integers(2, 3))
+    small = st.integers(-2, 2)
+    nonzero = st.lists(small, min_size=n, max_size=n).filter(any)
+    A, Fn = draw(nonzero), draw(nonzero)
+    lam = draw(st.sampled_from([1, -1, 2, 3]))
+    s = draw(st.integers(0, 3))
+    H = [[draw(small) for _ in range(n)] for _ in range(n)]
+    g = [[F(lam * a * f + p ** s * h) for f, h in zip(Fn, row)]
+         for a, row in zip(A, H)]
+    assume(exact_det(g) != 0)
+    # the larger p, the fewer eps values keep the enumeration small
+    eps = draw(st.sampled_from(
+        [0.9, 0.5, 1 / 3, 0.3, 0.25, 0.2, 0.125, 0.1][:{2: 8, 3: 6, 5: 4}[p]]))
+    assume(_chart_point_count(n, p, _enumeration_depth(g, eps, p))
+           <= _ENUMERATION_BUDGET)
+    field = padic(p)
+    pd = ProximalData(None, ProjPoint([F(a) for a in A], field),
+                      ProjHyperplane([F(f) for f in Fn], field), 0.0)
+    return g, pd, eps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_padic_digit_tree_matches_enumeration(p, data):
+    g, pd, eps = data.draw(_contraction_cases(p))
+    holds = _assert_witness_semantics(g, pd, eps)
+    event(f"holds: {holds}")
+    M = _enumeration_depth(g, eps, p)
+    assert holds == (not any(_fails_condition_2(g, pd, eps, u)
+                             for u in _chart_points(len(g), p, M)))
+
+
+def test_padic_eps_exponents_compare_exactly():
+    # the float 1/3 lies below 1/3, so distance exactly 1/3 is farther
+    # than eps: k = 2 (a float comparison gives 1)
+    assert _padic_eps_exponents(1 / 3, 3) == (1, 2)
+    assert _padic_eps_exponents(0.125, 2) == (3, 3)
+    assert _padic_eps_exponents(0.1, 3) == (2, 3)
+    assert _padic_eps_exponents(1, 5) == (0, 0)
+    # diag(1/9, 1) moves [3 : 1], at distance 1/3 > eps from X-, to
+    # distance exactly 1/3 from x+ = [1 : 0]
+    g = [[F(1, 9), F(0)], [F(0), F(1)]]
+    v = eps_proximal_check(g, 1 / 3, Q3)
+    assert (v.ok, v.certified) == (False, True)
+    assert eps_proximal_check(g, 0.34, Q3).ok
 
 
 def _conjugated(diagonal):
@@ -560,11 +726,9 @@ def test_padic_sampled_pass_off_the_axes():
     pd = proximal_analyze(g, Q2)
     assert _coordinate_split(pd.attracting, pd.repelling) is None
     v = eps_proximal_check(g, 0.1, Q2, samples=500, seed=0)
-    assert _verdict(v) == (True, False, "sampled", 472)
-    assert _verdict(v) == _per_point_eps_check(g, 0.1, Q2, 500, 0)
-    est = r_eps(pd.attracting, pd.repelling, 0.1, samples=500, seed=0)
-    assert (est.samples_used, est.value) == _per_point_r_eps(
-        pd.attracting, pd.repelling, 0.1, 500, 0)
+    assert _verdict(v) == (True, True, "exact digit-tree search", 0)
+    assert _per_point_eps_check(g, 0.1, Q2, 500, 0)[0]
+    _assert_padic_r_eps(pd.attracting, pd.repelling, 0.1, 500, 0)
 
 
 def test_padic_sample_at_distance_exactly_eps_passes():
@@ -574,11 +738,12 @@ def test_padic_sample_at_distance_exactly_eps_passes():
     Q2 = padic(2)
     g = _conjugated((F(1, 2 ** 6), F(1)))
     v = eps_proximal_check(g, 0.125, Q2, samples=500, seed=0)
-    assert _verdict(v) == _per_point_eps_check(g, 0.125, Q2, 500, 0)
-    assert v.ok and not v.certified
+    assert _verdict(v) == (True, True, "exact digit-tree search", 0)
+    assert _per_point_eps_check(g, 0.125, Q2, 500, 0)[0]
     v = eps_proximal_check(g, 0.124, Q2, samples=500, seed=0)
-    assert _verdict(v) == _per_point_eps_check(g, 0.124, Q2, 500, 0)
-    assert not v.ok
+    assert not v.ok and v.certified
+    assert not _per_point_eps_check(g, 0.124, Q2, 500, 0)[0]
+    assert _assert_witness_semantics(g, proximal_analyze(g, Q2), 0.124) is False
 
 
 def test_padic_r_eps_with_non_unit_pairing():
@@ -587,9 +752,13 @@ def test_padic_r_eps_with_non_unit_pairing():
     x0 = ProjPoint([F(1), F(1)], Q2)
     X0 = ProjHyperplane([F(1), F(1)], Q2)
     est = r_eps(x0, X0, 0.25, samples=300, seed=5)
-    assert est.method == "sampled" and est.value > 0
-    assert (est.samples_used, est.value) == _per_point_r_eps(x0, X0, 0.25,
-                                                             300, 5)
+    assert est.value == pytest.approx(2 * math.log(2))
+    _assert_padic_r_eps(x0, X0, 0.25, 300, 5)
+    # <X0-, [1 : 3]> = 4 and e = 3 at eps = 0.1: the far point with
+    # v(F.u) = 0 has |t|_2 = 4, so r_eps = 2 * 2 log 2, not 2 * (3 - 2) log 2
+    x1 = ProjPoint([F(1), F(3)], Q2)
+    assert r_eps(x1, X0, 0.1).value == pytest.approx(4 * math.log(2))
+    _assert_padic_r_eps(x1, X0, 0.1, 300, 5)
 
 
 # -- the product sandwich -----------------------------------------------------
@@ -640,6 +809,39 @@ def test_sandwich_padic_exact():
     )
     assert rep.passed
     assert isinstance(rep.value, F)  # exact arithmetic end to end
+
+
+def test_sandwich_padic_off_the_axes_draws_no_sample(monkeypatch):
+    # x+ = [1 : 1] and X- = {2x = y}: r_eps and both factor verdicts are
+    # exact over Q_2 off the coordinate axes, and nothing is sampled
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(projective, "_sample_points", no_sample)
+    Q2 = padic(2)
+    z = _conjugated((F(1, 2 ** 8), F(1)))
+    pd = proximal_analyze(z, Q2)
+    assert _coordinate_split(pd.attracting, pd.repelling) is None
+    rep = product_sandwich_check([z, z], [[[F(1), F(0)], [F(0), F(1)]]],
+                                 0.1, Q2)
+    assert rep.passed and rep.r_eps.exact and rep.r_eps.samples_used == 0
+    assert [(v.ok, v.certified, v.samples_checked)
+            for v in rep.eps_verdicts] == [(True, True, 0)] * 2
+
+
+def test_padic_search_with_a_singular_matrix():
+    # the kernel of diag(1, 0) lies in X- = {x_1 = 0}: every eps-far
+    # point has an image, so the search decides condition (2); a kernel
+    # off X- (that of [[1, 1], [1, 1]]) is refused
+    Q3 = padic(3)
+    pd = ProximalData(F(1), ProjPoint([F(1), F(0)], Q3),
+                      ProjHyperplane([F(1), F(0)], Q3), 0.0)
+    assert _padic_contraction_witness([[F(1), F(0)], [F(0), F(0)]], pd,
+                                      0.1, 3) is None
+    v = eps_proximal_check([[F(1), F(0)], [F(0), F(0)]], 0.1, Q3, pd=pd)
+    assert (v.ok, v.certified) == (True, True)
+    with pytest.raises(PreconditionError, match="off X- to zero"):
+        _padic_contraction_witness([[F(1), F(1)], [F(1), F(1)]], pd, 0.1, 3)
 
 
 def test_sandwich_guard_violation():
