@@ -5,8 +5,10 @@ The projective space P(V) over a local field carries the distance
     d(x1, x2) = inf { ||v1 - v2|| : v_i a unit representative of x_i }
 
 for the coordinate sup-norm.  Over R the infimum runs over two signs;
-over C over a unit-modulus phase; over Q_p over the unit group, where it
-collapses to an exact closed form: for sup-normalized representatives,
+over C over a unit-modulus phase, where it is attained at one of finitely
+many phases in closed form (``_row_distances``, one float kernel for R
+and C); over Q_p over the unit group, where it collapses to an exact
+closed form: for sup-normalized representatives,
 
     d(x1, x2) = max_{i<j} |v_i w_j - v_j w_i|.
 
@@ -179,10 +181,10 @@ class ProjHyperplane:
 def proj_distance(x1: ProjPoint, x2: ProjPoint):
     """Exact infimum distance between two projective points.
 
-    Real: minimum over the sign choice.  Complex: minimized over the
-    unit-modulus phase (dense scan plus golden-section refinement, well
-    below 1e-10).  Padic: the exact 2x2-minor formula; returns a
-    Fraction (a power of p, or 0).
+    Real: minimum over the sign choice.  Complex: the exact minimum over
+    the unit-modulus phase, from the closed form of ``_row_distances``
+    (float rounding only).  Padic: the exact 2x2-minor formula; returns
+    a Fraction (a power of p, or 0).
     """
     if x1.field != x2.field:
         raise PreconditionError("points live over different fields")
@@ -191,49 +193,58 @@ def proj_distance(x1: ProjPoint, x2: ProjPoint):
     if x1.field.kind == "padic":
         minors = _minors(x1.vec, x2.vec)
         return max((abs_value(m, x1.field) for m in minors), default=Fraction(0))
-    v = np.asarray(x1.vec)
-    w = np.asarray(x2.vec)
-    if x1.field.kind == "complex" or np.iscomplexobj(v) or np.iscomplexobj(w):
-        return float(_complex_phase_min(v.astype(complex)[None], w.astype(complex))[0])
-    return float(min(np.abs(v - w).max(), np.abs(v + w).max()))
+    return float(_row_distances(np.asarray(x1.vec)[None], np.asarray(x2.vec),
+                                x1.field)[0])
 
 
-def _complex_phase_min(V, x, coarse=720, refine_iters=80):
-    """min over the phase theta of max|v - e^(i theta) x|, for every row
-    v of V: a scan of ``coarse`` phases, then ``refine_iters``
-    golden-section steps around the best one.  Each phase and each step
-    is one numpy pass over all the rows, held as the columns of V.T."""
-    VT = np.ascontiguousarray(V.T)
-    thetas = np.linspace(0.0, 2 * math.pi, coarse, endpoint=False)
-    turned = np.exp(1j * thetas)[:, None, None] * x[:, None]
-    best = np.full(len(V), np.inf)
-    k = np.zeros(len(V), dtype=int)
-    for j in range(coarse):
-        f = np.abs(VT - turned[j]).max(axis=0)
-        lower = f < best  # strict, so the first of equal minima stays
-        np.copyto(best, f, where=lower)
-        np.copyto(k, j, where=lower)
-    gr = (math.sqrt(5) - 1) / 2
-    a = thetas[k] - 2 * math.pi / coarse
-    b = thetas[k] + 2 * math.pi / coarse
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = _phase_distance(VT, x, c), _phase_distance(VT, x, d)
-    for _ in range(refine_iters):
-        left = fc < fd  # keep [a, d] and probe c, else [c, b] and probe d
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - gr * (b - a), a + gr * (b - a))
-        fp = _phase_distance(VT, x, probe)
-        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
-                        np.where(left, fp, fd), np.where(left, fc, fp))
-    return np.minimum(np.minimum(best, fc), fd)
+def _row_distances(W, x, field: FieldDesc):
+    """d([w], [x]) for each sup-normalised row w of W and sup-normalised
+    x: min over units u of max_j |w_j - u x_j|, over R (u = +-1) or C
+    (the field, or either array complex).
 
+    Over C the least maximum of g_j = |w_j - e^(i theta) x_j|^2 lies at
+    some phi_i = arg(w_i conj(x_i)) or where two terms i < j cross.  From
+    a = e^(i phi), phi the one of phi_i, phi_j with the larger |w x|, at
+    e^(i theta) = a e^(is) each term is |y|^2 + 2 (1 - cos s)(Re k +
+    |x|^2) + 2 sin(s) Im k for y = w - a x, k = conj(y) a x; with C, P, Q
+    the differences (i minus j) of these, t = tan(s/2) solves
+    (C + 4P) t^2 + 4Q t + C = 0, and e^(is) = ((1 + it) / |1 + it|)^2.
+    Nothing of order 1 cancels, so nearby points get a distance right to
+    a few ulps.  Each of these d + d(d - 1) candidates is one elementwise
+    pass; a spare one (u = 1 for an undefined phase, a crossing that does
+    not exist) is a unit too, so it cannot undercut the minimum.
+    """
+    if not (field.kind == "complex" or np.iscomplexobj(W) or np.iscomplexobj(x)):
+        return np.minimum(np.abs(W - x).max(axis=1), np.abs(W + x).max(axis=1))
+    WT = np.ascontiguousarray(W.T, dtype=complex)  # one coordinate per row
+    x = np.asarray(x, dtype=complex)[:, None]
+    best = np.full(len(W), np.inf)
 
-def _phase_distance(VT, x, theta):
-    """max|v - e^(i theta_v) x| for every column v of VT, at its own
-    phase (the phase factor on the left, as in the coarse scan: numpy's
-    complex products can round differently with the operands swapped)."""
-    return np.abs(VT - np.exp(1j * theta) * x[:, None]).max(axis=0)
+    def fold(u):
+        np.minimum(best, np.abs(WT - u * x).max(axis=0), out=best)
+
+    def unit(w):  # w / |w| (1 at 0) by real divisions: numpy's complex one
+        # overflows on a subnormal |w|
+        r = np.abs(w)
+        return np.divide(w.real, r, where=r > 0, out=np.ones_like(r)) + 1j * (
+            np.divide(w.imag, r, where=r > 0, out=np.zeros_like(r)))
+
+    z = WT * x.conj()
+    B, phases, x2 = np.abs(z), unit(z), np.abs(x) ** 2
+    for a in phases:
+        fold(a)
+    for i, j in combinations(range(len(x)), 2):
+        a = np.where(B[i] >= B[j], phases[i], phases[j])
+        yi, yj = WT[i] - a * x[i], WT[j] - a * x[j]
+        ki, kj = yi.conj() * a * x[i], yj.conj() * a * x[j]
+        C = np.abs(yi) ** 2 - np.abs(yj) ** 2
+        P = (ki.real + x2[i]) - (kj.real + x2[j])
+        Q = ki.imag - kj.imag
+        A = C + 4 * P
+        q = -2 * Q - np.copysign(np.sqrt(np.maximum(4 * Q * Q - A * C, 0)), Q)
+        fold(a * unit(A + 1j * q) ** 2)  # t = q / A
+        fold(a * unit(q + 1j * C) ** 2)  # t = C / q
+    return best
 
 
 @dataclass
@@ -773,7 +784,8 @@ def _float_contraction_samples(g, pd, eps, field, V):
     """(ok, checked) for condition (2) on the sample rows V: ok is False
     at the first row at distance >= eps from X- whose image lies
     farther than eps from x+, and checked counts the rows at distance
-    >= eps from X- up to that one (all of them when ok)."""
+    >= eps from X- up to that one (all of them when ok).  The distances
+    of all those images to x+ come from one ``_row_distances`` call."""
     _, lower = _hyperplane_pairings(V, pd.repelling)
     a = to_float_array(g)
     GX = V[~(lower < eps)] @ a.T
@@ -781,20 +793,7 @@ def _float_contraction_samples(g, pd, eps, field, V):
     if not scale.all():
         raise PreconditionError("zero vector")
     W = GX / scale[:, None]
-    x = np.asarray(pd.attracting.vec)
-    if field.kind == "complex" or np.iscomplexobj(W) or np.iscomplexobj(x):
-        # blocks of 1, 1, 2, 4, ... rows: a failure at row i stops the
-        # check after at most 2i rows
-        W, x = W.astype(complex), x.astype(complex)
-        s = 0
-        while s < len(W):
-            n = max(1, s)
-            bad = np.flatnonzero(_complex_phase_min(W[s:s + n], x) > eps)
-            if bad.size:
-                return False, s + int(bad[0]) + 1
-            s += n
-        return True, len(W)
-    dist = np.minimum(np.abs(W - x).max(axis=1), np.abs(W + x).max(axis=1))
+    dist = _row_distances(W, np.asarray(pd.attracting.vec), field)
     bad = np.flatnonzero(dist > eps)
     if bad.size:
         return False, int(bad[0]) + 1

@@ -286,9 +286,13 @@ def decompose(
         base_offset = 0.0
         d_ab = displacement(ginv, model)
         total = float(d_ab)
+        # d(gamma^-1 x0, w x0) = d(x0, gamma w x0), read from the orbit
+        # when gamma * w is itself a ball word
         ac = orbit.distances
-        bc = np.array([displacement(g @ e, model) for e in orbit.ball.elements()],
-                      dtype=float)
+        bc = np.empty(len(ac))
+        for k, e in enumerate(orbit.ball.entries):
+            j = orbit._index.get(gamma * e.word)
+            bc[k] = displacement(g @ e.element, model) if j is None else ac[j]
         gromov = 0.5 * (d_ab + ac - bc)
 
         def snap(s):

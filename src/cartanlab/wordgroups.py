@@ -75,7 +75,13 @@ class Word:
         return hash(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return reduce_letters(self.letters + other.letters)
+        """The reduced product: two reduced words cancel only where they
+        meet."""
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == (b[k][0], -b[k][1]):
+            k += 1
+        return Word._trusted(a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
         return Word(tuple((i, -e) for i, e in reversed(self.letters)))

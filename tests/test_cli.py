@@ -172,6 +172,29 @@ def test_cmd_proximal(tmp_path):
     assert lines[2].split(",")[1] == "not_proximal"
 
 
+def test_cmd_proximal_eps_over_c_is_sampled_and_deterministic(tmp_path):
+    # off-axis eigendata over C: condition (2) goes through the sampled
+    # closed-form complex distance, the same verdict on every run
+    doc = {
+        "field": {"kind": "complex"},
+        "group": {"family": "SL", "n": 2},
+        "matrices": [[["10", "1j"], ["1j", "0"]], [["3", "1j"], ["1j", "0"]]],
+        "ids": ["strong", "weak"],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for k in range(2):
+        out = tmp_path / f"prox{k}.csv"
+        assert main(["proximal", "--input", str(path), "--output", str(out),
+                     "--eps", "0.1"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = [line.split(",") for line in outputs[0].decode().splitlines()]
+    assert [row[1] for row in rows[1:]] == ["proximal", "proximal"]
+    assert [row[-2:] for row in rows[1:]] == [["True", "False"], ["False", "False"]]
+
+
 def test_cmd_decompose(tmp_path, sl2_presentation_file):
     out = tmp_path / "dec.csv"
     rc = main(["decompose", "--input", str(sl2_presentation_file),

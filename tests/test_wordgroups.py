@@ -78,6 +78,7 @@ def test_evaluate_is_multiplicative():
     for _ in range(30):
         w1 = _random_word(rng, letters, 5)
         w2 = _random_word(rng, letters, 5)
+        assert w1 * w2 == reduce_letters(w1.letters + w2.letters)
         lhs = evaluate(w1 * w2, phi)
         rhs = evaluate(w1, phi) @ evaluate(w2, phi)
         assert lhs == rhs
