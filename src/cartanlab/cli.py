@@ -127,6 +127,16 @@ def cmd_cartan(args) -> int:
     return 0
 
 
+def _matrix_cells(mat) -> list:
+    """The CSV cells of one element's matrix: exact and complex entries as
+    scalar text, real floats through ``_float_cells``."""
+    if not isinstance(mat, np.ndarray):
+        return [scalar_to_str(x) for row in mat for x in row]
+    if mat.dtype.kind == "c":
+        return [scalar_to_str(x) for x in mat.reshape(-1).tolist()]
+    return [_float_cells(mat.reshape(-1).tolist())]
+
+
 def cmd_ball(args) -> int:
     radius = _radius(args)
     field, group, pres, _ = load_presentation_document(read_json(args.input))
@@ -135,22 +145,18 @@ def cmd_ball(args) -> int:
     header = ["word", "length"] + [
         f"entry_{i}_{j}" for i in range(n) for j in range(n)
     ]
-    rows = []
-    for e, label in zip(ball.entries, ball.labels(pres.symbols)):
-        mat = e.element.matrix
-        if not isinstance(mat, np.ndarray):
-            cells = [scalar_to_str(x) for row in mat for x in row]
-        elif mat.dtype.kind == "c":  # complex entries go out as scalar text
-            cells = [scalar_to_str(x) for x in mat.reshape(-1).tolist()]
-        else:
-            cells = [_float_cells(mat.reshape(-1).tolist())]
-        rows.append([label, len(e.word)] + cells)
+    if ball.stack is not None and ball.stack.dtype.kind == "f":
+        cells = [[_float_cells(v)] for v in ball.stack.reshape(len(ball), -1).tolist()]
+    else:  # exact, or complex with the real identity at the root
+        cells = [_matrix_cells(g.matrix) for g in ball.elements()]
+    rows = [[label, length] + c for label, length, c in
+            zip(ball.labels(pres.symbols), ball.lengths(), cells)]
     _write_csv(args.output, header, rows)
     _write_sidecar(args.output, {
-        "elements": len(ball.entries),
+        "elements": len(ball),
         "complete": ball.complete,
         "radius": radius,
-        "merges": len(ball.merges),
+        "merges": ball.merge_count,
     })
     return 0
 

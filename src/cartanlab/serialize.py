@@ -58,8 +58,8 @@ def scalar_to_str(x) -> str:
         return str(x)
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, complex):
-        return repr(x)
+    if isinstance(x, complex):  # numpy 2 reprs np.complex128 as np.complex128(...)
+        return repr(complex(x))
     return repr(float(x))
 
 

@@ -5,26 +5,33 @@ constructor refuses unreduced input, and concatenation reduces.  A word
 ball holds each distinct image of a reduced word of length <= radius
 with its shortest word, ties broken lexicographically on (generator
 index, sign).  One breadth-first loop builds it a level at a time; only
-forming a level's products and finding a product again depend on the
+forming a level's products and deciding which are new depend on the
 arithmetic: exact images by ``@`` and a dict (which audits every hash
 collision with a full comparison), float images by one stacked
 ``matmul`` per letter (bit for bit as ``@``) and a relative tolerance
-(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.
+(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.  A float
+level is decided as one batch: gathered tolerance tests against the
+first element of each candidate's cell, then a loop of dict lookups in
+candidate order, so each candidate still sees exactly the elements
+inserted before it (see ``_FloatIndex``).
 
 A ball is a prefix tree: every entry but the root (the empty word) keeps
 the index of its parent entry and its last letter, and its word is the
 parent's word plus that letter.  The tree is closed under prefixes
-because only inserted words are expanded.  ``BallResult.images(phi)``
-walks it once, multiplying each parent image by one generator image, so
-any homomorphism is evaluated over the whole ball in O(N) products; the
-fold is the one ``evaluate`` performs, so the images are bit-identical
-to evaluating every word from scratch.  ``BallResult.labels(symbols)``
+because only inserted words are expanded.  A float ball keeps its
+elements as one stack; its ``entries`` (words, elements) and ``merges``
+are built on first read.  ``BallResult.images(phi)`` walks the tree
+once, multiplying each parent image by one generator image, so any
+homomorphism is evaluated over the whole ball in O(N) products; the fold
+is the one ``evaluate`` performs, so the images are bit-identical to
+evaluating every word from scratch.  ``BallResult.labels(symbols)``
 walks it the same way to give every word's ``Word.format`` text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -310,49 +317,106 @@ class BallEntry:
     letter: tuple | None = None  # last (generator index, sign); None at the root
 
 
-@dataclass
 class BallResult:
-    entries: list
-    complete: bool
-    merges: list = dc_field(default_factory=list)
+    """A word ball as a prefix tree over the letters ``alphabet``.
+
+    Entry k has parent entry ``parents[k]`` and last letter
+    ``alphabet[lasts[k]]`` (-1 at the root).  An exact ball keeps its
+    elements; a float ball keeps one ``stack`` of them, root first, in the
+    dtype its products were formed in, and builds an element only when it
+    is read (the root stays ``root``, the identity as ``_identity_like``
+    gives it).  ``entries`` and ``merges`` are built on first read.
+    """
+
+    def __init__(self, alphabet, parents, lasts, complete, root, elements,
+                 group, merged):
+        self.alphabet = alphabet
+        self.parents, self.lasts = parents, lasts
+        self.complete = complete
+        self.root = root
+        self.stack = elements if isinstance(elements, np.ndarray) else None
+        self._elements = elements
+        self._group = group
+        # (parent entry, letter index, entry it merged into) of each merged word
+        self._merged = merged
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.parents)
+
+    @property
+    def merge_count(self) -> int:
+        return len(self._merged)
+
+    @cached_property
+    def _words(self) -> list:
+        out, alphabet = [Word._trusted(())], self.alphabet
+        for p, l in zip(self.parents[1:], self.lasts[1:]):
+            out.append(Word._trusted(out[p].letters + (alphabet[l],)))
+        return out
+
+    @cached_property
+    def _element_list(self) -> list:
+        if self.stack is None:
+            return self._elements
+        group = self._group
+        return [self.root] + [GroupElement(m, group, check=False)
+                              for m in self.stack[1:]]
+
+    @cached_property
+    def entries(self) -> list:
+        letters = [None] + [self.alphabet[l] for l in self.lasts[1:]]
+        return [BallEntry(*e) for e in zip(self._words, self._element_list,
+                                           self.parents, letters)]
+
+    @cached_property
+    def merges(self) -> list:
+        """(merged word, word it merged into) of every tolerance merge."""
+        words, alphabet = self._words, self.alphabet
+        return [(Word._trusted(words[p].letters + (alphabet[l],)), words[h])
+                for p, l, h in self._merged]
 
     def elements(self):
-        return [e.element for e in self.entries]
+        return list(self._element_list)
+
+    def lengths(self) -> list:
+        """The length of every ball word, in entry order."""
+        out = [0]
+        for p in self.parents[1:]:
+            out.append(out[p] + 1)
+        return out
 
     def images(self, phi: Homomorphism) -> list:
         """phi's image of every ball word, in entry order, by one pass
         over the prefix tree; equal bit for bit to ``evaluate``."""
         out = [_identity_like(phi)]
-        for e in self.entries[1:]:
-            if e.letter[0] >= len(phi.images):
-                raise PreconditionError(f"generator index {e.letter[0]} out of range")
-            out.append(out[e.parent] @ phi.image(*e.letter))
+        for p, l in zip(self.parents[1:], self.lasts[1:]):
+            i, e = self.alphabet[l]
+            if i >= len(phi.images):
+                raise PreconditionError(f"generator index {i} out of range")
+            out.append(out[p] @ phi.image(i, e))
         return out
 
     def labels(self, symbols) -> list:
         """``Word.format(symbols)`` of every ball word, in entry order, by
         one pass over the prefix tree: each label is its parent's label
         plus its last letter."""
-        names = {(i, e): s if e == 1 else s + "^-1"
-                 for i, s in enumerate(symbols) for e in (1, -1)}
+        names = [symbols[i] if e == 1 else symbols[i] + "^-1"
+                 for i, e in self.alphabet]
         out = ["1"]
-        for e in self.entries[1:]:
-            name = names[e.letter]
-            out.append(out[e.parent] + " " + name if e.parent else name)
+        for p, l in zip(self.parents[1:], self.lasts[1:]):
+            name = names[l]
+            out.append(out[p] + " " + name if p else name)
         return out
 
     def word_index(self) -> dict:
         """{word: entry index} of every ball word."""
-        return {e.word: k for k, e in enumerate(self.entries)}
+        return {w: k for k, w in enumerate(self._words)}
 
     def require_complete(self) -> "BallResult":
         """The ball itself; PreconditionError if max_elements cut it short."""
         if not self.complete:
             raise PreconditionError(
-                f"word ball truncated at {len(self.entries)} elements "
+                f"word ball truncated at {len(self)} elements "
                 "before reaching the requested radius"
             )
         return self
@@ -378,6 +442,20 @@ class BallResult:
 # Most candidates probe their own cell only.  One with more than
 # _MAX_EDGES coordinates near an edge is compared with every element
 # rather than with 2**k cells.
+#
+# A candidate is the first element within tolerance in probe order (own
+# cell first, then its neighbours), or, past _MAX_EDGES, in insertion
+# order.  A level is decided as one batch.  One gathered comparison tests
+# each candidate against the first element of an earlier level filed in
+# its own cell; a second tests each candidate whose cell no earlier level
+# holds against the level's first candidate with the same key.  The probe
+# keys of all the level's near-edge candidates are built at once.  A loop
+# then walks the candidates in order with dict lookups and appends only,
+# so a candidate still sees exactly the elements inserted before it: its
+# answer is the first element of its cell whenever that is the element
+# the batch tested and the test passed.  The rare rest is probed one at a
+# time: a failed test inside a cell, a cell whose first element is
+# another candidate than the one tested, and a candidate past _MAX_EDGES.
 _GRID_BITS = 16
 _REACH = 2 * FLOAT_DEDUP_TOL * 2.0 ** _GRID_BITS
 _NEAR_EDGE = 0.5 - 2 * _REACH
@@ -409,108 +487,188 @@ def _cell_keys(e, cells):
     return K.view(np.dtype((np.void, 8 * K.shape[1]))).ravel().tolist()
 
 
+def _within(a, sa, b, sb):
+    """Whether each row of a is within tolerance of the same row of b
+    (sa, sb their scales)."""
+    return np.abs(a - b).max(axis=1) <= FLOAT_DEDUP_TOL * np.maximum(sa, sb)
+
+
+def _level_keys(flat):
+    """For the rows of flat (one candidate each): scales, own-cell keys,
+    and whether the row needs more probes than its own cell."""
+    scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+    e, up, down = _buckets(scale)
+    q = _grid(_real_coords(flat), e[:, None])
+    cells = np.rint(q)
+    more = (np.abs(q - cells) > _NEAR_EDGE).any(axis=1) | up | down
+    return scale, _cell_keys(e, cells), more
+
+
+def _probes(flat, scale):
+    """For each row of flat (scale its scales): the keys of every cell
+    that may hold an element within tolerance of it, in probe order, or
+    None if there are too many to list."""
+    e, up, down = _buckets(scale)
+    # one probe row per probed bucket: own (e), above (e + 1), below (e - 1)
+    row, side = np.nonzero(np.column_stack([np.ones_like(up), up, down]))
+    f = e[row] + np.array([0, 1, -1])[side]
+    q = _grid(_real_coords(flat)[row], f[:, None])
+    cells = np.rint(q)
+    near = np.abs(q - cells) > _NEAR_EDGE
+    edges = near.sum(axis=1)
+    listed = np.ones(len(flat), bool)
+    listed[row[edges > _MAX_EDGES]] = False
+    keep = listed[row]
+    row, f, q, cells, near, edges = (x[keep] for x in (row, f, q, cells, near, edges))
+    # combination c of a probe row moves its j-th near coordinate to the
+    # neighbour cell on its side where bit j of c is set
+    count = 1 << edges
+    probe = np.repeat(np.arange(len(edges)), count)
+    c = np.arange(len(probe)) - np.repeat(np.cumsum(count) - count, count)
+    bit = np.maximum(np.cumsum(near, axis=1) - 1, 0)
+    moved = near[probe] & ((c[:, None] >> bit[probe]) & 1).astype(bool)
+    keys = _cell_keys(f[probe], cells[probe] + moved * np.sign(q - cells)[probe])
+    out, start = [], 0
+    for k, n in zip(listed.tolist(), np.bincount(row[probe], minlength=len(flat)).tolist()):
+        out.append(keys[start:start + n] if k else None)
+        start += n
+    return out
+
+
 class _FloatIndex:
-    """The elements of a float ball, found again by tolerance."""
+    """The elements of a float ball, found again by tolerance, a level at
+    a time."""
 
-    def __init__(self):
+    def __init__(self, width, dtype):
         self.cells = {}  # key -> indices of the elements filed under it
-        self.rows = []  # flattened elements, in insertion order
-        self.scales = []
+        self.rows = np.empty((0, width), dtype)  # flattened, in insertion order
+        self.scales = np.empty(0)
+        self._pending = None  # (rows, scales, inserted rows) of the level
 
-    @staticmethod
-    def level(flat):
-        """For the rows of flat (one candidate each): scales, own-cell
-        keys, and whether the row needs more probes than its own cell."""
-        scale = np.maximum(1.0, np.abs(flat).max(axis=1))
-        e, up, down = _buckets(scale)
-        q = _grid(_real_coords(flat), e[:, None])
-        cells = np.rint(q)
-        more = (np.abs(q - cells) > _NEAR_EDGE).any(axis=1) | up | down
-        return scale.tolist(), _cell_keys(e, cells), more.tolist()
-
-    @staticmethod
-    def probes(row, scale):
-        """Keys of every cell that may hold an element within tolerance
-        of row, or None if there are too many to list."""
-        e, up, down = _buckets(scale)
-        keys = []
-        coords = _real_coords(row)
-        for f, on in ((e, True), (e + 1, up), (e - 1, down)):
-            if not on:
+    def resolve(self, flat, room):
+        """Decide the rows of flat (one candidate each) in order, inserting
+        each that no element is within tolerance of, until room are
+        inserted: (hits, new), hits[j] -1 where row j is inserted and the
+        index of its element otherwise, new the inserted rows."""
+        scale, keys, more = _level_keys(flat)
+        cells, n, m = self.cells, len(self.rows), len(flat)
+        # per row: the level's first row with its key, and the first element
+        # an earlier level filed under it (-1 if none)
+        lead = {}
+        first = [lead.setdefault(k, j) for j, k in enumerate(keys)]
+        old = [c[0] if c else -1 for c in map(cells.get, keys)]
+        # the two gathered comparisons: with that element, else with that row
+        ok = np.zeros(m, bool)
+        o, f = np.array(old), np.array(first)
+        a = np.flatnonzero(o >= 0)
+        ok[a] = _within(flat[a], scale[a], self.rows[o[a]], self.scales[o[a]])
+        b = np.flatnonzero((o < 0) & (f < np.arange(m)))
+        ok[b] = _within(flat[b], scale[b], flat[f[b]], scale[f[b]])
+        near = np.flatnonzero(more)
+        probes = dict(zip(near.tolist(), _probes(flat[near], scale[near])))
+        for j, p in probes.items():
+            ok[j] &= p is not None  # past _MAX_EDGES: a scan in insertion order
+        ok, more = ok.tolist(), more.tolist()
+        hits, new, slot = [], [], [-1] * m  # slot: element index of an inserted row
+        self._pending = (flat, scale.tolist(), new)
+        for j, key in enumerate(keys):
+            cell = cells.get(key)
+            if cell is not None and ok[j] and cell[0] == (
+                    old[j] if old[j] >= 0 else slot[first[j]]):
+                hits.append(cell[0])
                 continue
-            q = _grid(coords, f)
-            cells = np.rint(q)
-            near = np.flatnonzero(np.abs(q - cells) > _NEAR_EDGE)
-            if len(near) > _MAX_EDGES:
-                return None
-            # row m of choice picks the neighbour cell where bit j of m is set
-            choice = (np.arange(2 ** len(near))[:, None] >> np.arange(len(near))) & 1
-            cand = np.repeat(cells[None], len(choice), axis=0)
-            cand[:, near] += choice * np.sign(q[near] - cells[near])
-            keys += _cell_keys(np.full(len(cand), f), cand)
-        return keys
+            if cell is None and not more[j]:
+                h = None
+            else:
+                h = self._find(j, probes[j] if more[j] else (key,))
+            if h is not None:
+                hits.append(h)
+                continue
+            slot[j] = n + len(new)
+            new.append(j)
+            if cell is None:
+                cells[key] = [slot[j]]
+            else:
+                cell.append(slot[j])
+            hits.append(-1)
+            if len(new) == room:
+                break
+        self.rows = np.concatenate([self.rows, flat[new]])
+        self.scales = np.concatenate([self.scales, scale[new]])
+        self._pending = None
+        return hits, new
 
-    def find(self, row, scale, keys):
-        """Index of an element filed under keys within tolerance of row."""
+    def _element(self, h):
+        """Row and scale of element h, of an earlier level or this one."""
+        k = h - len(self.rows)
+        if k < 0:
+            return self.rows[h], self.scales[h]
+        flat, scales, new = self._pending
+        return flat[new[k]], scales[new[k]]
+
+    def _find(self, j, keys):
+        """Index of the first element filed under keys within tolerance of
+        the level's row j; with keys None, of all elements."""
+        flat, scales, new = self._pending
+        row, scale = flat[j], scales[j]
+        if keys is None:
+            dev = np.abs(np.concatenate([self.rows, flat[new]]) - row).max(axis=1)
+            bound = np.maximum(np.concatenate([self.scales, [scales[c] for c in new]]),
+                               scale)
+            hit = np.flatnonzero(dev <= FLOAT_DEDUP_TOL * bound)
+            return int(hit[0]) if len(hit) else None
         for key in keys:
             for h in self.cells.get(key, ()):
-                if np.abs(row - self.rows[h]).max() <= FLOAT_DEDUP_TOL * max(
-                        scale, self.scales[h]):
+                other, s = self._element(h)
+                if np.abs(row - other).max() <= FLOAT_DEDUP_TOL * max(scale, s):
                     return h
         return None
 
-    def match(self, row, scale, key, more):
-        """Index of an element within tolerance of row, or None; key and
-        more are row's entries from ``level``."""
-        if not more:
-            return self.find(row, scale, (key,))
-        probes = self.probes(row, scale)
-        if probes is None:
-            return self.scan(row, scale)
-        return self.find(row, scale, probes)
-
-    def scan(self, row, scale):
-        """Index of the first element within tolerance of row, by
-        comparing it with all of them."""
-        dev = np.abs(np.stack(self.rows) - row).max(axis=1)
-        hit = np.flatnonzero(dev <= FLOAT_DEDUP_TOL * np.maximum(self.scales, scale))
-        return int(hit[0]) if len(hit) else None
-
-    def add(self, key, row, scale):
-        self.cells.setdefault(key, []).append(len(self.rows))
-        self.rows.append(row)
-        self.scales.append(scale)
-
 
 class _ExactLevels:
-    """Exact candidates: each product formed by ``@`` when the BFS reaches
-    it, found again by hashing."""
+    """Exact candidates: a level's products by ``@``, found again by
+    hashing."""
 
     logs_merges = False  # a repeat is the same element, not a merge
 
     def __init__(self, phi, letters, root):
         self.gens = [phi.image(i, e) for i, e in letters]
         self.seen = {}  # element -> entry index
-        self.find = self.seen.get
-        self.root = root
-        self.kept = []  # (element, letter index) of the level's new entries
+        self.kept = []  # the inserted elements, in entry order
+        self.cand, self.lets = [root], [-1]
+
+    def resolve(self, room):
+        hits, self.new, seen = [], [], self.seen
+        for g, l in zip(self.cand, self.lets):
+            n = len(seen)
+            h = seen.setdefault(g, n)
+            if h < n:
+                hits.append(h)
+                continue
+            hits.append(-1)
+            self.kept.append(g)
+            self.new.append((g, l))
+            if len(self.new) == room:
+                break
+        return hits
 
     def products(self):
-        level, self.kept = self.kept, []
-        return ((t, l, g @ h) for t, (g, last) in enumerate(level)
-                for l, h in enumerate(self.gens) if l != last ^ 1)
-
-    def add(self, g, l):
-        self.seen[g] = len(self.seen)
-        self.kept.append((g, l))
-        return g
+        level, self.lets, self.cand = [], [], []
+        for t, (g, last) in enumerate(self.new):
+            for l, h in enumerate(self.gens):
+                if l != last ^ 1:
+                    level.append((t, l))
+                    self.lets.append(l)
+                    self.cand.append(g @ h)
+        return level
 
 
 class _FloatLevels:
     """Float candidates: a level's products by one stacked ``matmul`` per
     letter, bit for bit as ``@`` forms each (a homomorphism mixing real and
     complex images is computed in complex throughout); a candidate is its
-    row in the level, found again by ``_FloatIndex``."""
+    row in the level, decided by ``_FloatIndex``, whose rows are the
+    ball's element stack."""
 
     logs_merges = True
 
@@ -518,7 +676,8 @@ class _FloatLevels:
         gens = [to_float_array(phi.image(i, e)) for i, e in letters]
         self.dtype = np.result_type(*gens)
         self.gens = [g.astype(self.dtype, copy=False) for g in gens]
-        self.group, self.index, self.root = phi.group, _FloatIndex(), 0
+        self.size = phi.group.size
+        self.index = _FloatIndex(self.size ** 2, self.dtype)
         self._level(to_float_array(root)[None], np.array([-1]))
 
     def _level(self, cand, lets):
@@ -526,26 +685,24 @@ class _FloatLevels:
         flat = cand.reshape(len(cand), -1).astype(self.dtype, copy=False)
         if not np.isfinite(flat).all():
             raise NumericalError("a word ball element is not finite (overflow)")
-        self.cand, self.flat, self.lets, self.kept = cand, flat, lets, []
-        self.scales, self.keys, self.more = self.index.level(flat)
+        self.cand, self.flat, self.lets = cand, flat, lets
+
+    def resolve(self, room):
+        hits, self.new = self.index.resolve(self.flat, room)
+        return hits
 
     def products(self):
-        level, last = self.cand[self.kept], self.lets[self.kept]
+        level, last = self.cand[self.new], self.lets[self.new]
         with np.errstate(over="ignore", invalid="ignore"):  # refused in _level
             prods = np.stack([level @ g for g in self.gens], axis=1)
         k = len(self.gens)
         keep = np.flatnonzero((np.arange(k) != (last ^ 1)[:, None]).reshape(-1))
         self._level(prods.reshape(-1, *level.shape[1:])[keep], keep % k)
-        return zip((keep // k).tolist(), self.lets.tolist(), range(len(keep)))
+        return list(zip((keep // k).tolist(), self.lets.tolist()))
 
-    def find(self, j):
-        return self.index.match(self.flat[j], self.scales[j], self.keys[j],
-                                self.more[j])
-
-    def add(self, j, _l):
-        self.index.add(self.keys[j], self.flat[j], self.scales[j])
-        self.kept.append(j)
-        return GroupElement(self.cand[j], self.group, check=False)
+    @property
+    def kept(self):
+        return self.index.rows.reshape(-1, self.size, self.size)
 
 
 def word_ball(
@@ -568,28 +725,26 @@ def word_ball(
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
-    images = (_ExactLevels if all(g.is_exact for g in phi.images)
-              else _FloatLevels)(phi, letters, _identity_like(phi))
-    entries, merges = [], []
-    # a candidate (t, l, c) is the product c of frontier entry t by letter
-    # l; the root is level 0's one candidate, with no parent and no letter.
-    # Letters 2i and 2i + 1 are inverse: l ^ 1 is the letter cancelling l.
-    frontier, level = [-1], [(0, -1, images.root)]
+    root = _identity_like(phi)
+    levels = (_ExactLevels if all(g.is_exact for g in phi.images)
+              else _FloatLevels)(phi, letters, root)
+    parents, lasts, merged = [], [], []
+    # a level's candidate (t, l) is the product of frontier entry t by
+    # letter l; the root is level 0's one candidate, with no parent and no
+    # letter (-1).  Letters 2i and 2i + 1 are inverse: l ^ 1 is the letter
+    # cancelling l.  A hit is -1 for a new element, else its entry index.
+    frontier, level = [-1], [(0, -1)]
     for depth in range(radius + 1):
-        start = len(entries)
-        for t, l, c in level:
-            parent, letter = frontier[t], letters[l] if depth else None
-            word = Word._trusted(
-                entries[parent].word.letters + (letter,) if depth else ())
-            hit = images.find(c)
-            if hit is None:
-                entries.append(BallEntry(word, images.add(c, l), parent, letter))
-                if len(entries) > max_elements:
-                    return BallResult(entries, complete=False, merges=merges)
-            elif images.logs_merges:
-                merges.append((word, entries[hit].word))
-        frontier = range(start, len(entries))
-        if depth == radius or not frontier:  # not frontier: a finite group
-            break
-        level = images.products()
-    return BallResult(entries, complete=True, merges=merges)
+        start = len(parents)
+        for (t, l), h in zip(level, levels.resolve(max_elements + 1 - start)):
+            if h < 0:
+                parents.append(frontier[t])
+                lasts.append(l)
+            elif levels.logs_merges:
+                merged.append((frontier[t], l, h))
+        frontier = range(start, len(parents))
+        if len(parents) > max_elements or depth == radius or not frontier:
+            break  # not frontier: a finite group
+        level = levels.products()
+    return BallResult(letters, parents, lasts, len(parents) <= max_elements,
+                      root, levels.kept, phi.group, merged)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cartanlab import cli, stability, transverse, wordgroups
 from cartanlab.bending import LieBasis
 from cartanlab.cli import main
+from cartanlab.fields import COMPLEX
 from cartanlab.serialize import (load_presentation_document, matrix_to_json,
                                  scalar_from_str)
 
@@ -193,6 +194,26 @@ def test_cmd_proximal_eps_over_c_is_sampled_and_deterministic(tmp_path):
     rows = [line.split(",") for line in outputs[0].decode().splitlines()]
     assert [row[1] for row in rows[1:]] == ["proximal", "proximal"]
     assert [row[-2:] for row in rows[1:]] == [["True", "False"], ["False", "False"]]
+
+
+def test_cmd_proximal_over_c_writes_scalar_text(tmp_path):
+    # numpy complex scalars go out as Python complex text, so every scalar
+    # cell (the eigenvalue and each coordinate of the attracting point and
+    # the repelling functional) reads back through scalar_from_str
+    doc = {"field": {"kind": "complex"}, "group": {"family": "SL", "n": 2},
+           "matrices": [[["10", "1j"], ["1j", "0"]]], "ids": ["g"]}
+    path, out = tmp_path / "c.json", tmp_path / "prox.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["proximal", "--input", str(path), "--output", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    cells = dict(zip(header, row))
+    scalars = [cells["eigenvalue"]] + [x for col in ("attracting", "repelling")
+                                       for x in cells[col].split(";")]
+    assert len(scalars) == 5
+    for text in scalars:
+        assert "np." not in text
+        assert repr(complex(scalar_from_str(text, COMPLEX))) == text
+    assert abs(complex(cells["eigenvalue"]) - (5 + 24 ** 0.5)) < 1e-12
 
 
 def test_cmd_decompose(tmp_path, sl2_presentation_file):

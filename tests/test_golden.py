@@ -1,0 +1,59 @@
+"""Byte-level goldens of the ``ball`` report on float presentations.
+
+The digests pin the CSV and sidecar that ``cartanlab ball`` writes for
+two float presentations with tolerance merges: the decimal-float Z/4*Z
+in SO(2,1) at r = 8 (the float twin the word-ball tests build), and a
+complex Z/4*Z-like pair in SL(2, C) at r = 6.  Any change to the float
+ball's entries, their order, the merge count or the cell text shows
+here as a changed digest.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from cartanlab.cli import main
+
+from util import sym2_rational
+
+
+def _z4z_float_doc():
+    r = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    s = sym2_rational(((F(4), F(0)), (F(0), F(1, 4))))
+    enc = lambda m: [[repr(float(x)) for x in row] for row in m]  # noqa: E731
+    return {"field": {"kind": "real"},
+            "group": {"family": "SO", "p": 2, "q": 1},
+            "generators": {"r": enc(r), "s": enc(s)},
+            "structure": {"type": "free"}, "relators": ["r^4"]}
+
+
+def _complex_doc():
+    # r has order 4 (r^2 = -I), so r^2 and r^-2 merge; a is loxodromic
+    return {"field": {"kind": "complex"}, "group": {"family": "SL", "n": 2},
+            "generators": {"a": [["1+1j", "1+0j"], ["1+0j", "1-1j"]],
+                           "r": [["0j", "1j"], ["1j", "0j"]]},
+            "structure": {"type": "free"}}
+
+
+GOLDEN = {
+    "z4z_float_r8": (_z4z_float_doc, 8,
+                     "b9d043d6d2ea3ba61b710f5682373c0cb4eca86887f1e9d6ef9a8b21e4414352",
+                     "6e0cd4d8ba09e394fcf51dc9b2acf8e3f8c5bcd3b914641286005be7dfd125d1"),
+    "complex_r6": (_complex_doc, 6,
+                   "c1ee48c106e241ef9d551fbaf0d02c6996de6ea780943d6aad2a79fac64380cf",
+                   "1f6bdf35448fe5db52a8a1f5f42d5f80e43d816e69ce65a8886f6c83651cb4ef"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_float_ball_report_bytes(tmp_path, name):
+    make, radius, csv_digest, sidecar_digest = GOLDEN[name]
+    path, out = tmp_path / "in.json", tmp_path / "ball.csv"
+    path.write_text(json.dumps(make()))
+    assert main(["ball", "--input", str(path), "--output", str(out),
+                 "--radius", str(radius)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "ball.csv.json")]
+    assert digests == [csv_digest, sidecar_digest]

@@ -31,7 +31,10 @@ from cartanlab.wordgroups import (
     _GRID_BITS,
     FLOAT_DEDUP_TOL,
     _deviation,
+    _cell_keys,
     _FloatIndex,
+    _level_keys,
+    _probes,
     conjugate_homomorphism,
     reduce_letters,
 )
@@ -298,13 +301,12 @@ def test_truncated_balls_are_prefixes(m):
         assert [e.word for e in ball.entries] == full[:m + 1]
 
 
-# -- the tolerance index finds every element within tolerance --------------
+# -- the level resolver finds every element within tolerance --------------
 
 @st.composite
-def near_pairs(draw):
-    """An element b with coordinates on or near cell edges and a scale on
-    or near a bucket boundary, and a point a near it."""
-    d = draw(st.sampled_from([4, 9, 16]))
+def edge_points(draw, d):
+    """A point of d coordinates on or near cell edges, with a scale on or
+    near a bucket boundary."""
     e = draw(st.integers(1, 40))
     w = 2.0 ** (e - _GRID_BITS)
     b = np.array([
@@ -319,38 +321,205 @@ def near_pairs(draw):
     top = draw(st.sampled_from([2.0 ** e * (1 - u) for u in (0, 1e-9, 1e-8, 3e-8)]
                                + [2.0 ** (e - 1) * (1 + u) for u in (0, 1e-9, 1e-8)]))
     b[draw(st.integers(0, d - 1))] = max(top, 1.0) * draw(st.sampled_from([1, -1]))
-    sb = max(1.0, float(np.abs(b).max()))
-    factor = draw(st.sampled_from([0.0, 0.5, 0.99, 1.01, 3.0]))
-    step = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d, max_size=d))
-    return b, b + factor * FLOAT_DEDUP_TOL * sb * np.array(step)
+    return b
 
 
-@given(near_pairs())
+def _scale(x):
+    return max(1.0, float(np.abs(x).max()))
+
+
+def _nudge(draw, b, factors):
+    """b moved by one of factors times the tolerance along a random sign
+    pattern."""
+    factor = draw(st.sampled_from(factors))
+    step = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=len(b),
+                         max_size=len(b)))
+    return b + factor * FLOAT_DEDUP_TOL * _scale(b) * np.array(step)
+
+
+@st.composite
+def near_pairs(draw):
+    """An element b with coordinates on or near cell edges and a scale on
+    or near a bucket boundary, and a point a near it."""
+    b = draw(edge_points(draw(st.sampled_from([4, 9, 16]))))
+    return b, _nudge(draw, b, [0.0, 0.5, 0.99, 1.01, 3.0])
+
+
+def _resolve(index, rows):
+    """The resolver's answer for one level of rows: None where a row is
+    inserted, the index of its element otherwise."""
+    hits, _ = index.resolve(np.array(rows, dtype=float), len(rows))
+    return [None if h < 0 else int(h) for h in hits]
+
+
+def _full_scan(elements, row):
+    """Index of the first of elements within tolerance of row, or None."""
+    for k, x in enumerate(elements):
+        if np.abs(row - x).max() <= FLOAT_DEDUP_TOL * max(_scale(row), _scale(x)):
+            return k
+    return None
+
+
+@given(near_pairs(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_float_index_agrees_with_a_full_scan(pair):
+def test_float_index_agrees_with_a_full_scan(pair, one_level):
+    # a is decided against b filed at an earlier level, or filed before it
+    # in the same level
     b, a = pair
-    index = _FloatIndex()
-    scales, keys, _ = index.level(b[None])
-    index.add(keys[0], b, scales[0])
-    scales, keys, more = index.level(a[None])
-    found = index.match(a, scales[0], keys[0], more[0])
-    assert found == index.scan(a, scales[0])
+    index = _FloatIndex(len(b), np.float64)
+    if one_level:
+        assert _resolve(index, [b, a]) == [None, _full_scan([b], a)]
+    else:
+        assert _resolve(index, [b]) == [None]
+        assert _resolve(index, [a]) == [_full_scan([b], a)]
 
 
 def test_float_index_with_many_coordinates_on_edges():
     # 16 coordinates at cell edges: too many cells to probe, so the
-    # candidate is compared with every element
+    # candidate is compared with every element, in insertion order
     w = 2.0 ** (1 - _GRID_BITS)
     b = w * (np.arange(16) + 1 / 3 + 1 / 2)
-    index = _FloatIndex()
-    scales, keys, _ = index.level(b[None])
-    index.add(keys[0], b, scales[0])
-    assert index.probes(b, scales[0]) is None
+    assert _probes(b[None], np.ones(1)) == [None]
     for factor, want in ((1, 0), (-1, 0), (3, None)):
         a = b + factor * 0.9 * FLOAT_DEDUP_TOL
-        scales, keys, more = index.level(a[None])
-        assert more[0]
-        assert index.match(a, scales[0], keys[0], more[0]) == want
+        assert _level_keys(a[None])[2][0]
+        index = _FloatIndex(len(b), np.float64)
+        assert _resolve(index, [b]) == [None]
+        assert _resolve(index, [a]) == [want]
+        assert _resolve(_FloatIndex(len(b), np.float64), [b, a]) == [None, want]
+    # a is within tolerance of two elements on either side of the edges,
+    # and in the cell of the one above: the first inserted still wins
+    a, side = b + 0.1 * FLOAT_DEDUP_TOL, 0.8 * FLOAT_DEDUP_TOL
+    for first, second in ((b + side, b - side), (b - side, b + side)):
+        index = _FloatIndex(len(b), np.float64)
+        assert _resolve(index, [first, second]) == [None, None]
+        assert _level_keys(a[None])[1] == _level_keys((b + side)[None])[1]
+        assert _resolve(index, [a]) == [0]
+
+
+def test_probe_order():
+    # own cell first, then the j-th near-edge coordinate moved across its
+    # edge where bit j of the combination is set; then the bucket above
+    w = 2.0 ** (1 - _GRID_BITS)
+    row = w * np.array([3 + 1 / 3, 5 + 1 / 3 + 1 / 2 + 1e-6, 7 + 1 / 3,
+                        -4 + 1 / 3 + 1 / 2 - 1e-6])
+    row[0] = 2 * (1 - FLOAT_DEDUP_TOL)  # near the top of bucket 1
+    own = np.rint((row / w - 1 / 3))
+    moved = [own + np.array(m) for m in
+             ([0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, -1, 0, 1])]
+    keys = [_cell_keys(np.array([1]), m[None])[0] for m in moved]
+    q = row / (2 * w) - 1 / 3  # the grid of bucket 2 has cells twice as wide
+    above = _cell_keys(np.array([2]), np.rint(q)[None])
+    assert not (np.abs(q - np.rint(q)) > 0.49).any()
+    assert _probes(row[None], np.array([_scale(row)])) == [keys + above]
+
+
+@st.composite
+def separated_levels(draw):
+    """Levels of candidate rows: copies, within a third of the tolerance,
+    of points well apart whose coordinates sit on or near cell edges and
+    whose scales sit on or near bucket boundaries."""
+    d = draw(st.sampled_from([4, 9]))
+    points = draw(st.lists(edge_points(d), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):  # neighbours in the same cells
+        points.append(_nudge(draw, draw(st.sampled_from(points)), [5.0, 20.0]))
+    for i, p in enumerate(points):
+        for q in points[:i]:
+            assume(np.abs(p - q).max() > 4 * FLOAT_DEDUP_TOL * max(_scale(p), _scale(q)))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=24))
+    rows = [_nudge(draw, points[k], [0.0, 0.01, 0.1, 0.3]) for k in picks]
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows)), max_size=4)) | {len(rows)})
+    return d, [rows[a:b] for a, b in zip([0] + cuts, cuts)]
+
+
+@given(separated_levels())
+@settings(max_examples=200, deadline=None)
+def test_level_resolver_equals_sequential_dedup(case):
+    # a level decided as one batch gives each row the answer of a full scan
+    # over the elements inserted before it, earlier levels and its own
+    d, levels = case
+    index, elements = _FloatIndex(d, np.float64), []
+    for rows in levels:
+        want = []
+        for row in rows:
+            want.append(_full_scan(elements, row))
+            if want[-1] is None:
+                elements.append(row)
+        assert _resolve(index, rows) == want
+    assert np.array_equal(index.rows, np.array(elements))
+
+
+@st.composite
+def edge_presentations(draw):
+    """A float SL2 presentation (a, b, r) and a radius: a's off-diagonal
+    entries sit on cell edges and its top entry on or near a bucket
+    boundary; b is a copy of a within 1e-11 relative, so words ending in
+    b are copies of words ending in a; r has order 4, exactly or (when
+    conjugated by a shear) up to rounding."""
+    e = draw(st.integers(2, 12))
+    x = 2.0 ** e * (1 - draw(st.sampled_from([0.0, 1e-12, 1e-9, 2e-8])))
+    w = 2.0 ** (e - _GRID_BITS)
+    y, z = (w * (draw(st.integers(-2 ** (_GRID_BITS - 2), 2 ** (_GRID_BITS - 2)))
+                 + 1 / 3 + 1 / 2) for _ in range(2))
+
+    def nudge(v):
+        return v * (1 + draw(st.sampled_from([-1e-11, 0.0, 1e-11])))
+
+    def element(x, y, z):  # |y|, |z| <= x / 4, so x is the top entry
+        return np.array([[x, y], [z, (1 + y * z) / x]])
+
+    r = np.array([[0.0, -1.0], [1.0, 0.0]])
+    c = draw(st.sampled_from([0.0, 0.1, 0.7, 1.3]))
+    r = np.array([[1, c], [0, 1]]) @ r @ np.array([[1, -c], [0, 1]])
+    mats = [element(x, y, z), element(nudge(x), nudge(y), nudge(z)), r]
+    P = Presentation(["a", "b", "r"], [GroupElement(m, SL2R) for m in mats], SL2R)
+    return P, draw(st.integers(1, 4))
+
+
+def _brute_force_float_ball(P, radius):
+    """(words, merges) of P's float ball: the BFS of ``word_ball``, each
+    candidate compared with every element kept before it, O(N^2)."""
+    phi = inclusion(P)
+    letters = [(i, e) for i in range(P.rank) for e in (1, -1)]
+    words, merges, rows, frontier = [], [], [], [Word()]
+    gaps = []  # deviation over tolerance of every candidate and kept element
+
+    def decide(word):
+        x = to_float_array(evaluate(word, phi)).reshape(-1)
+        if rows:
+            X = np.array(rows)
+            bound = FLOAT_DEDUP_TOL * np.maximum(_scale(x), np.abs(X).max(axis=1).clip(1))
+            gaps.extend(np.abs(X - x).max(axis=1) / bound)
+        hit = _full_scan(rows, x)
+        if hit is None:
+            rows.append(x)
+            words.append(word)
+        else:
+            merges.append((word, words[hit]))
+        return hit is None
+
+    decide(Word())
+    for _ in range(radius):
+        frontier = [c for w in frontier for i, e in letters
+                    if not (w.letters and w.letters[-1] == (i, -e))
+                    for c in [Word(w.letters + ((i, e),))] if decide(c)]
+    return words, merges, np.array(gaps)
+
+
+@given(edge_presentations())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_float_ball_equals_brute_force_dedup(case):
+    P, radius = case
+    words, merges, gaps = _brute_force_float_ball(P, radius)
+    # every candidate is well within tolerance of its element or far from
+    # every element, so the first within tolerance is unambiguous
+    assume(not ((gaps > 0.25) & (gaps < 4)).any())
+    ball = word_ball(P, inclusion(P), radius)
+    assert [e.word for e in ball.entries] == words
+    assert ball.merges == merges and ball.merge_count == len(merges)
+    for e in ball.entries:
+        assert e.element.matrix.tobytes() == evaluate(e.word, inclusion(P)).matrix.tobytes()
 
 
 def test_float_ball_refuses_overflow():
