@@ -230,6 +230,11 @@ class GroupElement:
         return self._m
 
     @property
+    def ratio(self):
+        """The canonical (N, d) of a rational element, None for any other."""
+        return (self._m, self._den) if self._den else None
+
+    @property
     def is_exact(self) -> bool:
         return not isinstance(self._m, np.ndarray)
 

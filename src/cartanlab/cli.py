@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,12 +68,13 @@ def _float_cells(values) -> str:
 
 def _write_csv(path, header, rows):
     """One line per row, each cell by ``_fmt``; a str cell is written as
-    it is, so a row may carry cells already joined by ``_float_cells``."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    it is, so a row may carry cells already joined by ``_float_cells``.
+    Lines are written one at a time, so no copy of the whole text is
+    held in memory."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([_fmt(x) for x in row]) + "\n")
 
 
 def _write_sidecar(path, payload):
@@ -127,9 +129,30 @@ def cmd_cartan(args) -> int:
     return 0
 
 
-def _matrix_cells(mat) -> list:
-    """The CSV cells of one element's matrix: exact and complex entries as
-    scalar text, real floats through ``_float_cells``."""
+def _float_rows(stack) -> list:
+    """``_float_cells`` of every row of a 2-D real array, formatting each
+    distinct bit pattern once (-0.0, 0.0 and NaN payloads stay apart)."""
+    flat = np.ascontiguousarray(stack, dtype=np.float64)
+    bits, inverse = np.unique(flat.view(np.int64).reshape(-1), return_inverse=True)
+    texts = np.array(_float_cells(bits.view(np.float64).tolist()).split(","),
+                     dtype=object)  # text k of distinct value k, picked by inverse
+    return [",".join(row) for row in texts[inverse.reshape(flat.shape)].tolist()]
+
+
+def _ratio_cell(x: int, d: int) -> str:
+    """The text ``str(Fraction(x, d))`` gives, for d > 0, with no Fraction."""
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def _element_cells(g) -> list:
+    """The CSV cells of one element's matrix: a rational element's entries
+    from its (N, d), other exact and complex entries as scalar text, real
+    floats (the root of a complex ball) through ``_float_cells``."""
+    if g.ratio is not None:
+        N, d = g.ratio
+        return [_ratio_cell(x, d) for row in N for x in row]
+    mat = g.matrix
     if not isinstance(mat, np.ndarray):
         return [scalar_to_str(x) for row in mat for x in row]
     if mat.dtype.kind == "c":
@@ -146,9 +169,9 @@ def cmd_ball(args) -> int:
         f"entry_{i}_{j}" for i in range(n) for j in range(n)
     ]
     if ball.stack is not None and ball.stack.dtype.kind == "f":
-        cells = [[_float_cells(v)] for v in ball.stack.reshape(len(ball), -1).tolist()]
+        cells = [[row] for row in _float_rows(ball.stack.reshape(len(ball), -1))]
     else:  # exact, or complex with the real identity at the root
-        cells = [_matrix_cells(g.matrix) for g in ball.elements()]
+        cells = [_element_cells(g) for g in ball.elements()]
     rows = [[label, length] + c for label, length, c in
             zip(ball.labels(pres.symbols), ball.lengths(), cells)]
     _write_csv(args.output, header, rows)

@@ -7,8 +7,13 @@ A rank-one model is one of
 * the hyperbolic plane acted on by SL_2(R) (realized on the hyperboloid
   of the symmetric-square form, so displacements are exact group theory
   plus one arccosh),
-* the Bruhat-Tits tree of SL_2(Q_p), where distances are read off the
-  exact Cartan projection (even integers for group elements).
+* the Bruhat-Tits tree of SL_2(Q_p).  For g = N / d (N an integer
+  matrix, d > 0) the invariant factors of N over Z_p are p^m and
+  p^(2 v_p(d) - m), m = min_ij v_p(N_ij), because det N = d^2; so the
+  Cartan projection is (v_p(d) - m, m - v_p(d)) and
+  d(x0, g.x0) = mu_1 - mu_2 = 2 (v_p(d) - min_ij v_p(N_ij)), an even
+  integer read off the entries with no Smith form.  The formula needs no
+  canonical (N, d), so it also serves an unreduced product of two forms.
 
 Displacement of g is d(x0, g.x0); the transversality gap of a pair is
 |mu(gh)| - |mu(g)| - |mu(h)| <= 0, and a gap bounded below by -D is the
@@ -22,9 +27,10 @@ shadow-lemma constant).  All reported postconditions are measured, not
 assumed.
 
 An `OrbitData` is built once per ball and shared by every `decompose`
-over it: the ball and its orbit points (or tree distances) once, and the
-displacement of each factor word once, read from the ball's own element
-when the word is a ball word.
+over it: the ball and its orbit points (or tree distances and integer
+forms) once, and the displacement of each factor word once, read from
+the ball's own element (or, on the tree, its distance) when the word is
+a ball word.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import GroupElement, cartan, to_float_array
+from .cartan import GroupElement, to_float_array
 from .errors import PreconditionError, UnsupportedFieldError
+from .fields import int_valuation
 from .wordgroups import (BallResult, Homomorphism, Presentation, Word, evaluate,
                          inclusion, word_ball)
 
@@ -134,13 +141,32 @@ class RankOneModel:
         return math.cosh(s) * x + math.sinh(s) * u
 
 
+def _tree_form(g: GroupElement, model: RankOneModel):
+    """The entries of N, row by row, and v_p(d) of g = N / d; refuses
+    anything but an exact element of SL_2 over the tree's Q_p."""
+    grp = g.group
+    if grp.field.kind != "padic" or grp.field.p != model.p:
+        raise PreconditionError("element field does not match the tree model")
+    if grp.family != "SL" or grp.size != 2:
+        raise PreconditionError("the tree model needs an element of SL_2(Q_p)")
+    if g.ratio is None:
+        raise PreconditionError("the tree model needs exact rational entries")
+    ((a, b), (c, d)), den = g.ratio
+    return (a, b, c, d), int_valuation(den, model.p)
+
+
+def _tree_distance(v_den: int, entries, p: int) -> int:
+    """2 (v_den - min v_p(entries)): d(x0, g.x0) on the tree for
+    g = N / d in SL_2(Q_p), given v_den = v_p(d) and the entries of N
+    (see the module docs)."""
+    return 2 * (v_den - int_valuation(math.gcd(*entries), p))
+
+
 def displacement(g: GroupElement, model: RankOneModel) -> float:
     """d(x0, g.x0) in the model; exact even integer on the tree."""
     if model.kind == "sl2_tree":
-        if g.group.field.kind != "padic" or g.group.field.p != model.p:
-            raise PreconditionError("element field does not match the tree model")
-        mu = cartan(g)
-        return mu.coords[0] - mu.coords[1]  # = sqrt(2) * ||mu||, an even integer
+        entries, v_den = _tree_form(g, model)
+        return _tree_distance(v_den, entries, model.p)  # = sqrt(2) * ||mu||
     a = model.matrix_action(g)
     x0 = model.base_point
     model.check_on_model(x0)
@@ -190,10 +216,11 @@ class OrbitData:
     Building this once and passing it to repeated `decompose` calls
     avoids re-enumerating the ball per input word; a report over the
     ball's words iterates ``ball.entries`` rather than building the
-    ball again.  It also keeps a memo of factor displacements: a word of
-    the ball takes its entry's element (bit for bit what ``evaluate``
-    gives), any other word is evaluated, and each word's displacement in
-    ``model`` is computed once for all the decompositions that share it.
+    ball again.  It also keeps a memo of factor displacements: on the
+    tree a word of the ball starts with its distance, elsewhere it takes
+    its entry's element (bit for bit what ``evaluate`` gives), any other
+    word is evaluated, and each word's displacement in ``model`` is
+    computed once for all the decompositions that share it.
     """
 
     ball: BallResult
@@ -202,11 +229,15 @@ class OrbitData:
     points: np.ndarray | None = None  # hyperboloid orbit points w.x0'
     x0_prime: np.ndarray | None = None  # the x0' of ``points``
     distances: np.ndarray | None = None  # tree distances d(x0, w.x0)
+    # on the tree, (entries of N, v_p(d)) of each phi(w) = N / d
+    forms: list | None = None
     _index: dict = dc_field(init=False, repr=False)  # word -> entry index
-    _displacements: dict = dc_field(init=False, repr=False, default_factory=dict)
+    _displacements: dict = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = self.ball.word_index()
+        self._displacements = {} if self.distances is None else dict(
+            zip(self._index, self.distances.tolist()))  # in entry order
 
     def element(self, w: Word) -> GroupElement:
         """phi(w): the ball's entry for a ball word, else ``evaluate``."""
@@ -227,8 +258,10 @@ def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
     ball = word_ball(P, phi, radius).require_complete()
     elements = ball.elements()
     if model.kind == "sl2_tree":
-        dists = np.array([displacement(e, model) for e in elements], dtype=float)
-        return OrbitData(ball, phi, model, distances=dists)
+        forms = [_tree_form(e, model) for e in elements]
+        dists = np.array([_tree_distance(v, N, model.p) for N, v in forms],
+                         dtype=float)
+        return OrbitData(ball, phi, model, distances=dists, forms=forms)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
     pts = np.array([model.matrix_action(e) @ x0p for e in elements])
     return OrbitData(ball, phi, model, points=pts, x0_prime=x0p)
@@ -278,21 +311,15 @@ def decompose(
     if orbit is None:
         orbit = orbit_data(P, phi, model, snap_radius, x0_prime)
     g = orbit.element(gamma)
-    ginv = g.inv()
     if model.kind == "sl2_tree":
         # With a = x0, b = gamma^-1 x0, c = w x0 and (b|c)_a the Gromov
         # product, the point at arclength s on [a, b] lies at distance
         # |s - (b|c)_a| + d(a, c) - (b|c)_a from c.
         base_offset = 0.0
-        d_ab = displacement(ginv, model)
-        total = float(d_ab)
-        # d(gamma^-1 x0, w x0) = d(x0, gamma w x0), read from the orbit
-        # when gamma * w is itself a ball word
+        d_ab = orbit.displacement(gamma)  # d(x0, g^-1 x0) = d(x0, g x0)
+        total = d_ab
         ac = orbit.distances
-        bc = np.empty(len(ac))
-        for k, e in enumerate(orbit.ball.entries):
-            j = orbit._index.get(gamma * e.word)
-            bc[k] = displacement(g @ e.element, model) if j is None else ac[j]
+        bc = _tree_row(g, orbit)  # d(gamma^-1 x0, w x0) = d(x0, gamma w x0)
         gromov = 0.5 * (d_ab + ac - bc)
 
         def snap(s):
@@ -303,7 +330,7 @@ def decompose(
         x0p = orbit.x0_prime
         model.check_on_model(x0p)
         base_offset = model.point_distance(model.base_point, x0p)
-        end = model.matrix_action(ginv) @ x0p
+        end = model.matrix_action(g.inv()) @ x0p
         total = model.point_distance(x0p, end)
 
         def snap(s):
@@ -338,6 +365,18 @@ def decompose(
     return TransverseDecomposition(
         factors, disps, gaps, d_ach, snap_dists, ceiling, total
     )
+
+
+def _tree_row(g: GroupElement, orbit: OrbitData) -> np.ndarray:
+    """d(x0, g w x0) for every ball word w, in entry order: the tree
+    distance of the integer product of g's form and w's, whose
+    denominator has valuation v_p(d_g) + v_p(d_w)."""
+    p = orbit.model.p
+    (a, b, c, d), vg = _tree_form(g, orbit.model)
+    return np.array([
+        _tree_distance(vg + vw, (a * e + b * h, a * f + b * k,
+                                 c * e + d * h, c * f + d * k), p)
+        for (e, f, h, k), vw in orbit.forms], dtype=float)
 
 
 def _measure_factors(factors, orbit: OrbitData, R):

@@ -411,6 +411,30 @@ def test_float_row_template_matches_fmt_on_any_floats(values):
     assert cli._float_cells(values) == ",".join(cli._fmt(x) for x in values)
 
 
+def test_float_rows_format_each_row_as_the_template_does():
+    nan2 = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)[0]
+    stack = np.array([[-0.0, 0.0, math.nan, nan2, -math.nan],
+                      [0.0, -0.0, math.inf, 1 / 3, 1e-320],
+                      [1 / 3, 1 / 3, -math.inf, 5e-324, -0.0]])
+    assert len(set(stack.view(np.int64).reshape(-1).tolist())) == 10
+    assert cli._float_rows(stack) == [cli._float_cells(r) for r in stack.tolist()]
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True),
+             min_size=width, max_size=width), min_size=1, max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_float_rows_match_the_template_on_any_floats(rows):
+    stack = np.array(rows, dtype=np.float64)
+    assert cli._float_rows(stack) == [cli._float_cells(r) for r in stack.tolist()]
+
+
+@pytest.mark.parametrize("x, d", [(-6, 4), (-7, 3), (0, 5), (0, 1), (12, 1),
+                                  (-12, 1), (9, 3), (-9, 3), (10**30 + 1, 2**70)])
+def test_ratio_cell_is_the_fraction_text(x, d):
+    assert cli._ratio_cell(x, d) == str(F(x, d))
+
+
 def test_determinism_byte_identical(tmp_path, so22_bending_file):
     outs = []
     for name in ("r1.csv", "r2.csv"):

@@ -1,8 +1,11 @@
+import functools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cartanlab.exact as ex
 from cartanlab import (
@@ -12,16 +15,21 @@ from cartanlab import (
     PreconditionError,
     Presentation,
     RankOneModel,
+    Word,
+    cartan,
     decompose,
     displacement,
     inclusion,
+    indefinite_orthogonal,
     padic,
     parse_word,
     special_linear,
     transversality_gap,
     word_ball,
 )
-from cartanlab.transverse import displacement_scale, orbit_data, sl2_to_so21
+from cartanlab.fields import int_valuation
+from cartanlab.transverse import (_tree_distance, displacement_scale, orbit_data,
+                                  sl2_to_so21)
 from cartanlab.wordgroups import evaluate
 
 from util import schottky_sl2_presentation
@@ -208,6 +216,106 @@ def test_model_validation():
     g = GroupElement([[F(1), 0], [0, F(1)]], SL2R)
     with pytest.raises(PreconditionError):
         displacement(g, M)  # wrong field
+    g = GroupElement([[F(3), 0], [0, F(1, 3)]], special_linear(2, padic(5)))
+    with pytest.raises(PreconditionError):
+        displacement(g, M)  # another prime
+
+
+def test_tree_refuses_anything_but_sl2():
+    # mu_1 - mu_2 of diag(1/2, 1/2, 4) is 0, which is no tree distance
+    M = RankOneModel.sl2_tree(2)
+    g = GroupElement([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(4)]],
+                     special_linear(3, padic(2)))
+    with pytest.raises(PreconditionError, match="SL_2"):
+        displacement(g, M)
+    so = indefinite_orthogonal(1, 1, padic(2))
+    h = GroupElement([[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]], so)
+    with pytest.raises(PreconditionError, match="SL_2"):
+        displacement(h, M)
+
+
+def _padic_sl2_word(p):
+    """Products of elementary matrices of SL_2(Q) whose entries have
+    denominators divisible by p, and of diag(p^k, p^-k)."""
+    entry = st.builds(lambda n, j, u: F(n, p ** j * u), st.integers(-30, 30),
+                      st.integers(0, 3), st.sampled_from([1, 7, 11]))
+    letter = st.one_of(
+        entry.map(lambda x: [[1, x], [0, 1]]),
+        entry.map(lambda x: [[1, 0], [x, 1]]),
+        st.integers(-3, 3).map(lambda k: [[F(p) ** k, 0], [0, F(p) ** -k]]),
+    )
+    return st.lists(letter, min_size=1, max_size=8).map(
+        lambda ms: functools.reduce(ex.mat_mul, ms, ex.identity(2)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tree_distance_is_the_cartan_gap(p, data):
+    m = data.draw(_padic_sl2_word(p))
+    g = GroupElement(m, special_linear(2, padic(p)))
+    mu = cartan(g)
+    d = displacement(g, RankOneModel.sl2_tree(p))
+    assert d == mu.coords[0] - mu.coords[1]
+    # the formula needs no canonical form: scaling N and d by c = p^k u
+    # leaves it unchanged
+    (N, den), c = g.ratio, p ** data.draw(st.integers(0, 3)) * 13
+    entries = [c * x for row in N for x in row]
+    assert _tree_distance(int_valuation(c * den, p), entries, p) == d
+
+
+def _cartan_distance(g):
+    mu = cartan(g)
+    return mu.coords[0] - mu.coords[1]
+
+
+def _tree_decompose_oracle(gamma, orbit, R):
+    """decompose on the tree with every distance from ``cartan``:
+    d(x0, gamma^-1 x0) from g^-1, and d(x0, gamma w x0) from g @ phi(w)
+    for every ball word w.  Returns the factors and snap distances."""
+    entries = orbit.ball.entries
+    g = evaluate(gamma, orbit.phi)
+    d_ab = _cartan_distance(g.inv())
+    ac = np.array([_cartan_distance(e.element) for e in entries], dtype=float)
+    bc = np.array([_cartan_distance(g @ e.element) for e in entries], dtype=float)
+    gromov = 0.5 * (d_ab + ac - bc)
+    lambdas, snaps = [Word()], []
+    n = int(d_ab // R)
+    for i in range(1, n + 1):
+        dists = np.abs(i * R - gromov) + ac - gromov
+        j = int(np.argmin(dists))
+        lambdas.append(entries[j].word)
+        snaps.append(float(dists[j]))
+    factors = [gamma * lambdas[n]] + [
+        lambdas[n - i + 1].inverse() * lambdas[n - i] for i in range(1, n + 1)]
+    if len(factors) > 1 and len(factors[0]) == 0:
+        factors = factors[1:]
+    return factors, snaps
+
+
+def test_tree_decompose_equals_the_cartan_oracle():
+    from util import schottky_sl2_matrices
+
+    P = Presentation(["a", "b"], list(schottky_sl2_matrices()),
+                     special_linear(2, padic(2)))
+    M = RankOneModel.sl2_tree(2)
+    phi = inclusion(P)
+    R = max(_cartan_distance(g) for g in P.generators)
+    orbit = orbit_data(P, phi, M, 3)
+    for e in orbit.ball.entries[1:]:
+        dec = decompose(e.word, P, M, R, phi=phi, orbit=orbit)
+        factors, snaps = _tree_decompose_oracle(e.word, orbit, R)
+        assert dec.accepted
+        assert dec.factors == factors
+        assert dec.snap_distances == snaps
+        assert dec.displacements == [
+            float(_cartan_distance(evaluate(w, phi))) for w in factors]
+        # gap defects are those of the last adjacent pairs of factors
+        start = len(factors) - 1 - len(dec.gap_defects)
+        assert dec.gap_defects == [
+            _cartan_distance(evaluate(factors[i] * factors[i + 1], phi))
+            - dec.displacements[i] - dec.displacements[i + 1]
+            for i in range(start, len(factors) - 1)]
 
 
 def _float_sl2_presentation():
