@@ -11,7 +11,14 @@ polar part of its KAK decomposition:
 
 Both read a rational element's integer form g = N / d (``GroupElement``):
 the float one as N_ij / d, the p-adic one by a fraction-free Smith
-reduction of N over Z_(p) that scales rows by p-adic units.
+reduction of N over Z_(p) that scales rows by p-adic units, or for SL_2
+by its closed form, mu_1 = v_p(d) - v_p(gcd N).
+
+A rational element is validated exactly by ``_ratio_faults``, which
+decides a whole stack of integer forms at once (det N = d^n by a
+division-free expansion, and the form equation on Python ints); the
+loader runs it on a document's stack and the constructor on a stack of
+one.
 
 ``cartan_batch(elements, group)`` projects a whole set of one group's
 elements: over R or C it stacks them and takes one ``np.linalg.svd`` of
@@ -42,8 +49,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from operator import mul
+from itertools import (chain, combinations, combinations_with_replacement, compress,
+                       count, repeat)
+from operator import add, mul, ne, neg, sub
 
 import numpy as np
 
@@ -196,21 +204,7 @@ class GroupElement:
             else:
                 self._m = to_float_array(rows)
         self.group = group
-        self._admit(check)
-
-    @classmethod
-    def _ratio(cls, N, d, group: GroupDesc, check: bool = False) -> "GroupElement":
-        """The element N / d of group; (N, d) must be canonical.  Unchecked
-        unless check, which runs the same shape test and ``_validate`` as
-        the constructor."""
-        g = object.__new__(cls)
-        g._m, g._den, g.group = N, d, group
-        if check:
-            g._admit(True)
-        return g
-
-    def _admit(self, check: bool):
-        n = self.group.size
+        n = group.size
         shape_ok = (
             self._m.shape == (n, n)
             if isinstance(self._m, np.ndarray)
@@ -220,6 +214,13 @@ class GroupElement:
             raise PreconditionError(f"matrix is not {n}x{n}")
         if check:
             self._validate()
+
+    @classmethod
+    def _ratio(cls, N, d, group: GroupDesc) -> "GroupElement":
+        """The element N / d of group, unchecked; (N, d) must be canonical."""
+        g = object.__new__(cls)
+        g._m, g._den, g.group = N, d, group
+        return g
 
     @property
     def matrix(self):
@@ -240,11 +241,15 @@ class GroupElement:
 
     def _validate(self):
         g = self.group
-        if self.is_exact:
-            if not (_bareiss([list(r) for r in self._m]) == self._den ** len(self._m)
-                    if self._den else exact_det(self._m) == 1):
+        if self._den:  # the stack kernel, on a stack of one
+            fault = _ratio_faults([[[x] for x in row] for row in self._m],
+                                  [self._den], g)[0]
+            if fault:
+                raise PreconditionError(fault)
+        elif self.is_exact:
+            if exact_det(self._m) != 1:
                 raise PreconditionError(f"determinant is {exact_det(self.matrix)}, not 1")
-            if g.family in ("SO", "U") and not self._preserves_form():
+            if g.family in ("SO", "U") and not _preserves_form(self._m, g):
                 raise PreconditionError("matrix does not preserve the form")
         else:
             a = self._m
@@ -264,24 +269,6 @@ class GroupElement:
                 lhs = a.conj().T @ J @ a if g.family == "U" else a.T @ J @ a
                 if np.abs(lhs - J).max() > _FORM_TOL * max(1.0, top ** 2):
                     raise PreconditionError("matrix does not preserve the form")
-
-    def _preserves_form(self) -> bool:
-        """g^T J g = J; for N / d and J cleared to C, N^T C N = d^2 C,
-        whose entry (i, j) is column i of N against C times column j.
-        The product is symmetric, so only i <= j is tested."""
-        c = self.group._cleared_form
-        if self._den and c is not None:
-            cols = tuple(zip(*self._m))
-            dd = self._den ** 2
-            for i, col in enumerate(cols):
-                ccol = tuple(map(mul, c, col))
-                if sum(map(mul, ccol, col)) != dd * c[i] or any(
-                        sum(map(mul, ccol, other)) for other in cols[i + 1:]):
-                    return False
-            return True
-        J = _form_matrix(self.group)
-        M = self.matrix
-        return mat_eq(mat_mul(mat_mul(transpose(M), J), M), J)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self._den and other._den:
@@ -341,6 +328,75 @@ def _form_matrix(group: GroupDesc):
         tuple(group.form[i] if i == j else zero for j in range(n))
         for i in range(n)
     )
+
+
+def _preserves_form(M, group: GroupDesc) -> bool:
+    """M^T J M = J for an exact matrix M (rows of exact scalars)."""
+    J = _form_matrix(group)
+    return mat_eq(mat_mul(mat_mul(transpose(M), J), M), J)
+
+
+def _stack_det(E):
+    """det of every matrix of a stack given entrywise: E[r][c] lists entry
+    (r, c) of each matrix, as Python ints.  No division: row k turns the
+    minors on rows 0..k-1 over every k-subset of the columns into those on
+    rows 0..k over every (k+1)-subset, by Laplace expansion along row k,
+    each product and sum taken over the whole stack at once; n 2^(n-1)
+    products per matrix in all."""
+    n = len(E)
+    minors = {(j,): E[0][j] for j in range(n)}
+    for k in range(1, n):
+        row, below = E[k], {}
+        for cols in combinations(range(n), k + 1):
+            terms = [map(mul, row[j], minors[cols[:t] + cols[t + 1:]])
+                     for t, j in enumerate(cols)]
+            acc = terms[0] if k % 2 == 0 else map(neg, terms[0])
+            for t, term in enumerate(terms[1:], 1):
+                acc = map(sub if (k + t) % 2 else add, acc, term)
+            below[cols] = list(acc)
+        minors = below
+    return minors[tuple(range(n))]
+
+
+def _ratio_faults(E, d, group: GroupDesc) -> list:
+    """For each rational matrix N / d of a stack, None if it lies in group,
+    else the message its validation fails with.
+
+    E[r][c] lists entry (r, c) of each N and d lists the d, all Python
+    ints, each (N, d) canonical.  The whole stack is decided at once and
+    exactly: det N = d^n (``_stack_det``) and, for SO and U with the form
+    cleared to the integer diagonal C, N^T C N = d^2 C, whose entry
+    (i, j) is column i of N against C times column j; the product is
+    symmetric, so only i <= j is tested.  A form with an irrational
+    coefficient takes ``_preserves_form`` per matrix.
+    """
+    n = len(E)
+    dets = _stack_det(E)
+    faults = [None] * len(d)
+    for k in compress(count(), map(ne, dets, map(pow, d, repeat(n)))):
+        faults[k] = f"determinant is {Fraction(dets[k], d[k] ** n)}, not 1"
+    if group.family not in ("SO", "U"):
+        return faults
+    c = group._cleared_form
+    if c is None:
+        mats = zip(*(zip(*row) for row in E))  # each N as a tuple of rows
+        broken = [k for k, (M, dk) in enumerate(zip(mats, d)) if not _preserves_form(
+            [[Fraction(x, dk) for x in row] for row in M], group)]
+    else:
+        CE = [row if ck == 1 else [list(map(mul, repeat(ck), col)) for col in row]
+              for ck, row in zip(c, E)]
+        dd = list(map(mul, d, d))
+        broken = set()
+        for i, j in combinations_with_replacement(range(n), 2):
+            gram = map(mul, CE[0][i], E[0][j])
+            for k in range(1, n):
+                gram = map(add, gram, map(mul, CE[k][i], E[k][j]))
+            target = map(mul, dd, repeat(c[i])) if i == j else repeat(0)
+            broken.update(compress(count(), map(ne, gram, target)))
+    for k in broken:
+        if faults[k] is None:
+            faults[k] = "matrix does not preserve the form"
+    return faults
 
 
 @dataclass(frozen=True)
@@ -501,9 +557,21 @@ def invariant_factor_valuations(matrix, p: int):
     return _smith_valuations(*ratio_form([[Fraction(x) for x in row] for row in matrix]), p)
 
 
+def _sl2_padic_mu1(v_den: int, entries, p: int) -> int:
+    """mu_1 of g = N / d in SL_2(Q_p), given v_den = v_p(d) and the
+    entries of N.  det N = d^2 makes the invariant factors of N p^m and
+    p^(2 v_den - m), m = v_p(gcd N) = min_ij v_p(N_ij), so
+    mu(g) = (v_den - m, m - v_den)."""
+    m = math.gcd(*entries)
+    if not m:
+        raise PreconditionError("matrix is singular")
+    return v_den - int_valuation(m, p)
+
+
 def cartan_padic(g: GroupElement) -> CartanVector:
     """Cartan projection over Q_p for SL_n, exact integer coordinates:
-    the invariant factor valuations of g, negated, in descending order."""
+    the invariant factor valuations of g, negated, in descending order;
+    for SL_2 their closed form ``_sl2_padic_mu1``."""
     grp = g.group
     if grp.field.kind != "padic":
         raise UnsupportedFieldError("cartan_padic needs a padic field")
@@ -511,8 +579,11 @@ def cartan_padic(g: GroupElement) -> CartanVector:
         raise UnsupportedFieldError("padic Cartan projection implemented for SL_n only")
     if not g._den:
         raise PreconditionError("padic Cartan projection needs exact rational entries")
-    ws = _smith_valuations(g._m, g._den, grp.field.p)
-    mu = sorted((-w for w in ws), reverse=True)
+    p = grp.field.p
+    if grp.n == 2:
+        top = _sl2_padic_mu1(int_valuation(g._den, p), chain.from_iterable(g._m), p)
+        return CartanVector((top, -top), "SL", exact=True)
+    mu = sorted((-w for w in _smith_valuations(g._m, g._den, p)), reverse=True)
     if sum(mu) != 0:
         raise NumericalError(f"padic mu does not sum to 0: {mu}")
     return CartanVector(tuple(mu), "SL", exact=True)

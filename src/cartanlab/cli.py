@@ -69,8 +69,9 @@ def _float_cells(values) -> str:
 def _write_csv(path, header, rows):
     """One line per row, each cell by ``_fmt``; a str cell is written as
     it is, so a row may carry cells already joined by ``_float_cells``.
-    Lines are written one at a time, so no copy of the whole text is
-    held in memory."""
+    Lines are written one at a time and rows is read once, so it may be
+    a generator: no copy of the whole text, nor of the rows, is held in
+    memory."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -122,9 +123,8 @@ def cmd_cartan(args) -> int:
     field, group, items = _load_matrices(args)
     k = group.mu_length
     header = ["id"] + [f"mu_{i + 1}" for i in range(k)] + ["mu_norm"]
-    rows = []
-    for (name, _), mu in zip(items, cartan_batch([g for _, g in items], group)):
-        rows.append([name] + [float(x) for x in mu.coords] + [mu_norm(mu)])
+    rows = ([name, _float_cells([float(x) for x in mu.coords] + [mu_norm(mu)])]
+            for (name, _), mu in zip(items, cartan_batch([g for _, g in items], group)))
     _write_csv(args.output, header, rows)
     return 0
 

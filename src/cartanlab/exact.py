@@ -20,9 +20,10 @@ Which kernel serves which routine:
 * ``mat_mul``: integer dot products of the two ``ratio_form``s, over
   d1 * d2; the generic sum of products for QuadElement entries.
 * ``_bareiss`` (forward Bareiss elimination, Math. Comp. 1968): ``det``,
-  on N then divided by d**n, or on the field entries; the determinant
-  test of ``GroupElement`` validation and the minors of
-  ``cartan.wedge_norm_log`` over Q_p, both on integer N.
+  on N then divided by d**n, or on the field entries; the minors of
+  ``cartan.wedge_norm_log`` over Q_p, on integer N.  (The determinant
+  test of ``GroupElement`` validation is ``cartan._stack_det``, a
+  division-free expansion over a whole stack of integer matrices.)
 * ``_gauss_jordan`` (the fraction-free Gauss-Jordan form of the same
   elimination): ``inverse``, ``rank``, ``nullspace``, ``solve`` and
   ``ratio_inverse``, the SL_n inverse of an integer N / d.  Rational

@@ -7,14 +7,20 @@ floating values.  Matrix files carry a field descriptor, a group
 descriptor, and a list of matrices; presentation files add named
 generators, structure, optional relators, and an optional bending block.
 
-Loading a group element takes an integer fast path when every entry is
-rational text or a JSON int: an int, or ASCII ``[+-]?[0-9]+(/[0-9]+)?``
-text with a nonzero denominator.  Those entries go straight to the
-canonical ``(N, d)`` of ``exact.ratio_form`` (the matrix is N / d), with
-no ``Fraction`` built.  A matrix with any other entry (decimal, complex,
-``a+b*sqrt(r)``, whitespace, ``_``, a non-ASCII digit, ``x/0``) goes
-through ``scalar_from_str`` entry by entry, as before.  Either way the
-element is then checked by the same ``GroupElement`` validation.
+A document's matrices load as one exact stack, ``_BLOCK`` matrices at a
+time so that memory stays bounded.  A matrix is stacked when it is an
+n x n list of rows whose entries are all JSON ints (exactly ``int``, not
+``true``) or ASCII ``[+-]?[0-9]+(/[0-9]+)?`` text with a nonzero
+denominator.  Each distinct entry text of a block is checked and split
+once.  The canonical ``(N, d)`` of ``exact.ratio_form`` (the matrix
+is N / d) of every stacked matrix comes from one lcm and one gcd per
+matrix and scalings taken entry by entry over the whole stack, all on
+Python ints with no ``Fraction`` built, and ``cartan._ratio_faults``
+validates the whole stack in one exact kernel.
+Any other matrix (decimal, complex, ``a+b*sqrt(r)``, whitespace, ``_``,
+a non-ASCII digit, ``x/0``, ragged) goes through ``scalar_from_str``
+entry by entry and the ``GroupElement`` constructor, in its place: the
+first failing matrix in document order raises, stacked or not.
 """
 
 from __future__ import annotations
@@ -23,12 +29,12 @@ import json
 import math
 import re
 from fractions import Fraction
+from operator import floordiv, mul
 
 import numpy as np
 
-from .cartan import GroupDesc, GroupElement
+from .cartan import GroupDesc, GroupElement, _ratio_faults
 from .errors import PreconditionError, UnsupportedFieldError
-from .exact import ratio_normal
 from .fields import COMPLEX, REAL, FieldDesc, QuadElement, padic, quadratic
 from .wordgroups import (
     AmalgamStructure,
@@ -45,8 +51,11 @@ _QUAD_RE = re.compile(
 _QUAD_PURE_RE = re.compile(
     r"^\s*(?P<b>[+-]?\d+(?:/\d+)?)\s*\*\s*sqrt\((?P<r>\d+)\)\s*$"
 )
-# rational text of the integer fast path: ASCII digits, denominator != 0
+# rational text of the stacked route: ASCII digits, denominator != 0
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+# the entry types of a stacked matrix: exactly int (not bool) and str
+_JSON_RATIONAL_TYPES = frozenset((int, str))
+_BLOCK = 256  # matrices per stack, so that a large document's stack stays small
 
 
 def scalar_to_str(x) -> str:
@@ -163,41 +172,103 @@ def matrix_from_json(rows, field: FieldDesc):
             for row in _expect_rows(rows)]
 
 
-def _ratio_from_json(rows):
-    """The canonical (N, d) of a matrix of JSON rows whose entries are all
-    ints or rational text (see the module docstring), else None."""
-    pairs = []
-    for row in _expect_rows(rows):
-        out = []
-        for x in row:
-            if type(x) is int:
-                out.append((x, 1))
-            elif type(x) is str and _RATIONAL_RE.fullmatch(x):
-                num, _, den = x.partition("/")
-                out.append((int(num), int(den) if den else 1))
-            else:
-                return None
-        pairs.append(out)
-    d = math.lcm(*(den for out in pairs for _, den in out))
-    return ratio_normal(
-        tuple(tuple(num * (d // den) for num, den in out) for out in pairs), d)
+def _rational_pair(x):
+    """(num, den) of a JSON int or of rational text, None for other text;
+    an int too long to convert is left to ``scalar_from_str``."""
+    if type(x) is int:
+        return x, 1
+    if not _RATIONAL_RE.fullmatch(x):
+        return None
+    num, _, den = x.partition("/")
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError:
+        return None
 
 
-def _parse_matrix(rows, field: FieldDesc):
-    """(N, d) of a rational matrix, else its rows of ``scalar_from_str``
-    scalars (a list); ``_element`` makes either a group element."""
-    return _ratio_from_json(rows) or matrix_from_json(rows, field)
+def _keep(where, flat, size, test):
+    """The positions in where, and their runs of size items in flat, whose
+    run passes test."""
+    runs = [flat[k * size:(k + 1) * size] for k in range(len(where))]
+    kept = [(i, run) for i, run in zip(where, runs) if test(run)]
+    return [i for i, _ in kept], [x for _, run in kept for x in run]
+
+
+def _stack_block(block, group: GroupDesc) -> list:
+    """For each JSON matrix of block, (N, d, fault) if it is an n x n list
+    of rows of JSON ints and rational text, else None.
+
+    (N, d) is its canonical integer form and fault None, or the message
+    its validation fails with.  All of them are built as one stack: each
+    distinct entry of the block is checked and split once
+    (``_rational_pair``; only int and str entries reach it, so ``true``
+    and ``1.0`` never meet ``1``), ``_canonical_stack`` puts every matrix
+    in canonical form, and ``cartan._ratio_faults`` decides the stack.
+    """
+    n = group.size
+    size = n * n
+    where, flat = [], []
+    for i, rows in enumerate(block):
+        if (type(rows) is list and len(rows) == n
+                and all(type(row) is list and len(row) == n for row in rows)):
+            where.append(i)
+            flat += [x for row in rows for x in row]
+    if not set(map(type, flat)) <= _JSON_RATIONAL_TYPES:
+        where, flat = _keep(where, flat, size,
+                            lambda run: set(map(type, run)) <= _JSON_RATIONAL_TYPES)
+    parsed = {x: _rational_pair(x) for x in set(flat)}
+    pairs = list(map(parsed.__getitem__, flat))
+    if None in pairs:
+        where, pairs = _keep(where, pairs, size, lambda run: None not in run)
+    out = [None] * len(block)
+    if where:
+        N, d = _canonical_stack(pairs, n)
+        mats = zip(*(zip(*row) for row in N))  # each matrix as a tuple of rows
+        for i, M, dk, fault in zip(where, mats, d, _ratio_faults(N, d, group)):
+            out[i] = M, dk, fault
+    return out
+
+
+def _canonical_stack(pairs, n: int):
+    """(N, d) of a stack of n x n rational matrices given as their
+    entries' (num, den), matrix after matrix: N[r][c] lists entry (r, c)
+    of each canonical N / d, and d lists the d.  One lcm and one gcd per
+    matrix, and each scaling and division over the whole stack at once,
+    all on Python ints."""
+    size = n * n
+    nums, dens = zip(*pairs)
+    dens = [dens[c::size] for c in range(size)]
+    d = list(map(math.lcm, *dens))
+    N = [list(map(mul, nums[c::size], map(floordiv, d, dens[c])))
+         for c in range(size)]
+    g = list(map(math.gcd, d, *N))
+    if g.count(1) != len(g):
+        N = [list(map(floordiv, col, g)) for col in N]
+        d = list(map(floordiv, d, g))
+    return [N[r * n:(r + 1) * n] for r in range(n)], d
+
+
+def _stacked(matrices, group: GroupDesc):
+    """``_stack_block`` of every JSON matrix in order, _BLOCK at a time."""
+    for start in range(0, len(matrices), _BLOCK):
+        yield from _stack_block(matrices[start:start + _BLOCK], group)
 
 
 def _element(parsed, group: GroupDesc) -> GroupElement:
+    """The validated element of a ``_stack_block`` item (a tuple), or of
+    rows of ``scalar_from_str`` scalars (a list)."""
     if isinstance(parsed, tuple):
-        return GroupElement._ratio(*parsed, group, check=True)
+        N, d, fault = parsed
+        if fault:
+            raise PreconditionError(fault)
+        return GroupElement._ratio(N, d, group)
     return GroupElement(parsed, group)
 
 
 def element_from_json(rows, field: FieldDesc, group: GroupDesc) -> GroupElement:
     """The validated group element of one JSON matrix."""
-    return _element(_parse_matrix(rows, field), group)
+    return _element(_stack_block([rows], group)[0]
+                    or matrix_from_json(rows, field), group)
 
 
 def matrix_to_json(matrix):
@@ -219,8 +290,8 @@ def load_matrix_document(obj, field=None, group=None):
     if len(ids) != len(matrices):
         raise PreconditionError("ids and matrices must have equal length")
     out = []
-    for name, rows in zip(ids, matrices):
-        out.append((name, element_from_json(rows, field, group)))
+    for name, rows, item in zip(ids, matrices, _stacked(matrices, group)):
+        out.append((name, _element(item or matrix_from_json(rows, field), group)))
     return field, group, out
 
 
@@ -232,7 +303,9 @@ def load_presentation_document(obj):
     if not gens or not isinstance(gens, dict):
         raise PreconditionError("presentation file needs a generators object")
     symbols = list(gens.keys())
-    parsed = [_parse_matrix(gens[s], field) for s in symbols]
+    matrices = [gens[s] for s in symbols]
+    parsed = [item or matrix_from_json(rows, field)
+              for rows, item in zip(matrices, _stacked(matrices, group))]
     sobj = _expect(obj.get("structure", {"type": "free"}), dict, "structure")
     stype = sobj.get("type", "free")
     index = {s: i for i, s in enumerate(symbols)}

@@ -13,7 +13,9 @@ A rank-one model is one of
   Cartan projection is (v_p(d) - m, m - v_p(d)) and
   d(x0, g.x0) = mu_1 - mu_2 = 2 (v_p(d) - min_ij v_p(N_ij)), an even
   integer read off the entries with no Smith form.  The formula needs no
-  canonical (N, d), so it also serves an unreduced product of two forms.
+  canonical (N, d), so it also serves an unreduced product of two forms;
+  its one copy is ``cartan._sl2_padic_mu1``, which ``cartan_padic`` uses
+  for SL_2 as well.
 
 Displacement of g is d(x0, g.x0); the transversality gap of a pair is
 |mu(gh)| - |mu(g)| - |mu(h)| <= 0, and a gap bounded below by -D is the
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import GroupElement, to_float_array
+from .cartan import GroupElement, _sl2_padic_mu1, to_float_array
 from .errors import PreconditionError, UnsupportedFieldError
 from .fields import int_valuation
 from .wordgroups import (BallResult, Homomorphism, Presentation, Word, evaluate,
@@ -159,7 +161,7 @@ def _tree_distance(v_den: int, entries, p: int) -> int:
     """2 (v_den - min v_p(entries)): d(x0, g.x0) on the tree for
     g = N / d in SL_2(Q_p), given v_den = v_p(d) and the entries of N
     (see the module docs)."""
-    return 2 * (v_den - int_valuation(math.gcd(*entries), p))
+    return 2 * _sl2_padic_mu1(v_den, entries, p)
 
 
 def displacement(g: GroupElement, model: RankOneModel) -> float:

@@ -1,4 +1,4 @@
-"""Byte-level goldens of the ``ball`` report on float presentations.
+"""Byte-level goldens of the ``ball`` and ``cartan`` reports.
 
 The digests pin the CSV and sidecar that ``cartanlab ball`` writes for
 two float presentations with tolerance merges: the decimal-float Z/4*Z
@@ -6,6 +6,11 @@ in SO(2,1) at r = 8 (the float twin the word-ball tests build), and a
 complex Z/4*Z-like pair in SL(2, C) at r = 6.  Any change to the float
 ball's entries, their order, the merge count or the cell text shows
 here as a changed digest.
+
+They also pin the CSV of ``cartanlab cartan`` on the 1457 elements of
+the r = 6 balls of the shipped Schottky pair, in SO(2,2) over R and in
+SL_2 over Q_2: the loading of a rational matrix document, the Cartan
+projections and the cell text.
 """
 
 import hashlib
@@ -15,6 +20,9 @@ from fractions import Fraction as F
 import pytest
 
 from cartanlab.cli import main
+from cartanlab.serialize import matrix_to_json
+from cartanlab.surrogates import schottky_sl2_presentation, schottky_so22_presentation
+from cartanlab.wordgroups import inclusion, word_ball
 
 from util import sym2_rational
 
@@ -57,3 +65,34 @@ def test_float_ball_report_bytes(tmp_path, name):
     digests = [hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (out, tmp_path / "ball.csv.json")]
     assert digests == [csv_digest, sidecar_digest]
+
+
+def _ball_document(field, group, presentation):
+    """The matrix document of the r = 6 ball of a presentation."""
+    ball = word_ball(presentation, inclusion(presentation), 6)
+    return {"field": field, "group": group,
+            "ids": ball.labels(presentation.symbols),
+            "matrices": [matrix_to_json(e.element.matrix) for e in ball.entries]}
+
+
+CARTAN_GOLDEN = {
+    "so22_r6": (lambda: _ball_document({"kind": "real"},
+                                       {"family": "SO", "p": 2, "q": 2},
+                                       schottky_so22_presentation()),
+                "786cdf67f0a5cb007707343c1b180c2f914a72ebefd480278092d5b95a9280e5"),
+    "sl2_q2_r6": (lambda: _ball_document({"kind": "padic", "p": 2},
+                                         {"family": "SL", "n": 2},
+                                         schottky_sl2_presentation()),
+                  "21b424632b66deaa45b09076a3df41c4e1f28f97a185d856d877983f83507d52"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_GOLDEN))
+def test_cartan_report_bytes(tmp_path, name):
+    make, csv_digest = CARTAN_GOLDEN[name]
+    path, out = tmp_path / "in.json", tmp_path / "cartan.csv"
+    doc = make()
+    assert len(doc["matrices"]) == 1457
+    path.write_text(json.dumps(doc))
+    assert main(["cartan", "--input", str(path), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest

@@ -3,7 +3,9 @@
 The oracle is plain Fraction-tuple arithmetic written out below; the
 p-adic Cartan projection is checked against minors computed by sympy:
 the k smallest invariant-factor valuations of g sum to the least
-valuation of a k x k minor of g.
+valuation of a k x k minor of g.  The stacked validation kernel is
+checked against ``exact._bareiss`` and the form product written out, and
+the SL_2 closed form over Q_p against the Smith form.
 """
 
 import itertools
@@ -17,7 +19,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cartanlab.cartan import (
+    GroupDesc,
     GroupElement,
+    _ratio_faults,
+    _sl2_padic_mu1,
+    _smith_valuations,
+    _stack_det,
     cartan_padic,
     indefinite_orthogonal,
     invariant_factor_valuations,
@@ -25,8 +32,8 @@ from cartanlab.cartan import (
     to_float_array,
 )
 from cartanlab.errors import PreconditionError
-from cartanlab.exact import inverse, ratio_form
-from cartanlab.fields import REAL, padic
+from cartanlab.exact import _bareiss, int_mat_mul, inverse, ratio_form
+from cartanlab.fields import COMPLEX, REAL, QuadElement, int_valuation, padic, quadratic
 
 BIG = 2 ** 80
 
@@ -343,3 +350,183 @@ def test_invariant_factor_valuations_match_minors(case):
     sums = minor_valuation_sums(M, p)
     assert vals == sorted(vals)
     assert [sum(vals[:k]) for k in range(1, len(M) + 1)] == sums
+
+
+# -- SL_2 over Q_p in closed form ---------------------------------------------
+
+@st.composite
+def sl2_padic_case(draw):
+    """(p, M): an element of SL_2(Q) as Fraction tuples, a product of
+    elementary matrices with p-adically spread entries and diag(p^k, p^-k)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    M = ((F(1), F(0)), (F(0), F(1)))
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, 1))
+        M = frac_mul(M, elementary(2, i, 1 - i, draw(padic_scalars(p))))
+        k = draw(st.integers(-3, 3))
+        M = frac_mul(M, ((F(p) ** k, F(0)), (F(0), F(p) ** -k)))
+    return p, M
+
+
+@given(sl2_padic_case())
+@settings(max_examples=150, deadline=None)
+def test_sl2_padic_closed_form_matches_the_smith_form(case):
+    p, M = case
+    N, d = ratio_form(M)
+    top = _sl2_padic_mu1(int_valuation(d, p), itertools.chain(*N), p)
+    smith = _smith_valuations(N, d, p)
+    assert (top, -top) == tuple(sorted((-w for w in smith), reverse=True))
+    assert cartan_padic(GroupElement(M, special_linear(2, padic(p)))).coords == (top, -top)
+
+
+# -- the stacked validation kernel --------------------------------------------
+
+def _int_stack(mats):
+    """The entrywise form of a stack: entry (r, c) of each matrix."""
+    n = len(mats[0])
+    return [[[M[r][c] for M in mats] for c in range(n)] for r in range(n)]
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n),
+             min_size=n, max_size=n), min_size=1, max_size=5)))
+@settings(max_examples=80, deadline=None)
+def test_stack_det_matches_bareiss(mats):
+    dets = _stack_det(_int_stack(mats))
+    assert dets == [_bareiss([list(r) for r in M]) for M in mats]
+    assert all(type(x) is int for x in dets)
+
+
+def _oracle_fault(N, d, group):
+    """The verdict of validation from _bareiss and N^T C N written out."""
+    n = len(N)
+    if _bareiss([list(r) for r in N]) != d ** n:
+        return "determinant"
+    if group.family == "SL":
+        return None
+    C = group._cleared_form
+    gram = int_mat_mul(tuple(zip(*N)), tuple(tuple(c * x for x in row)
+                                             for c, row in zip(C, N)))
+    target = tuple(tuple(d * d * C[i] * (i == j) for j in range(n)) for i in range(n))
+    return None if gram == target else "form"
+
+
+def _verdict(fault):
+    """The oracle's name of a validation message."""
+    if fault is not None and fault.startswith("determinant is "):
+        return "determinant"
+    return {None: None, "matrix does not preserve the form": "form"}.get(fault, fault)
+
+
+def _cayley(S, form):
+    """(I - X)^-1 (I + X) for X = J^-1 S, S skew: an element of SO(J)."""
+    n = len(form)
+    X = [[S[i][j] / form[i] for j in range(n)] for i in range(n)]
+    plus = tuple(tuple(int(i == j) + X[i][j] for j in range(n)) for i in range(n))
+    minus = tuple(tuple(int(i == j) - X[i][j] for j in range(n)) for i in range(n))
+    return frac_mul(inverse(minus), plus)
+
+
+def _diag(values):
+    return tuple(tuple(F(v) if i == j else F(0) for j in range(len(values)))
+                 for i, v in enumerate(values))
+
+
+@st.composite
+def so_stack_case(draw):
+    """(group, matrices): SO(p, q) or U(p, q) with rational form
+    coefficients, and a mix of its elements, elements of O(p, q) with
+    det -1, matrices preserving the form only up to the scalar -1 with
+    det 1 (p = q), and random rational perturbations."""
+    p, q = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2)]))
+    n = p + q
+    pos = [draw(st.fractions(1, 5, max_denominator=4)) for _ in range(p)]
+    form = tuple(pos + ([-x for x in pos] if p == q else
+                        [-draw(st.fractions(1, 5, max_denominator=4))
+                         for _ in range(q)]))
+    family, field = draw(st.sampled_from([("SO", REAL), ("U", COMPLEX)]))
+    group = GroupDesc(family, field, p=p, q=q, form=form)
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        S = [[F(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            x = draw(st.fractions(-3, 3, max_denominator=5))
+            S[i][j], S[j][i] = x, -x
+        if frac_det([[form[i] * (i == j) - S[i][j] for j in range(n)]
+                     for i in range(n)]) == 0:
+            continue
+        M = _cayley(S, form)
+        kind = draw(st.integers(0, 3))
+        if kind == 1:  # O(p, q), det -1
+            M = frac_mul(M, _diag([-1] + [1] * (n - 1)))
+        elif kind == 2 and p == q:  # g^T J g = -J with det 1
+            swap = tuple(tuple(F(int(j == (i + p) % n)) for j in range(n))
+                         for i in range(n))
+            M = frac_mul(M, frac_mul(swap, _diag([(-1) ** p] + [1] * (n - 1))))
+        elif kind == 3:  # a perturbed entry
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            x = draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+            M = tuple(tuple(y + x * ((r, c) == (i, j)) for c, y in enumerate(row))
+                      for r, row in enumerate(M))
+        mats.append(M)
+    assume(mats)
+    return group, mats
+
+
+def _check_stack(group, mats):
+    ratios = [ratio_form(M) for M in mats]
+    faults = _ratio_faults(_int_stack([r[0] for r in ratios]),
+                           [r[1] for r in ratios], group)
+    expected = [_oracle_fault(*r, group) for r in ratios]
+    assert [_verdict(f) for f in faults] == expected
+    for M, fault in zip(mats, faults):  # validation is the stack of one
+        got = None
+        try:
+            GroupElement(M, group)
+        except PreconditionError as e:
+            got = str(e)
+        assert got == fault
+    return expected
+
+
+@given(so_stack_case())
+@settings(max_examples=120, deadline=None)
+def test_stack_verdicts_match_bareiss_and_the_form_product_on_so_and_u(case):
+    _check_stack(*case)
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.tuples(sl_rows(n), st.integers(0, 2)), min_size=1, max_size=5)))
+@settings(max_examples=60, deadline=None)
+def test_stack_verdicts_match_bareiss_on_sl(case):
+    n = len(case[0][0])
+    mats = []
+    for M, kind in case:
+        if kind == 1:  # det 2
+            M = (tuple(2 * x for x in M[0]),) + M[1:]
+        elif kind == 2:  # det -1
+            M = (tuple(-x for x in M[0]),) + M[1:]
+        mats.append(M)
+    assert _check_stack(special_linear(n, REAL), mats) == [
+        [None, "determinant", "determinant"][kind] for _, kind in case]
+
+
+def test_stack_verdicts_with_an_irrational_form():
+    """A rational element of SO(2, 1) for the form (1, 1, -sqrt 2) is
+    decided by the Fraction form product, on the stack as alone."""
+    q2 = quadratic(2)
+    group = GroupDesc("SO", q2, p=2, q=1,
+                      form=(F(1), F(1), QuadElement(0, -1, 2)))
+    rotation = ((F(3, 5), F(-4, 5), F(0)), (F(4, 5), F(3, 5), F(0)),
+                (F(0), F(0), F(1)))
+    boost = ((F(5, 4), F(0), F(3, 4)), (F(0), F(1), F(0)),
+             (F(3, 4), F(0), F(5, 4)))
+    assert _group_faults(group, [rotation, boost, _diag([2, 1, F(1, 3)]),
+                                 _diag([-1, -1, 1])]) == [
+        None, "form", "determinant", None]
+
+
+def _group_faults(group, mats):
+    ratios = [ratio_form(M) for M in mats]
+    return [_verdict(f) for f in _ratio_faults(
+        _int_stack([r[0] for r in ratios]), [r[1] for r in ratios], group)]

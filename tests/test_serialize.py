@@ -20,7 +20,7 @@ from cartanlab import (
 )
 from cartanlab.exact import ratio_form
 from cartanlab.serialize import (
-    _ratio_from_json,
+    _stack_block,
     element_from_json,
     field_from_json,
     field_to_json,
@@ -130,12 +130,12 @@ def test_group_with_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# the integer fast path of the loader against the scalar_from_str route
+# the stacked route of the loader against the scalar_from_str route
 
 _LOADER_FIELDS = [REAL, COMPLEX, padic(2), padic(3), quadratic(2)]
-# entries that the fast path must hand to scalar_from_str
+# entries that are not rational text, or are rational text spelled oddly
 _ODD_ENTRIES = [" 3", "1_000", "٣", "1/0", "1.5", "2/4 ", "1e3", "",
-                True, None, 3.0, "-0", "0/7"]
+                True, None, 3.0, "-0", "0/7", "007/003", "2/4", 1.0, False]
 
 
 @st.composite
@@ -155,22 +155,19 @@ _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 @st.composite
-def _loader_case(draw):
-    """(JSON rows, group, whether every entry is rational): an SL_2 or
-    SO(1,1) element, maybe spoiled."""
-    field = draw(st.sampled_from(_LOADER_FIELDS))
-    if draw(st.booleans()):
-        group = GroupDesc("SL", field, n=2)
+def _loader_matrix(draw, group):
+    """(JSON rows, whether they are 2 x 2 and all rational): an element of
+    group (SL_2 or SO(1,1)), maybe spoiled."""
+    if group.family == "SL":
         a = draw(_rationals.filter(bool))
         b, c = draw(_rationals), draw(_rationals)
         values = [[a, b], [c, (1 + b * c) / a]]
     else:
-        group = GroupDesc("SO", field, p=1, q=1)
         k = F(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
         ch, sh = (k * k + 1) / (2 * k), (k * k - 1) / (2 * k)
         values = [[ch, sh], [sh, ch]]
     rows = [[draw(_spelling(x)) for x in row] for row in values]
-    spoil = draw(st.integers(0, 3))
+    spoil = draw(st.integers(0, 4))
     if spoil == 1:  # an odd entry
         rows[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(
             st.sampled_from(_ODD_ENTRIES))
@@ -179,34 +176,136 @@ def _loader_case(draw):
     elif spoil == 3:  # a ragged or non-square matrix
         rows = draw(st.sampled_from([rows[:1], [rows[0], rows[1][:1]],
                                      [row + ["0"] for row in rows]]))
-    return rows, group, spoil != 1
+    elif spoil == 4:  # not a list of rows
+        rows = draw(st.sampled_from(["1", [1, 0], {"a": 1}, [[0, 1], 1]]))
+    return rows, spoil in (0, 2)
+
+
+@st.composite
+def _loader_case(draw):
+    """(JSON matrices, which are 2 x 2 and all rational, group): a
+    document of 1 to 4 SL_2 or SO(1,1) matrices, each maybe spoiled."""
+    field = draw(st.sampled_from(_LOADER_FIELDS))
+    group = draw(st.sampled_from([GroupDesc("SL", field, n=2),
+                                  GroupDesc("SO", field, p=1, q=1)]))
+    drawn = draw(st.lists(_loader_matrix(group), min_size=1, max_size=4))
+    return [rows for rows, _ in drawn], [flag for _, flag in drawn], group
 
 
 def _outcome(make):
     try:
         return make()
     except Exception as e:  # the two routes must fail alike
-        return type(e)
+        return type(e), str(e)
+
+
+def _scalar_route(matrices, group):
+    """Every matrix through scalar_from_str, one element at a time."""
+    return [GroupElement(matrix_from_json(rows, group.field), group)
+            for rows in matrices]
+
+
+def _assert_same_elements(fast, slow):
+    if isinstance(slow, tuple):  # an exception's type and message
+        assert fast == slow
+        return
+    assert [type(g) for g in fast] == [GroupElement] * len(slow)
+    for f, s in zip(fast, slow):
+        assert f == s and hash(f) == hash(s)
+        assert f._den == s._den and f.is_exact == s.is_exact
+        if s._den:
+            assert f._m == s._m
 
 
 @given(case=_loader_case())
 @settings(max_examples=300, deadline=None)
 def test_fast_loader_matches_the_scalar_route(case):
-    rows, group, rational = case
-    if rational:  # the fast path's (N, d), before any validation
-        assert _ratio_from_json(rows) == ratio_form(
-            matrix_from_json(rows, group.field))
-    fast = _outcome(lambda: element_from_json(rows, group.field, group))
-    slow = _outcome(lambda: GroupElement(matrix_from_json(rows, group.field),
-                                         group))
-    if isinstance(slow, type):
-        assert fast is slow
-        return
-    assert isinstance(fast, GroupElement)
-    assert fast == slow and hash(fast) == hash(slow)
-    assert fast._den == slow._den
-    if slow._den:
-        assert fast._m == slow._m
+    """The stacked route gives each matrix of a document the scalar
+    route's (N, d) before any validation, and the document the same
+    elements, or the same first failure in document order."""
+    matrices, rational, group = case
+    for rows, flag, item in zip(matrices, rational, _stack_block(matrices, group)):
+        assert item is not None or not flag
+        if item is not None:
+            assert item[:2] == ratio_form(matrix_from_json(rows, group.field))
+    fast = _outcome(lambda: [g for _, g in load_matrix_document(
+        {"matrices": matrices}, field=group.field, group=group)[2]])
+    _assert_same_elements(fast, _outcome(lambda: _scalar_route(matrices, group)))
+    one = [_outcome(lambda: element_from_json(rows, group.field, group))
+           for rows in matrices]
+    assert one == [_outcome(lambda: GroupElement(matrix_from_json(
+        rows, group.field), group)) for rows in matrices]
+
+
+def _so22(*blocks):
+    """Rows of the 4 x 4 block-diagonal matrix of 2 x 2 blocks (x1, x3)
+    and (x2, x4), the two SO(1,1) planes of SO(2,2)."""
+    (a, b, c, d), (e, f, g, h) = blocks
+    return [[a, "0", b, "0"], ["0", e, "0", f], [c, "0", d, "0"],
+            ["0", g, "0", h]]
+
+
+_BOOST = ("5/4", "3/4", "3/4", "5/4")
+_ONE = (1, "0", "0", "1")
+_DOC_MATRICES = [
+    _so22(_BOOST, _ONE),
+    _so22(("2/4", "-0", 0, "4/2"), _ONE),  # det 1, form broken
+    _so22(_BOOST, ("007/003", "0", "0", "003/007")),  # form broken
+    _so22(_BOOST, ("5/4", "-3/4", "-3/4", "5/4")),
+    "not a matrix",
+    _so22(("2", "0", "0", "1"), _ONE),  # det 2
+    _so22(_BOOST, (True, "0", "0", 1)),
+    _so22(_BOOST, (1.0, "0", "0", 1)),
+    _so22(("1/0", "0", "0", "1"), _ONE),
+    [["1", "0"], ["0", "1"]],
+    _so22(("3/4", "5/4", "5/4", "3/4"), _ONE),  # det -1
+    _so22(_BOOST, ("0", "1", "1", "0")),  # det -1: O(1,1), not SO
+    _so22(("0", "1", "1", "0"), ("0", "1", "1", "0")),  # in O(2,2) with det 1
+    _so22(_BOOST, _BOOST),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 256])
+def test_stacked_loader_fails_first_where_the_scalar_route_does(
+        monkeypatch, block):
+    """Every tail of a document mixing good matrices, determinant and
+    form failures, malformed matrices, ``true`` and ``1.0`` next to ``1``
+    and unreduced text loads to the same elements, or fails with the same
+    first failure, as the scalar route, whatever the stack's block size."""
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    group = GroupDesc("SO", REAL, p=2, q=2)
+    doc = {"field": {"kind": "real"}, "group": {"family": "SO", "p": 2, "q": 2}}
+    failures = set()
+    for start in range(len(_DOC_MATRICES)):
+        matrices = _DOC_MATRICES[start:]
+        fast = _outcome(lambda: [g for _, g in load_matrix_document(
+            dict(doc, matrices=matrices))[2]])
+        _assert_same_elements(fast, _outcome(lambda: _scalar_route(matrices, group)))
+        if isinstance(fast, tuple):
+            failures.add(fast[1])
+    assert failures == {
+        "matrix does not preserve the form", "determinant is 2, not 1",
+        "determinant is -1, not 1", "a matrix must be a list of rows of scalars",
+        "could not convert string to float: 'True'", "matrix is not 4x4",
+        "scalar '1/0' has a zero denominator"}
+
+
+def test_stacked_loader_keeps_true_and_floats_apart_from_ints():
+    """``true``, ``1.0`` and ``1`` hash alike; the parse of a stack is
+    keyed by type, so ``true`` stays malformed and ``1.0`` a float."""
+    sl2 = {"family": "SL", "n": 2}
+    ints = [[1, 0], [0, 1]]
+    doc = {"field": {"kind": "real"}, "group": sl2,
+           "matrices": [ints, [[1.0, 0], [0, 1]], ints]}
+    _, _, items = load_matrix_document(doc)
+    assert [g.is_exact for _, g in items] == [True, False, True]
+    doc["matrices"] = [ints, [[True, 0], [0, 1]]]
+    with pytest.raises(ValueError):
+        load_matrix_document(doc)
+    doc["field"] = {"kind": "padic", "p": 2}  # 1.0 is exact text over Q_p
+    doc["matrices"] = [ints, [[1.0, 0], [0, 1]]]
+    _, _, items = load_matrix_document(doc)
+    assert items[0][1] == items[1][1] and items[1][1]._den == 1
 
 
 _SO11 = {"family": "SO", "p": 1, "q": 1}
@@ -228,27 +327,52 @@ _SL2 = {"family": "SL", "n": 2}
     ({"kind": "complex"}, _SL2, [["1/0", "0"], ["0", "1"]]),
     ({"kind": "quadratic", "r": 2}, _SL2, [["1/0", "0"], ["0", "1"]]),
     ({"kind": "quadratic", "r": 2}, _SL2, [["1/0*sqrt(2)", "0"], ["0", "1"]]),
+    ({"kind": "real"}, _SL2, [["2/4", "-0"], ["007/003", "004/2"]]),
+    ({"kind": "padic", "p": 3}, _SL2, [["2/4", "-0"], ["007/003", "004/2"]]),
+    ({"kind": "real"}, _SL2, [[True, 0], [0, 1]]),
+    ({"kind": "real"}, _SL2, [[1.0, 0], [0, 1]]),
+    ({"kind": "padic", "p": 2}, _SL2, [[1.0, 0], [0, 1]]),
 ])
-def test_fast_loader_exits_as_the_scalar_route(tmp_path, monkeypatch, field,
-                                               group, rows):
-    """cartan and ball give the same exit code (or exception) and bytes
-    with the fast path and with every matrix sent to scalar_from_str."""
+def test_fast_loader_exits_as_the_scalar_route(tmp_path, monkeypatch, capsys,
+                                               field, group, rows):
+    """cartan and ball give the same exit code (or exception), message and
+    bytes with the stacked route and with every matrix sent to
+    scalar_from_str."""
+    _assert_same_exits(tmp_path, monkeypatch, capsys, field, group, [rows])
+
+
+@pytest.mark.parametrize("matrices", [
+    [_DOC_MATRICES[i] for i in order] for order in
+    [(0, 3, 13), (0, 1, 4, 5), (0, 4, 1), (5, 6, 2), (0, 7, 6, 1),
+     (0, 10, 8), (11, 0), (12, 9), (3, 2, 4)]])
+def test_stacked_loader_exits_as_the_scalar_route_on_documents(
+        tmp_path, monkeypatch, capsys, matrices):
+    """The same on documents of several SO(2,2) matrices: a determinant
+    or form failure before and after a malformed matrix, and ``true``,
+    ``1.0`` and unreduced text next to good matrices."""
+    _assert_same_exits(tmp_path, monkeypatch, capsys, {"kind": "real"},
+                       {"family": "SO", "p": 2, "q": 2}, matrices)
+
+
+def _assert_same_exits(tmp_path, monkeypatch, capsys, field, group, matrices):
     docs = {
-        "cartan": {"field": field, "group": group, "matrices": [rows]},
-        "ball": {"field": field, "group": group, "generators": {"a": rows}},
+        "cartan": {"field": field, "group": group, "matrices": matrices},
+        "ball": {"field": field, "group": group,
+                 "generators": {f"g{i}": rows for i, rows in enumerate(matrices)}},
     }
     for command, doc in docs.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(doc))
         results = []
-        for route in ("fast", "scalar"):
+        for route in ("stacked", "scalar"):
             if route == "scalar":
-                monkeypatch.setattr(serialize, "_ratio_from_json",
-                                    lambda rows: None)
+                monkeypatch.setattr(serialize, "_stack_block",
+                                    lambda block, group: [None] * len(block))
             out = tmp_path / f"{command}_{route}.csv"
             code = _outcome(lambda: cli.main(
                 [command, "--input", str(path), "--output", str(out),
                  "--radius", "1"]))
-            results.append((code, out.read_bytes() if out.exists() else None))
+            results.append((code, capsys.readouterr().err,
+                            out.read_bytes() if out.exists() else None))
             monkeypatch.undo()
         assert results[0] == results[1]
