@@ -65,7 +65,7 @@ for _ in range(5):
     zs.append(z)
 k = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])  # signed permutation
 rep = product_sandwich_check([*zs], [k] * 4, eps, REAL,
-                             attracting=x0, repelling=X0, samples=200)
+                             attracting=x0, repelling=X0)
 print(f"five-factor product: lower = {rep.lower:.4e}  "
       f"value = {rep.value:.4e}  upper = {rep.upper:.4e}")
 print(f"sandwich holds: {rep.passed}")

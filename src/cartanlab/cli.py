@@ -3,9 +3,9 @@
 Every command reads one JSON document (see `serialize`), writes one CSV
 with a header row, and for report-style commands a JSON sidecar next to
 the CSV (same path + ".json").  Output is byte-deterministic for a fixed
-config: iteration orders are the breadth-first word order, floats print
-with 12 significant digits, and the pseudo-random eps samples (over R
-and C only) take the --seed flag.
+config: iteration orders are the breadth-first word order and floats
+print with 12 significant digits.  Nothing is sampled: --seed still
+parses, so old command lines run, but it has no effect.
 
 Exit codes: 0 success, 2 precondition/input failure, 3 numerical
 failure.
@@ -206,9 +206,7 @@ def cmd_proximal(args) -> int:
         rep = ";".join(scalar_to_str(x) for x in pd.repelling.functional)
         eps_ok = eps_cert = ""
         if args.eps is not None:
-            verdict = eps_proximal_check(
-                g.matrix, float(args.eps), field, pd=pd, seed=args.seed
-            )
+            verdict = eps_proximal_check(g.matrix, float(args.eps), field, pd=pd)
             eps_ok, eps_cert = verdict.ok, verdict.certified
         rows.append([
             name, "proximal", scalar_to_str(pd.eigenvalue),
@@ -419,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rho0", type=float, default=None,
                         help="short-element cutoff for envelope fits")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed of the pseudo-random sample of 10000 "
-                        "points that checks eps-proximality over R and C "
-                        "off the axes")
+                        help="no effect: eps-proximality is decided exactly "
+                        "and nothing is sampled")
     for name, fn in [
         ("cartan", cmd_cartan), ("ball", cmd_ball), ("proximal", cmd_proximal),
         ("decompose", cmd_decompose), ("bend", cmd_bend),

@@ -6,8 +6,8 @@ The projective space P(V) over a local field carries the distance
 
 for the coordinate sup-norm.  Over R the infimum runs over two signs;
 over C over a unit-modulus phase, where it is attained at one of finitely
-many phases in closed form (``_row_distances``, one float kernel for R
-and C); over Q_p over the unit group, where it collapses to an exact
+many phases in closed form (``archimedean._row_distances``, one float
+kernel for R and C); over Q_p over the unit group, where it collapses to an exact
 closed form: for sup-normalized representatives,
 
     d(x1, x2) = max_{i<j} |v_i w_j - v_j w_i|.
@@ -27,12 +27,14 @@ eigensolve with an explicit resolution threshold; over Q_p it is exact,
 via the Newton polygon of the characteristic polynomial, with the
 dominant eigenvalue lifted to prescribed p-adic precision.
 
-Over Q_p, eps-proximality and the homothety range r_eps are decided
-exactly: condition (2) by a finite search of the p-adic digit tree (both
-distances it compares are read off valuations that a few digits of the
-point decide), r_eps by a closed form.  Over R/C both are exact for
-coordinate-aligned eigendata and otherwise sampled on a seeded
-pseudo-random set of points.
+Nothing is sampled.  The homothety range r_eps has one closed form for
+every field, and condition (2) of eps-proximality is decided exactly:
+over Q_p by a finite search of the p-adic digit tree (both distances it
+compares are read off valuations that a few digits of the point
+decide), over R/C by a search of boxes covering the eps-far set, each
+closed by integer bounds or answered by a point that fails exactly.  A
+box search still open after a fixed budget reports an indeterminate
+verdict.
 
 All distances are relative to the coordinate basis fixing the sup-norm
 (weight-adapted coordinates, in the representation-theoretic setting);
@@ -49,6 +51,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .archimedean import _box_contraction_witness, _row_distances
 from .cartan import cartan, to_float_array, weight_pairing
 from .errors import IndeterminateError, NumericalError, PreconditionError
 from .exact import (
@@ -100,15 +103,6 @@ def _sup_normalize(vec, field: FieldDesc):
     return a / s
 
 
-def _aligned_axis(vec, field: FieldDesc):
-    """Index j if the vector spans the j-th coordinate line, else None."""
-    if field.kind == "padic":
-        nz = [i for i, x in enumerate(vec) if x != 0]
-    else:
-        nz = [i for i, x in enumerate(vec) if abs(x) > _EQ_TOL]
-    return nz[0] if len(nz) == 1 else None
-
-
 class ProjPoint:
     """A point of projective space, stored as a sup-normalized vector."""
 
@@ -135,10 +129,6 @@ class ProjPoint:
 
     def __hash__(self):  # pragma: no cover - points are not dict keys in hot paths
         return hash(self.dim)
-
-    def aligned_axis(self):
-        """Index j if the point is the j-th coordinate line, else None."""
-        return _aligned_axis(self.vec, self.field)
 
     def __repr__(self):
         return f"ProjPoint({list(self.vec)!r})"
@@ -172,7 +162,10 @@ class ProjHyperplane:
         return abs(val) < _EQ_TOL
 
     def aligned_axis(self):
-        return _aligned_axis(self.functional, self.field)
+        """Index j if this is the coordinate hyperplane {x_j = 0}, else None."""
+        tol = 0 if self.field.kind == "padic" else _EQ_TOL
+        nz = [i for i, x in enumerate(self.functional) if abs(x) > tol]
+        return nz[0] if len(nz) == 1 else None
 
     def __repr__(self):
         return f"ProjHyperplane({list(self.functional)!r})"
@@ -194,57 +187,7 @@ def proj_distance(x1: ProjPoint, x2: ProjPoint):
         minors = _minors(x1.vec, x2.vec)
         return max((abs_value(m, x1.field) for m in minors), default=Fraction(0))
     return float(_row_distances(np.asarray(x1.vec)[None], np.asarray(x2.vec),
-                                x1.field)[0])
-
-
-def _row_distances(W, x, field: FieldDesc):
-    """d([w], [x]) for each sup-normalised row w of W and sup-normalised
-    x: min over units u of max_j |w_j - u x_j|, over R (u = +-1) or C
-    (the field, or either array complex).
-
-    Over C the least maximum of g_j = |w_j - e^(i theta) x_j|^2 lies at
-    some phi_i = arg(w_i conj(x_i)) or where two terms i < j cross.  From
-    a = e^(i phi), phi the one of phi_i, phi_j with the larger |w x|, at
-    e^(i theta) = a e^(is) each term is |y|^2 + 2 (1 - cos s)(Re k +
-    |x|^2) + 2 sin(s) Im k for y = w - a x, k = conj(y) a x; with C, P, Q
-    the differences (i minus j) of these, t = tan(s/2) solves
-    (C + 4P) t^2 + 4Q t + C = 0, and e^(is) = ((1 + it) / |1 + it|)^2.
-    Nothing of order 1 cancels, so nearby points get a distance right to
-    a few ulps.  Each of these d + d(d - 1) candidates is one elementwise
-    pass; a spare one (u = 1 for an undefined phase, a crossing that does
-    not exist) is a unit too, so it cannot undercut the minimum.
-    """
-    if not (field.kind == "complex" or np.iscomplexobj(W) or np.iscomplexobj(x)):
-        return np.minimum(np.abs(W - x).max(axis=1), np.abs(W + x).max(axis=1))
-    WT = np.ascontiguousarray(W.T, dtype=complex)  # one coordinate per row
-    x = np.asarray(x, dtype=complex)[:, None]
-    best = np.full(len(W), np.inf)
-
-    def fold(u):
-        np.minimum(best, np.abs(WT - u * x).max(axis=0), out=best)
-
-    def unit(w):  # w / |w| (1 at 0) by real divisions: numpy's complex one
-        # overflows on a subnormal |w|
-        r = np.abs(w)
-        return np.divide(w.real, r, where=r > 0, out=np.ones_like(r)) + 1j * (
-            np.divide(w.imag, r, where=r > 0, out=np.zeros_like(r)))
-
-    z = WT * x.conj()
-    B, phases, x2 = np.abs(z), unit(z), np.abs(x) ** 2
-    for a in phases:
-        fold(a)
-    for i, j in combinations(range(len(x)), 2):
-        a = np.where(B[i] >= B[j], phases[i], phases[j])
-        yi, yj = WT[i] - a * x[i], WT[j] - a * x[j]
-        ki, kj = yi.conj() * a * x[i], yj.conj() * a * x[j]
-        C = np.abs(yi) ** 2 - np.abs(yj) ** 2
-        P = (ki.real + x2[i]) - (kj.real + x2[j])
-        Q = ki.imag - kj.imag
-        A = C + 4 * P
-        q = -2 * Q - np.copysign(np.sqrt(np.maximum(4 * Q * Q - A * C, 0)), Q)
-        fold(a * unit(A + 1j * q) ** 2)  # t = q / A
-        fold(a * unit(q + 1j * C) ** 2)  # t = C / q
-    return best
+                                x1.field)[0][0])
 
 
 @dataclass
@@ -252,7 +195,7 @@ class HyperplaneDistance:
     """Distance from a point to a hyperplane: certified bounds.
 
     ``exact`` means lower == upper is the true infimum (always over
-    padic fields and for coordinate hyperplanes over R).
+    padic fields and for coordinate hyperplanes over R and C).
     """
 
     lower: float
@@ -275,7 +218,7 @@ def point_hyperplane_distance(x: ProjPoint, H: ProjHyperplane) -> HyperplaneDist
     val = abs(complex(np.dot(f, v)))
     lower = val / float(np.abs(f).sum())
     axis = H.aligned_axis()
-    if axis is not None and x.field.kind == "real":
+    if axis is not None:
         # coordinate hyperplane {x_axis = 0}: distance is exactly |v_axis|
         d = float(abs(v[axis]))
         return HyperplaneDistance(d, d, True)
@@ -530,35 +473,12 @@ def _kernel_columns(M):
 
 @dataclass
 class EpsProximalVerdict:
+    """``samples_checked`` is always 0: no verdict is sampled."""
+
     ok: bool
     certified: bool
     reason: str = ""
     samples_checked: int = 0
-
-
-def _sample_points(dim, field, count, seed):
-    """The seeded pseudo-random sample of ``count`` projective points over
-    R/C: one (count, dim) array of sup-normalised rows of standard normals
-    (complex rows take their real and imaginary parts from consecutive
-    draws)."""
-    rng = np.random.default_rng(seed)
-    if field.kind == "complex":
-        parts = rng.standard_normal((count, 2, dim))
-        V = parts[:, 0] + 1j * parts[:, 1]
-    else:
-        V = rng.standard_normal((count, dim))
-    return V / np.abs(V).max(axis=1)[:, None]
-
-
-def _hyperplane_pairings(V, H: ProjHyperplane):
-    """(f.v, lower bound of d([v], H)) for every sup-normalised row v,
-    as ``point_hyperplane_distance`` bounds it."""
-    f = np.asarray(H.functional)
-    P = V @ f
-    axis = H.aligned_axis()
-    if axis is not None and H.field.kind == "real":
-        return P, np.abs(V[:, axis])
-    return P, np.abs(P) / float(np.abs(f).sum())
 
 
 def _primitive_ints(vec, p):
@@ -611,30 +531,16 @@ def _is_isometry(matrix, field: FieldDesc) -> bool:
     return bool((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all())
 
 
-def _coordinate_split(x0: ProjPoint, X0: ProjHyperplane):
-    """Axis index when (x0, X0) are coordinate-aligned and transverse."""
-    j = x0.aligned_axis()
-    if j is None or X0.aligned_axis() != j:
-        return None
-    return j
-
-
 @dataclass
 class REpsEstimate:
     """The homothety-coefficient log-range sup of the contraction lemma.
 
-    value = 2 * sup |log |t_v|| over unit v with d([v], X0) >= eps,
-    where v = t_v v0 + (hyperplane part).  Exact (exact=True) over Q_p
-    for every pair, where ``padic_k`` stores the exponent of the closed
-    form, and over R for coordinate-aligned pairs; otherwise a sampled
-    estimate, which can only under-estimate the true sup.
+    value = 2 * sup |log |t_v|| over sup-normalised v with d([v], X0) >=
+    eps, where v = t_v v0 + (a vector in X0), in closed form over every
+    field; over Q_p ``padic_k`` stores the exponent of the closed form.
     """
 
     value: float
-    exact: bool
-    method: str
-    samples_used: int = 0
-    aligned_lower: float | None = None
     padic_k: int | None = None
     padic_p: int | None = None
 
@@ -657,24 +563,22 @@ def _padic_eps_exponents(eps, p):
     return e, e if Fraction(1, p ** e) == bound else e + 1
 
 
-def r_eps(
-    x0_plus: ProjPoint,
-    X0_minus: ProjHyperplane,
-    eps: float,
-    samples: int = 4096,
-    seed: int = 0,
-) -> REpsEstimate:
+def r_eps(x0_plus: ProjPoint, X0_minus: ProjHyperplane, eps: float) -> REpsEstimate:
     """Log-range of homothety coefficients over the eps-far set.
 
-    Requires 0 < eps and d(x0+, X0-) >= 2*eps.  Over Q_p the closed form
-    holds for every pair: with v0 = v(<X0-, x0+>) for sup-normalised
-    representatives and e from ``_padic_eps_exponents``, |t|_p =
-    p^-(v(F.u) - v0) and v(F.u) takes every value 0..e on the eps-far
-    set, so r_eps = 2 max(v0, e - v0) log p.  Over R a coordinate-aligned
-    pair gives -2 log eps (|t| in [eps, 1]).  Other pairs over R/C are
-    estimated on a seeded pseudo-random sample of ``samples`` points and
-    reported with the number of sample points at distance >= eps from
-    X0- and the aligned lower bound.
+    Requires 0 < eps and d(x0+, X0-) >= 2*eps.  With f the functional of
+    X0- and x = x0+ (both sup-normalised), a point off X0- has one
+    representative v = x + h with f.h = 0, and t_v = 1 / ||v|| for its
+    sup-normalised form.  Over R/C the point is eps-far from X0- (|f.v|
+    >= eps ||f||_1 ||v||, the bound ``point_hyperplane_distance`` gives)
+    iff ||v|| <= |f.x| / (eps ||f||_1), and ||v|| takes every value from
+    the dual-norm minimum |f.x| / ||f||_1 up to that bound, so
+
+        r_eps = 2 max(log(||f||_1 / |f.x|), log(|f.x| / (eps ||f||_1))).
+
+    Over Q_p the same read-off, with ||f|| = 1, |f.x| = p^-v0 and the
+    distances p^-j >= eps to X0- those with j <= e (``_padic_eps_exponents``),
+    gives r_eps = 2 max(v0, e - v0) log p.
     """
     check_eps(eps)
     dd = point_hyperplane_distance(x0_plus, X0_minus)
@@ -686,39 +590,10 @@ def r_eps(
     if field.kind == "padic":
         v0 = rational_valuation(X0_minus.pair(x0_plus), field.p)
         k = max(v0, _padic_eps_exponents(eps, field.p)[0] - v0)
-        return REpsEstimate(
-            value=2 * k * math.log(field.p),
-            exact=True,
-            method="closed-form",
-            padic_k=k,
-            padic_p=field.p,
-        )
-    if _coordinate_split(x0_plus, X0_minus) is not None:
-        return REpsEstimate(
-            value=-2.0 * math.log(eps), exact=True, method="closed-form"
-        )
-    points = _sample_points(x0_plus.dim, field, samples, seed)
-    used, logs = _float_homothety_logs(x0_plus, X0_minus, eps, points)
-    return REpsEstimate(
-        value=2 * max([0.0, *logs]),
-        exact=False,
-        method="sampled",
-        samples_used=used,
-        aligned_lower=-2.0 * math.log(eps),
-    )
-
-
-def _float_homothety_logs(x0, X0, eps, V):
-    """(number of rows at distance >= eps from X0, |log |t|| at the
-    extremes of |t| over them), t the homothety coefficient; since log
-    is monotone these bound |log |t|| over every such row."""
-    P, lower = _hyperplane_pairings(V, X0)
-    far = ~(lower < eps)
-    mags = np.abs(P[far] / X0.pair(x0))
-    mags = mags[mags != 0]
-    if not mags.size:
-        return int(far.sum()), []
-    return int(far.sum()), [abs(math.log(mags.max())), abs(math.log(mags.min()))]
+        return REpsEstimate(2 * k * math.log(field.p), k, field.p)
+    f1 = float(np.abs(X0_minus.functional).sum())
+    fx = abs(X0_minus.pair(x0_plus))
+    return REpsEstimate(2 * max(math.log(f1 / fx), math.log(fx / (eps * f1))))
 
 
 def eps_proximal_check(
@@ -726,21 +601,17 @@ def eps_proximal_check(
     eps: float,
     field: FieldDesc,
     pd: ProximalData | None = None,
-    samples: int = 10_000,
-    seed: int = 0,
     gap_tol: float = _GAP_TOL,
 ) -> EpsProximalVerdict:
     """Check the two epsilon-proximality conditions for g (0 < eps).
 
     (1) d(x+, X-) >= 2*eps; (2) every x with d(x, X-) >= eps satisfies
-    d(g.x, x+) <= eps.  Over Q_p condition (2) is decided exactly by
-    ``_padic_contraction_witness``, and every verdict is certified.  Over
-    R/C it is certified analytically when the eigendata is
-    coordinate-aligned (contraction factor times coordinate
-    conditioning); otherwise it is checked on a seeded pseudo-random
-    sample of ``samples`` points, the verdict is flagged as sampled, and
-    ``samples_checked`` counts the sample points at distance >= eps from
-    X- up to and including the first that fails.
+    d(g.x, x+) <= eps.  Condition (2) is decided exactly: over Q_p by
+    ``_padic_contraction_witness``, over R/C by
+    ``archimedean._box_contraction_witness`` (with respect to the float x+
+    and functional of X-, which are exact dyadic rationals).  A verdict is
+    certified unless the box search left a box open, which reads
+    ``indeterminate`` with ok False.
     """
     check_eps(eps)
     if pd is None:
@@ -754,50 +625,23 @@ def eps_proximal_check(
     if d1.lower < 2 * eps:
         reason = "condition (1) fails: attracting point too close to hyperplane"
         return EpsProximalVerdict(False, d1.exact, reason)
+    search, name = _box_contraction_witness, "box"
     if field.kind == "padic":
-        if _padic_contraction_witness(g, pd, eps, field.p) is None:
-            return EpsProximalVerdict(True, True, "exact digit-tree search")
-        return EpsProximalVerdict(
-            False, True, "condition (2) fails at a digit-tree witness"
-        )
-    axis = _coordinate_split(pd.attracting, pd.repelling)
-    if axis is not None:
-        ok, certified = _aligned_contraction(g, axis, eps)
-        if certified:
-            return EpsProximalVerdict(ok, True, "aligned analytic bound")
-    points = _sample_points(pd.attracting.dim, field, samples, seed)
-    ok, checked = _float_contraction_samples(g, pd, eps, field, points)
-    if not ok:
-        return EpsProximalVerdict(
-            False, False, "condition (2) fails on a sample", checked
-        )
-    return EpsProximalVerdict(True, False, "sampled", checked)
+        search = functools.partial(_padic_contraction_witness, p=field.p)
+        name = "digit-tree"
+    try:
+        witness = search(g, pd, eps)
+    except IndeterminateError as e:
+        return EpsProximalVerdict(False, False, f"indeterminate: {e}")
+    if witness is None:
+        return EpsProximalVerdict(True, True, f"exact {name} search")
+    return EpsProximalVerdict(False, True, f"condition (2) fails at a {name} witness")
 
 
 def check_eps(eps):
     """Refuse an eps that is not a positive finite number."""
     if not (math.isfinite(eps) and eps > 0):
         raise PreconditionError(f"eps must be positive and finite, got {eps!r}")
-
-
-def _float_contraction_samples(g, pd, eps, field, V):
-    """(ok, checked) for condition (2) on the sample rows V: ok is False
-    at the first row at distance >= eps from X- whose image lies
-    farther than eps from x+, and checked counts the rows at distance
-    >= eps from X- up to that one (all of them when ok).  The distances
-    of all those images to x+ come from one ``_row_distances`` call."""
-    _, lower = _hyperplane_pairings(V, pd.repelling)
-    a = to_float_array(g)
-    GX = V[~(lower < eps)] @ a.T
-    scale = np.abs(GX).max(axis=1)
-    if not scale.all():
-        raise PreconditionError("zero vector")
-    W = GX / scale[:, None]
-    dist = _row_distances(W, np.asarray(pd.attracting.vec), field)
-    bad = np.flatnonzero(dist > eps)
-    if bad.size:
-        return False, int(bad[0]) + 1
-    return True, len(W)
 
 
 def _padic_contraction_witness(g, pd, eps, p):
@@ -873,25 +717,6 @@ def _padic_contraction_witness(g, pd, eps, p):
     return None
 
 
-def _aligned_contraction(g, axis, eps):
-    """(ok, certified) for condition (2) over R/C with coordinate-aligned
-    data."""
-    a = to_float_array(g)
-    n = a.shape[0]
-    lam = a[axis, axis]
-    mask = np.ones(n, dtype=bool)
-    mask[axis] = False
-    if np.abs(a[axis, mask]).max(initial=0) > _EQ_TOL or np.abs(
-        a[mask, axis]
-    ).max(initial=0) > _EQ_TOL or lam == 0:
-        return False, False
-    block = a[np.ix_(mask, mask)]
-    eta = float(np.abs(block).sum(axis=1).max()) / (abs(lam) * eps)
-    if eta < 1 and 2 * eta / (1 - eta) <= eps:
-        return True, True
-    return False, False  # not certified either way; fall back to sampling
-
-
 @dataclass
 class SandwichReport:
     lower: object
@@ -909,8 +734,6 @@ def product_sandwich_check(
     field: FieldDesc,
     attracting: ProjPoint | None = None,
     repelling: ProjHyperplane | None = None,
-    samples: int = 2000,
-    seed: int = 0,
     rel_tol: float = 1e-9,
 ) -> SandwichReport:
     """Verify the norm sandwich for z_1 k_2 z_2 ... k_n z_n.
@@ -941,7 +764,7 @@ def product_sandwich_check(
         attracting = attracting or pd0.attracting
         repelling = repelling or pd0.repelling
 
-    est = r_eps(attracting, repelling, eps, samples=samples, seed=seed)
+    est = r_eps(attracting, repelling, eps)
 
     verdicts = []
     for i, z in enumerate(zs):
@@ -961,10 +784,7 @@ def product_sandwich_check(
                 f"z_{i + 1} homothety ratio differs from its norm", index=i
             )
         verdict = eps_proximal_check(
-            z, eps, field,
-            pd=ProximalData(ratio, attracting, repelling, 0.0),
-            samples=samples, seed=seed,
-        )
+            z, eps, field, pd=ProximalData(ratio, attracting, repelling, 0.0))
         if not verdict.ok:
             raise PreconditionError(
                 f"z_{i + 1} is not eps-proximal: {verdict.reason}", index=i

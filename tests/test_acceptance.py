@@ -241,7 +241,7 @@ def test_criterion_04_sandwich():
                 zs, ks = _real_instance(rng, dim, n, eps)
                 rep = product_sandwich_check(
                     zs, ks, eps, REAL,
-                    attracting=x0[dim], repelling=X0[dim], samples=100,
+                    attracting=x0[dim], repelling=X0[dim],
                 )
                 assert rep.passed, "real sandwich violation"
                 checked += 1
@@ -253,7 +253,7 @@ def test_criterion_04_sandwich():
             for _ in range(7):
                 zs, ks = _padic_instance(rng, dim, n)
                 rep = product_sandwich_check(
-                    zs, ks, 0.1, Q3, attracting=xp, repelling=Xp, samples=100,
+                    zs, ks, 0.1, Q3, attracting=xp, repelling=Xp,
                 )
                 assert rep.passed, "padic sandwich violation"
                 checked += 1
@@ -264,16 +264,16 @@ def test_criterion_04_sandwich():
     kbad[1, 0], kbad[0, 1], kbad[2, 2] = 1.0, 1.0, 1.0
     with pytest.raises(PreconditionError):
         product_sandwich_check([zs[0], zs[1]], [kbad], eps, REAL,
-                               attracting=x0[3], repelling=X0[3], samples=50)
+                               attracting=x0[3], repelling=X0[3])
     knot = np.diag([2.0, 1.0, 0.5])
     with pytest.raises(PreconditionError):
         product_sandwich_check([zs[0], zs[1]], [knot], eps, REAL,
-                               attracting=x0[3], repelling=X0[3], samples=50)
+                               attracting=x0[3], repelling=X0[3])
     zbad = zs[0].copy()
     zbad[0, 1] = zbad[0, 0]  # breaks the homothety/norm equality
     with pytest.raises(PreconditionError):
         product_sandwich_check([zbad], [], eps, REAL,
-                               attracting=x0[3], repelling=X0[3], samples=50)
+                               attracting=x0[3], repelling=X0[3])
     _report(4, f"{checked} sandwich instances, zero violations; guards reject")
 
 

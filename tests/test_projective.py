@@ -25,23 +25,18 @@ from cartanlab import (
     r_eps,
     special_linear,
 )
-from cartanlab import projective
-from cartanlab.cartan import invariant_factor_valuations
+from cartanlab import archimedean
+from cartanlab.cartan import invariant_factor_valuations, to_float_array
 from cartanlab.exact import det as exact_det
 from cartanlab.exact import inverse as exact_inverse
 from cartanlab.exact import mat_from_rows, mat_mul, ratio_form
 from cartanlab.fields import rational_valuation
+from cartanlab.archimedean import _box_contraction_witness, _point_holds, _row_distances
 from cartanlab.projective import (
     ProximalData,
-    _aligned_contraction,
     _apply_to_point,
-    _coordinate_split,
-    _float_contraction_samples,
-    _hyperplane_pairings,
     _padic_contraction_witness,
     _padic_eps_exponents,
-    _row_distances,
-    _sample_points,
     eps_proximal_check,
     point_hyperplane_distance,
     root_valuations,
@@ -398,6 +393,13 @@ def test_eps_proximal_strong_diagonal():
     assert v.ok and v.certified
 
 
+def test_eps_proximal_takes_a_group_element():
+    sl2 = special_linear(2, REAL)
+    g = GroupElement([[F(4), F(1)], [F(0), F(1, 4)]], sl2)
+    for eps in (0.05, 0.3):
+        assert eps_proximal_check(g, eps, REAL) == eps_proximal_check(g.matrix, eps, REAL)
+
+
 def test_eps_proximal_identity_false():
     v = eps_proximal_check(np.eye(3), 0.1, REAL)
     assert not v.ok
@@ -407,19 +409,20 @@ def test_eps_proximal_identity_false():
 def test_eps_proximal_tiny_gap_false():
     g = np.diag([1.0 + 1e-9, 1.0])
     pd = proximal_analyze(g, REAL, gap_tol=1e-12)
-    v = eps_proximal_check(g, 0.1, REAL, pd=pd, samples=500)
-    assert not v.ok  # contraction far too weak
+    v = eps_proximal_check(g, 0.1, REAL, pd=pd)
+    assert not v.ok and v.certified  # contraction far too weak
 
 
 def test_r_eps_closed_forms():
     x0 = ProjPoint([1.0, 0.0, 0.0], REAL)
     X0 = ProjHyperplane([1.0, 0.0, 0.0], REAL)
     est = r_eps(x0, X0, 0.1)
-    assert est.exact and est.value == pytest.approx(-2 * math.log(0.1))
+    assert est.value == pytest.approx(-2 * math.log(0.1))
+    assert est.padic_k is None
     x0p = ProjPoint([F(1), F(0)], Q3)
     X0p = ProjHyperplane([F(1), F(0)], Q3)
     est = r_eps(x0p, X0p, 0.1)
-    assert est.exact and est.padic_k == 2  # 1/9 >= 0.1 > 1/27
+    assert est.padic_k == 2  # 1/9 >= 0.1 > 1/27
     assert est.value == pytest.approx(4 * math.log(3))
     assert est.contraction_factor(3) == F(1, 3 ** 8)
 
@@ -430,17 +433,54 @@ def test_r_eps_monotone_and_generic():
     vals = [r_eps(x0, X0, e).value for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     # oblique attracting point over the coordinate hyperplane {x_1 = 0}:
-    # t_v = v_1 exactly, so the true sup is the aligned closed form and the
-    # sampled estimate must approach it from below
+    # f.x = ||f||_1 = 1, so |t_v| runs over [eps, 1] on the eps-far set and
+    # the closed form is exactly the aligned one, which a seeded sample of
+    # 4000 points only approaches from below
     x0g = ProjPoint([1.0, 0.3, 0.2], REAL)
     X0g = ProjHyperplane([1.0, 0.0, 0.0], REAL)
-    eps = 0.25
-    est = r_eps(x0g, X0g, eps, samples=4000, seed=1)
-    assert not est.exact and est.method == "sampled"
-    truth = -2 * math.log(eps)
-    assert est.value <= truth + 1e-9
-    assert est.value >= 0.5 * truth
-    assert est.aligned_lower == pytest.approx(truth)
+    assert r_eps(x0g, X0g, 0.25).value == -2 * math.log(0.25)
+    assert 0 < _per_point_r_eps(x0g, X0g, 0.25, 4000, 1)[1] < -2 * math.log(0.25)
+
+
+def _far_boundary_point(x, f, k, rho):
+    """x + s k with ||x + s k|| = rho (k in ker f, s > 0), by bisection."""
+    lo, hi = 0.0, 1.0
+    while np.abs(x + hi * k).max() < rho:
+        hi *= 2
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if np.abs(x + mid * k).max() < rho else (lo, mid)
+    return x + hi * k
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_r_eps_closed_form_is_attained(field, data):
+    """Explicit eps-far points attain both ends of the closed form's |t|
+    range: v = (f.x / ||f||_1) conj(f_i) / |f_i| has the least norm on f.v
+    = f.x, and x + s k, k in ker f, is eps-far exactly at ||x + s k|| =
+    |f.x| / (eps ||f||_1)."""
+    n = data.draw(st.integers(2, 4))
+    coords = st.floats(-1, 1, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    parts = (lambda: np.array(data.draw(st.lists(coords, min_size=n, max_size=n))))
+    x, f, k = (parts() + (1j * parts() if field.kind == "complex" else 0)
+               for _ in range(3))
+    x0, X0 = ProjPoint(x, field), ProjHyperplane(f, field)
+    x, f = np.asarray(x0.vec), np.asarray(X0.functional)
+    fx, f1 = complex(f @ x), float(np.abs(f).sum())
+    eps = data.draw(st.floats(0.01, 0.45)) * abs(fx) / f1
+    assume(abs(fx) / f1 >= 2 * eps > 0.002)
+    k = k - (f @ k) / (f @ f.conj()) * f.conj()  # into ker f
+    assume(np.abs(k).max() > 1e-3)
+    v_least = fx / f1 * f.conj() / np.abs(f)
+    v_far = _far_boundary_point(x, f, k, abs(fx) / (eps * f1))
+    logs = []
+    for v in (v_least, v_far):
+        y = ProjPoint(v, field)
+        assert point_hyperplane_distance(y, X0).lower >= eps * (1 - 1e-9)
+        logs.append(abs(math.log(abs(X0.pair(y) / X0.pair(x0)))))
+    assert r_eps(x0, X0, eps).value == pytest.approx(2 * max(logs), rel=1e-9)
 
 
 def test_precondition_r_eps():
@@ -470,7 +510,42 @@ def test_eps_must_be_positive_and_finite():
         eps_proximal_check([[F(4), 0], [0, F(1, 4)]], 0, padic(2))
 
 
-# -- the batched sampler against the per-point loop ---------------------------
+# -- exact verdicts against the seeded sampler, kept here as an oracle ---------
+
+
+def _sample_rows(dim, field, count, seed):
+    """The seeded sample that once decided condition (2) over R/C: one
+    (count, dim) array of sup-normalised rows of standard normals (complex
+    rows take their real and imaginary parts from consecutive draws)."""
+    rng = np.random.default_rng(seed)
+    if field.kind == "complex":
+        parts = rng.standard_normal((count, 2, dim))
+        V = parts[:, 0] + 1j * parts[:, 1]
+    else:
+        V = rng.standard_normal((count, dim))
+    return V / np.abs(V).max(axis=1)[:, None]
+
+
+def _sampled_failures(g, pd, eps, V):
+    """The rows of V that are eps-far from X- and whose images lie
+    farther than eps from x+, as point_hyperplane_distance and
+    proj_distance measure them, in one batch."""
+    f = np.asarray(pd.repelling.functional)
+    far = V[~(np.abs(V @ f) / np.abs(f).sum() < eps)]
+    GX = far @ to_float_array(g).T
+    W = GX / np.abs(GX).max(axis=1)[:, None]
+    return far[_row_distances(W, np.asarray(pd.attracting.vec),
+                              pd.attracting.field)[0] > eps]
+
+
+def _fails_directly(g, pd, eps, u):
+    """Whether [u] is eps-far from X- and g moves it farther than eps
+    from x+, through ProjPoint, point_hyperplane_distance and
+    proj_distance (up to a relative 1e-12 of float rounding)."""
+    x = ProjPoint(u, pd.attracting.field)
+    return (point_hyperplane_distance(x, pd.repelling).lower >= eps * (1 - 1e-12)
+            and float(proj_distance(_apply_to_point(g, x), pd.attracting))
+            > eps * (1 - 1e-12))
 
 
 def _per_point_samples(dim, field, count, seed):
@@ -507,11 +582,6 @@ def _per_point_eps_check(g, eps, field, samples, seed):
         return (False, d1.exact,
                 "condition (1) fails: attracting point too close to hyperplane",
                 0)
-    axis = _coordinate_split(pd.attracting, pd.repelling)
-    if axis is not None and field.kind != "padic":
-        ok, certified = _aligned_contraction(g, axis, eps)
-        if certified:
-            return ok, True, "aligned analytic bound", 0
     checked = 0
     for x in _per_point_samples(pd.attracting.dim, field, samples, seed):
         if point_hyperplane_distance(x, pd.repelling).lower < eps:
@@ -591,21 +661,29 @@ def _eps_cases(draw, field):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_batched_eps_sampler_matches_per_point_loop(field, data):
-    """Over R/C the batched sampler against the per-point loop; over Q_p
-    the exact verdict and r_eps against the per-point loop, the witness
-    and, where it is small enough, the exhaustive enumeration."""
+    """Every exact verdict against the seeded per-point sampler, kept here
+    as an oracle.  Over R/C a certified pass never meets a failing sample
+    (nor, over R with d = 2, a failing point of a fine grid) and every
+    witness fails when it is evaluated directly; over Q_p the digit tree
+    against the per-point loop, the witness and, where it is small enough,
+    the exhaustive enumeration.  r_eps is never below the sampled value."""
     g, eps, samples, seed = data.draw(_eps_cases(field))
     if field.kind != "padic" and all(x == 0 for row in g for x in row):
-        return  # a zero matrix is refused before any sampling
+        return  # a zero matrix is refused before any search
     if field.kind == "padic" and exact_det(mat_from_rows(g)) == 0:
-        return  # not invertible: refused before any sampling
-    v = eps_proximal_check(g, eps, field, samples=samples, seed=seed)
-    event(f"{field.kind}: {v.reason}")
+        return  # not invertible: refused before any search
+    try:
+        v = eps_proximal_check(g, eps, field)
+    except PreconditionError as e:
+        assert "off X- to zero" in str(e)  # a kernel off X-, refused
+        return
+    event(f"{field.kind}: {v.reason.split(':')[0]}")
+    event(f"{field.kind} indeterminate: {v.reason.startswith('indeterminate:')}")
     oracle = _per_point_eps_check(g, eps, field, samples, seed)
     if field.kind == "padic":
         _assert_exact_padic_verdict(g, eps, field, v, oracle)
     else:
-        assert _verdict(v) == oracle
+        _assert_box_verdict(g, eps, field, v, oracle)
     try:
         pd = proximal_analyze(g, field)
     except IndeterminateError:
@@ -618,14 +696,37 @@ def test_batched_eps_sampler_matches_per_point_loop(field, data):
     if field.kind == "padic":
         _assert_padic_r_eps(pd.attracting, pd.repelling, eps, samples, seed)
         return
-    if _coordinate_split(pd.attracting, pd.repelling) is not None:
+    est = r_eps(pd.attracting, pd.repelling, eps)
+    value = _per_point_r_eps(pd.attracting, pd.repelling, eps, samples, seed)[1]
+    assert est.value >= value - 1e-9
+
+
+def _assert_box_verdict(g, eps, field, v, oracle):
+    """The box verdict over R/C against the per-point loop: the same
+    verdict wherever condition (2) is not reached, else certified or
+    indeterminate; a pass that meets no failing sample (over R with d = 2
+    not on a grid of 2^14 points of P^1 either) and a witness that
+    fails."""
+    ok, _, reason, _ = oracle
+    assert v.samples_checked == 0
+    if reason not in ("sampled", "condition (2) fails on a sample"):
+        assert (v.ok, v.certified, v.reason) == oracle[:3]
         return
-    est = r_eps(pd.attracting, pd.repelling, eps, samples=samples, seed=seed)
-    used, value = _per_point_r_eps(pd.attracting, pd.repelling, eps,
-                                   samples, seed)
-    assert est.method == "sampled"
-    assert est.samples_used == used
-    assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    if v.reason.startswith("indeterminate:"):
+        assert not v.ok and not v.certified
+        return
+    assert v.certified
+    pd = proximal_analyze(g, field)
+    witness = _box_contraction_witness(g, pd, eps)
+    assert (witness is None) == v.ok
+    if v.ok:
+        assert ok
+    else:
+        assert _fails_directly(g, pd, eps, witness)
+    if field.kind == "real" and len(g) == 2 and v.ok:
+        theta = np.linspace(0, math.pi, 1 << 14)
+        grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        assert not len(_sampled_failures(g, pd, eps, grid))
 
 
 # -- the exact eps-proximality route over Q_p ----------------------------------
@@ -711,12 +812,11 @@ def _assert_exact_padic_verdict(g, eps, field, v, oracle):
 
 def _assert_padic_r_eps(x0, X0, eps, samples, seed):
     """r_eps over Q_p is the closed form 2 max(v0, e - v0) log p and at
-    least the sampled value."""
+    least the value on the seeded sample."""
     p = x0.field.p
-    est = r_eps(x0, X0, eps, samples=samples, seed=seed)
+    est = r_eps(x0, X0, eps)
     v0 = rational_valuation(X0.pair(x0), p)
     e, _ = _exponents(eps, p)
-    assert est.exact and est.method == "closed-form" and est.samples_used == 0
     assert est.padic_k == max(v0, e - v0)
     assert est.value == pytest.approx(2 * max(v0, e - v0) * math.log(p))
     assert est.value >= _per_point_r_eps(x0, X0, eps, samples, seed)[1] - 1e-12
@@ -785,12 +885,124 @@ def _conjugated(diagonal):
 
 def test_sampled_failure_at_known_index():
     # eigenvalue ratio 1/12 with x+ = [1 : 1] and X- = {2x - y = 0}: too
-    # weak for eps = 0.1; the 36th sample point at distance >= eps from
-    # X- is the first whose image lies farther than eps from x+
+    # weak for eps = 0.1; the 36th point of the seeded sample at distance
+    # >= eps from X- is the first whose image lies farther than eps from
+    # x+, and the box search certifies the failure with its own witness
     g = _conjugated((F(1), F(1, 12)))
-    v = eps_proximal_check(g, 0.1, REAL, samples=2000, seed=0)
-    assert _verdict(v) == (False, False, "condition (2) fails on a sample", 36)
-    assert _verdict(v) == _per_point_eps_check(g, 0.1, REAL, 2000, 0)
+    v = eps_proximal_check(g, 0.1, REAL)
+    assert _verdict(v) == (False, True, "condition (2) fails at a box witness", 0)
+    assert _per_point_eps_check(g, 0.1, REAL, 2000, 0) == (
+        False, False, "condition (2) fails on a sample", 36)
+    pd = proximal_analyze(g, REAL)
+    assert _fails_directly(g, pd, 0.1, _box_contraction_witness(g, pd, 0.1))
+
+
+def test_box_search_refutes_a_sampled_pass():
+    # diag(10) + a 2x2 block of spectral radius 1/64 at eps = 0.09: the
+    # seeded sample of 10 000 points passed it, but far points near
+    # [0.0914 : 1 : 0.984] land farther than eps from x+ = e1
+    g = [[F(10), 0, 0], [0, F(43, 4096), F(171, 16384)],
+         [0, F(-171, 4096), F(-683, 16384)]]
+    pd = proximal_analyze(g, REAL)
+    assert not len(_sampled_failures(g, pd, 0.09, _sample_rows(3, REAL, 10_000, 0)))
+    v = eps_proximal_check(g, 0.09, REAL)
+    assert _verdict(v) == (False, True, "condition (2) fails at a box witness", 0)
+    assert _fails_directly(g, pd, 0.09, _box_contraction_witness(g, pd, 0.09))
+
+
+def test_box_verdict_does_not_depend_on_a_seed():
+    # the seeded sample failed this g at seed 0 and passed it at seed 1;
+    # the box search gives one certified verdict
+    g = [[F(14), 0, 0], [F(-53, 512), F(-13, 256), F(53, 512)],
+         [F(7141, 512), 0, F(27, 512)]]
+    eps = 0.10509164455683852
+    pd = proximal_analyze(g, REAL)
+    assert [len(_sampled_failures(g, pd, eps, _sample_rows(3, REAL, 10_000, seed))) > 0
+            for seed in (0, 1)] == [True, False]
+    v = eps_proximal_check(g, eps, REAL)
+    assert _verdict(v) == (False, True, "condition (2) fails at a box witness", 0)
+    assert _fails_directly(g, pd, eps, _box_contraction_witness(g, pd, eps))
+
+
+def test_coordinate_hyperplane_distance_is_exact_over_c():
+    # {x_1 = 0} is at distance |v_1| from a sup-normalised v over C as over
+    # R, so a condition (1) failure against it is certified over both
+    g = [[2, 0], [1, 1.5]]
+    for field, m in ((REAL, g), (COMPLEX, [[complex(x) for x in row] for row in g])):
+        pd = proximal_analyze(m, field)
+        assert point_hyperplane_distance(pd.attracting, pd.repelling).exact
+        v = eps_proximal_check(m, 0.3, field)
+        assert (v.ok, v.certified) == (False, True)
+        assert v.reason.startswith("condition (1) fails")
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exact_point_test_matches_the_float_distance(field, data):
+    """``_point_holds`` (the exact test d([w], x) <= eps over Gaussian
+    integers) against proj_distance wherever the float distance is not
+    within 1e-9 of eps."""
+    n = data.draw(st.integers(2, 4))
+    parts = 2 if field.kind == "complex" else 1
+    ints = st.one_of(st.just((0, 0)), st.tuples(
+        st.integers(-40, 40), st.integers(-40, 40) if parts == 2 else st.just(0)))
+    w = [data.draw(ints) for _ in range(n)]
+    assume(any(w[i] != (0, 0) for i in range(n)))
+    top = data.draw(st.integers(0, n - 1))
+    X = [data.draw(ints) for _ in range(n)]
+    X[top] = (40, 0)  # x = X / 40 is sup-normalised
+    assume(all(a * a + b * b <= 1600 for a, b in X))
+    E = data.draw(st.integers(1, 30))
+    x = ProjPoint([complex(a, b) / 40 if parts == 2 else a / 40 for a, b in X], field)
+    y = ProjPoint([complex(a, b) if parts == 2 else float(a) for a, b in w], field)
+    d = float(proj_distance(y, x))
+    assume(abs(d - E / 40) > 1e-9)
+    event(f"within: {d <= E / 40}")
+    assert _point_holds(w, X, 40, E, field) == (d <= E / 40)
+
+
+def test_open_box_search_is_indeterminate(monkeypatch):
+    # a search still open at the budget ends as an indeterminate verdict,
+    # never a sampled one
+    g = _conjugated((F(1), F(1, 2 ** 8)))
+    assert eps_proximal_check(g, 0.1, REAL).certified
+    monkeypatch.setattr(archimedean, "_BOX_BUDGET", 0)
+    v = eps_proximal_check(g, 0.1, REAL)
+    assert (v.ok, v.certified, v.samples_checked) == (False, False, 0)
+    assert v.reason.startswith("indeterminate: ")
+
+
+def test_real_box_search_fixes_only_signs(monkeypatch):
+    # a complex unit can bring real points nearer than any sign does, so a
+    # box over R must be certified with u = +-1 only
+    units = []
+
+    def spy(W, x, field):
+        d, u = _row_distances(W, x, field)
+        units.extend(u.tolist())
+        return d, u
+
+    monkeypatch.setattr(archimedean, "_row_distances", spy)
+    # at some box centres of these searches the nearest complex unit is not
+    # real
+    for g, eps in (([[F(0), F(-1)], [F(-3), F(-3)]], 0.1153829445620877),
+                   ([[F(2), F(2), F(3)], [F(0), F(-2), F(2)], [F(-3), F(2), F(-1)]],
+                    0.05350424034595446)):
+        eps_proximal_check(g, eps, REAL)
+    assert units and {complex(u) for u in units} <= {1, -1}
+
+
+def test_box_search_with_a_singular_matrix():
+    # as over Q_p: the kernel of diag(1, 0) lies in X- = {x_1 = 0}, so the
+    # search decides condition (2); a kernel off X- is refused
+    for field in (REAL, COMPLEX):
+        pd = ProximalData(1.0, ProjPoint([1.0, 0.0], field),
+                          ProjHyperplane([1.0, 0.0], field), 0.0)
+        v = eps_proximal_check([[1.0, 0.0], [0.0, 0.0]], 0.1, field, pd=pd)
+        assert (v.ok, v.certified) == (True, True)
+        with pytest.raises(PreconditionError, match="off X- to zero"):
+            eps_proximal_check([[1.0, 1.0], [1.0, 1.0]], 0.1, field, pd=pd)
 
 
 def test_padic_sampled_pass_off_the_axes():
@@ -799,8 +1011,8 @@ def test_padic_sampled_pass_off_the_axes():
     Q2 = padic(2)
     g = _conjugated((F(1, 2 ** 8), F(1)))
     pd = proximal_analyze(g, Q2)
-    assert _coordinate_split(pd.attracting, pd.repelling) is None
-    v = eps_proximal_check(g, 0.1, Q2, samples=500, seed=0)
+    assert pd.repelling.aligned_axis() is None
+    v = eps_proximal_check(g, 0.1, Q2)
     assert _verdict(v) == (True, True, "exact digit-tree search", 0)
     assert _per_point_eps_check(g, 0.1, Q2, 500, 0)[0]
     _assert_padic_r_eps(pd.attracting, pd.repelling, 0.1, 500, 0)
@@ -812,10 +1024,10 @@ def test_padic_sample_at_distance_exactly_eps_passes():
     # which is <= eps = 1/8; the condition is not strict
     Q2 = padic(2)
     g = _conjugated((F(1, 2 ** 6), F(1)))
-    v = eps_proximal_check(g, 0.125, Q2, samples=500, seed=0)
+    v = eps_proximal_check(g, 0.125, Q2)
     assert _verdict(v) == (True, True, "exact digit-tree search", 0)
     assert _per_point_eps_check(g, 0.125, Q2, 500, 0)[0]
-    v = eps_proximal_check(g, 0.124, Q2, samples=500, seed=0)
+    v = eps_proximal_check(g, 0.124, Q2)
     assert not v.ok and v.certified
     assert not _per_point_eps_check(g, 0.124, Q2, 500, 0)[0]
     assert _assert_witness_semantics(g, proximal_analyze(g, Q2), 0.124) is False
@@ -826,7 +1038,7 @@ def test_padic_r_eps_with_non_unit_pairing():
     Q2 = padic(2)
     x0 = ProjPoint([F(1), F(1)], Q2)
     X0 = ProjHyperplane([F(1), F(1)], Q2)
-    est = r_eps(x0, X0, 0.25, samples=300, seed=5)
+    est = r_eps(x0, X0, 0.25)
     assert est.value == pytest.approx(2 * math.log(2))
     _assert_padic_r_eps(x0, X0, 0.25, 300, 5)
     # <X0-, [1 : 3]> = 4 and e = 3 at eps = 0.1: the far point with
@@ -866,7 +1078,7 @@ def test_sandwich_diag8_signed_permutations():
     z = np.diag([8.0, 0.2, 0.2])
     k = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])
     rep = product_sandwich_check(
-        [z] * 4, [k] * 3, eps, REAL, attracting=x0, repelling=X0, samples=400
+        [z] * 4, [k] * 3, eps, REAL, attracting=x0, repelling=X0
     )
     assert rep.passed
     assert rep.value / rep.upper <= 1 + 1e-12
@@ -888,20 +1100,26 @@ def test_sandwich_padic_exact():
 
 def test_sandwich_padic_off_the_axes_draws_no_sample(monkeypatch):
     # x+ = [1 : 1] and X- = {2x = y}: r_eps and both factor verdicts are
-    # exact over Q_2 off the coordinate axes, and nothing is sampled
+    # exact over Q_2 off the coordinate axes, as are the verdicts for the
+    # same eigendata over R and C, and no random number is drawn
     def no_sample(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(projective, "_sample_points", no_sample)
+    monkeypatch.setattr(np.random, "default_rng", no_sample)
     Q2 = padic(2)
     z = _conjugated((F(1, 2 ** 8), F(1)))
     pd = proximal_analyze(z, Q2)
-    assert _coordinate_split(pd.attracting, pd.repelling) is None
+    assert pd.repelling.aligned_axis() is None
     rep = product_sandwich_check([z, z], [[[F(1), F(0)], [F(0), F(1)]]],
                                  0.1, Q2)
-    assert rep.passed and rep.r_eps.exact and rep.r_eps.samples_used == 0
+    assert rep.passed and rep.r_eps.padic_k is not None
     assert [(v.ok, v.certified, v.samples_checked)
             for v in rep.eps_verdicts] == [(True, True, 0)] * 2
+    z = _conjugated((F(1), F(1, 2 ** 8)))
+    for g in (z, [[complex(x) for x in row] for row in z]):
+        field = COMPLEX if isinstance(g[0][0], complex) else REAL
+        v = eps_proximal_check(g, 0.1, field)
+        assert _verdict(v) == (True, True, "exact box search", 0)
 
 
 def test_padic_search_with_a_singular_matrix():
@@ -927,7 +1145,7 @@ def test_sandwich_guard_violation():
     kbad[1, 0], kbad[0, 1], kbad[2, 2] = 1.0, 1.0, 1.0  # sends x0+ into X0-
     with pytest.raises(PreconditionError) as err:
         product_sandwich_check(
-            [z, z], [kbad], 0.2, REAL, attracting=x0, repelling=X0, samples=100
+            [z, z], [kbad], 0.2, REAL, attracting=x0, repelling=X0
         )
     assert err.value.index == 0
 
@@ -947,7 +1165,7 @@ def test_sandwich_rejects_non_isometry():
     knot = np.diag([2.0, 0.5, 1.0])
     with pytest.raises(PreconditionError):
         product_sandwich_check(
-            [z, z], [knot], 0.2, REAL, attracting=x0, repelling=X0, samples=100
+            [z, z], [knot], 0.2, REAL, attracting=x0, repelling=X0
         )
 
 
@@ -1021,8 +1239,8 @@ def test_chi_mu_gap_one_sided():
 
 def _complex_proximal(seed):
     """A seeded complex P diag(1, z_2, ...) P^-1 with 1e-3 < |z_i| < 0.1:
-    on 20 sample rows seeds 0-5 give passes and failures at the first
-    and at later rows."""
+    at eps 0.05, 0.1 and 0.3 seeds 0-5 give certified passes and
+    certified failures of condition (2)."""
     rng = np.random.default_rng(seed)
     n = 2 + seed % 3
     P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -1032,23 +1250,29 @@ def _complex_proximal(seed):
 
 
 def test_batched_phase_min_matches_the_per_row_loop():
+    verdicts = set()
     for seed in range(6):
         g = _complex_proximal(seed)
         pd = proximal_analyze(g, COMPLEX)
-        V = _sample_points(pd.attracting.dim, COMPLEX, 20, seed)
+        V = _sample_rows(pd.attracting.dim, COMPLEX, 20, seed)
         GX = V @ np.array(g).T
         W_all = GX / np.abs(GX).max(axis=1)[:, None]
         x = pd.attracting.vec
-        got_all = _row_distances(W_all, x, COMPLEX)
+        got_all, units = _row_distances(W_all, x, COMPLEX)
         grid = np.array([_grid_phase_min(w, x) for w in W_all])
         assert _within_grid_bound(got_all, grid)
-        _, lower = _hyperplane_pairings(V, pd.repelling)
+        # the unit it reports attains the distance
+        assert (np.abs(W_all - units[:, None] * x).max(axis=1) == got_all).all()
         for eps in (0.05, 0.1, 0.3):
-            far = ~(lower < eps)
-            bad = np.flatnonzero(got_all[far] > eps)
-            verdict = (False, int(bad[0]) + 1) if bad.size else (True, int(far.sum()))
-            assert _float_contraction_samples(g, pd, eps, COMPLEX, V) == verdict
+            v = eps_proximal_check(g, eps, COMPLEX, pd=pd)
+            verdicts.add((v.ok, v.certified))
+            if v.ok:
+                assert not len(_sampled_failures(g, pd, eps, V))
+            elif v.certified:
+                witness = _box_contraction_witness(g, pd, eps)
+                assert _fails_directly(g, pd, eps, witness)
         # proj_distance takes the same path one row at a time
         ys = [ProjPoint(w, COMPLEX) for w in W_all]
-        batched = _row_distances(np.array([y.vec for y in ys]), x, COMPLEX)
+        batched = _row_distances(np.array([y.vec for y in ys]), x, COMPLEX)[0]
         assert [proj_distance(y, pd.attracting) for y in ys] == batched.tolist()
+    assert {(True, True), (False, True)} <= verdicts
