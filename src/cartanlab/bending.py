@@ -66,6 +66,8 @@ from .wordgroups import (
 )
 
 BEND_RELATOR_TOL = 1e-10  # max entry deviation a relator may show after bending
+_WITNESS_TOL = 1e-9  # relative residual below which a bracket adds no direction
+_BASE_POINT_TOL = 1e-9  # max entry deviation of a fixed base point
 
 
 @dataclass(frozen=True)
@@ -521,7 +523,7 @@ class _FloatSpan:
 
 
 @np.errstate(all="ignore")  # an overflow is caught by _FloatSpan.add
-def zariski_density_witness(Y, t: float, sub, tol: float = 1e-9) -> bool:
+def zariski_density_witness(Y, t: float, sub) -> bool:
     """Density certificate for the group generated by the subgroup of
     the fixed subalgebra ``sub`` and its conjugate by exp(t*Y).
 
@@ -538,7 +540,7 @@ def zariski_density_witness(Y, t: float, sub, tol: float = 1e-9) -> bool:
     Cinv = matrix_exp(Y, -t)
     h = [to_float_array(H) for H in sub.matrices]
     d = sub.space.dim
-    span = _FloatSpan(tol, d * (d - 1) // 2)  # the span lies in so(J)
+    span = _FloatSpan(_WITNESS_TOL, d * (d - 1) // 2)  # the span lies in so(J)
     basis = _closure(h, [C @ H @ Cinv for H in h], span,
                      lambda A, B: A @ B - B @ A)
     return len(basis) == span.dim
@@ -602,14 +604,14 @@ class UnitaryEmbedding:
     def as_group_element(self, matrix, group: GroupDesc) -> GroupElement:
         return GroupElement(self.realify(matrix), group)
 
-    def base_point_fixed(self, matrix, tol=1e-9) -> bool:
+    def base_point_fixed(self, matrix) -> bool:
         """Whether the realified matrix fixes the split-space vector
         with 1 in the first negative coordinate (the symmetric-space
         base point of the embedding)."""
         R = to_float_array(self.realify(matrix))
         v = np.zeros(R.shape[0])
         v[2 * self.n] = 1.0
-        return bool(np.abs(R @ v - v).max() <= tol)
+        return bool(np.abs(R @ v - v).max() <= _BASE_POINT_TOL)
 
 
 def u_embed(n: int) -> UnitaryEmbedding:

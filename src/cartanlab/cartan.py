@@ -20,14 +20,16 @@ division-free expansion, and the form equation on Python ints); the
 loader runs it on a document's stack and the constructor on a stack of
 one.
 
-``cartan_batch(elements, group)`` projects a whole set of one group's
-elements: over R or C it stacks them and takes one ``np.linalg.svd`` of
-the stack, with the same per-row post-processing (SL recentring, SO/U
-top-k sort and chamber clamp) that ``cartan_archimedean``, the batch of
-one, runs.  What depends only on the group is computed once per
-``GroupDesc`` and cached on it: the integer form coefficients of the
-exact form test and of the SO/U inverse, and the rescaling of a non-unit
-form.
+A whole set of one group's elements is projected by one kernel,
+``_mu_rows``, into the rows of one (m, k) array: over R or C one
+``np.linalg.svd`` of the stacked elements, with the SL recentring and
+the SO/U top-k cut and chamber clamp done on the whole array
+(``_svd_rows``); over Q_p the exact integer rows.  The reports read that
+array; ``cartan_batch`` wraps each row as a ``CartanVector``, and
+``cartan``, ``cartan_archimedean`` and ``cartan_padic`` are its batch of
+one.  What depends only on the group is computed once per ``GroupDesc``
+and cached on it: the integer form coefficients of the exact form test
+and of the SO/U inverse, and the rescaling of a non-unit form.
 
 Coordinate conventions.  For SL_n the chamber is
 {x_1 >= ... >= x_n, sum x_i = 0} (length-n coordinates).  For SO(p,q)
@@ -69,11 +71,7 @@ _CHAMBER_TOL = 1e-9
 
 
 def _float_entry(x):
-    if isinstance(x, QuadElement):
-        return float(x)
-    if isinstance(x, Fraction):
-        return float(x)
-    return x
+    return float(x) if isinstance(x, (QuadElement, Fraction)) else x
 
 
 def to_float_array(matrix) -> np.ndarray:
@@ -456,21 +454,29 @@ def cartan_archimedean(g: GroupElement) -> CartanVector:
 
 
 def cartan_batch(elements, group: GroupDesc) -> list:
-    """[cartan(g) for g in elements], for elements of group.
+    """[cartan(g) for g in elements], for elements of group: one
+    ``CartanVector`` per row of ``_mu_rows``."""
+    exact = group.field.kind == "padic"
+    return [CartanVector(tuple(row), group.family, exact)
+            for row in _mu_rows(elements, group).tolist()]
 
-    Over Q_p this is that loop.  Over R or C the elements go into one
-    float stack, a rational N / d as N_ij / d as in ``to_float_array``,
-    real and complex elements in separate stacks (a real element is never
-    made complex), and each stack takes one stacked SVD; the stacked
-    routines give the same bits as one call per matrix.
+
+def _mu_rows(elements, group: GroupDesc) -> np.ndarray:
+    """The Cartan projections of elements of group as the rows of one
+    (m, mu_length) array: exact integers over Q_p (``_padic_mu``).  Over R
+    or C the elements go into one float stack, a rational N / d as N_ij / d
+    as in ``to_float_array``, real and complex elements in separate stacks
+    (a real element is never made complex), and each stack takes one
+    stacked SVD (``_svd_rows``); the stacked routines give the same bits
+    as one call per matrix.
     """
     elements = list(elements)
     if not elements:
-        return []
+        return np.empty((0, group.mu_length))
     if any(g.group is not group and g.group != group for g in elements):
         raise PreconditionError("cartan_batch takes the elements of one group")
     if group.field.kind == "padic":
-        return [cartan_padic(g) for g in elements]
+        return np.array([_padic_mu(g) for g in elements], dtype=np.int64)
     parts = ([], []), ([], [])  # (positions, flat entries): real, complex
     for i, g in enumerate(elements):
         if g._den:
@@ -483,17 +489,19 @@ def cartan_batch(elements, group: GroupDesc) -> list:
         positions.append(i)
         flat.append(entries)
     n = group.size
-    out = [None] * len(elements)
+    out = np.empty((len(elements), group.mu_length))
     for (positions, flat), dtype in zip(parts, (float, complex)):
         if positions:
-            stack = np.array(flat, dtype=dtype).reshape(-1, n, n)
-            for i, mu in zip(positions, _svd_projections(stack, group)):
-                out[i] = mu
+            out[positions] = _svd_rows(np.array(flat, dtype=dtype).reshape(-1, n, n),
+                                       group)
     return out
 
 
-def _svd_projections(stack, group: GroupDesc) -> list:
-    """The CartanVector of each matrix of a float stack of group."""
+def _svd_rows(stack, group: GroupDesc) -> np.ndarray:
+    """The Cartan coordinates of each matrix of a float stack of group,
+    one row each: the log singular values, recentred by their mean for SL;
+    for SO/U the top rank of them (the SVD sorts them descending), with
+    values within the chamber tolerance of 0 clamped to 0."""
     if not np.all(np.isfinite(stack)):
         raise NumericalError("non-finite matrix entries")
     d = group._rescale
@@ -505,15 +513,12 @@ def _svd_projections(stack, group: GroupDesc) -> list:
         raise NumericalError(f"SVD failed: {e}") from e
     logs = np.log(sv)
     if group.family == "SL":
-        logs = logs - logs.mean(axis=1, keepdims=True)  # exact det-1 recentering
-        return [CartanVector(tuple(row), "SL") for row in logs.tolist()]
-    k = group.rank
-    out = []
-    for row in logs.tolist():
-        top = sorted(row, reverse=True)[:k]
-        top = [max(x, 0.0) if x > -_CHAMBER_TOL else x for x in top]
-        out.append(CartanVector(tuple(top), group.family))
-    return out
+        return logs - logs.mean(axis=1, keepdims=True)  # exact det-1 recentering
+    top = logs[:, :group.rank]
+    top = np.where(top > -_CHAMBER_TOL, np.maximum(top, 0.0), top)
+    if (top[:, -1] < -_CHAMBER_TOL).any():
+        raise PreconditionError("SO/U coordinates must be >= 0")
+    return top
 
 
 def _smith_valuations(N, d, p: int):
@@ -570,11 +575,17 @@ def _sl2_padic_mu1(v_den: int, entries, p: int) -> int:
 
 def cartan_padic(g: GroupElement) -> CartanVector:
     """Cartan projection over Q_p for SL_n, exact integer coordinates:
-    the invariant factor valuations of g, negated, in descending order;
-    for SL_2 their closed form ``_sl2_padic_mu1``."""
-    grp = g.group
-    if grp.field.kind != "padic":
+    ``cartan_batch`` of the one element."""
+    if g.group.field.kind != "padic":
         raise UnsupportedFieldError("cartan_padic needs a padic field")
+    return cartan_batch([g], g.group)[0]
+
+
+def _padic_mu(g: GroupElement) -> list:
+    """The Q_p Cartan coordinates of g in SL_n: the invariant factor
+    valuations of g, negated, in descending order; for SL_2 their closed
+    form ``_sl2_padic_mu1``."""
+    grp = g.group
     if grp.family != "SL":
         raise UnsupportedFieldError("padic Cartan projection implemented for SL_n only")
     if not g._den:
@@ -582,18 +593,17 @@ def cartan_padic(g: GroupElement) -> CartanVector:
     p = grp.field.p
     if grp.n == 2:
         top = _sl2_padic_mu1(int_valuation(g._den, p), chain.from_iterable(g._m), p)
-        return CartanVector((top, -top), "SL", exact=True)
+        return [top, -top]
     mu = sorted((-w for w in _smith_valuations(g._m, g._den, p)), reverse=True)
     if sum(mu) != 0:
         raise NumericalError(f"padic mu does not sum to 0: {mu}")
-    return CartanVector(tuple(mu), "SL", exact=True)
+    return mu
 
 
 def cartan(g: GroupElement) -> CartanVector:
-    """Cartan projection dispatched on the element's field."""
-    if g.group.field.kind == "padic":
-        return cartan_padic(g)
-    return cartan_archimedean(g)
+    """Cartan projection of g over its field: ``cartan_batch`` of the one
+    element."""
+    return cartan_batch([g], g.group)[0]
 
 
 def wedge_norm_log(g: GroupElement, i0: int) -> float:

@@ -32,7 +32,7 @@ from .bending import (
     zariski_density_witness,
 )
 from .bending import QuadFormSpace
-from .cartan import cartan_batch, mu_norm, to_float_array
+from .cartan import _mu_rows, to_float_array
 from .errors import (
     CartanLabError,
     IndeterminateError,
@@ -121,11 +121,11 @@ def _load_matrices(args):
 
 def cmd_cartan(args) -> int:
     field, group, items = _load_matrices(args)
-    k = group.mu_length
-    header = ["id"] + [f"mu_{i + 1}" for i in range(k)] + ["mu_norm"]
-    rows = ([name, _float_cells([float(x) for x in mu.coords] + [mu_norm(mu)])]
-            for (name, _), mu in zip(items, cartan_batch([g for _, g in items], group)))
-    _write_csv(args.output, header, rows)
+    mu = np.asarray(_mu_rows([g for _, g in items], group), dtype=float)
+    norms = np.sqrt(sum(x * x for x in mu.T))  # squares added as ``mu_norm`` adds them
+    header = ["id"] + [f"mu_{i + 1}" for i in range(mu.shape[1])] + ["mu_norm"]
+    cells = _float_rows(np.column_stack([mu, norms]))
+    _write_csv(args.output, header, ([name, c] for (name, _), c in zip(items, cells)))
     return 0
 
 
@@ -376,9 +376,8 @@ def cmd_properness(args) -> int:
                 for rows in cone_block["matrices"]]
         cone = mu_cone(axis, group)
     ball = word_ball(pres, inclusion(pres), radius).require_complete()
-    samples = cartan_batch([e.element for e in ball.entries], group)
     rho0 = float(args.rho0) if args.rho0 is not None else None
-    report = properness_margin(samples, cone, rho0=rho0, radius=radius)
+    report = properness_margin(ball.elements(), cone, rho0=rho0, radius=radius)
     header = ["word", "mu_norm", "margin"]
     rows = [
         [label, r.mu_norm, r.margin]

@@ -69,6 +69,8 @@ from .fields import INF, FieldDesc, abs_value, int_valuation, rational_valuation
 
 _EQ_TOL = 1e-12
 _GAP_TOL = 1e-8
+_PADIC_PRECISION = 60  # p-adic digits of a dominant eigenvalue not found exactly
+_SANDWICH_TOL = 1e-9  # relative tolerance of the norm sandwich over R/C
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,8 @@ class HyperplaneDistance:
     """Distance from a point to a hyperplane: certified bounds.
 
     ``exact`` means lower == upper is the true infimum (always over
-    padic fields and for coordinate hyperplanes over R and C).
+    padic fields; over R and C for coordinate hyperplanes and in P^1,
+    where a hyperplane is a point).
     """
 
     lower: float
@@ -215,22 +218,26 @@ def point_hyperplane_distance(x: ProjPoint, H: ProjHyperplane) -> HyperplaneDist
         return HyperplaneDistance(d, d, True)
     f = np.asarray(H.functional)
     v = np.asarray(x.vec)
-    val = abs(complex(np.dot(f, v)))
-    lower = val / float(np.abs(f).sum())
+    lower = abs(complex(np.dot(f, v))) / float(np.abs(f).sum())
     axis = H.aligned_axis()
     if axis is not None:
         # coordinate hyperplane {x_axis = 0}: distance is exactly |v_axis|
         d = float(abs(v[axis]))
         return HyperplaneDistance(d, d, True)
-    # generic upper bound: snap to the Euclidean projection, renormalized
-    upper = lower
-    if val < np.abs(f @ f.conj()):
-        w = v - (np.dot(f.conj(), v) / np.dot(f, f.conj())) * f.conj()
-        if np.abs(w).max() > 0:
-            pw = ProjPoint(w, x.field)
-            upper = float(proj_distance(x, pw))
-    upper = max(upper, lower)
-    return HyperplaneDistance(float(lower), float(upper), False)
+    if len(f) == 2:
+        # H = {w : f.w = 0} is the one point [(-f_2, f_1)]
+        d = float(proj_distance(x, ProjPoint(np.array([-f[1], f[0]]), x.field)))
+        return HyperplaneDistance(d, d, True)
+    # generic upper bound: the distance to the foot of v on H (a foot at 0,
+    # v on the normal, takes 2, which bounds the distance of any two points)
+    w = _hyperplane_foot(f, v)
+    upper = float(proj_distance(x, ProjPoint(w, x.field))) if np.abs(w).max() > 0 else 2.0
+    return HyperplaneDistance(float(lower), max(upper, float(lower)), False)
+
+
+def _hyperplane_foot(f, v):
+    """The Hermitian projection of v onto H = {w : f.w = 0}, normal conj(f)."""
+    return v - (np.dot(f, v) / np.dot(f, f.conj())) * f.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +353,6 @@ def proximal_analyze(
     matrix,
     field: FieldDesc,
     gap_tol: float = _GAP_TOL,
-    precision: int = 60,
 ):
     """Classify a square matrix as proximal or not; return its data.
 
@@ -358,13 +364,13 @@ def proximal_analyze(
 
     Padic: exact characteristic polynomial and Newton polygon; proximal
     iff the minimal-valuation segment has horizontal length 1.  The
-    dominant eigenvalue is then lifted to ``precision`` p-adic digits
+    dominant eigenvalue is then lifted to ``_PADIC_PRECISION`` p-adic digits
     (exact when rational reconstruction finds a true root), and the
     attracting line / repelling hyperplane are obtained from the exact
     adjugate of (g - lambda), accurate to the same precision.
     """
     if field.kind == "padic":
-        return _proximal_padic(matrix, field, precision)
+        return _proximal_padic(matrix, field)
     a = to_float_array(matrix)
     if not np.all(np.isfinite(a)) or np.abs(a).max() == 0:
         raise PreconditionError("matrix must be nonzero with finite entries")
@@ -407,7 +413,7 @@ def proximal_analyze(
     )
 
 
-def _proximal_padic(matrix, field, precision):
+def _proximal_padic(matrix, field):
     M = mat_from_rows(matrix)
     p = field.p
     coeffs = charpoly(M)
@@ -418,7 +424,7 @@ def _proximal_padic(matrix, field, precision):
     if vals.count(vmin) != 1 or vmin.denominator != 1:
         return None
     vmin = int(vmin)
-    lam, mod = _hensel_dominant_root(coeffs, p, vmin, precision)
+    lam, mod = _hensel_dominant_root(coeffs, p, vmin, _PADIC_PRECISION)
     exact = _poly_eval_exact(coeffs, lam) == 0
     if not exact:
         rec = _rational_reconstruct(
@@ -449,7 +455,7 @@ def _proximal_padic(matrix, field, precision):
         repelling=ProjHyperplane(repel, field),
         gap_ratio=gap,
         eigenvalue_exact=exact,
-        precision=None if exact else precision,
+        precision=None if exact else _PADIC_PRECISION,
     )
 
 
@@ -624,7 +630,8 @@ def eps_proximal_check(
     d1 = point_hyperplane_distance(pd.attracting, pd.repelling)
     if d1.lower < 2 * eps:
         reason = "condition (1) fails: attracting point too close to hyperplane"
-        return EpsProximalVerdict(False, d1.exact, reason)
+        # certified when even the upper bound on d(x+, X-) is below 2 eps
+        return EpsProximalVerdict(False, d1.exact or d1.upper < 2 * eps, reason)
     search, name = _box_contraction_witness, "box"
     if field.kind == "padic":
         search = functools.partial(_padic_contraction_witness, p=field.p)
@@ -734,7 +741,6 @@ def product_sandwich_check(
     field: FieldDesc,
     attracting: ProjPoint | None = None,
     repelling: ProjHyperplane | None = None,
-    rel_tol: float = 1e-9,
 ) -> SandwichReport:
     """Verify the norm sandwich for z_1 k_2 z_2 ... k_n z_n.
 
@@ -752,7 +758,7 @@ def product_sandwich_check(
     n = len(zs)
     if n == 0:
         raise PreconditionError("need at least one contracting factor")
-    tol = 0 if field.kind == "padic" else rel_tol
+    tol = 0 if field.kind == "padic" else _SANDWICH_TOL
     if len(ks) != n - 1:
         raise PreconditionError(
             f"need exactly {n - 1} isometries for {n} factors, got {len(ks)}"

@@ -11,9 +11,12 @@ with a canonical policy: C_hat is the max deviation over short elements
 envelope is valid on every row by construction.  ``stability_scans``
 runs several deformations over one ball: the reference relator check,
 the reference ball, its Cartan projections and their norms are computed
-once, and the deformed images of all of them go through one stacked
-``cartan_batch``.  The seminorm defect of a factorization is a separate
-pass over the same ball (``seminorm_defects``).
+once, and the deformed images of all of them are projected together.
+The seminorm defect of a factorization is a separate pass over the same
+ball (``seminorm_defects``).  Every pass takes the projections of a
+ball as one array from ``cartan._mu_rows``, one row per element, and
+builds no ``CartanVector``; each norm is one 1-D ``np.linalg.norm`` per
+row, which keeps the bits of the per-element computation.
 
 The properness side compares sampled Cartan projections against the
 cone swept by a subgroup's Cartan image; a strictly positive fitted
@@ -33,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import (CartanVector, GroupDesc, GroupElement, cartan, cartan_batch,
-                     mu_norm)
+from .cartan import CartanVector, GroupDesc, GroupElement, _mu_rows, cartan, mu_norm
 from .errors import PreconditionError
 from .wordgroups import (BallResult, Homomorphism, Presentation, check_relators,
                          evaluate, word_ball)
 
 _RAY_TOL = 1e-8
+_COMPACT_TOL = 1e-9  # a mu-norm at most this is a compact direction of a cone
+_ENVELOPE_SLACK = 1e-9  # rounding an envelope may show on its own rows
+_AXIS_POWERS = (1, 2, 3)  # powers of an axis generator whose ratios must agree
 RELATOR_TOL = 1e-9  # max entry deviation a relator may show under either homomorphism
 
 
@@ -53,17 +58,10 @@ def simple_root_values(v, family: str) -> list:
 
 
 def coroot_basis(family: str, length: int) -> np.ndarray:
-    """Columns span the chamber's coroot directions (see module docs)."""
-    cols = []
-    for i in range(length - 1):
-        e = np.zeros(length)
-        e[i], e[i + 1] = 1.0, -1.0
-        cols.append(e)
-    if family != "SL":
-        e = np.zeros(length)
-        e[-1] = 1.0
-        cols.append(e)
-    return np.array(cols).T
+    """Columns span the chamber's coroot directions (see module docs):
+    e_i - e_(i+1), and e_length for the folded SO/U cone."""
+    B = np.eye(length) - np.eye(length, k=-1)
+    return B[:, :-1] if family == "SL" else B
 
 
 def weight_values(v, indices) -> list:
@@ -93,21 +91,16 @@ class DeltaLData:
 def delta_l_constants(
     axis_generator: GroupElement,
     group: GroupDesc,
-    powers=(1, 2, 3),
     tol: float = 1e-8,
 ) -> DeltaLData:
     """Half-line pairing constants of the subgroup axis through the
-    generator, verified constant over the given powers."""
-    if len(powers) < 2:
-        raise PreconditionError("need at least two powers to verify constancy")
+    generator, verified constant over the powers ``_AXIS_POWERS``."""
     family = group.family
     plus_ratios = []
     minus_ratios = []
     g = axis_generator
     ginv = axis_generator.inv()
-    for k in powers:
-        if k < 1:
-            raise PreconditionError("powers must be positive")
+    for k in _AXIS_POWERS:
         acc_p, acc_m = g, ginv
         for _ in range(k - 1):
             acc_p = acc_p @ g
@@ -242,23 +235,18 @@ class StabilityReport:
     policy: str = "split-envelope"
     ball: BallResult | None = None  # rows[k] is the word of ball.entries[k]
 
-    def envelope_valid(self, slack: float = 1e-9) -> bool:
+    def envelope_valid(self) -> bool:
         return all(
-            r.deviation <= self.eps_hat * r.mu_norm + self.c_hat + slack
+            r.deviation <= self.eps_hat * r.mu_norm + self.c_hat + _ENVELOPE_SLACK
             for r in self.rows
         )
 
 
 def fit_envelope(rows, rho0: float):
     """(eps_hat, c_hat) of the canonical split envelope."""
-    c_hat = 0.0
-    for r in rows:
-        if r.mu_norm <= rho0:
-            c_hat = max(c_hat, r.deviation)
-    eps_hat = 0.0
-    for r in rows:
-        if r.mu_norm > rho0:
-            eps_hat = max(eps_hat, (r.deviation - c_hat) / r.mu_norm)
+    c_hat = max([0.0] + [r.deviation for r in rows if r.mu_norm <= rho0])
+    eps_hat = max([0.0] + [(r.deviation - c_hat) / r.mu_norm
+                           for r in rows if r.mu_norm > rho0])
     return eps_hat, c_hat
 
 
@@ -280,7 +268,7 @@ def stability_scans(
     The reference relators, the reference ball and the reference Cartan
     projections are computed once; each deformation then costs its
     relator check and one ``ball.images`` pass, and the images of every
-    deformation are projected together by one ``cartan_batch``.  Each
+    deformation are projected together by one ``_mu_rows``.  Each
     report equals ``stability_scan`` of its deformation.
     """
     phis = list(phis)
@@ -295,19 +283,14 @@ def stability_scans(
             (mu_norm(cartan(g)) for g in phi_ref.images), default=0.0
         ) + 1.0
     group = phi_ref.group
-    mus_ref = [np.asarray(mu.coords, dtype=float)
-               for mu in cartan_batch(ball.elements(), group)]
+    mus_ref = np.asarray(_mu_rows(ball.elements(), group), dtype=float)
     norms = [float(np.linalg.norm(mu)) for mu in mus_ref]
-    flat = iter(cartan_batch(
-        [g for phi in phis for g in ball.images(phi)], group))
+    mus_def = np.asarray(_mu_rows([g for phi in phis for g in ball.images(phi)], group),
+                         dtype=float).reshape(len(phis), *mus_ref.shape)
     reports = []
-    for _ in phis:
-        mus_def = [np.asarray(next(flat).coords, dtype=float) for _ in ball.entries]
-        rows = [
-            StabilityRow(e.word, len(e.word), n,
-                         float(np.linalg.norm(mu_def - mu_ref)))
-            for e, n, mu_ref, mu_def in zip(ball.entries, norms, mus_ref, mus_def)
-        ]
+    for devs in mus_def - mus_ref:
+        rows = [StabilityRow(e.word, len(e.word), n, float(np.linalg.norm(dev)))
+                for e, n, dev in zip(ball.entries, norms, devs)]
         eps_hat, c_hat = fit_envelope(rows, rho0)
         report = StabilityReport(rows, eps_hat, c_hat, rho0, radius, ball=ball)
         if not report.envelope_valid():
@@ -342,12 +325,11 @@ def seminorm_defects(ball: BallResult, phi: Homomorphism, delta_l: DeltaLData,
     factor words g_i = factorizer(g), or None where factorizer gives none.
 
     The ball's images come from one ``ball.images(phi)`` pass and one
-    ``cartan_batch``; a factor word outside the ball is evaluated where
+    ``_mu_rows``; a factor word outside the ball is evaluated where
     it occurs.
     """
     index = ball.word_index()
-    mus = [np.asarray(mu.coords, dtype=float)
-           for mu in cartan_batch(ball.images(phi), phi.group)]
+    mus = np.asarray(_mu_rows(ball.images(phi), phi.group), dtype=float)
 
     def mu_of(w):
         k = index.get(w)
@@ -379,18 +361,21 @@ class ConeModel:
         return not self.rays
 
 
-def _projections(samples) -> list:
-    """The CartanVector of each sample: a CartanVector as given, and the
-    group elements, which must share one group, by one ``cartan_batch``."""
+def _projections(samples) -> np.ndarray:
+    """The Cartan projections of samples as the float rows of one array: a
+    CartanVector's coordinates as given, and the group elements, which
+    must share one group, by one ``_mu_rows``."""
     samples = list(samples)
     elements = [s for s in samples if not isinstance(s, CartanVector)]
-    if not elements:
-        return list(samples)
-    mus = iter(cartan_batch(elements, elements[0].group))
-    return [s if isinstance(s, CartanVector) else next(mus) for s in samples]
+    mus = _mu_rows(elements, elements[0].group) if elements else np.empty((0, 0))
+    if len(elements) == len(samples):
+        return np.asarray(mus, dtype=float)
+    rows = iter(mus.tolist())
+    return np.array([s.coords if isinstance(s, CartanVector) else next(rows)
+                     for s in samples], dtype=float)
 
 
-def mu_cone(samples, group: GroupDesc, compact_tol: float = 1e-9) -> ConeModel:
+def mu_cone(samples, group: GroupDesc) -> ConeModel:
     """Cone swept by the sampled Cartan projections.
 
     The samples must lie on a common chamber ray per half-line (their
@@ -400,14 +385,14 @@ def mu_cone(samples, group: GroupDesc, compact_tol: float = 1e-9) -> ConeModel:
     """
     if not samples:
         raise PreconditionError("no axis samples")
-    mus = [np.asarray(v.coords, dtype=float) for v in _projections(samples)]
-    length = len(mus[0])
+    mus = _projections(samples)
+    length = mus.shape[1]
     norms = [float(np.linalg.norm(m)) for m in mus]
-    if max(norms) <= compact_tol:
+    if max(norms) <= _COMPACT_TOL:
         return ConeModel([], length)
     rays = []
     for m, n in zip(mus, norms):
-        if n <= compact_tol:
+        if n <= _COMPACT_TOL:
             continue
         u = m / n
         for r in rays:
@@ -459,9 +444,9 @@ class PropernessReport:
     radius: int | None = None
     note: str = "finite-radius certificate, not an asymptotic statement"
 
-    def lower_envelope_valid(self, slack: float = 1e-9) -> bool:
+    def lower_envelope_valid(self) -> bool:
         return all(
-            r.margin >= self.slope * r.mu_norm - self.intercept - slack
+            r.margin >= self.slope * r.mu_norm - self.intercept - _ENVELOPE_SLACK
             for r in self.rows
         )
 
@@ -483,23 +468,13 @@ def properness_margin(
     """
     if not samples:
         raise PreconditionError("no samples")
-    rows = []
-    for v in _projections(samples):
-        rows.append(
-            PropernessRow(
-                float(np.linalg.norm(np.asarray(v.coords, dtype=float))),
-                cone_distance(v, cone),
-            )
-        )
+    rows = [PropernessRow(float(np.linalg.norm(mu)), cone_distance(mu, cone))
+            for mu in _projections(samples)]
     if rho0 is None:
         positive = [r.mu_norm for r in rows if r.mu_norm > 1e-12]
         rho0 = (min(positive) if positive else 0.0) + 1.0
-    slope = math.inf
-    for r in rows:
-        if r.mu_norm > rho0:
-            slope = min(slope, r.margin / (r.mu_norm - rho0))
-    if slope is math.inf:
-        slope = 0.0
+    slope = min([r.margin / (r.mu_norm - rho0) for r in rows if r.mu_norm > rho0],
+                default=0.0)
     report = PropernessReport(rows, slope, slope * rho0, rho0, radius)
     if not report.lower_envelope_valid():
         raise PreconditionError("internal: lower envelope violates its own rows")

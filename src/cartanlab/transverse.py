@@ -48,6 +48,8 @@ from .fields import int_valuation
 from .wordgroups import (BallResult, Homomorphism, Presentation, Word, evaluate,
                          inclusion, word_ball)
 
+_SHEET_TOL = 1e-8  # max deviation of <x, x> from -1 on the hyperboloid sheet
+
 
 def sl2_to_so21(matrix) -> np.ndarray:
     """Image of an SL_2(R) matrix (or GroupElement) under the
@@ -126,8 +128,8 @@ class RankOneModel:
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum(self.coeffs * x * y))
 
-    def check_on_model(self, x: np.ndarray, tol=1e-8):
-        if abs(self.pairing(x, x) + 1.0) > tol or x[-1] <= 0:
+    def check_on_model(self, x: np.ndarray):
+        if abs(self.pairing(x, x) + 1.0) > _SHEET_TOL or x[-1] <= 0:
             raise PreconditionError("point is off the model sheet")
 
     def point_distance(self, x: np.ndarray, y: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cartanlab import cli, stability, transverse, wordgroups
 from cartanlab.bending import LieBasis
+from cartanlab.cartan import CartanVector
 from cartanlab.cli import main
 from cartanlab.fields import COMPLEX
 from cartanlab.serialize import (load_presentation_document, matrix_to_json,
@@ -373,6 +374,32 @@ def test_cmd_properness(tmp_path):
     assert rc == 0
     sidecar = json.loads((tmp_path / "prop.csv.json").read_text())
     assert sidecar["slope"] > 0.1
+
+
+def test_reports_build_no_cartan_vector_per_element(tmp_path, monkeypatch,
+                                                     so22_bending_file):
+    # the projections of a ball travel as one array: the only CartanVectors
+    # are stability's projections of the two generators (its default rho0)
+    P = schottky_so22_presentation()
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps({
+        "field": {"kind": "real"}, "group": {"family": "SO", "p": 2, "q": 2},
+        "matrices": [matrix_to_json(g.matrix) for g in P.generators] * 3}))
+    cone = json.loads(so22_bending_file.read_text())
+    cone["cone"] = {"matrices": [cone["generators"]["a"]]}
+    cone_file = tmp_path / "cone.json"
+    cone_file.write_text(json.dumps(cone))
+    built = []
+    check = CartanVector.__post_init__
+    monkeypatch.setattr(CartanVector, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    for argv, count in [(["cartan", "--input", str(mats)], 0),
+                        (["properness", "--input", str(cone_file), "--radius", "3"], 0),
+                        (["stability", "--input", str(so22_bending_file),
+                          "--radius", "3", "--t", "0,0.1"], 2)]:
+        built.clear()
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+        assert len(built) == count, argv[0]
 
 
 @pytest.mark.parametrize("command", ["stability", "properness", "decompose"])

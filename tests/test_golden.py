@@ -11,6 +11,12 @@ They also pin the CSV of ``cartanlab cartan`` on the 1457 elements of
 the r = 6 balls of the shipped Schottky pair, in SO(2,2) over R and in
 SL_2 over Q_2: the loading of a rational matrix document, the Cartan
 projections and the cell text.
+
+Last, they pin the CSV and sidecar of ``cartanlab stability`` (r = 4,
+four bending parameters) on the shipped SO(2,2) bend presentation and of
+``cartanlab properness`` (r = 5) against the cone of its generator a:
+the reference and deformed projections of a whole ball, the envelope
+fits and the cone margins.
 """
 
 import hashlib
@@ -21,7 +27,8 @@ import pytest
 
 from cartanlab.cli import main
 from cartanlab.serialize import matrix_to_json
-from cartanlab.surrogates import schottky_sl2_presentation, schottky_so22_presentation
+from cartanlab.surrogates import (boost_Y_so22, schottky_sl2_presentation,
+                                  schottky_so22_presentation)
 from cartanlab.wordgroups import inclusion, word_ball
 
 from util import sym2_rational
@@ -96,3 +103,40 @@ def test_cartan_report_bytes(tmp_path, name):
     path.write_text(json.dumps(doc))
     assert main(["cartan", "--input", str(path), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+
+
+def _so22_bend_doc():
+    """The shipped Schottky pair in SO(2,2) as a trivial-edge amalgam,
+    bent by the (x1, x4) boost of ``boost_Y_so22``."""
+    a, b = (matrix_to_json(g.matrix) for g in schottky_so22_presentation().generators)
+    return {"field": {"kind": "real"}, "group": {"family": "SO", "p": 2, "q": 2},
+            "generators": {"a": a, "b": b},
+            "structure": {"type": "amalgam", "side1": ["a"], "side2": ["b"],
+                          "gamma0": []},
+            "bending": {"Y": matrix_to_json(boost_Y_so22())}}
+
+
+def _so22_cone_doc():
+    doc = _so22_bend_doc()
+    return dict(doc, cone={"matrices": [doc["generators"]["a"]]})
+
+
+REPORT_GOLDEN = {
+    "stability": (_so22_bend_doc, ["--radius", "4", "--t", "0,0.01,0.1,0.3"],
+                  "227808bbff9add91c9e2c93aa7bbd7a337075606081842ebfe79ce538725ddff",
+                  "0b554646fd6539aca0c225e727c063833e70a5e237cdb2adf3aa707580982653"),
+    "properness": (_so22_cone_doc, ["--radius", "5"],
+                   "e3f2850beef00917270ef2cc4ac92bce146596bfff917ab5ec37583394e10982",
+                   "378c4b46f05731766792a200d96adf2926a598ae5e0e2d57f57eb2401a3488af"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
+def test_deformation_report_bytes(tmp_path, command):
+    make, flags, csv_digest, sidecar_digest = REPORT_GOLDEN[command]
+    path, out = tmp_path / "in.json", tmp_path / "report.csv"
+    path.write_text(json.dumps(make()))
+    assert main([command, "--input", str(path), "--output", str(out)] + flags) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "report.csv.json")]
+    assert digests == [csv_digest, sidecar_digest]

@@ -35,6 +35,7 @@ from cartanlab.archimedean import _box_contraction_witness, _point_holds, _row_d
 from cartanlab.projective import (
     ProximalData,
     _apply_to_point,
+    _hyperplane_foot,
     _padic_contraction_witness,
     _padic_eps_exponents,
     eps_proximal_check,
@@ -538,12 +539,22 @@ def _sampled_failures(g, pd, eps, V):
                               pd.attracting.field)[0] > eps]
 
 
+def _far_measure(x, H):
+    """What the eps-far set of condition (2) compares with eps: over R/C
+    the lower bound |f.v| / ||f||_1 of d([v], H) (the exact distance in
+    P^1, where H is a point, may exceed it), over Q_p the distance."""
+    if x.field.kind == "padic":
+        return point_hyperplane_distance(x, H).lower
+    f = np.asarray(H.functional)
+    return abs(H.pair(x)) / float(np.abs(f).sum())
+
+
 def _fails_directly(g, pd, eps, u):
     """Whether [u] is eps-far from X- and g moves it farther than eps
-    from x+, through ProjPoint, point_hyperplane_distance and
-    proj_distance (up to a relative 1e-12 of float rounding)."""
+    from x+, through ProjPoint, ``_far_measure`` and proj_distance (up to
+    a relative 1e-12 of float rounding)."""
     x = ProjPoint(u, pd.attracting.field)
-    return (point_hyperplane_distance(x, pd.repelling).lower >= eps * (1 - 1e-12)
+    return (_far_measure(x, pd.repelling) >= eps * (1 - 1e-12)
             and float(proj_distance(_apply_to_point(g, x), pd.attracting))
             > eps * (1 - 1e-12))
 
@@ -570,7 +581,9 @@ def _per_point_samples(dim, field, count, seed):
 
 def _per_point_eps_check(g, eps, field, samples, seed):
     """eps-proximality with condition (2) checked one sample point at a
-    time through ProjPoint, point_hyperplane_distance and proj_distance."""
+    time through ProjPoint, ``_far_measure`` and proj_distance; condition
+    (1) is certified where the distance is exact or its upper bound is
+    below 2 eps."""
     try:
         pd = proximal_analyze(g, field)
     except IndeterminateError:
@@ -579,12 +592,12 @@ def _per_point_eps_check(g, eps, field, samples, seed):
         return False, True, "not proximal", 0
     d1 = point_hyperplane_distance(pd.attracting, pd.repelling)
     if d1.lower < 2 * eps:
-        return (False, d1.exact,
+        return (False, d1.exact or d1.upper < 2 * eps,
                 "condition (1) fails: attracting point too close to hyperplane",
                 0)
     checked = 0
     for x in _per_point_samples(pd.attracting.dim, field, samples, seed):
-        if point_hyperplane_distance(x, pd.repelling).lower < eps:
+        if _far_measure(x, pd.repelling) < eps:
             continue
         checked += 1
         if float(proj_distance(_apply_to_point(g, x), pd.attracting)) > eps:
@@ -596,7 +609,7 @@ def _per_point_r_eps(x0, X0, eps, samples, seed):
     """(samples_used, value) of the sampled r_eps, one point at a time."""
     best, used = 0.0, 0
     for x in _per_point_samples(x0.dim, x0.field, samples, seed):
-        if point_hyperplane_distance(x, X0).lower < eps:
+        if _far_measure(x, X0) < eps:
             continue
         used += 1
         t = X0.pair(x) / X0.pair(x0)
@@ -936,6 +949,60 @@ def test_coordinate_hyperplane_distance_is_exact_over_c():
         assert v.reason.startswith("condition (1) fails")
 
 
+def _random_vector(rng, d, field):
+    v = rng.standard_normal(d)
+    return v + 1j * rng.standard_normal(d) if field is COMPLEX else v
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hyperplane_bounds_bracket_the_distance(field, d):
+    # H = {w : f.w = 0} is bilinear in f: the foot of v lies on it, lower is
+    # below the distance to every point of H, and for d = 2, where H is
+    # the point [(-f_2, f_1)], the distance is exact
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        x = ProjPoint(_random_vector(rng, d, field), field)
+        H = ProjHyperplane(_random_vector(rng, d, field), field)
+        f, v = np.asarray(H.functional), np.asarray(x.vec)
+        foot = _hyperplane_foot(f, v)
+        assert abs(np.dot(f, foot)) <= 1e-12 * np.abs(f).sum() * np.abs(foot).max()
+        hd = point_hyperplane_distance(x, H)
+        assert hd.lower <= hd.upper
+        if d == 2:
+            point = ProjPoint(np.array([-f[1], f[0]]), field)
+            assert hd.exact and hd.lower == hd.upper == proj_distance(x, point)
+        else:
+            assert not hd.exact
+            assert hd.upper == max(proj_distance(x, ProjPoint(foot, field)), hd.lower)
+        kernel = np.linalg.svd(f[None])[2][1:].conj()  # rows span H
+        for c in rng.standard_normal((20, d - 1)):
+            w = ProjPoint(c @ kernel, field)
+            assert abs(H.pair(w)) < 1e-12
+            assert hd.lower <= proj_distance(x, w) * (1 + 1e-12)
+
+
+def test_complex_hyperplane_upper_bound_is_on_the_hyperplane():
+    # the snap used conj(f).v, which is off H over C: at seed 0 (d = 2) it
+    # reported 0.5539 for a distance of 0.6981, and condition (1) at eps
+    # 0.3 failed uncertified; now seed 0 passes (1) and the box search, and
+    # seeds 2 and 4 (upper < 0.6) are certified failures of (1)
+    verdicts = {}
+    for seed in (0, 2, 4):
+        g = _complex_proximal(seed)
+        pd = proximal_analyze(g, COMPLEX)
+        if seed == 0:
+            hd = point_hyperplane_distance(pd.attracting, pd.repelling)
+            assert hd.exact and hd.lower == pytest.approx(0.6980527699871845, rel=1e-12)
+        else:
+            assert point_hyperplane_distance(pd.attracting, pd.repelling).upper < 0.6
+        v = eps_proximal_check(g, 0.3, COMPLEX, pd=pd)
+        verdicts[seed] = (v.ok, v.certified, v.reason.split(":")[0])
+    assert verdicts == {0: (True, True, "exact box search"),
+                        2: (False, True, "condition (1) fails"),
+                        4: (False, True, "condition (1) fails")}
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -1268,7 +1335,7 @@ def test_batched_phase_min_matches_the_per_row_loop():
             verdicts.add((v.ok, v.certified))
             if v.ok:
                 assert not len(_sampled_failures(g, pd, eps, V))
-            elif v.certified:
+            elif v.reason.startswith("condition (2)"):
                 witness = _box_contraction_witness(g, pd, eps)
                 assert _fails_directly(g, pd, eps, witness)
         # proj_distance takes the same path one row at a time

@@ -332,6 +332,18 @@ def test_properness_margins():
     assert all(r.margin == pytest.approx(0, abs=1e-9) for r in repc.rows)
 
 
+def test_properness_takes_elements_projections_or_a_mix():
+    # the elements' projections come from one array, a CartanVector's as
+    # given: every mix of the two gives the same margins to the bit
+    coneU = mu_cone([u11_boost(1.0), cartan(u11_boost(2.0))], SO22)
+    assert coneU.rays[0].tolist() == mu_cone([u11_boost(1.0)], SO22).rays[0].tolist()
+    gs = [so21_boost(1.0), u11_boost(2.5), so21_boost(3.0) @ u11_boost(0.5)]
+    mus = [cartan(g) for g in gs]
+    reports = [properness_margin(samples, coneU, rho0=1.0)
+               for samples in (gs, mus, [gs[0], mus[1], gs[2]])]
+    assert [r.rows for r in reports[1:]] == [reports[0].rows] * 2
+
+
 def test_properness_origin_cone():
     samples = [cartan(so21_boost(t)) for t in (1.0, 2.0)]
     rep = properness_margin(samples, ConeModel([], 2), rho0=0.5)
