@@ -42,7 +42,7 @@ from operator import mul
 
 import numpy as np
 
-from .cartan import GroupDesc, GroupElement, to_float_array
+from .cartan import GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
@@ -565,10 +565,6 @@ class UnitaryEmbedding:
     def source_size(self) -> int:
         return self.n + 1
 
-    @property
-    def target_space(self) -> QuadFormSpace:
-        return standard_so_form(2 * self.n, 2)
-
     def realify(self, matrix):
         size = self.source_size
         rows = list(matrix)
@@ -600,9 +596,6 @@ class UnitaryEmbedding:
         if exact:
             return tuple(tuple(r) for r in out)
         return out
-
-    def as_group_element(self, matrix, group: GroupDesc) -> GroupElement:
-        return GroupElement(self.realify(matrix), group)
 
     def base_point_fixed(self, matrix) -> bool:
         """Whether the realified matrix fixes the split-space vector

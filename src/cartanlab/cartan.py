@@ -62,8 +62,8 @@ from .exact import _bareiss, int_mat_mul, mat_eq, mat_mul
 from .exact import det as exact_det
 from .exact import inverse as exact_inverse
 from .exact import ratio_form, ratio_inverse, ratio_normal, transpose
-from .fields import (INF, FieldDesc, QuadElement, int_valuation, is_exact_scalar,
-                     rational_valuation, real_sign)
+from .fields import (INF, FieldDesc, QuadElement, _int_content, int_valuation,
+                     is_exact_scalar, real_sign)
 
 _DET_TOL = 1e-9
 _FORM_TOL = 1e-9
@@ -565,12 +565,12 @@ def invariant_factor_valuations(matrix, p: int):
 def _sl2_padic_mu1(v_den: int, entries, p: int) -> int:
     """mu_1 of g = N / d in SL_2(Q_p), given v_den = v_p(d) and the
     entries of N.  det N = d^2 makes the invariant factors of N p^m and
-    p^(2 v_den - m), m = v_p(gcd N) = min_ij v_p(N_ij), so
+    p^(2 v_den - m), m = min_ij v_p(N_ij) the content of N, so
     mu(g) = (v_den - m, m - v_den)."""
-    m = math.gcd(*entries)
-    if not m:
+    m = _int_content(entries, p)
+    if m == INF:
         raise PreconditionError("matrix is singular")
-    return v_den - int_valuation(m, p)
+    return v_den - m
 
 
 def cartan_padic(g: GroupElement) -> CartanVector:
@@ -630,10 +630,10 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
         p, N = grp.field.p, g._m
         minors = [_bareiss([[N[i][j] for j in cols] for i in rows])
                   for rows in idx for cols in idx]
-        vals = [int_valuation(m, p) for m in minors if m]
-        if not vals:
+        c = _int_content(minors, p)
+        if c == INF:
             raise PreconditionError("matrix is singular")
-        return i0 * int_valuation(g._den, p) - min(vals)
+        return i0 * int_valuation(g._den, p) - c
     a = to_float_array(g)
     compound = np.empty((len(idx), len(idx)), dtype=a.dtype)
     for r, rows in enumerate(idx):
@@ -647,14 +647,13 @@ def max_compact_element(group: GroupDesc, g: GroupElement) -> bool:
     """Whether g lies in the reference maximal compact subgroup.
 
     SL over R: orthogonal; over C: unitary; over Q_p: integral entries
-    with unit determinant valuation.  Used by bi-invariance tests.
+    with unit determinant valuation (for g = N / d, the content of N is at
+    least v_p(d)).  Used by bi-invariance tests.
     """
     if group.field.kind == "padic":
-        if not g.is_exact:
+        if not g._den:
             return False
         p = group.field.p
-        return all(
-            rational_valuation(x, p) >= 0 for row in g.matrix for x in row if x != 0
-        )
+        return _int_content(chain.from_iterable(g._m), p) >= int_valuation(g._den, p)
     a = to_float_array(g)
     return bool(np.abs(a.conj().T @ a - np.eye(group.size)).max() < 1e-9)

@@ -309,6 +309,20 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+def _int_content(ints, p: int):
+    """The content of an integer vector: its least p-adic valuation, read
+    as the valuation of the gcd of its entries; +inf for the zero vector."""
+    g = math.gcd(*ints)
+    return int_valuation(g, p) if g else INF
+
+
+def _content(vec, p: int):
+    """The content of a vector of Fractions or ints: that of the numerators
+    less v_p(lcm of the denominators); p divides no entry's both parts."""
+    return (_int_content([x.numerator for x in vec], p)
+            - int_valuation(math.lcm(*(x.denominator for x in vec)), p))
+
+
 def rational_valuation(x, p: int):
     """p-adic valuation of an exact rational; +inf for zero."""
     x = Fraction(x)

@@ -62,10 +62,11 @@ from .exact import (
     mat_mul,
     mat_vec,
     nullspace,
+    primitive,
     ratio_form,
     solve,
 )
-from .fields import INF, FieldDesc, abs_value, int_valuation, rational_valuation
+from .fields import INF, FieldDesc, _content, _int_content, abs_value, rational_valuation
 
 _EQ_TOL = 1e-12
 _GAP_TOL = 1e-8
@@ -83,20 +84,15 @@ def _minors(v, w):
     return [v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2)]
 
 
-def _min_valuation(vec, p):
-    """The least p-adic valuation of the entries of an exact vector
-    (+inf for the zero vector)."""
-    return min((rational_valuation(x, p) for x in vec if x != 0), default=INF)
-
-
 def _sup_normalize(vec, field: FieldDesc):
     """The representative of sup-norm 1: exact over Q_p, float otherwise."""
     if field.kind == "padic":
-        m = _min_valuation(vec, field.p)
+        vec = [Fraction(x) for x in vec]
+        m = _content(vec, field.p)
         if m == INF:
             raise PreconditionError("zero vector")
         scale = Fraction(field.p) ** (-m)
-        return tuple(Fraction(x) * scale for x in vec)
+        return tuple(x * scale for x in vec)
     a = np.asarray(vec)
     a = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
     s = np.abs(a).max()
@@ -292,10 +288,6 @@ def root_valuations(coeffs, p):
     return sorted(vals)
 
 
-def _modinv(a, m):
-    return pow(a % m, -1, m)
-
-
 def _rational_reconstruct(a, m):
     """Small rational x/y with x/y = a mod m, |x|, y <= sqrt(m/2), or None."""
     bound = math.isqrt(m // 2)
@@ -327,25 +319,17 @@ def _hensel_dominant_root(coeffs, p, vmin, precision):
         num, den = b.numerator, b.denominator
         if den % p == 0:
             raise NumericalError("rescaled coefficient not p-integral")
-        scaled.append(num * _modinv(den, mod) % mod)
+        scaled.append(num * pow(den, -1, mod) % mod)
     # sum of roots = -b_{n-1}; all non-dominant roots vanish mod p
     y = (-scaled[n - 1]) % mod
     if y % p == 0:
         raise NumericalError("dominant residue unexpectedly zero mod p")
-
-    def poly_eval(cs, x):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * x + c) % mod
-        return acc
-
     deriv = [(i * scaled[i]) % mod for i in range(1, n + 1)]
     for _ in range(precision.bit_length() + 3):
-        fy = poly_eval(scaled, y)
+        fy = _horner(scaled, y) % mod
         if fy == 0:
             break
-        dy = poly_eval(deriv, y)
-        y = (y - fy * _modinv(dy, mod)) % mod
+        y = (y - fy * pow(_horner(deriv, y), -1, mod)) % mod
     return Fraction(y) * Fraction(p) ** vmin, mod
 
 
@@ -425,14 +409,14 @@ def _proximal_padic(matrix, field):
         return None
     vmin = int(vmin)
     lam, mod = _hensel_dominant_root(coeffs, p, vmin, _PADIC_PRECISION)
-    exact = _poly_eval_exact(coeffs, lam) == 0
+    exact = _horner(coeffs, lam) == 0
     if not exact:
         rec = _rational_reconstruct(
             int(lam / Fraction(p) ** vmin), mod
         )
         if rec is not None:
             cand = rec * Fraction(p) ** vmin
-            if _poly_eval_exact(coeffs, cand) == 0:
+            if _horner(coeffs, cand) == 0:
                 lam, exact = cand, True
     n = len(M)
     shifted = tuple(
@@ -446,8 +430,8 @@ def _proximal_padic(matrix, field):
     else:
         inv = exact_inverse(shifted)
         adj = tuple(tuple(d * inv[i][j] for j in range(n)) for i in range(n))
-        attract = min(zip(*adj), key=lambda col: _min_valuation(col, p))
-        repel = min(adj, key=lambda row: _min_valuation(row, p))
+        attract = min(zip(*adj), key=lambda col: _content(col, p))
+        repel = min(adj, key=lambda row: _content(row, p))
     gap = float(Fraction(p) ** (vmin - vals[1]))
     return ProximalData(
         eigenvalue=lam,
@@ -459,8 +443,9 @@ def _proximal_padic(matrix, field):
     )
 
 
-def _poly_eval_exact(coeffs, x):
-    acc = Fraction(0)
+def _horner(coeffs, x):
+    """The exact value at x of the polynomial with coefficients c_0..c_n."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -479,19 +464,14 @@ def _kernel_columns(M):
 
 @dataclass
 class EpsProximalVerdict:
-    """``samples_checked`` is always 0: no verdict is sampled."""
+    """``ok`` and ``certified`` prove (1) and (2) on the set that
+    ``reason`` names (see ``eps_proximal_check``).  ``samples_checked``
+    is always 0: no verdict is sampled."""
 
     ok: bool
     certified: bool
     reason: str = ""
     samples_checked: int = 0
-
-
-def _primitive_ints(vec, p):
-    """The integer vector with v_min = 0 on the line of an exact vector."""
-    ints = ratio_form([vec])[0][0]
-    content = p ** int_valuation(math.gcd(*ints), p)
-    return [x // content for x in ints]
 
 
 def _image(matrix, v, field: FieldDesc):
@@ -512,10 +492,8 @@ def sup_operator_norm(matrix, field: FieldDesc):
     value (ultrametric), returned as an exact Fraction.
     """
     if field.kind == "padic":
-        return max(
-            (abs_value(Fraction(x), field) for row in matrix for x in row),
-            default=Fraction(0),
-        )
+        c = _content([Fraction(x) for row in matrix for x in row], field.p)
+        return Fraction(0) if c == INF else Fraction(field.p) ** -c
     a = to_float_array(matrix)
     return float(np.abs(a).sum(axis=1).max())
 
@@ -523,9 +501,8 @@ def sup_operator_norm(matrix, field: FieldDesc):
 def _is_isometry(matrix, field: FieldDesc) -> bool:
     if field.kind == "padic":
         M = mat_from_rows(matrix)
-        if _min_valuation([x for row in M for x in row], field.p) < 0:
-            return False
-        return rational_valuation(exact_det(M), field.p) == 0
+        return (_content([x for row in M for x in row], field.p) >= 0
+                and rational_valuation(exact_det(M), field.p) == 0)
     a = to_float_array(matrix)
     n = a.shape[0]
     # sup-norm isometries are signed (real) / phased (complex) permutations
@@ -541,9 +518,9 @@ def _is_isometry(matrix, field: FieldDesc) -> bool:
 class REpsEstimate:
     """The homothety-coefficient log-range sup of the contraction lemma.
 
-    value = 2 * sup |log |t_v|| over sup-normalised v with d([v], X0) >=
-    eps, where v = t_v v0 + (a vector in X0), in closed form over every
-    field; over Q_p ``padic_k`` stores the exponent of the closed form.
+    value = 2 * sup |log |t_v|| over the sup-normalised v that ``r_eps``
+    reads as eps-far, where v = t_v v0 + (a vector in X0), in closed form
+    over every field; over Q_p ``padic_k`` stores the exponent of it.
     """
 
     value: float
@@ -575,10 +552,10 @@ def r_eps(x0_plus: ProjPoint, X0_minus: ProjHyperplane, eps: float) -> REpsEstim
     Requires 0 < eps and d(x0+, X0-) >= 2*eps.  With f the functional of
     X0- and x = x0+ (both sup-normalised), a point off X0- has one
     representative v = x + h with f.h = 0, and t_v = 1 / ||v|| for its
-    sup-normalised form.  Over R/C the point is eps-far from X0- (|f.v|
-    >= eps ||f||_1 ||v||, the bound ``point_hyperplane_distance`` gives)
-    iff ||v|| <= |f.x| / (eps ||f||_1), and ||v|| takes every value from
-    the dual-norm minimum |f.x| / ||f||_1 up to that bound, so
+    sup-normalised form.  Over R/C the sup runs over |f.v| >= eps ||f||_1
+    ||v|| (the eps-far set if X0- is a coordinate hyperplane, else a strict
+    subset), which is ||v|| <= |f.x| / (eps ||f||_1), and ||v|| takes every
+    value from the dual-norm minimum |f.x| / ||f||_1 up to that bound, so
 
         r_eps = 2 max(log(||f||_1 / |f.x|), log(|f.x| / (eps ||f||_1))).
 
@@ -615,9 +592,10 @@ def eps_proximal_check(
     d(g.x, x+) <= eps.  Condition (2) is decided exactly: over Q_p by
     ``_padic_contraction_witness``, over R/C by
     ``archimedean._box_contraction_witness`` (with respect to the float x+
-    and functional of X-, which are exact dyadic rationals).  A verdict is
-    certified unless the box search left a box open, which reads
-    ``indeterminate`` with ok False.
+    and functional f of X-, exact dyadic rationals) on {|f.v| >= eps
+    ||f||_1 ||v||}: a strict subset of the eps-far set when X- is off the
+    axes, which the reason of such a pass names.  A verdict is certified
+    unless the box search left a box open: ``indeterminate``, ok False.
     """
     check_eps(eps)
     if pd is None:
@@ -641,7 +619,10 @@ def eps_proximal_check(
     except IndeterminateError as e:
         return EpsProximalVerdict(False, False, f"indeterminate: {e}")
     if witness is None:
-        return EpsProximalVerdict(True, True, f"exact {name} search")
+        on = ""
+        if field.kind != "padic" and pd.repelling.aligned_axis() is None:
+            on = ": holds on {|f.v| >= eps ||f||_1 ||v||}, a subset of the eps-far set"
+        return EpsProximalVerdict(True, True, f"exact {name} search{on}")
     return EpsProximalVerdict(False, True, f"condition (2) fails at a {name} witness")
 
 
@@ -678,17 +659,17 @@ def _padic_contraction_witness(g, pd, eps, p):
     X- and fixes x+); other matrices send a point off X- to 0 and are
     refused.
     """
-    F = _primitive_ints(pd.repelling.functional, p)
-    A = _primitive_ints(pd.attracting.vec, p)
+    F = primitive(pd.repelling.functional)
+    A = primitive(pd.attracting.vec)
     G = ratio_form(g)[0]
     psi = solve(tuple(zip(*G)), F)
     if psi is None:
         raise PreconditionError("matrix sends a point off X- to zero")
     e, k = _padic_eps_exponents(eps, p)
-    bottom = max(e + 1, k + e - _min_valuation(psi, p) + 1)
+    bottom = max(e + 1, k + e - _content(psi, p) + 1)
     # the valuations of F_i, G e_i and minors(G e_i, A), per coordinate i
-    gains = [(rational_valuation(f, p), _min_valuation(col, p),
-              _min_valuation(_minors(col, A), p))
+    gains = [(rational_valuation(f, p), _int_content(col, p),
+              _int_content(_minors(col, A), p))
              for f, col in zip(F, zip(*G))]
     n = len(F)
     for j in range(n):
@@ -700,8 +681,8 @@ def _padic_contraction_witness(g, pd, eps, p):
                      for q in range(3)]
             f = rational_valuation(sum(a * b for a, b in zip(F, u)), p)
             gu = mat_vec(G, u)
-            c = _min_valuation(gu, p)
-            m = _min_valuation(_minors(gu, A), p) if c < known[1] else None
+            c = _int_content(gu, p)
+            m = _int_content(_minors(gu, A), p) if c < known[1] else None
             if m is not None and k + c <= min(m, known[2]):
                 continue  # every lift passes
             if min(f, known[0]) > e:

@@ -122,6 +122,15 @@ def _expect(value, kind, what):
     return value
 
 
+def _integer(obj, key):
+    """obj[key] as ``int`` reads it (3, 3.0, "3"), refusing a bool or a
+    float that is not integral rather than truncating it."""
+    x = obj[key]
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise PreconditionError(f"{key} = {x!r} is not an integer")
+    return int(x)
+
+
 def field_from_json(obj) -> FieldDesc:
     kind = _expect(obj, dict, "field").get("kind")
     if kind == "real":
@@ -129,9 +138,9 @@ def field_from_json(obj) -> FieldDesc:
     if kind == "complex":
         return COMPLEX
     if kind == "padic":
-        return padic(int(obj["p"]))
+        return padic(_integer(obj, "p"))
     if kind == "quadratic":
-        return quadratic(int(obj["r"]))
+        return quadratic(_integer(obj, "r"))
     if kind == "laurent":
         return FieldDesc("laurent")  # raises with the scoping message
     raise UnsupportedFieldError(f"unknown field kind {kind!r}")
@@ -149,14 +158,15 @@ def field_to_json(field: FieldDesc) -> dict:
 def group_from_json(obj, field: FieldDesc) -> GroupDesc:
     family = _expect(obj, dict, "group").get("family")
     if family == "SL":
-        return GroupDesc("SL", field, n=int(obj["n"]))
+        return GroupDesc("SL", field, n=_integer(obj, "n"))
     if family in ("SO", "U"):
         form = obj.get("form")
         form_scalars = (
             tuple(scalar_from_str(s, field) for s in form) if form else ()
         )
         return GroupDesc(
-            family, field, p=int(obj["p"]), q=int(obj["q"]), form=form_scalars
+            family, field, p=_integer(obj, "p"), q=_integer(obj, "q"),
+            form=form_scalars
         )
     raise PreconditionError(f"unknown group family {family!r}")
 

@@ -250,6 +250,12 @@ def fit_envelope(rows, rho0: float):
     return eps_hat, c_hat
 
 
+def _check_rho0(rho0):
+    """Refuse a NaN or negative rho0; None (the default) and math.inf pass."""
+    if rho0 is not None and not rho0 >= 0:
+        raise PreconditionError(f"rho0 must be a nonnegative number, got {rho0!r}")
+
+
 def _require_relators(P: Presentation, name: str, phi: Homomorphism):
     rep = check_relators(P, phi, tol=RELATOR_TOL)
     if not rep.ok:
@@ -271,6 +277,7 @@ def stability_scans(
     deformation are projected together by one ``_mu_rows``.  Each
     report equals ``stability_scan`` of its deformation.
     """
+    _check_rho0(rho0)
     phis = list(phis)
     _require_relators(P, "reference", phi_ref)
     for phi in phis:
@@ -466,6 +473,7 @@ def properness_margin(
     construction; a strictly positive slope is the desk-scale
     properness signal, slope 0 the containment pattern.
     """
+    _check_rho0(rho0)
     if not samples:
         raise PreconditionError("no samples")
     rows = [PropernessRow(float(np.linalg.norm(mu)), cone_distance(mu, cone))
@@ -475,7 +483,8 @@ def properness_margin(
         rho0 = (min(positive) if positive else 0.0) + 1.0
     slope = min([r.margin / (r.mu_norm - rho0) for r in rows if r.mu_norm > rho0],
                 default=0.0)
-    report = PropernessReport(rows, slope, slope * rho0, rho0, radius)
+    intercept = slope * rho0 if slope else 0.0  # not 0 * inf = NaN
+    report = PropernessReport(rows, slope, intercept, rho0, radius)
     if not report.lower_envelope_valid():
         raise PreconditionError("internal: lower envelope violates its own rows")
     return report

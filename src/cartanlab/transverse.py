@@ -159,18 +159,11 @@ def _tree_form(g: GroupElement, model: RankOneModel):
     return (a, b, c, d), int_valuation(den, model.p)
 
 
-def _tree_distance(v_den: int, entries, p: int) -> int:
-    """2 (v_den - min v_p(entries)): d(x0, g.x0) on the tree for
-    g = N / d in SL_2(Q_p), given v_den = v_p(d) and the entries of N
-    (see the module docs)."""
-    return 2 * _sl2_padic_mu1(v_den, entries, p)
-
-
 def displacement(g: GroupElement, model: RankOneModel) -> float:
     """d(x0, g.x0) in the model; exact even integer on the tree."""
     if model.kind == "sl2_tree":
         entries, v_den = _tree_form(g, model)
-        return _tree_distance(v_den, entries, model.p)  # = sqrt(2) * ||mu||
+        return 2 * _sl2_padic_mu1(v_den, entries, model.p)  # = sqrt(2) * ||mu||
     a = model.matrix_action(g)
     x0 = model.base_point
     model.check_on_model(x0)
@@ -263,7 +256,7 @@ def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
     elements = ball.elements()
     if model.kind == "sl2_tree":
         forms = [_tree_form(e, model) for e in elements]
-        dists = np.array([_tree_distance(v, N, model.p) for N, v in forms],
+        dists = np.array([2 * _sl2_padic_mu1(v, N, model.p) for N, v in forms],
                          dtype=float)
         return OrbitData(ball, phi, model, distances=dists, forms=forms)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
@@ -378,8 +371,8 @@ def _tree_row(g: GroupElement, orbit: OrbitData) -> np.ndarray:
     p = orbit.model.p
     (a, b, c, d), vg = _tree_form(g, orbit.model)
     return np.array([
-        _tree_distance(vg + vw, (a * e + b * h, a * f + b * k,
-                                 c * e + d * h, c * f + d * k), p)
+        2 * _sl2_padic_mu1(vg + vw, (a * e + b * h, a * f + b * k,
+                                     c * e + d * h, c * f + d * k), p)
         for (e, f, h, k), vw in orbit.forms], dtype=float)
 
 

@@ -376,6 +376,27 @@ def test_cmd_properness(tmp_path):
     assert sidecar["slope"] > 0.1
 
 
+@pytest.mark.parametrize("command, rho0", [
+    ("stability", "-1"), ("stability", "nan"),
+    ("properness", "nan"), ("properness", "-5"),
+])
+def test_negative_or_nan_rho0_exits_2(tmp_path, capsys, so22_bending_file,
+                                      command, rho0):
+    # these ended in a ZeroDivisionError, an "internal" envelope error, or
+    # (properness --rho0 -5) a fitted slope 0 whatever the margins
+    doc = json.loads(so22_bending_file.read_text())
+    doc["cone"] = {"matrices": [doc["generators"]["a"]]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    rc = main([command, "--input", str(path), "--output", str(out),
+               "--radius", "2", "--rho0", rho0])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "rho0" in err[0]
+    assert not out.exists() and not (tmp_path / "out.csv.json").exists()
+
+
 def test_reports_build_no_cartan_vector_per_element(tmp_path, monkeypatch,
                                                      so22_bending_file):
     # the projections of a ball travel as one array: the only CartanVectors
@@ -531,6 +552,46 @@ def test_malformed_shape_exits_2(tmp_path, capsys, command, doc):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where, key, good, bad", [
+    ("field", "p", 3, 3.7),
+    ("field", "r", 2, 2.99),
+    ("group", "n", 2, 2.9),
+    ("group", "p", 1, True),
+    ("group", "q", 2, 2.5),
+])
+def test_descriptor_numbers_must_be_integers(tmp_path, capsys, where, key, good,
+                                             bad):
+    # int() used to truncate: p 3.7 ran as Q_3, r 2.99 as Q(sqrt 2), n 2.9
+    # as SL_2 and SO with p true as SO(1,2)
+    field = ({"kind": "padic", "p": 3} if key == "p" and where == "field"
+             else {"kind": "quadratic", "r": 2} if key == "r"
+             else {"kind": "real"})
+    group = ({"family": "SL", "n": 2} if where == "field" or key == "n"
+             else {"family": "SO", "p": 1, "q": 2})
+    size = 2 if group["family"] == "SL" else 3
+    outputs = []
+    for value in (good, float(good), str(good), bad):
+        doc = {"field": dict(field), "group": dict(group),
+               "matrices": [[[str(int(i == j)) for j in range(size)]
+                             for i in range(size)]]}
+        doc[where][key] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        rc = main(["cartan", "--input", str(path), "--output", str(out)])
+        if value is bad:
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert f"{key} = {bad!r}" in err[0]
+            assert not out.exists()
+        else:
+            assert rc == 0
+            outputs.append(out.read_bytes())
+            out.unlink()
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("field", [

@@ -1,8 +1,10 @@
 """Static hygiene of the package: no unused import, no private top-level
 function that nothing references, no top-level function or class that
-nothing in src, tests or demos references, no relative import inside a
-function, and no name wrapped by ``perfbench/tracer.py`` that the
-package lacks, checked with ``ast``."""
+nothing in src, tests or demos references, no method or property of a
+package class (dunders aside) that nothing in src, tests, demos or
+perfbench references, no relative import inside a function, and no name
+wrapped by ``perfbench/tracer.py`` that the package lacks, checked with
+``ast``."""
 
 import ast
 import functools
@@ -88,13 +90,13 @@ def test_no_relative_imports_inside_functions(path):
 
 
 @functools.cache
-def _references():
-    """Names read, read as an attribute or imported anywhere in src,
-    tests or demos (an import in ``__init__`` is an export)."""
+def _references(dirs=("src", "tests", "demos")):
+    """Names read, read as an attribute or imported anywhere in the
+    directories ``dirs`` of the repository (an import in ``__init__`` is
+    an export)."""
     root = PACKAGE.parents[1]
     names = set()
-    for path in (p for d in ("src", "tests", "demos")
-                 for p in (root / d).rglob("*.py")):
+    for path in (p for d in dirs for p in (root / d).rglob("*.py")):
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -111,6 +113,18 @@ def test_every_top_level_definition_is_referenced(path):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in _references()]
     assert not dead, f"{path.name}: unreferenced definitions {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_method_is_referenced(path):
+    referenced = _references(("src", "tests", "demos", "perfbench"))
+    dead = [f"{cls.name}.{node.name}" for cls in _tree(path).body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in referenced]
+    assert not dead, f"{path.name}: unreferenced methods {dead}"
 
 
 def _tracer_targets():

@@ -889,11 +889,27 @@ def test_padic_eps_exponents_compare_exactly():
     assert eps_proximal_check(g, 0.34, Q3).ok
 
 
+# the set a box-search pass holds on when X- is off the coordinate axes
+OFF_AXIS_SET = "holds on {|f.v| >= eps ||f||_1 ||v||}, a subset of the eps-far set"
+
+
 def _conjugated(diagonal):
     P = ((F(1), F(1)), (F(1), F(2)))
     D = tuple(tuple(diagonal[i] if i == j else F(0) for j in range(2))
               for i in range(2))
     return mat_mul(mat_mul(P, D), exact_inverse(P))
+
+
+def test_box_pass_names_the_set_it_holds_on():
+    # on the axes {|f.v| >= eps ||f||_1 ||v||} is the eps-far set; off them
+    # it is a strict subset, and the pass says so
+    on = eps_proximal_check(np.diag([16.0, 1 / 16]), 0.1, REAL)
+    assert _verdict(on) == (True, True, "exact box search", 0)
+    g = to_float_array(_conjugated((F(16), F(1, 16))))
+    pd = proximal_analyze(g, REAL)
+    assert pd.repelling.aligned_axis() is None
+    off = eps_proximal_check(g, 0.1, REAL, pd=pd)
+    assert _verdict(off) == (True, True, "exact box search: " + OFF_AXIS_SET, 0)
 
 
 def test_sampled_failure_at_known_index():
@@ -1186,7 +1202,7 @@ def test_sandwich_padic_off_the_axes_draws_no_sample(monkeypatch):
     for g in (z, [[complex(x) for x in row] for row in z]):
         field = COMPLEX if isinstance(g[0][0], complex) else REAL
         v = eps_proximal_check(g, 0.1, field)
-        assert _verdict(v) == (True, True, "exact box search", 0)
+        assert _verdict(v) == (True, True, "exact box search: " + OFF_AXIS_SET, 0)
 
 
 def test_padic_search_with_a_singular_matrix():

@@ -363,3 +363,21 @@ def test_fit_envelope_policy():
     assert eps == pytest.approx((1.1 - 0.3) / 4.0)
     eps_inf, c_inf = fit_envelope(rows, rho0=math.inf)
     assert eps_inf == 0.0 and c_inf == 1.1
+
+
+@pytest.mark.parametrize("rho0", [-1.0, -0.5, math.nan])
+def test_negative_or_nan_rho0_is_refused(rho0):
+    # rho0 = -1 used to divide by the identity row's ||mu|| = 0, NaN to fail
+    # the envelope's own check, and a negative properness rho0 to fit slope 0
+    P = schottky_sl2_presentation()
+    phi = inclusion(P)
+    with pytest.raises(PreconditionError, match="rho0"):
+        stability_scans(P, phi, [phi], 2, rho0=rho0)
+    with pytest.raises(PreconditionError, match="rho0"):
+        stability_scan(P, phi, phi, 2, rho0=rho0)
+    samples = [cartan(so21_boost(t)) for t in (1.0, 2.0)]
+    with pytest.raises(PreconditionError, match="rho0"):
+        properness_margin(samples, ConeModel([], 2), rho0=rho0)
+    # rho0 = inf and 0 stay allowed
+    assert properness_margin(samples, ConeModel([], 2), rho0=math.inf).slope == 0.0
+    assert stability_scan(P, phi, phi, 2, rho0=0.0).c_hat == 0.0

@@ -27,9 +27,9 @@ from cartanlab import (
     transversality_gap,
     word_ball,
 )
+from cartanlab.cartan import _sl2_padic_mu1
 from cartanlab.fields import int_valuation
-from cartanlab.transverse import (_tree_distance, displacement_scale, orbit_data,
-                                  sl2_to_so21)
+from cartanlab.transverse import displacement_scale, orbit_data, sl2_to_so21
 from cartanlab.wordgroups import evaluate
 
 from util import schottky_sl2_presentation
@@ -261,7 +261,7 @@ def test_tree_distance_is_the_cartan_gap(p, data):
     # leaves it unchanged
     (N, den), c = g.ratio, p ** data.draw(st.integers(0, 3)) * 13
     entries = [c * x for row in N for x in row]
-    assert _tree_distance(int_valuation(c * den, p), entries, p) == d
+    assert 2 * _sl2_padic_mu1(int_valuation(c * den, p), entries, p) == d
 
 
 def _cartan_distance(g):
