@@ -464,12 +464,9 @@ def cartan_batch(elements, group: GroupDesc) -> list:
 def _mu_rows(elements, group: GroupDesc) -> np.ndarray:
     """The Cartan projections of elements of group as the rows of one
     (m, mu_length) array: exact integers over Q_p (``_padic_mu``).  Over R
-    or C the elements go into one float stack, a rational N / d as N_ij / d
-    as in ``to_float_array``, real and complex elements in separate stacks
-    (a real element is never made complex), and each stack takes one
-    stacked SVD (``_svd_rows``); the stacked routines give the same bits
-    as one call per matrix.
-    """
+    or C the real and the complex elements each make one float stack
+    (``_float_stack``; a real element is never made complex) and take one
+    stacked SVD (``_svd_rows``), which gives the bits of one per matrix."""
     elements = list(elements)
     if not elements:
         return np.empty((0, group.mu_length))
@@ -477,24 +474,33 @@ def _mu_rows(elements, group: GroupDesc) -> np.ndarray:
         raise PreconditionError("cartan_batch takes the elements of one group")
     if group.field.kind == "padic":
         return np.array([_padic_mu(g) for g in elements], dtype=np.int64)
-    parts = ([], []), ([], [])  # (positions, flat entries): real, complex
-    for i, g in enumerate(elements):
-        if g._den:
-            d = g._den
-            entries, is_complex = [x / d for row in g._m for x in row], False
-        else:
-            a = to_float_array(g)
-            entries, is_complex = a.reshape(-1).tolist(), a.dtype.kind == "c"
-        positions, flat = parts[is_complex]
-        positions.append(i)
-        flat.append(entries)
-    n = group.size
+    is_complex = [isinstance(g._m, np.ndarray) and g._m.dtype.kind == "c" for g in elements]
     out = np.empty((len(elements), group.mu_length))
-    for (positions, flat), dtype in zip(parts, (float, complex)):
+    for kind, dtype in ((False, float), (True, complex)):
+        positions = [i for i, c in enumerate(is_complex) if c == kind]
         if positions:
-            out[positions] = _svd_rows(np.array(flat, dtype=dtype).reshape(-1, n, n),
-                                       group)
+            stack = _float_stack([elements[i] for i in positions], dtype)
+            out[positions] = _svd_rows(stack, group)
     return out
+
+
+def _float_stack(elements, dtype=float) -> np.ndarray:
+    """``to_float_array`` of every element as one (m, n, n) stack of dtype.
+    When all are rational N / d with every |N_ij| and d below 2**53, N and
+    d are exact floats, and one division of the stacked N by the d gives
+    each N_ij / d correctly rounded, as int division does; otherwise the
+    stack is built element by element."""
+    n = elements[0].group.size
+    if all(g._den for g in elements):
+        try:  # float() of an int past the float range overflows
+            N = np.fromiter(chain.from_iterable(chain.from_iterable(
+                g._m for g in elements)), float, len(elements) * n * n)
+            d = np.fromiter((g._den for g in elements), float, len(elements))
+            if max(np.abs(N).max(), d.max()) < 2.0 ** 53:
+                return (N.reshape(-1, n * n) / d[:, None]).reshape(-1, n, n)
+        except OverflowError:
+            pass
+    return np.array([to_float_array(g) for g in elements], dtype)
 
 
 def _svd_rows(stack, group: GroupDesc) -> np.ndarray:

@@ -217,14 +217,14 @@ def cmd_proximal(args) -> int:
 
 
 def _model_for(group):
-    if group.family == "SL" and group.n == 2:
+    if group.family == "SL" and group.n == 2 and group.field.kind != "complex":
         if group.field.kind == "padic":
             return RankOneModel.sl2_tree(group.field.p)
         return RankOneModel.sl2_real()
-    if group.family == "SO" and group.q == 1:
+    if group.family == "SO" and group.q == 1 and group.field.kind != "complex":
         return RankOneModel.hyperboloid(group.form)
     raise PreconditionError(
-        "no rank-one model for this group (need SL(2) or SO(m,1))"
+        "no rank-one model for this group (need SL(2) or SO(m,1), not over C)"
     )
 
 

@@ -22,34 +22,46 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedFieldError
+from .errors import PreconditionError, UnsupportedFieldError
 
 INF = math.inf
 
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+SQUAREFREE_BOUND = 10 ** 18  # trial division runs to its cube root, 10**6
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_squarefree(n: int) -> bool:
+def is_prime(n: int, key: str = "n") -> bool:
+    """Miller-Rabin to the prime bases up to 41, deterministic for n <
+    PRIME_BOUND, about 3.3e24 (Sorenson and Webster, 2015); a larger n is a
+    PreconditionError that names it key."""
+    if n >= PRIME_BOUND:
+        raise PreconditionError(f"{key} = {n} is out of range: {key} must be below {PRIME_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2**s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _BASES)
+
+
+def is_squarefree(n: int, key: str = "n") -> bool:
+    """Whether no prime square divides n >= 1, for n < SQUAREFREE_BOUND
+    (10**18); a larger n is a PreconditionError that names it key.  Once
+    every prime below the cube root of what is left is divided out, the
+    rest has at most two prime factors: square-free unless a square."""
+    if n >= SQUAREFREE_BOUND:
+        raise PreconditionError(f"{key} = {n} is out of range: {key} must be below 10**18")
     if n < 1:
         return False
     d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
+    while d * d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return False
         d += 1
-    return True
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 @dataclass(frozen=True)
@@ -75,12 +87,12 @@ class FieldDesc:
         if self.kind not in ("real", "complex", "padic", "quadratic"):
             raise UnsupportedFieldError(f"unknown field kind {self.kind!r}")
         if self.kind == "padic":
-            if self.p is None or not is_prime(self.p):
+            if self.p is None or not is_prime(self.p, "p"):
                 raise UnsupportedFieldError(f"p = {self.p!r} is not prime")
         elif self.p is not None:
             raise UnsupportedFieldError("p only makes sense for padic fields")
         if self.kind == "quadratic":
-            if self.r is None or self.r < 2 or not is_squarefree(self.r):
+            if self.r is None or self.r < 2 or not is_squarefree(self.r, "r"):
                 raise UnsupportedFieldError(
                     f"r = {self.r!r} must be a square-free integer >= 2"
                 )

@@ -126,9 +126,12 @@ def _integer(obj, key):
     """obj[key] as ``int`` reads it (3, 3.0, "3"), refusing a bool or a
     float that is not integral rather than truncating it."""
     x = obj[key]
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
-        raise PreconditionError(f"{key} = {x!r} is not an integer")
-    return int(x)
+    if not (isinstance(x, bool) or isinstance(x, float) and not x.is_integer()):
+        try:
+            return int(x)
+        except (TypeError, ValueError):
+            pass
+    raise PreconditionError(f"{key} = {x!r} is not an integer")
 
 
 def field_from_json(obj) -> FieldDesc:

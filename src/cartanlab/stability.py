@@ -11,12 +11,13 @@ with a canonical policy: C_hat is the max deviation over short elements
 envelope is valid on every row by construction.  ``stability_scans``
 runs several deformations over one ball: the reference relator check,
 the reference ball, its Cartan projections and their norms are computed
-once, and the deformed images of all of them are projected together.
-The seminorm defect of a factorization is a separate pass over the same
-ball (``seminorm_defects``).  Every pass takes the projections of a
-ball as one array from ``cartan._mu_rows``, one row per element, and
-builds no ``CartanVector``; each norm is one 1-D ``np.linalg.norm`` per
-row, which keeps the bits of the per-element computation.
+once, and each deformation's float images, one stack from
+``BallResult.image_stack``, go straight into ``cartan._svd_rows``.  The
+seminorm defect of a factorization is a separate pass over the same ball
+(``seminorm_defects``).  Every pass takes the projections of a ball as
+one array, one row per element, and builds no ``CartanVector``; each
+norm is one 1-D ``np.linalg.norm`` per row, which keeps the bits of the
+per-element computation.
 
 The properness side compares sampled Cartan projections against the
 cone swept by a subgroup's Cartan image; a strictly positive fitted
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import CartanVector, GroupDesc, GroupElement, _mu_rows, cartan, mu_norm
+from .cartan import (CartanVector, GroupDesc, GroupElement, _mu_rows, _svd_rows,
+                     cartan, mu_norm)
 from .errors import PreconditionError
 from .wordgroups import (BallResult, Homomorphism, Presentation, check_relators,
                          evaluate, word_ball)
@@ -262,6 +264,15 @@ def _require_relators(P: Presentation, name: str, phi: Homomorphism):
         raise PreconditionError(f"{name} homomorphism fails relators: {rep.failures}")
 
 
+def _image_mus(ball: BallResult, phi: Homomorphism) -> np.ndarray:
+    """mu of phi's image of every ball word, float rows: a float image
+    stack straight into ``_svd_rows``, exact images by ``_mu_rows``."""
+    stack = ball.image_stack(phi)
+    if stack is None:
+        return np.asarray(_mu_rows(ball.images(phi), phi.group), dtype=float)
+    return _svd_rows(stack, phi.group)
+
+
 def stability_scans(
     P: Presentation,
     phi_ref: Homomorphism,
@@ -273,9 +284,9 @@ def stability_scans(
 
     The reference relators, the reference ball and the reference Cartan
     projections are computed once; each deformation then costs its
-    relator check and one ``ball.images`` pass, and the images of every
-    deformation are projected together by one ``_mu_rows``.  Each
-    report equals ``stability_scan`` of its deformation.
+    relator check and one image pass with its projections
+    (``_image_mus``); one with the reference's own exact images reuses
+    the reference's.  Each report equals ``stability_scan`` of it.
     """
     _check_rho0(rho0)
     phis = list(phis)
@@ -292,10 +303,10 @@ def stability_scans(
     group = phi_ref.group
     mus_ref = np.asarray(_mu_rows(ball.elements(), group), dtype=float)
     norms = [float(np.linalg.norm(mu)) for mu in mus_ref]
-    mus_def = np.asarray(_mu_rows([g for phi in phis for g in ball.images(phi)], group),
-                         dtype=float).reshape(len(phis), *mus_ref.shape)
     reports = []
-    for devs in mus_def - mus_ref:
+    for phi in phis:
+        same = phi.images == phi_ref.images and all(g.is_exact for g in phi.images)
+        devs = (mus_ref if same else _image_mus(ball, phi)) - mus_ref
         rows = [StabilityRow(e.word, len(e.word), n, float(np.linalg.norm(dev)))
                 for e, n, dev in zip(ball.entries, norms, devs)]
         eps_hat, c_hat = fit_envelope(rows, rho0)
@@ -331,12 +342,11 @@ def seminorm_defects(ball: BallResult, phi: Homomorphism, delta_l: DeltaLData,
     |mu(phi(g)) - sum_i mu(phi(g_i))|_{coroot span} of its word g over the
     factor words g_i = factorizer(g), or None where factorizer gives none.
 
-    The ball's images come from one ``ball.images(phi)`` pass and one
-    ``_mu_rows``; a factor word outside the ball is evaluated where
-    it occurs.
+    The ball's projections come from one image pass (``_image_mus``); a
+    factor word outside the ball is evaluated where it occurs.
     """
     index = ball.word_index()
-    mus = np.asarray(_mu_rows(ball.images(phi), phi.group), dtype=float)
+    mus = _image_mus(ball, phi)
 
     def mu_of(w):
         k = index.get(w)

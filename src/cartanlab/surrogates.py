@@ -20,12 +20,8 @@ from .wordgroups import AmalgamStructure, Presentation
 
 
 def sym2_rational(g):
-    """Exact symmetric-square image of an SL_2(Q) matrix in SO(2,1; Q).
-
-    Coordinates (x1, x2, x3) with form x1^2 + x2^2 - x3^2; the base
-    point (0,0,1) corresponds to i in the upper half-plane, and
-    diag(e^t, e^-t) maps to the boost of parameter 2t.
-    """
+    """Exact symmetric-square image of an SL_2(Q) matrix in SO(2,1; Q), in
+    the coordinates of ``transverse._sym2_columns``."""
     return tuple(zip(*_sym2_columns([[F(x) for x in row] for row in g])))
 
 

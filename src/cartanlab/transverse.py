@@ -29,10 +29,12 @@ shadow-lemma constant).  All reported postconditions are measured, not
 assumed.
 
 An `OrbitData` is built once per ball and shared by every `decompose`
-over it: the ball and its orbit points (or tree distances and integer
-forms) once, and the displacement of each factor word once, read from
-the ball's own element (or, on the tree, its distance) when the word is
-a ball word.
+over it.  One stacked pass over the ball gives its orbit points and the
+displacement of every ball word (on the tree, distances and integer
+forms); any other factor word's displacement is computed once.  On an
+exact ball gamma^-1.x0' is the orbit point of gamma's inverse word; a
+float ball, or a relator that keeps that word out of the ball, inverts
+phi(gamma) instead.  A word's cut points are snapped in one batch.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import GroupElement, _sl2_padic_mu1, to_float_array
+from .cartan import GroupElement, _float_stack, _sl2_padic_mu1, to_float_array
 from .errors import PreconditionError, UnsupportedFieldError
 from .fields import int_valuation
 from .wordgroups import (BallResult, Homomorphism, Presentation, Word, evaluate,
@@ -53,29 +55,31 @@ _SHEET_TOL = 1e-8  # max deviation of <x, x> from -1 on the hyperboloid sheet
 
 def sl2_to_so21(matrix) -> np.ndarray:
     """Image of an SL_2(R) matrix (or GroupElement) under the
-    symmetric-square action.
+    symmetric-square action (see ``_sym2_columns``)."""
+    return _sym2_stack(to_float_array(matrix)[None])[0]
 
-    Coordinates (x1, x2, x3) with form x1^2 + x2^2 - x3^2; the base
-    point (0,0,1) corresponds to i in the upper half plane, and
-    diag(e^t, e^-t) maps to the boost of parameter 2t.
-    """
-    return np.array(_sym2_columns(to_float_array(matrix))).T
+
+def _sym2_stack(stack) -> np.ndarray:
+    """``sl2_to_so21`` of every matrix of a float stack, each image laid out
+    in memory column by column (a matrix-vector product's bits depend on
+    the layout; this is the layout the orbit points were first built in)."""
+    columns = np.array(_sym2_columns(stack.transpose(1, 2, 0)))  # (column, row, element)
+    return np.ascontiguousarray(columns.transpose(2, 0, 1)).transpose(0, 2, 1)
 
 
 def _sym2_columns(g):
     """The columns of the symmetric-square image of the 2x2 matrix g, in
-    the scalars of g (floats, or Fractions for an exact image)."""
+    the scalars of g (floats, Fractions, or arrays of either, entrywise).
+    Coordinates (x1, x2, x3) with form x1^2 + x2^2 - x3^2; the base point
+    (0,0,1) corresponds to i in the upper half-plane, and diag(e^t, e^-t)
+    maps to the boost of parameter 2t."""
     ((p, q), (r, s)) = g
+    cols = []
     # symmetric matrix coords: S = [[u, w], [w, v]], x1=(u-v)/2, x2=w, x3=(u+v)/2
-    def act(u, v, w):
+    for (u, v, w) in ((1, -1, 0), (0, 0, 1), (1, 1, 0)):
         u2 = p * p * u + 2 * p * q * w + q * q * v
         v2 = r * r * u + 2 * r * s * w + s * s * v
         w2 = p * r * u + (p * s + q * r) * w + q * s * v
-        return u2, v2, w2
-
-    cols = []
-    for (u, v, w) in ((1, -1, 0), (0, 0, 1), (1, 1, 0)):
-        u2, v2, w2 = act(u, v, w)
         cols.append(((u2 - v2) / 2, w2, (u2 + v2) / 2))
     return cols
 
@@ -136,14 +140,6 @@ class RankOneModel:
         c = -self.pairing(x, y)
         return math.acosh(max(c, 1.0))
 
-    def geodesic_point(self, x: np.ndarray, y: np.ndarray, s: float) -> np.ndarray:
-        """Point at arclength s along the geodesic from x to y."""
-        total = self.point_distance(x, y)
-        if total == 0:
-            return x
-        u = (y - math.cosh(total) * x) / math.sinh(total)
-        return math.cosh(s) * x + math.sinh(s) * u
-
 
 def _tree_form(g: GroupElement, model: RankOneModel):
     """The entries of N, row by row, and v_p(d) of g = N / d; refuses
@@ -164,13 +160,8 @@ def displacement(g: GroupElement, model: RankOneModel) -> float:
     if model.kind == "sl2_tree":
         entries, v_den = _tree_form(g, model)
         return 2 * _sl2_padic_mu1(v_den, entries, model.p)  # = sqrt(2) * ||mu||
-    a = model.matrix_action(g)
-    x0 = model.base_point
-    model.check_on_model(x0)
-    y = a @ x0
-    if abs(model.pairing(y, y) + 1.0) > 1e-6 * max(1.0, float(np.abs(y).max()) ** 2):
-        raise PreconditionError("element does not preserve the model")
-    return model.point_distance(x0, y)
+    model.check_on_model(model.base_point)
+    return float(_distances((model.matrix_action(g) @ model.base_point)[None], model)[0])
 
 
 def displacement_scale(model: RankOneModel) -> float:
@@ -213,11 +204,10 @@ class OrbitData:
     Building this once and passing it to repeated `decompose` calls
     avoids re-enumerating the ball per input word; a report over the
     ball's words iterates ``ball.entries`` rather than building the
-    ball again.  It also keeps a memo of factor displacements: on the
-    tree a word of the ball starts with its distance, elsewhere it takes
-    its entry's element (bit for bit what ``evaluate`` gives), any other
-    word is evaluated, and each word's displacement in ``model`` is
-    computed once for all the decompositions that share it.
+    ball again.  It also keeps a memo of factor displacements: every
+    ball word starts with its entry of ``distances``, any other word is
+    evaluated, and its displacement computed once for all the
+    decompositions that share it.
     """
 
     ball: BallResult
@@ -225,7 +215,7 @@ class OrbitData:
     model: RankOneModel
     points: np.ndarray | None = None  # hyperboloid orbit points w.x0'
     x0_prime: np.ndarray | None = None  # the x0' of ``points``
-    distances: np.ndarray | None = None  # tree distances d(x0, w.x0)
+    distances: np.ndarray | None = None  # displacements d(x0, w.x0)
     # on the tree, (entries of N, v_p(d)) of each phi(w) = N / d
     forms: list | None = None
     _index: dict = dc_field(init=False, repr=False)  # word -> entry index
@@ -260,8 +250,23 @@ def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
                          dtype=float)
         return OrbitData(ball, phi, model, distances=dists, forms=forms)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
-    pts = np.array([model.matrix_action(e) @ x0p for e in elements])
-    return OrbitData(ball, phi, model, points=pts, x0_prime=x0p)
+    model.check_on_model(x0p)
+    stack = _float_stack(elements)  # matrix_action of every element, stacked
+    actions = stack if model.kind == "hyperboloid" else _sym2_stack(stack)
+    return OrbitData(ball, phi, model, points=actions @ x0p, x0_prime=x0p,
+                     distances=_distances(actions @ model.base_point, model))
+
+
+def _distances(ys, model: RankOneModel) -> np.ndarray:
+    """d(x0, y) of every row y = g.x0 of ys: -B(x0, y) (rows summed as
+    ``pairing`` sums one, bit for bit) through ``math.acosh``.  Refuses a y
+    off the sheet, an element that does not preserve the model."""
+    c = model.coeffs
+    sheet = np.abs(np.sum(c * ys * ys, axis=1) + 1.0)
+    if (sheet > 1e-6 * np.maximum(1.0, np.abs(ys).max(axis=1) ** 2)).any():
+        raise PreconditionError("element does not preserve the model")
+    brackets = (-np.sum(c * model.base_point * ys, axis=1)).tolist()
+    return np.array([math.acosh(max(b, 1.0)) for b in brackets])
 
 
 def decompose(
@@ -320,29 +325,33 @@ def decompose(
         gromov = 0.5 * (d_ab + ac - bc)
 
         def snap(s):
-            dists = np.abs(s - gromov) + ac - gromov
-            j = int(np.argmin(dists))
-            return j, float(dists[j])
+            dists = np.abs(s[:, None] - gromov) + ac - gromov
+            j = np.argmin(dists, axis=1)
+            return j.tolist(), dists[np.arange(len(s)), j].tolist()
     else:
         x0p = orbit.x0_prime
-        model.check_on_model(x0p)
         base_offset = model.point_distance(model.base_point, x0p)
-        end = model.matrix_action(g.inv()) @ x0p
+        # on an exact ball the entry of gamma^-1 is g.inv() itself
+        k = orbit._index.get(gamma.inverse()) if orbit.ball.stack is None else None
+        end = orbit.points[k] if k is not None else model.matrix_action(g.inv()) @ x0p
         total = model.point_distance(x0p, end)
 
-        def snap(s):
-            target = model.geodesic_point(x0p, end, s)
-            brackets = -(orbit.points * model.coeffs * target).sum(axis=1)
-            j = int(np.argmin(np.maximum(brackets, 1.0)))
-            return j, math.acosh(max(float(brackets[j]), 1.0))
+        def snap(s):  # the points at arclength s on [x0', end], one bracket array
+            u = (end - math.cosh(total) * x0p) / math.sinh(total)
+            ch, sh = np.array([(math.cosh(t), math.sinh(t)) for t in s]).T[:, :, None]
+            targets = ch * x0p + sh * u
+            brackets = -(orbit.points * model.coeffs * targets[:, None]).sum(axis=2)
+            j = np.argmin(np.maximum(brackets, 1.0), axis=1)
+            return j.tolist(), [math.acosh(max(b, 1.0))
+                                for b in brackets[np.arange(len(s)), j].tolist()]
     n = int(total // R)
     if n > 0 and n * R > total:  # guard against float boundary
         n -= 1
 
     lambdas = [Word()]  # lambda_0 = 1
     snap_dists = []
-    for i in range(1, n + 1):
-        j, dist = snap(i * R)
+    js, dists = snap(np.array([i * R for i in range(1, n + 1)])) if n else ((), ())
+    for i, (j, dist) in enumerate(zip(js, dists), 1):
         if dist > snap_budget:
             return TransverseDecomposition(
                 [], [], [], math.inf, [dist], math.inf, total, accepted=False,

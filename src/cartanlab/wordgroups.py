@@ -24,8 +24,10 @@ are built on first read.  ``BallResult.images(phi)`` walks the tree
 once, multiplying each parent image by one generator image, so any
 homomorphism is evaluated over the whole ball in O(N) products; the fold
 is the one ``evaluate`` performs, so the images are bit-identical to
-evaluating every word from scratch.  ``BallResult.labels(symbols)``
-walks it the same way to give every word's ``Word.format`` text.
+evaluating every word from scratch; float images come a level at a
+time, one ``matmul`` per level, as one stack (``image_stack``).
+``BallResult.labels(symbols)`` walks the tree the same way to give
+every word's ``Word.format`` text.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class Word:
         return Word._trusted(a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
-        return Word(tuple((i, -e) for i, e in reversed(self.letters)))
+        return Word._trusted(tuple((i, -e) for i, e in reversed(self.letters)))
 
     def key(self):
         """Ordering key: length first, then lexicographic on letters."""
@@ -386,14 +388,35 @@ class BallResult:
         return out
 
     def images(self, phi: Homomorphism) -> list:
-        """phi's image of every ball word, in entry order, by one pass
-        over the prefix tree; equal bit for bit to ``evaluate``."""
-        out = [_identity_like(phi)]
+        """phi's image of every ball word, in entry order, by one pass over
+        the prefix tree (float: the rows of ``image_stack``); equal bit for
+        bit to ``evaluate``."""
+        stack, out = self.image_stack(phi), [_identity_like(phi)]
+        if stack is not None:
+            return out + [GroupElement(m, phi.group, check=False) for m in stack[1:]]
         for p, l in zip(self.parents[1:], self.lasts[1:]):
-            i, e = self.alphabet[l]
-            if i >= len(phi.images):
-                raise PreconditionError(f"generator index {i} out of range")
-            out.append(out[p] @ phi.image(i, e))
+            out.append(out[p] @ phi.image(*self.alphabet[l]))
+        return out
+
+    def image_stack(self, phi: Homomorphism):
+        """phi's float image of every ball word as one (len, n, n) stack,
+        None when ``evaluate`` computes phi exactly.  A level is one
+        ``matmul`` of its parents' images by its letters' images, the
+        products ``evaluate`` forms, bit for bit; a homomorphism mixing
+        real and complex images is computed in complex, as a float ball is."""
+        if any(i >= len(phi.images) for i, _ in self.alphabet):
+            raise PreconditionError(f"generator index {len(phi.images)} out of range")
+        if _identity_like(phi).is_exact:
+            return None
+        letters = np.array([to_float_array(phi.image(*a)) for a in self.alphabet])
+        parents, lasts = np.array(self.parents), np.array(self.lasts)
+        out = np.empty((len(self),) + letters.shape[1:], letters.dtype)
+        out[0] = np.eye(phi.group.size)
+        # parents never decrease, so a level is a run: the children of [lo, hi)
+        lo, hi = 1, int(np.searchsorted(parents, 1))
+        while lo < hi:
+            out[lo:hi] = np.matmul(out[parents[lo:hi]], letters[lasts[lo:hi]])
+            lo, hi = hi, int(np.searchsorted(parents, hi))
         return out
 
     def labels(self, symbols) -> list:

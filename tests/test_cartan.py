@@ -28,8 +28,8 @@ from cartanlab import (
     weight_pairing,
     word_ball,
 )
-from cartanlab.cartan import (invariant_factor_valuations, max_compact_element,
-                              to_float_array)
+from cartanlab.cartan import (_float_stack, invariant_factor_valuations,
+                              max_compact_element, to_float_array)
 
 from util import (boost_Y_so22, random_sl_element, random_sl2_padic,
                   schottky_sl2_presentation, schottky_so22_presentation)
@@ -325,6 +325,25 @@ def test_cartan_batch_matches_cartan_on_a_bent_float_ball():
     images = word_ball(P, inclusion(P), 3).images(phi)
     assert not images[-1].is_exact
     _assert_batch_is_bitwise(images, P.group)
+
+
+def test_float_stack_is_int_division_on_each_side_of_2_53():
+    # below 2**53 the stack is one float division; past it (or past the
+    # float range) it is x / d per entry
+    big = 2 ** 53
+    cases = [
+        (((big - 1, -(big - 3)), (7, 1 - big)), 3),
+        (((big - 1, 2), (3, 4)), big - 1),
+        (((big + 1, -(big + 3)), (big * 3, 1)), 3),
+        (((1, 2), (3, 4)), big + 1),
+        (((10 ** 320, 1), (2, 3)), 10 ** 300),
+    ]
+    for N, d in cases:
+        elements = [GroupElement._ratio(N, d, SL2R), GroupElement._ratio(N, d, SL2R)]
+        want = np.array([[[x / d for x in row] for row in N]] * 2)
+        assert _float_stack(elements).tobytes() == want.tobytes()
+    # past the bound a float division of the rounded N would miss
+    assert np.float64(big + 1) / 3 != (big + 1) / 3
 
 
 def test_cartan_batch_keeps_real_and_complex_stacks_apart():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -228,6 +229,20 @@ def test_cmd_decompose(tmp_path, sl2_presentation_file):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("word,factor_index")
     assert all(line.endswith("True") for line in lines[1:])
+
+
+def test_decompose_over_c_exits_2(tmp_path, capsys):
+    # SL_2(C) acts on hyperbolic 3-space, not on the plane: the real plane
+    # model used to run on the real parts of complex orbit points
+    doc = {"field": {"kind": "complex"}, "group": {"family": "SL", "n": 2},
+           "generators": {"a": [["2+0j", "0j"], ["0j", "0.5+0j"]],
+                          "b": [["1+1j", "1+0j"], ["1+0j", "1-1j"]]},
+           "structure": {"type": "free"}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "dec.csv"
+    assert main(["decompose", "--input", str(path), "--output", str(out)]) == 2
+    assert "no rank-one model" in capsys.readouterr().err and not out.exists()
 
 
 def test_cmd_bend_and_witnesses(tmp_path, so22_bending_file):
@@ -592,6 +607,38 @@ def test_descriptor_numbers_must_be_integers(tmp_path, capsys, where, key, good,
             outputs.append(out.read_bytes())
             out.unlink()
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_descriptor_text_that_is_not_an_integer_names_the_key(tmp_path, capsys):
+    doc = {"field": {"kind": "padic", "p": "3.0"}, "group": {"family": "SL", "n": 2},
+           "matrices": [[["1", "0"], ["0", "1"]]]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["cartan", "--input", str(path), "--output", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: p = '3.0' is not an integer\n"
+
+
+@pytest.mark.parametrize("key, value, rc", [
+    ("p", 1000000000000000003, 0),  # prime: Q_p with a 19-digit p
+    ("p", 3 * 10 ** 24 + 1, 2),  # odd, below the Miller-Rabin bound
+    ("p", 10 ** 25 + 13, 2),  # past the bound: refused
+    ("r", 10 ** 18 - 11, 0),
+    ("r", 1000000000000000003, 2),  # past the square-free bound: refused
+])
+def test_huge_field_numbers_are_decided_at_once(tmp_path, capsys, key, value, rc):
+    # p and r used to be tested by unbounded trial division
+    field = {"kind": "padic" if key == "p" else "quadratic", key: value}
+    doc = {"field": field, "group": {"family": "SL", "n": 2},
+           "matrices": [[["1", "0"], ["0", "1"]]]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["cartan", "--input", str(path), "--output",
+                 str(tmp_path / "o.csv")]) == rc
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert (err == "") if rc == 0 else err.startswith(f"error: {key} = {value} ")
 
 
 @pytest.mark.parametrize("field", [

@@ -14,8 +14,11 @@ from cartanlab import (
     quadratic,
     valuation,
 )
+from cartanlab.errors import PreconditionError
 from cartanlab.fields import (
     INF,
+    PRIME_BOUND,
+    SQUAREFREE_BOUND,
     int_valuation,
     is_prime,
     is_squarefree,
@@ -136,3 +139,22 @@ def test_quad_element_equality_is_exact():
 def test_mixed_quadratic_fields_rejected():
     with pytest.raises(UnsupportedFieldError):
         QuadElement(1, 1, 2) + QuadElement(1, 1, 3)
+
+
+def test_primality_and_squarefree_tests_are_bounded():
+    assert [n for n in range(60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    # strong pseudoprimes to the first several prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(1000000000000000003)
+    assert not is_prime(1000000000000000003 * 1000003)  # about 1e24
+    assert [n for n in range(1, 30) if not is_squarefree(n)] == [
+        4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
+    big = 999999937  # prime: its square has no factor below its cube root
+    assert not is_squarefree(big * big) and is_squarefree(big * 1000003)
+    assert not is_squarefree(8 * big) and is_squarefree(2 * big)
+    with pytest.raises(PreconditionError, match=r"p = \d+ is out of range"):
+        padic(PRIME_BOUND)
+    with pytest.raises(PreconditionError, match=r"r = \d+ is out of range"):
+        quadratic(SQUAREFREE_BOUND + 1)

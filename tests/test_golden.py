@@ -1,4 +1,4 @@
-"""Byte-level goldens of the ``ball`` and ``cartan`` reports.
+"""Byte-level goldens of the ``ball``, ``cartan``, deformation and ``decompose`` reports.
 
 The digests pin the CSV and sidecar that ``cartanlab ball`` writes for
 two float presentations with tolerance merges: the decimal-float Z/4*Z
@@ -12,11 +12,17 @@ the r = 6 balls of the shipped Schottky pair, in SO(2,2) over R and in
 SL_2 over Q_2: the loading of a rational matrix document, the Cartan
 projections and the cell text.
 
-Last, they pin the CSV and sidecar of ``cartanlab stability`` (r = 4,
+They pin the CSV and sidecar of ``cartanlab stability`` (r = 4,
 four bending parameters) on the shipped SO(2,2) bend presentation and of
 ``cartanlab properness`` (r = 5) against the cone of its generator a:
 the reference and deformed projections of a whole ball, the envelope
 fits and the cone margins.
+
+Last, they pin the CSV and sidecar of ``cartanlab decompose`` over every
+word of a ball on each rank-one model: the shipped Schottky pair on the
+SL_2(R) plane at r = 4, the exact Z/4*Z in SO(2,1) on the hyperboloid at
+r = 4 (its relator keeps the inverses of some ball words out of the
+ball), and the Schottky pair on the SL_2(Q_2) tree at r = 3.
 """
 
 import hashlib
@@ -27,7 +33,8 @@ import pytest
 
 from cartanlab.cli import main
 from cartanlab.serialize import matrix_to_json
-from cartanlab.surrogates import (boost_Y_so22, schottky_sl2_presentation,
+from cartanlab.surrogates import (boost_Y_so22, schottky_sl2_matrices,
+                                  schottky_sl2_presentation,
                                   schottky_so22_presentation)
 from cartanlab.wordgroups import inclusion, word_ball
 
@@ -139,4 +146,48 @@ def test_deformation_report_bytes(tmp_path, command):
     assert main([command, "--input", str(path), "--output", str(out)] + flags) == 0
     digests = [hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (out, tmp_path / "report.csv.json")]
+    assert digests == [csv_digest, sidecar_digest]
+
+
+def _sl2_doc(field):
+    """The shipped Schottky pair in SL_2 over field, with no relators."""
+    a, b = schottky_sl2_matrices()
+    return {"field": field, "group": {"family": "SL", "n": 2},
+            "generators": {"a": matrix_to_json(a), "b": matrix_to_json(b)},
+            "structure": {"type": "free"}}
+
+
+def _z4z_exact_doc():
+    """Exact Z/4*Z in SO(2,1): the relator r^4 keeps the inverse of some
+    ball words out of the ball."""
+    doc = _z4z_float_doc()
+    r = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    s = sym2_rational(((F(4), F(0)), (F(0), F(1, 4))))
+    return dict(doc, generators={"r": matrix_to_json(r), "s": matrix_to_json(s)})
+
+
+# ``cartanlab decompose`` over every word of the ball: on the SL_2(R)
+# plane, on the SO(2,1) hyperboloid and on the SL_2(Q_2) tree.
+DECOMPOSE_GOLDEN = {
+    "sl2_real_r4": (lambda: _sl2_doc({"kind": "real"}), 4,
+                    "4c7d8f3784c95a57978ebb793f560f92b7c2bc694b8da6e6538a4917fbe040a2",
+                    "f0c9e6f7bcae04d76d4276902360a4a868c711822dceb234535ab81857f4c0fc"),
+    "z4z_hyperboloid_r4": (_z4z_exact_doc, 4,
+                           "ad4d919e1867d8f24a8a014552f9b34a23b37fc7c72a5ab6b2232119196684bd",
+                           "bd2cf2dc5e8de37750e5969b83f4095b94562c05faced7878d8205b5c70164ca"),
+    "sl2_q2_tree_r3": (lambda: _sl2_doc({"kind": "padic", "p": 2}), 3,
+                       "c08550a7cb3de15a8fa03487210dc8025f32d03820cb607f0c38c617d7a8aed4",
+                       "3948b0a58b3bd428fbd268b90f962b52cf2179ffd135819e9fd2a6673a8a1f1a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDEN))
+def test_decompose_report_bytes(tmp_path, name):
+    make, radius, csv_digest, sidecar_digest = DECOMPOSE_GOLDEN[name]
+    path, out = tmp_path / "in.json", tmp_path / "decompose.csv"
+    path.write_text(json.dumps(make()))
+    assert main(["decompose", "--input", str(path), "--output", str(out),
+                 "--radius", str(radius)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "decompose.csv.json")]
     assert digests == [csv_digest, sidecar_digest]

@@ -29,7 +29,8 @@ from cartanlab import (
 )
 from cartanlab.cartan import _sl2_padic_mu1
 from cartanlab.fields import int_valuation
-from cartanlab.transverse import displacement_scale, orbit_data, sl2_to_so21
+from cartanlab.cartan import to_float_array
+from cartanlab.transverse import _sym2_columns, displacement_scale, orbit_data, sl2_to_so21
 from cartanlab.wordgroups import evaluate
 
 from util import schottky_sl2_presentation
@@ -385,3 +386,60 @@ def test_shared_orbit_carries_its_own_base_point():
     # ... and an orbit of the base point refuses another x0'
     with pytest.raises(PreconditionError, match="base point"):
         decompose(w, P, M, R, phi=phi, x0_prime=x0p, orbit=orbit_data(P, phi, M, 6))
+
+
+def _z4z_presentation():
+    """Exact Z/4 * Z in SO(2,1); the relator r^4 keeps the inverses of
+    some ball words (r^-1 r^-1 merges into r r) out of the ball."""
+    r = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    s = [[F(257, 32), 0, F(-255, 32)], [0, 1, 0], [F(-255, 32), 0, F(257, 32)]]
+    return Presentation(["r", "s"], [r, s], indefinite_orthogonal(2, 1, REAL),
+                        relators=[parse_word("r^4", ["r", "s"])])
+
+
+@pytest.mark.parametrize("case", ["sl2_plane", "float_sl2_plane", "z4z_hyperboloid",
+                                  "sl2_plane_at_x0p"])
+def test_orbit_points_and_displacements_are_the_per_element_ones(case):
+    # the stacked orbit pass against the per-element formulas it replaced:
+    # w.x0' = A(w) @ x0' with A the symmetric square laid out column by
+    # column, and d(x0, w.x0) = acosh(-B(x0, A(w) @ x0)), bit for bit
+    x0p = None
+    if case == "z4z_hyperboloid":
+        P, M = _z4z_presentation(), RankOneModel.hyperboloid((1, 1, -1))
+    else:
+        P = _float_sl2_presentation() if case == "float_sl2_plane" else \
+            schottky_sl2_presentation()
+        M = RankOneModel.sl2_real()
+        if case == "sl2_plane_at_x0p":
+            x0p = np.array([0.3, 0.0, math.sqrt(1.09)])
+    orbit = orbit_data(P, inclusion(P), M, 3, x0p)
+    x0 = M.base_point
+    for k, e in enumerate(orbit.ball.elements()):
+        a = to_float_array(e)
+        A = a if case == "z4z_hyperboloid" else np.array(_sym2_columns(a)).T
+        assert orbit.points[k].tobytes() == (A @ orbit.x0_prime).tobytes()
+        want = math.acosh(max(-float(np.sum(M.coeffs * x0 * (A @ x0))), 1.0))
+        assert orbit.distances[k] == want == displacement(e, M)
+
+
+@pytest.mark.parametrize("make, model, inverses", [
+    (schottky_sl2_presentation, RankOneModel.sl2_real(), 0),
+    (_z4z_presentation, RankOneModel.hyperboloid((1, 1, -1)), 5),
+])
+def test_decompose_reads_gamma_inverse_from_the_orbit(monkeypatch, make, model,
+                                                      inverses):
+    # on a free exact ball every inverse word is a ball word; under r^4 the
+    # words whose inverse merged fall back to inverting phi(gamma)
+    P = make()
+    phi = inclusion(P)
+    orbit = orbit_data(P, phi, model, 3)
+    R = max(displacement(g, model) for g in P.generators)
+    calls = []
+    inv = GroupElement.inv
+    monkeypatch.setattr(GroupElement, "inv", lambda g: calls.append(g) or inv(g))
+    shared = [decompose(e.word, P, model, R, phi=phi, orbit=orbit)
+              for e in orbit.ball.entries[1:]]
+    assert len(calls) == inverses
+    monkeypatch.undo()
+    for e, dec in zip(orbit.ball.entries[1:], shared):
+        assert dec == decompose(e.word, P, model, R, phi=phi, snap_radius=3)

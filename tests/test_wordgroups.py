@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cartanlab.exact as ex
 from cartanlab import (
+    COMPLEX,
     REAL,
     AmalgamStructure,
     GroupElement,
@@ -575,6 +576,59 @@ def test_ball_images_float_with_merges():
     ball = word_ball(P, phi, 4)
     assert ball.merges
     _assert_images_match_evaluate(ball, phi)
+
+
+def _bits(a):
+    """The dtype and the raw bits of a float array (signed zeros apart)."""
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.view(np.int64).tolist()
+
+
+@st.composite
+def float_homomorphisms(draw):
+    """A word ball of a free pair, or of a pair with an element of order 4
+    (whose exact ball merges words), and a float homomorphism on its
+    letters: real, complex, or one exact Schottky generator beside one
+    float image."""
+    P = draw(st.sampled_from([schottky_sl2_presentation(), _ORDER_4]))
+    kind = draw(st.sampled_from(["real", "complex", "exact and real"]))
+    group = special_linear(2, COMPLEX if kind == "complex" else REAL)
+    entry = st.floats(-3, 3, allow_subnormal=True)
+    if kind == "complex":
+        entry = st.builds(complex, entry, entry)
+    images = []
+    for i in range(2):
+        if kind == "exact and real" and i == 0:
+            images.append(schottky_sl2_presentation().generators[0])
+            continue
+        m = np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+        assume(abs(np.linalg.det(m)) > 0.1)
+        images.append(GroupElement(m, group, check=False))
+    return word_ball(P, inclusion(P), draw(st.integers(1, 4))), Homomorphism(images, group)
+
+
+_ORDER_4 = Presentation(["r", "s"], [[[0, -1], [1, 0]], [[2, 1], [1, 1]]], SL2R)
+
+
+@given(float_homomorphisms())
+@settings(max_examples=60, deadline=None)
+def test_float_images_are_evaluate_bit_for_bit(case):
+    ball, phi = case
+    stack = ball.image_stack(phi)
+    assert stack.shape == (len(ball), 2, 2)
+    for k, (entry, image) in enumerate(zip(ball.entries, ball.images(phi))):
+        want = _bits(evaluate(entry.word, phi).matrix)
+        assert not image.is_exact and _bits(image.matrix) == want
+        if k:  # the root row is the identity in the stack's dtype
+            assert _bits(stack[k]) == want
+
+
+def test_image_stack_of_an_exact_homomorphism_is_none():
+    P = schottky_sl2_presentation()
+    ball = word_ball(P, inclusion(P), 2)
+    assert ball.image_stack(inclusion(P)) is None
+    with pytest.raises(PreconditionError, match="generator index 1 out of range"):
+        ball.images(Homomorphism(P.generators[:1], SL2R))
 
 
 def _assert_labels_are_formats(ball, symbols):
