@@ -221,10 +221,15 @@ def _model_for(group):
         if group.field.kind == "padic":
             return RankOneModel.sl2_tree(group.field.p)
         return RankOneModel.sl2_real()
-    if group.family == "SO" and group.q == 1 and group.field.kind != "complex":
+    if (group.family == "SO" and group.q == 1
+            and group.field.kind in ("real", "quadratic")):
         return RankOneModel.hyperboloid(group.form)
+    f = group.field
+    over = {"real": "R", "complex": "C", "padic": f"Q_{f.p}",
+            "quadratic": f"Q(sqrt {f.r})"}[f.kind]
     raise PreconditionError(
-        "no rank-one model for this group (need SL(2) or SO(m,1), not over C)"
+        f"no rank-one model for this group over {over} (need SL(2) over R, "
+        "Q(sqrt r) or Q_p, or SO(m,1) over R or Q(sqrt r))"
     )
 
 

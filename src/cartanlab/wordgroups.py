@@ -9,11 +9,15 @@ forming a level's products and deciding which are new depend on the
 arithmetic: exact images by ``@`` and a dict (which audits every hash
 collision with a full comparison), float images by one stacked
 ``matmul`` per letter (bit for bit as ``@``) and a relative tolerance
-(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.  A float
-level is decided as one batch: gathered tolerance tests against the
-first element of each candidate's cell, then a loop of dict lookups in
-candidate order, so each candidate still sees exactly the elements
-inserted before it (see ``_FloatIndex``).
+(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.  Each
+float element has one key, a weighted sum of its coordinates, and every
+element within tolerance of a candidate has its key in a window about
+the candidate's (see ``_FloatIndex``).  A float level is decided as one
+batch: a sorted-key search of each candidate's window among the earlier
+elements and among the level's rows, gathered tolerance tests where a
+window holds at most one of each, then a loop in candidate order, so
+each candidate still sees exactly the elements inserted before it and
+merges into the first of them within tolerance.
 
 A ball is a prefix tree: every entry but the root (the empty word) keeps
 the index of its parent entry and its last letter, and its word is the
@@ -121,8 +125,13 @@ def reduce_letters(letters) -> Word:
     return Word(tuple(out))
 
 
+MAX_WORD_LETTERS = 10 ** 5
+
+
 def parse_word(text: str, symbols) -> Word:
-    """Parse "a b^-1 a^2" over the given generator symbols."""
+    """Parse "a b^-1 a^2" over the given generator symbols.  A word of
+    more than ``MAX_WORD_LETTERS`` letters before free reduction (``a^k``
+    is k letters) is refused before any is formed."""
     index = {s: i for i, s in enumerate(symbols)}
     letters = []
     for tok in text.split():
@@ -135,6 +144,10 @@ def parse_word(text: str, symbols) -> Word:
             sym, e = tok, 1
         if sym not in index:
             raise PreconditionError(f"unknown generator {sym!r}")
+        if len(letters) + abs(e) > MAX_WORD_LETTERS:
+            shown = text if len(text) <= 60 else text[:57] + "..."
+            raise PreconditionError(
+                f"word {shown!r} has more than {MAX_WORD_LETTERS} letters")
         sign = 1 if e > 0 else -1
         letters.extend([(index[sym], sign)] * abs(e))
     return reduce_letters(letters)
@@ -445,207 +458,96 @@ class BallResult:
         return self
 
 
-# The float ball's tolerance index.  An element of scale
-# s = max(1, max|a|) in [2**(e-1), 2**e) is filed in bucket e under the
-# cells of its real coordinates (real and imaginary parts for complex
-# entries) on the grid of width 2**(e - _GRID_BITS), shifted by a third of
-# a cell so that entries with few bits below the cell width (integers,
-# short dyadics) sit well inside a cell rather than on an edge.  No pair
-# within tolerance is missed, because
-#  * |s_a - s_b| <= max|a - b| <= tol max(s_a, s_b): b lies in bucket
-#    e + 1 only if s_a >= 2**e (1 - tol), and in bucket e - 1 only if
-#    s_a < 2**(e-1) (1 + 2 tol); a candidate within 2 tol of a bucket
-#    boundary also probes the neighbouring bucket;
-#  * in a probed bucket f >= e - 1 each coordinate of b is within
-#    tol 2**max(e, f) <= 2 tol 2**f of a's, which is _REACH cells; so a
-#    coordinate closer than 1/2 - 2 _REACH to its cell centre has b's in
-#    the same cell, and one nearer an edge has it in the same cell or the
-#    neighbour on that side, and every combination of those is probed
-#    (the factor 2 leaves room for the rounding of the shift).
-# Most candidates probe their own cell only.  One with more than
-# _MAX_EDGES coordinates near an edge is compared with every element
-# rather than with 2**k cells.
-#
-# A candidate is the first element within tolerance in probe order (own
-# cell first, then its neighbours), or, past _MAX_EDGES, in insertion
-# order.  A level is decided as one batch.  One gathered comparison tests
-# each candidate against the first element of an earlier level filed in
-# its own cell; a second tests each candidate whose cell no earlier level
-# holds against the level's first candidate with the same key.  The probe
-# keys of all the level's near-edge candidates are built at once.  A loop
-# then walks the candidates in order with dict lookups and appends only,
-# so a candidate still sees exactly the elements inserted before it: its
-# answer is the first element of its cell whenever that is the element
-# the batch tested and the test passed.  The rare rest is probed one at a
-# time: a failed test inside a cell, a cell whose first element is
-# another candidate than the one tested, and a candidate past _MAX_EDGES.
-_GRID_BITS = 16
-_REACH = 2 * FLOAT_DEDUP_TOL * 2.0 ** _GRID_BITS
-_NEAR_EDGE = 0.5 - 2 * _REACH
-_MAX_EDGES = 8
-
-
-def _real_coords(flat):
-    return flat.view(np.float64) if np.iscomplexobj(flat) else flat
-
-
-def _grid(coords, e):
-    """Shifted grid coordinates of coords in bucket(s) e; multiplying by
-    the power of two 2**(_GRID_BITS - e) is exact."""
-    return np.ldexp(coords, _GRID_BITS - e) - 1 / 3
-
-
-def _buckets(scale):
-    """Bucket e of scale (array or number), and whether scale is within
-    2 tol of the bucket above and of the bucket below."""
-    e = np.frexp(scale)[1]
-    up = scale >= np.ldexp(1 - 2 * FLOAT_DEDUP_TOL, e)
-    down = (e > 1) & (scale < np.ldexp(1 + 2 * FLOAT_DEDUP_TOL, e - 1))
-    return e, up, down
-
-
-def _cell_keys(e, cells):
-    """One bytes key per row of (bucket, cells)."""
-    K = np.column_stack([e, cells]).astype(np.int64)
-    return K.view(np.dtype((np.void, 8 * K.shape[1]))).ravel().tolist()
-
-
 def _within(a, sa, b, sb):
     """Whether each row of a is within tolerance of the same row of b
     (sa, sb their scales)."""
     return np.abs(a - b).max(axis=1) <= FLOAT_DEDUP_TOL * np.maximum(sa, sb)
 
 
-def _level_keys(flat):
-    """For the rows of flat (one candidate each): scales, own-cell keys,
-    and whether the row needs more probes than its own cell."""
-    scale = np.maximum(1.0, np.abs(flat).max(axis=1))
-    e, up, down = _buckets(scale)
-    q = _grid(_real_coords(flat), e[:, None])
-    cells = np.rint(q)
-    more = (np.abs(q - cells) > _NEAR_EDGE).any(axis=1) | up | down
-    return scale, _cell_keys(e, cells), more
-
-
-def _probes(flat, scale):
-    """For each row of flat (scale its scales): the keys of every cell
-    that may hold an element within tolerance of it, in probe order, or
-    None if there are too many to list."""
-    e, up, down = _buckets(scale)
-    # one probe row per probed bucket: own (e), above (e + 1), below (e - 1)
-    row, side = np.nonzero(np.column_stack([np.ones_like(up), up, down]))
-    f = e[row] + np.array([0, 1, -1])[side]
-    q = _grid(_real_coords(flat)[row], f[:, None])
-    cells = np.rint(q)
-    near = np.abs(q - cells) > _NEAR_EDGE
-    edges = near.sum(axis=1)
-    listed = np.ones(len(flat), bool)
-    listed[row[edges > _MAX_EDGES]] = False
-    keep = listed[row]
-    row, f, q, cells, near, edges = (x[keep] for x in (row, f, q, cells, near, edges))
-    # combination c of a probe row moves its j-th near coordinate to the
-    # neighbour cell on its side where bit j of c is set
-    count = 1 << edges
-    probe = np.repeat(np.arange(len(edges)), count)
-    c = np.arange(len(probe)) - np.repeat(np.cumsum(count) - count, count)
-    bit = np.maximum(np.cumsum(near, axis=1) - 1, 0)
-    moved = near[probe] & ((c[:, None] >> bit[probe]) & 1).astype(bool)
-    keys = _cell_keys(f[probe], cells[probe] + moved * np.sign(q - cells)[probe])
-    out, start = [], 0
-    for k, n in zip(listed.tolist(), np.bincount(row[probe], minlength=len(flat)).tolist()):
-        out.append(keys[start:start + n] if k else None)
-        start += n
-    return out
-
-
 class _FloatIndex:
     """The elements of a float ball, found again by tolerance, a level at
-    a time."""
+    a time, through one float key per element.
+
+    The key of a row a is k(a) = fl(w . a) over its n real coordinates
+    (real and imaginary parts of complex entries), with the fixed distinct
+    weights w_c = (1 + frac(c * 0.618...)) / (2n) of sum W < 1, so a finite
+    row has a finite key.  With s_a = max(1, max|a|) every coordinate is at
+    most s_a in modulus, so |k(a) - w . a| <= gamma_n W s_a in any order of
+    summation (gamma_n = n u / (1 - n u), u the unit roundoff).  If b is
+    within tolerance of a, then s_b <= s_a / (1 - tol), and so
+    |k(a) - k(b)| <= W s_a (tol + 2 gamma_n) / (1 - tol) < 2 tol W s_a:
+    every element within tolerance of a has its key in a's window
+    [k(a) - 2 tol W s_a, k(a) + 2 tol W s_a].
+    """
 
     def __init__(self, width, dtype):
-        self.cells = {}  # key -> indices of the elements filed under it
         self.rows = np.empty((0, width), dtype)  # flattened, in insertion order
         self.scales = np.empty(0)
-        self._pending = None  # (rows, scales, inserted rows) of the level
+        self.keys = np.empty(0)
+        n = width * (2 if np.dtype(dtype).kind == "c" else 1)
+        self.weights = (1 + np.arange(n) * 0.6180339887498949 % 1) / (2 * n)
+        self.reach = 2 * FLOAT_DEDUP_TOL * self.weights.sum()
 
     def resolve(self, flat, room):
         """Decide the rows of flat (one candidate each) in order, inserting
         each that no element is within tolerance of, until room are
         inserted: (hits, new), hits[j] -1 where row j is inserted and the
-        index of its element otherwise, new the inserted rows."""
-        scale, keys, more = _level_keys(flat)
-        cells, n, m = self.cells, len(self.rows), len(flat)
-        # per row: the level's first row with its key, and the first element
-        # an earlier level filed under it (-1 if none)
-        lead = {}
-        first = [lead.setdefault(k, j) for j, k in enumerate(keys)]
-        old = [c[0] if c else -1 for c in map(cells.get, keys)]
-        # the two gathered comparisons: with that element, else with that row
-        ok = np.zeros(m, bool)
-        o, f = np.array(old), np.array(first)
-        a = np.flatnonzero(o >= 0)
-        ok[a] = _within(flat[a], scale[a], self.rows[o[a]], self.scales[o[a]])
-        b = np.flatnonzero((o < 0) & (f < np.arange(m)))
-        ok[b] = _within(flat[b], scale[b], flat[f[b]], scale[f[b]])
-        near = np.flatnonzero(more)
-        probes = dict(zip(near.tolist(), _probes(flat[near], scale[near])))
-        for j, p in probes.items():
-            ok[j] &= p is not None  # past _MAX_EDGES: a scan in insertion order
-        ok, more = ok.tolist(), more.tolist()
+        first element in insertion order within tolerance of it otherwise,
+        new the inserted rows.
+
+        Row j searches two windows: the earlier levels' elements and the
+        level's own rows, each sorted by key.  A window with at most one
+        earlier element and at most one other row is decided by one
+        gathered comparison each; any other row scans its windows."""
+        n, m = len(self.rows), len(flat)
+        keys = (flat.view(np.float64) if np.iscomplexobj(flat) else flat) @ self.weights
+        scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+        order, lorder = np.argsort(self.keys), np.argsort(keys)
+        # the windows, searched in key order (sorted queries search faster)
+        rank = np.empty(m, int)
+        rank[lorder] = np.arange(m)
+        low = (keys - self.reach * scale)[lorder]
+        high = (keys + self.reach * scale)[lorder]
+
+        def window(sorted_keys):
+            return (np.searchsorted(sorted_keys, low)[rank],
+                    np.searchsorted(sorted_keys, high, "right")[rank])
+
+        (e_lo, e_hi), (l_lo, l_hi) = window(self.keys[order]), window(keys[lorder])
+        # a simple window's one earlier element, and its one earlier row
+        # (each row lies in its own window): -1 if none
+        e = np.where(e_hi - e_lo == 1, np.append(order, -1)[e_lo], -1)
+        at = np.arange(m)
+        i = lorder[l_lo] + np.append(lorder, 0)[l_lo + 1] - at
+        i = np.where((l_hi - l_lo == 2) & (i < at), i, -1)
+        simple = ((e_hi - e_lo <= 1) & (l_hi - l_lo <= 2)).tolist()
+        ok_e, ok_i = np.zeros(m, bool), np.zeros(m, bool)
+        t = np.flatnonzero(e >= 0)
+        ok_e[t] = _within(flat[t], scale[t], self.rows[e[t]], self.scales[e[t]])
+        t = np.flatnonzero(i >= 0)
+        ok_i[t] = _within(flat[t], scale[t], flat[i[t]], scale[i[t]])
+        e, i, ok_e, ok_i = e.tolist(), i.tolist(), ok_e.tolist(), ok_i.tolist()
         hits, new, slot = [], [], [-1] * m  # slot: element index of an inserted row
-        self._pending = (flat, scale.tolist(), new)
-        for j, key in enumerate(keys):
-            cell = cells.get(key)
-            if cell is not None and ok[j] and cell[0] == (
-                    old[j] if old[j] >= 0 else slot[first[j]]):
-                hits.append(cell[0])
-                continue
-            if cell is None and not more[j]:
-                h = None
-            else:
-                h = self._find(j, probes[j] if more[j] else (key,))
-            if h is not None:
-                hits.append(h)
-                continue
-            slot[j] = n + len(new)
-            new.append(j)
-            if cell is None:
-                cells[key] = [slot[j]]
-            else:
-                cell.append(slot[j])
-            hits.append(-1)
-            if len(new) == room:
-                break
+        for j in range(m):
+            if simple[j]:
+                h = e[j] if ok_e[j] else slot[i[j]] if ok_i[j] else -1
+            else:  # both windows in insertion order (rows from j on have no slot)
+                old = np.sort(order[e_lo[j]:e_hi[j]]).tolist()
+                mine = [r for r in sorted(lorder[l_lo[j]:l_hi[j]].tolist()) if slot[r] >= 0]
+                near = np.flatnonzero(_within(
+                    flat[j:j + 1], scale[j], np.concatenate([self.rows[old], flat[mine]]),
+                    np.concatenate([self.scales[old], scale[mine]])))
+                h = (old + [slot[r] for r in mine])[near[0]] if len(near) else -1
+            hits.append(h)
+            if h < 0:
+                slot[j] = n + len(new)
+                new.append(j)
+                if len(new) == room:
+                    break
         self.rows = np.concatenate([self.rows, flat[new]])
         self.scales = np.concatenate([self.scales, scale[new]])
-        self._pending = None
+        self.keys = np.concatenate([self.keys, keys[new]])
         return hits, new
-
-    def _element(self, h):
-        """Row and scale of element h, of an earlier level or this one."""
-        k = h - len(self.rows)
-        if k < 0:
-            return self.rows[h], self.scales[h]
-        flat, scales, new = self._pending
-        return flat[new[k]], scales[new[k]]
-
-    def _find(self, j, keys):
-        """Index of the first element filed under keys within tolerance of
-        the level's row j; with keys None, of all elements."""
-        flat, scales, new = self._pending
-        row, scale = flat[j], scales[j]
-        if keys is None:
-            dev = np.abs(np.concatenate([self.rows, flat[new]]) - row).max(axis=1)
-            bound = np.maximum(np.concatenate([self.scales, [scales[c] for c in new]]),
-                               scale)
-            hit = np.flatnonzero(dev <= FLOAT_DEDUP_TOL * bound)
-            return int(hit[0]) if len(hit) else None
-        for key in keys:
-            for h in self.cells.get(key, ()):
-                other, s = self._element(h)
-                if np.abs(row - other).max() <= FLOAT_DEDUP_TOL * max(scale, s):
-                    return h
-        return None
 
 
 class _ExactLevels:
@@ -741,9 +643,11 @@ def word_ball(
     the stored shortest representatives are deterministic.  Exact images
     are deduplicated exactly.  Float images are one element iff
     ``max|a - b| <= FLOAT_DEDUP_TOL * max(1, max|a|, max|b|)``; g and -g
-    are distinct, and every merged word is logged in ``merges`` with the
-    word it merged into.  Exceeding ``max_elements`` returns the partial
-    ball flagged incomplete.
+    are distinct.  A float candidate is found among the elements whose
+    keys lie in its key window (see ``_FloatIndex``); it merges into the
+    first element inserted (the first entry) within tolerance of it, and
+    every merged word is logged in ``merges`` with that element's word.
+    Exceeding ``max_elements`` returns the partial ball flagged incomplete.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")

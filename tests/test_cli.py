@@ -245,6 +245,42 @@ def test_decompose_over_c_exits_2(tmp_path, capsys):
     assert "no rank-one model" in capsys.readouterr().err and not out.exists()
 
 
+def test_decompose_over_q_p_on_so_m_1_exits_2(tmp_path, capsys):
+    # SO(2,1) over Q_3 acts on a tree, not on H^2: the real hyperboloid
+    # model used to run on it and exit 0
+    r = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    s = [["257/32", "0", "255/32"], ["0", "1", "0"], ["255/32", "0", "257/32"]]
+    doc = {"field": {"kind": "padic", "p": 3},
+           "group": {"family": "SO", "p": 2, "q": 1},
+           "generators": {"r": r, "s": s}, "structure": {"type": "free"},
+           "relators": ["r^4"]}
+    path = tmp_path / "so21_q3.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "dec.csv"
+    assert main(["decompose", "--input", str(path), "--output", str(out),
+                 "--radius", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "no rank-one model for this group over Q_3" in err and not out.exists()
+
+
+@pytest.mark.parametrize("word", ["a^1000000000000", "a^3000000", "a b^-100001"])
+def test_word_of_too_many_letters_exits_2(tmp_path, capsys, word):
+    # a^1000000000000 used to end in a MemoryError traceback with exit 1,
+    # and a^3000000 took seconds before the ball started
+    doc = {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+           "generators": {"a": [["2", "0"], ["0", "1/2"]],
+                          "b": [["1", "1"], ["0", "1"]]},
+           "structure": {"type": "free"}, "relators": [word]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["ball", "--input", str(path), "--output", str(tmp_path / "b.csv"),
+                 "--radius", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: word {word!r} has more than 100000 letters\n")
+
+
 def test_cmd_bend_and_witnesses(tmp_path, so22_bending_file):
     out = tmp_path / "bend.csv"
     rc = main(["bend", "--input", str(so22_bending_file), "--output", str(out)])

@@ -2,9 +2,10 @@
 function that nothing references, no top-level function or class that
 nothing in src, tests or demos references, no method or property of a
 package class (dunders aside) that nothing in src, tests, demos or
-perfbench references, no relative import inside a function, and no name
-wrapped by ``perfbench/tracer.py`` that the package lacks, checked with
-``ast``."""
+perfbench references, no relative import inside a function, no
+module-level name bound by assignment that nothing in the package reads,
+and no name wrapped by ``perfbench/tracer.py`` that the package lacks,
+checked with ``ast``."""
 
 import ast
 import functools
@@ -150,3 +151,31 @@ def test_every_traced_name_exists():
                for keys in targets.values() for module, name in keys
                if not hasattr(importlib.import_module(f"cartanlab.{module}"), name)]
     assert not missing, f"perfbench/tracer.py wraps missing names {missing}"
+
+
+def _assigned_names(tree):
+    """(name, line) for every module-level name bound by assignment,
+    dunders aside."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name)
+                        and not (name.id.startswith("__") and name.id.endswith("__"))):
+                    yield name.id, node.lineno
+
+
+def test_every_module_level_assignment_is_read():
+    # a constant of a deleted mechanism must not live on because a test
+    # still imports it: every one is read in the package itself
+    read = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{path.name}: {name} (line {line})" for path in MODULES
+              for name, line in _assigned_names(_tree(path)) if name not in read]
+    assert not unread, f"module-level names nothing in the package reads {unread}"

@@ -29,13 +29,10 @@ from cartanlab import (
 from cartanlab.bending import BendingFamily, bend
 from cartanlab.cartan import indefinite_orthogonal, to_float_array
 from cartanlab.wordgroups import (
-    _GRID_BITS,
     FLOAT_DEDUP_TOL,
+    MAX_WORD_LETTERS,
     _deviation,
-    _cell_keys,
     _FloatIndex,
-    _level_keys,
-    _probes,
     conjugate_homomorphism,
     reduce_letters,
 )
@@ -61,6 +58,10 @@ def test_word_construction_and_reduction():
         (0, 1), (1, -1), (0, 1), (0, 1)
     )
     assert parse_word("a a^-1", ["a"]).letters == ()
+    # the letter bound counts letters before free reduction
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS}", ["a"])) == MAX_WORD_LETTERS
+    with pytest.raises(PreconditionError, match="more than 100000 letters"):
+        parse_word(f"a^-{MAX_WORD_LETTERS} a", ["a"])
     assert w.format(["a", "b"]) == "a a"
     assert Word().format(["a"]) == "1"
 
@@ -304,24 +305,26 @@ def test_truncated_balls_are_prefixes(m):
 
 # -- the level resolver finds every element within tolerance --------------
 
+# Tops of the window points: scales just below and above 1, below 1 where
+# the scale is 1 regardless, powers of two and near 1e300 (where a key
+# must stay finite).
+TOPS = [0.25, 1 - 2e-8, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 2e-8, 2.0 ** 20,
+        3e5 + 1 / 3, 1e300]
+
+
 @st.composite
-def edge_points(draw, d):
-    """A point of d coordinates on or near cell edges, with a scale on or
-    near a bucket boundary."""
-    e = draw(st.integers(1, 40))
-    w = 2.0 ** (e - _GRID_BITS)
-    b = np.array([
-        draw(st.sampled_from([w * (m + 1 / 3 + 1 / 2 + t),  # at a cell edge
-                              w * (m + 1 / 3 + t)]))  # at a cell centre
-        for m, t in zip(draw(st.lists(st.integers(-2 ** (_GRID_BITS - 2),
-                                                  2 ** (_GRID_BITS - 2)),
-                                      min_size=d, max_size=d)),
-                        draw(st.lists(st.floats(-3e-3, 3e-3), min_size=d,
-                                      max_size=d)))
-    ])
-    top = draw(st.sampled_from([2.0 ** e * (1 - u) for u in (0, 1e-9, 1e-8, 3e-8)]
-                               + [2.0 ** (e - 1) * (1 + u) for u in (0, 1e-9, 1e-8)]))
-    b[draw(st.integers(0, d - 1))] = max(top, 1.0) * draw(st.sampled_from([1, -1]))
+def window_points(draw, d, kind=np.float64):
+    """A point of d coordinates (real, or complex) whose largest entry is
+    one of TOPS in modulus, the others any fraction of it."""
+    top = draw(st.sampled_from(TOPS))
+
+    def part():
+        return top * np.array(draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)))
+
+    b = part() if kind is np.float64 else (part() + 1j * part()) * 0.7
+    b[draw(st.integers(0, d - 1))] = top * draw(st.sampled_from([1, -1, 1j, -1j]
+                                                               if kind is np.complex128
+                                                               else [1, -1]))
     return b
 
 
@@ -330,26 +333,37 @@ def _scale(x):
 
 
 def _nudge(draw, b, factors):
-    """b moved by one of factors times the tolerance along a random sign
-    pattern."""
+    """b moved by one of factors times the tolerance at its scale: along
+    all coordinates at once with one sign (which moves its key the most),
+    or along a random sign pattern (for a complex b, the same or a random
+    direction of modulus <= 1 in each coordinate)."""
     factor = draw(st.sampled_from(factors))
-    step = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=len(b),
-                         max_size=len(b)))
-    return b + factor * FLOAT_DEDUP_TOL * _scale(b) * np.array(step)
+    units = [1.0, -1.0] + ([1j, -1j, (1 + 1j) / 2 ** 0.5] if np.iscomplexobj(b) else [])
+    if draw(st.booleans()):
+        step = np.full(len(b), draw(st.sampled_from(units)))
+    else:
+        step = np.array(draw(st.lists(st.sampled_from(units + [0.0]),
+                                      min_size=len(b), max_size=len(b))))
+    return b + factor * FLOAT_DEDUP_TOL * _scale(b) * step
+
+
+# Moves in units of the tolerance at b's scale: 1 / (1 - tol) puts a moved
+# top entry exactly at the tolerance of the moved point's own scale.
+NEAR = [0.0, 0.5, 0.99, 1.0, 1 / (1 - FLOAT_DEDUP_TOL), 1.01, 3.0]
 
 
 @st.composite
 def near_pairs(draw):
-    """An element b with coordinates on or near cell edges and a scale on
-    or near a bucket boundary, and a point a near it."""
-    b = draw(edge_points(draw(st.sampled_from([4, 9, 16]))))
-    return b, _nudge(draw, b, [0.0, 0.5, 0.99, 1.01, 3.0])
+    """An element b, real or complex, and a point a near it."""
+    kind = draw(st.sampled_from([np.float64, np.complex128]))
+    b = draw(window_points(draw(st.sampled_from([4, 9, 16])), kind))
+    return b, _nudge(draw, b, NEAR)
 
 
 def _resolve(index, rows):
     """The resolver's answer for one level of rows: None where a row is
     inserted, the index of its element otherwise."""
-    hits, _ = index.resolve(np.array(rows, dtype=float), len(rows))
+    hits, _ = index.resolve(np.array(rows), len(rows))
     return [None if h < 0 else int(h) for h in hits]
 
 
@@ -367,79 +381,115 @@ def test_float_index_agrees_with_a_full_scan(pair, one_level):
     # a is decided against b filed at an earlier level, or filed before it
     # in the same level
     b, a = pair
-    index = _FloatIndex(len(b), np.float64)
+    index = _FloatIndex(len(b), b.dtype)
     if one_level:
         assert _resolve(index, [b, a]) == [None, _full_scan([b], a)]
     else:
         assert _resolve(index, [b]) == [None]
         assert _resolve(index, [a]) == [_full_scan([b], a)]
+    assert np.isfinite(index.keys).all()
 
 
 def test_float_index_with_many_coordinates_on_edges():
-    # 16 coordinates at cell edges: too many cells to probe, so the
-    # candidate is compared with every element, in insertion order
-    w = 2.0 ** (1 - _GRID_BITS)
-    b = w * (np.arange(16) + 1 / 3 + 1 / 2)
-    assert _probes(b[None], np.ones(1)) == [None]
+    # 16 coordinates, all moved at once: a merges with b up to the tolerance
+    b = 2.0 ** -15 * (np.arange(16) + 1 / 3 + 1 / 2)
     for factor, want in ((1, 0), (-1, 0), (3, None)):
         a = b + factor * 0.9 * FLOAT_DEDUP_TOL
-        assert _level_keys(a[None])[2][0]
         index = _FloatIndex(len(b), np.float64)
         assert _resolve(index, [b]) == [None]
         assert _resolve(index, [a]) == [want]
         assert _resolve(_FloatIndex(len(b), np.float64), [b, a]) == [None, want]
-    # a is within tolerance of two elements on either side of the edges,
-    # and in the cell of the one above: the first inserted still wins
+    # a is within tolerance of two elements on either side of it: the first
+    # inserted wins, whether they are an earlier level or a's own
     a, side = b + 0.1 * FLOAT_DEDUP_TOL, 0.8 * FLOAT_DEDUP_TOL
     for first, second in ((b + side, b - side), (b - side, b + side)):
         index = _FloatIndex(len(b), np.float64)
         assert _resolve(index, [first, second]) == [None, None]
-        assert _level_keys(a[None])[1] == _level_keys((b + side)[None])[1]
         assert _resolve(index, [a]) == [0]
+        assert _resolve(_FloatIndex(len(b), np.float64),
+                        [first, second, a]) == [None, None, 0]
+        index = _FloatIndex(len(b), np.float64)
+        assert _resolve(index, [first]) == [None]
+        assert _resolve(index, [second, a]) == [None, 0]
 
 
-def test_probe_order():
-    # own cell first, then the j-th near-edge coordinate moved across its
-    # edge where bit j of the combination is set; then the bucket above
-    w = 2.0 ** (1 - _GRID_BITS)
-    row = w * np.array([3 + 1 / 3, 5 + 1 / 3 + 1 / 2 + 1e-6, 7 + 1 / 3,
-                        -4 + 1 / 3 + 1 / 2 - 1e-6])
-    row[0] = 2 * (1 - FLOAT_DEDUP_TOL)  # near the top of bucket 1
-    own = np.rint((row / w - 1 / 3))
-    moved = [own + np.array(m) for m in
-             ([0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, -1, 0, 1])]
-    keys = [_cell_keys(np.array([1]), m[None])[0] for m in moved]
-    q = row / (2 * w) - 1 / 3  # the grid of bucket 2 has cells twice as wide
-    above = _cell_keys(np.array([2]), np.rint(q)[None])
-    assert not (np.abs(q - np.rint(q)) > 0.49).any()
-    assert _probes(row[None], np.array([_scale(row)])) == [keys + above]
+def _key_twin(index, b, step):
+    """A point far from b (step times b's scale away in two coordinates)
+    whose key is b's up to rounding: the move is orthogonal to the key's
+    weights."""
+    w, x = index.weights, b.view(np.float64).copy()
+    x[0] += step * _scale(b) * w[1]
+    x[1] -= step * _scale(b) * w[0]
+    return x.view(b.dtype)
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.complex128])
+def test_rows_far_apart_with_one_key_stay_apart(kind):
+    index = _FloatIndex(9, kind)
+    b = np.linspace(-3, 5, 9).astype(kind)
+    twins = [_key_twin(index, b, step) for step in (1e-4, 0.5, -0.5)]
+    window = index.reach * _scale(b)
+    keys = [x.view(np.float64) @ index.weights for x in [b] + twins]
+    assert max(keys) - min(keys) < window / 100
+    # in one level (the window holds all four), then against earlier ones
+    assert _resolve(index, [b] + twins) == [None] * 4
+    assert _resolve(index, [twins[1] + FLOAT_DEDUP_TOL, b]) == [2, 0]
+    assert len(index.rows) == 4
+
+
+def test_keys_stay_finite_near_the_float_range():
+    big = np.finfo(float).max / 2
+    b = np.array([big, -big, big / 3, 1.0])
+    index = _FloatIndex(4, np.float64)
+    assert _resolve(index, [b, b * (1 - 0.5 * FLOAT_DEDUP_TOL), -b]) == [None, 0, None]
+    assert np.isfinite(index.keys).all()
 
 
 @st.composite
 def separated_levels(draw):
     """Levels of candidate rows: copies, within a third of the tolerance,
-    of points well apart whose coordinates sit on or near cell edges and
-    whose scales sit on or near bucket boundaries."""
+    of points well apart; some of the points sit a few tolerances apart,
+    some far apart with nearly one key."""
     d = draw(st.sampled_from([4, 9]))
-    points = draw(st.lists(edge_points(d), min_size=1, max_size=4))
-    for _ in range(draw(st.integers(0, 3))):  # neighbours in the same cells
+    kind = draw(st.sampled_from([np.float64, np.complex128]))
+    points = draw(st.lists(window_points(d, kind), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):  # neighbours in the same windows
         points.append(_nudge(draw, draw(st.sampled_from(points)), [5.0, 20.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        points.append(_key_twin(_FloatIndex(d, kind), draw(st.sampled_from(points)),
+                                draw(st.sampled_from([1e-6, 0.1, -0.3]))))
     for i, p in enumerate(points):
         for q in points[:i]:
             assume(np.abs(p - q).max() > 4 * FLOAT_DEDUP_TOL * max(_scale(p), _scale(q)))
     picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=24))
     rows = [_nudge(draw, points[k], [0.0, 0.01, 0.1, 0.3]) for k in picks]
     cuts = sorted(draw(st.sets(st.integers(1, len(rows)), max_size=4)) | {len(rows)})
-    return d, [rows[a:b] for a, b in zip([0] + cuts, cuts)]
+    return d, kind, [rows[a:b] for a, b in zip([0] + cuts, cuts)]
 
 
-@given(separated_levels())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def chained_levels(draw):
+    """Levels of rows on one line through a point, multiples of 0.35 of
+    the tolerance apart: a row may be within tolerance of rows that merged
+    and of several elements, of earlier levels and of its own."""
+    d = draw(st.sampled_from([4, 9]))
+    kind = draw(st.sampled_from([np.float64, np.complex128]))
+    b = draw(window_points(d, kind))
+    u = (_nudge(draw, b, [1.0]) - b) / (FLOAT_DEDUP_TOL * _scale(b))
+    assume(np.abs(u).max() > 0)
+    rows = [b + 0.35 * k * FLOAT_DEDUP_TOL * _scale(b) * u
+            for k in draw(st.lists(st.integers(-6, 6), min_size=1, max_size=16))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows)), max_size=4)) | {len(rows)})
+    return d, kind, [rows[a:b] for a, b in zip([0] + cuts, cuts)]
+
+
+@given(st.one_of(separated_levels(), chained_levels()))
+@settings(max_examples=400, deadline=None)
 def test_level_resolver_equals_sequential_dedup(case):
     # a level decided as one batch gives each row the answer of a full scan
     # over the elements inserted before it, earlier levels and its own
-    d, levels = case
-    index, elements = _FloatIndex(d, np.float64), []
+    d, kind, levels = case
+    index, elements = _FloatIndex(d, kind), []
     for rows in levels:
         want = []
         for row in rows:
@@ -451,22 +501,20 @@ def test_level_resolver_equals_sequential_dedup(case):
 
 
 @st.composite
-def edge_presentations(draw):
-    """A float SL2 presentation (a, b, r) and a radius: a's off-diagonal
-    entries sit on cell edges and its top entry on or near a bucket
-    boundary; b is a copy of a within 1e-11 relative, so words ending in
-    b are copies of words ending in a; r has order 4, exactly or (when
-    conjugated by a shear) up to rounding."""
-    e = draw(st.integers(2, 12))
-    x = 2.0 ** e * (1 - draw(st.sampled_from([0.0, 1e-12, 1e-9, 2e-8])))
-    w = 2.0 ** (e - _GRID_BITS)
-    y, z = (w * (draw(st.integers(-2 ** (_GRID_BITS - 2), 2 ** (_GRID_BITS - 2)))
-                 + 1 / 3 + 1 / 2) for _ in range(2))
+def window_presentations(draw):
+    """A float SL2 presentation (a, b, r) and a radius: a's top entry is
+    just below or above 1 or a power of two; b is a copy of a within
+    1e-11 relative, so words ending in b are copies of words ending in a;
+    r has order 4, exactly or (when conjugated by a shear) up to
+    rounding."""
+    x = 2.0 ** draw(st.integers(0, 12)) * (1 - draw(st.sampled_from(
+        [-2e-8, -1e-9, 0.0, 1e-12, 1e-9, 2e-8])))
+    y, z = (x / 4 * draw(st.floats(-1, 1)) for _ in range(2))
 
     def nudge(v):
         return v * (1 + draw(st.sampled_from([-1e-11, 0.0, 1e-11])))
 
-    def element(x, y, z):  # |y|, |z| <= x / 4, so x is the top entry
+    def element(x, y, z):
         return np.array([[x, y], [z, (1 + y * z) / x]])
 
     r = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -507,7 +555,7 @@ def _brute_force_float_ball(P, radius):
     return words, merges, np.array(gaps)
 
 
-@given(edge_presentations())
+@given(window_presentations())
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_float_ball_equals_brute_force_dedup(case):
