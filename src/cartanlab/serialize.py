@@ -35,6 +35,7 @@ import numpy as np
 
 from .cartan import GroupDesc, GroupElement, _ratio_faults
 from .errors import PreconditionError, UnsupportedFieldError
+from .exact import ratio_normal_stack
 from .fields import COMPLEX, REAL, FieldDesc, QuadElement, padic, quadratic
 from .wordgroups import (
     AmalgamStructure,
@@ -254,10 +255,7 @@ def _canonical_stack(pairs, n: int):
     d = list(map(math.lcm, *dens))
     N = [list(map(mul, nums[c::size], map(floordiv, d, dens[c])))
          for c in range(size)]
-    g = list(map(math.gcd, d, *N))
-    if g.count(1) != len(g):
-        N = [list(map(floordiv, col, g)) for col in N]
-        d = list(map(floordiv, d, g))
+    N, d = ratio_normal_stack(N, d)
     return [N[r * n:(r + 1) * n] for r in range(n)], d
 
 

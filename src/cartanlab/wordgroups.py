@@ -6,7 +6,8 @@ ball holds each distinct image of a reduced word of length <= radius
 with its shortest word, ties broken lexicographically on (generator
 index, sign).  One breadth-first loop builds it a level at a time; only
 forming a level's products and deciding which are new depend on the
-arithmetic: exact images by ``@`` and a dict (which audits every hash
+arithmetic: exact images by ``exact.stack_products`` (one column product
+per letter over a level) and a dict (which audits every hash
 collision with a full comparison), float images by one stacked
 ``matmul`` per letter (bit for bit as ``@``) and a relative tolerance
 (``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.  Each
@@ -28,8 +29,9 @@ are built on first read.  ``BallResult.images(phi)`` walks the tree
 once, multiplying each parent image by one generator image, so any
 homomorphism is evaluated over the whole ball in O(N) products; the fold
 is the one ``evaluate`` performs, so the images are bit-identical to
-evaluating every word from scratch; float images come a level at a
-time, one ``matmul`` per level, as one stack (``image_stack``).
+evaluating every word from scratch.  Images come a level at a time: float
+ones by one ``matmul`` per level, as one stack (``image_stack``), exact
+ones by ``exact.tree_products``, as a ball's levels are formed.
 ``BallResult.labels(symbols)`` walks the tree the same way to give
 every word's ``Word.format`` text.
 """
@@ -38,11 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import compress
+from operator import is_, neg
 
 import numpy as np
 
 from .cartan import GroupDesc, GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
+from .exact import stack_keys, stack_products, tree_products
 
 # Two float elements a, b are one ball element iff
 #     max|a - b| <= FLOAT_DEDUP_TOL * max(1, max|a|, max|b|),
@@ -131,21 +136,22 @@ MAX_WORD_LETTERS = 10 ** 5
 def parse_word(text: str, symbols) -> Word:
     """Parse "a b^-1 a^2" over the given generator symbols.  A word of
     more than ``MAX_WORD_LETTERS`` letters before free reduction (``a^k``
-    is k letters) is refused before any is formed."""
+    is k letters), or with an exponent that is not an integer, is refused
+    before any is formed."""
     index = {s: i for i, s in enumerate(symbols)}
-    letters = []
+    letters, shown = [], text if len(text) <= 60 else text[:57] + "..."
     for tok in text.split():
         if tok in ("1", "e"):
             continue
-        if "^" in tok:
-            sym, exp = tok.split("^", 1)
-            e = int(exp)
-        else:
-            sym, e = tok, 1
+        sym, caret, exp = tok.partition("^")
+        try:
+            e = int(exp) if caret else 1
+        except ValueError:
+            raise PreconditionError(
+                f"word {shown!r} has a non-integer exponent {exp!r}") from None
         if sym not in index:
             raise PreconditionError(f"unknown generator {sym!r}")
         if len(letters) + abs(e) > MAX_WORD_LETTERS:
-            shown = text if len(text) <= 60 else text[:57] + "..."
             raise PreconditionError(
                 f"word {shown!r} has more than {MAX_WORD_LETTERS} letters")
         sign = 1 if e > 0 else -1
@@ -337,10 +343,11 @@ class BallResult:
 
     Entry k has parent entry ``parents[k]`` and last letter
     ``alphabet[lasts[k]]`` (-1 at the root).  An exact ball keeps its
-    elements; a float ball keeps one ``stack`` of them, root first, in the
-    dtype its products were formed in, and builds an element only when it
-    is read (the root stays ``root``, the identity as ``_identity_like``
-    gives it).  ``entries`` and ``merges`` are built on first read.
+    elements, each built when its word is inserted; a float ball keeps one
+    ``stack`` of them, root first, in the dtype its products were formed
+    in, and builds an element only when it is read (the root stays
+    ``root``, the identity as ``_identity_like`` gives it).  ``entries``
+    and ``merges`` are built on first read.
     """
 
     def __init__(self, alphabet, parents, lasts, complete, root, elements,
@@ -401,15 +408,16 @@ class BallResult:
         return out
 
     def images(self, phi: Homomorphism) -> list:
-        """phi's image of every ball word, in entry order, by one pass over
-        the prefix tree (float: the rows of ``image_stack``); equal bit for
-        bit to ``evaluate``."""
+        """phi's image of every ball word, in entry order, a level at a time
+        (float: the rows of ``image_stack``; exact: ``exact.tree_products``);
+        equal bit for bit to ``evaluate``."""
         stack, out = self.image_stack(phi), [_identity_like(phi)]
         if stack is not None:
             return out + [GroupElement(m, phi.group, check=False) for m in stack[1:]]
-        for p, l in zip(self.parents[1:], self.lasts[1:]):
-            out.append(out[p] @ phi.image(*self.alphabet[l]))
-        return out
+        root, *gens = stack_keys([out[0].matrix]
+                                 + [phi.image(*a).matrix for a in self.alphabet])
+        keys = tree_products(root, gens, self.parents, self.lasts)
+        return out + [GroupElement._ratio(*k, phi.group) for k in keys[1:]]
 
     def image_stack(self, phi: Homomorphism):
         """phi's float image of every ball word as one (len, n, n) stack,
@@ -551,41 +559,37 @@ class _FloatIndex:
 
 
 class _ExactLevels:
-    """Exact candidates: a level's products by ``@``, found again by
-    hashing."""
+    """Exact candidates: a level's ``stack_products``, found again by
+    hashing their keys; an element is built only when its candidate is
+    inserted."""
 
     logs_merges = False  # a repeat is the same element, not a merge
 
     def __init__(self, phi, letters, root):
-        self.gens = [phi.image(i, e) for i, e in letters]
-        self.seen = {}  # element -> entry index
+        root, *self.gens = stack_keys([root.matrix]
+                                      + [phi.image(*a).matrix for a in letters])
+        self.group = phi.group
+        self.seen = {}  # the key of every element, to itself
         self.kept = []  # the inserted elements, in entry order
-        self.cand, self.lets = [root], [-1]
+        self.cand, self.level = [root], [(0, -1)]
 
     def resolve(self, room):
-        hits, self.new, seen = [], [], self.seen
-        for g, l in zip(self.cand, self.lets):
-            n = len(seen)
-            h = seen.setdefault(g, n)
-            if h < n:
-                hits.append(h)
-                continue
-            hits.append(-1)
-            self.kept.append(g)
-            self.new.append((g, l))
-            if len(self.new) == room:
-                break
+        # a key is new iff setdefault returns the candidate's own; a cut
+        # ends the ball, so keys it leaves in seen are never looked up
+        cand = self.cand
+        isnew = list(map(is_, map(self.seen.setdefault, cand, cand), cand))
+        new = list(compress(range(len(cand)), isnew))[:room]
+        # -1 if new, else 0, and nothing past the last inserted candidate
+        hits = list(map(neg, isnew[:new[-1] + 1] if new else ()))
+        self.new, self.last = [cand[j] for j in new], [self.level[j][1] for j in new]
+        self.kept += [GroupElement._ratio(*k, self.group) for k in self.new]
         return hits
 
     def products(self):
-        level, self.lets, self.cand = [], [], []
-        for t, (g, last) in enumerate(self.new):
-            for l, h in enumerate(self.gens):
-                if l != last ^ 1:
-                    level.append((t, l))
-                    self.lets.append(l)
-                    self.cand.append(g @ h)
-        return level
+        self.level = [(t, l) for t, last in enumerate(self.last)
+                      for l in range(len(self.gens)) if l != last ^ 1]
+        self.cand = stack_products(self.new, self.gens, self.level)
+        return self.level
 
 
 class _FloatLevels:
@@ -659,7 +663,8 @@ def word_ball(
     # a level's candidate (t, l) is the product of frontier entry t by
     # letter l; the root is level 0's one candidate, with no parent and no
     # letter (-1).  Letters 2i and 2i + 1 are inverse: l ^ 1 is the letter
-    # cancelling l.  A hit is -1 for a new element, else its entry index.
+    # cancelling l.  A hit is -1 for a new element; a float level gives the
+    # entry index a merged candidate merged into.
     frontier, level = [-1], [(0, -1)]
     for depth in range(radius + 1):
         start = len(parents)

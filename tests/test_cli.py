@@ -281,6 +281,22 @@ def test_word_of_too_many_letters_exits_2(tmp_path, capsys, word):
         f"error: word {word!r} has more than 100000 letters\n")
 
 
+@pytest.mark.parametrize("word, exp", [("a^x", "x"), ("b a^", ""), ("a^1.5 b", "1.5")])
+def test_word_with_a_non_integer_exponent_exits_2(tmp_path, capsys, word, exp):
+    # int()'s own message used to be all the error said
+    doc = {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+           "generators": {"a": [["2", "0"], ["0", "1/2"]],
+                          "b": [["1", "1"], ["0", "1"]]},
+           "structure": {"type": "free"}, "relators": [word]}
+    path, out = tmp_path / "exp.json", tmp_path / "b.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["ball", "--input", str(path), "--output", str(out),
+                 "--radius", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: word {word!r} has a non-integer exponent {exp!r}\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_cmd_bend_and_witnesses(tmp_path, so22_bending_file):
     out = tmp_path / "bend.csv"
     rc = main(["bend", "--input", str(so22_bending_file), "--output", str(out)])

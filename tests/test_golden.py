@@ -5,7 +5,10 @@ two float presentations with tolerance merges: the decimal-float Z/4*Z
 in SO(2,1) at r = 8 (the float twin the word-ball tests build), and a
 complex Z/4*Z-like pair in SL(2, C) at r = 6.  Any change to the float
 ball's entries, their order, the merge count or the cell text shows
-here as a changed digest.
+here as a changed digest.  Two exact balls are pinned the same way: the
+shipped Schottky pair in SL_2 over Q_2 at r = 6, and the exact Z/4*Z in
+SO(2,1) at r = 8, whose relator makes candidates repeat within a level
+and across levels.
 
 They also pin the CSV of ``cartanlab cartan`` on the 1457 elements of
 the r = 6 balls of the shipped Schottky pair, in SO(2,2) over R and in
@@ -69,16 +72,36 @@ GOLDEN = {
 }
 
 
+def _ball_report_digests(tmp_path, doc, radius):
+    path, out = tmp_path / "in.json", tmp_path / "ball.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["ball", "--input", str(path), "--output", str(out),
+                 "--radius", str(radius)]) == 0
+    return [hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out, tmp_path / "ball.csv.json")]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_float_ball_report_bytes(tmp_path, name):
     make, radius, csv_digest, sidecar_digest = GOLDEN[name]
-    path, out = tmp_path / "in.json", tmp_path / "ball.csv"
-    path.write_text(json.dumps(make()))
-    assert main(["ball", "--input", str(path), "--output", str(out),
-                 "--radius", str(radius)]) == 0
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in (out, tmp_path / "ball.csv.json")]
-    assert digests == [csv_digest, sidecar_digest]
+    assert _ball_report_digests(tmp_path, make(), radius) == [csv_digest, sidecar_digest]
+
+
+# defined further down: the exact documents of the decompose goldens
+EXACT_GOLDEN = {
+    "sl2_q2_r6": (lambda: _sl2_doc({"kind": "padic", "p": 2}), 6,
+                  "cff2fa7fd500bf7f3fd014b1cfc84454e689fb7a3e5256553cca56e40e6c1433",
+                  "20b9ab1111fb90b423ffc59ba9daa17bc9d672f0d2124d07bfcdc5c59dd863c3"),
+    "z4z_exact_r8": (lambda: _z4z_exact_doc(), 8,
+                     "4bb1ed344df614a1b32af58a89e3777ca0468382174179b4b05a89795bb4e950",
+                     "e1eaac1007135f95991e4ed8acd60dd7ac9b50a0739760a62d1d5b8c8106797c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_GOLDEN))
+def test_exact_ball_report_bytes(tmp_path, name):
+    make, radius, csv_digest, sidecar_digest = EXACT_GOLDEN[name]
+    assert _ball_report_digests(tmp_path, make(), radius) == [csv_digest, sidecar_digest]
 
 
 def _ball_document(field, group, presentation):

@@ -28,6 +28,7 @@ from cartanlab import (
 )
 from cartanlab.bending import BendingFamily, bend
 from cartanlab.cartan import indefinite_orthogonal, to_float_array
+from cartanlab.fields import QuadElement, quadratic
 from cartanlab.wordgroups import (
     FLOAT_DEDUP_TOL,
     MAX_WORD_LETTERS,
@@ -181,18 +182,24 @@ def test_float_ball_keeps_g_and_minus_g():
     assert len(_assert_float_ball_is_exact_ball(P, 2)) == 8
 
 
-def test_float_ball_of_z4z_matches_exact_twin():
-    # Z/4 * Z in SO(2,1): entries reach 4^8 with rounding errors far
-    # above an absolute 1e-8, so only a relative tolerance merges them
+def _z4z_exact():
+    """Z/4 * Z in SO(2,1): r of order 4 and a boost s, exact."""
     r = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
     s = sym2_rational(((F(4), F(0)), (F(0), F(1, 4))))
-    P = Presentation(["r", "s"], [r, s], indefinite_orthogonal(2, 1, REAL))
-    assert len(_assert_float_ball_is_exact_ball(P, 8)) == 1528
+    return Presentation(["r", "s"], [r, s], indefinite_orthogonal(2, 1, REAL),
+                        relators=[parse_word("r^4", ["r", "s"])])
+
+
+def test_float_ball_of_z4z_matches_exact_twin():
+    # entries reach 4^8 with rounding errors far above an absolute 1e-8,
+    # so only a relative tolerance merges them
+    assert len(_assert_float_ball_is_exact_ball(_z4z_exact(), 8)) == 1528
 
 
 # -- float balls of exact generators agree with the exact balls -------------
 
 SO21R = indefinite_orthogonal(2, 1, REAL)
+SO22R = indefinite_orthogonal(2, 2, REAL)
 SL3R = special_linear(3, REAL)
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 TORSION = {  # finite-order elements of each group; -I where it has det 1
@@ -201,7 +208,11 @@ TORSION = {  # finite-order elements of each group; -I where it has det 1
     "sl3": ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
             [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
     "so21": ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    "so22": ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+             [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]),
 }
+GROUPS = {"sl2": SL2R, "sl3": SL3R, "so21": SO21R, "so22": SO22R}
 
 
 @st.composite
@@ -222,27 +233,35 @@ def sl_generator(draw, n):
 
 
 @st.composite
-def so21_cayley(draw):
-    """(I - X)^-1 (I + X) for X = J^-1 S, S skew: an element of SO(2,1)."""
-    s01, s02, s12 = (draw(small) for _ in range(3))
-    X = [[F(0), s01, s02], [-s01, F(0), s12], [s02, s12, F(0)]]  # J^-1 S
-    plus = ex.mat_add(ex.identity(3), X)
-    minus = ex.mat_sub(ex.identity(3), X)
+def so_cayley(draw, group):
+    """(I - X)^-1 (I + X) for X = J^-1 S, S skew: an element of the group
+    SO(p,q) with its form J = diag(1, .., 1, -1, .., -1)."""
+    n = group.size
+    S = {(i, j): draw(small) for i in range(n) for j in range(i + 1, n)}
+    X = [[F(0) if i == j else group.form[i] * (S[i, j] if i < j else -S[j, i])
+          for j in range(n)] for i in range(n)]
+    plus = ex.mat_add(ex.identity(n), X)
+    minus = ex.mat_sub(ex.identity(n), X)
     assume(ex.det(minus) != 0)
     return ex.mat_mul(ex.inverse(minus), plus)
+
+
+def generators(kind):
+    """A strategy for one generator of the group GROUPS[kind]."""
+    group = GROUPS[kind]
+    return so_cayley(group) if group.family == "SO" else sl_generator(group.size)
 
 
 @st.composite
 def exact_presentations(draw):
     kind = draw(st.sampled_from(sorted(TORSION)))
-    group = {"sl2": SL2R, "sl3": SL3R, "so21": SO21R}[kind]
-    make = so21_cayley() if kind == "so21" else sl_generator(group.size)
-    gens = draw(st.lists(make, min_size=1, max_size=2))
+    group = GROUPS[kind]
+    gens = draw(st.lists(generators(kind), min_size=1, max_size=2))
     gens += draw(st.lists(st.sampled_from(TORSION[kind]), max_size=2,
                           unique_by=str))
     radius = draw(st.integers(1, 5 if len(gens) <= 2 else 3))
     P = Presentation([f"g{i}" for i in range(len(gens))], gens, group)
-    return P, radius
+    return P, radius, kind
 
 
 def _separated(ball):
@@ -259,7 +278,7 @@ def _separated(ball):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_float_ball_equals_exact_ball(case):
-    P, radius = case
+    P, radius, _ = case
     # a tolerance can only separate elements that are farther apart
     assume(_separated(word_ball(P, inclusion(P), radius)))
     _assert_float_ball_is_exact_ball(P, radius)
@@ -283,10 +302,98 @@ def _oracle_ball(P, radius):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_exact_ball_equals_brute_force(case):
-    P, radius = case
+    P, radius, _ = case
     ball = word_ball(P, inclusion(P), radius)
     assert ball.complete and not ball.merges
     assert [(e.word, e.element) for e in ball.entries] == _oracle_ball(P, radius)
+
+
+# -- the exact level kernel against evaluate, which does not share it -------
+
+def _stored(g):
+    """How an exact element is stored: its d (0 unless rational) and the
+    type of every entry, with the entries."""
+    return g._den, [[(type(x), x) for x in row] for row in g._m]
+
+
+def _assert_same_elements(got, want):
+    assert len(got) == len(want)
+    for g, h in zip(got, want):
+        assert g == h and _stored(g) == _stored(h)
+
+
+@given(exact_presentations(), st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_exact_ball_cut_inside_a_level_is_a_prefix(case, data):
+    P, radius, _ = case
+    want = _oracle_ball(P, radius)
+    assume(len(want) > 2)
+    m = data.draw(st.integers(1, len(want) - 2))
+    ball = word_ball(P, inclusion(P), radius, max_elements=m)
+    assert not ball.complete
+    assert [e.word for e in ball.entries] == [w for w, _ in want[:m + 1]]
+    _assert_same_elements(ball.elements(), [g for _, g in want[:m + 1]])
+
+
+def test_exact_z4z_ball_repeats_within_and_across_levels():
+    P = _z4z_exact()
+    ball = word_ball(P, inclusion(P), 6)
+    assert [(e.word, e.element) for e in ball.entries] == _oracle_ball(P, 6)
+    words = {e.word.letters for e in ball.entries}
+    r, r_inv = (0, 1), (0, -1)
+    assert (r, r) in words and (r_inv, r_inv) not in words  # within level 2
+    assert (r_inv,) in words and (r, r, r) not in words  # r^3 = r^-1 at level 1
+    # the cut falls inside level 2, before r^-2 (a repeat of r^2) is met
+    cut = word_ball(P, inclusion(P), 6, max_elements=6)
+    assert [e.word for e in cut.entries] == [e.word for e in ball.entries[:7]]
+
+
+def _so21_sqrt2(extra=()):
+    """SO(2,1) over Q(sqrt 2), form x0^2 + x1^2 - (1 + sqrt 2)^2 x2^2: a
+    boost with entries in Q(sqrt 2) beside integer and rational ones, a
+    rational turn, an involution whose entry 1 is in Q(sqrt 2), and any
+    extra generators."""
+    u, one = QuadElement(1, 1, 2), QuadElement(1, 0, 2)
+    group = indefinite_orthogonal(2, 1, quadratic(2), form=(F(1), F(1), -u * u))
+    boost = [[F(5, 4), 0, F(3, 4) * u], [0, F(1), 0], [F(3, 4) / u, 0, F(5, 4)]]
+    turn = [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, F(1)]]
+    flip = [[one, 0, 0], [0, -1, 0], [0, 0, -1]]
+    return Presentation("abcd"[:3 + len(extra)], [boost, turn, flip, *extra], group)
+
+
+@pytest.mark.parametrize("extra", [(), ([[0, -1, 0], [1, 0, 0], [0, 0, 1]],)])
+def test_exact_ball_over_q_sqrt2_is_evaluate(extra):
+    # rational and Q(sqrt 2) elements share the ball, and candidates repeat
+    # (the involution c, and the order-4 turn d), so keys of both kinds meet
+    P = _so21_sqrt2(extra)
+    radius = 3
+    ball = word_ball(P, inclusion(P), radius)
+    assert [(e.word, e.element) for e in ball.entries] == _oracle_ball(P, radius)
+    assert {g._den > 0 for g in ball.elements()} == {True, False}
+    _assert_same_elements(ball.elements(), [evaluate(e.word, inclusion(P))
+                                            for e in ball.entries])
+
+
+@given(exact_presentations(), st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_exact_images_are_evaluate(case, data):
+    P, radius, kind = case
+    ball = word_ball(P, inclusion(P), radius)
+    images = data.draw(st.lists(generators(kind), min_size=P.rank, max_size=P.rank))
+    phi = Homomorphism(images, P.group)
+    _assert_same_elements(ball.images(phi), [evaluate(e.word, phi) for e in ball.entries])
+
+
+def test_exact_images_over_q_sqrt2_are_evaluate():
+    P = _so21_sqrt2(([[0, -1, 0], [1, 0, 0], [0, 0, 1]],))
+    ball = word_ball(P, inclusion(P), 3)
+    a, b, c, d = P.generators
+    for phi in (conjugate_homomorphism(inclusion(P), a),
+                Homomorphism([b, d, a, c], P.group)):
+        _assert_same_elements(ball.images(phi), [evaluate(e.word, phi)
+                                                 for e in ball.entries])
 
 
 @pytest.mark.parametrize("m", [1, 4, 9, 20, 33])
@@ -632,6 +739,19 @@ def _bits(a):
     return a.dtype, a.view(np.int64).tolist()
 
 
+def _far_from_singular(m) -> bool:
+    """|det m| > 0.1, with LAPACK's divide-by-zero flag on a subnormal
+    pivot ignored (it is no fault of the drawn matrix)."""
+    with np.errstate(divide="ignore"):
+        return bool(abs(np.linalg.det(m)) > 0.1)
+
+
+def test_far_from_singular_on_a_subnormal_pivot():
+    with np.errstate(divide="raise"):
+        assert not _far_from_singular(np.array([[0.0, 0.0], [5e-324, 1.0]]))
+        assert _far_from_singular(np.array([[2.0, 0.0], [5e-324, 1.0]]))
+
+
 @st.composite
 def float_homomorphisms(draw):
     """A word ball of a free pair, or of a pair with an element of order 4
@@ -650,7 +770,7 @@ def float_homomorphisms(draw):
             images.append(schottky_sl2_presentation().generators[0])
             continue
         m = np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
-        assume(abs(np.linalg.det(m)) > 0.1)
+        assume(_far_from_singular(m))
         images.append(GroupElement(m, group, check=False))
     return word_ball(P, inclusion(P), draw(st.integers(1, 4))), Homomorphism(images, group)
 
@@ -694,10 +814,7 @@ def test_ball_labels_exact():
 
 
 def test_ball_labels_float_z4z_with_merges():
-    r = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
-    s = sym2_rational(((F(4), F(0)), (F(0), F(1, 4))))
-    P = _float_twin(Presentation(["r", "s"], [r, s],
-                                 indefinite_orthogonal(2, 1, REAL)))
+    P = _float_twin(_z4z_exact())
     ball = word_ball(P, inclusion(P), 6)
     assert ball.merges
     _assert_labels_are_formats(ball, P.symbols)
