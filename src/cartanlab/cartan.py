@@ -215,11 +215,7 @@ class GroupElement:
 
     @classmethod
     def _ratio(cls, N, d, group: GroupDesc) -> "GroupElement":
-        """The element N / d of group, unchecked; (N, d) must be canonical,
-        or d None and N the rows of any exact matrix (a key of
-        ``exact.stack_products``)."""
-        if d is None:
-            return cls(N, group, check=False)
+        """The element N / d of group, unchecked; (N, d) must be canonical."""
         g = object.__new__(cls)
         g._m, g._den, g.group = N, d, group
         return g

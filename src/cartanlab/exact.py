@@ -18,10 +18,8 @@ run on the field elements, with ``/`` where the integers use ``//``.
 Which kernel serves which routine:
 
 * ``mat_mul``: integer dot products of the two ``ratio_form``s, over
-  d1 * d2; the generic sum of products for QuadElement entries.
-* ``stack_products``: a word ball's level (many matrices by a few
-  letters), on a whole stack at once, and ``ratio_normal_stack``;
-  ``tree_products``, every node of a prefix tree, a level at a time.
+  d1 * d2; the generic sum of products for QuadElement entries.  The
+  same, over a word ball's level at once: ``stack_products``.
 * ``_bareiss`` (forward Bareiss elimination, Math. Comp. 1968): ``det``,
   on N then divided by d**n, or on the field entries; the minors of
   ``cartan.wedge_norm_log`` over Q_p, on integer N.  (The determinant
@@ -49,7 +47,6 @@ the field step, a division by the leading entry.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress, repeat
@@ -129,38 +126,11 @@ def int_mat_mul(A, B):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
-def stack_keys(mats) -> list:
-    """The keys of ``stack_products`` for exact matrices given by rows:
-    canonical (N, d) when all are rational, else (rows, None)."""
-    ratios = list(map(ratio_form, mats))
-    return ratios if all(ratios) else [(tuple(map(tuple, m)), None) for m in mats]
-
-
-def tree_products(root, gens, parents, lasts) -> list:
-    """The key of every node of a prefix tree, node 0 first: node k > 0 is
-    node parents[k] times letter gens[lasts[k]] (parents never decrease,
-    so a level is a run), by ``stack_products`` a level at a time."""
-    keys, out, start, lo = [root], [root], 0, 1
-    while lo < len(parents):  # the children of [start, lo) are [lo, hi)
-        hi = bisect_left(parents, lo, lo)
-        keys = stack_products(keys, gens, [(p - start, l) for p, l in zip(
-            parents[lo:hi], lasts[lo:hi])])
-        out += keys
-        start, lo = lo, hi
-    return out
-
-
 def stack_products(keys, gens, pairs):
     """The key of keys[t] times letter gens[l] for each (t, l) of pairs,
-    in their (t, l) order.  A key is (N, d), N a tuple of rows: the
-    canonical form of a rational matrix N / d, or d None and N the rows
-    of any other exact matrix (all keys of one kind).  Entry (r, c) of
-    the elements a letter multiplies is one list; entry (r, c) of their
-    products is the sum over t of map(mul) of list (r, t) by the letter's
-    entry (t, c).  Over Q these are ints: zero and unit entries take no
-    map(mul), and one gcd per product gives its canonical (N, d).  Other
-    entries take every term in ``mat_mul``'s order, so each sum has the
-    value and the type ``mat_mul`` gives it."""
+    in order.  Every key is a canonical (N, d), or every key is (rows,
+    None).  Entry (r, c) of the matrices a letter multiplies is one list,
+    so each product entry is a sum of a few ``map(mul)``."""
     n, rational = len(gens[0][0]), bool(gens[0][1])
     cols = list(zip(*(chain.from_iterable(N) for N, _ in keys)))
     dens = [d for _, d in keys]
@@ -170,18 +140,16 @@ def stack_products(keys, gens, pairs):
     out, d_out, at = [[] for _ in cols], [], []
     for (L, dl), mask in zip(gens, masks):
         sub = [list(compress(col, mask)) for col in cols]
-        for e, col in enumerate(out):
-            r, c = divmod(e, n)
+        for e, col in enumerate(out):  # e = r n + c
             col += reduce(partial(map, add), [
-                sub[r * n + t] if rational and x == 1 else map(mul, sub[r * n + t], repeat(x))
-                for t, x in enumerate(row[c] for row in L) if x or not rational])
+                map(mul, sub[e - e % n + t], repeat(x))
+                for t, x in enumerate(row[e % n] for row in L) if x or not rational])
         d_out += map(mul, compress(dens, mask), repeat(dl)) if rational else compress(dens, mask)
-        at += compress(range(len(keys)), mask)
+        at += compress(range(len(keys)), mask)  # a stable sort by t gives (t, l) order
     if rational:
         out, d_out = ratio_normal_stack(out, d_out)
     prods = list(zip(zip(*(zip(*out[r * n:r * n + n]) for r in range(n))), d_out))
-    # a stable sort: the products of one t stay in letter order
-    return list(map(prods.__getitem__, sorted(range(len(at)), key=at.__getitem__)))
+    return [prods[i] for i in sorted(range(len(at)), key=at.__getitem__)]
 
 
 def mat_mul(A, B):

@@ -6,12 +6,11 @@ ball holds each distinct image of a reduced word of length <= radius
 with its shortest word, ties broken lexicographically on (generator
 index, sign).  One breadth-first loop builds it a level at a time; only
 forming a level's products and deciding which are new depend on the
-arithmetic: exact images by ``exact.stack_products`` (one column product
-per letter over a level) and a dict (which audits every hash
-collision with a full comparison), float images by one stacked
-``matmul`` per letter (bit for bit as ``@``) and a relative tolerance
-(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.  Each
-float element has one key, a weighted sum of its coordinates, and every
+arithmetic: exact images by ``exact.stack_products`` and a dict (which
+audits every hash collision with a full comparison), float images by one
+stacked ``matmul`` per letter (bit for bit as ``@``) and a relative
+tolerance (``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.
+Each float element has one key, a weighted sum of its coordinates, and every
 element within tolerance of a candidate has its key in a window about
 the candidate's (see ``_FloatIndex``).  A float level is decided as one
 batch: a sorted-key search of each candidate's window among the earlier
@@ -29,25 +28,23 @@ are built on first read.  ``BallResult.images(phi)`` walks the tree
 once, multiplying each parent image by one generator image, so any
 homomorphism is evaluated over the whole ball in O(N) products; the fold
 is the one ``evaluate`` performs, so the images are bit-identical to
-evaluating every word from scratch.  Images come a level at a time: float
-ones by one ``matmul`` per level, as one stack (``image_stack``), exact
-ones by ``exact.tree_products``, as a ball's levels are formed.
+evaluating every word from scratch; images come a level at a time, as
+one stack by one ``matmul`` (``image_stack``) or by ``stack_products``.
 ``BallResult.labels(symbols)`` walks the tree the same way to give
 every word's ``Word.format`` text.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import compress
-from operator import is_, neg
 
 import numpy as np
 
 from .cartan import GroupDesc, GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
-from .exact import stack_keys, stack_products, tree_products
+from .exact import stack_products
 
 # Two float elements a, b are one ball element iff
 #     max|a - b| <= FLOAT_DEDUP_TOL * max(1, max|a|, max|b|),
@@ -134,10 +131,9 @@ MAX_WORD_LETTERS = 10 ** 5
 
 
 def parse_word(text: str, symbols) -> Word:
-    """Parse "a b^-1 a^2" over the given generator symbols.  A word of
-    more than ``MAX_WORD_LETTERS`` letters before free reduction (``a^k``
-    is k letters), or with an exponent that is not an integer, is refused
-    before any is formed."""
+    """Parse "a b^-1 a^2" over the given generator symbols.  A word with a
+    non-integer exponent, or of more than ``MAX_WORD_LETTERS`` letters
+    before free reduction (``a^k`` is k letters), is refused unformed."""
     index = {s: i for i, s in enumerate(symbols)}
     letters, shown = [], text if len(text) <= 60 else text[:57] + "..."
     for tok in text.split():
@@ -343,11 +339,10 @@ class BallResult:
 
     Entry k has parent entry ``parents[k]`` and last letter
     ``alphabet[lasts[k]]`` (-1 at the root).  An exact ball keeps its
-    elements, each built when its word is inserted; a float ball keeps one
-    ``stack`` of them, root first, in the dtype its products were formed
-    in, and builds an element only when it is read (the root stays
-    ``root``, the identity as ``_identity_like`` gives it).  ``entries``
-    and ``merges`` are built on first read.
+    elements; a float ball keeps one stack of them, root first, in the
+    dtype its products were formed in, and builds an element only when it
+    is read (the root stays ``root``, the identity as ``_identity_like``
+    gives it).  ``entries`` and ``merges`` are built on first read.
     """
 
     def __init__(self, alphabet, parents, lasts, complete, root, elements,
@@ -409,15 +404,19 @@ class BallResult:
 
     def images(self, phi: Homomorphism) -> list:
         """phi's image of every ball word, in entry order, a level at a time
-        (float: the rows of ``image_stack``; exact: ``exact.tree_products``);
+        (float: the rows of ``image_stack``; exact: ``stack_products``);
         equal bit for bit to ``evaluate``."""
         stack, out = self.image_stack(phi), [_identity_like(phi)]
         if stack is not None:
             return out + [GroupElement(m, phi.group, check=False) for m in stack[1:]]
-        root, *gens = stack_keys([out[0].matrix]
-                                 + [phi.image(*a).matrix for a in self.alphabet])
-        keys = tree_products(root, gens, self.parents, self.lasts)
-        return out + [GroupElement._ratio(*k, phi.group) for k in keys[1:]]
+        levels, parents = _ExactLevels(phi, self.alphabet, out[0]), self.parents
+        keys, start, lo = list(levels.cand), 0, 1
+        while lo < len(self):  # parents never decrease: a level is a run
+            hi = bisect_left(parents, lo, lo)  # the children of [start, lo)
+            keys += stack_products(keys[start:lo], levels.gens, [
+                (p - start, l) for p, l in zip(parents[lo:hi], self.lasts[lo:hi])])
+            start, lo = lo, hi
+        return out + list(map(levels.element, keys[1:]))
 
     def image_stack(self, phi: Homomorphism):
         """phi's float image of every ball word as one (len, n, n) stack,
@@ -559,30 +558,35 @@ class _FloatIndex:
 
 
 class _ExactLevels:
-    """Exact candidates: a level's ``stack_products``, found again by
-    hashing their keys; an element is built only when its candidate is
-    inserted."""
+    """Exact candidates: a level's ``stack_products``, found again by their
+    keys, each an element's (N, d) if the root and every letter are
+    rational, else its (rows, None); an inserted key becomes an element."""
 
     logs_merges = False  # a repeat is the same element, not a merge
 
     def __init__(self, phi, letters, root):
-        root, *self.gens = stack_keys([root.matrix]
-                                      + [phi.image(*a).matrix for a in letters])
+        elements = [root] + [phi.image(*a) for a in letters]
+        keys = [g.ratio for g in elements]
+        root, *self.gens = keys if all(keys) else [(g.matrix, None) for g in elements]
         self.group = phi.group
         self.seen = {}  # the key of every element, to itself
         self.kept = []  # the inserted elements, in entry order
         self.cand, self.level = [root], [(0, -1)]
 
+    def element(self, key):
+        N, d = key
+        return GroupElement._ratio(N, d, self.group) if d else GroupElement(
+            N, self.group, check=False)
+
     def resolve(self, room):
-        # a key is new iff setdefault returns the candidate's own; a cut
+        # a key is new iff setdefault returns the candidate itself; a cut
         # ends the ball, so keys it leaves in seen are never looked up
-        cand = self.cand
-        isnew = list(map(is_, map(self.seen.setdefault, cand, cand), cand))
-        new = list(compress(range(len(cand)), isnew))[:room]
-        # -1 if new, else 0, and nothing past the last inserted candidate
-        hits = list(map(neg, isnew[:new[-1] + 1] if new else ()))
+        cand, hits = self.cand, [0] * len(self.cand)
+        new = [j for j, k in enumerate(cand) if self.seen.setdefault(k, k) is k][:room]
+        for j in new:
+            hits[j] = -1
         self.new, self.last = [cand[j] for j in new], [self.level[j][1] for j in new]
-        self.kept += [GroupElement._ratio(*k, self.group) for k in self.new]
+        self.kept += map(self.element, self.new)
         return hits
 
     def products(self):
@@ -663,8 +667,7 @@ def word_ball(
     # a level's candidate (t, l) is the product of frontier entry t by
     # letter l; the root is level 0's one candidate, with no parent and no
     # letter (-1).  Letters 2i and 2i + 1 are inverse: l ^ 1 is the letter
-    # cancelling l.  A hit is -1 for a new element; a float level gives the
-    # entry index a merged candidate merged into.
+    # cancelling l.  A hit is -1 for a new element, else (float) its entry.
     frontier, level = [-1], [(0, -1)]
     for depth in range(radius + 1):
         start = len(parents)
