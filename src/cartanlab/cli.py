@@ -1,11 +1,14 @@
 """Batch front-end: load JSON inputs, run analyses, emit CSV/JSON.
 
-Every command reads one JSON document (see `serialize`), writes one CSV
-with a header row, and for report-style commands a JSON sidecar next to
-the CSV (same path + ".json").  Output is byte-deterministic for a fixed
-config: iteration orders are the breadth-first word order and floats
-print with 12 significant digits.  Nothing is sampled: --seed still
-parses, so old command lines run, but it has no effect.
+One flat parser takes the command name and the flags all commands
+share (``cartanlab --help``).  Each command reads one JSON document (see
+`serialize`), writes one CSV with a header row (big reports format float
+columns in bulk and each line by one ``%`` template), and for report
+commands a JSON sidecar at the CSV path + ".json".  Output is
+byte-deterministic for a fixed config: iteration orders are the
+breadth-first word order and floats print with 12 significant digits.
+Nothing is sampled: --seed still parses, so old command lines run, but
+it has no effect.
 
 Exit codes: 0 success, 2 precondition/input failure, 3 numerical
 failure.
@@ -17,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -66,16 +70,22 @@ def _float_cells(values) -> str:
     return ",".join(["%.12g"] * len(values)) % tuple(values)
 
 
-def _write_csv(path, header, rows):
-    """One line per row, each cell by ``_fmt``; a str cell is written as
-    it is, so a row may carry cells already joined by ``_float_cells``.
-    Lines are written one at a time and rows is read once, so it may be
-    a generator: no copy of the whole text, nor of the rows, is held in
-    memory."""
+_CHUNK = 256  # CSV lines per write
+
+
+def _write_csv(path, header, rows, template=None):
+    """The header line, then one line per row, ``_CHUNK`` lines per write.
+    A big report gives one ``%`` template for all its rows (tuples), with
+    its float columns as one ``%s`` cell of ``_float_rows`` text; without
+    a template each cell is written by ``_fmt``.  rows is read once, so it
+    may be a generator: no copy of the whole text, nor of the rows, is
+    held in memory."""
+    lines = (map(template.__mod__, rows) if template
+             else (",".join([_fmt(x) for x in row]) for row in rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([_fmt(x) for x in row]) + "\n")
+        while chunk := list(islice(lines, _CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _write_sidecar(path, payload):
@@ -109,6 +119,17 @@ def _radius(args) -> int:
     return int(args.radius)
 
 
+def _t_flag(args, default) -> list:
+    """The floats of the comma-separated --t flag, default without it."""
+    ts = []
+    for item in args.t.split(",") if args.t else ():
+        try:
+            ts.append(float(item))
+        except ValueError:
+            raise PreconditionError(f"--t item {item!r} is not a number") from None
+    return ts or default
+
+
 def _load_matrices(args):
     obj = read_json(args.input)
     if args.field:
@@ -125,7 +146,7 @@ def cmd_cartan(args) -> int:
     norms = np.sqrt(sum(x * x for x in mu.T))  # squares added as ``mu_norm`` adds them
     header = ["id"] + [f"mu_{i + 1}" for i in range(mu.shape[1])] + ["mu_norm"]
     cells = _float_rows(np.column_stack([mu, norms]))
-    _write_csv(args.output, header, ([name, c] for (name, _), c in zip(items, cells)))
+    _write_csv(args.output, header, zip([name for name, _ in items], cells), "%s,%s")
     return 0
 
 
@@ -145,19 +166,19 @@ def _ratio_cell(x: int, d: int) -> str:
     return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
-def _element_cells(g) -> list:
-    """The CSV cells of one element's matrix: a rational element's entries
-    from its (N, d), other exact and complex entries as scalar text, real
-    floats (the root of a complex ball) through ``_float_cells``."""
+def _element_cells(g) -> str:
+    """The CSV cells of one element's matrix, joined: a rational element's
+    entries from its (N, d), other exact and complex entries as scalar
+    text, real floats (the root of a complex ball) by ``_float_cells``."""
     if g.ratio is not None:
         N, d = g.ratio
-        return [_ratio_cell(x, d) for row in N for x in row]
+        return ",".join([_ratio_cell(x, d) for row in N for x in row])
     mat = g.matrix
     if not isinstance(mat, np.ndarray):
-        return [scalar_to_str(x) for row in mat for x in row]
+        return ",".join([scalar_to_str(x) for row in mat for x in row])
     if mat.dtype.kind == "c":
-        return [scalar_to_str(x) for x in mat.reshape(-1).tolist()]
-    return [_float_cells(mat.reshape(-1).tolist())]
+        return ",".join([scalar_to_str(x) for x in mat.reshape(-1).tolist()])
+    return _float_cells(mat.reshape(-1).tolist())
 
 
 def cmd_ball(args) -> int:
@@ -169,12 +190,11 @@ def cmd_ball(args) -> int:
         f"entry_{i}_{j}" for i in range(n) for j in range(n)
     ]
     if ball.stack is not None and ball.stack.dtype.kind == "f":
-        cells = [[row] for row in _float_rows(ball.stack.reshape(len(ball), -1))]
+        cells = _float_rows(ball.stack.reshape(len(ball), -1))
     else:  # exact, or complex with the real identity at the root
         cells = [_element_cells(g) for g in ball.elements()]
-    rows = [[label, length] + c for label, length, c in
-            zip(ball.labels(pres.symbols), ball.lengths(), cells)]
-    _write_csv(args.output, header, rows)
+    _write_csv(args.output, header,
+               zip(ball.labels(pres.symbols), ball.lengths(), cells), "%s,%s,%s")
     _write_sidecar(args.output, {
         "elements": len(ball),
         "complete": ball.complete,
@@ -241,6 +261,8 @@ def cmd_decompose(args) -> int:
     R = args.subdivision
     if R is None:
         R = max(displacement(g, model) for g in pres.generators)
+    if not math.isfinite(R):  # here too: no word of a radius-0 ball reaches decompose
+        raise PreconditionError(f"--subdivision {R!r} is not finite")
     orbit = orbit_data(pres, phi, model, ball_radius)
     header = [
         "word", "factor_index", "factor_word", "displacement", "gap_defect",
@@ -292,27 +314,25 @@ def _bending_family(pres, group, bending_block):
 
 def cmd_bend(args) -> int:
     field, group, pres, bending_block = load_presentation_document(
-        read_json(args.input)
-    )
+        read_json(args.input))
     family, ts, m = _bending_family(pres, group, bending_block)
     # before any output: an so(J) too small for the check exits 2 and
     # writes nothing
     verdict = module_decomposition_check(family.subalgebra)
-    if args.t:
-        ts = [float(x) for x in args.t.split(",")]
+    ts = _t_flag(args, ts)
     header = ["t", "generator", "row", "col", "value"]
-    rows = []
+    stacks = []  # every bent image as floats, before any output
     witnesses = {}
     for t in ts:
-        phi_t = bend(family, t)
-        for gi, sym in enumerate(pres.symbols):
-            mat = to_float_array(phi_t.images[gi])
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    rows.append([t, sym, i, j, float(mat[i, j])])
+        stacks.append(np.array([to_float_array(g) for g in bend(family, t).images]))
         witnesses[str(t)] = bool(
             zariski_density_witness(family.Y, t, family.subalgebra))
-    _write_csv(args.output, header, rows)
+    n = group.size
+    keys = [f"{sym},{i},{j}" for sym in pres.symbols
+            for i in range(n) for j in range(n)]
+    _write_csv(args.output, header, chain.from_iterable(
+        zip(repeat(_fmt(t)), keys, _float_cells(s.reshape(-1).tolist()).split(","))
+        for t, s in zip(ts, stacks)), "%s,%s,%s")
     _write_sidecar(args.output, {
         "witnesses": witnesses,
         "module_decomposition_ok": verdict.ok,
@@ -329,41 +349,27 @@ def cmd_bend(args) -> int:
 def cmd_stability(args) -> int:
     radius = _radius(args)
     field, group, pres, bending_block = load_presentation_document(
-        read_json(args.input)
-    )
+        read_json(args.input))
     rho0 = float(args.rho0) if args.rho0 is not None else None
     phi_ref = inclusion(pres)
-    ts = [float(x) for x in args.t.split(",")] if args.t else [0.0]
+    ts = _t_flag(args, [0.0])
     family = None
     if bending_block is not None:
         family, _, _ = _bending_family(pres, group, bending_block)
-    phis = []
-    for t in ts:
-        if family is not None:
-            phis.append(bend(family, t))
-        elif t == 0.0:
-            phis.append(phi_ref)
-        else:
-            raise PreconditionError(
-                "nonzero t needs a bending block in the presentation file"
-            )
+    elif any(t != 0.0 for t in ts):
+        raise PreconditionError(
+            "nonzero t needs a bending block in the presentation file")
+    phis = [phi_ref if family is None else bend(family, t) for t in ts]
     reports = stability_scans(pres, phi_ref, phis, radius, rho0=rho0)
     labels = reports[0].ball.labels(pres.symbols)
     header = ["t", "word", "length", "mu_norm", "deviation"]
-    rows = []
-    fits = {}
-    for t, rep in zip(ts, reports):
-        for label, r in zip(labels, rep.rows):
-            rows.append([t, label, r.length, r.mu_norm, r.deviation])
-        fits[str(t)] = {
-            "eps_hat": rep.eps_hat,
-            "c_hat": rep.c_hat,
-            "rho0": rep.rho0,
-            "radius": rep.radius,
-            "policy": rep.policy,
-        }
-    _write_csv(args.output, header, rows)
-    _write_sidecar(args.output, {"fits": fits})
+    _write_csv(args.output, header, chain.from_iterable(
+        zip(repeat(_fmt(t)), labels, [r.length for r in rep.rows],
+            _float_rows([[r.mu_norm, r.deviation] for r in rep.rows]))
+        for t, rep in zip(ts, reports)), "%s,%s,%s,%s")
+    fit = ("eps_hat", "c_hat", "rho0", "radius", "policy")
+    _write_sidecar(args.output, {"fits": {
+        str(t): {k: getattr(rep, k) for k in fit} for t, rep in zip(ts, reports)}})
     return 0
 
 
@@ -384,11 +390,8 @@ def cmd_properness(args) -> int:
     rho0 = float(args.rho0) if args.rho0 is not None else None
     report = properness_margin(ball.elements(), cone, rho0=rho0, radius=radius)
     header = ["word", "mu_norm", "margin"]
-    rows = [
-        [label, r.mu_norm, r.margin]
-        for label, r in zip(ball.labels(pres.symbols), report.rows)
-    ]
-    _write_csv(args.output, header, rows)
+    cells = _float_rows([[r.mu_norm, r.margin] for r in report.rows])
+    _write_csv(args.output, header, zip(ball.labels(pres.symbols), cells), "%s,%s")
     _write_sidecar(args.output, {
         "slope": report.slope,
         "intercept": report.intercept,
@@ -400,43 +403,40 @@ def cmd_properness(args) -> int:
     return 0
 
 
+_COMMANDS = {"cartan": cmd_cartan, "ball": cmd_ball, "proximal": cmd_proximal,
+             "decompose": cmd_decompose, "bend": cmd_bend,
+             "stability": cmd_stability, "properness": cmd_properness}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cartanlab",
         description="Cartan projections, word balls, and deformation reports",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="input JSON path")
-    common.add_argument("--output", required=True, help="output CSV path")
-    common.add_argument("--field", help="field override, e.g. padic:3")
-    common.add_argument("--group", help="group override, e.g. SL:2 or SO:2,2")
-    common.add_argument("--radius", type=float, default=3,
+    parser.add_argument("command", choices=_COMMANDS, help="the report to run")
+    parser.add_argument("--input", required=True, help="input JSON path")
+    parser.add_argument("--output", required=True, help="output CSV path")
+    parser.add_argument("--field", help="field override, e.g. padic:3")
+    parser.add_argument("--group", help="group override, e.g. SL:2 or SO:2,2")
+    parser.add_argument("--radius", type=float, default=3,
                         help="word-ball radius (integer commands)")
-    common.add_argument("--subdivision", type=float, default=None,
+    parser.add_argument("--subdivision", type=float, default=None,
                         help="geodesic subdivision length for decompose")
-    common.add_argument("--t", help="comma-separated deformation parameters")
-    common.add_argument("--eps", type=float, default=None,
+    parser.add_argument("--t", help="comma-separated deformation parameters")
+    parser.add_argument("--eps", type=float, default=None,
                         help="eps-proximality threshold for proximal (> 0)")
-    common.add_argument("--rho0", type=float, default=None,
+    parser.add_argument("--rho0", type=float, default=None,
                         help="short-element cutoff for envelope fits")
-    common.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=0,
                         help="no effect: eps-proximality is decided exactly "
                         "and nothing is sampled")
-    for name, fn in [
-        ("cartan", cmd_cartan), ("ball", cmd_ball), ("proximal", cmd_proximal),
-        ("decompose", cmd_decompose), ("bend", cmd_bend),
-        ("stability", cmd_stability), ("properness", cmd_properness),
-    ]:
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (NumericalError, IndeterminateError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -294,8 +294,8 @@ def decompose(
     from ``orbit_data`` must come with the very model (and phi and x0',
     which default to the orbit's) it was built for.
     """
-    if R <= 0:
-        raise PreconditionError("R must be positive")
+    if not 0 < R < math.inf:  # refuses NaN too
+        raise PreconditionError(f"R must be positive and finite, not {R!r}")
     if orbit is not None:
         phi = phi or orbit.phi
         if phi is not orbit.phi or model is not orbit.model:

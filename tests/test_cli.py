@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -917,3 +919,132 @@ def test_radius_must_be_an_integer(tmp_path, capsys, command):
             outputs.append(out.read_bytes()
                            + (tmp_path / f"r{radius}.csv.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+_HEADERS = {"cartan": "id,mu_1", "ball": "word,length", "proximal": "id,status",
+            "decompose": "word,factor_index", "bend": "t,generator",
+            "stability": "t,word", "properness": "word,mu_norm"}
+
+
+@pytest.mark.parametrize("command", sorted(_HEADERS))
+def test_main_runs_every_command(tmp_path, sl2_matrix_file, so22_bending_file,
+                                 command):
+    assert sorted(cli._COMMANDS) == sorted(_HEADERS)
+    a, b = schottky_sl2_matrices()
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({
+        "field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+        "generators": {"a": matrix_to_json(a), "b": matrix_to_json(b)},
+        "structure": {"type": "free"}, "cone": {"compact": True}}))
+    src = {"cartan": sl2_matrix_file, "proximal": sl2_matrix_file,
+           "bend": so22_bending_file, "stability": so22_bending_file}.get(command, pres)
+    out = tmp_path / "o.csv"
+    # flags a command has no use for are taken and ignored, as before
+    assert main([command, "--input", str(src), "--output", str(out),
+                 "--radius", "2.0", "--seed", "7"]) == 0
+    assert out.read_text().startswith(_HEADERS[command] + ",")
+
+
+def test_flat_parser_keeps_every_flag():
+    args = cli.build_parser().parse_args(["ball", "--input", "i", "--output", "o"])
+    assert vars(args) == {"command": "ball", "input": "i", "output": "o",
+                          "field": None, "group": None, "radius": 3,
+                          "subdivision": None, "t": None, "eps": None,
+                          "rho0": None, "seed": 0}
+    args = cli.build_parser().parse_args([
+        "stability", "--input", "i", "--output", "o", "--field", "padic:3",
+        "--group", "SL:2", "--radius", "2.0", "--subdivision", "1.5",
+        "--t", "0,0.1", "--eps", "0.2", "--rho0", "4", "--seed", "11"])
+    assert (args.radius, args.subdivision, args.eps, args.rho0, args.seed) == (
+        2.0, 1.5, 0.2, 4.0, 11)
+    assert (args.field, args.group, args.t) == ("padic:3", "SL:2", "0,0.1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nosuch", "--input", "in.json", "--output", "o.csv"],
+    ["ball", "--output", "o.csv"],
+    ["--input", "in.json", "--output", "o.csv"],
+    ["ball", "--input", "in.json", "--output", "o.csv", "--seed", "1.5"],
+])
+def test_bad_command_line_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                     sl2_presentation_file, argv):
+    argv = [str(sl2_presentation_file) if x == "in.json" else
+            str(tmp_path / x) if x == "o.csv" else x for x in argv]
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: cartanlab")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("radius", ["0", "2"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_subdivision_exits_2(tmp_path, capsys, sl2_presentation_file,
+                                        radius, value):
+    # inf used to exit 0 with "subdivision": Infinity in the sidecar, which
+    # is no JSON; nan exited 2 with "cannot convert float NaN to integer"
+    # (and at radius 0 exited 0 with NaN in the sidecar)
+    out = tmp_path / "dec.csv"
+    assert main(["decompose", "--input", str(sl2_presentation_file), "--output",
+                 str(out), "--radius", radius, "--subdivision", value]) == 2
+    assert capsys.readouterr().err == f"error: --subdivision {value} is not finite\n"
+    assert sorted(tmp_path.iterdir()) == [sl2_presentation_file]
+
+
+@pytest.mark.parametrize("command", ["bend", "stability"])
+@pytest.mark.parametrize("t, item", [("0,,1", ""), ("0,x", "x"), ("y", "y")])
+def test_t_items_that_are_not_numbers_exit_2(tmp_path, capsys, so22_bending_file,
+                                             command, t, item):
+    # float()'s own message used to be all the error said
+    out = tmp_path / "o.csv"
+    assert main([command, "--input", str(so22_bending_file), "--output", str(out),
+                 "--radius", "2", f"--t={t}"]) == 2
+    assert capsys.readouterr().err == f"error: --t item {item!r} is not a number\n"
+    assert sorted(tmp_path.iterdir()) == [so22_bending_file]
+
+
+_CELLS = {
+    "float": st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan, -math.inf]),
+    "float64": st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=4),
+}
+
+
+def _old_line(row):
+    return ",".join(cli._fmt(x) for x in row)
+
+
+def _written(rows, template=None):
+    """The text ``_write_csv`` writes for rows, three lines per write."""
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_CHUNK", 3):
+        path = os.path.join(d, "t.csv")
+        cli._write_csv(path, ["h"], rows, template)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
+@given(st.lists(st.lists(st.one_of(*_CELLS.values()), min_size=1, max_size=5),
+                max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_csv_rows_without_a_template_are_the_old_lines(rows):
+    assert _written(rows) == "h\n" + "".join(_old_line(r) + "\n" for r in rows)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_float_columns_write_the_old_lines(data):
+    # the big reports' layout under one template: cells of other kinds,
+    # then a run of float columns given as one cell of ``_float_rows`` text
+    kinds = data.draw(st.lists(st.sampled_from(["int", "bool", "str"]), max_size=3))
+    width = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(
+        st.tuples(*[_CELLS[k] for k in kinds]),
+        st.tuples(*[_CELLS["float"] | _CELLS["float64"]] * width)), max_size=8))
+    want = "h\n" + "".join(_old_line(p + f) + "\n" for p, f in rows)
+    cells = cli._float_rows(np.array([f for _, f in rows]).reshape(-1, width))
+    bulk = [p + (c,) for (p, _), c in zip(rows, cells)]
+    assert _written(bulk, ",".join(["%s"] * (len(kinds) + 1))) == want

@@ -125,6 +125,15 @@ def test_decompose_cyclic_exact():
     assert dec.d_achieved <= dec.predicted_ceiling + 1e-12
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_decompose_refuses_a_subdivision_that_is_not_positive_and_finite(R):
+    # inf and nan used to pass the R <= 0 test
+    a = ex.mat_from_rows([[F(4), 0], [0, F(1, 4)]])
+    P = Presentation(["a"], [a], SL2R)
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        decompose(parse_word("a^2", ["a"]), P, RankOneModel.sl2_real(), R)
+
+
 def test_decompose_short_word_single_factor():
     a = ex.mat_from_rows([[F(4), 0], [0, F(1, 4)]])
     P = Presentation(["a"], [a], SL2R)
