@@ -15,10 +15,11 @@ reduction of N over Z_(p) that scales rows by p-adic units, or for SL_2
 by its closed form, mu_1 = v_p(d) - v_p(gcd N).
 
 A rational element is validated exactly by ``_ratio_faults``, which
-decides a whole stack of integer forms at once (det N = d^n by a
-division-free expansion, and the form equation on Python ints); the
-loader runs it on a document's stack and the constructor on a stack of
-one.
+decides a whole stack of integer forms at once: det N = d^n by
+``exact.stack_minors`` (the one division-free minors kernel, also of
+``exact.det`` and ``wedge_norm_log``), and the form equation on Python
+ints.  The loader runs it on a document's stack and the constructor on
+a stack of one.
 
 A whole set of one group's elements is projected by one kernel,
 ``_mu_rows``, into the rows of one (m, k) array: over R or C one
@@ -53,15 +54,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import (chain, combinations, combinations_with_replacement, compress,
                        count, repeat)
-from operator import add, mul, ne, neg, sub
+from operator import add, mul, ne
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, UnsupportedFieldError
-from .exact import _bareiss, int_mat_mul, mat_eq, mat_mul
+from .exact import int_mat_mul, mat_eq, mat_mul
 from .exact import det as exact_det
 from .exact import inverse as exact_inverse
-from .exact import ratio_form, ratio_inverse, ratio_normal, transpose
+from .exact import ratio_form, ratio_inverse, ratio_normal, stack_minors, transpose
 from .fields import (INF, FieldDesc, QuadElement, _int_content, int_valuation,
                      is_exact_scalar, real_sign)
 
@@ -245,8 +246,8 @@ class GroupElement:
             if fault:
                 raise PreconditionError(fault)
         elif self.is_exact:
-            if exact_det(self._m) != 1:
-                raise PreconditionError(f"determinant is {exact_det(self.matrix)}, not 1")
+            if (det := exact_det(self._m)) != 1:
+                raise PreconditionError(f"determinant is {det}, not 1")
             if g.family in ("SO", "U") and not _preserves_form(self._m, g):
                 raise PreconditionError("matrix does not preserve the form")
         else:
@@ -334,42 +335,20 @@ def _preserves_form(M, group: GroupDesc) -> bool:
     return mat_eq(mat_mul(mat_mul(transpose(M), J), M), J)
 
 
-def _stack_det(E):
-    """det of every matrix of a stack given entrywise: E[r][c] lists entry
-    (r, c) of each matrix, as Python ints.  No division: row k turns the
-    minors on rows 0..k-1 over every k-subset of the columns into those on
-    rows 0..k over every (k+1)-subset, by Laplace expansion along row k,
-    each product and sum taken over the whole stack at once; n 2^(n-1)
-    products per matrix in all."""
-    n = len(E)
-    minors = {(j,): E[0][j] for j in range(n)}
-    for k in range(1, n):
-        row, below = E[k], {}
-        for cols in combinations(range(n), k + 1):
-            terms = [map(mul, row[j], minors[cols[:t] + cols[t + 1:]])
-                     for t, j in enumerate(cols)]
-            acc = terms[0] if k % 2 == 0 else map(neg, terms[0])
-            for t, term in enumerate(terms[1:], 1):
-                acc = map(sub if (k + t) % 2 else add, acc, term)
-            below[cols] = list(acc)
-        minors = below
-    return minors[tuple(range(n))]
-
-
 def _ratio_faults(E, d, group: GroupDesc) -> list:
     """For each rational matrix N / d of a stack, None if it lies in group,
     else the message its validation fails with.
 
     E[r][c] lists entry (r, c) of each N and d lists the d, all Python
     ints, each (N, d) canonical.  The whole stack is decided at once and
-    exactly: det N = d^n (``_stack_det``) and, for SO and U with the form
+    exactly: det N = d^n (``stack_minors``) and, for SO and U with the form
     cleared to the integer diagonal C, N^T C N = d^2 C, whose entry
     (i, j) is column i of N against C times column j; the product is
     symmetric, so only i <= j is tested.  A form with an irrational
     coefficient takes ``_preserves_form`` per matrix.
     """
     n = len(E)
-    dets = _stack_det(E)
+    (dets,) = stack_minors(E, n).values()  # the one n x n minor
     faults = [None] * len(d)
     for k in compress(count(), map(ne, dets, map(pow, d, repeat(n)))):
         faults[k] = f"determinant is {Fraction(dets[k], d[k] ** n)}, not 1"
@@ -616,12 +595,13 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
     """Log operator norm of the i0-th wedge power of g.
 
     The wedge power is materialized as the compound matrix of i0 x i0
-    minors in the standard wedge basis.  Over R/C the result is the log
-    of its spectral norm (independently of the Cartan projection, so the
-    norm identity against weight_pairing is a real check); over Q_p it
-    is max over minors of -valuation, an exact integer in log-base-q
-    units: a minor of g = N / d is a Bareiss minor of the integer N over
-    d**i0.  Both are expressed in the units of weight_pairing(i0, mu).
+    minors in the standard wedge basis, from ``stack_minors`` on the
+    integer N of a rational g = N / d, else on the float entries.  Over
+    R/C the result is the log of its spectral norm (independently of the
+    Cartan projection, so the norm identity against weight_pairing is a
+    real check), each minor of N over d**i0 correctly rounded; over Q_p
+    it is max over minors of -valuation, an exact integer in log-base-q
+    units.  Both are expressed in the units of weight_pairing(i0, mu).
     """
     grp = g.group
     n = grp.size
@@ -629,22 +609,19 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
         raise UnsupportedFieldError("wedge norms are defined for SL_n descriptors")
     if not 1 <= i0 <= n - 1:
         raise PreconditionError(f"i0={i0} out of range for SL_{n}")
-    idx = list(combinations(range(n), i0))
-    if grp.field.kind == "padic":
-        if not g._den:
-            raise PreconditionError("padic wedge norm needs exact entries")
-        p, N = grp.field.p, g._m
-        minors = [_bareiss([[N[i][j] for j in cols] for i in rows])
-                  for rows in idx for cols in idx]
-        c = _int_content(minors, p)
+    padic = grp.field.kind == "padic"
+    if padic and not g._den:
+        raise PreconditionError("padic wedge norm needs exact entries")
+    rows = g._m if g._den else to_float_array(g).tolist()
+    minors = stack_minors([[[x] for x in row] for row in rows], i0)
+    if padic:
+        c = _int_content(chain.from_iterable(minors.values()), grp.field.p)
         if c == INF:
             raise PreconditionError("matrix is singular")
-        return i0 * int_valuation(g._den, p) - c
-    a = to_float_array(g)
-    compound = np.empty((len(idx), len(idx)), dtype=a.dtype)
-    for r, rows in enumerate(idx):
-        for c, cols in enumerate(idx):
-            compound[r, c] = np.linalg.det(a[np.ix_(rows, cols)])
+        return i0 * int_valuation(g._den, grp.field.p) - c
+    scale = g._den ** i0 if g._den else 1
+    idx = list(combinations(range(n), i0))
+    compound = np.array([[minors[r, c][0] / scale for c in idx] for r in idx])
     top = np.linalg.svd(compound, compute_uv=False)[0]
     return float(np.log(top))
 

@@ -120,13 +120,17 @@ def _radius(args) -> int:
 
 
 def _t_flag(args, default) -> list:
-    """The floats of the comma-separated --t flag, default without it."""
+    """The floats of the comma-separated --t flag, default without it; a
+    repeated value (0.1 and 0.10, 0 and -0) is refused."""
     ts = []
     for item in args.t.split(",") if args.t else ():
         try:
-            ts.append(float(item))
+            t = float(item)
         except ValueError:
             raise PreconditionError(f"--t item {item!r} is not a number") from None
+        if t in ts:
+            raise PreconditionError(f"--t item {item!r} repeats {ts[ts.index(t)]}")
+        ts.append(t)
     return ts or default
 
 

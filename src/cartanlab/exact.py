@@ -20,13 +20,12 @@ Which kernel serves which routine:
 * ``mat_mul``: integer dot products of the two ``ratio_form``s, over
   d1 * d2; the generic sum of products for QuadElement entries.  The
   same, over a word ball's level at once: ``stack_products``.
-* ``_bareiss`` (forward Bareiss elimination, Math. Comp. 1968): ``det``,
-  on N then divided by d**n, or on the field entries; the minors of
-  ``cartan.wedge_norm_log`` over Q_p, on integer N.  (The determinant
-  test of ``GroupElement`` validation is ``cartan._stack_det``, a
-  division-free expansion over a whole stack of integer matrices.)
-* ``_gauss_jordan`` (the fraction-free Gauss-Jordan form of the same
-  elimination): ``inverse``, ``rank``, ``nullspace``, ``solve`` and
+* ``stack_minors`` (division-free Laplace expansion over a whole stack):
+  ``det``, on N then divided by d**n, or on the field entries; the
+  determinant test of ``GroupElement`` validation, over a stack of
+  integer N; the compound matrix of ``cartan.wedge_norm_log``.
+* ``_gauss_jordan`` (fraction-free Gauss-Jordan elimination, after
+  Bareiss, Math. Comp. 1968): ``inverse``, ``rank``, ``nullspace``, ``solve`` and
   ``ratio_inverse``, the SL_n inverse of an integer N / d.  Rational
   rows run as their ``primitive`` integer multiples.  Scaling a row
   leaves the row space, and so the unique reduced echelon form, as it
@@ -49,8 +48,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, compress, repeat
-from operator import add, attrgetter, floordiv, mul, truediv
+from itertools import chain, combinations, compress, repeat
+from operator import add, attrgetter, floordiv, mul, neg, sub, truediv
 
 from .fields import as_exact
 
@@ -210,41 +209,44 @@ def _zero_of(A):
     return x - x
 
 
-def _bareiss(M):
-    """Determinant of a square matrix (a list of lists, consumed) whose
-    entries are all ints or all ``as_exact`` field elements.
+def stack_minors(E, k):
+    """Every k x k minor of every matrix of a stack given entrywise:
+    E[r][c] lists entry (r, c) of each matrix.  Returns a dict from
+    (rows, cols), two increasing k-tuples, to that minor over the stack.
 
-    Bareiss elimination: after step k every entry is a k+1 minor, so the
-    division by the previous pivot is exact (``//`` on ints, ``/`` over
-    the field) and entries stay small.
+    No division: level j turns the (j-1)-minors into the j-minors by
+    Laplace expansion along their last row, each product and sum taken
+    over the whole stack at once.  A k-minor reaches only the j-subsets
+    of rows 0..n-k+j-1, so only those are expanded; for det (k = n) each
+    level has one row subset, n 2^(n-1) products per matrix in all.
+    Ints, Fractions, QuadElements, floats and complex numbers all run as
+    they are.
     """
-    div = floordiv if type(M[0][0]) is int else truediv
-    n = len(M)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            i = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if i is None:
-                return M[k][k]  # a zero of the entries' type
-            M[k], M[i] = M[i], M[k]
-            sign = -sign
-        rk = M[k]
-        p = rk[k]
-        for ri in M[k + 1:]:
-            f = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = div(ri[j] * p - f * rk[j], prev)
-        prev = p
-    return sign * M[n - 1][n - 1]
+    n = len(E)
+    minors = {(r,): {(c,): x for c, x in enumerate(E[r])} for r in range(n - k + 1)}
+    for j in range(2, k + 1):
+        below = {}
+        for rows in combinations(range(n - k + j), j):
+            row, above, out = E[rows[-1]], minors[rows[:-1]], {}
+            for cols in combinations(range(n), j):
+                terms = [map(mul, row[c], above[cols[:t] + cols[t + 1:]])
+                         for t, c in enumerate(cols)]
+                acc = terms[0] if j % 2 else map(neg, terms[0])
+                for t, term in enumerate(terms[1:], 1):
+                    acc = map(add if (j + t) % 2 else sub, acc, term)
+                out[cols] = list(acc)
+            below[rows] = out
+        minors = below
+    return {(rows, cols): m for rows, out in minors.items() for cols, m in out.items()}
 
 
 def det(A):
-    """Determinant (exact) by Bareiss: on N for a rational N / d, then
-    divided by d**n; on the field entries otherwise."""
-    r = ratio_form(A) if A else None
-    if r:
-        return Fraction(_bareiss([list(row) for row in r[0]]), r[1] ** len(A))
-    return _bareiss([[as_exact(x) for x in row] for row in A])
+    """Determinant (exact), ``stack_minors`` on a stack of one: on N for
+    a rational N / d, then over d**n; on the field entries otherwise."""
+    n, r = len(A), ratio_form(A)
+    rows = r[0] if r else [[as_exact(x) for x in row] for row in A]
+    [[x]] = stack_minors([[[y] for y in row] for row in rows], n).values()
+    return Fraction(x, r[1] ** n) if r else x
 
 
 def _gauss_jordan(M, ncols):

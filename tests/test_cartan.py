@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,6 +120,34 @@ def test_wedge_norm_log_examples():
     assert wedge_norm_log(g, 2) == pytest.approx(math.log(4), abs=1e-12)
     g = GroupElement([[F(1), F(1)], [0, F(1)]], SL2R)
     assert wedge_norm_log(g, 1) == pytest.approx(LOG_PHI, abs=1e-12)
+
+
+def test_wedge_norm_log_is_right_at_length():
+    # w^20 for w = ab in SL_3(Z): minors of the float matrix cancelled to a
+    # relative error of 5.5e-7 here (6.7e-12 already at w^10)
+    a = GroupElement([[2, 1, 0], [1, 1, 0], [0, 0, 1]], SL3R)
+    b = GroupElement([[1, 0, 0], [0, 3, 2], [0, 1, 1]], SL3R)
+    w = a @ b
+    g = w
+    for _ in range(19):
+        g = g @ w
+    N, d = g.ratio
+    with mpmath.workdps(120):
+        s = sorted(mpmath.svd_r(mpmath.matrix(N) / d, compute_uv=False), reverse=True)
+        want = [float(mpmath.log(s[0])), float(mpmath.log(s[0] * s[1]))]
+    for i0 in (1, 2):
+        assert wedge_norm_log(g, i0) == pytest.approx(want[i0 - 1], rel=1e-14)
+
+
+def test_wedge_identity_complex_float():
+    sl3c = special_linear(3, COMPLEX)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        g = GroupElement(m / np.linalg.det(m) ** (1 / 3), sl3c)
+        mu = cartan(g)
+        for i0 in (1, 2):
+            assert abs(wedge_norm_log(g, i0) - weight_pairing(i0, mu)) <= 1e-8
 
 
 def test_wedge_identity_padic_exact():

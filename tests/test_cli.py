@@ -1004,6 +1004,19 @@ def test_t_items_that_are_not_numbers_exit_2(tmp_path, capsys, so22_bending_file
     assert sorted(tmp_path.iterdir()) == [so22_bending_file]
 
 
+@pytest.mark.parametrize("command", ["bend", "stability"])
+@pytest.mark.parametrize("t, item, earlier", [
+    ("0.1,0.10", "0.10", "0.1"), ("0,-0", "-0", "0.0"), ("0,0.5,1,5e-1", "5e-1", "0.5")])
+def test_repeated_t_values_exit_2(tmp_path, capsys, so22_bending_file, command, t,
+                                  item, earlier):
+    # a repeated t used to write its CSV block twice under one sidecar entry
+    out = tmp_path / "o.csv"
+    assert main([command, "--input", str(so22_bending_file), "--output", str(out),
+                 "--radius", "1", f"--t={t}"]) == 2
+    assert capsys.readouterr().err == f"error: --t item {item!r} repeats {earlier}\n"
+    assert sorted(tmp_path.iterdir()) == [so22_bending_file]
+
+
 _CELLS = {
     "float": st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan, -math.inf]),

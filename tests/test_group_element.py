@@ -3,9 +3,10 @@
 The oracle is plain Fraction-tuple arithmetic written out below; the
 p-adic Cartan projection is checked against minors computed by sympy:
 the k smallest invariant-factor valuations of g sum to the least
-valuation of a k x k minor of g.  The stacked validation kernel is
-checked against ``exact._bareiss`` and the form product written out, and
-the SL_2 closed form over Q_p against the Smith form.
+valuation of a k x k minor of g.  The stacked minors kernel is checked
+against sympy's minors, the stacked validation against ``frac_det`` and
+the form product written out, and the SL_2 closed form over Q_p against
+the Smith form.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from cartanlab.cartan import (
     GroupDesc,
@@ -24,7 +26,6 @@ from cartanlab.cartan import (
     _ratio_faults,
     _sl2_padic_mu1,
     _smith_valuations,
-    _stack_det,
     cartan_padic,
     indefinite_orthogonal,
     invariant_factor_valuations,
@@ -32,7 +33,7 @@ from cartanlab.cartan import (
     to_float_array,
 )
 from cartanlab.errors import PreconditionError
-from cartanlab.exact import _bareiss, int_mat_mul, inverse, ratio_form
+from cartanlab.exact import int_mat_mul, inverse, ratio_form, stack_minors
 from cartanlab.fields import COMPLEX, REAL, QuadElement, int_valuation, padic, quadratic
 
 BIG = 2 ** 80
@@ -403,15 +404,67 @@ def _int_stack(mats):
              min_size=n, max_size=n), min_size=1, max_size=5)))
 @settings(max_examples=80, deadline=None)
 def test_stack_det_matches_bareiss(mats):
-    dets = _stack_det(_int_stack(mats))
-    assert dets == [_bareiss([list(r) for r in M]) for M in mats]
+    full = tuple(range(len(mats[0])))
+    dets = stack_minors(_int_stack(mats), len(full))[full, full]
+    assert dets == [frac_det(M) for M in mats]
     assert all(type(x) is int for x in dets)
 
 
+def _sympy_minors(M, k, domain=sympy.ZZ):
+    """Every k x k minor of M, whose entries lie in the sympy domain,
+    keyed as ``stack_minors`` keys them."""
+    n = len(M)
+    D, idx = DomainMatrix(M, (n, n), domain), list(itertools.combinations(range(n), k))
+    return {(r, c): D.extract(list(r), list(c)).det() for r in idx for c in idx}
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n),
+             min_size=n, max_size=n), min_size=1, max_size=4)))
+@settings(max_examples=60, deadline=None)
+def test_stack_minors_match_sympy_on_big_ints(mats):
+    n = len(mats[0])
+    for k in range(1, n + 1):
+        minors = stack_minors(_int_stack(mats), k)
+        want = [_sympy_minors([[sympy.ZZ(x) for x in row] for row in M], k)
+                for M in mats]
+        assert minors == {key: [w[key] for w in want] for key in want[0]}
+        assert all(type(x) is int for col in minors.values() for x in col)
+
+
+_SMALL = st.fractions(-3, 3, max_denominator=4)
+_X = sympy.Symbol("x")
+_QX = sympy.QQ[_X]
+
+
+def _poly(a, b):
+    """a + b sqrt 2 as the polynomial a + b x of QQ[x]."""
+    return _QX.from_sympy(sympy.Rational(a.numerator, a.denominator)
+                          + sympy.Rational(b.numerator, b.denominator) * _X)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.tuples(_SMALL, _SMALL), min_size=n, max_size=n),
+             min_size=n, max_size=n), min_size=1, max_size=3)))
+@settings(max_examples=40, deadline=None)
+def test_stack_minors_match_sympy_over_q_sqrt_2(mats):
+    n = len(mats[0])
+    E = [[[QuadElement(*M[r][c], 2) for M in mats] for c in range(n)]
+         for r in range(n)]
+    for k in range(1, n + 1):
+        minors = stack_minors(E, k)
+        for m, M in enumerate(mats):
+            S = [[_poly(a, b) for a, b in row] for row in M]
+            for key, want in _sympy_minors(S, k, _QX).items():
+                got = minors[key][m]
+                assert isinstance(got, QuadElement)
+                assert want % _QX.from_sympy(_X ** 2 - 2) == _poly(got.a, got.b)
+
+
 def _oracle_fault(N, d, group):
-    """The verdict of validation from _bareiss and N^T C N written out."""
+    """The verdict of validation from frac_det and N^T C N written out."""
     n = len(N)
-    if _bareiss([list(r) for r in N]) != d ** n:
+    if frac_det(N) != d ** n:
         return "determinant"
     if group.family == "SL":
         return None
