@@ -17,9 +17,11 @@ matrices.
 
 One worklist, ``_closure``, computes every bracket closure: it starts
 from a closed subalgebra and never re-brackets it, then brackets each new
-basis vector once with each one before it.  The exact closure and the
-module check run it on an ``EchelonSpan`` of primitive integer vectors,
-the float density witness on a Gram-Schmidt span of float matrices.
+basis vector once with each one before it, and stops as soon as the span
+is full (its caller passes the ambient dimension; nothing can join a
+full span).  The exact closure and the module check run it on an
+``EchelonSpan`` of primitive integer vectors, the float density witness
+on a Gram-Schmidt span of float matrices.
 
 Bending deforms an amalgam by conjugating one side by exp(t*Y), or an
 HNN extension by right-multiplying the stable letter by exp(t*Y), where
@@ -47,12 +49,14 @@ from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
     in_span,
+    int_mat_mul,
     mat_eq,
     mat_from_rows,
     mat_mul,
     mat_sub,
     nullspace,
     primitive,
+    ratio_form,
     solve,
 )
 from .fields import as_exact, is_exact_scalar, real_sign
@@ -175,6 +179,11 @@ class LieBasis:
     def __iter__(self):
         return iter(self.matrices)
 
+    @functools.cached_property
+    def float_matrices(self):
+        """The matrices as float arrays, converted once."""
+        return tuple(map(to_float_array, self.matrices))
+
     def flat_vectors(self):
         return [_flatten(X) for X in self.matrices]
 
@@ -295,19 +304,25 @@ def matrix_exp(Y, t: float) -> np.ndarray:
 
 
 def _exp(Y, t):
-    if all(is_exact_scalar(x) for row in Y for x in row):
-        Ym = mat_from_rows(Y)
-        Y3 = mat_mul(mat_mul(Ym, Ym), Ym)
-        if mat_eq(Y3, Ym):
-            Yf = to_float_array(Ym)
-            Y2 = Yf @ Yf
-            n = Yf.shape[0]
-            return np.eye(n) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * Y2
+    ratio = ratio_form(Y)
+    if ratio:  # Y = N / d, so Y^3 = Y iff N^3 = d^2 N
+        N, d = ratio
+        closed = int_mat_mul(int_mat_mul(N, N), N) == tuple(
+            tuple(d * d * x for x in row) for row in N)
+        # N_ij / d is correctly rounded, the bits of to_float_array(Y)
+        Yf = np.array([[x / d for x in row] for row in N], dtype=float)
+    else:
+        exact = all(is_exact_scalar(x) for row in Y for x in row)
+        Ym = mat_from_rows(Y) if exact else None
+        closed = exact and mat_eq(mat_mul(mat_mul(Ym, Ym), Ym), Ym)
+        Yf = to_float_array(Y)
+    if closed:
+        return np.eye(len(Yf)) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * (Yf @ Yf)
     # imported here: scipy.linalg is about half the import time of the
     # CLI, and only a Y with Y^3 != Y needs it
     from scipy.linalg import expm
 
-    return expm(t * to_float_array(Y))
+    return expm(t * Yf)
 
 
 def edge_words(structure) -> list:
@@ -411,19 +426,23 @@ class ModuleDecompositionVerdict:
         )
 
 
-def _closure(closed, vectors, span, bracket):
+def _closure(closed, vectors, span, bracket, dim):
     """Basis of the bracket closure of a subalgebra basis ``closed`` (may
     be empty) and ``vectors``, grown in ``span`` (it needs only ``add(v)
     -> bool``, True iff the span grew).  A worklist brackets each basis
-    vector past ``closed`` once with each one before it."""
+    vector past ``closed`` once with each one before it, and stops once
+    the basis has ``dim`` vectors, the dimension of a space the closure
+    lies in: no bracket can enlarge a full span."""
     basis = [v for v in closed if span.add(v)]
     k = max(len(basis), 1)
     basis += [v for v in vectors if span.add(v)]
-    while k < len(basis):
+    while k < len(basis) < dim:
         for j in range(k):
             br = bracket(basis[j], basis[k])
             if span.add(br):
                 basis.append(br)
+                if len(basis) == dim:
+                    return basis
         k += 1
     return basis
 
@@ -448,7 +467,8 @@ def bracket_closure_exact(vectors):
     if not mats:
         return []
     d = len(mats[0])
-    basis = _closure([], _span_vectors(mats), EchelonSpan(), _span_bracket(d))
+    basis = _closure([], _span_vectors(mats), EchelonSpan(), _span_bracket(d),
+                     d * d)
     return [tuple(v[i * d:(i + 1) * d] for i in range(d)) for v in basis]
 
 
@@ -482,7 +502,7 @@ def module_decomposition_check(sub) -> ModuleDecompositionVerdict:
     module_ok = not any(_dot(b, h) for b in brackets for h in sub_vectors)
     dim_ambient = d * (d - 1) // 2
     closures_ok = all(
-        len(_closure(sub_vectors, [w], EchelonSpan(), br)) == dim_ambient
+        len(_closure(sub_vectors, [w], EchelonSpan(), br, dim_ambient)) == dim_ambient
         for w in complement
     )
     return ModuleDecompositionVerdict(
@@ -533,16 +553,17 @@ def zariski_density_witness(Y, t: float, sub) -> bool:
     for Y inside the subalgebra: Ad then normalizes it, and a subalgebra
     is its own closure.  The ``_closure`` span is kept as an orthonormal
     basis, so testing a candidate bracket costs one projection, not a
-    fresh rank.
+    fresh rank, and the closure stops as soon as the span is all of
+    so(J), with no bracket formed past that point.
     """
     sub = _standard_subalgebra(sub)
     C = matrix_exp(Y, t)
     Cinv = matrix_exp(Y, -t)
-    h = [to_float_array(H) for H in sub.matrices]
+    h = sub.float_matrices
     d = sub.space.dim
     span = _FloatSpan(_WITNESS_TOL, d * (d - 1) // 2)  # the span lies in so(J)
     basis = _closure(h, [C @ H @ Cinv for H in h], span,
-                     lambda A, B: A @ B - B @ A)
+                     lambda A, B: A @ B - B @ A, span.dim)
     return len(basis) == span.dim
 
 

@@ -596,10 +596,11 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
 
     The wedge power is materialized as the compound matrix of i0 x i0
     minors in the standard wedge basis, from ``stack_minors`` on the
-    integer N of a rational g = N / d, else on the float entries.  Over
-    R/C the result is the log of its spectral norm (independently of the
-    Cartan projection, so the norm identity against weight_pairing is a
-    real check), each minor of N over d**i0 correctly rounded; over Q_p
+    integer N of a rational g = N / d, on the field entries of another
+    exact g, else on the float entries.  Over R/C the result is the log
+    of its spectral norm (independently of the Cartan projection, so the
+    norm identity against weight_pairing is a real check), each minor of
+    N over d**i0 correctly rounded, an exact minor rounded once; over Q_p
     it is max over minors of -valuation, an exact integer in log-base-q
     units.  Both are expressed in the units of weight_pairing(i0, mu).
     """
@@ -612,7 +613,7 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
     padic = grp.field.kind == "padic"
     if padic and not g._den:
         raise PreconditionError("padic wedge norm needs exact entries")
-    rows = g._m if g._den else to_float_array(g).tolist()
+    rows = g._m if g.is_exact else to_float_array(g).tolist()
     minors = stack_minors([[[x] for x in row] for row in rows], i0)
     if padic:
         c = _int_content(chain.from_iterable(minors.values()), grp.field.p)
@@ -621,7 +622,8 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
         return i0 * int_valuation(g._den, grp.field.p) - c
     scale = g._den ** i0 if g._den else 1
     idx = list(combinations(range(n), i0))
-    compound = np.array([[minors[r, c][0] / scale for c in idx] for r in idx])
+    compound = np.array([[_float_entry(minors[r, c][0]) / scale for c in idx]
+                         for r in idx])
     top = np.linalg.svd(compound, compute_uv=False)[0]
     return float(np.log(top))
 

@@ -231,10 +231,13 @@ def test_matrix_exp_refuses_non_finite_t_and_overflow():
     # Y^3 != Y takes scipy's expm, which returns inf instead of raising
     with pytest.raises(NumericalError, match="overflows"):
         matrix_exp([[F(2), F(0)], [F(0), F(-2)]], 400.0)
-    # exp(t*Y) is finite, but the Gram-Schmidt norms of Ad(exp(t*Y)) are not
-    for t in (300.0, 400.0):
-        with pytest.raises(NumericalError, match="overflows"):
-            zariski_density_witness(Y, t, 2)
+    # at t = 300 so(2,1), its Ad(exp(t*Y)) image and their first bracket
+    # fill so(2,2) with finite norms, and the closure stops there (a
+    # bracket formed past that point would overflow); at t = 400 exp(t*Y)
+    # is finite, but the Gram-Schmidt norms of Ad(exp(t*Y)) are not
+    assert zariski_density_witness(Y, 300.0, 2) is True
+    with pytest.raises(NumericalError, match="overflows"):
+        zariski_density_witness(Y, 400.0, 2)
     assert np.isfinite(matrix_exp(Y, 30.0)).all()
 
 
@@ -418,7 +421,7 @@ def test_closure_from_a_subalgebra_matches_the_full_closure(m, data):
                     for j in range(d)) for i in range(d))
     sub = so_subalgebra_basis(space, data.draw(st.integers(0, d - 1)))
     got = _closure(_span_vectors(sub.matrices), _span_vectors([W]),
-                   ex.EchelonSpan(), _span_bracket(d))
+                   ex.EchelonSpan(), _span_bracket(d), len(ambient))
     assert len(got) == len(bracket_closure_exact(sub.matrices + (W,)))
 
 
@@ -531,7 +534,136 @@ def test_density_witness_matches_restart_loop_oracle(m, t, data):
     C, Cinv = matrix_exp(Y, t), matrix_exp(Y, -t)
     h = [np.array([[float(x) for x in row] for row in H]) for H in sub]
     got = _closure(h, [C @ H @ Cinv for H in h],
-                   _FloatSpan(1e-9, len(ambient)), lambda A, B: A @ B - B @ A)
+                   _FloatSpan(1e-9, len(ambient)), lambda A, B: A @ B - B @ A,
+                   len(ambient))
     assert len(got) == want_dim
     assert zariski_density_witness(Y, t, m) == want
     assert zariski_density_witness(Y, t, sub) == want
+
+
+def _unstopped_closure(closed, vectors, span, bracket):
+    """The closure worklist as it was before it stopped at a full span:
+    every basis vector past ``closed`` is bracketed with each one before
+    it, however full the span already is."""
+    basis = [v for v in closed if span.add(v)]
+    k = max(len(basis), 1)
+    basis += [v for v in vectors if span.add(v)]
+    while k < len(basis):
+        for j in range(k):
+            br = bracket(basis[j], basis[k])
+            if span.add(br):
+                basis.append(br)
+        k += 1
+    return basis
+
+
+def _counting(bracket, calls):
+    def counted(A, B):
+        calls.append(1)
+        return bracket(A, B)
+    return counted
+
+
+def _float_bracket(A, B):
+    return A @ B - B @ A
+
+
+@given(m=st.sampled_from([2, 3]), exact=st.booleans(),
+       t=st.sampled_from([1e-3, 0.1, 1.0]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stopped_closure_returns_the_unstopped_basis(m, exact, t, data):
+    # exact: so(m,1) fixing a drawn coordinate, with one vector of so(m,2);
+    # float: the density witness's so(m,1) and its image under Ad(exp(t*Y))
+    space = standard_so_form(m, 2)
+    d = space.dim
+    ambient = so_form_algebra(space).matrices
+    coeffs = data.draw(st.lists(_small, min_size=len(ambient),
+                                max_size=len(ambient)))
+    W = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, ambient))
+                    for j in range(d)) for i in range(d))
+    if exact:
+        sub = so_subalgebra_basis(space, data.draw(st.integers(0, d - 1)))
+        inputs = (_span_vectors(sub.matrices), _span_vectors([W]))
+        spans, bracket = ex.EchelonSpan, _span_bracket(d)
+    else:
+        sub = so_subalgebra_basis(space, d - 1)
+        C, Cinv = matrix_exp(W, t), matrix_exp(W, -t)
+        inputs = (sub.float_matrices, [C @ H @ Cinv for H in sub.float_matrices])
+        spans, bracket = (lambda: _FloatSpan(1e-9, len(ambient))), _float_bracket
+    stopped, unstopped = [], []
+    got = _closure(*inputs, spans(), _counting(bracket, stopped), len(ambient))
+    want = _unstopped_closure(*inputs, spans(), _counting(bracket, unstopped))
+    if exact:
+        assert got == want
+    else:
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    assert len(stopped) <= len(unstopped)
+
+
+def test_density_witness_forms_no_bracket_once_the_span_is_full(monkeypatch):
+    # on SO(2,2) at t = 0.3, so(2,1) and its image under the boost span all
+    # of so(2,2) but the boost's own direction, and the first bracket adds
+    # it: the unstopped loop formed 11 more brackets that added nothing
+    import cartanlab.bending as bending
+
+    Y, t = boost_Y_so22(), 0.3
+    sub = so_subalgebra_basis(standard_so_form(2, 2), 3)
+    C, Cinv = matrix_exp(Y, t), matrix_exp(Y, -t)
+    unstopped = []
+    _unstopped_closure(sub.float_matrices,
+                       [C @ H @ Cinv for H in sub.float_matrices],
+                       _FloatSpan(1e-9, 6), _counting(_float_bracket, unstopped))
+    assert len(unstopped) == 12
+    calls, closure = [], bending._closure
+    monkeypatch.setattr(
+        bending, "_closure",
+        lambda closed, vectors, span, bracket, dim: closure(
+            closed, vectors, span, _counting(bracket, calls), dim))
+    assert zariski_density_witness(Y, t, sub) is True
+    assert len(calls) == 1
+
+
+def _fraction_route_exp(Y, t):
+    """exp(t*Y) by the closed form with Y^3 = Y decided on Fraction
+    matrices and Y taken to floats entry by entry."""
+    Ym = ex.mat_from_rows(Y)
+    assert ex.mat_eq(ex.mat_mul(ex.mat_mul(Ym, Ym), Ym), Ym)
+    Yf = np.array([[float(x) for x in row] for row in Ym])
+    Y2 = Yf @ Yf
+    return np.eye(Yf.shape[0]) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * Y2
+
+
+def test_matrix_exp_integer_route_has_the_fraction_route_bits(monkeypatch):
+    import scipy.linalg
+
+    expm_calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda A: expm_calls.append(1) or expm(A))
+    boosts = [boost_Y_so22()]
+    for m in (3, 4, 5):  # the (0, last) boost of so(m,2)
+        d = m + 2
+        boosts.append(tuple(tuple(F(int({i, j} == {0, d - 1})) for j in range(d))
+                            for i in range(d)))
+    boosts.append(((F(0), F(2, 3)), (F(3, 2), F(0))))  # Y = N / 6
+    a = F(2**60 + 5, 3)  # N and d far past 2^53: N_ij / d must round once
+    boosts.append(((F(0), a), (1 / a, F(0))))
+    for Y in boosts:
+        for t in (-1.0, 1e-3, 0.3, 1.0):
+            assert matrix_exp(Y, t).tobytes() == _fraction_route_exp(Y, t).tobytes()
+    assert expm_calls == []
+    # Y^3 != Y still takes scipy's expm
+    got = matrix_exp([[F(2), F(0)], [F(0), F(-2)]], 0.5)
+    assert expm_calls == [1]
+    assert got == pytest.approx(np.diag([math.e, 1 / math.e]), rel=1e-14)
+    # over Q(sqrt 2): the (0, 2) boost of x0^2 + x1^2 - u^2 x2^2, u = 1 + sqrt 2
+    u = QuadElement(1, 1, 2)
+    zero = QuadElement(0, 0, 2)
+    Y = ((zero, zero, u), (zero, zero, zero), (1 / u, zero, zero))
+    for t in (-1.0, 0.3):
+        got = matrix_exp(Y, t)
+        uf = float(u)
+        want = np.array([[math.cosh(t), 0, uf * math.sinh(t)], [0, 1, 0],
+                         [math.sinh(t) / uf, 0, math.cosh(t)]])
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+    assert expm_calls == [1]
