@@ -474,10 +474,15 @@ def bracket_closure_exact(vectors):
 
 def _standard_subalgebra(sub):
     """``sub``, or for an int m the standard so(m,1) inside so(m,2)."""
-    if isinstance(sub, int):
-        space = standard_so_form(sub, 2)
-        sub = so_subalgebra_basis(space, space.dim - 1)
-    return sub
+    return _standard_so_m1(sub) if isinstance(sub, int) else sub
+
+
+@functools.cache
+def _standard_so_m1(m: int) -> LieBasis:
+    """The standard so(m,1) inside so(m,2), built and validated once per m,
+    so that its float matrices are converted once too."""
+    space = standard_so_form(m, 2)
+    return so_subalgebra_basis(space, space.dim - 1)
 
 
 def module_decomposition_check(sub) -> ModuleDecompositionVerdict:

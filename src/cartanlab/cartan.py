@@ -14,12 +14,12 @@ the float one as N_ij / d, the p-adic one by a fraction-free Smith
 reduction of N over Z_(p) that scales rows by p-adic units, or for SL_2
 by its closed form, mu_1 = v_p(d) - v_p(gcd N).
 
-A rational element is validated exactly by ``_ratio_faults``, which
-decides a whole stack of integer forms at once: det N = d^n by
-``exact.stack_minors`` (the one division-free minors kernel, also of
-``exact.det`` and ``wedge_norm_log``), and the form equation on Python
-ints.  The loader runs it on a document's stack and the constructor on
-a stack of one.
+Every exact element is validated by ``_ratio_faults``, which decides a
+whole stack at once: det N = d^n by ``exact.stack_minors`` (the one
+division-free minors kernel, also of ``exact.det`` and ``wedge_norm_log``)
+and N^T C N = d^2 C, on Python ints for a rational N / d and on the field
+elements, with d = 1, over Q(sqrt r).  The loader runs it on a document's
+stack and the constructor on a stack of one.
 
 A whole set of one group's elements is projected by one kernel,
 ``_mu_rows``, into the rows of one (m, k) array: over R or C one
@@ -30,7 +30,8 @@ array; ``cartan_batch`` wraps each row as a ``CartanVector``, and
 ``cartan``, ``cartan_archimedean`` and ``cartan_padic`` are its batch of
 one.  What depends only on the group is computed once per ``GroupDesc``
 and cached on it: the integer form coefficients of the exact form test
-and of the SO/U inverse, and the rescaling of a non-unit form.
+and of the SO/U inverse, the float form coefficients of the float form
+test, and the rescaling of a non-unit form.
 
 Coordinate conventions.  For SL_n the chamber is
 {x_1 >= ... >= x_n, sum x_i = 0} (length-n coordinates).  For SO(p,q)
@@ -60,9 +61,8 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError, UnsupportedFieldError
 from .exact import int_mat_mul, mat_eq, mat_mul
-from .exact import det as exact_det
 from .exact import inverse as exact_inverse
-from .exact import ratio_form, ratio_inverse, ratio_normal, stack_minors, transpose
+from .exact import ratio_form, ratio_inverse, ratio_normal, stack_minors
 from .fields import (INF, FieldDesc, QuadElement, _int_content, int_valuation,
                      is_exact_scalar, real_sign)
 
@@ -154,12 +154,17 @@ class GroupDesc:
         return ratio[0][0] if ratio else None
 
     @cached_property
+    def _float_form(self):
+        """The SO/U form coefficients as one float array."""
+        return to_float_array([self.form])[0]
+
+    @cached_property
     def _rescale(self):
         """sqrt|J_ii|, which carries the SO/U form to standard signature
         before the SVD; None when every coefficient is a rational +-1."""
         if all(isinstance(c, (int, Fraction)) and abs(c) == 1 for c in self.form):
             return None
-        return np.sqrt(np.abs(to_float_array(_form_matrix(self)).diagonal()))
+        return np.sqrt(np.abs(self._float_form))
 
 
 def special_linear(n: int, field: FieldDesc) -> GroupDesc:
@@ -240,16 +245,11 @@ class GroupElement:
 
     def _validate(self):
         g = self.group
-        if self._den:  # the stack kernel, on a stack of one
+        if self.is_exact:  # the stack kernel, on a stack of one
             fault = _ratio_faults([[[x] for x in row] for row in self._m],
-                                  [self._den], g)[0]
+                                  [self._den or 1], g)[0]
             if fault:
                 raise PreconditionError(fault)
-        elif self.is_exact:
-            if (det := exact_det(self._m)) != 1:
-                raise PreconditionError(f"determinant is {det}, not 1")
-            if g.family in ("SO", "U") and not _preserves_form(self._m, g):
-                raise PreconditionError("matrix does not preserve the form")
         else:
             a = self._m
             if not np.all(np.isfinite(a)):
@@ -264,7 +264,7 @@ class GroupElement:
             if abs(d - 1) > _DET_TOL * max(1.0, det_scale):
                 raise PreconditionError(f"determinant {d} is not 1 within tolerance")
             if g.family in ("SO", "U"):
-                J = to_float_array(_form_matrix(g))
+                J = np.diag(g._float_form)
                 lhs = a.conj().T @ J @ a if g.family == "U" else a.T @ J @ a
                 if np.abs(lhs - J).max() > _FORM_TOL * max(1.0, top ** 2):
                     raise PreconditionError("matrix does not preserve the form")
@@ -320,56 +320,38 @@ class GroupElement:
         return f"GroupElement({self.matrix!r})"
 
 
-def _form_matrix(group: GroupDesc):
-    n = group.size
-    zero = Fraction(0)
-    return tuple(
-        tuple(group.form[i] if i == j else zero for j in range(n))
-        for i in range(n)
-    )
-
-
-def _preserves_form(M, group: GroupDesc) -> bool:
-    """M^T J M = J for an exact matrix M (rows of exact scalars)."""
-    J = _form_matrix(group)
-    return mat_eq(mat_mul(mat_mul(transpose(M), J), M), J)
-
-
 def _ratio_faults(E, d, group: GroupDesc) -> list:
-    """For each rational matrix N / d of a stack, None if it lies in group,
+    """For each exact matrix N / d of a stack, None if it lies in group,
     else the message its validation fails with.
 
-    E[r][c] lists entry (r, c) of each N and d lists the d, all Python
-    ints, each (N, d) canonical.  The whole stack is decided at once and
-    exactly: det N = d^n (``stack_minors``) and, for SO and U with the form
-    cleared to the integer diagonal C, N^T C N = d^2 C, whose entry
-    (i, j) is column i of N against C times column j; the product is
-    symmetric, so only i <= j is tested.  A form with an irrational
-    coefficient takes ``_preserves_form`` per matrix.
+    E[r][c] lists entry (r, c) of each N and d lists the d: Python ints
+    with each (N, d) canonical for a rational matrix, or the entries of
+    any other exact matrix with d = 1.  The whole stack is decided at
+    once and exactly: det N = d^n (``stack_minors``) and, for SO and U,
+    N^T C N = d^2 C, whose entry (i, j) is column i of N against C times
+    column j; the product is symmetric, so only i <= j is tested.  C is
+    the form cleared to an integer diagonal, or the form itself when it
+    has an irrational coefficient.
     """
     n = len(E)
     (dets,) = stack_minors(E, n).values()  # the one n x n minor
     faults = [None] * len(d)
     for k in compress(count(), map(ne, dets, map(pow, d, repeat(n)))):
-        faults[k] = f"determinant is {Fraction(dets[k], d[k] ** n)}, not 1"
+        x = dets[k]  # over Q, det N / d^n
+        faults[k] = f"determinant is {Fraction(x, d[k] ** n) if type(x) is int else x}, not 1"
     if group.family not in ("SO", "U"):
         return faults
-    c = group._cleared_form
-    if c is None:
-        mats = zip(*(zip(*row) for row in E))  # each N as a tuple of rows
-        broken = [k for k, (M, dk) in enumerate(zip(mats, d)) if not _preserves_form(
-            [[Fraction(x, dk) for x in row] for row in M], group)]
-    else:
-        CE = [row if ck == 1 else [list(map(mul, repeat(ck), col)) for col in row]
-              for ck, row in zip(c, E)]
-        dd = list(map(mul, d, d))
-        broken = set()
-        for i, j in combinations_with_replacement(range(n), 2):
-            gram = map(mul, CE[0][i], E[0][j])
-            for k in range(1, n):
-                gram = map(add, gram, map(mul, CE[k][i], E[k][j]))
-            target = map(mul, dd, repeat(c[i])) if i == j else repeat(0)
-            broken.update(compress(count(), map(ne, gram, target)))
+    c = group._cleared_form or group.form
+    CE = [row if ck == 1 else [list(map(mul, repeat(ck), col)) for col in row]
+          for ck, row in zip(c, E)]
+    dd = list(map(mul, d, d))
+    broken = set()
+    for i, j in combinations_with_replacement(range(n), 2):
+        gram = map(mul, CE[0][i], E[0][j])
+        for k in range(1, n):
+            gram = map(add, gram, map(mul, CE[k][i], E[k][j]))
+        target = map(mul, dd, repeat(c[i])) if i == j else repeat(0)
+        broken.update(compress(count(), map(ne, gram, target)))
     for k in broken:
         if faults[k] is None:
             faults[k] = "matrix does not preserve the form"

@@ -45,6 +45,8 @@ from .errors import (
 )
 from .projective import check_eps, eps_proximal_check, proximal_analyze
 from .serialize import (
+    _expect,
+    _integer,
     element_from_json,
     field_from_json,
     group_from_json,
@@ -262,11 +264,13 @@ def cmd_decompose(args) -> int:
     field, group, pres, _ = load_presentation_document(read_json(args.input))
     model = _model_for(group)
     phi = inclusion(pres)
-    R = args.subdivision
+    R, what = args.subdivision, "--subdivision"
     if R is None:
         R = max(displacement(g, model) for g in pres.generators)
-    if not math.isfinite(R):  # here too: no word of a radius-0 ball reaches decompose
-        raise PreconditionError(f"--subdivision {R!r} is not finite")
+        what = "the largest generator displacement"
+    if not 0 < R < math.inf:  # decompose's test, here too: a radius-0 ball has no word
+        problem = "positive" if R <= 0 else "finite"
+        raise PreconditionError(f"{what} {R!r} is not {problem}")
     orbit = orbit_data(pres, phi, model, ball_radius)
     header = [
         "word", "factor_index", "factor_word", "displacement", "gap_defect",
@@ -301,7 +305,8 @@ def _bending_family(pres, group, bending_block):
     if group.family != "SO" or group.q != 2:
         raise PreconditionError("bending needs an SO(m,2) group descriptor")
     space = QuadFormSpace(group.form)
-    fixed = bending_block.get("fixed_coordinate", space.dim - 1)
+    fixed = (_integer(bending_block, "fixed_coordinate")
+             if "fixed_coordinate" in bending_block else space.dim - 1)
     sub = so_subalgebra_basis(space, fixed)
     if "Y" in bending_block:
         Y = bending_block["Y"]
@@ -312,7 +317,11 @@ def _bending_family(pres, group, bending_block):
             raise PreconditionError("the edge group has float entries: give the "
                                     "bending direction Y in the bending block")
         Y = pick_Y(centralizer_in_algebra(edge, so_form_algebra(space)), sub)
-    ts = [float(t) for t in bending_block.get("t", [0.0])]
+    ts = _expect(bending_block.get("t", [0.0]), list, "bending.t")
+    try:
+        ts = [float(t) for t in ts]
+    except (TypeError, ValueError):
+        raise PreconditionError(f"bending.t must list numbers, got {ts!r}") from None
     return BendingFamily(pres, Y, subalgebra=sub), ts, space.dim - 2
 
 
@@ -387,8 +396,8 @@ def cmd_properness(args) -> int:
     if cone_block.get("compact"):
         cone = ConeModel([], group.mu_length)
     else:
-        axis = [element_from_json(rows, field, group)
-                for rows in cone_block["matrices"]]
+        axis = [element_from_json(rows, field, group) for rows in
+                _expect(cone_block["matrices"], list, "cone.matrices")]
         cone = mu_cone(axis, group)
     ball = word_ball(pres, inclusion(pres), radius).require_complete()
     rho0 = float(args.rho0) if args.rho0 is not None else None

@@ -36,7 +36,8 @@ import numpy as np
 from .cartan import GroupDesc, GroupElement, _ratio_faults
 from .errors import PreconditionError, UnsupportedFieldError
 from .exact import ratio_normal_stack
-from .fields import COMPLEX, REAL, FieldDesc, QuadElement, padic, quadratic
+from .fields import (COMPLEX, REAL, FieldDesc, QuadElement, is_exact_scalar, padic,
+                     quadratic)
 from .wordgroups import (
     AmalgamStructure,
     FreeStructure,
@@ -164,10 +165,8 @@ def group_from_json(obj, field: FieldDesc) -> GroupDesc:
     if family == "SL":
         return GroupDesc("SL", field, n=_integer(obj, "n"))
     if family in ("SO", "U"):
-        form = obj.get("form")
-        form_scalars = (
-            tuple(scalar_from_str(s, field) for s in form) if form else ()
-        )
+        form = _expect(obj.get("form") or [], list, "form")
+        form_scalars = tuple(scalar_from_str(str(s), field) for s in form)
         return GroupDesc(
             family, field, p=_integer(obj, "p"), q=_integer(obj, "q"),
             form=form_scalars
@@ -184,6 +183,23 @@ def _expect_rows(rows):
 def matrix_from_json(rows, field: FieldDesc):
     return [[scalar_from_str(str(x), field) for x in row]
             for row in _expect_rows(rows)]
+
+
+def _bending_Y(rows, field: FieldDesc, n: int):
+    """The bending direction Y of a bending block: exact n x n rows."""
+    if (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
+        Y = matrix_from_json(rows, field)
+        if all(is_exact_scalar(x) for row in Y for x in row):
+            return Y
+    raise PreconditionError(f"bending.Y must be exact n×n (n = {n})")
+
+
+def _word(text, symbols, key):
+    """The parsed word of a JSON item listed under key: a word string."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"{key} must list word strings, got {text!r}")
+    return parse_word(text, symbols)
 
 
 def _rational_pair(x):
@@ -321,35 +337,41 @@ def load_presentation_document(obj):
     stype = sobj.get("type", "free")
     index = {s: i for i, s in enumerate(symbols)}
 
-    def words(pairs):
-        return tuple(
-            (parse_word(w1, symbols), parse_word(w2, symbols)) for w1, w2 in pairs
-        )
+    def generator(s, key):
+        if not isinstance(s, str) or s not in index:
+            raise PreconditionError(f"{key} names {s!r}, which is not a generator")
+        return index[s]
+
+    def generators(key):
+        return tuple(generator(s, key) for s in _expect(sobj[key], list, key))
+
+    def words(key):
+        pairs = _expect(sobj.get(key, []), list, key)
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise PreconditionError(f"{key} must list pairs of words, got {pairs!r}")
+        return tuple((_word(w1, symbols, key), _word(w2, symbols, key))
+                     for w1, w2 in pairs)
 
     if stype == "free":
         structure = FreeStructure()
     elif stype == "amalgam":
-        structure = AmalgamStructure(
-            side1=tuple(index[s] for s in sobj["side1"]),
-            side2=tuple(index[s] for s in sobj["side2"]),
-            gamma0_pairs=words(sobj.get("gamma0", [])),
-        )
+        structure = AmalgamStructure(side1=generators("side1"),
+                                     side2=generators("side2"),
+                                     gamma0_pairs=words("gamma0"))
     elif stype == "hnn":
-        structure = HnnStructure(
-            base=tuple(index[s] for s in sobj["base"]),
-            stable=index[sobj["stable"]],
-            pairings=words(sobj.get("pairings", [])),
-        )
+        structure = HnnStructure(base=generators("base"),
+                                 stable=generator(sobj["stable"], "stable"),
+                                 pairings=words("pairings"))
     else:
         raise PreconditionError(f"unknown structure type {stype!r}")
-    relators = tuple(parse_word(w, symbols) for w in
+    relators = tuple(_word(w, symbols, "relators") for w in
                      _expect(obj.get("relators", []), list, "relators"))
     pres = Presentation(symbols, [_element(m, group) for m in parsed], group,
                         structure=structure, relators=relators)
     bending = obj.get("bending")
     if bending is not None and "Y" in _expect(bending, dict, "bending"):
         bending = dict(bending)
-        bending["Y"] = matrix_from_json(bending["Y"], field)
+        bending["Y"] = _bending_Y(bending["Y"], field, group.size)
     return field, group, pres, bending
 
 

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import strategies as st
 
 import cartanlab.exact as ex
+from cartanlab import bending
 from cartanlab import (
     REAL,
     BendingFamily,
@@ -287,6 +288,22 @@ def test_zariski_witness():
         sub = so_subalgebra_basis(space, d - 1)
         Yin = sub.matrices[0]
         assert not zariski_density_witness(Yin, 0.5, m)
+
+
+def test_int_m_reads_one_standard_subalgebra(monkeypatch):
+    # an int m used to rebuild and re-validate so(m,1) on every call, so
+    # its float matrices were converted on every witness too
+    built = []
+    basis = bending.so_subalgebra_basis
+    monkeypatch.setattr(bending, "so_subalgebra_basis",
+                        lambda *args: built.append(args) or basis(*args))
+    bending._standard_so_m1.cache_clear()
+    Y = boost_Y_so22()
+    verdicts = [zariski_density_witness(Y, 0.3, 2), zariski_density_witness(Y, 0.3, 2),
+                module_decomposition_check(2).ok]
+    assert verdicts == [True, True, True]
+    assert len(built) == 1
+    assert bending._standard_subalgebra(2) is bending._standard_subalgebra(2)
 
 
 def test_u_embed_exact_form_preservation():
@@ -604,7 +621,6 @@ def test_density_witness_forms_no_bracket_once_the_span_is_full(monkeypatch):
     # on SO(2,2) at t = 0.3, so(2,1) and its image under the boost span all
     # of so(2,2) but the boost's own direction, and the first bracket adds
     # it: the unstopped loop formed 11 more brackets that added nothing
-    import cartanlab.bending as bending
 
     Y, t = boost_Y_so22(), 0.3
     sub = so_subalgebra_basis(standard_so_form(2, 2), 3)

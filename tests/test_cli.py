@@ -623,6 +623,67 @@ def test_malformed_shape_exits_2(tmp_path, capsys, command, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _sl2_free_doc(**extra):
+    a, b = schottky_sl2_matrices()
+    return {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+            "generators": {"a": matrix_to_json(a), "b": matrix_to_json(b)},
+            **extra}
+
+
+def _so22_bend_doc(**bending):
+    P = schottky_so22_presentation()
+    return {"field": {"kind": "real"}, "group": {"family": "SO", "p": 2, "q": 2},
+            "generators": {"a": matrix_to_json(P.generators[0].matrix),
+                           "b": matrix_to_json(P.generators[1].matrix)},
+            "structure": {"type": "amalgam", "side1": ["a"], "side2": ["b"],
+                          "gamma0": []},
+            "bending": {"Y": matrix_to_json(boost_Y_so22()), "t": [0.0, 0.1],
+                        **bending}}
+
+
+_DECIMAL_Y = [["0.5" if (i, j) in ((0, 2), (2, 0)) else "0" for j in range(4)]
+              for i in range(4)]
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("properness", _sl2_free_doc(cone={"matrices": 5}), "cone.matrices"),
+    ("ball", _sl2_free_doc(structure={"type": "amalgam", "side1": 5,
+                                      "side2": ["b"]}), "side1"),
+    ("ball", _sl2_free_doc(structure={"type": "amalgam", "side1": ["a"],
+                                      "side2": ["b"], "gamma0": [5]}), "gamma0"),
+    ("ball", _sl2_free_doc(structure={"type": "hnn", "base": 5, "stable": "b"}),
+     "base"),
+    ("ball", _sl2_free_doc(structure={"type": "hnn", "base": ["a"], "stable": "b",
+                                      "pairings": [5]}), "pairings"),
+    ("ball", _sl2_free_doc(relators=[5]), "relators"),
+    ("ball", _sl2_free_doc(relators=[["a"]]), "relators"),
+    ("cartan", {"field": {"kind": "real"},
+                "group": {"family": "SO", "p": 1, "q": 1, "form": 5},
+                "matrices": []}, "form"),
+    ("bend", _so22_bend_doc(fixed_coordinate="x"), "fixed_coordinate"),
+    ("stability", _so22_bend_doc(fixed_coordinate="x"), "fixed_coordinate"),
+    ("bend", _so22_bend_doc(t=5), "bending.t"),
+    ("bend", _so22_bend_doc(Y=[["1"]]), "bending.Y must be exact n×n"),
+    ("bend", _so22_bend_doc(Y=_DECIMAL_Y), "bending.Y must be exact n×n"),
+], ids=["cone-matrices", "amalgam-side1", "amalgam-gamma0", "hnn-base",
+        "hnn-pairings", "number-relator", "array-relator", "number-form",
+        "bend-fixed-coordinate", "stability-fixed-coordinate", "number-t",
+        "small-Y", "decimal-Y"])
+def test_wrong_json_shape_exits_2_and_names_its_key(tmp_path, capsys, command,
+                                                    doc, key):
+    # each of these used to end in a TypeError, AttributeError or
+    # IndexError traceback out of main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    rc = main([command, "--input", str(path), "--output", str(out),
+               "--radius", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("where, key, good, bad", [
     ("field", "p", 3, 3.7),
     ("field", "r", 2, 2.99),
@@ -877,6 +938,48 @@ def test_float_edge_group_needs_Y(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _float_edge_bend_file(tmp_path, Y):
+    """An SO(2,2) amalgam of decimal boosts over the boost c = d of
+    coordinates (1, 3), bent along the exact direction Y."""
+    path = tmp_path / "float_gens.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "real"},
+        "group": {"family": "SO", "p": 2, "q": 2},
+        "generators": {"a": _boost_json(0, 2, 1.0), "c": _boost_json(1, 3, 0.5),
+                       "b": _boost_json(0, 3, 1.0), "d": _boost_json(1, 3, 0.5)},
+        "structure": {"type": "amalgam", "side1": ["a", "c"],
+                      "side2": ["b", "d"], "gamma0": [["c", "d"]]},
+        "bending": {"Y": Y, "t": [0.0, 0.3]},
+    }))
+    return path
+
+
+def _boost_generator(i, j):
+    """The exact so(2,2) boost generator of coordinates (i, j), i < 2 <= j."""
+    return [[-1 if {r, c} == {i, j} else 0 for c in range(4)] for r in range(4)]
+
+
+def test_cmd_bend_float_generators_with_an_exact_Y(tmp_path, capsys):
+    # the edge group c = d is float, so Y is checked to centralize it in
+    # floats; the boost of coordinates (1, 3) does, the boost of (0, 3)
+    # does not
+    out = tmp_path / "bend.csv"
+    path = _float_edge_bend_file(tmp_path, _boost_generator(1, 3))
+    assert main(["bend", "--input", str(path), "--output", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "t,generator,row,col,value"
+    assert len(rows) == 1 + 2 * 4 * 16
+    sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
+    assert sidecar["witnesses"]["0.0"] is False
+    out.unlink()
+    (tmp_path / "bend.csv.json").unlink()
+    path = _float_edge_bend_file(tmp_path, _boost_generator(0, 3))
+    assert main(["bend", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: Y does not centralize the edge subgroup\n")
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.linalg is about half the import time of the CLI, and only a
     # bending direction with Y^3 != Y needs it
@@ -989,6 +1092,21 @@ def test_non_finite_subdivision_exits_2(tmp_path, capsys, sl2_presentation_file,
     assert main(["decompose", "--input", str(sl2_presentation_file), "--output",
                  str(out), "--radius", radius, "--subdivision", value]) == 2
     assert capsys.readouterr().err == f"error: --subdivision {value} is not finite\n"
+    assert sorted(tmp_path.iterdir()) == [sl2_presentation_file]
+
+
+@pytest.mark.parametrize("radius", ["0", "1"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_subdivision_that_is_not_positive_exits_2(tmp_path, capsys,
+                                                  sl2_presentation_file, radius,
+                                                  value):
+    # at radius 0 no word reaches decompose, which refuses R <= 0: the run
+    # used to exit 0 with "subdivision": -1.0 in the sidecar
+    out = tmp_path / "dec.csv"
+    assert main(["decompose", "--input", str(sl2_presentation_file), "--output",
+                 str(out), "--radius", radius, "--subdivision", value]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --subdivision {float(value)!r} is not positive\n")
     assert sorted(tmp_path.iterdir()) == [sl2_presentation_file]
 
 

@@ -33,7 +33,9 @@ from cartanlab.cartan import (
     to_float_array,
 )
 from cartanlab.errors import PreconditionError
-from cartanlab.exact import int_mat_mul, inverse, ratio_form, stack_minors
+from cartanlab.exact import det as exact_det
+from cartanlab.exact import (int_mat_mul, inverse, mat_eq, mat_mul, ratio_form,
+                             stack_minors, transpose)
 from cartanlab.fields import COMPLEX, REAL, QuadElement, int_valuation, padic, quadratic
 
 BIG = 2 ** 80
@@ -577,7 +579,7 @@ def test_stack_verdicts_match_bareiss_on_sl(case):
 
 def test_stack_verdicts_with_an_irrational_form():
     """A rational element of SO(2, 1) for the form (1, 1, -sqrt 2) is
-    decided by the Fraction form product, on the stack as alone."""
+    decided with the form itself as C, on the stack as alone."""
     q2 = quadratic(2)
     group = GroupDesc("SO", q2, p=2, q=1,
                       form=(F(1), F(1), QuadElement(0, -1, 2)))
@@ -594,3 +596,119 @@ def _group_faults(group, mats):
     ratios = [ratio_form(M) for M in mats]
     return [_verdict(f) for f in _ratio_faults(
         _int_stack([r[0] for r in ratios]), [r[1] for r in ratios], group)]
+
+
+# -- Q(sqrt 2): the stack kernel on the field elements ----------------------
+
+_S2 = QuadElement(0, 1, 2)
+
+
+def _q2(a, b=0):
+    return QuadElement(a, b, 2)
+
+
+@pytest.mark.parametrize("group, M, message", [
+    (special_linear(2, quadratic(2)), [[_q2(2), 0], [0, 1]],
+     "determinant is 2+0*sqrt(2), not 1"),
+    (special_linear(2, quadratic(2)), [[_q2(-1), 0], [0, 1]],
+     "determinant is -1+0*sqrt(2), not 1"),
+    (indefinite_orthogonal(2, 1, quadratic(2)),
+     [[_S2, 0, 0], [0, _S2 / 2, 0], [0, 0, _q2(1)]],
+     "matrix does not preserve the form"),
+])
+def test_q_sqrt_2_refusal_messages(group, M, message):
+    with pytest.raises(PreconditionError) as e:
+        GroupElement(M, group)
+    assert str(e.value) == message
+
+
+def test_q_sqrt_2_boost_of_so21_is_valid():
+    group = indefinite_orthogonal(2, 1, quadratic(2))
+    boost = ((_q2(3), 0, 2 * _S2), (0, 1, 0), (2 * _S2, 0, _q2(3)))
+    g = GroupElement(boost, group)
+    assert g.ratio is None and g.matrix == boost
+    assert g.inv() == GroupElement(((3, 0, -2 * _S2), (0, 1, 0), (-2 * _S2, 0, 3)), group)
+
+
+def _deleted_route_fault(M, group):
+    """The message of the per-matrix route the stack kernel replaced:
+    ``exact.det``, then the Fraction product M^T J M = J."""
+    if (det := exact_det(M)) != 1:
+        return f"determinant is {det}, not 1"
+    if group.family == "SL":
+        return None
+    n = len(M)
+    J = tuple(tuple(group.form[i] if i == j else F(0) for j in range(n))
+              for i in range(n))
+    if not mat_eq(mat_mul(mat_mul(transpose(M), J), M), J):
+        return "matrix does not preserve the form"
+    return None
+
+
+_Q2_SMALL = st.builds(_q2, st.fractions(-2, 2, max_denominator=3),
+                      st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def q_sqrt_2_stack_case(draw):
+    """(group, matrices) over Q(sqrt 2): SL_2, SL_3, or SO(p, q) for the
+    standard form or one with a coefficient -sqrt 2; elements of the group
+    (SL rows rescaled to det 1, SO Cayley transforms), with one row
+    negated, one row scaled by sqrt 2 and another by 1 / sqrt 2, or one
+    entry perturbed."""
+    q2 = quadratic(2)
+    group = draw(st.sampled_from([
+        special_linear(2, q2), special_linear(3, q2),
+        GroupDesc("SO", q2, p=1, q=1), GroupDesc("SO", q2, p=2, q=1),
+        GroupDesc("SO", q2, p=1, q=1, form=(F(1, 2), -_S2)),
+        GroupDesc("SO", q2, p=2, q=1, form=(F(1), F(1), -_S2)),
+    ]))
+    n = group.size
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        if group.family == "SL":
+            M = [[draw(_Q2_SMALL) for _ in range(n)] for _ in range(n)]
+            det = exact_det(M)
+            if det == 0:
+                continue
+            M[0] = [x / det for x in M[0]]
+        else:
+            S = [[_q2(0)] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                x = draw(_Q2_SMALL)
+                S[i][j], S[j][i] = x, -x
+            X = [[S[i][j] / group.form[i] for j in range(n)] for i in range(n)]
+            minus = [[int(i == j) - X[i][j] for j in range(n)] for i in range(n)]
+            if exact_det(minus) == 0:
+                continue
+            plus = [[int(i == j) + X[i][j] for j in range(n)] for i in range(n)]
+            M = [list(row) for row in mat_mul(inverse(minus), plus)]
+        kind = draw(st.integers(0, 3))
+        if kind == 1:
+            M[0] = [-x for x in M[0]]
+        elif kind == 2:  # det 1 still, the form broken
+            M[0] = [_S2 * x for x in M[0]]
+            M[n - 1] = [x / _S2 for x in M[n - 1]]
+        elif kind == 3:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            M[i][j] = M[i][j] + draw(_Q2_SMALL)
+        mats.append(tuple(map(tuple, M)))
+    assume(mats)
+    return group, mats
+
+
+@given(q_sqrt_2_stack_case())
+@settings(max_examples=60, deadline=None)
+def test_stack_verdicts_over_q_sqrt_2_match_the_deleted_route(case):
+    group, mats = case
+    n = group.size
+    E = [[[M[r][c] for M in mats] for c in range(n)] for r in range(n)]
+    faults = _ratio_faults(E, [1] * len(mats), group)
+    assert faults == [_deleted_route_fault(M, group) for M in mats]
+    for M, fault in zip(mats, faults):  # validation is the stack of one
+        got = None
+        try:
+            GroupElement(M, group)
+        except PreconditionError as e:
+            got = str(e)
+        assert got == fault
