@@ -23,8 +23,8 @@ stack and the constructor on a stack of one.
 
 A whole set of one group's elements is projected by one kernel,
 ``_mu_rows``, into the rows of one (m, k) array: over R or C one
-``np.linalg.svd`` of the stacked elements, with the SL recentring and
-the SO/U top-k cut and chamber clamp done on the whole array
+``np.linalg.svd`` of the stacked elements, with the SL completion by
+det = 1 and the SO/U top-k cut and chamber clamp done on the whole array
 (``_svd_rows``); over Q_p the exact integer rows.  The reports read that
 array; ``cartan_batch`` wraps each row as a ``CartanVector``, and
 ``cartan``, ``cartan_archimedean`` and ``cartan_padic`` are its batch of
@@ -466,7 +466,9 @@ def _float_stack(elements, dtype=float) -> np.ndarray:
 
 def _svd_rows(stack, group: GroupDesc) -> np.ndarray:
     """The Cartan coordinates of each matrix of a float stack of group,
-    one row each: the log singular values, recentred by their mean for SL;
+    one row each: for SL the top n-1 log singular values, completed by
+    det = 1 (the smallest singular value has the largest relative error,
+    and a recentring by the mean would spread it into every coordinate);
     for SO/U the top rank of them (the SVD sorts them descending), with
     values within the chamber tolerance of 0 clamped to 0."""
     if not np.all(np.isfinite(stack)):
@@ -479,8 +481,9 @@ def _svd_rows(stack, group: GroupDesc) -> np.ndarray:
     except np.linalg.LinAlgError as e:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"SVD failed: {e}") from e
     logs = np.log(sv)
-    if group.family == "SL":
-        return logs - logs.mean(axis=1, keepdims=True)  # exact det-1 recentering
+    if group.family == "SL":  # 0.0 - s, not -s: the identity prints 0, not -0
+        top = logs[:, :-1]
+        return np.column_stack([top, 0.0 - top.sum(axis=1)])
     top = logs[:, :group.rank]
     top = np.where(top > -_CHAMBER_TOL, np.maximum(top, 0.0), top)
     if (top[:, -1] < -_CHAMBER_TOL).any():

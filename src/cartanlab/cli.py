@@ -48,10 +48,9 @@ from .serialize import (
     _expect,
     _integer,
     element_from_json,
-    field_from_json,
-    group_from_json,
     load_matrix_document,
     load_presentation_document,
+    parameters,
     read_json,
     scalar_to_str,
 )
@@ -96,24 +95,6 @@ def _write_sidecar(path, payload):
         fh.write("\n")
 
 
-def _parse_field_flag(text):
-    kind, _, arg = text.partition(":")
-    obj = {"kind": kind}
-    if kind == "padic":
-        obj["p"] = int(arg)
-    elif kind == "quadratic":
-        obj["r"] = int(arg)
-    return field_from_json(obj)
-
-
-def _parse_group_flag(text, field):
-    family, _, arg = text.partition(":")
-    if family == "SL":
-        return group_from_json({"family": "SL", "n": int(arg)}, field)
-    p, q = (int(x) for x in arg.split(","))
-    return group_from_json({"family": family, "p": p, "q": q}, field)
-
-
 def _radius(args) -> int:
     """The --radius flag as an int; a non-integral value is refused."""
     if not float(args.radius).is_integer():
@@ -122,28 +103,24 @@ def _radius(args) -> int:
 
 
 def _t_flag(args, default) -> list:
-    """The floats of the comma-separated --t flag, default without it; a
-    repeated value (0.1 and 0.10, 0 and -0) is refused."""
-    ts = []
-    for item in args.t.split(",") if args.t else ():
-        try:
-            t = float(item)
-        except ValueError:
-            raise PreconditionError(f"--t item {item!r} is not a number") from None
-        if t in ts:
-            raise PreconditionError(f"--t item {item!r} repeats {ts[ts.index(t)]}")
-        ts.append(t)
-    return ts or default
+    """The parameters of the comma-separated --t flag, default without it."""
+    return parameters(args.t.split(","), "--t") if args.t else default
 
 
 def _load_matrices(args):
+    """A matrix document whose field and group a --field or --group flag
+    replaces by the JSON object its text stands for (``padic:3`` gives
+    "p": "3", ``SO:2,2`` gives "p": "2" and "q": "2"), for the document's
+    own readers to read."""
     obj = read_json(args.input)
     if args.field:
-        field = _parse_field_flag(args.field)
-    else:
-        field = field_from_json(obj["field"])
-    group = _parse_group_flag(args.group, field) if args.group else None
-    return load_matrix_document(obj, field=field, group=group)
+        kind, _, arg = args.field.partition(":")
+        obj["field"] = {"kind": kind, "p": arg, "r": arg}
+    if args.group:
+        family, _, arg = args.group.partition(":")
+        p, _, q = arg.partition(",")
+        obj["group"] = {"family": family, "n": arg, "p": p, "q": q}
+    return load_matrix_document(obj)
 
 
 def cmd_cartan(args) -> int:
@@ -317,11 +294,8 @@ def _bending_family(pres, group, bending_block):
             raise PreconditionError("the edge group has float entries: give the "
                                     "bending direction Y in the bending block")
         Y = pick_Y(centralizer_in_algebra(edge, so_form_algebra(space)), sub)
-    ts = _expect(bending_block.get("t", [0.0]), list, "bending.t")
-    try:
-        ts = [float(t) for t in ts]
-    except (TypeError, ValueError):
-        raise PreconditionError(f"bending.t must list numbers, got {ts!r}") from None
+    ts = parameters(_expect(bending_block.get("t", [0.0]), list, "bending.t"),
+                    "bending.t")
     return BendingFamily(pres, Y, subalgebra=sub), ts, space.dim - 2
 
 
@@ -393,7 +367,7 @@ def cmd_properness(args) -> int:
     cone_block = obj.get("cone")
     if not isinstance(cone_block, dict):
         raise PreconditionError("properness needs a cone object in the input")
-    if cone_block.get("compact"):
+    if _expect(cone_block.get("compact", False), bool, "cone.compact"):
         cone = ConeModel([], group.mu_length)
     else:
         axis = [element_from_json(rows, field, group) for rows in

@@ -116,11 +116,14 @@ def scalar_from_str(text: str, field: FieldDesc):
     return _fraction(text)
 
 
+_SHAPES = {dict: "an object", list: "an array", bool: "a boolean"}
+
+
 def _expect(value, kind, what):
-    """The value itself if it has the JSON shape ``kind`` (dict or list)."""
+    """The value itself if it has the JSON shape ``kind`` (dict, list or
+    bool)."""
     if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "an array"
-        raise PreconditionError(f"{what} must be {shape}, got {value!r}")
+        raise PreconditionError(f"{what} must be {_SHAPES[kind]}, got {value!r}")
     return value
 
 
@@ -134,6 +137,25 @@ def _integer(obj, key):
         except (TypeError, ValueError):
             pass
     raise PreconditionError(f"{key} = {x!r} is not an integer")
+
+
+def parameters(items, what) -> list:
+    """The floats of a list of deformation parameters: JSON numbers or
+    flag text.  A bool or a non-number is refused, and so is a value
+    equal to an earlier one (0.1 and 0.10, 0 and -0); what names the
+    source in the message."""
+    ts = []
+    for item in items:
+        try:
+            if isinstance(item, bool):
+                raise TypeError
+            t = float(item)
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError(f"{what} item {item!r} is not a number") from None
+        if t in ts:
+            raise PreconditionError(f"{what} item {item!r} repeats {ts[ts.index(t)]}")
+        ts.append(t)
+    return ts
 
 
 def field_from_json(obj) -> FieldDesc:
@@ -165,7 +187,7 @@ def group_from_json(obj, field: FieldDesc) -> GroupDesc:
     if family == "SL":
         return GroupDesc("SL", field, n=_integer(obj, "n"))
     if family in ("SO", "U"):
-        form = _expect(obj.get("form") or [], list, "form")
+        form = _expect(obj.get("form", []), list, "form")
         form_scalars = tuple(scalar_from_str(str(s), field) for s in form)
         return GroupDesc(
             family, field, p=_integer(obj, "p"), q=_integer(obj, "q"),
@@ -312,8 +334,8 @@ def load_matrix_document(obj, field=None, group=None):
     if group is None:
         group = group_from_json(obj["group"], field)
     matrices = _expect(obj.get("matrices", []), list, "matrices")
-    ids = _expect(obj.get("ids") or [f"m{i}" for i in range(len(matrices))],
-                  list, "ids")
+    ids = (_expect(obj["ids"], list, "ids") if "ids" in obj
+           else [f"m{i}" for i in range(len(matrices))])
     if len(ids) != len(matrices):
         raise PreconditionError("ids and matrices must have equal length")
     out = []

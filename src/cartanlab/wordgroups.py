@@ -188,6 +188,8 @@ class Presentation:
     def __init__(self, symbols, matrices, group: GroupDesc, structure=None,
                  relators=()):
         self.symbols = tuple(symbols)
+        if not self.symbols:  # a word ball needs a letter to stack
+            raise PreconditionError("a presentation needs at least one generator")
         self.group = group
         self.generators = tuple(
             m if isinstance(m, GroupElement) else GroupElement(m, group)

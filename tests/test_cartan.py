@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlab import (
     COMPLEX,
@@ -160,6 +162,39 @@ def test_wedge_norm_log_is_right_at_length_over_q_sqrt2():
         want = [float(mpmath.log(sv[0])), float(mpmath.log(sv[0] * sv[1]))]
     for i0 in (1, 2):
         assert wedge_norm_log(g, i0) == pytest.approx(want[i0 - 1], rel=1e-12)
+
+
+_SL_WORD_LETTERS = {
+    2: list(schottky_sl2_presentation().generators),
+    3: [GroupElement([[2, 1, 0], [1, 1, 0], [0, 0, 1]], SL3R),
+        GroupElement([[1, 0, 0], [0, 3, 2], [0, 1, 1]], SL3R)],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3]), word=st.lists(st.integers(0, 3), max_size=40))
+def test_sl_cartan_of_long_words_against_mpmath(n, word):
+    # the old recentring by the mean spread the error of the smallest
+    # singular value into every coordinate: on (ab)^15 of the SL_2
+    # Schottky pair it reported mu_1 = 20.03 for 51.20
+    a, b = _SL_WORD_LETTERS[n]
+    g = GroupElement([[int(i == j) for j in range(n)] for i in range(n)], a.group)
+    for k in word:
+        g = g @ (a, b, a.inv(), b.inv())[k]
+    got = cartan(g).coords
+    N, d = g.ratio
+    with mpmath.workdps(150):
+        sv = sorted(mpmath.svd_r(mpmath.matrix(N) / d, compute_uv=False),
+                    reverse=True)
+        want = [float(mpmath.log(s)) for s in sv]
+    # a backward-stable SVD moves s_k by about n u s_1 at most (Weyl), so
+    # log s_k is right to that over s_k; the last coordinate is minus the
+    # sum of the others
+    tols = [1e-14 * max(1.0, abs(want[k]))
+            + 16 * n * 2.0 ** -52 * math.exp(want[0] - want[k]) for k in range(n - 1)]
+    tols.append(sum(tols))
+    for k in range(n):
+        assert abs(got[k] - want[k]) <= tols[k]
 
 
 def test_wedge_identity_complex_float():
@@ -340,8 +375,8 @@ def _one_svd_mu(g):
         d = np.sqrt(np.abs([float(c) for c in grp.form]))
         a = np.diag(d) @ a @ np.diag(1.0 / d)
     logs = np.log(np.linalg.svd(a, compute_uv=False))
-    if grp.family == "SL":
-        return logs - logs.mean()
+    if grp.family == "SL":  # det 1 completes the top n-1
+        return np.append(logs[:-1], 0.0 - logs[:-1].sum())
     top = np.sort(logs)[::-1][:grp.rank]
     return np.where(top > -1e-9, np.maximum(top, 0.0), top)
 

@@ -156,6 +156,27 @@ def test_cmd_ball_complex_entries_round_trip(tmp_path):
     assert rows[1][2:] == ["(0.5+0.5j)", "0j", "0j", "(1-1j)"]
 
 
+def test_cmd_ball_over_q_sqrt2_writes_field_text(tmp_path):
+    # entries over Q(sqrt 2) are written as scalar text, each cell the
+    # value of its word's entry
+    doc = {"field": {"kind": "quadratic", "r": 2}, "group": {"family": "SL", "n": 2},
+           "generators": {"a": [["1+1*sqrt(2)", "1"], ["1*sqrt(2)", "1"]],
+                          "b": [["1", "1*sqrt(2)"], ["0", "1"]]},
+           "structure": {"type": "free"}}
+    path, out = tmp_path / "q.json", tmp_path / "q.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["ball", "--input", str(path), "--output", str(out),
+                 "--radius", "2"]) == 0
+    field, _, pres, _ = load_presentation_document(doc)
+    phi = wordgroups.inclusion(pres)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 17 and any("sqrt(2)" in x for row in rows for x in row)
+    for row in rows:
+        g = wordgroups.evaluate(wordgroups.parse_word(row[0], pres.symbols), phi)
+        assert [scalar_from_str(x, field) for x in row[2:]] == [
+            x for entries in g.matrix for x in entries]
+
+
 def test_cmd_proximal(tmp_path):
     doc = {
         "field": {"kind": "real"},
@@ -163,8 +184,9 @@ def test_cmd_proximal(tmp_path):
         "matrices": [
             [["4", "0", "0"], ["0", "1", "0"], ["0", "0", "1/4"]],
             [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [["1.0000000001", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
         ],
-        "ids": ["diag", "unip"],
+        "ids": ["diag", "unip", "near"],
     }
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
@@ -175,6 +197,8 @@ def test_cmd_proximal(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1].split(",")[1] == "proximal"
     assert lines[2].split(",")[1] == "not_proximal"
+    # a modulus gap of 1e-10 is below the float resolution
+    assert lines[3] == "near,indeterminate,,,,,,,"
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -665,14 +689,24 @@ _DECIMAL_Y = [["0.5" if (i, j) in ((0, 2), (2, 0)) else "0" for j in range(4)]
     ("bend", _so22_bend_doc(t=5), "bending.t"),
     ("bend", _so22_bend_doc(Y=[["1"]]), "bending.Y must be exact n×n"),
     ("bend", _so22_bend_doc(Y=_DECIMAL_Y), "bending.Y must be exact n×n"),
+    *[("cartan", {"field": {"kind": "real"},
+                  "group": {"family": "SO", "p": 1, "q": 1, "form": form},
+                  "matrices": [[["1", "0"], ["0", "1"]]]}, "form")
+      for form in (0, False, "", None)],
+    ("cartan", {"field": {"kind": "real"}, "group": {"family": "SL", "n": 2},
+                "matrices": [[["1", "0"], ["0", "1"]]], "ids": 0}, "ids"),
+    ("properness", _sl2_free_doc(cone={"compact": "false"}), "cone.compact"),
 ], ids=["cone-matrices", "amalgam-side1", "amalgam-gamma0", "hnn-base",
         "hnn-pairings", "number-relator", "array-relator", "number-form",
         "bend-fixed-coordinate", "stability-fixed-coordinate", "number-t",
-        "small-Y", "decimal-Y"])
+        "small-Y", "decimal-Y", "zero-form", "false-form", "empty-text-form",
+        "null-form", "zero-ids", "text-compact"])
 def test_wrong_json_shape_exits_2_and_names_its_key(tmp_path, capsys, command,
                                                     doc, key):
     # each of these used to end in a TypeError, AttributeError or
-    # IndexError traceback out of main
+    # IndexError traceback out of main, or (a falsy form or ids, text
+    # compact) to run with the default form, the default ids or the
+    # origin cone
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "o.csv"
@@ -841,6 +875,46 @@ def test_field_group_override(tmp_path):
                "--field", "padic:3", "--group", "SL:2"])
     assert rc == 0
     assert out.read_text().splitlines()[1].endswith("1,-1,1.41421356237")
+
+
+def test_field_and_group_flags_stand_for_their_json_objects(tmp_path):
+    # --field quadratic:2 --group SO:2,2 give the bytes of the document
+    # that names that field and group
+    s2 = "0+2*sqrt(2)"  # 3^2 - (2 sqrt 2)^2 = 1: a boost of SO(2,2)
+    boost = [["3", "0", s2, "0"], ["0", "1", "0", "0"], [s2, "0", "3", "0"],
+             ["0", "0", "0", "1"]]
+    outputs = []
+    for field, group, flags in (
+            ({"kind": "quadratic", "r": 2}, {"family": "SO", "p": 2, "q": 2}, []),
+            ({"kind": "real"}, {"family": "SL", "n": 4},
+             ["--field", "quadratic:2", "--group", "SO:2,2"])):
+        path, out = tmp_path / "m.json", tmp_path / "o.csv"
+        path.write_text(json.dumps({"field": field, "group": group,
+                                    "matrices": [boost]}))
+        assert main(["cartan", "--input", str(path), "--output", str(out),
+                     *flags]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0] == "id,mu_1,mu_2,mu_norm"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--group", "XY:2", "unknown group family 'XY'"),
+    ("--group", "SO:2", "q = '' is not an integer"),
+    ("--group", "SL:2,2", "n = '2,2' is not an integer"),
+    ("--field", "padic:x", "p = 'x' is not an integer"),
+    ("--field", "quadratic", "r = '' is not an integer"),
+], ids=["unknown-family", "one-number", "sl-pair", "padic-text", "no-r"])
+def test_bad_field_or_group_flag_exits_2(tmp_path, capsys, sl2_matrix_file, flag,
+                                         value, message):
+    # the flag text is read as the JSON object it stands for; it used to
+    # end in bare int() or unpacking messages that named no key
+    out = tmp_path / "o.csv"
+    assert main(["cartan", "--input", str(sl2_matrix_file), "--output", str(out),
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [sl2_matrix_file]
+
 
 def test_stray_workers_environment_is_ignored(tmp_path, sl2_presentation_file,
                                               monkeypatch):
@@ -1110,29 +1184,50 @@ def test_subdivision_that_is_not_positive_exits_2(tmp_path, capsys,
     assert sorted(tmp_path.iterdir()) == [sl2_presentation_file]
 
 
+def _t_argv(tmp_path, so22_bending_file, command, t):
+    """The source of t (text is the --t flag, a list the document's
+    bending.t), and the argv and input of a report on the SO(2,2) bending
+    document with it."""
+    source, path = "--t", so22_bending_file
+    if not isinstance(t, str):
+        source, path = "bending.t", _bend_doc_file(tmp_path, t)
+    argv = [command, "--input", str(path), "--output", str(tmp_path / "o.csv"),
+            "--radius", "1"]
+    return source, argv + [f"--t={t}"] * (source == "--t"), path
+
+
 @pytest.mark.parametrize("command", ["bend", "stability"])
-@pytest.mark.parametrize("t, item", [("0,,1", ""), ("0,x", "x"), ("y", "y")])
+@pytest.mark.parametrize("t, item", [
+    ("0,,1", ""), ("0,x", "x"), ("y", "y"),
+    pytest.param([0, "", 1], "", id="doc-empty-text"),
+    pytest.param([0, "x"], "x", id="doc-text"),
+    pytest.param([True], True, id="doc-bool"),
+    pytest.param([None], None, id="doc-null"),
+    pytest.param([[0.1]], [0.1], id="doc-array")])
 def test_t_items_that_are_not_numbers_exit_2(tmp_path, capsys, so22_bending_file,
                                              command, t, item):
-    # float()'s own message used to be all the error said
-    out = tmp_path / "o.csv"
-    assert main([command, "--input", str(so22_bending_file), "--output", str(out),
-                 "--radius", "2", f"--t={t}"]) == 2
-    assert capsys.readouterr().err == f"error: --t item {item!r} is not a number\n"
-    assert sorted(tmp_path.iterdir()) == [so22_bending_file]
+    # float()'s own message used to be all the --t error said; bending.t
+    # read true as 1.0
+    source, argv, path = _t_argv(tmp_path, so22_bending_file, command, t)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {source} item {item!r} is not a number\n"
+    assert sorted(tmp_path.iterdir()) == sorted({so22_bending_file, path})
 
 
 @pytest.mark.parametrize("command", ["bend", "stability"])
 @pytest.mark.parametrize("t, item, earlier", [
-    ("0.1,0.10", "0.10", "0.1"), ("0,-0", "-0", "0.0"), ("0,0.5,1,5e-1", "5e-1", "0.5")])
+    ("0.1,0.10", "0.10", "0.1"), ("0,-0", "-0", "0.0"), ("0,0.5,1,5e-1", "5e-1", "0.5"),
+    pytest.param([0.1, 0.1, 0.10], 0.1, "0.1", id="doc-0.1"),
+    pytest.param([0, -0.0], -0.0, "0.0", id="doc-minus-0"),
+    pytest.param([0, 0.5, "5e-1"], "5e-1", "0.5", id="doc-text-5e-1")])
 def test_repeated_t_values_exit_2(tmp_path, capsys, so22_bending_file, command, t,
                                   item, earlier):
     # a repeated t used to write its CSV block twice under one sidecar entry
-    out = tmp_path / "o.csv"
-    assert main([command, "--input", str(so22_bending_file), "--output", str(out),
-                 "--radius", "1", f"--t={t}"]) == 2
-    assert capsys.readouterr().err == f"error: --t item {item!r} repeats {earlier}\n"
-    assert sorted(tmp_path.iterdir()) == [so22_bending_file]
+    source, argv, path = _t_argv(tmp_path, so22_bending_file, command, t)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source} item {item!r} repeats {earlier}\n")
+    assert sorted(tmp_path.iterdir()) == sorted({so22_bending_file, path})
 
 
 _CELLS = {

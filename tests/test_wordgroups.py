@@ -49,6 +49,13 @@ from util import (
 SL2R = special_linear(2, REAL)
 
 
+def test_presentation_needs_a_generator():
+    # word_ball of an empty presentation used to end in an IndexError
+    # from exact.stack_products
+    with pytest.raises(PreconditionError, match="at least one generator"):
+        Presentation([], [], SL2R)
+
+
 def test_word_construction_and_reduction():
     with pytest.raises(PreconditionError):
         Word([(0, 1), (0, -1)])
