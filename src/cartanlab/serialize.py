@@ -2,10 +2,11 @@
 
 Scalars serialize as strings so rationals round-trip exactly:
 "num/den" (or just "num") for rationals, "a+b*sqrt(r)" with rational
-a, b for quadratic-field elements, and IEEE-754 decimal text (repr) for
-floating values.  Matrix files carry a field descriptor, a group
-descriptor, and a list of matrices; presentation files add named
-generators, structure, optional relators, and an optional bending block.
+a, b != 0 for quadratic-field elements (one with b = 0 is written as the
+rational a), and IEEE-754 decimal text (repr) for floating values.
+Matrix files carry a field descriptor, a group descriptor, and a list of
+matrices; presentation files add named generators, structure, optional
+relators, and an optional bending block.
 
 A document's matrices load as one exact stack, ``_BLOCK`` matrices at a
 time so that memory stays bounded.  A matrix is stacked when it is an
@@ -62,12 +63,10 @@ _BLOCK = 256  # matrices per stack, so that a large document's stack stays small
 
 def scalar_to_str(x) -> str:
     if isinstance(x, QuadElement):
-        b = x.b
-        sign = "+" if b >= 0 else "-"
-        return f"{x.a}{sign}{abs(b)}*sqrt({x.r})"
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
+        if x.b:
+            return f"{x.a}{'+' if x.b > 0 else '-'}{abs(x.b)}*sqrt({x.r})"
+        x = x.a  # a rational value has one text, however it was formed
+    if isinstance(x, (Fraction, int)):
         return str(x)
     if isinstance(x, complex):  # numpy 2 reprs np.complex128 as np.complex128(...)
         return repr(complex(x))
@@ -326,13 +325,10 @@ def matrix_to_json(matrix):
     return [[scalar_to_str(x) for x in row] for row in matrix]
 
 
-def load_matrix_document(obj, field=None, group=None):
-    """(field, group, [(id, GroupElement)]) from a parsed matrix file;
-    a given field or group overrides the file's."""
-    if field is None:
-        field = field_from_json(obj["field"])
-    if group is None:
-        group = group_from_json(obj["group"], field)
+def load_matrix_document(obj):
+    """(field, group, [(id, GroupElement)]) from a parsed matrix file."""
+    field = field_from_json(obj["field"])
+    group = group_from_json(obj["group"], field)
     matrices = _expect(obj.get("matrices", []), list, "matrices")
     ids = (_expect(obj["ids"], list, "ids") if "ids" in obj
            else [f"m{i}" for i in range(len(matrices))])

@@ -8,8 +8,8 @@ index, sign).  One breadth-first loop builds it a level at a time; only
 forming a level's products and deciding which are new depend on the
 arithmetic: exact images by ``exact.stack_products`` and a dict (which
 audits every hash collision with a full comparison), float images by one
-stacked ``matmul`` per letter (bit for bit as ``@``) and a relative
-tolerance (``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.
+gathered ``matmul`` (bit for bit as ``@``) and a relative tolerance
+(``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.
 Each float element has one key, a weighted sum of its coordinates, and every
 element within tolerance of a candidate has its key in a window about
 the candidate's (see ``_FloatIndex``).  A float level is decided as one
@@ -24,19 +24,19 @@ the index of its parent entry and its last letter, and its word is the
 parent's word plus that letter.  The tree is closed under prefixes
 because only inserted words are expanded.  A float ball keeps its
 elements as one stack; its ``entries`` (words, elements) and ``merges``
-are built on first read.  ``BallResult.images(phi)`` walks the tree
-once, multiplying each parent image by one generator image, so any
-homomorphism is evaluated over the whole ball in O(N) products; the fold
-is the one ``evaluate`` performs, so the images are bit-identical to
-evaluating every word from scratch; images come a level at a time, as
-one stack by one ``matmul`` (``image_stack``) or by ``stack_products``.
-``BallResult.labels(symbols)`` walks the tree the same way to give
-every word's ``Word.format`` text.
+are built on first read.
+
+Each arithmetic has one level kernel (``_ExactLevels``, ``_FloatLevels``)
+whose ``products(items, t, l)`` multiplies item t[i] of a level by letter
+l[i].  The BFS forms every level with it, and so does ``BallResult._walk``,
+the one walk of a built tree, for every word's image under any
+homomorphism (``images``, ``image_stack``): O(N) products, the fold
+``evaluate`` performs, so bit-identical to evaluating each word from
+scratch.  ``labels`` follows the parent links entry by entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -404,21 +404,27 @@ class BallResult:
             out.append(out[p] + 1)
         return out
 
+    def _walk(self, levels) -> list:
+        """The items of every level of the tree, root first, under the
+        homomorphism of the kernel ``levels``: a level's items are its
+        parents' items times its letters, by ``levels.products``."""
+        parents, lasts = np.array(self.parents), np.array(self.lasts)
+        out, start, lo = [levels.root], 0, 1
+        while lo < len(parents):  # parents never decrease: a level is a run
+            hi = int(np.searchsorted(parents, lo))  # the children of [start, lo)
+            out.append(levels.products(out[-1], parents[lo:hi] - start, lasts[lo:hi]))
+            start, lo = lo, hi
+        return out
+
     def images(self, phi: Homomorphism) -> list:
         """phi's image of every ball word, in entry order, a level at a time
         (float: the rows of ``image_stack``; exact: ``stack_products``);
         equal bit for bit to ``evaluate``."""
-        stack, out = self.image_stack(phi), [_identity_like(phi)]
+        stack, root = self.image_stack(phi), _identity_like(phi)
         if stack is not None:
-            return out + [GroupElement(m, phi.group, check=False) for m in stack[1:]]
-        levels, parents = _ExactLevels(phi, self.alphabet, out[0]), self.parents
-        keys, start, lo = list(levels.cand), 0, 1
-        while lo < len(self):  # parents never decrease: a level is a run
-            hi = bisect_left(parents, lo, lo)  # the children of [start, lo)
-            keys += stack_products(keys[start:lo], levels.gens, [
-                (p - start, l) for p, l in zip(parents[lo:hi], self.lasts[lo:hi])])
-            start, lo = lo, hi
-        return out + list(map(levels.element, keys[1:]))
+            return [root] + [GroupElement(m, phi.group, check=False) for m in stack[1:]]
+        levels = _ExactLevels(phi, self.alphabet, root)
+        return [root] + [levels.element(k) for run in self._walk(levels)[1:] for k in run]
 
     def image_stack(self, phi: Homomorphism):
         """phi's float image of every ball word as one (len, n, n) stack,
@@ -428,18 +434,10 @@ class BallResult:
         real and complex images is computed in complex, as a float ball is."""
         if any(i >= len(phi.images) for i, _ in self.alphabet):
             raise PreconditionError(f"generator index {len(phi.images)} out of range")
-        if _identity_like(phi).is_exact:
+        root = _identity_like(phi)
+        if root.is_exact:
             return None
-        letters = np.array([to_float_array(phi.image(*a)) for a in self.alphabet])
-        parents, lasts = np.array(self.parents), np.array(self.lasts)
-        out = np.empty((len(self),) + letters.shape[1:], letters.dtype)
-        out[0] = np.eye(phi.group.size)
-        # parents never decrease, so a level is a run: the children of [lo, hi)
-        lo, hi = 1, int(np.searchsorted(parents, 1))
-        while lo < hi:
-            out[lo:hi] = np.matmul(out[parents[lo:hi]], letters[lasts[lo:hi]])
-            lo, hi = hi, int(np.searchsorted(parents, hi))
-        return out
+        return np.concatenate(self._walk(_FloatLevels(phi, self.alphabet, root)))
 
     def labels(self, symbols) -> list:
         """``Word.format(symbols)`` of every ball word, in entry order, by
@@ -560,9 +558,10 @@ class _FloatIndex:
 
 
 class _ExactLevels:
-    """Exact candidates: a level's ``stack_products``, found again by their
-    keys, each an element's (N, d) if the root and every letter are
-    rational, else its (rows, None); an inserted key becomes an element."""
+    """Exact items: keys, each an element's (N, d) if the root and every
+    letter are rational, else its (rows, None); a level's products by
+    ``stack_products``, found again by their keys; an inserted key
+    becomes an element."""
 
     logs_merges = False  # a repeat is the same element, not a merge
 
@@ -570,76 +569,71 @@ class _ExactLevels:
         elements = [root] + [phi.image(*a) for a in letters]
         keys = [g.ratio for g in elements]
         root, *self.gens = keys if all(keys) else [(g.matrix, None) for g in elements]
+        self.root = [root]
         self.group = phi.group
         self.seen = {}  # the key of every element, to itself
         self.kept = []  # the inserted elements, in entry order
-        self.cand, self.level = [root], [(0, -1)]
 
     def element(self, key):
         N, d = key
         return GroupElement._ratio(N, d, self.group) if d else GroupElement(
             N, self.group, check=False)
 
-    def resolve(self, room):
-        # a key is new iff setdefault returns the candidate itself; a cut
-        # ends the ball, so keys it leaves in seen are never looked up
-        cand, hits = self.cand, [0] * len(self.cand)
-        new = [j for j, k in enumerate(cand) if self.seen.setdefault(k, k) is k][:room]
+    def resolve(self, items, room):
+        """(hits, the inserted items): hits[j] -1 where item j is new."""
+        # a key is new iff setdefault returns the item itself; a cut ends
+        # the ball, so keys it leaves in seen are never looked up
+        hits = [0] * len(items)
+        new = [j for j, k in enumerate(items) if self.seen.setdefault(k, k) is k][:room]
         for j in new:
             hits[j] = -1
-        self.new, self.last = [cand[j] for j in new], [self.level[j][1] for j in new]
-        self.kept += map(self.element, self.new)
-        return hits
+        new = [items[j] for j in new]
+        self.kept += map(self.element, new)
+        return hits, new
 
-    def products(self):
-        self.level = [(t, l) for t, last in enumerate(self.last)
-                      for l in range(len(self.gens)) if l != last ^ 1]
-        self.cand = stack_products(self.new, self.gens, self.level)
-        return self.level
+    def products(self, items, t, l):
+        """items[t[i]] times letter l[i], for each i."""
+        return stack_products(items, self.gens, zip(t.tolist(), l.tolist()))
 
 
 class _FloatLevels:
-    """Float candidates: a level's products by one stacked ``matmul`` per
-    letter, bit for bit as ``@`` forms each (a homomorphism mixing real and
-    complex images is computed in complex throughout); a candidate is its
-    row in the level, decided by ``_FloatIndex``, whose rows are the
-    ball's element stack."""
+    """Float items: a level is one (m, n, n) stack, its products one
+    gathered ``matmul``, bit for bit as ``@`` forms each (a homomorphism
+    mixing real and complex images is computed in complex throughout); a
+    level is decided by ``_FloatIndex``, whose rows are the ball's element
+    stack."""
 
     logs_merges = True
 
     def __init__(self, phi, letters, root):
         gens = [to_float_array(phi.image(i, e)) for i, e in letters]
         self.dtype = np.result_type(*gens)
-        self.gens = [g.astype(self.dtype, copy=False) for g in gens]
+        self.gens = np.array(gens, self.dtype)
         self.size = phi.group.size
-        self.index = _FloatIndex(self.size ** 2, self.dtype)
-        self._level(to_float_array(root)[None], np.array([-1]))
+        self.root = to_float_array(root)[None].astype(self.dtype)
 
-    def _level(self, cand, lets):
-        """Make cand (stacked matrices with last letters lets) the level."""
-        flat = cand.reshape(len(cand), -1).astype(self.dtype, copy=False)
+    @cached_property
+    def index(self):
+        return _FloatIndex(self.size ** 2, self.dtype)
+
+    def resolve(self, items, room):
+        """(hits, the inserted items), as ``_FloatIndex.resolve`` decides."""
+        flat = items.reshape(len(items), -1)
         if not np.isfinite(flat).all():
             raise NumericalError("a word ball element is not finite (overflow)")
-        self.cand, self.flat, self.lets = cand, flat, lets
+        hits, new = self.index.resolve(flat, room)
+        return hits, items[new]
 
-    def resolve(self, room):
-        hits, self.new = self.index.resolve(self.flat, room)
-        return hits
-
-    def products(self):
-        level, last = self.cand[self.new], self.lets[self.new]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused in _level
-            prods = np.stack([level @ g for g in self.gens], axis=1)
-        k = len(self.gens)
-        keep = np.flatnonzero((np.arange(k) != (last ^ 1)[:, None]).reshape(-1))
-        self._level(prods.reshape(-1, *level.shape[1:])[keep], keep % k)
-        return list(zip((keep // k).tolist(), self.lets.tolist()))
+    def products(self, items, t, l):
+        """items[t[i]] times letter l[i], for each i."""
+        return np.matmul(items[t], self.gens[l])
 
     @property
     def kept(self):
         return self.index.rows.reshape(-1, self.size, self.size)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a float overflow is refused in resolve
 def word_ball(
     P: Presentation,
     phi: Homomorphism,
@@ -666,22 +660,25 @@ def word_ball(
     levels = (_ExactLevels if all(g.is_exact for g in phi.images)
               else _FloatLevels)(phi, letters, root)
     parents, lasts, merged = [], [], []
-    # a level's candidate (t, l) is the product of frontier entry t by
-    # letter l; the root is level 0's one candidate, with no parent and no
+    # a level's candidate i is the product of frontier entry t[i] by letter
+    # l[i]; the root is level 0's one candidate, with no parent and no
     # letter (-1).  Letters 2i and 2i + 1 are inverse: l ^ 1 is the letter
     # cancelling l.  A hit is -1 for a new element, else (float) its entry.
-    frontier, level = [-1], [(0, -1)]
+    items, frontier, t, l = levels.root, [-1], [0], [-1]
     for depth in range(radius + 1):
         start = len(parents)
-        for (t, l), h in zip(level, levels.resolve(max_elements + 1 - start)):
+        hits, items = levels.resolve(items, max_elements + 1 - start)
+        for ti, li, h in zip(t, l, hits):
             if h < 0:
-                parents.append(frontier[t])
-                lasts.append(l)
+                parents.append(frontier[ti])
+                lasts.append(li)
             elif levels.logs_merges:
-                merged.append((frontier[t], l, h))
+                merged.append((frontier[ti], li, h))
         frontier = range(start, len(parents))
         if len(parents) > max_elements or depth == radius or not frontier:
             break  # not frontier: a finite group
-        level = levels.products()
+        t, l = np.nonzero(np.arange(len(letters)) != (np.array(lasts[start:]) ^ 1)[:, None])
+        items = levels.products(items, t, l)
+        t, l = t.tolist(), l.tolist()
     return BallResult(letters, parents, lasts, len(parents) <= max_elements,
                       root, levels.kept, phi.group, merged)

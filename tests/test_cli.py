@@ -175,6 +175,10 @@ def test_cmd_ball_over_q_sqrt2_writes_field_text(tmp_path):
         g = wordgroups.evaluate(wordgroups.parse_word(row[0], pres.symbols), phi)
         assert [scalar_from_str(x, field) for x in row[2:]] == [
             x for entries in g.matrix for x in entries]
+    # a value with no irrational part is written as its rational text,
+    # however the products that formed it left it
+    assert {row[0]: row[2:] for row in rows}["b"] == ["1", "0+1*sqrt(2)", "0", "1"]
+    assert not any("+0*sqrt" in x for row in rows for x in row)
 
 
 def test_cmd_proximal(tmp_path):

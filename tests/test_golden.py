@@ -35,7 +35,7 @@ from fractions import Fraction as F
 import pytest
 
 from cartanlab.cli import main
-from cartanlab.serialize import matrix_to_json
+from cartanlab.serialize import load_presentation_document, matrix_to_json
 from cartanlab.surrogates import (boost_Y_so22, schottky_sl2_matrices,
                                   schottky_sl2_presentation,
                                   schottky_so22_presentation)
@@ -102,6 +102,32 @@ EXACT_GOLDEN = {
 def test_exact_ball_report_bytes(tmp_path, name):
     make, radius, csv_digest, sidecar_digest = EXACT_GOLDEN[name]
     assert _ball_report_digests(tmp_path, make(), radius) == [csv_digest, sidecar_digest]
+
+
+def _q_sqrt2_doc():
+    """A pair in SL_2 over Q(sqrt 2) beside rational entries."""
+    return {"field": {"kind": "quadratic", "r": 2}, "group": {"family": "SL", "n": 2},
+            "generators": {"a": [["1+1*sqrt(2)", "1"], ["1*sqrt(2)", "1"]],
+                           "b": [["1", "1*sqrt(2)"], ["0", "1"]]}}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_float_image_stack_walks_the_ball_levels(name):
+    # the tree walk of image_stack forms the BFS's levels bit for bit,
+    # merges and all
+    make, radius = GOLDEN[name][:2]
+    P = load_presentation_document(make())[2]
+    ball = word_ball(P, inclusion(P), radius)
+    assert ball.merge_count
+    assert ball.image_stack(inclusion(P)).tobytes() == ball.stack.tobytes()
+
+
+@pytest.mark.parametrize("make, radius", [(EXACT_GOLDEN["sl2_q2_r6"][0], 6),
+                                          (_q_sqrt2_doc, 4)])
+def test_exact_images_walk_the_ball_levels(make, radius):
+    P = load_presentation_document(make())[2]
+    ball = word_ball(P, inclusion(P), radius)
+    assert ball.images(inclusion(P)) == ball.elements()
 
 
 def _ball_document(field, group, presentation):

@@ -53,6 +53,8 @@ def test_scalar_round_trips():
 def test_scalar_strings():
     assert scalar_to_str(F(1, 2)) == "1/2"
     assert scalar_to_str(QuadElement(1, -2, 2)) == "1-2*sqrt(2)"
+    assert scalar_to_str(QuadElement(F(-3, 2), 0, 2)) == "-3/2"
+    assert scalar_to_str(QuadElement(0, 0, 2)) == "0"
     assert scalar_from_str("3+1/2*sqrt(2)", quadratic(2)) == QuadElement(
         3, F(1, 2), 2
     )
@@ -228,8 +230,10 @@ def test_fast_loader_matches_the_scalar_route(case):
         assert item is not None or not flag
         if item is not None:
             assert item[:2] == ratio_form(matrix_from_json(rows, group.field))
-    fast = _outcome(lambda: [g for _, g in load_matrix_document(
-        {"matrices": matrices}, field=group.field, group=group)[2]])
+    doc = {"field": field_to_json(group.field), "matrices": matrices,
+           "group": {"family": "SL", "n": 2} if group.family == "SL"
+           else {"family": "SO", "p": 1, "q": 1}}
+    fast = _outcome(lambda: [g for _, g in load_matrix_document(doc)[2]])
     _assert_same_elements(fast, _outcome(lambda: _scalar_route(matrices, group)))
     one = [_outcome(lambda: element_from_json(rows, group.field, group))
            for rows in matrices]
