@@ -284,45 +284,52 @@ def _ortho_distance_sq(y, basis_flat):
     return yy - sum(bi * xi for bi, xi in zip(b, x))
 
 
+class _Exp:
+    """t -> exp(t*Y) for one Y, decided once: the closed cosh/sinh form
+    when Y^3 = Y exactly, else scipy's scaling and squaring.  A non-finite
+    t is a PreconditionError, a result that is not finite a NumericalError."""
+
+    @np.errstate(all="ignore")
+    def __init__(self, Y):
+        ratio = ratio_form(Y)
+        if ratio:  # Y = N / d, so Y^3 = Y iff N^3 = d^2 N
+            N, d = ratio
+            closed = int_mat_mul(int_mat_mul(N, N), N) == tuple(
+                tuple(d * d * x for x in row) for row in N)
+        else:  # over Q(sqrt r); a float entry leaves Y^3 = Y undecided
+            Ym = mat_from_rows(Y) if all(map(is_exact_scalar, _flatten(Y))) else None
+            closed = Ym is not None and mat_eq(mat_mul(mat_mul(Ym, Ym), Ym), Ym)
+        try:  # N_ij / d is correctly rounded, the bits of to_float_array(Y)
+            self.Yf = (np.array([[x / d for x in row] for row in N], dtype=float)
+                       if ratio else to_float_array(Y))
+        except OverflowError:  # no float form: exp(t*Y) is not finite at any t
+            self.Yf, closed = np.full((len(Y), len(Y)), np.inf), True
+        self.Y2 = self.Yf @ self.Yf if closed else None
+
+    @np.errstate(all="ignore")
+    def __call__(self, t: float) -> np.ndarray:
+        if not math.isfinite(t):
+            raise PreconditionError(f"t = {t!r} is not finite")
+        Yf, Y2 = self.Yf, self.Y2
+        try:
+            if Y2 is not None:
+                out = np.eye(len(Yf)) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * Y2
+            else:
+                # imported here: scipy.linalg is about half the import time
+                # of the CLI, and only a Y with Y^3 != Y needs it
+                from scipy.linalg import expm
+
+                out = expm(t * Yf)
+        except OverflowError:
+            out = None
+        if out is None or not np.isfinite(out).all():
+            raise NumericalError(f"exp(t*Y) overflows at t = {t!r}")
+        return out
+
+
 def matrix_exp(Y, t: float) -> np.ndarray:
-    """exp(t*Y): closed cosh/sinh form when Y^3 = Y exactly, else
-    scaling-and-squaring (scipy).
-
-    A non-finite t is a PreconditionError; a result that overflows or
-    is not finite is a NumericalError.
-    """
-    if not math.isfinite(t):
-        raise PreconditionError(f"t = {t!r} is not finite")
-    try:
-        with np.errstate(all="ignore"):
-            out = _exp(Y, t)
-    except OverflowError:
-        out = None
-    if out is None or not np.isfinite(out).all():
-        raise NumericalError(f"exp(t*Y) overflows at t = {t!r}")
-    return out
-
-
-def _exp(Y, t):
-    ratio = ratio_form(Y)
-    if ratio:  # Y = N / d, so Y^3 = Y iff N^3 = d^2 N
-        N, d = ratio
-        closed = int_mat_mul(int_mat_mul(N, N), N) == tuple(
-            tuple(d * d * x for x in row) for row in N)
-        # N_ij / d is correctly rounded, the bits of to_float_array(Y)
-        Yf = np.array([[x / d for x in row] for row in N], dtype=float)
-    else:
-        exact = all(is_exact_scalar(x) for row in Y for x in row)
-        Ym = mat_from_rows(Y) if exact else None
-        closed = exact and mat_eq(mat_mul(mat_mul(Ym, Ym), Ym), Ym)
-        Yf = to_float_array(Y)
-    if closed:
-        return np.eye(len(Yf)) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * (Yf @ Yf)
-    # imported here: scipy.linalg is about half the import time of the
-    # CLI, and only a Y with Y^3 != Y needs it
-    from scipy.linalg import expm
-
-    return expm(t * Yf)
+    """exp(t*Y); a family's ``BendingFamily.exp`` decides its Y once."""
+    return _Exp(Y)(t)
 
 
 def edge_words(structure) -> list:
@@ -342,7 +349,7 @@ class BendingFamily:
     The presentation's structure decides the rule; Y must centralize the
     edge-subgroup images (checked at construction via the group-level
     identity s Y s^-1 = Y) and, when a fixed subalgebra is supplied, lie
-    outside its span.
+    outside its span.  ``exp`` decides Y once per family and keeps no t.
     """
 
     presentation: Presentation
@@ -372,6 +379,10 @@ class BendingFamily:
         if self.subalgebra is not None and self.subalgebra.contains(self.Y):
             raise PreconditionError("Y lies in the fixed subalgebra; bending is trivial")
 
+    @functools.cached_property
+    def exp(self):  # t -> matrix_exp(Y, t), bit for bit
+        return _Exp(self.Y)
+
 
 def bend(family: BendingFamily, t: float) -> Homomorphism:
     """The bent homomorphism at parameter t; relators are re-verified."""
@@ -380,8 +391,8 @@ def bend(family: BendingFamily, t: float) -> Homomorphism:
     if t == 0:
         phi = Homomorphism(P.generators, group)
     else:
-        C = matrix_exp(family.Y, t)
-        Cinv = matrix_exp(family.Y, -t)
+        C = family.exp(t)
+        Cinv = family.exp(-t)
         s = P.structure
         gens = P.generators
         with np.errstate(all="ignore"):
@@ -552,6 +563,7 @@ def zariski_density_witness(Y, t: float, sub) -> bool:
     """Density certificate for the group generated by the subgroup of
     the fixed subalgebra ``sub`` and its conjugate by exp(t*Y).
 
+    ``Y`` is a matrix, or a family's ``exp``, which decided Y once.
     ``sub`` is a ``LieBasis``; an int m stands for the standard so(m,1)
     inside so(m,2).  True iff the subalgebra and its Ad(exp(t*Y)) image
     bracket-generate so(J) of the subalgebra's form.  False at t = 0 and
@@ -562,8 +574,8 @@ def zariski_density_witness(Y, t: float, sub) -> bool:
     so(J), with no bracket formed past that point.
     """
     sub = _standard_subalgebra(sub)
-    C = matrix_exp(Y, t)
-    Cinv = matrix_exp(Y, -t)
+    exp = Y if isinstance(Y, _Exp) else _Exp(Y)
+    C, Cinv = exp(t), exp(-t)
     h = sub.float_matrices
     d = sub.space.dim
     span = _FloatSpan(_WITNESS_TOL, d * (d - 1) // 2)  # the span lies in so(J)

@@ -313,7 +313,7 @@ def cmd_bend(args) -> int:
     for t in ts:
         stacks.append(np.array([to_float_array(g) for g in bend(family, t).images]))
         witnesses[str(t)] = bool(
-            zariski_density_witness(family.Y, t, family.subalgebra))
+            zariski_density_witness(family.exp, t, family.subalgebra))
     n = group.size
     keys = [f"{sym},{i},{j}" for sym in pres.symbols
             for i in range(n) for j in range(n)]

@@ -299,8 +299,10 @@ class QuadElement:
     def __repr__(self):
         return f"QuadElement({self.a}, {self.b}, r={self.r})"
 
-    def __str__(self):
-        return f"{self.a}+{self.b}*sqrt({self.r})"
+    def __str__(self):  # the text serialize.scalar_from_str reads back
+        if not self.b:  # a rational value has one text, however it was formed
+            return str(self.a)
+        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt({self.r})"
 
 
 def real_sign(x) -> int:

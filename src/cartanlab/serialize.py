@@ -62,11 +62,7 @@ _BLOCK = 256  # matrices per stack, so that a large document's stack stays small
 
 
 def scalar_to_str(x) -> str:
-    if isinstance(x, QuadElement):
-        if x.b:
-            return f"{x.a}{'+' if x.b > 0 else '-'}{abs(x.b)}*sqrt({x.r})"
-        x = x.a  # a rational value has one text, however it was formed
-    if isinstance(x, (Fraction, int)):
+    if isinstance(x, (QuadElement, Fraction, int)):
         return str(x)
     if isinstance(x, complex):  # numpy 2 reprs np.complex128 as np.complex128(...)
         return repr(complex(x))

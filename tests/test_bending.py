@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -240,6 +241,29 @@ def test_matrix_exp_refuses_non_finite_t_and_overflow():
     with pytest.raises(NumericalError, match="overflows"):
         zariski_density_witness(Y, 400.0, 2)
     assert np.isfinite(matrix_exp(Y, 30.0)).all()
+    # a Y whose float form overflows: t is checked first, as before
+    huge = ((F(0), F(10**400)), (F(0), F(0)))
+    with pytest.raises(PreconditionError, match="not finite"):
+        matrix_exp(huge, math.nan)
+    with pytest.raises(NumericalError, match="overflows at t = 0.0"):
+        matrix_exp(huge, 0.0)
+    # a family's exponential refuses as matrix_exp does, exp(t*Y) before
+    # exp(-t*Y), in bend and in the witness; 2Y takes scipy's expm
+    P = schottky_so22_presentation()
+    for Yb, ts in ((Y, (math.nan, math.inf, -math.inf, 1e308, -800.0)),
+                   (tuple(tuple(2 * x for x in row) for row in Y),
+                    (math.nan, math.inf, 400.0, -400.0))):
+        family = BendingFamily(P, Yb)
+        for t in ts:
+            want = _refusal(lambda: (matrix_exp(Yb, t), matrix_exp(Yb, -t)))
+            assert _refusal(lambda: bend(family, t)) == want
+            assert _refusal(lambda: zariski_density_witness(family.exp, t, 2)) == want
+
+
+def _refusal(f):
+    with pytest.raises((PreconditionError, NumericalError)) as e:
+        f()
+    return type(e.value), str(e.value)
 
 
 def test_module_decomposition():
@@ -647,6 +671,34 @@ def _fraction_route_exp(Y, t):
     Yf = np.array([[float(x) for x in row] for row in Ym])
     Y2 = Yf @ Yf
     return np.eye(Yf.shape[0]) + math.sinh(t) * Yf + (math.cosh(t) - 1.0) * Y2
+
+
+@functools.cache
+def _exponentials():
+    """(Y, one exponential of Y kept for every example): the shipped
+    SO(2,2) boost as its family's ``exp``, the (0, last) boost of
+    SO(m,2) for m = 3 and 4, a boost over Q(sqrt 2) and a Y with
+    Y^3 != Y."""
+    fam = BendingFamily(schottky_so22_presentation(), boost_Y_so22(),
+                        subalgebra=so_subalgebra_basis(standard_so_form(2, 2), 3))
+    Ys = []
+    for m in (3, 4):
+        d = m + 2
+        Ys.append(tuple(tuple(F(int({i, j} == {0, d - 1})) for j in range(d))
+                        for i in range(d)))
+    u, zero = QuadElement(1, 1, 2), QuadElement(0, 0, 2)
+    Ys.append(((zero, zero, u), (zero, zero, zero), (1 / u, zero, zero)))
+    Ys.append(((F(2), F(0)), (F(0), F(-2))))
+    return [(fam.Y, fam.exp)] + [(Y, bending._Exp(Y)) for Y in Ys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, 4), t=st.floats(-30, 30))
+def test_one_exponential_per_family_has_the_bits_of_matrix_exp(case, t):
+    Y, exp = _exponentials()[case]
+    for s in (t, 0.0, -0.0, 1e-3, 0.3, 1.0, 30.0):
+        for u in (s, -s):
+            assert exp(u).tobytes() == matrix_exp(Y, u).tobytes()
 
 
 def test_matrix_exp_integer_route_has_the_fraction_route_bits(monkeypatch):

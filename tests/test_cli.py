@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab import cli, stability, transverse, wordgroups
+from cartanlab import bending, cli, stability, transverse, wordgroups
 from cartanlab.bending import LieBasis
 from cartanlab.cartan import CartanVector
 from cartanlab.cli import main
@@ -334,6 +334,23 @@ def test_cmd_bend_and_witnesses(tmp_path, so22_bending_file):
     sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
     assert sidecar["witnesses"] == {"0.0": False, "0.1": True}
     assert sidecar["module_decomposition_ok"] is True
+
+
+def test_cmd_bend_decides_y_once_per_report(tmp_path, so22_bending_file,
+                                           monkeypatch):
+    # Y^3 = Y is decided by two integer products; bend and the witness
+    # used to decide it again for each exp(+-t*Y), 22 times at these t
+    products = []
+    mul = bending.int_mat_mul
+    monkeypatch.setattr(bending, "int_mat_mul",
+                        lambda A, B: products.append(1) or mul(A, B))
+    out = tmp_path / "bend.csv"
+    assert main(["bend", "--input", str(so22_bending_file), "--output",
+                 str(out), "--t", "0,1e-3,0.01,0.1,0.3,1"]) == 0
+    assert len(products) == 2
+    sidecar = json.loads((tmp_path / "bend.csv.json").read_text())
+    assert sidecar["witnesses"] == {"0.0": False, "0.001": True, "0.01": True,
+                                    "0.1": True, "0.3": True, "1.0": True}
 
 
 def _so22_amalgam_file(tmp_path, sides, gamma0, bending):
@@ -953,6 +970,7 @@ def _bend_doc_file(tmp_path, ts):
     ("bend", "1e308", 3),
     ("bend", "-800", 3),
     ("bend", "100", 3),  # a bent generator numpy cannot invert
+    ("bend", "300", 3),  # exp(t*Y) is finite, the bent generators are not
     ("stability", "1e308", 3),
     ("stability", "nan", 2),
 ])

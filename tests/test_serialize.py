@@ -62,6 +62,18 @@ def test_scalar_strings():
     assert isinstance(scalar_from_str("1/4", REAL), F)
 
 
+_FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_FRACTIONS, b=_FRACTIONS, r=st.sampled_from([2, 3, 5, 6, 7, 10]))
+def test_quad_element_text_round_trips(a, b, r):
+    # str() used to write a+-b*sqrt(r) for b < 0, which the reader refused
+    q = QuadElement(a, b, r)
+    assert str(q) == scalar_to_str(q)
+    assert scalar_from_str(str(q), quadratic(r)) == q
+
+
 def test_wrong_radicand_rejected():
     with pytest.raises(PreconditionError):
         scalar_from_str("1+1*sqrt(3)", quadratic(2))
