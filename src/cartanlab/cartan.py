@@ -12,7 +12,7 @@ polar part of its KAK decomposition:
 Both read a rational element's integer form g = N / d (``GroupElement``):
 the float one as N_ij / d, the p-adic one by a fraction-free Smith
 reduction of N over Z_(p) that scales rows by p-adic units, or for SL_2
-by its closed form, mu_1 = v_p(d) - v_p(gcd N).
+by its closed form, mu = (v_p(d), -v_p(d)) for the canonical N / d.
 
 Every exact element is validated by ``_ratio_faults``, which decides a
 whole stack at once: det N = d^n by ``exact.stack_minors`` (the one
@@ -534,9 +534,10 @@ def invariant_factor_valuations(matrix, p: int):
 
 def _sl2_padic_mu1(v_den: int, entries, p: int) -> int:
     """mu_1 of g = N / d in SL_2(Q_p), given v_den = v_p(d) and the
-    entries of N.  det N = d^2 makes the invariant factors of N p^m and
-    p^(2 v_den - m), m = min_ij v_p(N_ij) the content of N, so
-    mu(g) = (v_den - m, m - v_den)."""
+    entries of any integer N with det N = d^2, canonical or not.  Its
+    invariant factors are p^m and p^(2 v_den - m), m = min_ij v_p(N_ij)
+    the content of N, so mu(g) = (v_den - m, m - v_den); m = 0 when N / d
+    is canonical (``_padic_mu``)."""
     m = _int_content(entries, p)
     if m == INF:
         raise PreconditionError("matrix is singular")
@@ -553,8 +554,10 @@ def cartan_padic(g: GroupElement) -> CartanVector:
 
 def _padic_mu(g: GroupElement) -> list:
     """The Q_p Cartan coordinates of g in SL_n: the invariant factor
-    valuations of g, negated, in descending order; for SL_2 their closed
-    form ``_sl2_padic_mu1``."""
+    valuations of g, negated, in descending order.  Some entry of the
+    canonical N of g = N / d is a p-adic unit: if p | d because
+    gcd(d, N) = 1, else because det N = d^n is a unit.  So mu_1 = v_p(d),
+    and on SL_2 mu = (v_p(d), -v_p(d)) with no content computed."""
     grp = g.group
     if grp.family != "SL":
         raise UnsupportedFieldError("padic Cartan projection implemented for SL_n only")
@@ -562,7 +565,7 @@ def _padic_mu(g: GroupElement) -> list:
         raise PreconditionError("padic Cartan projection needs exact rational entries")
     p = grp.field.p
     if grp.n == 2:
-        top = _sl2_padic_mu1(int_valuation(g._den, p), chain.from_iterable(g._m), p)
+        top = int_valuation(g._den, p)
         return [top, -top]
     mu = sorted((-w for w in _smith_valuations(g._m, g._den, p)), reverse=True)
     if sum(mu) != 0:

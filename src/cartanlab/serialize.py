@@ -8,16 +8,16 @@ Matrix files carry a field descriptor, a group descriptor, and a list of
 matrices; presentation files add named generators, structure, optional
 relators, and an optional bending block.
 
-A document's matrices load as one exact stack, ``_BLOCK`` matrices at a
-time so that memory stays bounded.  A matrix is stacked when it is an
-n x n list of rows whose entries are all JSON ints (exactly ``int``, not
-``true``) or ASCII ``[+-]?[0-9]+(/[0-9]+)?`` text with a nonzero
-denominator.  Each distinct entry text of a block is checked and split
-once.  The canonical ``(N, d)`` of ``exact.ratio_form`` (the matrix
-is N / d) of every stacked matrix comes from one lcm and one gcd per
-matrix and scalings taken entry by entry over the whole stack, all on
-Python ints with no ``Fraction`` built, and ``cartan._ratio_faults``
-validates the whole stack in one exact kernel.
+A document's matrices load as one exact stack, ``_BLOCK`` entries (at
+least one matrix) at a time so that memory stays bounded.  A matrix is
+stacked when it is an n x n list of rows whose entries are all JSON ints
+(exactly ``int``, not ``true``) or ASCII ``[+-]?[0-9]+(/[0-9]+)?`` text
+with a nonzero denominator.  Each distinct entry text of a block is
+checked and split once.  The canonical ``(N, d)`` of ``exact.ratio_form``
+(the matrix is N / d) of every stacked matrix comes from one lcm and one
+gcd per matrix and scalings taken entry by entry over the whole stack,
+all on Python ints with no ``Fraction`` built, and
+``cartan._ratio_faults`` validates the whole stack in one exact kernel.
 Any other matrix (decimal, complex, ``a+b*sqrt(r)``, whitespace, ``_``,
 a non-ASCII digit, ``x/0``, ragged) goes through ``scalar_from_str``
 entry by entry and the ``GroupElement`` constructor, in its place: the
@@ -58,7 +58,7 @@ _QUAD_PURE_RE = re.compile(
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 # the entry types of a stacked matrix: exactly int (not bool) and str
 _JSON_RATIONAL_TYPES = frozenset((int, str))
-_BLOCK = 256  # matrices per stack, so that a large document's stack stays small
+_BLOCK = 4096  # entries per stack, so that a large document's stack stays small
 
 
 def scalar_to_str(x) -> str:
@@ -293,9 +293,10 @@ def _canonical_stack(pairs, n: int):
 
 
 def _stacked(matrices, group: GroupDesc):
-    """``_stack_block`` of every JSON matrix in order, _BLOCK at a time."""
-    for start in range(0, len(matrices), _BLOCK):
-        yield from _stack_block(matrices[start:start + _BLOCK], group)
+    """``_stack_block`` of every JSON matrix in order, _BLOCK entries at a time."""
+    block = max(1, _BLOCK // group.size ** 2)
+    for start in range(0, len(matrices), block):
+        yield from _stack_block(matrices[start:start + block], group)
 
 
 def _element(parsed, group: GroupDesc) -> GroupElement:

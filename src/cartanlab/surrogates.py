@@ -1,11 +1,12 @@
 """Shipped example groups: Schottky surrogates and subgroup axes.
 
-Genuine arithmetic lattices with totally geodesic hypersurfaces are out
-of desk scale, so the worked examples run on free Schottky subgroups
-with the amalgam/HNN labeling supplied as data.  Whether a surrogate is
-Zariski-dense in its rank-one group is an input assumption, stated here
-and echoed by the CLI reports; the density witnesses certify only the
-Lie-algebra-level condition on top of it.
+The shipped examples are free Schottky subgroups, with the amalgam/HNN
+labeling supplied as data.  Uniform reflection lattices (a right-angled
+hexagon group in SO(2,1), an 8-generator group in SO(4,1) over
+Q(sqrt 2)) are within desk scale, but are not shipped yet.  Whether a
+surrogate is Zariski-dense in its rank-one group is an input assumption,
+stated here and echoed by the CLI reports; the density witnesses certify
+only the Lie-algebra-level condition on top of it.
 """
 
 from fractions import Fraction as F

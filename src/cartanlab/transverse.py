@@ -12,10 +12,10 @@ A rank-one model is one of
   p^(2 v_p(d) - m), m = min_ij v_p(N_ij), because det N = d^2; so the
   Cartan projection is (v_p(d) - m, m - v_p(d)) and
   d(x0, g.x0) = mu_1 - mu_2 = 2 (v_p(d) - min_ij v_p(N_ij)), an even
-  integer read off the entries with no Smith form.  The formula needs no
-  canonical (N, d), so it also serves an unreduced product of two forms;
-  its one copy is ``cartan._sl2_padic_mu1``, which ``cartan_padic`` uses
-  for SL_2 as well.
+  integer read off the entries with no Smith form.  A canonical (N, d)
+  has m = 0 (``cartan._padic_mu``), so an element's distance is
+  2 v_p(d); the content form ``cartan._sl2_padic_mu1`` serves the
+  unreduced products of two forms in ``_tree_row``.
 
 Displacement of g is d(x0, g.x0); the transversality gap of a pair is
 |mu(gh)| - |mu(g)| - |mu(h)| <= 0, and a gap bounded below by -D is the
@@ -158,8 +158,7 @@ def _tree_form(g: GroupElement, model: RankOneModel):
 def displacement(g: GroupElement, model: RankOneModel) -> float:
     """d(x0, g.x0) in the model; exact even integer on the tree."""
     if model.kind == "sl2_tree":
-        entries, v_den = _tree_form(g, model)
-        return 2 * _sl2_padic_mu1(v_den, entries, model.p)  # = sqrt(2) * ||mu||
+        return 2 * _tree_form(g, model)[1]  # = sqrt(2) * ||mu||
     model.check_on_model(model.base_point)
     return float(_distances((model.matrix_action(g) @ model.base_point)[None], model)[0])
 
@@ -246,8 +245,7 @@ def orbit_data(P: Presentation, phi: Homomorphism, model: RankOneModel,
     elements = ball.elements()
     if model.kind == "sl2_tree":
         forms = [_tree_form(e, model) for e in elements]
-        dists = np.array([2 * _sl2_padic_mu1(v, N, model.p) for N, v in forms],
-                         dtype=float)
+        dists = np.array([2 * v for _, v in forms], dtype=float)
         return OrbitData(ball, phi, model, distances=dists, forms=forms)
     x0p = model.base_point if x0_prime is None else np.asarray(x0_prime, float)
     model.check_on_model(x0p)

@@ -349,6 +349,8 @@ def test_cartan_padic_matches_minor_valuations(case):
     for k in range(1, n + 1):
         assert sum(mu[:k]) == -sums[k - 1]
     assert list(mu) == sorted(mu, reverse=True)
+    # a canonical N / d has a unit entry, so mu_1 = v_p(d)
+    assert mu[0] == int_valuation(ratio_form(M)[1], p)
 
 
 @given(st.sampled_from([2, 3, 5]).flatmap(
@@ -390,6 +392,7 @@ def test_sl2_padic_closed_form_matches_the_smith_form(case):
     top = _sl2_padic_mu1(int_valuation(d, p), itertools.chain(*N), p)
     smith = _smith_valuations(N, d, p)
     assert (top, -top) == tuple(sorted((-w for w in smith), reverse=True))
+    assert top == int_valuation(d, p)  # the closed form of a canonical N / d
     assert cartan_padic(GroupElement(M, special_linear(2, padic(p)))).coords == (top, -top)
 
 

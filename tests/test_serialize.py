@@ -281,13 +281,17 @@ _DOC_MATRICES = [
 ]
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 256])
+@pytest.mark.parametrize("block", [16, 32, 48, 4096])
 def test_stacked_loader_fails_first_where_the_scalar_route_does(
         monkeypatch, block):
     """Every tail of a document mixing good matrices, determinant and
     form failures, malformed matrices, ``true`` and ``1.0`` next to ``1``
     and unreduced text loads to the same elements, or fails with the same
-    first failure, as the scalar route, whatever the stack's block size."""
+    first failure, as the scalar route, whatever the stack's block size
+    in entries (1, 2, 3 and 256 SO(2,2) matrices).  A Q_2 SL_2 document
+    of block // 4 matrices per stack loads past its first stack as the
+    scalar route does, and fails first at a det 2 matrix in its second
+    stack on both routes, before a det -1 matrix in its third."""
     monkeypatch.setattr(serialize, "_BLOCK", block)
     group = GroupDesc("SO", REAL, p=2, q=2)
     doc = {"field": {"kind": "real"}, "group": {"family": "SO", "p": 2, "q": 2}}
@@ -304,6 +308,16 @@ def test_stacked_loader_fails_first_where_the_scalar_route_does(
         "determinant is -1, not 1", "a matrix must be a list of rows of scalars",
         "could not convert string to float: 'True'", "matrix is not 4x4",
         "scalar '1/0' has a zero denominator"}
+    sl2 = GroupDesc("SL", padic(2), n=2)
+    k = block // 4 + 1
+    good = [[["1", "1/2"], [0, 1]]] * k + [[["1/4", 0], ["3", 4]]] * k
+    doc = {"field": {"kind": "padic", "p": 2}, "group": {"family": "SL", "n": 2}}
+    _assert_same_elements([g for _, g in load_matrix_document(
+        dict(doc, matrices=good))[2]], _scalar_route(good, sl2))
+    bad = good[:k] + [[[2, 0], [0, 1]]] + good[k:] + [[[0, 1], [1, 0]]]
+    assert _outcome(lambda: load_matrix_document(dict(doc, matrices=bad))) == (
+        _outcome(lambda: _scalar_route(bad, sl2))) == (
+        PreconditionError, "determinant is 2, not 1")
 
 
 def test_stacked_loader_keeps_true_and_floats_apart_from_ints():
