@@ -48,6 +48,7 @@ from .cartan import GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
+    field_form,
     in_span,
     int_mat_mul,
     mat_eq,
@@ -56,10 +57,9 @@ from .exact import (
     mat_sub,
     nullspace,
     primitive,
-    ratio_form,
     solve,
 )
-from .fields import as_exact, is_exact_scalar, real_sign
+from .fields import QuadElement, as_exact, is_exact_scalar, real_sign
 from .wordgroups import (
     AmalgamStructure,
     HnnStructure,
@@ -291,17 +291,17 @@ class _Exp:
 
     @np.errstate(all="ignore")
     def __init__(self, Y):
-        ratio = ratio_form(Y)
-        if ratio:  # Y = N / d, so Y^3 = Y iff N^3 = d^2 N
-            N, d = ratio
+        r = next((x.r for x in _flatten(Y) if isinstance(x, QuadElement)), None)
+        key = field_form(Y, r)  # over Q(sqrt r) Y's block form, as multiplicative
+        if key:  # Y = N / d, so Y^3 = Y iff N^3 = d^2 N
+            N, d = key
             closed = int_mat_mul(int_mat_mul(N, N), N) == tuple(
                 tuple(d * d * x for x in row) for row in N)
-        else:  # over Q(sqrt r); a float entry leaves Y^3 = Y undecided
-            Ym = mat_from_rows(Y) if all(map(is_exact_scalar, _flatten(Y))) else None
-            closed = Ym is not None and mat_eq(mat_mul(mat_mul(Ym, Ym), Ym), Ym)
+        else:  # a float entry leaves Y^3 = Y undecided
+            closed = False
         try:  # N_ij / d is correctly rounded, the bits of to_float_array(Y)
             self.Yf = (np.array([[x / d for x in row] for row in N], dtype=float)
-                       if ratio else to_float_array(Y))
+                       if key and r is None else to_float_array(Y))
         except OverflowError:  # no float form: exp(t*Y) is not finite at any t
             self.Yf, closed = np.full((len(Y), len(Y)), np.inf), True
         self.Y2 = self.Yf @ self.Yf if closed else None

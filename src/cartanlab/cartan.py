@@ -12,14 +12,18 @@ polar part of its KAK decomposition:
 Both read a rational element's integer form g = N / d (``GroupElement``):
 the float one as N_ij / d, the p-adic one by a fraction-free Smith
 reduction of N over Z_(p) that scales rows by p-adic units, or for SL_2
-by its closed form, mu = (v_p(d), -v_p(d)) for the canonical N / d.
+by its closed form, mu = (v_p(d), -v_p(d)) for the canonical N / d.  An
+element over Q(sqrt r) is stored as the N / d of its block form
+[[A, r B], [B, A]] (``exact.field_form``), and the float one reads its
+decoded entries.
 
 Every exact element is validated by ``_ratio_faults``, which decides a
 whole stack at once: det N = d^n by ``exact.stack_minors`` (the one
 division-free minors kernel, also of ``exact.det`` and ``wedge_norm_log``)
 and N^T C N = d^2 C, on Python ints for a rational N / d and on the field
-elements, with d = 1, over Q(sqrt r).  The loader runs it on a document's
-stack and the constructor on a stack of one.
+elements, with d = 1, over Q(sqrt r), where the det of the block form is
+the norm of det.  The loader runs it on a document's stack and the
+constructor on a stack of one.
 
 A whole set of one group's elements is projected by one kernel,
 ``_mu_rows``, into the rows of one (m, k) array: over R or C one
@@ -60,11 +64,9 @@ from operator import add, mul, ne
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, UnsupportedFieldError
-from .exact import int_mat_mul, mat_eq, mat_mul
-from .exact import inverse as exact_inverse
-from .exact import ratio_form, ratio_inverse, ratio_normal, stack_minors
-from .fields import (INF, FieldDesc, QuadElement, _int_content, int_valuation,
-                     is_exact_scalar, real_sign)
+from .exact import (field_form, field_rows, int_mat_mul, ratio_form, ratio_inverse,
+                    ratio_normal, stack_minors)
+from .fields import INF, FieldDesc, QuadElement, _int_content, int_valuation, real_sign
 
 _DET_TOL = 1e-9
 _FORM_TOL = 1e-9
@@ -78,12 +80,13 @@ def _float_entry(x):
 def to_float_array(matrix) -> np.ndarray:
     """Dense numpy array of a GroupElement or a matrix of any scalars; a
     rational element N / d gives N_ij / d by int division, correctly
-    rounded as float(Fraction) is (numpy would round N_ij and d first)."""
+    rounded as float(Fraction) is (numpy would round N_ij and d first);
+    one over Q(sqrt r) gives float() of each decoded entry."""
     if isinstance(matrix, GroupElement):
-        if matrix._den:
-            d = matrix._den
-            return np.array([[x / d for x in row] for row in matrix._m], dtype=float)
-        matrix = matrix._m
+        if matrix.ratio:
+            N, d = matrix.ratio
+            return np.array([[x / d for x in row] for row in N], dtype=float)
+        matrix = matrix.matrix
     if isinstance(matrix, np.ndarray):
         return matrix
     rows = [[_float_entry(x) for x in row] for row in matrix]
@@ -182,10 +185,11 @@ def indefinite_unitary(p: int, q: int, field: FieldDesc, form=None) -> GroupDesc
 class GroupElement:
     """A matrix together with the group it is checked to belong to.
 
-    A rational element is stored as the canonical (N, d) of
-    ``exact.ratio_form``: equality and hashing compare integer tuples, a
-    product is (N1 N2, d1 d2) and one gcd pass, and ``matrix`` (Fractions)
-    is built on each access.  Other exact elements keep their tuples.
+    An exact element is stored as the canonical (N, d) of
+    ``exact.field_form``, of its block form over Q(sqrt r) (rational ones
+    too): equality and hashing compare integer tuples, a product is
+    (N1 N2, d1 d2) and one gcd pass, and ``matrix`` is decoded on each
+    access.  A float element is an ndarray.
 
     Exact entries are validated exactly (det = 1, g^T J g = J); floating
     entries within 1e-9.  Instances are immutable; products and inverses
@@ -195,29 +199,15 @@ class GroupElement:
     __slots__ = ("_m", "_den", "group")
 
     def __init__(self, matrix, group: GroupDesc, check: bool = True):
-        self._den = 0  # d > 0 marks a rational element N / d with N in _m
-        if isinstance(matrix, np.ndarray):
-            self._m = matrix
-        else:
-            rows = tuple(tuple(row) for row in matrix)
-            ratio = ratio_form(rows)
-            if ratio:
-                self._m, self._den = ratio
-            elif all(is_exact_scalar(x) for row in rows for x in row):
-                self._m = rows
-            else:
-                self._m = to_float_array(rows)
-        self.group = group
-        n = group.size
-        shape_ok = (
-            self._m.shape == (n, n)
-            if isinstance(self._m, np.ndarray)
-            else (len(self._m) == n and all(len(r) == n for r in self._m))
-        )
-        if not shape_ok:
+        self.group, n = group, group.size
+        rows = None if isinstance(matrix, np.ndarray) else tuple(tuple(row) for row in matrix)
+        shape = matrix.shape if rows is None else (len(rows), *{len(row) for row in rows})
+        if shape != (n, n):
             raise PreconditionError(f"matrix is not {n}x{n}")
+        key = rows and field_form(rows, group.field.r)  # exact: N / d, d > 0
+        self._m, self._den = key or (to_float_array(matrix if rows is None else rows), 0)
         if check:
-            self._validate()
+            self._validate(rows)
 
     @classmethod
     def _ratio(cls, N, d, group: GroupDesc) -> "GroupElement":
@@ -228,26 +218,25 @@ class GroupElement:
 
     @property
     def matrix(self):
-        """Tuples of Fraction (rational), of exact scalars, or an ndarray."""
-        if self._den:
-            d = self._den
-            return tuple(tuple(Fraction(x, d) for x in row) for row in self._m)
-        return self._m
+        """Tuples of Fraction (rational) and QuadElement, or an ndarray."""
+        return field_rows(self._m, self._den, self.group.field.r) if self._den else self._m
 
     @property
     def ratio(self):
-        """The canonical (N, d) of a rational element, None for any other."""
-        return (self._m, self._den) if self._den else None
+        """The canonical (N, d) of an exact element not over Q(sqrt r), None
+        for any other."""
+        return (self._m, self._den) if self._den and self.group.field.r is None else None
 
     @property
     def is_exact(self) -> bool:
-        return not isinstance(self._m, np.ndarray)
+        return self._den > 0
 
-    def _validate(self):
+    def _validate(self, rows):
         g = self.group
         if self.is_exact:  # the stack kernel, on a stack of one
-            fault = _ratio_faults([[[x] for x in row] for row in self._m],
-                                  [self._den or 1], g)[0]
+            # over Q(sqrt r) on the field elements: det of a block form is a norm
+            N, d = self.ratio or ratio_form(rows) or (self.matrix, 1)
+            fault = _ratio_faults([[[x] for x in row] for row in N], [d], g)[0]
             if fault:
                 raise PreconditionError(fault)
         else:
@@ -273,15 +262,13 @@ class GroupElement:
         if self._den and other._den:
             N, d = ratio_normal(int_mat_mul(self._m, other._m), self._den * other._den)
             return GroupElement._ratio(N, d, self.group)
-        if self.is_exact and other.is_exact:
-            return GroupElement(mat_mul(self.matrix, other.matrix), self.group, check=False)
         return GroupElement(
             to_float_array(self) @ to_float_array(other), self.group, check=False
         )
 
     def inv(self) -> "GroupElement":
-        c = self._den and self.group._cleared_form
-        if c:
+        c = self.ratio and self.group._cleared_form
+        if c:  # not on a block form, whose transpose is no block form
             # g^-1 = J^-1 g^T J, with J cleared to the integer diagonal c
             L = math.lcm(*c)
             N = tuple(tuple((L // ci) * cj * x for cj, x in zip(c, col))
@@ -289,8 +276,6 @@ class GroupElement:
             return GroupElement._ratio(*ratio_normal(N, L * self._den), self.group)
         if self._den:
             return GroupElement._ratio(*ratio_inverse(self._m, self._den), self.group)
-        if self.is_exact:
-            return GroupElement(exact_inverse(self.matrix), self.group, check=False)
         try:
             return GroupElement(np.linalg.inv(self._m), self.group, check=False)
         except np.linalg.LinAlgError as e:
@@ -301,20 +286,11 @@ class GroupElement:
             return NotImplemented
         if self._den and other._den:
             return self._den == other._den and self._m == other._m
-        if self.is_exact and other.is_exact:
-            return mat_eq(self.matrix, other.matrix)
         a, b = to_float_array(self), to_float_array(other)
         return bool(np.abs(a - b).max() == 0)
 
     def __hash__(self):
-        if self._den:
-            return hash((self._m, self._den))
-        if not self.is_exact:
-            return hash(self._m.tobytes())
-        # equal to a rational element iff every entry is rational
-        values = [[x.a if isinstance(x, QuadElement) and not x.b else x for x in row]
-                  for row in self._m]
-        return hash(ratio_form(values) or self._m)
+        return hash((self._m, self._den) if self._den else self._m.tobytes())
 
     def __repr__(self):
         return f"GroupElement({self.matrix!r})"
@@ -447,12 +423,12 @@ def _mu_rows(elements, group: GroupDesc) -> np.ndarray:
 
 def _float_stack(elements, dtype=float) -> np.ndarray:
     """``to_float_array`` of every element as one (m, n, n) stack of dtype.
-    When all are rational N / d with every |N_ij| and d below 2**53, N and
-    d are exact floats, and one division of the stacked N by the d gives
-    each N_ij / d correctly rounded, as int division does; otherwise the
-    stack is built element by element."""
+    When all are rational N / d (``ratio``) with every |N_ij| and d below
+    2**53, N and d are exact floats, and one division of the stacked N by
+    the d gives each N_ij / d correctly rounded, as int division does;
+    otherwise the stack is built element by element."""
     n = elements[0].group.size
-    if all(g._den for g in elements):
+    if all(g.ratio for g in elements):
         try:  # float() of an int past the float range overflows
             N = np.fromiter(chain.from_iterable(chain.from_iterable(
                 g._m for g in elements)), float, len(elements) * n * n)
@@ -601,14 +577,15 @@ def wedge_norm_log(g: GroupElement, i0: int) -> float:
     padic = grp.field.kind == "padic"
     if padic and not g._den:
         raise PreconditionError("padic wedge norm needs exact entries")
-    rows = g._m if g.is_exact else to_float_array(g).tolist()
+    ratio = g.ratio
+    rows = ratio[0] if ratio else g.matrix if g.is_exact else to_float_array(g).tolist()
     minors = stack_minors([[[x] for x in row] for row in rows], i0)
     if padic:
         c = _int_content(chain.from_iterable(minors.values()), grp.field.p)
         if c == INF:
             raise PreconditionError("matrix is singular")
         return i0 * int_valuation(g._den, grp.field.p) - c
-    scale = g._den ** i0 if g._den else 1
+    scale = ratio[1] ** i0 if ratio else 1
     idx = list(combinations(range(n), i0))
     compound = np.array([[_float_entry(minors[r, c][0]) / scale for c in idx]
                          for r in idx])

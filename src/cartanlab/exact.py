@@ -8,12 +8,15 @@ never floats.  Sizes are desk scale (n <= 8 or so).
 A rational matrix (Fraction or int entries) has one canonical integer
 form, ``ratio_form``: (N, d) with the matrix equal to N / d, N a tuple
 of integer rows, d > 0 and gcd(d, N) = 1; ``ratio_normal`` restores it
-after a product.  Exact group elements are stored so.  A Fraction
-operation normalises by a gcd on every multiply and add, so the kernels
-below work on Python ints wherever the entries are rational, and build
-one normalised Fraction per result entry at the end.  Which path runs
-depends only on the types of the entries; over Q(sqrt r) the same loops
-run on the field elements, with ``/`` where the integers use ``//``.
+after a product.  Every exact group element is stored so (``field_form``),
+one over Q(sqrt r) as the (N, d) of its block form [[A, r B], [B, A]]:
+an injective ring homomorphism, so the integer kernels serve it as they
+are.  A Fraction operation normalises by a gcd on every multiply and add,
+so the kernels below work on Python ints wherever the entries are
+rational, and build one normalised Fraction per result entry at the end.
+Which path runs depends only on the types of the entries; on QuadElement
+entries the same loops run on the field elements, with ``/`` where the
+integers use ``//``.
 
 Which kernel serves which routine:
 
@@ -51,7 +54,8 @@ from functools import partial, reduce
 from itertools import chain, combinations, compress, repeat
 from operator import add, attrgetter, floordiv, mul, neg, sub, truediv
 
-from .fields import as_exact
+from .errors import PreconditionError
+from .fields import QuadElement, as_exact
 
 _ZERO = Fraction(0)
 _INT_TYPES = frozenset((int,))
@@ -82,6 +86,36 @@ def ratio_form(rows):
     return tuple(
         tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
     ), d
+
+
+def field_form(rows, r=None):
+    """The canonical (N, d) an exact matrix is stored as: that of the matrix
+    over Q (r None), that of its block form [[A, r B], [B, A]] over
+    Q(sqrt r), whose gcd(d, A, B) = 1 makes it a unique key; None if an
+    entry is a float or a complex.  An irrational entry outside Q(sqrt r)
+    (or any, for r None) is a PreconditionError."""
+    for x in chain.from_iterable(rows):
+        if type(x) is QuadElement and x.b and x.r != r:
+            raise PreconditionError(f"entry {x} lies in Q(sqrt({x.r})), not in the group's field")
+    A = [[x.a if type(x) is QuadElement else x for x in row] for row in rows]
+    ratio = ratio_form(A if r is None else A + [
+        [x.b if type(x) is QuadElement else 0 for x in row] for row in rows])
+    if ratio is None or r is None:
+        return ratio
+    (N, d), n = ratio, len(rows)
+    return (tuple((*a, *(r * x for x in b)) for a, b in zip(N[:n], N[n:]))
+            + tuple((*b, *a) for a, b in zip(N[:n], N[n:]))), d
+
+
+def field_rows(N, d, r=None):
+    """The matrix whose ``field_form`` is (N, d), over Q(sqrt r) with A and
+    B read off the left blocks: rational entries Fractions, others
+    QuadElements, as ``serialize`` reads them."""
+    if r is None:
+        return tuple(tuple(Fraction(x, d) for x in row) for row in N)
+    n = len(N) // 2
+    return tuple(tuple(QuadElement(Fraction(a, d), Fraction(b, d), r) if b else Fraction(a, d)
+                       for a, b in zip(N[i], N[n + i][:n])) for i in range(n))
 
 
 def ratio_normal(N, d):
@@ -127,10 +161,10 @@ def int_mat_mul(A, B):
 
 def stack_products(keys, gens, pairs):
     """The key of keys[t] times letter gens[l] for each (t, l) of pairs,
-    in order.  Every key is a canonical (N, d), or every key is (rows,
-    None).  Entry (r, c) of the matrices a letter multiplies is one list,
-    so each product entry is a sum of a few ``map(mul)``."""
-    n, rational = len(gens[0][0]), bool(gens[0][1])
+    in order; every key is a canonical (N, d).  Entry (r, c) of the
+    matrices a letter multiplies is one list, so each product entry is a
+    sum of a few ``map(mul)``, zero letter entries skipped."""
+    n = len(gens[0][0])
     cols = list(zip(*(chain.from_iterable(N) for N, _ in keys)))
     dens = [d for _, d in keys]
     masks = [[False] * len(keys) for _ in gens]
@@ -142,11 +176,10 @@ def stack_products(keys, gens, pairs):
         for e, col in enumerate(out):  # e = r n + c
             col += reduce(partial(map, add), [
                 map(mul, sub[e - e % n + t], repeat(x))
-                for t, x in enumerate(row[e % n] for row in L) if x or not rational])
-        d_out += map(mul, compress(dens, mask), repeat(dl)) if rational else compress(dens, mask)
+                for t, x in enumerate(row[e % n] for row in L) if x])
+        d_out += map(mul, compress(dens, mask), repeat(dl))
         at += compress(range(len(keys)), mask)  # a stable sort by t gives (t, l) order
-    if rational:
-        out, d_out = ratio_normal_stack(out, d_out)
+    out, d_out = ratio_normal_stack(out, d_out)
     prods = list(zip(zip(*(zip(*out[r * n:r * n + n]) for r in range(n))), d_out))
     return [prods[i] for i in sorted(range(len(at)), key=at.__getitem__)]
 

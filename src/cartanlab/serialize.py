@@ -36,7 +36,7 @@ import numpy as np
 
 from .cartan import GroupDesc, GroupElement, _ratio_faults
 from .errors import PreconditionError, UnsupportedFieldError
-from .exact import ratio_normal_stack
+from .exact import field_form, ratio_normal_stack
 from .fields import (COMPLEX, REAL, FieldDesc, QuadElement, is_exact_scalar, padic,
                      quadratic)
 from .wordgroups import (
@@ -300,13 +300,15 @@ def _stacked(matrices, group: GroupDesc):
 
 
 def _element(parsed, group: GroupDesc) -> GroupElement:
-    """The validated element of a ``_stack_block`` item (a tuple), or of
-    rows of ``scalar_from_str`` scalars (a list)."""
+    """The validated element of a ``_stack_block`` item (a tuple), stored
+    over Q(sqrt r) as its block form, or of rows of ``scalar_from_str``
+    scalars (a list)."""
     if isinstance(parsed, tuple):
         N, d, fault = parsed
         if fault:
             raise PreconditionError(fault)
-        return GroupElement._ratio(N, d, group)
+        r = group.field.r
+        return GroupElement._ratio(field_form(N, r)[0] if r else N, d, group)
     return GroupElement(parsed, group)
 
 

@@ -6,9 +6,10 @@ ball holds each distinct image of a reduced word of length <= radius
 with its shortest word, ties broken lexicographically on (generator
 index, sign).  One breadth-first loop builds it a level at a time; only
 forming a level's products and deciding which are new depend on the
-arithmetic: exact images by ``exact.stack_products`` and a dict (which
-audits every hash collision with a full comparison), float images by one
-gathered ``matmul`` (bit for bit as ``@``) and a relative tolerance
+arithmetic: exact images by ``exact.stack_products`` on their stored
+(N, d), over Q(sqrt r) too, and a dict (which audits every hash
+collision with a full comparison), float images by one gathered
+``matmul`` (bit for bit as ``@``) and a relative tolerance
 (``FLOAT_DEDUP_TOL``; g and -g are distinct) with a merge log.
 Each float element has one key, a weighted sum of its coordinates, and every
 element within tolerance of a candidate has its key in a window about
@@ -558,26 +559,21 @@ class _FloatIndex:
 
 
 class _ExactLevels:
-    """Exact items: keys, each an element's (N, d) if the root and every
-    letter are rational, else its (rows, None); a level's products by
-    ``stack_products``, found again by their keys; an inserted key
-    becomes an element."""
+    """Exact items: keys, each an element's stored canonical (N, d); a
+    level's products by ``stack_products``, found again by their keys; an
+    inserted key becomes an element."""
 
     logs_merges = False  # a repeat is the same element, not a merge
 
     def __init__(self, phi, letters, root):
-        elements = [root] + [phi.image(*a) for a in letters]
-        keys = [g.ratio for g in elements]
-        root, *self.gens = keys if all(keys) else [(g.matrix, None) for g in elements]
+        root, *self.gens = [(g._m, g._den) for g in [root, *(phi.image(*a) for a in letters)]]
         self.root = [root]
         self.group = phi.group
         self.seen = {}  # the key of every element, to itself
         self.kept = []  # the inserted elements, in entry order
 
     def element(self, key):
-        N, d = key
-        return GroupElement._ratio(N, d, self.group) if d else GroupElement(
-            N, self.group, check=False)
+        return GroupElement._ratio(*key, self.group)
 
     def resolve(self, items, room):
         """(hits, the inserted items): hits[j] -1 where item j is new."""

@@ -34,8 +34,9 @@ from cartanlab.cartan import (
 )
 from cartanlab.errors import PreconditionError
 from cartanlab.exact import det as exact_det
-from cartanlab.exact import (int_mat_mul, inverse, mat_eq, mat_mul, ratio_form,
-                             stack_minors, transpose)
+from cartanlab.exact import (field_form, field_rows, int_mat_mul, inverse, mat_eq, mat_mul,
+                             ratio_form, ratio_inverse, ratio_normal, stack_minors,
+                             transpose)
 from cartanlab.fields import COMPLEX, REAL, QuadElement, int_valuation, padic, quadratic
 
 BIG = 2 ** 80
@@ -715,3 +716,57 @@ def test_stack_verdicts_over_q_sqrt_2_match_the_deleted_route(case):
         except PreconditionError as e:
             got = str(e)
         assert got == fault
+
+
+@pytest.mark.parametrize("field, x", [
+    (quadratic(2), QuadElement(0, 1, 3)),
+    (REAL, _S2),
+    (padic(2), _S2),
+], ids=["sqrt3-over-Q(sqrt2)", "sqrt2-over-R", "sqrt2-over-Q2"])
+def test_an_entry_outside_the_field_is_refused(field, x):
+    # diag(x, 1 / x) has det 1, so only the field can refuse it
+    with pytest.raises(PreconditionError, match=r"lies in Q\(sqrt\(\d\)\), not in"):
+        GroupElement([[x, 0], [0, 1 / x]], special_linear(2, field))
+
+
+# -- Q(sqrt r): every exact element is its block form -----------------------
+
+_SMALL = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def quad_matrix(draw, r, n):
+    """An n x n matrix over Q(sqrt r), about half its entries rational."""
+    b = st.one_of(st.just(0), _SMALL)
+    return tuple(tuple(draw(st.builds(QuadElement, _SMALL, b, st.just(r)))
+                       for _ in range(n)) for _ in range(n))
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_block_form_is_an_injective_ring_homomorphism(r, n, data):
+    A, B = data.draw(quad_matrix(r, n)), data.draw(quad_matrix(r, n))
+    a, b = field_form(A, r), field_form(B, r)
+    assert field_rows(*a, r) == A
+    assert (a == b) == (A == B)
+    assert field_form(mat_mul(A, B), r) == ratio_normal(int_mat_mul(a[0], b[0]), a[1] * b[1])
+    if exact_det(A):
+        assert field_form(inverse(A), r) == ratio_inverse(*a)
+
+
+@given(st.sampled_from([(F(1), F(1), F(-1)), (F(1, 2), F(3), F(-2))]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_over_q_sqrt_2_with_a_rational_form(form, data):
+    # a rational form has the integer shortcut g^-1 = J^-1 g^T J, but the
+    # transpose of a block form is no block form
+    group = indefinite_orthogonal(2, 1, quadratic(2), form=form)
+    x, y, z = (data.draw(_Q2_SMALL) for _ in range(3))
+    S = ((0, x, y), (-x, 0, z), (-y, -z, 0))
+    X = [[S[i][j] / form[i] for j in range(3)] for i in range(3)]  # in so(J)
+    minus = [[int(i == j) - X[i][j] for j in range(3)] for i in range(3)]
+    assume(exact_det(minus))
+    plus = [[int(i == j) + X[i][j] for j in range(3)] for i in range(3)]
+    g = GroupElement(mat_mul(inverse(minus), plus), group)  # the Cayley transform
+    one = GroupElement(((1, 0, 0), (0, 1, 0), (0, 0, 1)), group)
+    assert g.inv() @ g == one == g @ g.inv()
+    assert g.inv().matrix == inverse(g.matrix)

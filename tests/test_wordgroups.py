@@ -318,8 +318,8 @@ def test_exact_ball_equals_brute_force(case):
 # -- the exact level kernel against evaluate, which does not share it -------
 
 def _stored(g):
-    """How an exact element is stored: its d (0 unless rational) and the
-    type of every entry, with the entries."""
+    """How an exact element is stored: its d and the type of every entry
+    of its N, with the entries."""
     return g._den, [[(type(x), x) for x in row] for row in g._m]
 
 
@@ -371,13 +371,15 @@ def _so21_sqrt2(extra=()):
 
 @pytest.mark.parametrize("extra", [(), ([[0, -1, 0], [1, 0, 0], [0, 0, 1]],)])
 def test_exact_ball_over_q_sqrt2_is_evaluate(extra):
-    # rational and Q(sqrt 2) elements share the ball, and candidates repeat
-    # (the involution c, and the order-4 turn d), so keys of both kinds meet
+    # elements with all entries rational and with an irrational entry share
+    # the ball, and candidates repeat (the involution c, and the order-4
+    # turn d), so repeats of both kinds are found again by their keys
     P = _so21_sqrt2(extra)
     radius = 3
     ball = word_ball(P, inclusion(P), radius)
     assert [(e.word, e.element) for e in ball.entries] == _oracle_ball(P, radius)
-    assert {g._den > 0 for g in ball.elements()} == {True, False}
+    assert {any(isinstance(x, QuadElement) and x.b for row in g.matrix for x in row)
+            for g in ball.elements()} == {True, False}
     _assert_same_elements(ball.elements(), [evaluate(e.word, inclusion(P))
                                             for e in ball.entries])
 
@@ -401,6 +403,41 @@ def test_exact_images_over_q_sqrt2_are_evaluate():
                 Homomorphism([b, d, a, c], P.group)):
         _assert_same_elements(ball.images(phi), [evaluate(e.word, phi)
                                                  for e in ball.entries])
+
+
+def _w_plus_sqrt2():
+    """W+ of the compact Coxeter polytope that Vinberg's algorithm finds for
+    the form -sqrt2 x0^2 + x1^2 + ... + x4^2 over Z[sqrt 2]: the seven
+    products r_1 r_j of the reflections in its 8 roots, given as
+    (x0; x1, ..., x4), the four B4 roots and e5..e8."""
+    def q(a, b):
+        return QuadElement(a, b, 2)
+
+    form = (q(0, -1), 1, 1, 1, 1)
+    roots = [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, 0, 0, -1, 1), (0, 0, 0, 0, -1),
+             (q(1, 1), q(2, 1), 0, 0, 0), (q(1, 1), q(1, 1), q(1, 1), 0, 0),
+             (q(2, 1), q(1, 1), q(1, 1), q(1, 1), 1),
+             (q(3, 2), q(3, 2), q(1, 1), q(1, 1), q(1, 1))]
+
+    def reflection(a):  # x -> x - 2 <x, a> / <a, a> a
+        Ja = [c * x for c, x in zip(form, a)]
+        norm = sum(x * y for x, y in zip(a, Ja))
+        return [[int(i == j) - F(2) * a[i] * Ja[j] / norm for j in range(5)]
+                for i in range(5)]
+
+    r1, *rest = map(reflection, roots)
+    group = indefinite_orthogonal(4, 1, quadratic(2), form=form)
+    return Presentation("abcdefg", [ex.mat_mul(r1, r) for r in rest], group)
+
+
+def test_w_plus_ball_over_q_sqrt2():
+    # the uniform lattice in SO(4,1) over Q(sqrt 2): its Q(sqrt 2) ball runs
+    # on the integer kernels through the block form of every element
+    P = _w_plus_sqrt2()
+    ball = word_ball(P, inclusion(P), 4)
+    lengths = ball.lengths()
+    assert [sum(x <= k for x in lengths) for k in range(1, 5)] == [11, 74, 418, 2214]
+    assert ball.images(inclusion(P)) == ball.elements()
 
 
 @pytest.mark.parametrize("m", [1, 4, 9, 20, 33])
