@@ -16,12 +16,13 @@ nonzero entries only.  ``bracket`` keeps its values on Fraction
 matrices.
 
 One worklist, ``_closure``, computes every bracket closure: it starts
-from a closed subalgebra and never re-brackets it, then brackets each new
-basis vector once with each one before it, and stops as soon as the span
-is full (its caller passes the ambient dimension; nothing can join a
-full span).  The exact closure and the module check run it on an
-``EchelonSpan`` of primitive integer vectors, the float density witness
-on a Gram-Schmidt span of float matrices.
+from a closed subalgebra's basis and a span already holding it, never
+re-brackets it, then brackets each new basis vector once with each one
+before it, and stops as soon as the span is full (its caller passes the
+ambient dimension; nothing can join a full span).  The exact closure and
+the module check run it on an ``EchelonSpan`` of primitive integer
+vectors, the float density witness on a Gram-Schmidt span of float
+matrices; a ``LieBasis`` keeps both spans of itself for them to copy.
 
 Bending deforms an amalgam by conjugating one side by exp(t*Y), or an
 HNN extension by right-multiplying the stable letter by exp(t*Y), where
@@ -49,7 +50,6 @@ from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
     field_form,
-    in_span,
     int_mat_mul,
     mat_eq,
     mat_from_rows,
@@ -144,20 +144,21 @@ class LieBasis:
 
     Construction verifies, exactly: the defining equation X^T J + J X = 0
     for every element, linear independence, and closure of brackets
-    within the span.
+    within the span.  It keeps what they built, unchanged afterwards:
+    ``vectors``, the primitive span vectors, and ``span``, their ``EchelonSpan``.
     """
 
     def __init__(self, matrices, space: QuadFormSpace):
         self.space = space
         self.matrices = tuple(mat_from_rows(m) for m in matrices)
-        self._validate()
+        self.vectors, self.span = self._validate()
 
     def _validate(self):
         # every test is unchanged when a matrix is scaled, so all of them
         # run on the primitive span vectors
         c = primitive(self.space.coeffs)  # the equation is homogeneous in J
         d = self.space.dim
-        vectors = _span_vectors(self.matrices)
+        vectors = tuple(_span_vectors(self.matrices))
         for k, v in enumerate(vectors):
             # X^T J + J X = 0 for diagonal J: c_j X[j][i] + c_i X[i][j] = 0
             if any(c[j] * v[j * d + i] + c[i] * v[i * d + j]
@@ -172,6 +173,7 @@ class LieBasis:
         if not all(span.contains(br(a, b))
                    for i, a in enumerate(vectors) for b in vectors[i + 1:]):
             raise PreconditionError("span is not closed under brackets")
+        return vectors, span
 
     def __len__(self):
         return len(self.matrices)
@@ -187,8 +189,15 @@ class LieBasis:
     def flat_vectors(self):
         return [_flatten(X) for X in self.matrices]
 
+    @functools.cached_property
+    def _float_seed(self):
+        """The ``float_matrices`` a witness's ``_FloatSpan`` accepts, and it."""
+        d = self.space.dim
+        span = _FloatSpan(_WITNESS_TOL, d * (d - 1) // 2)  # the span lies in so(J)
+        return tuple(H for H in self.float_matrices if span.add(H)), span
+
     def contains(self, X) -> bool:
-        return in_span(self.flat_vectors(), _flatten(mat_from_rows(X)))
+        return self.span.contains(_flatten(mat_from_rows(X)))
 
 
 def _so_basis(space: QuadFormSpace, skipped=None) -> LieBasis:
@@ -437,14 +446,13 @@ class ModuleDecompositionVerdict:
         )
 
 
-def _closure(closed, vectors, span, bracket, dim):
-    """Basis of the bracket closure of a subalgebra basis ``closed`` (may
-    be empty) and ``vectors``, grown in ``span`` (it needs only ``add(v)
-    -> bool``, True iff the span grew).  A worklist brackets each basis
-    vector past ``closed`` once with each one before it, and stops once
-    the basis has ``dim`` vectors, the dimension of a space the closure
-    lies in: no bracket can enlarge a full span."""
-    basis = [v for v in closed if span.add(v)]
+def _closure(basis, span, vectors, bracket, dim):
+    """Basis of the bracket closure of a subalgebra's ``basis`` (may be
+    empty) and ``vectors``, grown in place with ``span``, which holds just
+    ``basis`` (it needs only ``add(v) -> bool``, True iff the span grew).
+    A worklist brackets each basis vector past the seed once with each one
+    before it, and stops once the basis has ``dim`` vectors, the dimension
+    of a space the closure lies in: no bracket can enlarge a full span."""
     k = max(len(basis), 1)
     basis += [v for v in vectors if span.add(v)]
     while k < len(basis) < dim:
@@ -478,7 +486,7 @@ def bracket_closure_exact(vectors):
     if not mats:
         return []
     d = len(mats[0])
-    basis = _closure([], _span_vectors(mats), EchelonSpan(), _span_bracket(d),
+    basis = _closure([], EchelonSpan(), _span_vectors(mats), _span_bracket(d),
                      d * d)
     return [tuple(v[i * d:(i + 1) * d] for i in range(d)) for v in basis]
 
@@ -508,18 +516,18 @@ def module_decomposition_check(sub) -> ModuleDecompositionVerdict:
     if d < 4:
         raise PreconditionError("m must be >= 2")  # m = d - 2, as bend reports it
     # Frobenius products and brackets, up to scale, on the span vectors
-    sub_vectors = _span_vectors(sub.matrices)
     complement = [
-        v for v in _span_vectors(so_form_algebra(sub.space).matrices)
-        if not any(_dot(v, h) for h in sub_vectors)
+        v for v in so_form_algebra(sub.space).vectors
+        if not any(_dot(v, h) for h in sub.vectors)
     ]
-    br = _span_bracket(d)
-    brackets = [br(h, w) for w in complement for h in sub_vectors]
-    module_ok = not any(_dot(b, h) for b in brackets for h in sub_vectors)
+    # each closure's first brackets are the [h, w] that module_ok forms
+    br = functools.cache(_span_bracket(d))
+    brackets = [br(h, w) for w in complement for h in sub.vectors]
+    module_ok = not any(_dot(b, h) for b in brackets for h in sub.vectors)
     dim_ambient = d * (d - 1) // 2
     closures_ok = all(
-        len(_closure(sub_vectors, [w], EchelonSpan(), br, dim_ambient)) == dim_ambient
-        for w in complement
+        len(_closure(list(sub.vectors), sub.span.copy(), [w], br, dim_ambient))
+        == dim_ambient for w in complement
     )
     return ModuleDecompositionVerdict(
         len(sub), len(complement), dim_ambient, module_ok, closures_ok
@@ -534,6 +542,11 @@ class _FloatSpan:
         self.tol = tol
         self.dim = dim
         self.rows = []
+
+    def copy(self):  # the same rows, grown apart from this span
+        out = _FloatSpan(self.tol, self.dim)
+        out.rows = list(self.rows)
+        return out
 
     def add(self, M) -> bool:
         """Gram-Schmidt step: append M's residual against the rows,
@@ -568,18 +581,17 @@ def zariski_density_witness(Y, t: float, sub) -> bool:
     inside so(m,2).  True iff the subalgebra and its Ad(exp(t*Y)) image
     bracket-generate so(J) of the subalgebra's form.  False at t = 0 and
     for Y inside the subalgebra: Ad then normalizes it, and a subalgebra
-    is its own closure.  The ``_closure`` span is kept as an orthonormal
-    basis, so testing a candidate bracket costs one projection, not a
-    fresh rank, and the closure stops as soon as the span is all of
-    so(J), with no bracket formed past that point.
+    is its own closure.  The ``_closure`` span, a copy of the one the
+    subalgebra keeps, is an orthonormal basis: testing a bracket costs one
+    projection, not a fresh rank, and the closure stops as soon as the
+    span is all of so(J), with no bracket formed past that point.
     """
     sub = _standard_subalgebra(sub)
     exp = Y if isinstance(Y, _Exp) else _Exp(Y)
     C, Cinv = exp(t), exp(-t)
-    h = sub.float_matrices
-    d = sub.space.dim
-    span = _FloatSpan(_WITNESS_TOL, d * (d - 1) // 2)  # the span lies in so(J)
-    basis = _closure(h, [C @ H @ Cinv for H in h], span,
+    seed, span = sub._float_seed
+    basis = _closure(list(seed), span.copy(),
+                     [C @ H @ Cinv for H in sub.float_matrices],
                      lambda A, B: A @ B - B @ A, span.dim)
     return len(basis) == span.dim
 

@@ -448,6 +448,11 @@ class EchelonSpan:
     def contains(self, v) -> bool:
         return not any(self._reduce(v))
 
+    def copy(self):  # the same rows, grown apart from this span
+        out = EchelonSpan()
+        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        return out
+
     def add(self, v) -> bool:
         """Adjoin v; True iff it enlarged the span."""
         w = self._reduce(v)

@@ -153,6 +153,12 @@ class QuadElement:
         self.b = Fraction(b)
         self.r = r
 
+    @classmethod
+    def _of(cls, a, b, r: int):  # a ring result: its operands' r was checked
+        out = object.__new__(cls)
+        out.a, out.b, out.r = Fraction(a), Fraction(b), r
+        return out
+
     # -- ring structure -------------------------------------------------
 
     def _coerce(self, other):
@@ -161,25 +167,25 @@ class QuadElement:
                 raise UnsupportedFieldError("mixed quadratic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElement(other, 0, self.r)
+            return QuadElement._of(other, 0, self.r)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.a + o.a, self.b + o.b, self.r)
+        return QuadElement._of(self.a + o.a, self.b + o.b, self.r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElement(-self.a, -self.b, self.r)
+        return QuadElement._of(-self.a, -self.b, self.r)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.a - o.a, self.b - o.b, self.r)
+        return QuadElement._of(self.a - o.a, self.b - o.b, self.r)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -191,7 +197,7 @@ class QuadElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(
+        return QuadElement._of(
             self.a * o.a + self.r * self.b * o.b,
             self.a * o.b + self.b * o.a,
             self.r,
@@ -206,7 +212,7 @@ class QuadElement:
         norm = o.a * o.a - self.r * o.b * o.b
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic element")
-        conj = QuadElement(o.a / norm, -o.b / norm, self.r)
+        conj = QuadElement._of(o.a / norm, -o.b / norm, self.r)
         return self * conj
 
     def __rtruediv__(self, other):
@@ -217,8 +223,8 @@ class QuadElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return QuadElement(1, 0, self.r) / self ** (-n)
-        out = QuadElement(1, 0, self.r)
+            return QuadElement._of(1, 0, self.r) / self ** (-n)
+        out = QuadElement._of(1, 0, self.r)
         base = self
         while n:
             if n & 1:

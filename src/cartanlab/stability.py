@@ -15,9 +15,9 @@ once, and each deformation's float images, one stack from
 ``BallResult.image_stack``, go straight into ``cartan._svd_rows``.  The
 seminorm defect of a factorization is a separate pass over the same ball
 (``seminorm_defects``).  Every pass takes the projections of a ball as
-one array, one row per element, and builds no ``CartanVector``; each
-norm is one 1-D ``np.linalg.norm`` per row, which keeps the bits of the
-per-element computation.
+one array, one row per element, and builds no ``CartanVector``; the
+norms of its rows are one stacked product (``_row_norms``), which keeps
+the bits of a 1-D ``np.linalg.norm`` per row.
 
 The properness side compares sampled Cartan projections against the
 cone swept by a subgroup's Cartan image; a strictly positive fitted
@@ -252,6 +252,12 @@ def fit_envelope(rows, rho0: float):
     return eps_hat, c_hat
 
 
+def _row_norms(X) -> list:
+    """``float(np.linalg.norm(row))`` of each row of a 2-D float array, bit
+    for bit, by one stacked product (a row sum of squares is not)."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])).reshape(-1).tolist()
+
+
 def _check_rho0(rho0):
     """Refuse a NaN or negative rho0; None (the default) and math.inf pass."""
     if rho0 is not None and not rho0 >= 0:
@@ -302,13 +308,13 @@ def stability_scans(
         ) + 1.0
     group = phi_ref.group
     mus_ref = np.asarray(_mu_rows(ball.elements(), group), dtype=float)
-    norms = [float(np.linalg.norm(mu)) for mu in mus_ref]
+    norms = _row_norms(mus_ref)
     reports = []
     for phi in phis:
         same = phi.images == phi_ref.images and all(g.is_exact for g in phi.images)
         devs = (mus_ref if same else _image_mus(ball, phi)) - mus_ref
-        rows = [StabilityRow(e.word, len(e.word), n, float(np.linalg.norm(dev)))
-                for e, n, dev in zip(ball.entries, norms, devs)]
+        rows = [StabilityRow(e.word, len(e.word), n, dev)
+                for e, n, dev in zip(ball.entries, norms, _row_norms(devs))]
         eps_hat, c_hat = fit_envelope(rows, rho0)
         report = StabilityReport(rows, eps_hat, c_hat, rho0, radius, ball=ball)
         if not report.envelope_valid():
@@ -486,8 +492,9 @@ def properness_margin(
     _check_rho0(rho0)
     if not samples:
         raise PreconditionError("no samples")
-    rows = [PropernessRow(float(np.linalg.norm(mu)), cone_distance(mu, cone))
-            for mu in _projections(samples)]
+    mus = _projections(samples)
+    rows = [PropernessRow(n, cone_distance(mu, cone))
+            for n, mu in zip(_row_norms(mus), mus)]
     if rho0 is None:
         positive = [r.mu_norm for r in rows if r.mu_norm > 1e-12]
         rho0 = (min(positive) if positive else 0.0) + 1.0

@@ -461,8 +461,8 @@ def test_closure_from_a_subalgebra_matches_the_full_closure(m, data):
     W = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, ambient))
                     for j in range(d)) for i in range(d))
     sub = so_subalgebra_basis(space, data.draw(st.integers(0, d - 1)))
-    got = _closure(_span_vectors(sub.matrices), _span_vectors([W]),
-                   ex.EchelonSpan(), _span_bracket(d), len(ambient))
+    got = _closure(list(sub.vectors), sub.span.copy(), _span_vectors([W]),
+                   _span_bracket(d), len(ambient))
     assert len(got) == len(bracket_closure_exact(sub.matrices + (W,)))
 
 
@@ -574,9 +574,9 @@ def test_density_witness_matches_restart_loop_oracle(m, t, data):
     sub = so_subalgebra_basis(space, d - 1)
     C, Cinv = matrix_exp(Y, t), matrix_exp(Y, -t)
     h = [np.array([[float(x) for x in row] for row in H]) for H in sub]
-    got = _closure(h, [C @ H @ Cinv for H in h],
-                   _FloatSpan(1e-9, len(ambient)), lambda A, B: A @ B - B @ A,
-                   len(ambient))
+    span = _FloatSpan(1e-9, len(ambient))
+    got = _closure([H for H in h if span.add(H)], span, [C @ H @ Cinv for H in h],
+                   lambda A, B: A @ B - B @ A, len(ambient))
     assert len(got) == want_dim
     assert zariski_density_witness(Y, t, m) == want
     assert zariski_density_witness(Y, t, sub) == want
@@ -632,8 +632,11 @@ def test_stopped_closure_returns_the_unstopped_basis(m, exact, t, data):
         inputs = (sub.float_matrices, [C @ H @ Cinv for H in sub.float_matrices])
         spans, bracket = (lambda: _FloatSpan(1e-9, len(ambient))), _float_bracket
     stopped, unstopped = [], []
-    got = _closure(*inputs, spans(), _counting(bracket, stopped), len(ambient))
-    want = _unstopped_closure(*inputs, spans(), _counting(bracket, unstopped))
+    closed, vectors = inputs
+    span = spans()
+    got = _closure([v for v in closed if span.add(v)], span, vectors,
+                   _counting(bracket, stopped), len(ambient))
+    want = _unstopped_closure(closed, vectors, spans(), _counting(bracket, unstopped))
     if exact:
         assert got == want
     else:
@@ -657,10 +660,113 @@ def test_density_witness_forms_no_bracket_once_the_span_is_full(monkeypatch):
     calls, closure = [], bending._closure
     monkeypatch.setattr(
         bending, "_closure",
-        lambda closed, vectors, span, bracket, dim: closure(
-            closed, vectors, span, _counting(bracket, calls), dim))
+        lambda basis, span, vectors, bracket, dim: closure(
+            basis, span, vectors, _counting(bracket, calls), dim))
     assert zariski_density_witness(Y, t, sub) is True
     assert len(calls) == 1
+
+
+_SPACES = (standard_so_form(2, 2), standard_so_form(3, 2),
+           QuadFormSpace((F(1), F(1), -QuadElement(0, 1, 2), F(-1))))
+
+
+@given(k=st.integers(0, len(_SPACES) - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_contains_reads_the_kept_span_as_a_fresh_one(k, data):
+    space = _SPACES[k]
+    d = space.dim
+    sub = so_subalgebra_basis(space, data.draw(st.integers(0, d - 1)))
+    ambient = so_form_algebra(space).matrices
+    mats = sub.matrices + tuple(data.draw(st.lists(st.sampled_from(ambient),
+                                                   max_size=1)))
+    coeffs = data.draw(st.lists(_small, min_size=len(mats), max_size=len(mats)))
+    X = [[sum(c * M[i][j] for c, M in zip(coeffs, mats)) for j in range(d)]
+         for i in range(d)]
+    if data.draw(st.booleans()):
+        X[0][0] += data.draw(_small)  # leaves so(J) when nonzero
+    rows = list(sub.span.rows)
+    want = ex.in_span(sub.flat_vectors(), tuple(x for row in X for x in row))
+    assert sub.contains(X) == want
+    assert sub.span.rows == rows
+
+
+def _frobenius(A, B):
+    return sum(x * y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+
+
+def _fresh_module_check(sub):
+    """module_decomposition_check with every span built anew from the
+    matrices: the complement, its module test with Fraction brackets, and
+    one closure per complement vector that adds the subalgebra to a fresh
+    span and brackets every pair of the growing basis once."""
+    d = sub.space.dim
+    dim = d * (d - 1) // 2
+    complement = [W for W in so_form_algebra(sub.space).matrices
+                  if not any(_frobenius(W, H) for H in sub.matrices)]
+    module_ok = not any(_frobenius(bracket(H, W), H2) for W in complement
+                        for H in sub.matrices for H2 in sub.matrices)
+
+    def closure_dim(W):
+        span = ex.EchelonSpan()
+        basis = [M for M in sub.matrices + (W,)
+                 if span.add(tuple(x for row in M for x in row))]
+        i = 1
+        while i < len(basis) < dim:
+            for j in range(i):
+                B = bracket(basis[j], basis[i])
+                if span.add(tuple(x for row in B for x in row)):
+                    basis.append(B)
+            i += 1
+        return len(basis)
+
+    closures_ok = all(closure_dim(W) == dim for W in complement)
+    return len(sub), len(complement), dim, module_ok, closures_ok
+
+
+def _seed_state(sub):
+    seed, span = sub._float_seed
+    return (sub.vectors, list(sub.span.rows), list(sub.span.pivots),
+            [H.tobytes() for H in seed], [r.tobytes() for r in span.rows])
+
+
+def test_module_check_on_the_kept_span_equals_fresh_spans():
+    subs = [so_subalgebra_basis(standard_so_form(m, 2), m + 1) for m in (2, 3, 4, 5)]
+    for coeffs in ((F(1), F(2), F(-1), F(-3)),
+                   (F(1), F(1), -QuadElement(0, 1, 2), F(-1))):
+        subs += [so_subalgebra_basis(QuadFormSpace(coeffs), c) for c in (0, 2)]
+    space = standard_so_form(2, 2)
+    subs.append(LieBasis([so_form_algebra(space).matrices[0]], space))
+    for sub in subs:
+        before = _seed_state(sub)
+        v = module_decomposition_check(sub)
+        got = (v.dim_sub, v.dim_complement, v.dim_ambient, v.module_ok,
+               v.closures_ok)
+        assert got == _fresh_module_check(sub)
+        assert _seed_state(sub) == before
+    assert [module_decomposition_check(sub).ok for sub in subs] == [True] * 8 + [False]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_witness_on_the_kept_seed_equals_a_fresh_span(m):
+    space = standard_so_form(m, 2)
+    d = space.dim
+    sub = so_subalgebra_basis(space, d - 1)
+    # the seed is what a fresh _FloatSpan of float_matrices accepts
+    fresh = _FloatSpan(bending._WITNESS_TOL, d * (d - 1) // 2)
+    accepted = [H for H in sub.float_matrices if fresh.add(H)]
+    seed, span = sub._float_seed
+    assert [H.tobytes() for H in seed] == [H.tobytes() for H in accepted]
+    assert [r.tobytes() for r in span.rows] == [r.tobytes() for r in fresh.rows]
+    boost = tuple(tuple(F(int({i, j} == {0, d - 1})) for j in range(d))
+                  for i in range(d))
+    mixed = ex.mat_add(boost, so_form_algebra(space).matrices[0])
+    for Y in (boost, mixed):
+        for t in (0.0, 1e-3, 0.01, 0.3, 1.0):
+            before = _seed_state(sub)
+            got = [zariski_density_witness(Y, t, sub) for _ in range(2)]
+            assert got == [_restart_loop_witness(Y, t, m)[1]] * 2
+            assert got[0] == (t != 0)
+            assert _seed_state(sub) == before
 
 
 def _fraction_route_exp(Y, t):

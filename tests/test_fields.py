@@ -136,6 +136,33 @@ def test_quad_element_equality_is_exact():
     assert hash(QuadElement(F(1, 3), 0, 2)) == hash(F(1, 3))
 
 
+def test_quad_element_arithmetic_does_not_recheck_r(monkeypatch):
+    # results are built on operands whose r was checked at construction
+    import cartanlab.fields as fields
+
+    x = QuadElement(F(3, 2), F(-1, 4), 2)
+    y = QuadElement(F(-5), F(2), 2)
+    calls = []
+    squarefree = fields.is_squarefree
+    monkeypatch.setattr(fields, "is_squarefree",
+                        lambda r: calls.append(r) or squarefree(r))
+    values = [x + y, x - y, x * y, x / y, x ** 3, x ** -2, -x,
+              x + 1, 1 - x, F(1, 2) * x, 2 / x, abs(-x)]
+    assert calls == []
+    assert [(v.a, v.b, v.r) for v in values] == [
+        (F(-7, 2), F(7, 4), 2), (F(13, 2), F(-9, 4), 2),
+        (F(-17, 2), F(17, 4), 2), (F(-13, 34), F(-7, 68), 2),
+        (F(63, 16), F(-55, 32), 2), (F(152, 289), F(48, 289), 2),
+        (F(-3, 2), F(1, 4), 2), (F(5, 2), F(-1, 4), 2), (F(-1, 2), F(1, 4), 2),
+        (F(3, 4), F(-1, 8), 2), (F(24, 17), F(4, 17), 2),
+        (F(3, 2), F(-1, 4), 2)]
+    assert all(type(v.a) is F and type(v.b) is F for v in values)
+    for r in (0, 1, 4):  # the constructor still checks
+        with pytest.raises(UnsupportedFieldError):
+            QuadElement(1, 1, r)
+    assert calls == [0, 1, 4]
+
+
 def test_mixed_quadratic_fields_rejected():
     with pytest.raises(UnsupportedFieldError):
         QuadElement(1, 1, 2) + QuadElement(1, 1, 3)

@@ -30,6 +30,7 @@ from cartanlab.stability import (
     fit_envelope,
     seminorm_bounds_check,
     StabilityRow,
+    _row_norms,
 )
 from cartanlab.wordgroups import Homomorphism, conjugate_homomorphism, evaluate
 
@@ -381,3 +382,15 @@ def test_negative_or_nan_rho0_is_refused(rho0):
     # rho0 = inf and 0 stay allowed
     assert properness_margin(samples, ConeModel([], 2), rho0=math.inf).slope == 0.0
     assert stability_scan(P, phi, phi, 2, rho0=0.0).c_hat == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_row_norms_have_the_bits_of_one_norm_per_row(n):
+    # a row sum of squares differs from the 1-D norm in its last bit on
+    # about a tenth of these rows; the stacked products must not
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((20000, n)) * rng.choice([1e-3, 1.0, 1e3], (20000, 1))
+    got = _row_norms(X)
+    assert all(type(v) is float for v in got)
+    assert got == [float(np.linalg.norm(x)) for x in X]
+    assert _row_norms(np.empty((0, n))) == []
