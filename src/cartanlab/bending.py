@@ -200,9 +200,9 @@ class LieBasis:
         return self.span.contains(_flatten(mat_from_rows(X)))
 
 
-def _so_basis(space: QuadFormSpace, skipped=None) -> LieBasis:
-    """The basis c_j E_ij - c_i E_ji (i < j) of so(J), leaving out every
-    element that touches the coordinate ``skipped``."""
+def _so_matrices(space: QuadFormSpace, skipped=None) -> list:
+    """The matrices c_j E_ij - c_i E_ji (i < j) of so(J), leaving out
+    every one that touches the coordinate ``skipped``; not validated."""
     d = space.dim
     zero = Fraction(0)
     mats = []
@@ -214,19 +214,19 @@ def _so_basis(space: QuadFormSpace, skipped=None) -> LieBasis:
             X[i][j] = space.coeffs[j] + zero
             X[j][i] = -(space.coeffs[i] + zero)
             mats.append(tuple(tuple(row) for row in X))
-    return LieBasis(mats, space)
+    return mats
 
 
 def so_form_algebra(space: QuadFormSpace) -> LieBasis:
     """Basis of so(J) for the diagonal form: c_j E_ij - c_i E_ji, i < j."""
-    return _so_basis(space)
+    return LieBasis(_so_matrices(space), space)
 
 
 def so_subalgebra_basis(space: QuadFormSpace, fixed_coordinate: int) -> LieBasis:
     """so of the form restricted away from one coordinate, inside so(J)."""
     if not 0 <= fixed_coordinate < space.dim:
         raise PreconditionError("fixed coordinate out of range")
-    return _so_basis(space, fixed_coordinate)
+    return LieBasis(_so_matrices(space, fixed_coordinate), space)
 
 
 def centralizer_in_algebra(elements, ambient: LieBasis) -> LieBasis:
@@ -509,7 +509,10 @@ def module_decomposition_check(sub) -> ModuleDecompositionVerdict:
     ``LieBasis``; an int m stands for the standard so(m,1) in so(m,2))
     in so(J) of its form: the so(J) basis vectors Frobenius-orthogonal
     to ``sub`` fill so(J) up, span a module under brackets with ``sub``,
-    and each one adjoined to ``sub`` bracket-generates so(J).
+    and each one adjoined to ``sub`` bracket-generates so(J).  The so(J)
+    basis is read as the span vectors of ``_so_matrices``, the vectors
+    ``so_form_algebra`` would validate; these checks need no ``LieBasis``
+    of so(J), only ``sub``.
     """
     sub = _standard_subalgebra(sub)
     d = sub.space.dim
@@ -517,7 +520,7 @@ def module_decomposition_check(sub) -> ModuleDecompositionVerdict:
         raise PreconditionError("m must be >= 2")  # m = d - 2, as bend reports it
     # Frobenius products and brackets, up to scale, on the span vectors
     complement = [
-        v for v in so_form_algebra(sub.space).vectors
+        v for v in _span_vectors(_so_matrices(sub.space))
         if not any(_dot(v, h) for h in sub.vectors)
     ]
     # each closure's first brackets are the [h, w] that module_ok forms
@@ -536,17 +539,22 @@ def module_decomposition_check(sub) -> ModuleDecompositionVerdict:
 
 class _FloatSpan:
     """The span of float matrices inside a space of dimension ``dim``,
-    kept as orthonormal flat rows."""
+    kept as orthonormal flat rows: the first ``k`` rows of one (dim, n^2)
+    array, allocated at the first row, so an add copies no row."""
 
     def __init__(self, tol, dim):
         self.tol = tol
         self.dim = dim
-        self.rows = []
+        self.B, self.k = np.empty((dim, 0)), 0
 
     def copy(self):  # the same rows, grown apart from this span
         out = _FloatSpan(self.tol, self.dim)
-        out.rows = list(self.rows)
+        out.B, out.k = self.B.copy(), self.k
         return out
+
+    @property
+    def rows(self):  # a C-contiguous view, as a projection reads it
+        return self.B[:self.k]
 
     def add(self, M) -> bool:
         """Gram-Schmidt step: append M's residual against the rows,
@@ -557,17 +565,21 @@ class _FloatSpan:
         norm = np.linalg.norm(v)
         if not np.isfinite(norm):
             raise NumericalError("the density witness overflows in float arithmetic")
-        if norm == 0 or len(self.rows) == self.dim:
+        if norm == 0 or self.k == self.dim:
             return False
         r = v
-        if self.rows:
-            B = np.array(self.rows)
+        if self.k:
+            B = self.rows
             for _ in range(2):  # a second pass restores orthogonality lost to rounding
                 r = r - B.T @ (B @ r)
         rnorm = np.linalg.norm(r)
         if rnorm <= self.tol * norm:
             return False
-        self.rows.append(r / rnorm)
+        u = r / rnorm
+        if not self.k:
+            self.B = np.empty((self.dim, u.size), u.dtype)
+        self.B[self.k] = u
+        self.k += 1
         return True
 
 

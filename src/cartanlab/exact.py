@@ -110,11 +110,11 @@ def field_form(rows, r=None):
 def field_rows(N, d, r=None):
     """The matrix whose ``field_form`` is (N, d), over Q(sqrt r) with A and
     B read off the left blocks: rational entries Fractions, others
-    QuadElements, as ``serialize`` reads them."""
+    QuadElements, as ``serialize`` reads them; r is a checked field's."""
     if r is None:
         return tuple(tuple(Fraction(x, d) for x in row) for row in N)
     n = len(N) // 2
-    return tuple(tuple(QuadElement(Fraction(a, d), Fraction(b, d), r) if b else Fraction(a, d)
+    return tuple(tuple(QuadElement._of(Fraction(a, d), Fraction(b, d), r) if b else Fraction(a, d)
                        for a, b in zip(N[i], N[n + i][:n])) for i in range(n))
 
 

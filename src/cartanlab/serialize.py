@@ -97,7 +97,7 @@ def scalar_from_str(text: str, field: FieldDesc):
             raise PreconditionError(
                 f"scalar lives in sqrt({r}) but the field is sqrt({field.r})"
             )
-        return QuadElement(a, b, field.r)
+        return QuadElement._of(a, b, r)  # FieldDesc checked r
     if field.kind == "padic":
         return _fraction(text)
     floating = any(ch in text for ch in ".eEjJ") or text in ("inf", "-inf", "nan")

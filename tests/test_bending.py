@@ -769,6 +769,123 @@ def test_witness_on_the_kept_seed_equals_a_fresh_span(m):
             assert _seed_state(sub) == before
 
 
+@pytest.mark.parametrize("k", range(len(_SPACES)))
+def test_module_check_reads_the_so_basis_of_so_form_algebra(k):
+    # the complement's candidates are the vectors so_form_algebra validates,
+    # in its order, read off the unvalidated matrices
+    space = _SPACES[k]
+    assert tuple(_span_vectors(bending._so_matrices(space))) == \
+        so_form_algebra(space).vectors
+    for c in range(space.dim):
+        assert tuple(_span_vectors(bending._so_matrices(space, c))) == \
+            so_subalgebra_basis(space, c).vectors
+
+
+def test_module_check_validates_no_lie_basis(monkeypatch):
+    # it used to build and validate so_form_algebra(sub.space) on every
+    # call, bracketing every pair of so(J)'s basis only to read its vectors
+    subs = [so_subalgebra_basis(space, c) for space in _SPACES
+            for c in range(space.dim)]
+    want = [_fresh_module_check(sub) for sub in subs]
+    calls, validate = [], LieBasis._validate
+    monkeypatch.setattr(LieBasis, "_validate",
+                        lambda self: calls.append(self) or validate(self))
+    for sub, fresh in zip(subs, want):
+        v = module_decomposition_check(sub)
+        assert (v.dim_sub, v.dim_complement, v.dim_ambient, v.module_ok,
+                v.closures_ok) == fresh
+    assert calls == []
+
+
+class _ListFloatSpan:
+    """``_FloatSpan`` as it kept its rows before: a list, stacked into a
+    new array on every add."""
+
+    def __init__(self, tol, dim):
+        self.tol, self.dim, self.rows = tol, dim, []
+
+    def copy(self):
+        out = _ListFloatSpan(self.tol, self.dim)
+        out.rows = list(self.rows)
+        return out
+
+    def add(self, M) -> bool:
+        v = M.reshape(-1)
+        norm = np.linalg.norm(v)
+        if not np.isfinite(norm):
+            raise NumericalError("the density witness overflows in float arithmetic")
+        if norm == 0 or len(self.rows) == self.dim:
+            return False
+        r = v
+        if self.rows:
+            B = np.array(self.rows)
+            for _ in range(2):
+                r = r - B.T @ (B @ r)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= self.tol * norm:
+            return False
+        self.rows.append(r / rnorm)
+        return True
+
+
+@np.errstate(all="ignore")  # as zariski_density_witness runs its adds
+def _outcome(span, M):
+    try:
+        return span.add(M)
+    except NumericalError as e:
+        return str(e)
+
+
+_FLOAT_ENTRY = st.one_of(st.integers(-3, 3).map(float),
+                         st.floats(-10, 10, allow_nan=False))
+
+
+@given(dim=st.integers(1, 7), n=st.sampled_from([2, 3, 4]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_float_span_rows_are_the_list_rebuilding_spans(dim, n, data):
+    # pairs of (span, oracle); a "copy" step appends a copy of a drawn
+    # pair, and later adds to either side grow the two apart
+    pairs = [(_FloatSpan(1e-9, dim), _ListFloatSpan(1e-9, dim))]
+    added = []
+    for step in data.draw(st.lists(st.sampled_from(
+            ["random", "random", "zero", "combination", "overflow", "copy"]),
+            max_size=16)):
+        span, oracle = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+        if step == "copy":
+            pairs.append((span.copy(), oracle.copy()))
+            continue
+        if step == "random":
+            M = np.array(data.draw(st.lists(_FLOAT_ENTRY, min_size=n * n,
+                                            max_size=n * n))).reshape(n, n)
+        elif step == "zero":
+            M = np.zeros((n, n))
+        elif step == "combination" and added:  # in the span up to rounding
+            M = sum(data.draw(_FLOAT_ENTRY) * A for A in added[-3:])
+        else:  # its norm overflows
+            M = np.full((n, n), 1e308)
+        assert _outcome(span, M) == _outcome(oracle, M)
+        if np.abs(M).max() < 1e300:
+            added.append(M)
+    for span, oracle in pairs:
+        assert span.k == len(oracle.rows) <= dim
+        assert span.rows.flags.c_contiguous
+        assert all(map(np.array_equal, span.rows, oracle.rows))
+        assert [r.tobytes() for r in span.rows] == [r.tobytes() for r in oracle.rows]
+
+
+def test_float_span_copies_grow_apart():
+    span = _FloatSpan(1e-9, 3)
+    assert span.add(np.eye(2))
+    twin = span.copy()
+    assert twin.add(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert span.k == 1 and twin.k == 2
+    assert span.add(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert twin.add(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert not twin.add(np.array([[1.0, 0.0], [0.0, -1.0]]))  # full
+    assert np.array_equal(span.rows[:1], twin.rows[:1])
+    assert not np.array_equal(span.rows[1], twin.rows[1])
+
+
 def _fraction_route_exp(Y, t):
     """exp(t*Y) by the closed form with Y^3 = Y decided on Fraction
     matrices and Y taken to floats entry by entry."""

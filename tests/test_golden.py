@@ -19,7 +19,10 @@ They pin the CSV and sidecar of ``cartanlab stability`` (r = 4,
 four bending parameters) on the shipped SO(2,2) bend presentation and of
 ``cartanlab properness`` (r = 5) against the cone of its generator a:
 the reference and deformed projections of a whole ball, the envelope
-fits and the cone margins.
+fits and the cone margins.  They pin the CSV and sidecar of ``cartanlab
+bend`` at six parameters on the Schottky-pair amalgams in SO(2,2),
+SO(3,2) and SO(4,2): the bent generators, the density witnesses and the
+module check.
 
 Last, they pin the CSV and sidecar of ``cartanlab decompose`` over every
 word of a ball on each rank-one model: the shipped Schottky pair on the
@@ -196,6 +199,55 @@ def test_deformation_report_bytes(tmp_path, command):
     digests = [hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (out, tmp_path / "report.csv.json")]
     assert digests == [csv_digest, sidecar_digest]
+
+
+def _so_m2_bend_doc(m):
+    """The Schottky pair in SO(m,2) as a trivial-edge amalgam, its
+    symmetric squares on the coordinates (0, 1, m), bent by the (0, last)
+    boost; at m = 2 it is ``_so22_bend_doc``."""
+    n, idx = m + 2, (0, 1, m)
+    gens = []
+    for g in schottky_sl2_matrices():
+        s = sym2_rational(g)
+        out = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(3):
+            for j in range(3):
+                out[idx[i]][idx[j]] = F(s[i][j])
+        gens.append(matrix_to_json(out))
+    Y = [[F(int({i, j} == {0, n - 1})) for j in range(n)] for i in range(n)]
+    return {"field": {"kind": "real"}, "group": {"family": "SO", "p": m, "q": 2},
+            "generators": {"a": gens[0], "b": gens[1]},
+            "structure": {"type": "amalgam", "side1": ["a"], "side2": ["b"],
+                          "gamma0": []},
+            "bending": {"Y": matrix_to_json(Y)}}
+
+
+# ``cartanlab bend`` on the Schottky-pair amalgams in SO(2,2), SO(3,2)
+# and SO(4,2): the bent generators, the density witnesses and the module
+# check of the fixed so(m,1)
+BEND_GOLDEN = {
+    2: ("6ea5887d49b2254c27def49ca64156a744bd0da546bb67dd2686c3eb680efbcb",
+        "c95035de0243a641a3412ca1c671a9c8db2fcc9a3df4a598dfc6902aebca1af7"),
+    3: ("c80b3cfdec440ba089f560288a722f23d0e35138ba4e9bfd735e2a22c667a690",
+        "5512723cb7593e54bac5886bfc421e2b66708ad76b28851be5145d1b1fdac1c7"),
+    4: ("1295d877dcdc7e5f7888a8bc9e5912f44f27d198b3aab90a719ac974c0f7335d",
+        "7074139021b3905631a2aefa9ae02fc9b8e15af1cee072b65d9ee1c7c1c771c3"),
+}
+
+
+def test_so22_bend_docs_agree():
+    assert _so_m2_bend_doc(2) == _so22_bend_doc()
+
+
+@pytest.mark.parametrize("m", sorted(BEND_GOLDEN))
+def test_bend_report_bytes(tmp_path, m):
+    path, out = tmp_path / "in.json", tmp_path / "bend.csv"
+    path.write_text(json.dumps(_so_m2_bend_doc(m)))
+    assert main(["bend", "--input", str(path), "--output", str(out),
+                 "--t", "0,1e-3,0.01,0.1,0.3,1"]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "bend.csv.json")]
+    assert digests == list(BEND_GOLDEN[m])
 
 
 def _sl2_doc(field):

@@ -14,6 +14,7 @@ from cartanlab import (
     REAL,
     UnsupportedFieldError,
     cli,
+    fields,
     padic,
     quadratic,
     serialize,
@@ -77,6 +78,59 @@ def test_quad_element_text_round_trips(a, b, r):
 def test_wrong_radicand_rejected():
     with pytest.raises(PreconditionError):
         scalar_from_str("1+1*sqrt(3)", quadratic(2))
+
+
+_SL2 = {"family": "SL", "n": 2}
+_BIG_R = 10**17 + 3  # square-free; one is_squarefree(_BIG_R) takes tens of ms
+
+
+@pytest.mark.parametrize("kind", ["matrices", "presentation"])
+def test_a_quadratic_document_checks_r_once(monkeypatch, kind):
+    # each sqrt entry used to be built by QuadElement(a, b, r), which
+    # re-ran is_squarefree(r) after FieldDesc had checked it: at r = _BIG_R
+    # a 2 x 2 document with one sqrt entry took 0.26 s to load
+    calls, check = [], fields.is_squarefree
+    monkeypatch.setattr(fields, "is_squarefree",
+                        lambda n, key="n": calls.append(n) or check(n, key))
+    field = {"kind": "quadratic", "r": _BIG_R}
+    s = f"1*sqrt({_BIG_R})"
+    mats = [[["1", s], ["0", "1"]], [["1", "0"], ["-" + s, "1"]],
+            [["1", "2/3"], ["0", "1"]]]
+    if kind == "matrices":
+        doc = {"field": field, "group": _SL2, "matrices": mats}
+        elements = [g for _, g in load_matrix_document(doc)[2]]
+    else:
+        doc = {"field": field, "group": _SL2,
+               "generators": {f"g{i}": m for i, m in enumerate(mats)}}
+        elements = load_presentation_document(doc)[2].generators
+    got = [g.matrix for g in elements]
+    assert calls == [_BIG_R]
+    assert got == [tuple(map(tuple, matrix_from_json(m, quadratic(_BIG_R))))
+                   for m in mats]
+
+
+@pytest.mark.parametrize("read, error, message", [
+    (lambda: scalar_from_str("1+1*sqrt(3)", quadratic(2)), PreconditionError,
+     "scalar lives in sqrt(3) but the field is sqrt(2)"),
+    (lambda: scalar_from_str("1*sqrt(8)", quadratic(2)), PreconditionError,
+     "scalar lives in sqrt(8) but the field is sqrt(2)"),
+    (lambda: load_matrix_document(
+        {"field": {"kind": "quadratic", "r": 2}, "group": _SL2,
+         "matrices": [[["1", "1*sqrt(3)"], ["0", "1"]]]}), PreconditionError,
+     "scalar lives in sqrt(3) but the field is sqrt(2)"),
+    (lambda: field_from_json({"kind": "quadratic", "r": 4}), UnsupportedFieldError,
+     "r = 4 must be a square-free integer >= 2"),
+    (lambda: field_from_json({"kind": "quadratic", "r": 1}), UnsupportedFieldError,
+     "r = 1 must be a square-free integer >= 2"),
+    (lambda: field_from_json({"kind": "quadratic", "r": -3}), UnsupportedFieldError,
+     "r = -3 must be a square-free integer >= 2"),
+    (lambda: field_from_json({"kind": "quadratic", "r": 10**18}), PreconditionError,
+     "r = 1000000000000000000 is out of range: r must be below 10**18"),
+])
+def test_quadratic_refusals_keep_their_messages(read, error, message):
+    with pytest.raises(error) as info:
+        read()
+    assert str(info.value) == message
 
 
 def test_field_json_round_trip():
@@ -339,7 +393,6 @@ def test_stacked_loader_keeps_true_and_floats_apart_from_ints():
 
 
 _SO11 = {"family": "SO", "p": 1, "q": 1}
-_SL2 = {"family": "SL", "n": 2}
 
 
 @pytest.mark.parametrize("field, group, rows", [
