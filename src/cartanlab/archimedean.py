@@ -60,7 +60,9 @@ def _row_distances(W, x, field: FieldDesc):
         np.minimum(best, d, out=best)
 
     def unit(w):  # w / |w| (1 at 0) by real divisions: numpy's complex one
-        # overflows on a subnormal |w|
+        # overflows on a subnormal |w|, which is scaled up exactly first, or
+        # its few bits give a quotient off the unit circle that undercuts
+        w = np.where(np.abs(w) < np.finfo(float).tiny, w * 2.0 ** 600, w)
         r = np.abs(w)
         return np.divide(w.real, r, where=r > 0, out=np.ones_like(r)) + 1j * (
             np.divide(w.imag, r, where=r > 0, out=np.zeros_like(r)))

@@ -49,6 +49,7 @@ from .cartan import GroupElement, to_float_array
 from .errors import NumericalError, PreconditionError
 from .exact import (
     EchelonSpan,
+    field_floats,
     field_form,
     int_mat_mul,
     mat_eq,
@@ -308,9 +309,8 @@ class _Exp:
                 tuple(d * d * x for x in row) for row in N)
         else:  # a float entry leaves Y^3 = Y undecided
             closed = False
-        try:  # N_ij / d is correctly rounded, the bits of to_float_array(Y)
-            self.Yf = (np.array([[x / d for x in row] for row in N], dtype=float)
-                       if key and r is None else to_float_array(Y))
+        try:  # the bits of to_float_array(Y)
+            self.Yf = np.array(field_floats(N, d, r)) if key else to_float_array(Y)
         except OverflowError:  # no float form: exp(t*Y) is not finite at any t
             self.Yf, closed = np.full((len(Y), len(Y)), np.inf), True
         self.Y2 = self.Yf @ self.Yf if closed else None

@@ -64,8 +64,8 @@ from operator import add, mul, ne
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, UnsupportedFieldError
-from .exact import (field_form, field_rows, int_mat_mul, ratio_form, ratio_inverse,
-                    ratio_normal, stack_minors)
+from .exact import (field_floats, field_form, field_rows, int_mat_mul, ratio_form,
+                    ratio_inverse, ratio_normal, stack_minors)
 from .fields import INF, FieldDesc, QuadElement, _int_content, int_valuation, real_sign
 
 _DET_TOL = 1e-9
@@ -78,15 +78,15 @@ def _float_entry(x):
 
 
 def to_float_array(matrix) -> np.ndarray:
-    """Dense numpy array of a GroupElement or a matrix of any scalars; a
-    rational element N / d gives N_ij / d by int division, correctly
-    rounded as float(Fraction) is (numpy would round N_ij and d first);
-    one over Q(sqrt r) gives float() of each decoded entry."""
+    """Dense numpy array of a GroupElement or a matrix of any scalars: an exact
+    element's is ``field_floats`` of its (N, d), a NumericalError past the float range."""
     if isinstance(matrix, GroupElement):
-        if matrix.ratio:
-            N, d = matrix.ratio
-            return np.array([[x / d for x in row] for row in N], dtype=float)
-        matrix = matrix.matrix
+        if matrix.is_exact:
+            try:
+                return np.array(field_floats(matrix._m, matrix._den, matrix.group.field.r))
+            except OverflowError:
+                raise NumericalError("an exact entry lies past the float range") from None
+        matrix = matrix._m
     if isinstance(matrix, np.ndarray):
         return matrix
     rows = [[_float_entry(x) for x in row] for row in matrix]

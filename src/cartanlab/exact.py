@@ -35,6 +35,7 @@ Which kernel serves which routine:
   was; every returned value is that of the reduced form.
 * ``EchelonSpan``: ``in_span`` and the incremental span tests.
 * ``charpoly`` is Faddeev-LeVerrier, not elimination.
+* ``field_floats``: the floats of a stored (N, d), one int division each.
 
 ``EchelonSpan`` keeps a span in echelon form, so membership tests and
 incremental growth need no fresh elimination.  A span test does not
@@ -55,7 +56,7 @@ from itertools import chain, combinations, compress, repeat
 from operator import add, attrgetter, floordiv, mul, neg, sub, truediv
 
 from .errors import PreconditionError
-from .fields import QuadElement, as_exact
+from .fields import QuadElement, as_exact, sqrt_midpoint
 
 _ZERO = Fraction(0)
 _INT_TYPES = frozenset((int,))
@@ -116,6 +117,16 @@ def field_rows(N, d, r=None):
     n = len(N) // 2
     return tuple(tuple(QuadElement._of(Fraction(a, d), Fraction(b, d), r) if b else Fraction(a, d)
                        for a, b in zip(N[i], N[n + i][:n])) for i in range(n))
+
+
+def field_floats(N, d, r=None):
+    """float() of each entry of ``field_rows(N, d, r)`` as one int division:
+    N_ij / d, or (A_ij D + B_ij m) / (d D) at sqrt(r) = m / D (``sqrt_midpoint``)."""
+    if r is None:
+        return [[x / d for x in row] for row in N]
+    (m, D), n = sqrt_midpoint(r), len(N) // 2
+    return [[(a * D + b * m) / (d * D) for a, b in zip(A, B[:len(B) // 2])]
+            for A, B in zip(N[:n], N[n:])]
 
 
 def ratio_normal(N, d):

@@ -120,19 +120,13 @@ def quadratic(r: int) -> FieldDesc:
     return FieldDesc("quadratic", r=r)
 
 
-def _sqrt_floor(n: int, bits: int) -> Fraction:
-    """Largest multiple of 2**-bits whose square is <= n."""
-    return Fraction(math.isqrt(n << (2 * bits)), 1 << bits)
+def sqrt_midpoint(r: int, bits: int = 80) -> tuple[int, int]:
+    """(m, D) with D = 2**(bits + 1) and (m - 1) / D <= sqrt(r) < (m + 1) / D.
 
-
-def sqrt_bounds(r: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact enclosure lo <= sqrt(r) <= hi with hi - lo <= 2**-bits.
-
-    Lower bounds are monotone non-decreasing in ``bits`` (they refine a
-    binary expansion), which is what the embedding tests rely on.
+    The lower ends refine a binary expansion, so they are monotone
+    non-decreasing in ``bits``, which is what the embedding tests rely on.
     """
-    lo = _sqrt_floor(r, bits)
-    return lo, lo + Fraction(1, 1 << bits)
+    return 2 * math.isqrt(r << (2 * bits)) + 1, 2 << bits
 
 
 class QuadElement:
@@ -295,9 +289,7 @@ class QuadElement:
         Accurate to |b| * 2**-bits; refining bits tightens the enclosure
         monotonically.
         """
-        lo, hi = sqrt_bounds(self.r, bits)
-        mid = (lo + hi) / 2
-        return self.a + self.b * mid
+        return self.a + self.b * Fraction(*sqrt_midpoint(self.r, bits))
 
     def __float__(self):
         return float(self.embed())

@@ -939,6 +939,8 @@ def test_matrix_exp_integer_route_has_the_fraction_route_bits(monkeypatch):
     boosts.append(((F(0), F(2, 3)), (F(3, 2), F(0))))  # Y = N / 6
     a = F(2**60 + 5, 3)  # N and d far past 2^53: N_ij / d must round once
     boosts.append(((F(0), a), (1 / a, F(0))))
+    u, zero = QuadElement(1, 1, 2), QuadElement(0, 0, 2)  # over Q(sqrt 2)
+    boosts.append(((zero, zero, u), (zero, zero, zero), (1 / u, zero, zero)))
     for Y in boosts:
         for t in (-1.0, 1e-3, 0.3, 1.0):
             assert matrix_exp(Y, t).tobytes() == _fraction_route_exp(Y, t).tobytes()
@@ -948,9 +950,7 @@ def test_matrix_exp_integer_route_has_the_fraction_route_bits(monkeypatch):
     assert expm_calls == [1]
     assert got == pytest.approx(np.diag([math.e, 1 / math.e]), rel=1e-14)
     # over Q(sqrt 2): the (0, 2) boost of x0^2 + x1^2 - u^2 x2^2, u = 1 + sqrt 2
-    u = QuadElement(1, 1, 2)
-    zero = QuadElement(0, 0, 2)
-    Y = ((zero, zero, u), (zero, zero, zero), (1 / u, zero, zero))
+    Y = boosts[-1]
     for t in (-1.0, 0.3):
         got = matrix_exp(Y, t)
         uf = float(u)

@@ -887,6 +887,24 @@ def test_overflowing_float_entries_are_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", [{"kind": "real"}, {"kind": "quadratic", "r": 2}],
+                         ids=["real", "q-sqrt-2"])
+def test_exact_entries_past_the_float_range_are_a_numerical_failure(tmp_path, capsys,
+                                                                    field):
+    # an exact entry that no float holds used to end in an OverflowError
+    # traceback (exit 1) where the element was taken to floats
+    big = str(10 ** 400)
+    doc = {"field": field, "group": {"family": "SL", "n": 2},
+           "matrices": [[[big, "0"], ["0", "1/" + big]]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["cartan", "--input", str(path), "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not out.exists()
+
+
 def test_field_group_override(tmp_path):
     doc = {"matrices": [[["3", "0"], ["0", "1/3"]]]}
     path = tmp_path / "m.json"

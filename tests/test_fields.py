@@ -22,7 +22,7 @@ from cartanlab.fields import (
     int_valuation,
     is_prime,
     is_squarefree,
-    sqrt_bounds,
+    sqrt_midpoint,
 )
 
 Q3 = padic(3)
@@ -74,12 +74,15 @@ def test_quad_embed_values():
 
 
 def test_quad_embed_monotone_in_precision():
-    lowers = [sqrt_bounds(2, bits)[0] for bits in (8, 16, 32, 64)]
-    assert all(a <= b for a, b in zip(lowers, lowers[1:]))
-    widths = [
-        sqrt_bounds(2, bits)[1] - sqrt_bounds(2, bits)[0] for bits in (8, 16, 32)
+    bounds = [
+        (F(m - 1, D), F(m + 1, D))
+        for m, D in (sqrt_midpoint(2, bits) for bits in (8, 16, 32, 64))
     ]
-    assert widths[0] > widths[1] > widths[2]
+    assert all(lo * lo <= 2 < hi * hi for lo, hi in bounds)
+    lowers = [lo for lo, _ in bounds]
+    assert all(a <= b for a, b in zip(lowers, lowers[1:]))
+    widths = [hi - lo for lo, hi in bounds]
+    assert widths[0] > widths[1] > widths[2] > widths[3]
 
 
 def test_field_validation():

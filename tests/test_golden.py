@@ -13,16 +13,19 @@ and across levels.
 They also pin the CSV of ``cartanlab cartan`` on the 1457 elements of
 the r = 6 balls of the shipped Schottky pair, in SO(2,2) over R and in
 SL_2 over Q_2: the loading of a rational matrix document, the Cartan
-projections and the cell text.
+projections and the cell text; and on the 74 elements of the r = 2 ball
+of the W+ lattice in SO(4,1) over Q(sqrt 2), whose entries reach floats
+from their block form.
 
 They pin the CSV and sidecar of ``cartanlab stability`` (r = 4,
 four bending parameters) on the shipped SO(2,2) bend presentation and of
 ``cartanlab properness`` (r = 5) against the cone of its generator a:
 the reference and deformed projections of a whole ball, the envelope
-fits and the cone margins.  They pin the CSV and sidecar of ``cartanlab
-bend`` at six parameters on the Schottky-pair amalgams in SO(2,2),
-SO(3,2) and SO(4,2): the bent generators, the density witnesses and the
-module check.
+fits and the cone margins; and of ``cartanlab properness`` (r = 3) on
+the W+ presentation over Q(sqrt 2), against the cone of its generator a.
+They pin the CSV and sidecar of ``cartanlab bend`` at six parameters on
+the Schottky-pair amalgams in SO(2,2), SO(3,2) and SO(4,2): the bent
+generators, the density witnesses and the module check.
 
 Last, they pin the CSV and sidecar of ``cartanlab decompose`` over every
 word of a ball on each rank-one model: the shipped Schottky pair on the
@@ -44,7 +47,7 @@ from cartanlab.surrogates import (boost_Y_so22, schottky_sl2_matrices,
                                   schottky_so22_presentation)
 from cartanlab.wordgroups import inclusion, word_ball
 
-from util import sym2_rational
+from util import sym2_rational, w_plus_sqrt2
 
 
 def _z4z_float_doc():
@@ -133,32 +136,50 @@ def test_exact_images_walk_the_ball_levels(make, radius):
     assert ball.images(inclusion(P)) == ball.elements()
 
 
-def _ball_document(field, group, presentation):
-    """The matrix document of the r = 6 ball of a presentation."""
-    ball = word_ball(presentation, inclusion(presentation), 6)
+def _ball_document(field, group, presentation, radius=6):
+    """The matrix document of the ball of a presentation."""
+    ball = word_ball(presentation, inclusion(presentation), radius)
     return {"field": field, "group": group,
             "ids": ball.labels(presentation.symbols),
             "matrices": [matrix_to_json(e.element.matrix) for e in ball.entries]}
 
 
+W_PLUS_FIELD = {"kind": "quadratic", "r": 2}
+W_PLUS_GROUP = {"family": "SO", "p": 4, "q": 1,
+                "form": ["0-1*sqrt(2)", "1", "1", "1", "1"]}
+
+
+def _w_plus_doc():
+    """The W+ presentation over Q(sqrt 2) of ``w_plus_sqrt2`` as a
+    document, with the cone of its generator a."""
+    P = w_plus_sqrt2()
+    gens = {s: matrix_to_json(g.matrix) for s, g in zip(P.symbols, P.generators)}
+    return {"field": W_PLUS_FIELD, "group": W_PLUS_GROUP, "generators": gens,
+            "cone": {"matrices": [gens["a"]]}}
+
+
+# (document, element count, CSV digest)
 CARTAN_GOLDEN = {
     "so22_r6": (lambda: _ball_document({"kind": "real"},
                                        {"family": "SO", "p": 2, "q": 2},
-                                       schottky_so22_presentation()),
+                                       schottky_so22_presentation()), 1457,
                 "786cdf67f0a5cb007707343c1b180c2f914a72ebefd480278092d5b95a9280e5"),
     "sl2_q2_r6": (lambda: _ball_document({"kind": "padic", "p": 2},
                                          {"family": "SL", "n": 2},
-                                         schottky_sl2_presentation()),
+                                         schottky_sl2_presentation()), 1457,
                   "21b424632b66deaa45b09076a3df41c4e1f28f97a185d856d877983f83507d52"),
+    "w_plus_sqrt2_r2": (lambda: _ball_document(W_PLUS_FIELD, W_PLUS_GROUP,
+                                               w_plus_sqrt2(), 2), 74,
+                        "82ec905988d796c4f1e60866ae542871d4573565171a7edb0dce1c97517709fc"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CARTAN_GOLDEN))
 def test_cartan_report_bytes(tmp_path, name):
-    make, csv_digest = CARTAN_GOLDEN[name]
+    make, count, csv_digest = CARTAN_GOLDEN[name]
     path, out = tmp_path / "in.json", tmp_path / "cartan.csv"
     doc = make()
-    assert len(doc["matrices"]) == 1457
+    assert len(doc["matrices"]) == count
     path.write_text(json.dumps(doc))
     assert main(["cartan", "--input", str(path), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
@@ -180,19 +201,24 @@ def _so22_cone_doc():
     return dict(doc, cone={"matrices": [doc["generators"]["a"]]})
 
 
+# (command, document, flags, CSV digest, sidecar digest)
 REPORT_GOLDEN = {
-    "stability": (_so22_bend_doc, ["--radius", "4", "--t", "0,0.01,0.1,0.3"],
+    "stability": ("stability", _so22_bend_doc, ["--radius", "4", "--t", "0,0.01,0.1,0.3"],
                   "227808bbff9add91c9e2c93aa7bbd7a337075606081842ebfe79ce538725ddff",
                   "0b554646fd6539aca0c225e727c063833e70a5e237cdb2adf3aa707580982653"),
-    "properness": (_so22_cone_doc, ["--radius", "5"],
+    "properness": ("properness", _so22_cone_doc, ["--radius", "5"],
                    "e3f2850beef00917270ef2cc4ac92bce146596bfff917ab5ec37583394e10982",
                    "378c4b46f05731766792a200d96adf2926a598ae5e0e2d57f57eb2401a3488af"),
+    "properness_w_plus_sqrt2": (
+        "properness", _w_plus_doc, ["--radius", "3"],
+        "c64c2448de9cd4108a657d82ea302b4bb3ed558aacbf8ad935d6d0f65b94d6cb",
+        "503d7b97cd718dbe735613cb2a9c6797d8618cd5ba9f8494caec983ef6384c05"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
-def test_deformation_report_bytes(tmp_path, command):
-    make, flags, csv_digest, sidecar_digest = REPORT_GOLDEN[command]
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_deformation_report_bytes(tmp_path, name):
+    command, make, flags, csv_digest, sidecar_digest = REPORT_GOLDEN[name]
     path, out = tmp_path / "in.json", tmp_path / "report.csv"
     path.write_text(json.dumps(make()))
     assert main([command, "--input", str(path), "--output", str(out)] + flags) == 0

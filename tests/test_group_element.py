@@ -23,6 +23,7 @@ from sympy.polys.matrices import DomainMatrix
 from cartanlab.cartan import (
     GroupDesc,
     GroupElement,
+    _mu_rows,
     _ratio_faults,
     _sl2_padic_mu1,
     _smith_valuations,
@@ -34,10 +35,13 @@ from cartanlab.cartan import (
 )
 from cartanlab.errors import PreconditionError
 from cartanlab.exact import det as exact_det
-from cartanlab.exact import (field_form, field_rows, int_mat_mul, inverse, mat_eq, mat_mul,
-                             ratio_form, ratio_inverse, ratio_normal, stack_minors,
-                             transpose)
+from cartanlab.exact import (field_floats, field_form, field_rows, int_mat_mul, inverse,
+                             mat_eq, mat_mul, ratio_form, ratio_inverse, ratio_normal,
+                             stack_minors, transpose)
 from cartanlab.fields import COMPLEX, REAL, QuadElement, int_valuation, padic, quadratic
+from cartanlab.wordgroups import inclusion, word_ball
+
+from util import w_plus_sqrt2
 
 BIG = 2 ** 80
 
@@ -752,6 +756,60 @@ def test_the_block_form_is_an_injective_ring_homomorphism(r, n, data):
     assert field_form(mat_mul(A, B), r) == ratio_normal(int_mat_mul(a[0], b[0]), a[1] * b[1])
     if exact_det(A):
         assert field_form(inverse(A), r) == ratio_inverse(*a)
+
+
+# integers small, past 2**53, past the float range, and about 2**1024 -
+# 2**970, where rounding decides whether a value overflows
+_WIDE = st.one_of(st.integers(-5, 5), st.integers(-2 ** 70, 2 ** 70),
+                  st.integers(-2 ** 1100, 2 ** 1100),
+                  st.integers(2 ** 1024 - 2 ** 972, 2 ** 1024 + 2 ** 972))
+_WIDE_FRACTIONS = st.builds(F, _WIDE, st.one_of(st.integers(1, 5), st.integers(1, 2 ** 70),
+                                                st.integers(1, 2 ** 1100)))
+
+
+def _float_bits(make):
+    """float.hex of every entry of the rows make() gives, or OverflowError
+    if one is past the float range."""
+    try:
+        return [[float(x).hex() for x in row] for row in make()]
+    except OverflowError:
+        return OverflowError
+
+
+@given(st.sampled_from([None, 2, 3, 10 ** 17 + 3]), st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_field_floats_are_the_floats_of_the_decoded_entries(r, n, data):
+    # bit for bit (signed zeros too), and past the float range both raise;
+    # p - q sqrt r with p = isqrt(q^2 r) is so small that its float shows
+    # the bits of the sqrt(r) it is taken at
+    b = st.one_of(st.just(0), _WIDE_FRACTIONS)
+    entry = (_WIDE_FRACTIONS if r is None else st.one_of(  # _of: r is checked once
+        st.builds(QuadElement._of, _WIDE_FRACTIONS, b, st.just(r)),
+        st.builds(lambda q: QuadElement._of(F(math.isqrt(q * q * r)), F(-q), r),
+                  st.integers(1, 2 ** 60))))
+    rows = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(n))
+    key = field_form(rows, r)
+    assert _float_bits(lambda: field_floats(*key, r)) == _float_bits(
+        lambda: field_rows(*key, r))
+
+
+def test_exact_elements_reach_floats_with_no_quad_element(monkeypatch):
+    # no QuadElement is converted from an exact element to its floats and
+    # to its Cartan projection
+    def refuse(*args):
+        raise AssertionError("a QuadElement was taken to a float")
+
+    P = w_plus_sqrt2()
+    elements = word_ball(P, inclusion(P), 2).elements()
+    P.group._float_form  # the form's coefficients, read once per group
+    monkeypatch.setattr(QuadElement, "__float__", refuse)
+    monkeypatch.setattr(QuadElement, "embed", refuse)
+    arrays = [to_float_array(g) for g in elements]
+    mu = _mu_rows(elements, P.group)
+    monkeypatch.undo()
+    assert [a.tolist() for a in arrays] == [
+        [[float(x) for x in row] for row in g.matrix] for g in elements]
+    assert mu.shape[0] == len(elements) and np.isfinite(mu).all()
 
 
 @given(st.sampled_from([(F(1), F(1), F(-1)), (F(1, 2), F(3), F(-2))]), st.data())

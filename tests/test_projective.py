@@ -246,6 +246,18 @@ def test_complex_distance_of_nearby_points_keeps_its_precision(data):
                                                 abs=2e-15)
 
 
+def test_complex_distance_with_a_subnormal_phase_keeps_its_precision():
+    # the third coordinates multiply to a subnormal, and the phase taken
+    # from its few bits was off the unit circle: it undercut the distance
+    # (9.899889913e-05)
+    x = ProjPoint([0j, 3.5j, 1.2722224847430986e-156j, 1j], COMPLEX)
+    e = np.array([0j, 0j, 1.2722224847430986e-156j, 1j]) / 10
+    c = -0.9899924966004454 + 0.1411200080598672j
+    y = ProjPoint(c * x.vec + 1e-3 * e, COMPLEX)
+    assert proj_distance(x, y) == pytest.approx(_mp_phase_min(x.vec, y.vec),
+                                                abs=2e-15)
+
+
 @pytest.mark.parametrize("v, x, want", [
     ([-0.613505 + 0.789691j, 0.521183 - 0.401508j],
      [0.916196 + 0.400731j, 0.614051 + 0.486443j], 1.1697782),

@@ -44,6 +44,7 @@ from util import (
     schottky_sl2_presentation,
     schottky_so22_presentation,
     sym2_rational,
+    w_plus_sqrt2,
 )
 
 SL2R = special_linear(2, REAL)
@@ -405,35 +406,10 @@ def test_exact_images_over_q_sqrt2_are_evaluate():
                                                  for e in ball.entries])
 
 
-def _w_plus_sqrt2():
-    """W+ of the compact Coxeter polytope that Vinberg's algorithm finds for
-    the form -sqrt2 x0^2 + x1^2 + ... + x4^2 over Z[sqrt 2]: the seven
-    products r_1 r_j of the reflections in its 8 roots, given as
-    (x0; x1, ..., x4), the four B4 roots and e5..e8."""
-    def q(a, b):
-        return QuadElement(a, b, 2)
-
-    form = (q(0, -1), 1, 1, 1, 1)
-    roots = [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, 0, 0, -1, 1), (0, 0, 0, 0, -1),
-             (q(1, 1), q(2, 1), 0, 0, 0), (q(1, 1), q(1, 1), q(1, 1), 0, 0),
-             (q(2, 1), q(1, 1), q(1, 1), q(1, 1), 1),
-             (q(3, 2), q(3, 2), q(1, 1), q(1, 1), q(1, 1))]
-
-    def reflection(a):  # x -> x - 2 <x, a> / <a, a> a
-        Ja = [c * x for c, x in zip(form, a)]
-        norm = sum(x * y for x, y in zip(a, Ja))
-        return [[int(i == j) - F(2) * a[i] * Ja[j] / norm for j in range(5)]
-                for i in range(5)]
-
-    r1, *rest = map(reflection, roots)
-    group = indefinite_orthogonal(4, 1, quadratic(2), form=form)
-    return Presentation("abcdefg", [ex.mat_mul(r1, r) for r in rest], group)
-
-
 def test_w_plus_ball_over_q_sqrt2():
     # the uniform lattice in SO(4,1) over Q(sqrt 2): its Q(sqrt 2) ball runs
     # on the integer kernels through the block form of every element
-    P = _w_plus_sqrt2()
+    P = w_plus_sqrt2()
     ball = word_ball(P, inclusion(P), 4)
     lengths = ball.lengths()
     assert [sum(x <= k for x in lengths) for k in range(1, 5)] == [11, 74, 418, 2214]
